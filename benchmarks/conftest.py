@@ -120,9 +120,10 @@ PAPER_EXPECTATIONS = {
         "moderate tile size."
     ),
     "ablation-fusion": (
-        "Extension (E14): per-tile kernel codegen collapses the "
+        "Extension (E14): kernel codegen (the default) collapses the "
         "MapTiles/Filter interpreter chain into one generated NumPy "
-        "kernel per partition — expect >=2x lower wall clock on the "
+        "kernel per partition, run once per stacked batch of tiles — "
+        "expect >=2x lower wall clock than fusion=False on the "
         "map-heavy smoothing chain at byte-identical results and "
         "identical engine counters."
     ),

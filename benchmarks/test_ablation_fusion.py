@@ -1,11 +1,12 @@
-"""Ablation E14 — fused per-tile kernel codegen on a map-heavy pipeline.
+"""Ablation E14 — fused batched tile kernel codegen on a map-heavy pipeline.
 
 An iterative elementwise smoothing-style chain (``x' = 0.5x + 0.1x^2``,
 re-run for ``STEPS`` steps) over deliberately tiny tiles: with many
-tiles per partition, the interpreter chain pays its per-tile Python
-overhead — expression-tree walking, coordinate expansion, per-hop
-record plumbing, clip — thousands of times per step, while the fused
-arm runs one generated NumPy kernel per partition.  Both arms must
+tiles per partition, the interpreter chain (``fusion=False``) pays its
+per-tile Python overhead — expression-tree walking, coordinate
+expansion, per-hop record plumbing, clip — thousands of times per step,
+while the default arm runs one generated NumPy kernel per partition,
+once per stacked batch of tiles.  Both arms must
 produce byte-identical result arrays and identical engine counters
 (fusion only collapses Python hops; it moves no data), and the fused
 arm must be at least 2x faster on wall clock.

@@ -125,9 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--no-fusion", action="store_true",
-        help="pin fused per-tile kernel codegen off (overrides "
-             "REPRO_FUSION=1); fused chains then run the interpreter "
-             "tile pipeline",
+        help="pin fused kernel codegen off; preserve-tiling chains then "
+             "run the interpreter tile pipeline",
     )
     parser.add_argument(
         "--explain", action="store_true",
@@ -181,7 +180,9 @@ def _metrics_report(session: SacSession, as_json: bool) -> None:
         }, indent=2))
         return
     print(total.summary())
-    if total.kernel_cache_hits or total.kernel_cache_misses:
+    if not session.options.fusion:
+        print("fused kernels: interpreter chain pinned (--no-fusion)")
+    elif total.kernel_cache_hits or total.kernel_cache_misses:
         print(
             f"fused kernels: {total.kernel_cache_misses} compiled, "
             f"{total.kernel_cache_hits} cache hits"

@@ -102,7 +102,7 @@ class JobMetrics:
     restore_stall_seconds: float = 0.0
     #: Fused-kernel cache lookups (:class:`repro.planner.codegen.KernelCache`):
     #: a hit reuses a previously compiled per-partition kernel, a miss
-    #: compiles the generated source.  Both zero unless fusion is on.
+    #: compiles the generated source.  Both zero when no chain fused.
     kernel_cache_hits: int = 0
     kernel_cache_misses: int = 0
     #: Tasks re-executed after a :class:`~repro.engine.scheduler.TransientTaskError`

@@ -78,8 +78,9 @@ def estimate_record_size(record: Any) -> int:
 # ----------------------------------------------------------------------
 #
 # Shuffle streams in this engine are overwhelmingly *homogeneous*: every
-# record of a tiled-matrix shuffle is ``((i, j), ndarray)`` and every
-# record of a coordinate shuffle is ``((i, j), float)``.  Walking each
+# record of a tiled-matrix shuffle is ``((i, j), ndarray)``, every record
+# of a coordinate shuffle is ``((i, j), float)`` and every record of a
+# coordinate join is ``((k,), {name: scalar, ...})``.  Walking each
 # record recursively through ``_estimate`` costs more than the rest of
 # the shuffle loop combined, so the accountant below derives a record's
 # size from a structural *signature* — key shape plus value type (and
@@ -97,21 +98,35 @@ _FIXED_SIZE_TYPES = frozenset(_PRIMITIVE_SIZES)
 #: + per-record envelope.
 _TILE_RECORD_OVERHEAD = 2 + (2 + 8 + 8) + 16 + RECORD_OVERHEAD
 
+#: The same for an ``(int, ndarray)`` :class:`TiledVector` block record.
+_BLOCK_RECORD_OVERHEAD = 2 + 8 + 16 + RECORD_OVERHEAD
+
 
 def _fixed_size_signature(obj: Any) -> Any:
     """A hashable signature for values whose estimate is type-determined.
 
     Returns ``None`` when ``obj``'s size depends on its contents (strings,
     lists, arbitrary objects), which routes the record to the full walk.
+    A ``dict`` keyed by strings — the binding environment a coordinate
+    join ships per element — carries its keys in the signature, so their
+    lengths are fixed by it too.
     """
     t = type(obj)
     if t in _FIXED_SIZE_TYPES:
         return t
     if t is tuple:
-        parts = tuple(_fixed_size_signature(item) for item in obj)
+        parts = tuple(map(_fixed_size_signature, obj))
         if None in parts:
             return None
         return ("t", parts)
+    if t is dict:
+        for name in obj:
+            if type(name) is not str:
+                return None
+        parts = tuple(map(_fixed_size_signature, obj.values()))
+        if None in parts:
+            return None
+        return ("d", tuple(obj), parts)
     if isinstance(obj, np.generic):
         return ("g", t)
     return None
@@ -137,13 +152,14 @@ def _record_signature(record: Any) -> Any:
 class RecordSizeAccountant:
     """Amortized, byte-exact size accounting for shuffle record streams.
 
-    ``record_size`` agrees with :func:`estimate_record_size` on every
-    input by construction: the first record of each signature is priced
-    by the full estimator and later records of the same signature reuse
-    the memoized price.  ``((i, j), ndarray)`` tile records — the block
-    shuffle hot path — skip the memo entirely and price directly from
-    ``ndarray.nbytes``, so ragged edge tiles stay exact without one memo
-    entry per shape.
+    Totals agree with :func:`estimate_record_size` on every input by
+    construction: the first record of each signature is priced by the
+    full estimator and later records of the same signature reuse the
+    memoized price.  ``batch_size`` prices ``((i, j), ndarray)`` tile
+    records and ``(i, ndarray)`` vector blocks — the block-array hot
+    path, one record per tile from every ``BlockManager.put`` — inline
+    from ``ndarray.nbytes``, with no call per record and no memo entry
+    per ragged edge shape.
     """
 
     __slots__ = ("_memo",)
@@ -153,12 +169,6 @@ class RecordSizeAccountant:
 
     def record_size(self, record: Any) -> int:
         """Size of one record (identical to ``estimate_record_size``)."""
-        if type(record) is tuple and len(record) == 2:
-            key, value = record
-            if type(value) is np.ndarray and type(key) is tuple and len(key) == 2:
-                k0, k1 = key
-                if type(k0) is int and type(k1) is int:
-                    return int(value.nbytes) + _TILE_RECORD_OVERHEAD
         sig = _record_signature(record)
         if sig is None:
             return estimate_record_size(record)
@@ -171,7 +181,20 @@ class RecordSizeAccountant:
     def batch_size(self, records: Any) -> int:
         """Total size of a batch of records (one call per partition)."""
         total = 0
+        ndarray = np.ndarray
         size_of = self.record_size
         for record in records:
+            if type(record) is tuple and len(record) == 2:
+                key, value = record
+                if type(value) is ndarray:
+                    if type(key) is int:
+                        total += value.nbytes + _BLOCK_RECORD_OVERHEAD
+                        continue
+                    if (
+                        type(key) is tuple and len(key) == 2
+                        and type(key[0]) is int and type(key[1]) is int
+                    ):
+                        total += value.nbytes + _TILE_RECORD_OVERHEAD
+                        continue
             total += size_of(record)
         return total

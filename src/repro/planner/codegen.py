@@ -1,4 +1,4 @@
-"""Code generation: fused per-tile kernels and human-readable reports.
+"""Code generation: fused batched tile kernels and human-readable reports.
 
 The paper's system emits Scala source at compile time; this module is
 the Python analogue, in two parts:
@@ -9,11 +9,13 @@ the Python analogue, in two parts:
   statement, what :func:`repro.planner.lower._lower_preserve` and
   ``_result_storage`` do across five or six Python-level RDD hops —
   coordinate projection, index grids, tile realignment, the vectorized
-  head value, guard masks, and boundary clipping — so a fused run is
-  bit-identical to the interpreted chain while paying one hop per tile.
-  Expressions render through
-  :func:`repro.planner.kernels.emit_vectorized_source`, which calls the
-  same ufuncs ``compile_vectorized`` dispatches to.
+  head value, guard masks, and boundary clipping — but on a leading
+  batch axis: a partition's same-shaped tiles are stacked and every
+  statement runs once per stack, not once per tile.  Elementwise ufuncs
+  are exact per element however the elements are batched, so a fused
+  run is bit-identical to the interpreted chain.  Expressions render
+  through :func:`repro.planner.kernels.emit_vectorized_source`, which
+  calls the same ufuncs ``compile_vectorized`` dispatches to.
 
 * :func:`explain` — the inspectable compilation report ``SacSession``
   exposes to users.
@@ -71,6 +73,28 @@ class _Emitter:
         self.lines.append("    " * self.depth + text if text else "")
 
 
+#: Upper bound on the float64 output bytes one stacked chunk computes.
+#: Up to it a partition's same-shaped tiles are copied into one
+#: ``(B, h, w)`` array and the ufunc chain runs once; a tile above half
+#: of it is a chunk of one (``tile[None]``, no copy), where the per-call
+#: overhead is already negligible and a stack would only double memory.
+#: Chosen by the tile 4 → 200 sweep recorded in docs/INTERNALS.md
+#: "Kernel fusion"; not an option.
+_CHUNK_BYTES = 1 << 17
+
+
+def _tuple_source(items: Sequence[str]) -> str:
+    """``items`` as the source of a tuple display (or unpacking target)."""
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+def _stack(tiles: Sequence[np.ndarray]) -> np.ndarray:
+    """Same-shaped tiles as one array with a leading batch axis."""
+    if len(tiles) == 1:
+        return tiles[0][None]
+    return np.concatenate(tiles).reshape((len(tiles),) + tiles[0].shape)
+
+
 def generate_fused_kernel(
     setup: Any,
     out_classes: Sequence[int],
@@ -78,6 +102,15 @@ def generate_fused_kernel(
     args: tuple,
 ) -> FusedKernel:
     """Emit the per-partition source for one preserve-tiling chain.
+
+    The generated function makes two passes over a partition.  The
+    first groups the records by ``(operand dtype, operand shape,
+    trimmed output extent)`` — integer arithmetic on the coordinates
+    only — so a group's members agree on every shape the statements
+    see.  The second stacks each group, in chunks of at most
+    :data:`_CHUNK_BYTES`, onto a leading batch axis and runs the
+    interpreter's statements once per chunk; the output records are the
+    chunk's per-tile views, in input record order.
 
     Raises :class:`KernelUnsupported` when any piece of the chain has no
     source form — the caller (the ``fusion`` pass) then leaves the
@@ -97,6 +130,8 @@ def generate_fused_kernel(
 
     position = {cls: pos for pos, cls in enumerate(out_classes)}
     identity = list(range(len(out_classes)))
+    rank = len(identity)
+    dims = [setup.class_dim[cls] for cls in out_classes]
     axis_maps = [
         [position[cls] for cls in gen.axis_classes] for gen in gens
     ]
@@ -107,6 +142,9 @@ def generate_fused_kernel(
     used_index_vars = sorted(
         var for var, cls in setup.classes.items()
         if var in used and cls in position
+    )
+    index_positions = sorted(
+        {position[setup.classes[var]] for var in used_index_vars}
     )
     needs_grids = bool(used_index_vars) or any(
         axis_map != identity for axis_map in axis_maps
@@ -122,10 +160,11 @@ def generate_fused_kernel(
     }
     for slot, var in enumerate(used_index_vars):
         names[var] = f"_ix{slot}"
-    value_names: dict[int, str] = {}
+    operands: list[int] = []
     for k, gen in enumerate(gens):
         if gen.value_var is not None and gen.value_var in used:
-            names[gen.value_var] = value_names[k] = f"_v{k}"
+            names[gen.value_var] = f"_v{k}"
+            operands.append(k)
 
     value_src = emit_vectorized_source(info.head_value, names)
     mask_srcs = [
@@ -137,9 +176,10 @@ def generate_fused_kernel(
     out = _Emitter()
     out.emit("def _fused_partition(_part):")
     out.depth += 1
-    out.emit("_out = []")
-    out.emit("_append = _out.append")
+    out.emit("_groups = {}")
+    out.emit("_count = 0")
 
+    # -- Pass 1: one record at a time, coordinates only -----------------
     if mode == "tiles":
         gen = gens[0]
         # Output coordinate = projection of the tile coordinate; a
@@ -167,6 +207,8 @@ def generate_fused_kernel(
         out.depth += 1
         for pos in identity:
             out.emit(f"_k{pos} = _oc[{pos}]")
+        for k in operands:
+            out.emit(f"_t{k} = _tiles[{k}]")
 
     # Tiles wholly outside the declared output are dropped either way;
     # skipping their compute changes nothing observable.
@@ -175,32 +217,81 @@ def generate_fused_kernel(
     )
     out.emit(f"if {drop}:")
     out.emit("    continue")
+    for k in operands:
+        out.emit(f"if type(_t{k}) is not _ndarray:")
+        out.emit(f"    _t{k} = np.asarray(_t{k})")
+    # The output tile's trimmed extent along each axis: ``n`` for every
+    # block short of the last full one, else what is left of the
+    # smaller of the traversed and the declared dimension.
+    key_parts = [f"_t{k}.dtype, _t{k}.shape" for k in operands]
+    for pos in identity:
+        limit = min(dims[pos], declared[pos])
+        key_parts.append(
+            f"{n} if _k{pos} < {limit // n} else {limit} - _k{pos} * {n}"
+        )
+    out.emit(f"_key = {_tuple_source(key_parts)}")
+    out.emit("_group = _groups.get(_key)")
+    out.emit("if _group is None:")
+    out.emit("    _group = _groups[_key] = []")
+    if builder == "tiled_vector":
+        out_key = "_k0"  # TiledVector blocks are keyed by a bare int
+    elif mode == "joined":
+        out_key = "_oc"
+    else:
+        out_key = _tuple_source([f"_k{pos}" for pos in identity])
+    # Column layout of a group member; pass 2 reads columns by number.
+    fields = ["_count", out_key]
+    coord_col = {pos: len(fields) + c for c, pos in enumerate(index_positions)}
+    fields += [f"_k{pos}" for pos in index_positions]
+    tile_col = {k: len(fields) + c for c, k in enumerate(operands)}
+    fields += [f"_t{k}" for k in operands]
+    out.emit(f"_group.append(({', '.join(fields)}))")
+    out.emit("_count += 1")
+    out.depth -= 1
 
+    # -- Pass 2: one ufunc chain per stacked chunk ------------------------
+    out.emit("_order = []")
+    out.emit("_records = []")
+    key_names = [f"_d{k}, _s{k}" for k in operands]
+    key_names += [f"_h{pos}" for pos in identity]
+    out.emit(f"for {_tuple_source(key_names)}, _group in _groups.items():")
+    out.depth += 1
     # The kernels evaluate at the traversed extent (input dimensions),
     # exactly like ``_tile_shape``; trimming to the declared output
     # happens after, like ``_result_storage``.
-    extents = ", ".join(
-        f"min({n}, {setup.class_dim[out_classes[pos]]} - _k{pos} * {n})"
-        for pos in identity
-    )
-    if len(identity) == 1:
-        extents += ","
-    out.emit(f"_shape = ({extents})")
+    slack = [max(0, dims[pos] - declared[pos]) for pos in identity]
+    extent = [f"_h{pos}" for pos in identity]
+    for pos in identity:
+        if slack[pos]:
+            out.emit(f"_e{pos} = min({n}, _h{pos} + {slack[pos]})")
+            extent[pos] = f"_e{pos}"
     if needs_grids:
-        out.emit("_g = np.indices(_shape)")
+        for pos in identity:
+            grid = f"np.arange({extent[pos]})"
+            if rank > 1:
+                spread = ", ".join("-1" if p == pos else "1" for p in identity)
+                grid += f".reshape({spread})"
+            out.emit(f"_l{pos} = {grid}")
+    out.emit(f"_per = {_CHUNK_BYTES} // (8 * {' * '.join(extent)}) or 1")
+    out.emit("for _lo in range(0, len(_group), _per):")
+    out.depth += 1
+    out.emit("_cols = list(zip(*_group[_lo:_lo + _per]))")
+    out.emit("_b = len(_cols[0])")
+    out.emit(f"_shape = (_b, {', '.join(extent)})")
+    ones = ", 1" * rank
     for slot, var in enumerate(used_index_vars):
         pos = position[setup.classes[var]]
-        out.emit(f"_ix{slot} = _g[{pos}] + _k{pos} * {n}")
-    for k, gen in enumerate(gens):
-        name = value_names.get(k)
-        if name is None:
-            continue
-        tile = "_t0" if mode == "tiles" else f"_tiles[{k}]"
+        out.emit(
+            f"_ix{slot} = _l{pos} + "
+            f"np.array(_cols[{coord_col[pos]}]).reshape(_b{ones}) * {n}"
+        )
+    for k in operands:
+        stacked = f"_stack(_cols[{tile_col[k]}])"
         if axis_maps[k] == identity:
-            out.emit(f"{name} = {tile}")
+            out.emit(f"_v{k} = {stacked}")
         else:
-            index = ", ".join(f"_g[{dim}]" for dim in axis_maps[k])
-            out.emit(f"{name} = {tile}[{index}]")
+            index = ", ".join(f"_l{dim}" for dim in axis_maps[k])
+            out.emit(f"_v{k} = {stacked}[:, {index}]")
 
     out.emit(f"_val = np.asarray({value_src}, dtype=np.float64)")
     out.emit("if _val.shape != _shape:")
@@ -210,26 +301,22 @@ def generate_fused_kernel(
         for mask_src in mask_srcs:
             out.emit(f"_keep &= np.asarray({mask_src}, dtype=bool)")
         out.emit("_val = np.where(_keep, _val, 0.0)")
-
-    trims = [
-        f"min(_val.shape[{pos}], {declared[pos]} - _k{pos} * {n})"
-        for pos in identity
-    ]
-    for pos, trim in enumerate(trims):
-        out.emit(f"_h{pos} = {trim}")
-    bounds = ", ".join(f"_h{pos}" for pos in identity)
-    if len(identity) == 1:
-        bounds += ","
-    out.emit(f"if ({bounds}) != _val.shape:")
-    slices = ", ".join(f":_h{pos}" for pos in identity)
-    out.emit(f"    _val = _val[{slices}]")
-    if builder == "tiled":
-        key = "(" + ", ".join(f"_k{pos}" for pos in identity) + ")"
-    else:
-        key = "_k0"  # TiledVector blocks are keyed by a bare int
-    out.emit(f"_append(({key}, _val))")
-    out.depth -= 1
-    out.emit("return _out")
+    if any(slack):
+        bounds = ", ".join(f"_h{pos}" for pos in identity)
+        out.emit(f"if (_b, {bounds}) != _shape:")
+        slices = ", ".join(f":_h{pos}" for pos in identity)
+        out.emit(f"    _val = _val[:, {slices}]")
+    out.emit("_order.extend(_cols[0])")
+    out.emit("_records.extend(zip(_cols[1], _val))")
+    out.depth -= 2
+    # Groups interleave in the input, so put the records back in input
+    # order (a single group is already in it).
+    out.emit("if len(_groups) > 1:")
+    out.emit("    _out = [None] * _count")
+    out.emit("    for _i, _record in zip(_order, _records):")
+    out.emit("        _out[_i] = _record")
+    out.emit("    return _out")
+    out.emit("return _records")
 
     source = "\n".join(out.lines) + "\n"
     fingerprint = hashlib.sha1(source.encode()).hexdigest()[:16]
@@ -273,7 +360,9 @@ class KernelCache:
                 if metrics is not None:
                     metrics.record_kernel_cache_hit()
                 return fn
-        namespace: dict[str, Any] = {"np": np, "_div": _div}
+        namespace: dict[str, Any] = {
+            "np": np, "_div": _div, "_ndarray": np.ndarray, "_stack": _stack,
+        }
         code = compile(source, f"<sac-fused:{fingerprint}>", "exec")
         exec(code, namespace)
         fn = namespace["_fused_partition"]

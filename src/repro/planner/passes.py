@@ -24,10 +24,10 @@ decided, and built in a single motion.  It is now a
    single :data:`~repro.planner.ir.OP_FUSED_KERNEL` node carrying the
    fingerprinted per-partition source
    :func:`~repro.planner.codegen.generate_fused_kernel` emitted, so the
-   lowering runs one generated NumPy hop per tile instead of N
-   Python-level RDD hops (off by default; ``PlannerOptions(fusion=True)``
-   or ``REPRO_FUSION=1``; chains with no source form keep the
-   interpreter lowering).
+   lowering runs one generated NumPy hop per stacked batch of tiles
+   instead of N Python-level RDD hops per tile (on by default;
+   ``PlannerOptions(fusion=False)`` pins the interpreter lowering, and
+   chains with no source form keep it per query).
 
 Every pass records a :class:`~repro.planner.ir.PassTraceEntry` with the
 physical DAG rendered before and after, so ``Plan.explain()`` can show
@@ -90,16 +90,12 @@ def cse_enabled(options: "PlannerOptions") -> bool:
 
 
 def fusion_enabled(options: "PlannerOptions") -> bool:
-    """Is fused per-tile kernel codegen on for this compile?
+    """Is fused kernel codegen on for this compile?
 
-    ``PlannerOptions.fusion`` wins when set; otherwise the
-    ``REPRO_FUSION`` environment variable decides, and the default is
-    **off** so lowered programs stay byte-identical to the interpreter
-    chains.
+    On unless ``PlannerOptions(fusion=False)`` pins the interpreter
+    chain (the reference the differential suite compares against).
     """
-    if options.fusion is not None:
-        return options.fusion
-    return env_flag("REPRO_FUSION", False)
+    return options.fusion
 
 
 @dataclass
@@ -564,10 +560,7 @@ def pass_fusion(state: PlanState) -> str:
     if root is None:
         return "skipped (local plan)"
     if not fusion_enabled(state.options):
-        return (
-            "disabled (enable with PlannerOptions(fusion=True) or "
-            "REPRO_FUSION=1)"
-        )
+        return "disabled (PlannerOptions(fusion=False))"
     if root.attrs.get("rule") != RULE_PRESERVE_TILING:
         return (
             f"no fusible MapTiles/Filter chain "

@@ -65,12 +65,12 @@ class PlannerOptions:
     plan's shuffle outputs are marked for
     :class:`~repro.engine.block_manager.BlockManager` reuse.
 
-    ``fusion``: fused per-tile kernel codegen.  ``None`` (default)
-    defers to the ``REPRO_FUSION`` environment variable (off unless
-    set); ``True`` / ``False`` pin it.  When on, preserve-tiling
+    ``fusion``: fused kernel codegen, on by default.  Preserve-tiling
     MapTiles/Filter chains lower to one generated NumPy kernel per
-    partition instead of N Python-level RDD hops; chains without a
-    source form keep the interpreter lowering.
+    partition, run once per stacked batch of tiles, instead of N
+    Python-level RDD hops per tile; chains without a source form keep
+    the interpreter lowering.  ``False`` pins the interpreter lowering
+    for every chain (the differential tests' reference).
     """
 
     group_by_join: Optional[bool] = None
@@ -78,7 +78,7 @@ class PlannerOptions:
     allow_tiled: bool = True
     broadcast_threshold: Optional[int] = None
     cse: Optional[bool] = None
-    fusion: Optional[bool] = None
+    fusion: bool = True
 
     def cache_signature(self) -> tuple:
         """Hashable identity for plan caching (every field that can

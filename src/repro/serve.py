@@ -249,21 +249,33 @@ class ServeServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.base_events.Server] = None
+        self._stopping = False
 
     async def start(self) -> None:
+        self._stopping = False
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
+        """Serve until :meth:`stop`, then return; a cancellation of the
+        calling task itself still propagates."""
         if self._server is None:
             await self.start()
         async with self._server:
-            await self._server.serve_forever()
+            try:
+                await self._server.serve_forever()
+            except asyncio.CancelledError:
+                # ``Server.close()`` ends its ``serve_forever`` by
+                # cancelling the future it waits on; after ``stop()``
+                # that is the requested shutdown, not a cancellation.
+                if not self._stopping:
+                    raise
 
     async def stop(self) -> None:
         if self._server is not None:
+            self._stopping = True
             self._server.close()
             await self._server.wait_closed()
             self._server = None

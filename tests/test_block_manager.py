@@ -270,12 +270,24 @@ SAMPLE_RECORDS = [
     ((0, 0), np.zeros((3, 3))),
     ((2, 5), np.ones((7, 2), dtype=np.float32)),
     ((0, 0), np.zeros(0)),
+    ((4, 4), np.zeros((3, 2))),  # ragged corner tile
+    (3, np.zeros(7)),  # TiledVector block
+    (0, np.arange(5, dtype=np.int32)),
+    (True, np.zeros(2)),  # bool key is not a block coordinate
+    ((1, True), np.zeros(2)),
     ((1, 2, 3), np.arange(4)),
     ((0, 1), 2.5),
     (0, 1),
     ("key", [1, 2, 3]),
     (np.int64(3), np.float64(1.5)),
-    ((0, ("a", 1)), {"x": 2}),
+    ((0, ("a", 1)), {"x": 2}),  # str inside the key: full walk
+    ((7,), {"i": 6, "j": 7, "a": 0.25}),  # coordinate-join binding environment
+    ((8,), {"i": 6, "j": 8, "a": True}),  # same names, another value type
+    ((8,), {"ii": 6, "j": 8, "a": 0.5}),  # same types, a longer name
+    ((8,), {"i": 6, "j": 8}),
+    ((0,), {}),
+    ((0,), {1: 2.0}),  # non-str name: full walk
+    ((0,), {"x": [1, 2]}),  # content-sized value: full walk
     [1, 2, 3],
     "bare string",
     ((0.5, 1), True),
@@ -308,9 +320,23 @@ def test_accountant_batch_matches_sum():
                 st.integers(0, 12).map(lambda n: np.zeros(n)),
             ),
             st.tuples(
+                st.integers(), st.integers(0, 12).map(lambda n: np.zeros(n))
+            ),
+            st.tuples(
                 st.tuples(st.integers(), st.integers()), st.floats(allow_nan=False)
             ),
             st.tuples(st.integers(), st.integers()),
+            st.tuples(
+                st.tuples(st.integers()),
+                st.dictionaries(
+                    st.one_of(st.text(max_size=2), st.integers(0, 2)),
+                    st.one_of(
+                        st.integers(), st.floats(allow_nan=False), st.booleans(),
+                        st.text(max_size=2),
+                    ),
+                    max_size=3,
+                ),
+            ),
             st.tuples(st.text(max_size=5), st.booleans()),
             st.integers(),
             st.text(max_size=8),

@@ -1,15 +1,20 @@
 """Fused kernel codegen: differential fuzz and fallback parity.
 
 The fusion pass replaces the preserve-tiling MapTiles/Filter interpreter
-chain with one generated NumPy kernel per partition.  The contract is
-*byte identity*: for every fusible chain, the fused run must produce
-exactly the same array as the interpreter chain (``np.array_equal``, not
-allclose — the kernel re-emits the same ufunc calls in the same order).
-These tests fuzz that contract over random chains, pin it across the
-serial/threaded × staged/pipelined runner matrix, and cover the
-KernelUnsupported fallback, the kernel cache counters, the explain()
-surfacing, and the vectorized ``partition_batch`` fast path.
+chain with one generated NumPy kernel per partition, run once per
+stacked batch of same-shaped tiles.  The contract is *byte identity*:
+for every fusible chain, the fused run must produce exactly the same
+array as the interpreter chain (``np.array_equal``, not allclose — the
+kernel re-emits the same ufunc calls in the same order, and an
+elementwise ufunc is exact per element however the elements are
+batched).  These tests fuzz that contract over random chains, pin it
+across the serial/threaded × staged/pipelined runner matrix, and cover
+the batch boundaries (ragged groups, chunk budget, record order,
+spill), the KernelUnsupported fallback, the kernel cache counters, the
+explain() surfacing, and the vectorized ``partition_batch`` fast path.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -178,6 +183,175 @@ def test_runner_matrix_byte_identical(label, runner, pipeline, query):
 
 
 # ----------------------------------------------------------------------
+# Batch boundaries: ragged groups, chunk budget, record order, spill
+# ----------------------------------------------------------------------
+
+#: 11x14 at tile 4, all in ONE partition, declared 9x9: full tiles, a
+#: right-edge column trimmed to width 1, a bottom-edge row trimmed to
+#: height 1, their corner, and tile column 3 wholly outside the
+#: declared extent — every group the kernel can form, interleaved.
+RAGGED_ROWS, RAGGED_COLS, RAGGED_TILE = 11, 14, 4
+
+BOUNDARY_QUERIES = [
+    # plain chain; index grids (i and j read); transposed axis map with
+    # a grid; scalar-constant head (the broadcast_to(...).copy() branch);
+    # guard masks over the batched grids
+    "tiled(9,9)[ ((i,j),0.5*v+0.1*v*v) | ((i,j),v) <- M ]",
+    "tiled(9,9)[ ((i,j),v+2.0*i-j) | ((i,j),v) <- M ]",
+    "tiled(9,9)[ ((j,i),v*v+i) | ((i,j),v) <- M ]",
+    "tiled(9,9)[ ((i,j),3.5) | ((i,j),v) <- M ]",
+    "tiled(9,9)[ ((i,j),v-1.0) | ((i,j),v) <- M, i != j, i + j > 3 ]",
+    # declared beyond the input on one axis, inside it on the other
+    "tiled(20,9)[ ((i,j),v+1.0) | ((i,j),v) <- M ]",
+]
+
+
+def _fused_kernel(session, query, env):
+    """The compiled per-partition callable of ``query``'s fused chain."""
+    from repro.planner.codegen import get_fused_kernel
+
+    (entry,) = session.compile(query, env).plan.fused_kernels()
+    return get_fused_kernel(entry["fingerprint"], entry["source"])
+
+
+@pytest.mark.parametrize("query", BOUNDARY_QUERIES)
+def test_ragged_partition_tiles_and_order_match_interpreter(query):
+    data = random_matrix(RAGGED_ROWS, RAGGED_COLS, 21)
+    tiles = []
+    for fusion in (True, False):
+        session = make_session(RAGGED_TILE, fusion)
+        env = dict(M=session.tiled(data, num_partitions=1))
+        if fusion:
+            _assert_fused(session, query, env)
+        tiles.append(session.run(query, env).tiles.collect())
+    fused, interpreted = tiles
+    # Same records, same order, same bytes — tile by tile.
+    assert [key for key, _ in fused] == [key for key, _ in interpreted]
+    for (_, got), (_, want) in zip(fused, interpreted):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_output_order_is_input_record_order():
+    """Groups interleave in a shuffled partition; outputs must not."""
+    session = make_session(RAGGED_TILE, fusion=True)
+    query = BOUNDARY_QUERIES[1]
+    source = session.tiled(
+        random_matrix(RAGGED_ROWS, RAGGED_COLS, 22), num_partitions=1
+    )
+    kernel = _fused_kernel(session, query, dict(M=source))
+    records = source.tiles.collect()
+    np.random.default_rng(5).shuffle(records)
+    batched = kernel(records)
+    # One record at a time is the unbatched kernel: a chunk of one.
+    single = [out for record in records for out in kernel([record])]
+    assert [key for key, _ in batched] == [key for key, _ in single]
+    assert [key for key, _ in batched] == [
+        key for key, _ in records if key[1] * RAGGED_TILE < 9
+    ]
+    for (_, got), (_, want) in zip(batched, single):
+        assert got.tobytes() == want.tobytes()
+
+
+def _mixed_records(with_list):
+    rng = np.random.default_rng(23)
+    ints = [rng.integers(-50, 50, size=(4, 4)) for _ in range(3)]
+    return [
+        ((0, 0), rng.uniform(-5, 5, size=(4, 4))),
+        ((0, 1), ints[0]),
+        ((1, 0), rng.uniform(-5, 5, size=(4, 4)).astype(np.float32)),
+        ((1, 1), ints[1].tolist() if with_list else ints[1]),
+        ((2, 0), rng.uniform(-5, 5, size=(4, 4))),
+        ((2, 1), ints[2]),
+    ]
+
+
+@pytest.mark.parametrize("head,with_list", [
+    # ``v/4`` floors on integer tiles and divides on float ones, so a
+    # stack that mixed the dtypes would change the answer.
+    ("v/4", False),
+    # A nested-list tile (the interpreter's ufuncs accept one).
+    ("2.0*v+1.0", True),
+])
+def test_mixed_dtype_and_non_ndarray_tiles_take_their_own_groups(
+    head, with_list
+):
+    from repro.storage.tiled import TiledMatrix
+
+    query = f"tiled(12,8)[ ((i,j),{head}) | ((i,j),v) <- M ]"
+    results = []
+    for fusion in (True, False):
+        session = make_session(4, fusion)
+        records = _mixed_records(with_list)
+        source = TiledMatrix(
+            12, 8, 4, session.engine.parallelize(records, 1)
+        )
+        results.append(session.run(query, M=source).to_numpy())
+    fused, interpreted = results
+    assert fused.tobytes() == interpreted.tobytes()
+
+
+def test_tiles_over_the_chunk_budget_do_not_share_memory():
+    from repro.planner.codegen import _CHUNK_BYTES
+
+    query = "tiled(n,m)[ ((i,j),0.5*v+0.1*v*v) | ((i,j),v) <- M ]"
+    big = int((_CHUNK_BYTES // 8) ** 0.5)  # one tile > half the budget
+    for tile, shared in ((4, True), (big, False)):
+        session = make_session(tile, fusion=True)
+        n = 3 * tile
+        source = session.tiled(random_matrix(n, n, 24), num_partitions=1)
+        kernel = _fused_kernel(session, query, dict(M=source, n=n, m=n))
+        outputs = [value for _, value in kernel(source.tiles.collect())]
+        assert len(outputs) == 9
+        pairs = [
+            np.shares_memory(a.base, b.base)
+            for k, a in enumerate(outputs) for b in outputs[k + 1:]
+        ]
+        # Small tiles are views of one stacked chunk (so nothing may
+        # mutate a tile in place); a big tile is a chunk of its own.
+        assert all(pairs) if shared else not any(pairs)
+        if shared:  # a spilled view must not drag its chunk along
+            view = outputs[0]
+            assert len(pickle.dumps(view)) < len(pickle.dumps(view.base)) / 4
+
+
+def test_fused_small_tile_chain_under_memory_limit_restores_identical():
+    """Each output tile is a view of a shared chunk: a spill must
+    pickle only the view, and unpersist must give back every byte the
+    chain's results held (only the input's partitions remain)."""
+    query = "tiled(n,m)[ ((i,j),0.5*v+0.1*v*v) | ((i,j),v) <- M ]"
+    n, tile = 30, 3  # 10 partitions of ~1.2 kB against a 4 kB cap
+    data = random_matrix(n, n, 25)
+    outputs = {}
+    for limit in (None, 4096):
+        session = SacSession(
+            cluster=TINY_CLUSTER, tile_size=tile, memory_limit=limit,
+        )
+        manager = session.engine.block_manager
+        def held():  # resident or parked in the spill tier
+            return manager.cached_bytes + manager.spilled_bytes_held
+
+        x = session.tiled(data, num_partitions=10).materialize()
+        before = held()
+        steps = []
+        for _ in range(3):
+            x = session.run(query, M=x, n=n, m=n).materialize()
+            steps.append(x)
+        outputs[limit] = [
+            (key, value.tobytes()) for key, value in sorted(x.tiles.collect())
+        ]
+        if limit is not None:
+            total = session.engine.metrics.total
+            assert total.spilled_bytes > 0 and total.spill_restores > 0
+            assert total.kernel_cache_hits + total.kernel_cache_misses == 3
+        for step in steps:
+            step.tiles.unpersist()
+        assert held() == before
+        session.engine.close()
+    assert outputs[4096] == outputs[None]
+
+
+# ----------------------------------------------------------------------
 # KernelUnsupported fallback: interpreter chain kept, results unchanged
 # ----------------------------------------------------------------------
 
@@ -248,7 +422,7 @@ def test_kernel_cache_lru_eviction():
 
 
 # ----------------------------------------------------------------------
-# Surfacing: explain(), to_dict(), and the --no-fusion CLI flag
+# Surfacing: explain(), to_dict(), and the CLI's metrics line
 # ----------------------------------------------------------------------
 
 
@@ -278,13 +452,23 @@ def test_to_dict_has_no_fused_section_when_off():
     assert "fused_kernels" not in out
 
 
-def test_cli_no_fusion_flag_parses():
-    from repro.cli import build_parser
+def test_cli_fuses_by_default_and_no_fusion_pins_the_interpreter(
+    tmp_path, capsys
+):
+    from repro.cli import main
 
-    args = build_parser().parse_args(["q", "--no-fusion"])
-    assert args.no_fusion is True
-    args = build_parser().parse_args(["q"])
-    assert args.no_fusion is False
+    path = tmp_path / "x.npy"
+    np.save(path, random_matrix(12, 12, 6))
+    # A constant no other test uses: the first lookup is a compile.
+    argv = [
+        "tiled(n,m)[ ((i,j),3.1907*v) | ((i,j),v) <- X ]",
+        "--bind", f"X={path}", "--define", "n=12", "--define", "m=12",
+        "--tile-size", "5", "--metrics",
+    ]
+    assert main(argv) == 0
+    assert "fused kernels: 1 compiled" in capsys.readouterr().out
+    assert main(argv + ["--no-fusion"]) == 0
+    assert "fused kernels: interpreter chain pinned" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

@@ -42,10 +42,7 @@ PASS_NAMES = [
     "adaptive-install", "cse", "fusion",
 ]
 
-FUSION_OFF = (
-    "fusion: disabled (enable with PlannerOptions(fusion=True) or"
-    " REPRO_FUSION=1)"
-)
+FUSION_OFF = "fusion: disabled (PlannerOptions(fusion=False))"
 
 
 def test_add_trace(session):
@@ -64,8 +61,31 @@ def test_add_trace(session):
         "strategy-selection: rule preserve-tiling [rewrote plan]",
         "adaptive-install: not a cost-chosen group-by-join candidate",
         "cse: disabled (enable with PlannerOptions(cse=True) or REPRO_CSE=1)",
-        FUSION_OFF,
+        "fusion: fused 1 tile operator(s) into kernel 068ec7510ddfc251"
+        " (mode joined) [rewrote plan]",
     ]
+    assert final == (
+        "Assemble[tiled](FusedKernel[fused kernel]"
+        "(Scan[i,j], Scan[ii,jj]))"
+    )
+
+
+def test_add_trace_fusion_pinned_off():
+    """``fusion=False`` keeps the interpreter chain and says so."""
+    from repro.planner import PlannerOptions
+
+    session = SacSession(
+        cluster=TINY_CLUSTER, tile_size=TILE,
+        options=PlannerOptions(fusion=False),
+    )
+    summaries, final = trace_of(
+        session,
+        "tiled(n,m)[ ((i,j),a+b) | ((i,j),a) <- M, ((ii,jj),b) <- N2,"
+        " ii == i, jj == j ]",
+        {"M": _mat(session, 30, 20), "N2": _mat(session, 30, 20),
+         "n": 30, "m": 20},
+    )
+    assert summaries[-1] == FUSION_OFF
     assert final == (
         "Assemble[tiled](MapTiles[per-tile kernel]"
         "(Scan[i,j], Scan[ii,jj]))"
@@ -89,7 +109,7 @@ def test_multiply_trace(session):
         " gbj-broadcast-left) [rewrote plan]",
         "adaptive-install: not a cost-chosen group-by-join candidate",
         "cse: disabled (enable with PlannerOptions(cse=True) or REPRO_CSE=1)",
-        FUSION_OFF,
+        "fusion: no fusible MapTiles/Filter chain (rule group-by-join)",
     ]
     assert final == (
         "Assemble(GroupByJoin[broadcast]"
@@ -111,9 +131,10 @@ def test_transpose_trace(session):
         "strategy-selection: rule preserve-tiling [rewrote plan]",
         "adaptive-install: not a cost-chosen group-by-join candidate",
         "cse: disabled (enable with PlannerOptions(cse=True) or REPRO_CSE=1)",
-        FUSION_OFF,
+        "fusion: fused 1 tile operator(s) into kernel 8dfab873be3b95a5"
+        " (mode tiles) [rewrote plan]",
     ]
-    assert final == "Assemble[tiled](MapTiles[per-tile kernel](Scan[i,j]))"
+    assert final == "Assemble[tiled](FusedKernel[fused kernel](Scan[i,j]))"
 
 
 def test_smoothing_trace(session):
@@ -153,7 +174,7 @@ def test_factorization_step_trace(session):
         " gbj-broadcast-left) [rewrote plan]",
         "adaptive-install: not a cost-chosen group-by-join candidate",
         "cse: disabled (enable with PlannerOptions(cse=True) or REPRO_CSE=1)",
-        FUSION_OFF,
+        "fusion: no fusible MapTiles/Filter chain (rule group-by-join)",
     ]
     assert final == (
         "Assemble(GroupByJoin[broadcast]"
@@ -173,18 +194,8 @@ def test_trace_appears_in_explain(session):
 
 
 # ----------------------------------------------------------------------
-# Fusion-pass goldens: the seven query shapes, fusion on
+# Fusion-pass goldens: the seven query shapes, default options
 # ----------------------------------------------------------------------
-
-
-@pytest.fixture()
-def fusion_session():
-    from repro.planner import PlannerOptions
-
-    return SacSession(
-        cluster=TINY_CLUSTER, tile_size=TILE,
-        options=PlannerOptions(fusion=True),
-    )
 
 
 #: (shape, query, env builder, expected fusion note prefix).  Covers the
@@ -220,32 +231,11 @@ FUSION_SHAPES = [
 @pytest.mark.parametrize(
     "shape,query,note", FUSION_SHAPES, ids=[s[0] for s in FUSION_SHAPES]
 )
-def test_fusion_note_per_shape(fusion_session, shape, query, note):
+def test_fusion_note_per_shape(session, shape, query, note):
     """The fusion pass's note is pinned for every query shape."""
-    session = fusion_session
     env = {"M": _mat(session, 30, 20), "N2": _mat(session, 30, 20),
            "C": _mat(session, 20, 30), "n": 30, "m": 20}
     summaries, _final = trace_of(session, query, env)
     fusion_lines = [s for s in summaries if s.startswith("fusion:")]
     assert len(fusion_lines) == 1
     assert fusion_lines[0].startswith(f"fusion: {note}"), fusion_lines[0]
-
-
-def test_fused_render_golden(fusion_session):
-    """Fusion rewrites the chain into a single FusedKernel node."""
-    session = fusion_session
-    env = {"M": _mat(session, 30, 20), "n": 30, "m": 20}
-    _summaries, final = trace_of(
-        session, "tiled(m,n)[ ((j,i),v) | ((i,j),v) <- M ]", env
-    )
-    assert final == "Assemble[tiled](FusedKernel[fused kernel](Scan[i,j]))"
-    _summaries, final = trace_of(
-        session,
-        "tiled(n,m)[ ((i,j),a+b) | ((i,j),a) <- M, ((ii,jj),b) <- N2,"
-        " ii == i, jj == j ]",
-        {**env, "N2": _mat(session, 30, 20)},
-    )
-    assert final == (
-        "Assemble[tiled](FusedKernel[fused kernel]"
-        "(Scan[i,j], Scan[ii,jj]))"
-    )

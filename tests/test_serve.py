@@ -209,9 +209,13 @@ def _boot(service):
         started.set()
         await server.serve_forever()
 
-    thread = threading.Thread(
-        target=lambda: loop.run_until_complete(main()), daemon=True
-    )
+    def run():
+        try:
+            loop.run_until_complete(main())
+        finally:
+            loop.close()
+
+    thread = threading.Thread(target=run, daemon=True)
     thread.start()
     assert started.wait(timeout=10)
     return server, loop
@@ -219,6 +223,26 @@ def _boot(service):
 
 def _shutdown(server, loop):
     asyncio.run_coroutine_threadsafe(server.stop(), loop).result(timeout=10)
+
+
+def test_serve_forever_returns_on_stop_and_still_propagates_cancel(service):
+    async def main():
+        server = ServeServer(service, port=0)
+        await server.start()
+        serving = asyncio.ensure_future(server.serve_forever())
+        await asyncio.sleep(0)
+        await server.stop()
+        # stop() is a requested shutdown: no CancelledError leaks out.
+        assert await asyncio.wait_for(serving, timeout=10) is None
+
+        await server.start()
+        serving = asyncio.ensure_future(server.serve_forever())
+        await asyncio.sleep(0)
+        serving.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await asyncio.wait_for(serving, timeout=10)
+
+    asyncio.run(main())
 
 
 def test_http_query_metrics_health(service):
