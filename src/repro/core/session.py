@@ -92,9 +92,8 @@ class SacSession:
             engine's setting.
         pipeline: task-graph (pipelined) job execution — break the stage
             barrier and fire each task as soon as the partitions it
-            reads have landed.  ``None`` (default) consults the
-            ``REPRO_PIPELINE`` environment variable and otherwise
-            enables it only for a ``PipelinedTaskRunner``; off, the
+            reads have landed.  ``None`` (default) enables it only
+            for a ``PipelinedTaskRunner``; off, the
             staged scheduler runs with byte-identical metrics counters.
             When an ``engine`` is supplied, a non-``None`` value
             overrides that engine's setting.

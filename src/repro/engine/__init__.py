@@ -11,7 +11,7 @@ cluster.
 
 from .adaptive import AdaptiveDecision, AdaptiveManager
 from .block_manager import (
-    BlockManager, ManagedOutput, SpillLostError, TenantBlockView,
+    BlockManager, ListOutput, ManagedOutput, SpillLostError, TenantBlockView,
 )
 from .cluster import BENCH_CLUSTER, PAPER_CLUSTER, TINY_CLUSTER, ClusterSpec
 from .context import Accumulator, Broadcast, EngineContext, parse_memory_limit
@@ -35,7 +35,7 @@ from .serialization import RecordSizeAccountant
 from .shuffle import (
     Aggregator,
     MapOutputStatistics,
-    PipelinedShuffle,
+    Shuffle,
     ShuffleManager,
 )
 from .taskgraph import Task, TaskGraph, compile_job_graph
@@ -58,6 +58,7 @@ __all__ = [
     "InjectedFatalTaskError",
     "InjectedTaskFailure",
     "JobMetrics",
+    "ListOutput",
     "LruCache",
     "ManagedOutput",
     "MapOutputStatistics",
@@ -65,11 +66,11 @@ __all__ = [
     "PlanCacheGroup",
     "PAPER_CLUSTER",
     "Partitioner",
-    "PipelinedShuffle",
     "PipelinedTaskRunner",
     "RDD",
     "RecordSizeAccountant",
     "SerialTaskRunner",
+    "Shuffle",
     "ShuffleManager",
     "SpillLostError",
     "Task",

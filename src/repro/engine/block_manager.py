@@ -39,6 +39,12 @@ re-read.  This module is the engine's in-process analog:
   budget.  Without a spill store, behavior is byte-identical to the
   historical drop-for-recompute cache.
 
+Whether a tier exists is decided **here and nowhere else**: the engine's
+wide nodes ask for an output handle (:meth:`BlockManager.new_output`)
+and a shuffle asks for a bucket store (:meth:`BlockManager.bucket_store`)
+and each gets the in-memory or the spillable implementation of the same
+small interface.
+
 All operations are thread-safe: with a parallel runner, cache reads and
 writes arrive concurrently from pool workers.
 """
@@ -57,7 +63,7 @@ from .metrics import MetricsRegistry
 from .partitioner import Partitioner
 from .scheduler import InjectedFatalTaskError
 from .serialization import RecordSizeAccountant
-from .shuffle import Aggregator
+from .shuffle import Aggregator, _BucketSpiller, _MemoryBuckets
 
 #: Retained shuffle outputs per context; oldest entries are forgotten.
 SHUFFLE_REGISTRY_LIMIT = 32
@@ -91,6 +97,26 @@ class _ShuffleEntry:
     output: Any  # list of partitions, or a ManagedOutput handle
 
 
+class ListOutput(list):
+    """A wide node's output partitions as a plain driver-side list.
+
+    What :meth:`BlockManager.new_output` hands out without a spill tier:
+    the same ``put`` / ``stats`` / ``owner`` surface as
+    :class:`ManagedOutput`, over ordinary list storage.
+    """
+
+    #: No block-manager namespace: nothing to prefetch or drop.
+    owner = None
+
+    def __init__(self, partitions: Iterable[Any] = (), stats: Any = None):
+        super().__init__(partitions)
+        #: The producing shuffle's map-output histogram, when it had one.
+        self.stats = stats
+
+    def put(self, split: int, records: list) -> None:
+        self[split] = records
+
+
 class ManagedOutput:
     """List-like handle over partitions owned by the BlockManager.
 
@@ -102,7 +128,7 @@ class ManagedOutput:
     answers with lineage recomputation.
     """
 
-    __slots__ = ("_blocks", "owner", "num_partitions", "stats")
+    __slots__ = ("_blocks", "owner", "num_partitions", "stats", "_tenant")
 
     def __init__(
         self,
@@ -110,16 +136,24 @@ class ManagedOutput:
         owner: str,
         num_partitions: int,
         stats: Any = None,
+        tenant: str = "",
     ):
         self._blocks = blocks
         self.owner = owner
         self.num_partitions = num_partitions
-        #: Mirrors ``ShuffleResult.stats`` so reuse/adaptive consumers
+        #: Mirrors ``ListOutput.stats`` so reuse/adaptive consumers
         #: that do ``getattr(output, "stats", None)`` keep working.
         self.stats = stats
+        self._tenant = tenant
 
     def __len__(self) -> int:
         return self.num_partitions
+
+    def put(self, split: int, records: list) -> None:
+        """Admit one produced partition under the budget (may spill)."""
+        self._blocks.put_managed(
+            self.owner, split, records, tenant=self._tenant
+        )
 
     def __getitem__(self, split: int) -> list:
         if isinstance(split, slice):  # pragma: no cover - defensive
@@ -236,7 +270,7 @@ class BlockManager:
             return len(self._blocks)
 
     @staticmethod
-    def _cache_ns(rdd_id: int) -> str:
+    def cache_namespace(rdd_id: int) -> str:
         return f"rdd/{rdd_id}"
 
     def _spill_key(self, key: tuple[str, int]) -> str:
@@ -249,7 +283,8 @@ class BlockManager:
         restored (and its spill object consumed) before ``None`` — i.e.
         lineage recomputation — is the answer.
         """
-        return self._lookup((self._cache_ns(rdd_id), split), count_hits=True)
+        key = (self.cache_namespace(rdd_id), split)
+        return self._lookup(key, count_hits=True)
 
     def put(
         self, rdd_id: int, split: int, records: list, tenant: str = ""
@@ -262,7 +297,7 @@ class BlockManager:
         for the current read.
         """
         nbytes = self._accountant.batch_size(records)
-        key = (self._cache_ns(rdd_id), split)
+        key = (self.cache_namespace(rdd_id), split)
         with self._lock:
             if key in self._blocks:
                 # A racing worker computed the same split; keep the first
@@ -483,14 +518,14 @@ class BlockManager:
         self._metrics.record_spill(block.nbytes)
 
     def contains(self, rdd_id: int, split: int) -> bool:
-        key = (self._cache_ns(rdd_id), split)
+        key = (self.cache_namespace(rdd_id), split)
         with self._lock:
             return key in self._blocks or key in self._spilled
 
     def contains_all(self, rdd_id: int, num_splits: int) -> bool:
         """Whether every partition of an RDD is cached or restorable."""
         with self._lock:
-            ns = self._cache_ns(rdd_id)
+            ns = self.cache_namespace(rdd_id)
             return all(
                 (ns, split) in self._blocks or (ns, split) in self._spilled
                 for split in range(num_splits)
@@ -504,7 +539,7 @@ class BlockManager:
         from the store as well.
         """
         with self._lock:
-            ns = self._cache_ns(rdd_id)
+            ns = self.cache_namespace(rdd_id)
             victims = [key for key in self._blocks if key[0] == ns]
             freed = 0
             for key in victims:
@@ -521,16 +556,34 @@ class BlockManager:
     # Managed outputs (wide-dependency results under the budget)
     # ------------------------------------------------------------------
 
-    def managed_output(
-        self, owner: str, num_partitions: int, stats: Any = None
-    ) -> ManagedOutput:
-        """A fresh handle for ``num_partitions`` partitions of ``owner``.
+    def new_output(
+        self, owner: str, num_partitions: int, stats: Any = None,
+        tenant: str = "",
+    ) -> Any:
+        """A fresh output handle for a wide node's partitions.
 
-        Any previous generation under the same owner is dropped first,
-        so re-materialization after a lost spill starts clean.
+        This is where "where does a wide node's output live" is decided:
+        a :class:`ManagedOutput` under the budget (spillable) with a
+        spill tier, a plain :class:`ListOutput` without one.  Producers
+        ``put(split, records)`` each partition as it is made; readers
+        index the handle like a list.  Any previous generation under the
+        same owner is dropped first, so re-materialization after a lost
+        spill starts clean.
         """
+        if not self.spill_enabled:
+            return ListOutput([None] * num_partitions, stats)
         self.drop_managed(owner)
-        return ManagedOutput(self, owner, num_partitions, stats=stats)
+        return ManagedOutput(self, owner, num_partitions, stats, tenant)
+
+    def bucket_store(self, label: str) -> Any:
+        """Where one shuffle's map-output buckets wait for its reduce side.
+
+        In memory without a spill tier; streamed through the spill store
+        (``shufmap/<label>/...`` objects) with one.
+        """
+        if not self.spill_enabled:
+            return _MemoryBuckets()
+        return _BucketSpiller(self._store, self._metrics, label)
 
     def put_managed(
         self, owner: str, split: int, records: list, tenant: str = ""
@@ -582,22 +635,23 @@ class BlockManager:
     def adopt_output(
         self,
         owner: str,
-        partitions: Iterable[list],
+        partitions: list,
         stats: Any = None,
         tenant: str = "",
-    ) -> ManagedOutput:
-        """Adopt a wide dependency's finished partitions one at a time.
+    ) -> Any:
+        """Move a wide node's finished partitions behind an output handle.
 
-        Each partition is admitted (and possibly spilled) before the
-        next is consumed from ``partitions``, so adopting an oversized
-        output never holds more than budget + one partition resident.
+        With a spill tier each partition is admitted (and possibly
+        spilled) before the next, so adopting an oversized output never
+        holds more than budget + one partition resident; without one the
+        list is already where it belongs and comes back unchanged.
         """
-        count = 0
-        self.drop_managed(owner)
+        if not self.spill_enabled:
+            return partitions
+        output = self.new_output(owner, len(partitions), stats, tenant)
         for split, records in enumerate(partitions):
-            self.put_managed(owner, split, records, tenant=tenant)
-            count += 1
-        return ManagedOutput(self, owner, count, stats=stats)
+            output.put(split, records)
+        return output
 
     # ------------------------------------------------------------------
     # Prefetch
@@ -628,9 +682,20 @@ class BlockManager:
             except RuntimeError:  # pool shut down mid-close
                 return
 
+    def prefetch_namespaces(self, namespaces: Iterable[str]) -> None:
+        """:meth:`prefetch_namespace` over a lazily computed sequence.
+
+        ``namespaces`` is not consumed when nothing could be restored,
+        so callers may pass a generator that walks a lineage.
+        """
+        if self._store is None or not self._prefetch_enabled:
+            return
+        for ns in namespaces:
+            self.prefetch_namespace(ns)
+
     def prefetch_rdd_blocks(self, rdd_id: int) -> None:
         """Prefetch an RDD's spilled cached partitions."""
-        self.prefetch_namespace(self._cache_ns(rdd_id))
+        self.prefetch_namespace(self.cache_namespace(rdd_id))
 
     def _pool(self) -> ThreadPoolExecutor:
         """The lazily created prefetch pool (lock held)."""
@@ -856,14 +921,16 @@ class TenantBlockView:
     def put(self, rdd_id: int, split: int, records: list) -> bool:
         return self._manager.put(rdd_id, split, records, tenant=self.tenant)
 
-    def put_managed(self, owner: str, split: int, records: list) -> int:
-        return self._manager.put_managed(
-            owner, split, records, tenant=self.tenant
+    def new_output(
+        self, owner: str, num_partitions: int, stats: Any = None
+    ) -> Any:
+        return self._manager.new_output(
+            owner, num_partitions, stats, tenant=self.tenant
         )
 
     def adopt_output(
-        self, owner: str, partitions: Iterable[list], stats: Any = None
-    ) -> ManagedOutput:
+        self, owner: str, partitions: list, stats: Any = None
+    ) -> Any:
         return self._manager.adopt_output(
             owner, partitions, stats=stats, tenant=self.tenant
         )

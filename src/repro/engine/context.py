@@ -102,12 +102,12 @@ class EngineContext:
         runner: Optional[TaskRunner | str] = None,
         default_parallelism: Optional[int] = None,
         memory_budget: Optional[int] = None,
-        reuse_shuffles: Optional[bool] = None,
+        reuse_shuffles: bool = False,
         adaptive: Optional[bool] = None,
         pipeline: Optional[bool] = None,
         memory_limit: Optional[int | str] = None,
         spill_store: Any = None,
-        spill_prefetch: Optional[bool] = None,
+        spill_prefetch: bool = True,
         substrate: Optional[EngineSubstrate] = None,
         tenant: str = "",
         quota: Optional[int | str] = None,
@@ -150,19 +150,16 @@ class EngineContext:
             self.cluster, self.metrics, enabled=adaptive
         )
         self.shuffle_manager = ShuffleManager(
-            self.metrics, self.runner, adaptive=self.adaptive,
-            blocks=self.block_manager,
+            self.metrics, self.runner, self.adaptive, self.block_manager
         )
         if pipeline is None:
             # Task-graph execution defaults on for runners that execute
-            # graphs natively; ``REPRO_PIPELINE`` overrides for A/B runs.
-            pipeline = env_flag("REPRO_PIPELINE")
-            if pipeline is None:
-                pipeline = isinstance(self.runner, PipelinedTaskRunner)
+            # graphs natively.
+            pipeline = isinstance(self.runner, PipelinedTaskRunner)
         self.pipeline = pipeline
         self.scheduler = DAGScheduler(
-            self.metrics, self.runner, adaptive=self.adaptive,
-            pipeline=pipeline, block_manager=self.block_manager,
+            self.metrics, self.block_manager, self.runner,
+            adaptive=self.adaptive, pipeline=pipeline,
         )
 
     # ------------------------------------------------------------------

@@ -126,38 +126,6 @@ class HashPartitioner(Partitioner):
         return (hashed % np.uint64(self.num_partitions)).astype(np.int64)
 
 
-class RangePartitioner(Partitioner):
-    """Places keys into contiguous sorted ranges (used by ``sort_by``).
-
-    ``bounds`` are the (sorted) upper bounds of the first
-    ``num_partitions - 1`` partitions: keys ``<= bounds[i]`` fall into
-    partition ``i`` at the earliest.
-    """
-
-    def __init__(self, bounds: list, ascending: bool = True):
-        super().__init__(len(bounds) + 1)
-        self.bounds = list(bounds)
-        self.ascending = ascending
-
-    def partition(self, key: Any) -> int:
-        import bisect
-
-        index = bisect.bisect_left(self.bounds, key)
-        if not self.ascending:
-            index = self.num_partitions - 1 - index
-        return index
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RangePartitioner)
-            and self.bounds == other.bounds
-            and self.ascending == other.ascending
-        )
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.num_partitions))
-
-
 class GridPartitioner(Partitioner):
     """Partitioner for block-coordinate keys ``(block_row, block_col)``.
 

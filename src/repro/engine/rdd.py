@@ -9,9 +9,13 @@ Narrow transformations (``map``, ``filter``, ``flatMap``, ...) pipeline
 within a partition.  Wide transformations (``reduceByKey``, ``groupByKey``,
 ``join``, ``cogroup``, ``partitionBy``) insert a :class:`ShuffledRDD` or
 :class:`CoGroupedRDD` whose first evaluation runs a measured shuffle.
+A wide node keeps its output partitions behind whatever handle the
+block manager gives it (``BlockManager.new_output``): a plain list, or
+budget-managed, spillable partitions under a ``memory_limit`` — the
+nodes themselves never ask which.
 
 The subset implemented is the one the SAC planner and the MLlib-workalike
-baseline generate, plus the conveniences a user of the engine would expect.
+baseline generate.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, T
 
 from .partitioner import HashPartitioner, Partitioner
 from .block_manager import SpillLostError
-from .shuffle import Aggregator, MapOutputStatistics
+from .shuffle import (
+    Aggregator, MapOutputStatistics, _combine_map_side, merge_cogroup_bucket,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .context import EngineContext
@@ -174,14 +180,6 @@ class RDD:
             elementwise=elementwise,
         )
 
-    def map_partitions_with_index(
-        self,
-        func: Callable[[int, Iterator], Iterator],
-        preserves_partitioning: bool = False,
-    ) -> "RDD":
-        """Like :meth:`map_partitions` but ``func`` also receives the index."""
-        return MapPartitionsRDD(self, func, preserves_partitioning)
-
     def map(self, func: Callable[[T], U]) -> "RDD":
         """Element-wise transform."""
         return MapPartitionsRDD(
@@ -232,113 +230,12 @@ class RDD:
     def values(self) -> "RDD":
         return self.map(lambda kv: kv[1])
 
-    def key_by(self, func: Callable[[T], K]) -> "RDD":
-        """Pair each element with ``func(element)`` as its key."""
-        return self.map(lambda item: (func(item), item))
-
-    def glom(self) -> "RDD":
-        """Each partition becomes a single list element."""
-        return MapPartitionsRDD(self, lambda _i, it: iter([list(it)]))
-
-    def zip_with_index(self) -> "RDD":
-        """Pair each element with a global, partition-ordered index."""
-        counts = self.ctx.run_job(
-            self, lambda it: sum(1 for _ in it), description="zip_with_index sizes"
-        )
-        offsets = list(itertools.accumulate([0] + counts[:-1]))
-
-        def number(idx: int, it: Iterator) -> Iterator:
-            for position, item in enumerate(it):
-                yield item, offsets[idx] + position
-
-        return MapPartitionsRDD(self, number)
-
     def union(self, other: "RDD") -> "RDD":
         return UnionRDD(self.ctx, [self, other])
 
     def cartesian(self, other: "RDD") -> "RDD":
         """All pairs ``(a, b)``; partition count multiplies."""
         return CartesianRDD(self, other)
-
-    def coalesce(self, num_partitions: int) -> "RDD":
-        """Reduce partition count without a shuffle."""
-        if num_partitions >= self._num_partitions:
-            return self
-        return CoalescedRDD(self, num_partitions)
-
-    def repartition(self, num_partitions: int) -> "RDD":
-        """Change partition count via a full shuffle of opaque records."""
-        indexed = self.map(lambda item: (item, None))
-        shuffled = ShuffledRDD(indexed, HashPartitioner(num_partitions), None)
-        return shuffled.map(lambda kv: kv[0])
-
-    def zip(self, other: "RDD") -> "RDD":
-        """Pair elements position-wise; partition structure must match."""
-        if self.num_partitions != other.num_partitions:
-            raise ValueError(
-                f"cannot zip RDDs with {self.num_partitions} and "
-                f"{other.num_partitions} partitions"
-            )
-        return ZippedRDD(self, other)
-
-    def sort_by(
-        self,
-        key_func: Callable[[T], Any] = lambda x: x,
-        ascending: bool = True,
-        num_partitions: Optional[int] = None,
-    ) -> "RDD":
-        """Globally sort by ``key_func`` (range partition, then local sort).
-
-        Samples keys to choose balanced range bounds, exactly like
-        Spark's ``sortBy``.
-        """
-        from .partitioner import RangePartitioner
-
-        partitions = num_partitions or self._num_partitions
-        sample_keys = sorted(
-            key_func(item)
-            for item in self.map(lambda x: x).take(10000)
-        )
-        if partitions <= 1 or len(sample_keys) < partitions:
-            bounds: list = []
-        else:
-            step = len(sample_keys) / partitions
-            bounds = [
-                sample_keys[int(step * (i + 1)) - 1] for i in range(partitions - 1)
-            ]
-        partitioner = RangePartitioner(bounds, ascending)
-        keyed = self.map(lambda item: (key_func(item), item))
-        shuffled = ShuffledRDD(keyed, partitioner, None)
-        return shuffled.map_partitions(
-            lambda it: iter(
-                [
-                    value
-                    for _key, value in sorted(
-                        it, key=lambda kv: kv[0], reverse=not ascending
-                    )
-                ]
-            )
-        )
-
-    def top(self, n: int, key: Optional[Callable] = None) -> list:
-        """The ``n`` largest elements, descending."""
-        import heapq
-
-        parts = self.ctx.run_job(
-            self, lambda it: heapq.nlargest(n, it, key=key), description="top"
-        )
-        return heapq.nlargest(n, itertools.chain.from_iterable(parts), key=key)
-
-    def take_ordered(self, n: int, key: Optional[Callable] = None) -> list:
-        """The ``n`` smallest elements, ascending."""
-        import heapq
-
-        parts = self.ctx.run_job(
-            self,
-            lambda it: heapq.nsmallest(n, it, key=key),
-            description="take_ordered",
-        )
-        return heapq.nsmallest(n, itertools.chain.from_iterable(parts), key=key)
 
     def subtract_by_key(self, other: "RDD") -> "RDD":
         """Keyed pairs whose key does not appear in ``other``."""
@@ -359,79 +256,11 @@ class RDD:
             .keys()
         )
 
-    def intersection(self, other: "RDD") -> "RDD":
-        """Distinct elements present in both RDDs."""
-
-        def both(groups: tuple[list, list]) -> Iterator:
-            mine, theirs = groups
-            if mine and theirs:
-                yield None
-
-        return (
-            self.map(lambda x: (x, None))
-            .cogroup(other.map(lambda x: (x, None)))
-            .flat_map(lambda kv: [kv[0]] if kv[1][0] and kv[1][1] else [])
-        )
-
     def stats(self) -> "StatCounter":
         """Count, mean, variance, min, max in one pass."""
         return self.aggregate(
             StatCounter(), lambda acc, x: acc.add(x), lambda a, b: a.merge(b)
         )
-
-    def histogram(self, buckets: int) -> tuple[list, list]:
-        """Evenly spaced histogram over the value range.
-
-        Returns ``(bucket_boundaries, counts)`` like Spark's
-        ``DoubleRDD.histogram(int)``.
-        """
-        if buckets <= 0:
-            raise ValueError(f"buckets must be positive, got {buckets}")
-        stats = self.stats()
-        if stats.count == 0:
-            raise ValueError("histogram() on an empty RDD")
-        lo, hi = stats.minimum, stats.maximum
-        if lo == hi:
-            return [lo, hi], [stats.count]
-        width = (hi - lo) / buckets
-        boundaries = [lo + width * i for i in range(buckets)] + [hi]
-
-        def count_partition(it: Iterator) -> list[int]:
-            counts = [0] * buckets
-            for value in it:
-                index = min(int((value - lo) / width), buckets - 1)
-                counts[index] += 1
-            return counts
-
-        parts = self.ctx.run_job(self, count_partition, description="histogram")
-        totals = [sum(col) for col in zip(*parts)]
-        return boundaries, totals
-
-    def checkpoint(self) -> "RDD":
-        """Materialize now (cache + force), cutting lazy lineage."""
-        self.cache()
-        self.count()
-        return self
-
-    def sample(self, fraction: float, seed: int = 17) -> "RDD":
-        """Bernoulli sample of each partition (deterministic per seed).
-
-        Sampling is filter-shaped — it only drops records — so a keyed
-        parent's partitioner survives and a later shuffle on the same
-        keys stays local.  (Not ``elementwise``: the per-partition RNG is
-        seeded by the split index, so replaying a slice of a partition
-        under a different fan-out would change which records survive.)
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-
-        def sampler(idx: int, it: Iterator) -> Iterator:
-            import random
-
-            rng = random.Random(seed * 1_000_003 + idx)
-            return (item for item in it if rng.random() < fraction)
-
-        return MapPartitionsRDD(self, sampler, preserves_partitioning=True)
 
     # ------------------------------------------------------------------
     # Wide (shuffling) transformations
@@ -457,7 +286,7 @@ class RDD:
         partitioner: Optional[Partitioner] = None,
         map_side_combine: bool = True,
     ) -> "RDD":
-        """General keyed aggregation (the primitive under reduce/fold/group)."""
+        """General keyed aggregation (the primitive under reduce/group)."""
         if partitioner is None:
             partitioner = HashPartitioner(self._default_shuffle_partitions(num_partitions))
         aggregator = Aggregator(
@@ -478,34 +307,6 @@ class RDD:
         """
         return self.combine_by_key(
             lambda v: v, func, func, num_partitions, partitioner
-        )
-
-    def fold_by_key(
-        self,
-        zero: V,
-        func: Callable[[V, V], V],
-        num_partitions: Optional[int] = None,
-    ) -> "RDD":
-        import copy
-
-        return self.combine_by_key(
-            lambda v: func(copy.deepcopy(zero), v), func, func, num_partitions
-        )
-
-    def aggregate_by_key(
-        self,
-        zero: U,
-        seq_func: Callable[[U, V], U],
-        comb_func: Callable[[U, U], U],
-        num_partitions: Optional[int] = None,
-    ) -> "RDD":
-        import copy
-
-        return self.combine_by_key(
-            lambda v: seq_func(copy.deepcopy(zero), v),
-            seq_func,
-            comb_func,
-            num_partitions,
         )
 
     def group_by_key(
@@ -562,65 +363,6 @@ class RDD:
             cogrouped._splittable_values = True
         return cogrouped.flat_map_values(flatten)
 
-    def left_outer_join(
-        self, other: "RDD", num_partitions: Optional[int] = None
-    ) -> "RDD":
-        """Left outer join; missing right values appear as ``None``."""
-
-        def flatten(groups: tuple[list, list]) -> Iterator:
-            left, right = groups
-            for lv in left:
-                if right:
-                    for rv in right:
-                        yield lv, rv
-                else:
-                    yield lv, None
-
-        return self.cogroup(other, num_partitions).flat_map_values(flatten)
-
-    def right_outer_join(
-        self, other: "RDD", num_partitions: Optional[int] = None
-    ) -> "RDD":
-        """Right outer join; missing left values appear as ``None``."""
-
-        def flatten(groups: tuple[list, list]) -> Iterator:
-            left, right = groups
-            for rv in right:
-                if left:
-                    for lv in left:
-                        yield lv, rv
-                else:
-                    yield None, rv
-
-        return self.cogroup(other, num_partitions).flat_map_values(flatten)
-
-    def full_outer_join(
-        self, other: "RDD", num_partitions: Optional[int] = None
-    ) -> "RDD":
-        """Full outer join; missing sides appear as ``None``."""
-
-        def flatten(groups: tuple[list, list]) -> Iterator:
-            left, right = groups
-            if not left:
-                for rv in right:
-                    yield None, rv
-            elif not right:
-                for lv in left:
-                    yield lv, None
-            else:
-                for lv in left:
-                    for rv in right:
-                        yield lv, rv
-
-        return self.cogroup(other, num_partitions).flat_map_values(flatten)
-
-    def distinct(self, num_partitions: Optional[int] = None) -> "RDD":
-        return (
-            self.map(lambda item: (item, None))
-            .reduce_by_key(lambda a, _b: a, num_partitions)
-            .keys()
-        )
-
     # ------------------------------------------------------------------
     # Actions
     # ------------------------------------------------------------------
@@ -630,38 +372,11 @@ class RDD:
         parts = self.ctx.run_job(self, list, description="collect")
         return list(itertools.chain.from_iterable(parts))
 
-    def collect_as_map(self) -> dict:
-        """Collect a keyed RDD into a dict (later duplicates win)."""
-        return dict(self.collect())
-
     def count(self) -> int:
         parts = self.ctx.run_job(
             self, lambda it: sum(1 for _ in it), description="count"
         )
         return sum(parts)
-
-    def is_empty(self) -> bool:
-        return self.count() == 0
-
-    def first(self) -> Any:
-        taken = self.take(1)
-        if not taken:
-            raise ValueError("first() on an empty RDD")
-        return taken[0]
-
-    def take(self, n: int) -> list:
-        """First ``n`` records in partition order (evaluates lazily per split)."""
-        if n <= 0:
-            return []
-        out: list = []
-        with self.ctx.metrics.job("take"):
-            for split in range(self._num_partitions):
-                self.ctx.metrics.record_stage(1)
-                for item in self.iterator(split):
-                    out.append(item)
-                    if len(out) == n:
-                        return out
-        return out
 
     def reduce(self, func: Callable[[T, T], T]) -> T:
         """Reduce all records with an associative ``func``."""
@@ -734,18 +449,6 @@ class RDD:
 
     def min(self) -> Any:
         return self.reduce(lambda a, b: a if a <= b else b)
-
-    def count_by_key(self) -> dict:
-        return dict(self.map_values(lambda _v: 1).reduce_by_key(lambda a, b: a + b).collect())
-
-    def lookup(self, key: Any) -> list:
-        """All values for ``key`` (scans; uses partitioner if known)."""
-        if self.partitioner is not None:
-            split = self.partitioner.partition(key)
-            with self.ctx.metrics.job("lookup"):
-                self.ctx.metrics.record_stage(1)
-                return [v for k, v in self.iterator(split) if k == key]
-        return self.filter(lambda kv: kv[0] == key).values().collect()
 
     def foreach(self, func: Callable[[T], None]) -> None:
         def run(it: Iterator) -> None:
@@ -886,10 +589,13 @@ _PENDING = object()
 
 
 class _PipelinedWide:
-    """Per-partition output slots for task-graph (pipelined) execution.
+    """What the two wide nodes share: a retained output, two ways to fill it.
 
-    While a pipelined job runs, a wide node's output partitions land one
-    at a time in :attr:`_pipeline_slots`; downstream tasks whose
+    Staged, the node materializes itself behind a barrier
+    (:meth:`_materialize`, from :meth:`prepare_execution` or the first
+    :meth:`compute`) into ``_output`` — the block manager's output
+    handle.  While a pipelined job runs, its output partitions instead
+    land one at a time in :attr:`_pipeline_slots`; downstream tasks whose
     dependency edges have fired read them through :meth:`compute` before
     the node is fully materialized.  When every partition has landed the
     compiler *promotes* the slots to the permanent ``_output`` (the same
@@ -897,7 +603,80 @@ class _PipelinedWide:
     materialized node indistinguishable from a staged run.
     """
 
+    _output: Any = None
     _pipeline_slots: Optional[list] = None
+
+    def prepare_execution(self, seen: set[int]) -> None:
+        if id(self) in seen:
+            return
+        seen.add(id(self))
+        if self._output is not None:
+            return
+        if self._cached and self.ctx.block_manager.contains_all(
+            self.id, self._num_partitions
+        ):
+            return
+        for parent in self.dependencies:
+            parent.prepare_execution(seen)
+        self._materialize()
+
+    def _stage_into_output(
+        self, owner: str, count: int,
+        produce: Callable[[int], tuple[list, float]],
+    ) -> Any:
+        """One stage of ``count`` tasks, each partition ``put`` as made.
+
+        ``produce(split)`` returns ``(records, own_seconds)``; a partition
+        goes to the block manager's output handle as soon as its task has
+        it (under a memory cap: under the budget, instead of accumulating
+        in a driver-side list).
+        """
+        output = self.ctx.block_manager.new_output(owner, count)
+
+        def task(split: int) -> float:
+            records, seconds = produce(split)
+            output.put(split, records)
+            return seconds
+
+        task_seconds = self.ctx.runner.run_stage(
+            [(lambda split=split: task(split)) for split in range(count)]
+        )
+        self.ctx.metrics.record_stage(count, list(task_seconds))
+        return output
+
+    def _discard_lost_output(self, output: Any) -> None:
+        """Forget a materialized output whose spilled partition was lost.
+
+        Only discards when ``output`` is still the current one, so a
+        concurrent reader that failed on the *previous* generation never
+        throws away a freshly rebuilt output.
+        """
+        with self._materialize_lock:
+            if self._output is output:
+                owner = getattr(output, "owner", None)
+                if owner is not None:
+                    self.ctx.block_manager.drop_managed(owner)
+                self._output = None
+
+    def compute(self, split: int) -> Iterator:
+        pipelined = self._pipeline_compute(split)
+        if pipelined is not None:
+            return pipelined
+        # A spilled output partition that cannot be restored (deleted or
+        # corrupt spill object) falls back to lineage recomputation: the
+        # whole node re-runs, exactly as if the output had never been
+        # retained.
+        for _attempt in range(2):
+            output = None
+            try:
+                output = self._materialize()
+                return iter(output[split])
+            except SpillLostError:
+                if output is not None:
+                    self._discard_lost_output(output)
+        raise SpillLostError(
+            f"partition {split} of rdd {self.id} lost twice in a row"
+        )
 
     def _pipeline_install(self) -> None:
         self._pipeline_slots = [_PENDING] * self._num_partitions
@@ -906,18 +685,14 @@ class _PipelinedWide:
         self._pipeline_slots[split] = records
 
     def _pipeline_promote(self, output: list) -> None:
-        blocks = self.ctx.block_manager
-        if blocks.spill_enabled:
-            # Out-of-core tier: the permanent output lives under the
-            # memory budget as managed partitions (spillable), not as a
-            # pinned driver-side list.  Mid-flight slots stay plain lists
-            # — pipelining trades strict mid-job bounding for overlap —
-            # but everything a *later* job can read is budget-governed.
-            self._output = blocks.adopt_output(
-                f"out/{self.id}", output, stats=getattr(output, "stats", None)
-            )
-        else:
-            self._output = output
+        # The permanent output goes wherever the block manager keeps
+        # wide outputs (under the memory budget, spillable, when there
+        # is a spill tier).  Mid-flight slots stay plain lists —
+        # pipelining trades strict mid-job bounding for overlap — but
+        # everything a *later* job can read is budget-governed.
+        self._output = self.ctx.block_manager.adopt_output(
+            f"out/{self.id}", output, stats=getattr(output, "stats", None)
+        )
         self._pipeline_slots = None
 
     def _pipeline_cleanup(self) -> None:
@@ -972,10 +747,8 @@ class ShuffledRDD(_PipelinedWide, RDD):
         super().__init__(parent.ctx, partitioner.num_partitions, partitioner)
         self._parent = parent
         self._aggregator = aggregator
-        self._output: Optional[list[list[tuple[Any, Any]]]] = None
         self._map_stats: Optional[MapOutputStatistics] = None
         self._materialize_lock = threading.Lock()
-        self._pipeline_slots = None
 
     @property
     def dependencies(self) -> list[RDD]:
@@ -993,19 +766,6 @@ class ShuffledRDD(_PipelinedWide, RDD):
         self._materialize()
         return self._map_stats
 
-    def prepare_execution(self, seen: set[int]) -> None:
-        if id(self) in seen:
-            return
-        seen.add(id(self))
-        if self._output is not None:
-            return
-        if self._cached and self.ctx.block_manager.contains_all(
-            self.id, self._num_partitions
-        ):
-            return
-        self._parent.prepare_execution(seen)
-        self._materialize()
-
     def _materialize(self) -> list[list[tuple[Any, Any]]]:
         output = self._output
         if output is None:
@@ -1018,7 +778,9 @@ class ShuffledRDD(_PipelinedWide, RDD):
                 output = self._output
         return output
 
-    def _run_shuffle(self) -> list[list[tuple[Any, Any]]]:
+    def _run_shuffle(self) -> Any:
+        # Fresh per materialization (a lineage-fallback re-run included).
+        self._map_stats = None
         if self._parent.partitioner == self.partitioner:
             return self._local_combine()
         blocks = self.ctx.block_manager
@@ -1065,90 +827,19 @@ class ShuffledRDD(_PipelinedWide, RDD):
             if self._aggregator is None:
                 combined = list(records)
             else:
-                combiners: dict[Any, Any] = {}
-                agg = self._aggregator
-                for key, value in records:
-                    if key in combiners:
-                        combiners[key] = agg.merge_value(combiners[key], value)
-                    else:
-                        combiners[key] = agg.create_combiner(value)
-                combined = list(combiners.items())
+                combined = _combine_map_side(records, self._aggregator)
         return combined, timer.own_seconds
 
-    def _local_combine(self) -> list[list[tuple[Any, Any]]]:
+    def _local_combine(self) -> Any:
         """Parent already partitioned correctly: combine in place."""
-        blocks = self.ctx.block_manager
-        if blocks.spill_enabled:
-            # Out-of-core: each combined partition goes under the budget
-            # as soon as its task produces it, instead of accumulating
-            # in a driver-side list.  Same stage/task accounting.
-            owner = f"out/{self.id}"
-            output = blocks.managed_output(owner, self._parent.num_partitions)
-
-            def combine_task(split: int) -> float:
-                combined, seconds = self._combine_partition(split)
-                blocks.put_managed(owner, split, combined)
-                return seconds
-
-            task_seconds = self.ctx.runner.run_stage(
-                [
-                    (lambda split=split: combine_task(split))
-                    for split in range(self._parent.num_partitions)
-                ]
-            )
-            self.ctx.metrics.record_stage(
-                self._parent.num_partitions, list(task_seconds)
-            )
-            # Downstream tasks read the output from split 0 up next;
-            # warm the early (spilled-first) partitions ahead of them.
-            blocks.prefetch_namespace(owner)
-            return output
-        results = self.ctx.runner.run_stage(
-            [
-                (lambda split=split: self._combine_partition(split))
-                for split in range(self._parent.num_partitions)
-            ]
+        output = self._stage_into_output(
+            f"out/{self.id}", self._parent.num_partitions,
+            self._combine_partition,
         )
-        output = [combined for combined, _seconds in results]
-        task_seconds = [seconds for _combined, seconds in results]
-        self.ctx.metrics.record_stage(self._parent.num_partitions, task_seconds)
+        # Downstream tasks read the output from split 0 up next; warm
+        # the early (spilled-first) partitions ahead of them.
+        self.ctx.block_manager.prefetch_namespace(output.owner)
         return output
-
-    def _discard_lost_output(self, output: Any) -> None:
-        """Forget a materialized output whose spilled partition was lost.
-
-        Only discards when ``output`` is still the current one, so a
-        concurrent reader that failed on the *previous* generation never
-        throws away a freshly rebuilt output.
-        """
-        with self._materialize_lock:
-            if self._output is output:
-                owner = getattr(output, "owner", None)
-                if owner is not None:
-                    self.ctx.block_manager.drop_managed(owner)
-                self._output = None
-                self._map_stats = None
-
-    def compute(self, split: int) -> Iterator:
-        pipelined = self._pipeline_compute(split)
-        if pipelined is not None:
-            return pipelined
-        # A spilled output partition that cannot be restored (deleted or
-        # corrupt spill object) falls back to lineage recomputation: the
-        # whole shuffle re-runs, exactly as if the output had never been
-        # retained.
-        for _attempt in range(2):
-            output = None
-            try:
-                output = self._materialize()
-                return iter(output[split])
-            except SpillLostError:
-                if output is not None:
-                    self._discard_lost_output(output)
-        raise SpillLostError(
-            f"partition {split} of rdd {self.id} lost twice in a row"
-        )
-
 
 class CoGroupedRDD(_PipelinedWide, RDD):
     """Groups several keyed RDDs by key into ``(key, (list_0, list_1, ...))``.
@@ -1162,9 +853,7 @@ class CoGroupedRDD(_PipelinedWide, RDD):
     ):
         super().__init__(ctx, partitioner.num_partitions, partitioner)
         self._parents = parents
-        self._output: Optional[list[list[tuple[Any, Any]]]] = None
         self._materialize_lock = threading.Lock()
-        self._pipeline_slots = None
         #: Per-parent map-output histograms, filled during materialization
         #: (``None`` for a parent that never crossed the shuffle).
         self._parent_stats: list[Optional[MapOutputStatistics]] = []
@@ -1192,20 +881,6 @@ class CoGroupedRDD(_PipelinedWide, RDD):
             combined = stats if combined is None else combined.merged_with(stats)
         return combined
 
-    def prepare_execution(self, seen: set[int]) -> None:
-        if id(self) in seen:
-            return
-        seen.add(id(self))
-        if self._output is not None:
-            return
-        if self._cached and self.ctx.block_manager.contains_all(
-            self.id, self._num_partitions
-        ):
-            return
-        for parent in self._parents:
-            parent.prepare_execution(seen)
-        self._materialize()
-
     def _materialize(self) -> list[list[tuple[Any, Any]]]:
         output = self._output
         if output is None:
@@ -1231,46 +906,17 @@ class CoGroupedRDD(_PipelinedWide, RDD):
         self, parent: RDD, index: int
     ) -> list[list[tuple[Any, Any]]]:
         """One bucket per output partition for one parent."""
-        if parent.partitioner == self.partitioner:
-            blocks = self.ctx.block_manager
-            if blocks.spill_enabled:
-                # Out-of-core: drained partitions park under the budget
-                # in a scratch namespace until the merge pass consumes
-                # them (dropped in :meth:`_run_cogroup`).
-                scratch = f"scratch/{self.id}.{index}"
-                out = blocks.managed_output(scratch, parent.num_partitions)
-
-                def drain_task(i: int) -> float:
-                    records, seconds = self._drain_partition(parent, index, i)
-                    blocks.put_managed(scratch, i, records)
-                    return seconds
-
-                task_seconds = self.ctx.runner.run_stage(
-                    [
-                        (lambda i=i: drain_task(i))
-                        for i in range(parent.num_partitions)
-                    ]
-                )
-                self.ctx.metrics.record_stage(
-                    parent.num_partitions, list(task_seconds)
-                )
-                self._parent_stats.append(None)
-                return out
-            # Already co-partitioned: drain parent partitions in place
-            # (independent splits, so they fan out on the runner).
-            results = self.ctx.runner.run_stage(
-                [
-                    (lambda i=i: self._drain_partition(parent, index, i))
-                    for i in range(parent.num_partitions)
-                ]
-            )
-            self.ctx.metrics.record_stage(
-                parent.num_partitions,
-                [seconds for _records, seconds in results],
-            )
-            self._parent_stats.append(None)
-            return [records for records, _seconds in results]
         blocks = self.ctx.block_manager
+        if parent.partitioner == self.partitioner:
+            # Already co-partitioned: drain parent partitions in place
+            # (independent splits, so they fan out on the runner) into a
+            # scratch handle that :meth:`_run_cogroup` drops once the
+            # merge pass has consumed it.
+            self._parent_stats.append(None)
+            return self._stage_into_output(
+                f"scratch/{self.id}.{index}", parent.num_partitions,
+                lambda split: self._drain_partition(parent, index, split),
+            )
         opt_in = self._reuse_opt_in or parent._reuse_opt_in
         reused = blocks.lookup_shuffle(
             parent.id, self.partitioner, None, opt_in=opt_in
@@ -1289,72 +935,22 @@ class CoGroupedRDD(_PipelinedWide, RDD):
         )
         return buckets
 
-    def _run_cogroup(self) -> list[list[tuple[Any, Any]]]:
+    def _run_cogroup(self) -> Any:
+        """Every parent's buckets, then one merge task per split.
+
+        A merge task folds the parents' buckets for its split in parent
+        order, so each key's value lists keep parent order and only that
+        split's table is being built at a time — under a memory cap the
+        buckets restore from the spill tier as they are read and the
+        finished table goes straight under the budget.  One merge stage
+        of ``num_partitions`` tasks is recorded, after the per-parent
+        drain/shuffle stages.
+        """
         # Fresh per materialization: a lineage-fallback re-run (lost
         # spill) must not accumulate stale per-parent histograms.
         self._parent_stats = []
-        if self.ctx.block_manager.spill_enabled:
-            return self._run_cogroup_spill()
-        arity = len(self._parents)
-        grouped: list[dict[Any, tuple[list, ...]]] = [
-            {} for _ in range(self.num_partitions)
-        ]
-        merge_seconds = [0.0] * self.num_partitions
-        # Parents are processed sequentially so each key's value lists
-        # keep parent order; the per-split merges within one parent are
-        # independent and fan out on the runner.
-        for index, parent in enumerate(self._parents):
-            buckets = self._parent_buckets(parent, index)
-
-            def make_merge_task(
-                split: int, bucket: list, index: int = index
-            ) -> Callable[[], Any]:
-                def task() -> Any:
-                    with self.ctx.metrics.task_timer() as timer:
-                        self.ctx.runner.fault_point(f"merge:{self.id}", split)
-                        table = grouped[split]
-                        for key, value in bucket:
-                            entry = table.get(key)
-                            if entry is None:
-                                entry = tuple([] for _ in range(arity))
-                                table[key] = entry
-                            entry[index].append(value)
-                    return timer
-
-                return task
-
-            timers = self.ctx.runner.run_stage(
-                [
-                    make_merge_task(split, bucket)
-                    for split, bucket in enumerate(buckets)
-                ]
-            )
-            for split, timer in enumerate(timers):
-                merge_seconds[split] += timer.own_seconds
-        self.ctx.metrics.record_stage(self.num_partitions, merge_seconds)
-        return [list(table.items()) for table in grouped]
-
-    def _run_cogroup_spill(self) -> Any:
-        """Out-of-core cogroup: one split's table resident at a time.
-
-        The in-memory path keeps every split's grouped table alive while
-        parents are merged in sequence; under a memory cap that *is* the
-        working set, so the merge is restructured per split — read each
-        parent's bucket for the split (restoring from the spill tier as
-        needed), build that split's table, adopt it under the budget,
-        free it, move on.  Parent buckets and merge results keep their
-        exact in-memory ordering, so the output records and every
-        stage/task counter are byte-identical to the in-memory path:
-        per-parent drain/shuffle stages land first in the same order,
-        and the single merge stage still records ``num_partitions``
-        tasks with per-split times.
-        """
         arity = len(self._parents)
         blocks = self.ctx.block_manager
-        # Parent bucket handles, in parent order, before any merge runs
-        # (the same stage-recording order as the in-memory path, which
-        # also finishes every parent's shuffle before the merge stage is
-        # recorded).
         parent_buckets = [
             self._parent_buckets(parent, index)
             for index, parent in enumerate(self._parents)
@@ -1363,66 +959,33 @@ class CoGroupedRDD(_PipelinedWide, RDD):
         # restoring their spilled partitions now so early merge tasks
         # find them resident (prefetch fills free headroom only).
         for handle in parent_buckets:
-            handle_owner = getattr(handle, "owner", None)
-            if handle_owner is not None:
-                blocks.prefetch_namespace(handle_owner)
-        owner = f"out/{self.id}"
-        output = blocks.managed_output(owner, self.num_partitions)
+            blocks.prefetch_namespace(handle.owner)
+        output = blocks.new_output(f"out/{self.id}", self.num_partitions)
 
-        def make_merge_task(split: int) -> Callable[[], float]:
-            def task() -> float:
-                with self.ctx.metrics.task_timer() as timer:
-                    table: dict[Any, tuple[list, ...]] = {}
-                    for index in range(arity):
-                        self.ctx.runner.fault_point(f"merge:{self.id}", split)
-                        for key, value in parent_buckets[index][split]:
-                            entry = table.get(key)
-                            if entry is None:
-                                entry = tuple([] for _ in range(arity))
-                                table[key] = entry
-                            entry[index].append(value)
-                blocks.put_managed(owner, split, list(table.items()))
-                return timer.own_seconds
-
-            return task
+        def merge_task(split: int) -> float:
+            with self.ctx.metrics.task_timer() as timer:
+                table: dict[Any, tuple[list, ...]] = {}
+                for index in range(arity):
+                    self.ctx.runner.fault_point(f"merge:{self.id}", split)
+                    merge_cogroup_bucket(
+                        table, parent_buckets[index][split], index, arity
+                    )
+            output.put(split, list(table.items()))
+            return timer.own_seconds
 
         merge_seconds = self.ctx.runner.run_stage(
-            [make_merge_task(split) for split in range(self.num_partitions)]
+            [
+                (lambda split=split: merge_task(split))
+                for split in range(self.num_partitions)
+            ]
         )
         self.ctx.metrics.record_stage(self.num_partitions, list(merge_seconds))
         for index in range(arity):
             blocks.drop_managed(f"scratch/{self.id}.{index}")
         # Downstream tasks read the output from split 0 up next; warm
         # the early (spilled-first) partitions ahead of them.
-        blocks.prefetch_namespace(owner)
+        blocks.prefetch_namespace(output.owner)
         return output
-
-    def _discard_lost_output(self, output: Any) -> None:
-        """Forget a materialized cogroup whose spilled partition was lost."""
-        with self._materialize_lock:
-            if self._output is output:
-                owner = getattr(output, "owner", None)
-                if owner is not None:
-                    self.ctx.block_manager.drop_managed(owner)
-                self._output = None
-                self._parent_stats = []
-
-    def compute(self, split: int) -> Iterator:
-        pipelined = self._pipeline_compute(split)
-        if pipelined is not None:
-            return pipelined
-        for _attempt in range(2):
-            output = None
-            try:
-                output = self._materialize()
-                return iter(output[split])
-            except SpillLostError:
-                if output is not None:
-                    self._discard_lost_output(output)
-        raise SpillLostError(
-            f"partition {split} of rdd {self.id} lost twice in a row"
-        )
-
 
 class UnionRDD(RDD):
     """Concatenation of several RDDs; partitions are juxtaposed."""
@@ -1461,44 +1024,3 @@ class CartesianRDD(RDD):
         for right_item in self._right.iterator(right_split):
             for left_item in left_items:
                 yield left_item, right_item
-
-
-class ZippedRDD(RDD):
-    """Position-wise pairing of two RDDs with identical partitioning."""
-
-    def __init__(self, left: RDD, right: RDD):
-        super().__init__(left.ctx, left.num_partitions)
-        self._left = left
-        self._right = right
-
-    @property
-    def dependencies(self) -> list[RDD]:
-        return [self._left, self._right]
-
-    def compute(self, split: int) -> Iterator:
-        left_items = list(self._left.iterator(split))
-        right_items = list(self._right.iterator(split))
-        if len(left_items) != len(right_items):
-            raise ValueError(
-                f"cannot zip partition {split}: {len(left_items)} vs "
-                f"{len(right_items)} elements"
-            )
-        return iter(list(zip(left_items, right_items)))
-
-
-class CoalescedRDD(RDD):
-    """Merges parent partitions into fewer, without moving data."""
-
-    def __init__(self, parent: RDD, num_partitions: int):
-        super().__init__(parent.ctx, num_partitions)
-        self._parent = parent
-        self._groups = _slice(list(range(parent.num_partitions)), num_partitions)
-
-    @property
-    def dependencies(self) -> list[RDD]:
-        return [self._parent]
-
-    def compute(self, split: int) -> Iterator:
-        return itertools.chain.from_iterable(
-            self._parent.iterator(i) for i in self._groups[split]
-        )

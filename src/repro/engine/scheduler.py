@@ -553,24 +553,23 @@ class DAGScheduler:
     def __init__(
         self,
         metrics,
+        block_manager,
         runner: TaskRunner | None = None,
         adaptive=None,
         pipeline: bool = False,
-        block_manager=None,
     ):
         self._metrics = metrics
         self._runner = runner or SerialTaskRunner()
-        #: Optional :class:`~repro.engine.block_manager.BlockManager`;
-        #: when its spill tier is active, job dispatch prefetches the
-        #: spilled inputs of the about-to-run stages back into budget
-        #: headroom before tasks demand them.
+        #: The context's :class:`~repro.engine.block_manager.BlockManager`;
+        #: job dispatch asks it to prefetch the spilled inputs of the
+        #: about-to-run stages back into budget headroom.
         self._block_manager = block_manager
         #: Optional :class:`~repro.engine.adaptive.AdaptiveManager`; when
         #: enabled, jobs are prepared (wide stages materialized one at a
         #: time, bottom-up) even under the serial runner, so each stage's
         #: measured statistics exist before the next stage launches.
         self._adaptive = adaptive
-        #: Task-graph execution toggle (``pipeline=`` / ``REPRO_PIPELINE``).
+        #: Task-graph execution toggle (``pipeline=``).
         self.pipeline = pipeline
 
     @property
@@ -598,33 +597,35 @@ class DAGScheduler:
     def _prefetch_spilled_inputs(self, rdd: "RDD") -> None:
         """Warm the spill tier's async prefetch for a job's inputs.
 
-        Walks the lineage the job is about to execute and asks the block
-        manager to restore spilled partitions of materialized wide
-        outputs and cached RDDs in the background.  Restoration is
-        bounded by the memory budget (prefetch only fills free headroom)
-        and is purely a latency optimization: a partition that is not
-        prefetched in time is restored synchronously on first read.
-        No-op unless the spill tier is active.
+        Asks the block manager to restore, in the background, spilled
+        partitions of the materialized wide outputs and cached RDDs the
+        job is about to read.  Restoration is bounded by the memory
+        budget (prefetch only fills free headroom) and is purely a
+        latency optimization: a partition that is not prefetched in time
+        is restored synchronously on first read.  Without a spill tier
+        the block manager never starts the lineage walk.
         """
         blocks = self._block_manager
-        if blocks is None or not blocks.spill_enabled:
-            return
-        seen: set[int] = set()
-        stack = [rdd]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            owner = getattr(getattr(node, "_output", None), "owner", None)
-            if owner is not None:
-                # A materialized wide output: its partitions feed the
-                # next stage directly, so its lineage will not re-run.
-                blocks.prefetch_namespace(owner)
-                continue
-            if getattr(node, "_cached", False):
-                blocks.prefetch_rdd_blocks(node.id)
-            stack.extend(node.dependencies)
+
+        def input_namespaces() -> Iterator[str]:
+            seen: set[int] = set()
+            stack = [rdd]
+            while stack:
+                node = stack.pop()
+                if id(node) in seen:
+                    continue
+                seen.add(id(node))
+                owner = getattr(getattr(node, "_output", None), "owner", None)
+                if owner is not None:
+                    # A materialized wide output: its partitions feed the
+                    # next stage directly, so its lineage will not re-run.
+                    yield owner
+                    continue
+                if node._cached:
+                    yield blocks.cache_namespace(node.id)
+                stack.extend(node.dependencies)
+
+        blocks.prefetch_namespaces(input_namespaces())
 
     def _run_staged(
         self, rdd: "RDD", func: Callable[[Iterator], Any]
@@ -672,5 +673,6 @@ class DAGScheduler:
             # re-materializes from scratch.
             for node in wide_nodes:
                 node._pipeline_cleanup()
+            graph.discard()
         self._metrics.record_stage(len(result_tasks), task_seconds)
         return [task.result for task in result_tasks]

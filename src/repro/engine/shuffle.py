@@ -6,11 +6,11 @@ reduce-side partition the merged contents of its bucket.  Two regimes
 mirror Spark:
 
 * **With an aggregator and map-side combining** (``reduceByKey``,
-  ``combineByKey``, ``foldByKey``, ``aggregateByKey``): values are combined
-  into per-key combiners *before* they are counted against the network, so
-  a sum over a billion records shuffles one combiner per key per map
-  partition.  This is the mechanism behind the paper's insistence on
-  translating group-bys to ``reduceByKey`` (Sections 4 and 5.3).
+  ``combineByKey``): values are combined into per-key combiners *before*
+  they are counted against the network, so a sum over a billion records
+  shuffles one combiner per key per map partition.  This is the
+  mechanism behind the paper's insistence on translating group-bys to
+  ``reduceByKey`` (Sections 4 and 5.3).
 
 * **Without map-side combining** (``groupByKey``, ``cogroup``): every
   record crosses the network individually.  The ablation benchmark E5
@@ -24,28 +24,29 @@ than a recursive walk, and the accounting is batched per map partition.
 
 Map tasks (drain + combine + bucket + account one map partition) and
 reduce tasks (merge one bucket) are independent, so both fan out on the
-engine's shared :class:`~repro.engine.scheduler.TaskRunner`.  Buckets
-are concatenated in map-partition order afterwards, which makes the
-output — and every recorded counter — identical to the serial drain.
+engine's shared :class:`~repro.engine.scheduler.TaskRunner`.  A reduce
+bucket concatenates the map slots' pieces in map-partition order, which
+makes the output — and every recorded counter — identical to a serial
+drain.
 
-Two execution shapes share the same per-partition map work
-(:func:`_map_partition`):
+There is one shuffle, :class:`Shuffle`, and two things vary around it,
+neither of them inside it:
 
-* :meth:`ShuffleManager.shuffle` — the staged path: one barrier after
-  the map phase, one after the reduce phase.
-* :class:`PipelinedShuffle` — per-partition-addressable state for the
-  task-graph scheduler: map slots land individually (each slot's
-  buckets, bytes, and timing are stored as they complete), partial
-  statistics are readable while the map phase is still running, and
-  ``finish_map_phase`` concatenates slots in deterministic slot order so
-  every byte counter matches the staged path exactly.
+* **Who drives it.**  :meth:`ShuffleManager.shuffle` runs the map slots
+  behind one barrier and the reduce groups behind another; the
+  task-graph compiler (:mod:`repro.engine.taskgraph`) issues the same
+  three calls as individual tasks.
+* **Where its map buckets live** between the phases — the *bucket
+  store*: :class:`_MemoryBuckets`, or :class:`_BucketSpiller` when the
+  block manager has a spill tier.  The block manager chooses
+  (``BlockManager.bucket_store``), from the ``memory_limit`` the user
+  set; the shuffle never asks which one it got.
 """
 
 from __future__ import annotations
 
 import pickle
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -53,7 +54,7 @@ import numpy as np
 
 from .metrics import MetricsRegistry
 from .partitioner import Partitioner
-from .scheduler import SerialTaskRunner, TaskRunner
+from .scheduler import TaskRunner
 from .serialization import RecordSizeAccountant
 
 
@@ -103,18 +104,6 @@ class MapOutputStatistics:
         )
 
 
-class ShuffleResult(list):
-    """The reduce-side buckets of one shuffle, list-compatible.
-
-    Behaves exactly like the ``list[list[record]]`` the manager always
-    returned; the map-output histogram rides along as :attr:`stats` so
-    callers that want it (the adaptive layer) can read it without a
-    signature change anywhere else.
-    """
-
-    stats: Optional[MapOutputStatistics] = None
-
-
 @dataclass
 class Aggregator:
     """Spark-style map/reduce-side combining functions.
@@ -161,6 +150,23 @@ def _merge_reduce_side(
             else:
                 merged[key] = aggregator.create_combiner(value)
     return list(merged.items())
+
+
+def merge_cogroup_bucket(
+    table: dict[Any, tuple[list, ...]], bucket: Iterable[tuple[Any, Any]],
+    index: int, arity: int,
+) -> None:
+    """Fold parent ``index``'s bucket into one split's cogroup table.
+
+    Parents must be folded in ascending ``index`` order: key insertion
+    order (hence the output's record order) is that of first appearance.
+    """
+    for key, value in bucket:
+        entry = table.get(key)
+        if entry is None:
+            entry = tuple([] for _ in range(arity))
+            table[key] = entry
+        entry[index].append(value)
 
 
 #: Below this many records the numpy batch setup costs more than the
@@ -214,8 +220,7 @@ def _map_partition(
 ) -> tuple[list[list], list[int], int]:
     """The map-side work for one partition: drain, combine, bucket, price.
 
-    Shared verbatim by the staged and pipelined paths so their measured
-    bytes cannot diverge.  Pricing each bucket separately sums the same
+    Pricing each bucket separately sums the same
     memoized per-record sizes as a single ``batch_size(records)`` call —
     the per-reducer histogram is free.
     """
@@ -231,17 +236,49 @@ def _map_partition(
     return local_buckets, bucket_bytes, len(records)
 
 
+class _MemoryBuckets:
+    """Map-output buckets held in memory, one list of buckets per slot."""
+
+    def __init__(self) -> None:
+        #: slot -> that slot's per-reducer bucket lists.
+        self._slots: dict[Any, list] = {}
+        self._lock = threading.Lock()
+
+    def write(self, slot: Any, local_buckets: list[list],
+              bucket_bytes: list[int]) -> None:
+        """Keep one map slot's buckets (idempotent: a retry overwrites)."""
+        with self._lock:
+            self._slots[slot] = local_buckets
+
+    def read_bucket(self, reducer: int) -> list:
+        """One reducer's bucket, concatenated in ascending slot order.
+
+        Same contract as :meth:`_BucketSpiller.read_bucket`: the slots'
+        pieces are released only after the whole bucket assembled, so a
+        task retried partway through a read still finds every piece —
+        and a consumed bucket no longer pins its map slots' records.
+        """
+        with self._lock:
+            ordered = [self._slots[slot] for slot in sorted(self._slots)]
+        bucket: list = []
+        for local_buckets in ordered:
+            bucket.extend(local_buckets[reducer])
+        for local_buckets in ordered:
+            local_buckets[reducer] = ()
+        return bucket
+
+
 class _BucketSpiller:
     """Map-output buckets written straight to the spill store.
 
-    In spill mode the map phase never accumulates its buckets in driver
-    memory: each map task prices its buckets (identical accounting to
-    the in-memory path), then serializes every non-empty bucket to the
-    object store.  The reduce/assembly side reads a reducer's buckets
-    back in ascending map-slot order — the same concatenation order as
-    the in-memory path, so reduce inputs are byte-identical — consuming
-    (deleting) each object as it goes.  Spilled and restored bytes use
-    the accountant's bucket sizes so the counters pair up exactly.
+    With a spill tier the map phase never accumulates its buckets in
+    driver memory: each map slot's non-empty buckets are serialized to
+    the object store as the slot lands.  The reduce side reads a
+    reducer's buckets back in ascending map-slot order — the same
+    concatenation order as :class:`_MemoryBuckets`, so reduce inputs are
+    byte-identical — consuming (deleting) each object as it goes.
+    Spilled and restored bytes use the accountant's bucket sizes so the
+    counters pair up exactly.
     """
 
     def __init__(self, store: Any, metrics: MetricsRegistry, label: str):
@@ -292,27 +329,143 @@ class _BucketSpiller:
         return bucket
 
 
-class ShuffleManager:
-    """Executes shuffles and records their measured volume."""
+class Shuffle:
+    """Per-slot state of one shuffle: the engine's only shuffle.
+
+    Map *slots* — ``(partition, chunk)`` keys, so a skew-split
+    partition's chunks slot in where the original partition would — land
+    independently via :meth:`run_map_slot`, each handing its buckets to
+    the *bucket store* (:class:`_MemoryBuckets`, or the block manager's
+    choice when one is given: :class:`_BucketSpiller` under a
+    ``memory_limit``).  Once every slot has landed,
+    :meth:`finish_map_phase` folds the per-slot sizes in ascending slot
+    order and records the map stage and shuffle volume; the reduce side
+    then reads bucket ``r`` (:meth:`read_bucket`, every slot's piece in
+    ascending slot order) or merges it (:meth:`run_reduce_group`).
+    Counters and bucket contents therefore do not depend on the order
+    slots completed in, on who drives the phases
+    (:meth:`ShuffleManager.shuffle` behind two barriers, or the task
+    graph one task at a time), or on where the buckets lived.
+    """
 
     def __init__(
         self,
         metrics: MetricsRegistry,
-        runner: Optional[TaskRunner] = None,
-        adaptive=None,
+        runner: TaskRunner,
+        partitioner: Partitioner,
+        aggregator: Optional[Aggregator],
+        stage_label: Optional[str] = None,
         blocks=None,
     ):
         self._metrics = metrics
-        self._runner = runner or SerialTaskRunner()
-        #: Optional :class:`~repro.engine.adaptive.AdaptiveManager`; when
-        #: present and enabled it may regroup the reduce phase (partition
-        #: coalescing).  ``None`` (or disabled) reproduces the seed
-        #: behavior exactly.
+        self._runner = runner
+        self.partitioner = partitioner
+        self.aggregator = aggregator
+        self.num_reducers = partitioner.num_partitions
+        self._map_label = f"map:{stage_label}" if stage_label else "map"
+        self._reduce_label = f"reduce:{stage_label}" if stage_label else "reduce"
+        # One accountant for the whole shuffle: map partitions of one
+        # shuffle share record shapes, so the signature memo hits across
+        # tasks (dict access is atomic under the GIL, and a racing
+        # double-insert writes the same value).
+        self._accountant = RecordSizeAccountant()
+        self._store = (
+            _MemoryBuckets() if blocks is None
+            else blocks.bucket_store(stage_label or "anon")
+        )
+        #: slot key -> (bucket_bytes, bucket_counts, num_records, seconds)
+        self._slots: dict[tuple, tuple] = {}
+        self._slots_lock = threading.Lock()
+        self.stats: Optional[MapOutputStatistics] = None
+
+    def run_map_slot(
+        self,
+        slot: tuple,
+        partition_iter: Iterator[tuple[Any, Any]],
+        partition: int,
+    ) -> None:
+        """Execute the map work of one slot.
+
+        Idempotent: a retried slot overwrites its own entry.  ``slot``
+        is ``(partition, chunk)``; ``partition`` feeds the fault point
+        so an injection targeting partition *p* hits every chunk of *p*.
+        """
+        with self._metrics.task_timer() as timer:
+            self._runner.fault_point(self._map_label, partition)
+            local_buckets, bucket_bytes, num_records = _map_partition(
+                partition_iter, self.partitioner, self.aggregator,
+                self._accountant, self.num_reducers,
+            )
+        # The store write (spill I/O under a cap) stays outside the
+        # timer, so measured compute does not depend on the store.
+        bucket_counts = [len(bucket) for bucket in local_buckets]
+        self._store.write(slot, local_buckets, bucket_bytes)
+        with self._slots_lock:
+            self._slots[slot] = (
+                bucket_bytes, bucket_counts, num_records, timer.own_seconds
+            )
+
+    def finish_map_phase(self) -> MapOutputStatistics:
+        """Fold all landed slots; record map stage + shuffle volume."""
+        partition_bytes = [0] * self.num_reducers
+        partition_records = [0] * self.num_reducers
+        task_seconds: list[float] = []
+        shuffled_records = 0
+        shuffled_bytes = 0
+        with self._slots_lock:
+            ordered = [self._slots[key] for key in sorted(self._slots)]
+        for bucket_bytes, bucket_counts, num_records, seconds in ordered:
+            for reducer, count in enumerate(bucket_counts):
+                partition_bytes[reducer] += bucket_bytes[reducer]
+                partition_records[reducer] += count
+            shuffled_records += num_records
+            shuffled_bytes += sum(bucket_bytes)
+            task_seconds.append(seconds)
+        self.stats = MapOutputStatistics(
+            tuple(partition_bytes), tuple(partition_records)
+        )
+        self._metrics.record_stage(len(task_seconds), task_seconds)
+        self._metrics.record_shuffle(shuffled_records, shuffled_bytes)
+        return self.stats
+
+    def read_bucket(self, reducer: int) -> list:
+        """Reduce partition ``reducer`` of a plain repartition (consumed)."""
+        return self._store.read_bucket(reducer)
+
+    def run_reduce_group(
+        self, bucket_ids: list[int]
+    ) -> tuple[list[tuple[int, list]], float]:
+        """Merge one reduce task's buckets; returns pairs + own-seconds."""
+        aggregator = self.aggregator
+        with self._metrics.task_timer() as timer:
+            self._runner.fault_point(self._reduce_label, bucket_ids[0])
+            merged_buckets = [
+                (bid, _merge_reduce_side(
+                    self._store.read_bucket(bid), aggregator
+                ))
+                for bid in bucket_ids
+            ]
+        return merged_buckets, timer.own_seconds
+
+
+class ShuffleManager:
+    """The staged driver of :class:`Shuffle`: one barrier per phase."""
+
+    def __init__(
+        self,
+        metrics: MetricsRegistry,
+        runner: TaskRunner,
+        adaptive,
+        blocks,
+    ):
+        self._metrics = metrics
+        self._runner = runner
+        #: The context's :class:`~repro.engine.adaptive.AdaptiveManager`;
+        #: when enabled it may regroup the reduce phase (partition
+        #: coalescing).
         self._adaptive = adaptive
-        #: Optional :class:`~repro.engine.block_manager.BlockManager`;
-        #: when its spill tier is active, shuffles run out-of-core (map
-        #: buckets stream through the spill store and reduce outputs are
-        #: adopted as budget-managed partitions).
+        #: The context's :class:`~repro.engine.block_manager.BlockManager`:
+        #: decides where map buckets and output partitions live.
         self._blocks = blocks
 
     def shuffle(
@@ -321,7 +474,7 @@ class ShuffleManager:
         partitioner: Partitioner,
         aggregator: Optional[Aggregator] = None,
         stage_label: Optional[str] = None,
-    ) -> list[list[tuple[Any, Any]]]:
+    ):
         """Run a full shuffle.
 
         Args:
@@ -336,333 +489,48 @@ class ShuffleManager:
                 ``reduce`` when omitted.
 
         Returns:
-            One list of ``(key, value)`` pairs per reduce partition.  With
-            an aggregator the value is the fully merged combiner.  With
-            the spill tier active, the partitions come back as a
-            budget-managed ``ManagedOutput`` handle (list-compatible).
+            The block manager's output handle (list-compatible, carrying
+            the map-output histogram as ``stats``): one list of
+            ``(key, value)`` pairs per reduce partition.  With an
+            aggregator the value is the fully merged combiner.
         """
-        if self._blocks is not None and self._blocks.spill_enabled:
-            return self._shuffle_spill(
-                map_outputs, partitioner, aggregator, stage_label
-            )
-        num_reducers = partitioner.num_partitions
-        map_label = f"map:{stage_label}" if stage_label else "map"
-        reduce_label = f"reduce:{stage_label}" if stage_label else "reduce"
-        # One accountant for the whole shuffle: map partitions of one
-        # shuffle share record shapes, so the signature memo hits across
-        # tasks (dict access is atomic under the GIL, and a racing
-        # double-insert writes the same value).
-        accountant = RecordSizeAccountant()
-
-        def make_map_task(index: int, partition_iter: Iterator[tuple[Any, Any]]):
-            def map_task():
-                with self._metrics.task_timer() as timer:
-                    self._runner.fault_point(map_label, index)
-                    local_buckets, bucket_bytes, num_records = _map_partition(
-                        partition_iter, partitioner, aggregator,
-                        accountant, num_reducers,
-                    )
-                return local_buckets, bucket_bytes, num_records, timer
-
-            return map_task
-
-        map_tasks = [
-            make_map_task(index, it) for index, it in enumerate(map_outputs)
-        ]
-        map_results = self._runner.run_stage(map_tasks)
-
-        buckets = ShuffleResult([] for _ in range(num_reducers))
-        partition_bytes = [0] * num_reducers
-        partition_records = [0] * num_reducers
-        map_task_seconds: list[float] = []
-        shuffled_records = 0
-        shuffled_bytes = 0
-        for local_buckets, bucket_bytes, num_records, timer in map_results:
-            for reducer, local in enumerate(local_buckets):
-                if local:
-                    buckets[reducer].extend(local)
-                    partition_bytes[reducer] += bucket_bytes[reducer]
-                    partition_records[reducer] += len(local)
-            shuffled_records += num_records
-            shuffled_bytes += sum(bucket_bytes)
-            map_task_seconds.append(timer.own_seconds)
-
-        stats = MapOutputStatistics(tuple(partition_bytes), tuple(partition_records))
-        buckets.stats = stats
-        self._metrics.record_stage(len(map_task_seconds), map_task_seconds)
-        self._metrics.record_shuffle(shuffled_records, shuffled_bytes)
-
-        if aggregator is None:
-            return buckets
-
-        # Reduce phase.  By default one task merges one bucket; the
-        # adaptive layer may coalesce contiguous small buckets into one
-        # task (logical partition count is unchanged — each bucket is
-        # still merged separately and lands back in its own slot).
-        groups: Optional[list[list[int]]] = None
-        if self._adaptive is not None:
-            groups = self._adaptive.plan_reduce_groups(stats)
-        if groups is None:
-            groups = [[reducer] for reducer in range(num_reducers)]
-
-        def make_reduce_task(bucket_ids: list[int]):
-            def reduce_task():
-                with self._metrics.task_timer() as timer:
-                    self._runner.fault_point(reduce_label, bucket_ids[0])
-                    merged_buckets = [
-                        (bid, self._merge_reduce_side(buckets[bid], aggregator))
-                        for bid in bucket_ids
-                    ]
-                return merged_buckets, timer
-
-            return reduce_task
-
-        reduce_results = self._runner.run_stage(
-            [make_reduce_task(group) for group in groups]
-        )
-        merged = ShuffleResult([None] * num_reducers)
-        merged.stats = stats
-        reduce_task_seconds = []
-        for merged_buckets, timer in reduce_results:
-            for bid, merged_bucket in merged_buckets:
-                merged[bid] = merged_bucket
-            reduce_task_seconds.append(timer.own_seconds)
-        self._metrics.record_stage(len(groups), reduce_task_seconds)
-        return merged
-
-    def _shuffle_spill(
-        self,
-        map_outputs: Iterable[Iterator[tuple[Any, Any]]],
-        partitioner: Partitioner,
-        aggregator: Optional[Aggregator],
-        stage_label: Optional[str],
-    ):
-        """The out-of-core twin of :meth:`shuffle`.
-
-        Identical stage/task/shuffle accounting and byte-identical
-        output contents, but no phase ever holds the full data set in
-        memory: map buckets stream through the spill store
-        (:class:`_BucketSpiller`) and every output partition is adopted
-        into the block manager — admitted, counted against the budget,
-        and spilled back out if it doesn't fit — as soon as it is
-        produced.  Resident footprint is roughly the memory budget plus
-        one in-flight partition per runner worker.
-        """
-        num_reducers = partitioner.num_partitions
-        map_label = f"map:{stage_label}" if stage_label else "map"
-        reduce_label = f"reduce:{stage_label}" if stage_label else "reduce"
-        accountant = RecordSizeAccountant()
         blocks = self._blocks
-        label = stage_label if stage_label else "anon"
-        owner = f"out/{label}"
-        spiller = _BucketSpiller(blocks.spill_store, self._metrics, label)
-
-        def make_map_task(index: int, partition_iter: Iterator[tuple[Any, Any]]):
-            def map_task():
-                with self._metrics.task_timer() as timer:
-                    self._runner.fault_point(map_label, index)
-                    local_buckets, bucket_bytes, num_records = _map_partition(
-                        partition_iter, partitioner, aggregator,
-                        accountant, num_reducers,
-                    )
-                # Spill I/O stays outside the timer so measured compute
-                # matches the in-memory path.
-                bucket_counts = [len(bucket) for bucket in local_buckets]
-                spiller.write(index, local_buckets, bucket_bytes)
-                return bucket_bytes, bucket_counts, num_records, timer
-
-            return map_task
-
-        map_tasks = [
-            make_map_task(index, it) for index, it in enumerate(map_outputs)
-        ]
-        map_results = self._runner.run_stage(map_tasks)
-
-        partition_bytes = [0] * num_reducers
-        partition_records = [0] * num_reducers
-        map_task_seconds: list[float] = []
-        shuffled_records = 0
-        shuffled_bytes = 0
-        for bucket_bytes, bucket_counts, num_records, timer in map_results:
-            for reducer, count in enumerate(bucket_counts):
-                if count:
-                    partition_bytes[reducer] += bucket_bytes[reducer]
-                    partition_records[reducer] += count
-            shuffled_records += num_records
-            shuffled_bytes += sum(bucket_bytes)
-            map_task_seconds.append(timer.own_seconds)
-
-        stats = MapOutputStatistics(tuple(partition_bytes), tuple(partition_records))
-        self._metrics.record_stage(len(map_task_seconds), map_task_seconds)
-        self._metrics.record_shuffle(shuffled_records, shuffled_bytes)
-
-        output = blocks.managed_output(owner, num_reducers, stats=stats)
-
+        state = Shuffle(
+            self._metrics, self._runner, partitioner, aggregator,
+            stage_label, blocks=blocks,
+        )
+        self._runner.run_stage([
+            (lambda index=index, it=it: state.run_map_slot((index, 0), it, index))
+            for index, it in enumerate(map_outputs)
+        ])
+        stats = state.finish_map_phase()
+        num_reducers = partitioner.num_partitions
+        output = blocks.new_output(
+            f"out/{stage_label or 'anon'}", num_reducers, stats
+        )
         if aggregator is None:
-            # Plain repartition: assemble one reducer at a time and hand
-            # each straight to the block manager.
             for reducer in range(num_reducers):
-                blocks.put_managed(owner, reducer, spiller.read_bucket(reducer))
-            # The next stage reads the output from split 0 up; restore
-            # the early (spilled-first) partitions ahead of its tasks.
-            blocks.prefetch_namespace(owner)
-            return output
-
-        groups: Optional[list[list[int]]] = None
-        if self._adaptive is not None:
+                output.put(reducer, state.read_bucket(reducer))
+        else:
+            # By default one task merges one bucket; the adaptive layer
+            # may coalesce contiguous small buckets into one task (the
+            # logical partition count is unchanged — each bucket is still
+            # merged separately and lands in its own slot).
             groups = self._adaptive.plan_reduce_groups(stats)
-        if groups is None:
-            groups = [[reducer] for reducer in range(num_reducers)]
+            if groups is None:
+                groups = [[reducer] for reducer in range(num_reducers)]
 
-        def make_reduce_task(bucket_ids: list[int]):
-            def reduce_task():
-                with self._metrics.task_timer() as timer:
-                    self._runner.fault_point(reduce_label, bucket_ids[0])
-                    merged_buckets = [
-                        (bid, _merge_reduce_side(
-                            spiller.read_bucket(bid), aggregator
-                        ))
-                        for bid in bucket_ids
-                    ]
+            def reduce_task(bucket_ids: list[int]) -> float:
+                merged_buckets, seconds = state.run_reduce_group(bucket_ids)
                 for bid, merged_bucket in merged_buckets:
-                    blocks.put_managed(owner, bid, merged_bucket)
-                return timer
+                    output.put(bid, merged_bucket)
+                return seconds
 
-            return reduce_task
-
-        reduce_results = self._runner.run_stage(
-            [make_reduce_task(group) for group in groups]
-        )
-        self._metrics.record_stage(
-            len(groups), [timer.own_seconds for timer in reduce_results]
-        )
+            reduce_seconds = self._runner.run_stage(
+                [(lambda group=group: reduce_task(group)) for group in groups]
+            )
+            self._metrics.record_stage(len(groups), list(reduce_seconds))
         # The next stage reads the output from split 0 up; restore the
         # early (spilled-first) partitions ahead of its tasks.
-        blocks.prefetch_namespace(owner)
+        blocks.prefetch_namespace(output.owner)
         return output
-
-    _combine_map_side = staticmethod(_combine_map_side)
-    _merge_reduce_side = staticmethod(_merge_reduce_side)
-
-
-class PipelinedShuffle:
-    """Per-partition-addressable state of one in-flight shuffle.
-
-    The task-graph compiler creates one per wide node whose data really
-    crosses the shuffle machinery.  Map *slots* — ``(partition, chunk)``
-    keys, so a skew-split partition's chunks slot in where the original
-    partition would — land independently via :meth:`run_map_slot`;
-    :meth:`partial_statistics` exposes the accumulating histogram while
-    the map phase is still in flight; once every slot has landed,
-    :meth:`finish_map_phase` concatenates buckets in ascending slot
-    order and records the map stage and shuffle volume — producing the
-    byte-identical counters and bucket contents of the staged
-    :meth:`ShuffleManager.shuffle`, whatever order the slots actually
-    completed in.
-    """
-
-    def __init__(
-        self,
-        metrics: MetricsRegistry,
-        runner: TaskRunner,
-        partitioner: Partitioner,
-        aggregator: Optional[Aggregator],
-        stage_label: Optional[str] = None,
-    ):
-        self._metrics = metrics
-        self._runner = runner
-        self.partitioner = partitioner
-        self.aggregator = aggregator
-        self.num_reducers = partitioner.num_partitions
-        self._map_label = f"map:{stage_label}" if stage_label else "map"
-        self._reduce_label = f"reduce:{stage_label}" if stage_label else "reduce"
-        self._accountant = RecordSizeAccountant()
-        #: slot key -> (local_buckets, bucket_bytes, num_records, seconds)
-        self._slots: dict[tuple, tuple] = {}
-        self._slots_lock = threading.Lock()
-        self._buckets: Optional[ShuffleResult] = None
-        self.stats: Optional[MapOutputStatistics] = None
-
-    def run_map_slot(
-        self,
-        slot: tuple,
-        partition_iter: Iterator[tuple[Any, Any]],
-        partition: int,
-    ) -> float:
-        """Execute the map work of one slot; returns its own-seconds.
-
-        Idempotent: a retried slot overwrites its own entry.  ``slot``
-        is ``(partition, chunk)``; ``partition`` feeds the fault point
-        so an injection targeting partition *p* hits every chunk of *p*.
-        """
-        with self._metrics.task_timer() as timer:
-            self._runner.fault_point(self._map_label, partition)
-            result = _map_partition(
-                partition_iter, self.partitioner, self.aggregator,
-                self._accountant, self.num_reducers,
-            )
-        with self._slots_lock:
-            self._slots[slot] = (*result, timer.own_seconds)
-        return timer.own_seconds
-
-    def partial_statistics(self) -> MapOutputStatistics:
-        """Histogram over the map slots that have landed so far.
-
-        The adaptive layer may read this while the map phase is still
-        running — per-partition-set decisions no longer have to wait for
-        the full stage boundary.
-        """
-        with self._slots_lock:
-            landed = list(self._slots.values())
-        partition_bytes = [0] * self.num_reducers
-        partition_records = [0] * self.num_reducers
-        for local_buckets, bucket_bytes, _num_records, _seconds in landed:
-            for reducer, local in enumerate(local_buckets):
-                if local:
-                    partition_bytes[reducer] += bucket_bytes[reducer]
-                    partition_records[reducer] += len(local)
-        return MapOutputStatistics(
-            tuple(partition_bytes), tuple(partition_records)
-        )
-
-    def finish_map_phase(self) -> tuple[ShuffleResult, MapOutputStatistics]:
-        """Concatenate all landed slots; record map stage + shuffle volume."""
-        buckets = ShuffleResult([] for _ in range(self.num_reducers))
-        partition_bytes = [0] * self.num_reducers
-        partition_records = [0] * self.num_reducers
-        task_seconds: list[float] = []
-        shuffled_records = 0
-        shuffled_bytes = 0
-        with self._slots_lock:
-            ordered = [self._slots[key] for key in sorted(self._slots)]
-        for local_buckets, bucket_bytes, num_records, seconds in ordered:
-            for reducer, local in enumerate(local_buckets):
-                if local:
-                    buckets[reducer].extend(local)
-                    partition_bytes[reducer] += bucket_bytes[reducer]
-                    partition_records[reducer] += len(local)
-            shuffled_records += num_records
-            shuffled_bytes += sum(bucket_bytes)
-            task_seconds.append(seconds)
-        stats = MapOutputStatistics(
-            tuple(partition_bytes), tuple(partition_records)
-        )
-        buckets.stats = stats
-        self.stats = stats
-        self._buckets = buckets
-        self._metrics.record_stage(len(task_seconds), task_seconds)
-        self._metrics.record_shuffle(shuffled_records, shuffled_bytes)
-        return buckets, stats
-
-    def run_reduce_group(
-        self, bucket_ids: list[int]
-    ) -> tuple[list[tuple[int, list]], float]:
-        """Merge one reduce task's buckets; returns pairs + own-seconds."""
-        aggregator = self.aggregator
-        with self._metrics.task_timer() as timer:
-            self._runner.fault_point(self._reduce_label, bucket_ids[0])
-            merged_buckets = [
-                (bid, _merge_reduce_side(self._buckets[bid], aggregator))
-                for bid in bucket_ids
-            ]
-        return merged_buckets, timer.own_seconds

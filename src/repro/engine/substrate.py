@@ -205,10 +205,10 @@ class EngineSubstrate:
         runner: Optional[TaskRunner | str] = None,
         default_parallelism: Optional[int] = None,
         memory_budget: Optional[int] = None,
-        reuse_shuffles: Optional[bool] = None,
+        reuse_shuffles: bool = False,
         memory_limit: Optional[int | str] = None,
         spill_store: Any = None,
-        spill_prefetch: Optional[bool] = None,
+        spill_prefetch: bool = True,
         max_concurrent_jobs: Optional[int] = None,
     ):
         self.cluster = cluster
@@ -217,8 +217,6 @@ class EngineSubstrate:
         # Bind the runner to this substrate's metrics so task retries
         # land in the right JobMetrics.
         self.runner.metrics = self.metrics
-        if reuse_shuffles is None:
-            reuse_shuffles = env_flag("REPRO_SHUFFLE_REUSE", False)
         # Out-of-core tier: ``memory_limit`` both caps resident block
         # bytes and turns eviction into spill-to-store (the legacy
         # ``memory_budget`` keeps the historical drop-for-recompute
@@ -226,8 +224,6 @@ class EngineSubstrate:
         if memory_limit is None:
             memory_limit = os.environ.get("REPRO_MEMORY_LIMIT") or None
         self.memory_limit = parse_memory_limit(memory_limit)
-        if spill_prefetch is None:
-            spill_prefetch = env_flag("REPRO_SPILL_PREFETCH", True)
         self._owns_spill_store = False
         if self.memory_limit is not None:
             if memory_budget is None:

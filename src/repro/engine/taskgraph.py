@@ -22,11 +22,12 @@ decisions (reduce coalescing, skew splitting) are taken mid-flight from
 measured map statistics instead of behind a global barrier.
 
 Metric parity: every stage/task/shuffle counter a staged run records is
-recorded here too, with identical totals — map buckets concatenate in
-deterministic slot order (see ``PipelinedShuffle``), reduce groups come
-from the same adaptive planner, and per-parent cogroup merges are
-chained per split so key insertion order is byte-identical.  Only the
-*recording order* of stages may differ.
+recorded here too, with identical totals — the graph runs the very
+:class:`~repro.engine.shuffle.Shuffle` the staged driver runs (map
+buckets concatenate in deterministic slot order), reduce groups come
+from the same adaptive planner, and per-parent cogroup merges call the
+staged merge helper chained per split, so key insertion order is
+byte-identical.  Only the *recording order* of stages may differ.
 
 The graph itself is **externally synchronized**: the runner serializes
 all calls to :meth:`TaskGraph.complete` / :meth:`TaskGraph.add_task`
@@ -38,7 +39,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator, Optional
 
-from .shuffle import PipelinedShuffle, ShuffleResult
+from .block_manager import ListOutput
+from .shuffle import Shuffle, merge_cogroup_bucket
 
 
 class Task:
@@ -167,6 +169,9 @@ class TaskGraph:
             raise RuntimeError(f"task {task.key!r} completed twice")
         task.done = True
         self._num_done += 1
+        # A finished task's body is never called again; dropping it (and
+        # the hook) lets whatever its closure captured go with it.
+        task.fn = None
         if task.on_complete is not None:
             hook, task.on_complete = task.on_complete, None
             hook()
@@ -192,6 +197,22 @@ class TaskGraph:
             f"task graph finished with {remaining} unexecuted tasks "
             f"(missing dependency edges or a cycle); e.g. {stuck}"
         )
+
+    def discard(self) -> None:
+        """Drop the task table and every remaining closure.
+
+        Task bodies and hooks capture this graph, the shuffles' bucket
+        stores and the cogroups' tables, and the graph holds the tasks —
+        a reference cycle that would keep a finished (or failed) job's
+        intermediate partitions resident until the cyclic collector
+        runs.  The scheduler calls this once ``run_graph`` is over; the
+        result tasks it still holds keep only their ``result``.
+        """
+        for task in self._tasks.values():
+            task.fn = task.on_complete = None
+            task.children = []
+        self._tasks = {}
+        self._fresh = []
 
     # -- introspection (numpywren-style) --------------------------------
 
@@ -366,7 +387,7 @@ class _JobCompiler:
         node._pipeline_install()
         self.wide_nodes.append(node)
         num_reducers = node.num_partitions
-        shuffle = PipelinedShuffle(
+        shuffle = Shuffle(
             metrics, self._runner, node.partitioner, node._aggregator,
             stage_label=str(node.id),
         )
@@ -402,9 +423,13 @@ class _JobCompiler:
             ]
 
         def maps_done_hook():
-            buckets, stats = shuffle.finish_map_phase()
+            stats = shuffle.finish_map_phase()
             blocks = node.ctx.block_manager
             if node._aggregator is None:
+                buckets = ListOutput(
+                    (shuffle.read_bucket(r) for r in range(num_reducers)),
+                    stats,
+                )
                 for r in range(num_reducers):
                     node._pipeline_fill(r, buckets[r])
                 node._map_stats = stats
@@ -449,8 +474,7 @@ class _JobCompiler:
 
             def reduces_done_hook():
                 metrics.record_stage(len(groups), list(reduce_seconds))
-                merged = ShuffleResult(node._pipeline_slots)
-                merged.stats = stats
+                merged = ListOutput(node._pipeline_slots, stats)
                 node._map_stats = stats
                 node._pipeline_promote(merged)
                 blocks.register_shuffle(
@@ -657,7 +681,7 @@ class _JobCompiler:
                         return reused[p]
 
                 else:
-                    pshuffle = PipelinedShuffle(
+                    pshuffle = Shuffle(
                         metrics, runner, node.partitioner, None,
                         stage_label=f"{node.id}.{index}",
                     )
@@ -680,7 +704,11 @@ class _JobCompiler:
                         pshuffle=pshuffle, index=index, parent=parent,
                         opt_in=opt_in, buckets_store=buckets_store,
                     ):
-                        buckets, stats = pshuffle.finish_map_phase()
+                        stats = pshuffle.finish_map_phase()
+                        buckets = ListOutput(
+                            (pshuffle.read_bucket(r) for r in range(num_parts)),
+                            stats,
+                        )
                         buckets_store["buckets"] = buckets
                         node._parent_stats[index] = stats
                         blocks.register_shuffle(
@@ -713,16 +741,13 @@ class _JobCompiler:
                 def fn(p=p, index=index, bucket_of=bucket_of, last=last):
                     with metrics.task_timer() as timer:
                         runner.fault_point(f"merge:{node.id}", p)
-                        table = grouped[p]
-                        for key, value in bucket_of(p):
-                            entry = table.get(key)
-                            if entry is None:
-                                entry = tuple([] for _ in range(arity))
-                                table[key] = entry
-                            entry[index].append(value)
+                        merge_cogroup_bucket(
+                            grouped[p], bucket_of(p), index, arity
+                        )
                     merge_seconds[p] += timer.own_seconds
                     if last:
-                        node._pipeline_fill(p, list(table.items()))
+                        node._pipeline_fill(p, list(grouped[p].items()))
+                        grouped[p] = None
 
                 merges.append(
                     graph.add_task(
@@ -765,8 +790,8 @@ class _JobCompiler:
         can be computed, following the same per-partition wiring the
         narrow ``compute`` methods use."""
         from .rdd import (
-            CartesianRDD, CoalescedRDD, CoGroupedRDD, MapPartitionsRDD,
-            ParallelCollectionRDD, ShuffledRDD, UnionRDD, ZippedRDD,
+            CartesianRDD, CoGroupedRDD, MapPartitionsRDD,
+            ParallelCollectionRDD, ShuffledRDD, UnionRDD,
         )
 
         if acc is None:
@@ -795,13 +820,6 @@ class _JobCompiler:
             )
             self.narrow_deps(node._left, left_split, acc)
             return self.narrow_deps(node._right, right_split, acc)
-        if isinstance(node, ZippedRDD):
-            self.narrow_deps(node._left, split, acc)
-            return self.narrow_deps(node._right, split, acc)
-        if isinstance(node, CoalescedRDD):
-            for i in node._groups[split]:
-                self.narrow_deps(node._parent, i, acc)
-            return acc
         if isinstance(node, ParallelCollectionRDD) or not node.dependencies:
             return acc
         # Unknown narrow subclass: the partition mapping is opaque, so

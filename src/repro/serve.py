@@ -27,9 +27,10 @@ Environment knobs (all read through
   running jobs (unset: unbounded).
 * ``REPRO_SERVE_QUOTA`` — default per-tenant resident-byte quota
   (``"64M"`` style; unset: no quota).
-* ``REPRO_SERVE_CSE`` — compile served queries with common-subplan
-  elimination so equal shuffles are answered from retained outputs
-  across tenants (default on; ``0`` to disable).
+
+Served queries compile with common-subplan elimination (pass
+``options=`` to :class:`QueryService` to change that), so equal
+shuffles are answered from retained outputs across tenants.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class QueryService:
         if options is None:
             # Serve defaults CSE on: shared-substrate shuffle reuse
             # across tenants is the point of the front door.
-            options = PlannerOptions(cse=env_flag("REPRO_SERVE_CSE", True))
+            options = PlannerOptions(cse=True)
         if quota is None:
             quota = os.environ.get("REPRO_SERVE_QUOTA") or None
         self._quota = parse_memory_limit(quota)
@@ -133,9 +134,7 @@ class QueryService:
                 # Retain finished shuffle outputs so equal shuffles from
                 # *other* tenants' queries are answered from the store
                 # (CSE's per-plan opt-in only covers within-plan reuse).
-                reuse_shuffles=env_flag(
-                    "REPRO_SHUFFLE_REUSE", bool(options.cse)
-                ),
+                reuse_shuffles=bool(options.cse),
                 adaptive=(
                     env_flag("REPRO_ADAPTIVE", True)
                     if adaptive is None else adaptive
@@ -230,6 +229,8 @@ class QueryService:
 # ----------------------------------------------------------------------
 
 _MAX_BODY = 4 * 1024 * 1024
+#: How long :meth:`ServeServer.stop` waits for in-flight requests.
+_DRAIN_SECONDS = 10.0
 
 
 class ServeServer:
@@ -249,60 +250,88 @@ class ServeServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.base_events.Server] = None
-        self._stopping = False
+        #: In-flight connection handlers; :meth:`stop` waits for them.
+        self._handlers: set[asyncio.Task] = set()
+        #: Set when :meth:`stop` has finished.
+        self._stopped: Optional[asyncio.Event] = None
 
     async def start(self) -> None:
-        self._stopping = False
+        self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
-        """Serve until :meth:`stop`, then return; a cancellation of the
-        calling task itself still propagates."""
+        """Serve until :meth:`stop` has finished, then return; a
+        cancellation of the calling task itself still propagates."""
         if self._server is None:
             await self.start()
+        stopped = self._stopped
         async with self._server:
             try:
                 await self._server.serve_forever()
             except asyncio.CancelledError:
                 # ``Server.close()`` ends its ``serve_forever`` by
                 # cancelling the future it waits on; after ``stop()``
-                # that is the requested shutdown, not a cancellation.
-                if not self._stopping:
+                # (which forgets the server first) that is the requested
+                # shutdown, not a cancellation.
+                if self._server is not None:
                     raise
+        # ``stop()`` may still be letting in-flight requests finish; the
+        # caller is free to close the loop once this returns.
+        await stopped.wait()
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._stopping = True
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop accepting, then let in-flight requests finish and close
+        their connections (``wait_closed`` alone does not wait for them
+        before Python 3.12).  A handler still going after
+        ``_DRAIN_SECONDS`` — a client that connected and never sent its
+        request — is cancelled; its ``finally`` closes the connection."""
+        if self._server is None:
+            return
+        server, self._server = self._server, None
+        server.close()
+        await server.wait_closed()
+        if self._handlers:
+            _done, pending = await asyncio.wait(
+                self._handlers, timeout=_DRAIN_SECONDS
+            )
+            for task in pending:
+                task.cancel()
+            await asyncio.gather(*pending, return_exceptions=True)
+        self._stopped.set()
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
-            status, payload = await self._respond(reader)
-        except Exception as exc:  # defensive: a handler bug must not kill the loop
-            status, payload = 500, {"ok": False, "error": repr(exc)}
-        body = json.dumps(payload).encode()
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found"}.get(
-            status, "Error"
-        )
-        writer.write(
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n".encode() + body
-        )
-        try:
+            try:
+                status, payload = await self._respond(reader)
+            except Exception as exc:  # defensive: a handler bug must not kill the loop
+                status, payload = 500, {"ok": False, "error": repr(exc)}
+            body = json.dumps(payload).encode()
+            reason = {200: "OK", 400: "Bad Request", 404: "Not Found"}.get(
+                status, "Error"
+            )
+            writer.write(
+                f"HTTP/1.1 {status} {reason}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                f"Connection: close\r\n\r\n".encode() + body
+            )
             await writer.drain()
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, BrokenPipeError):  # client went away
+        except ConnectionError:  # client went away
             pass
+        finally:
+            self._handlers.discard(task)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except ConnectionError:
+                pass
 
     async def _respond(self, reader: asyncio.StreamReader) -> tuple[int, dict]:
         request_line = (await reader.readline()).decode("latin-1").strip()

@@ -67,11 +67,11 @@ def test_cartesian_when_no_join_condition(session):
 def test_three_way_join_chain(session):
     a = RNG.uniform(0, 9, size=(5, 5))
     A = session.tiled(a)
-    result = session.run(
+    result = dict(session.run(
         "rdd[ (i, x + y + z) | ((i,j),x) <- A, ((i2,j2),y) <- A,"
         " i2 == i, j2 == j, ((i3,j3),z) <- A, i3 == i, j3 == j ]",
         A=A,
-    ).collect_as_map()
+    ).collect())
     # Every element joined with itself twice: 3x per (i, j); keyed by i,
     # later duplicates win but all values for a given i come from row i.
     for i, value in result.items():

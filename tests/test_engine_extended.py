@@ -1,134 +1,14 @@
-"""Tests for the extended engine API: sort, top, zip, set ops, stats."""
+"""Tests for the engine's set operations and streaming statistics."""
 
 import pytest
 
 from repro.engine import EngineContext, TINY_CLUSTER
-from repro.engine.partitioner import RangePartitioner
 from repro.engine.rdd import StatCounter
 
 
 @pytest.fixture()
 def ctx():
     return EngineContext(cluster=TINY_CLUSTER, default_parallelism=4)
-
-
-# ----------------------------------------------------------------------
-# RangePartitioner
-# ----------------------------------------------------------------------
-
-
-def test_range_partitioner_ascending():
-    part = RangePartitioner([10, 20])
-    assert part.num_partitions == 3
-    assert part.partition(5) == 0
-    assert part.partition(10) == 0
-    assert part.partition(15) == 1
-    assert part.partition(25) == 2
-
-
-def test_range_partitioner_descending():
-    part = RangePartitioner([10, 20], ascending=False)
-    assert part.partition(5) == 2
-    assert part.partition(25) == 0
-
-
-def test_range_partitioner_empty_bounds():
-    part = RangePartitioner([])
-    assert part.num_partitions == 1
-    assert part.partition(42) == 0
-
-
-# ----------------------------------------------------------------------
-# sort_by
-# ----------------------------------------------------------------------
-
-
-def test_sort_by_identity(ctx):
-    data = [5, 3, 8, 1, 9, 2, 7, 4, 6, 0]
-    assert ctx.parallelize(data, 3).sort_by().collect() == sorted(data)
-
-
-def test_sort_by_key_function(ctx):
-    data = [(1, "b"), (3, "a"), (2, "c")]
-    result = ctx.parallelize(data, 2).sort_by(lambda kv: kv[1]).collect()
-    assert result == [(3, "a"), (1, "b"), (2, "c")]
-
-
-def test_sort_by_descending(ctx):
-    data = [5, 1, 4, 2, 3]
-    result = ctx.parallelize(data, 2).sort_by(ascending=False).collect()
-    assert result == [5, 4, 3, 2, 1]
-
-
-def test_sort_by_with_duplicates(ctx):
-    data = [3, 1, 3, 2, 1, 3]
-    assert ctx.parallelize(data, 3).sort_by().collect() == sorted(data)
-
-
-def test_sort_by_large_spread(ctx):
-    import random
-
-    rng = random.Random(0)
-    data = [rng.randint(0, 10000) for _ in range(500)]
-    result = ctx.parallelize(data, 8).sort_by(num_partitions=4)
-    assert result.collect() == sorted(data)
-    # Partitions hold contiguous, roughly balanced ranges.
-    parts = result.glom().collect()
-    non_empty = [p for p in parts if p]
-    assert all(p == sorted(p) for p in non_empty)
-    for earlier, later in zip(non_empty, non_empty[1:]):
-        assert earlier[-1] <= later[0]
-
-
-def test_sort_by_empty(ctx):
-    assert ctx.parallelize([], 1).sort_by().collect() == []
-
-
-# ----------------------------------------------------------------------
-# top / take_ordered
-# ----------------------------------------------------------------------
-
-
-def test_top(ctx):
-    data = [5, 1, 9, 3, 7]
-    assert ctx.parallelize(data, 3).top(2) == [9, 7]
-
-
-def test_top_with_key(ctx):
-    data = ["aa", "b", "cccc", "ddd"]
-    assert ctx.parallelize(data, 2).top(2, key=len) == ["cccc", "ddd"]
-
-
-def test_take_ordered(ctx):
-    data = [5, 1, 9, 3, 7]
-    assert ctx.parallelize(data, 3).take_ordered(3) == [1, 3, 5]
-
-
-def test_top_more_than_size(ctx):
-    assert ctx.parallelize([2, 1], 1).top(10) == [2, 1]
-
-
-# ----------------------------------------------------------------------
-# zip
-# ----------------------------------------------------------------------
-
-
-def test_zip(ctx):
-    left = ctx.parallelize([1, 2, 3, 4], 2)
-    right = left.map(lambda x: x * 10)
-    assert left.zip(right).collect() == [(1, 10), (2, 20), (3, 30), (4, 40)]
-
-
-def test_zip_partition_count_mismatch(ctx):
-    with pytest.raises(ValueError):
-        ctx.parallelize([1, 2], 2).zip(ctx.parallelize([1, 2], 1))
-
-
-def test_zip_length_mismatch(ctx):
-    left = ctx.parallelize([1, 2, 3], 1)
-    right = ctx.parallelize([1, 2], 1)
-    with pytest.raises(ValueError):
-        left.zip(right).collect()
 
 
 # ----------------------------------------------------------------------
@@ -148,20 +28,8 @@ def test_subtract(ctx):
     assert sorted(left.subtract(right).collect()) == [1, 3]
 
 
-def test_intersection_is_distinct(ctx):
-    left = ctx.parallelize([1, 2, 2, 3], 2)
-    right = ctx.parallelize([2, 2, 3, 5], 2)
-    assert sorted(left.intersection(right).collect()) == [2, 3]
-
-
-def test_intersection_empty(ctx):
-    left = ctx.parallelize([1], 1)
-    right = ctx.parallelize([2], 1)
-    assert left.intersection(right).collect() == []
-
-
 # ----------------------------------------------------------------------
-# stats / histogram
+# stats
 # ----------------------------------------------------------------------
 
 
@@ -188,37 +56,3 @@ def test_stat_counter_merge_empty():
     b = StatCounter().add(5.0)
     assert a.merge(b).count == 1
     assert StatCounter().add(3.0).merge(StatCounter()).count == 1
-
-
-def test_histogram(ctx):
-    data = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
-    boundaries, counts = ctx.parallelize(data, 3).histogram(2)
-    assert boundaries == [0.0, 4.5, 9.0]
-    assert counts == [5, 5]
-
-
-def test_histogram_constant_values(ctx):
-    boundaries, counts = ctx.parallelize([3.0, 3.0, 3.0], 2).histogram(4)
-    assert boundaries == [3.0, 3.0]
-    assert counts == [3]
-
-
-def test_histogram_errors(ctx):
-    with pytest.raises(ValueError):
-        ctx.parallelize([1.0], 1).histogram(0)
-    with pytest.raises(ValueError):
-        ctx.parallelize([], 1).histogram(2)
-
-
-# ----------------------------------------------------------------------
-# checkpoint
-# ----------------------------------------------------------------------
-
-
-def test_checkpoint_materializes(ctx):
-    calls = []
-    rdd = ctx.parallelize(range(5), 2).map(lambda x: calls.append(x) or x)
-    rdd.checkpoint()
-    assert len(calls) == 5
-    rdd.collect()
-    assert len(calls) == 5  # cached, not recomputed

@@ -54,15 +54,6 @@ def test_map_partitions(ctx):
     assert len(result) == 2
 
 
-def test_map_partitions_with_index(ctx):
-    result = (
-        ctx.parallelize(range(4), 2)
-        .map_partitions_with_index(lambda i, it: ((i, x) for x in it))
-        .collect()
-    )
-    assert result == [(0, 0), (0, 1), (1, 2), (1, 3)]
-
-
 def test_map_values_keeps_keys(ctx):
     pairs = [("a", 1), ("b", 2)]
     assert ctx.parallelize(pairs, 2).map_values(lambda v: v * 10).collect() == [
@@ -77,22 +68,11 @@ def test_flat_map_values(ctx):
     assert result == [("a", 0), ("a", 1), ("b", 0)]
 
 
-def test_keys_values_key_by(ctx):
+def test_keys_values(ctx):
     pairs = [(1, "x"), (2, "y")]
     rdd = ctx.parallelize(pairs, 2)
     assert rdd.keys().collect() == [1, 2]
     assert rdd.values().collect() == ["x", "y"]
-    assert ctx.parallelize([3, 4], 1).key_by(lambda x: x % 2).collect() == [(1, 3), (0, 4)]
-
-
-def test_glom(ctx):
-    parts = ctx.parallelize(range(6), 3).glom().collect()
-    assert parts == [[0, 1], [2, 3], [4, 5]]
-
-
-def test_zip_with_index(ctx):
-    result = ctx.parallelize(["a", "b", "c", "d"], 3).zip_with_index().collect()
-    assert result == [("a", 0), ("b", 1), ("c", 2), ("d", 3)]
 
 
 def test_union(ctx):
@@ -112,41 +92,6 @@ def test_cartesian(ctx):
     ]
 
 
-def test_coalesce(ctx):
-    rdd = ctx.parallelize(range(10), 5).coalesce(2)
-    assert rdd.num_partitions == 2
-    assert rdd.collect() == list(range(10))
-
-
-def test_coalesce_to_more_partitions_is_noop(ctx):
-    rdd = ctx.parallelize(range(4), 2)
-    assert rdd.coalesce(8) is rdd
-
-
-def test_repartition_preserves_multiset(ctx):
-    rdd = ctx.parallelize(range(20), 2).repartition(5)
-    assert rdd.num_partitions == 5
-    assert sorted(rdd.collect()) == list(range(20))
-
-
-def test_distinct(ctx):
-    result = ctx.parallelize([1, 2, 2, 3, 3, 3], 3).distinct().collect()
-    assert sorted(result) == [1, 2, 3]
-
-
-def test_sample_deterministic(ctx):
-    rdd = ctx.parallelize(range(1000), 4)
-    first = rdd.sample(0.1, seed=7).collect()
-    second = rdd.sample(0.1, seed=7).collect()
-    assert first == second
-    assert 40 < len(first) < 200
-
-
-def test_sample_rejects_bad_fraction(ctx):
-    with pytest.raises(ValueError):
-        ctx.parallelize([1], 1).sample(1.5)
-
-
 # ----------------------------------------------------------------------
 # Keyed / wide transformations
 # ----------------------------------------------------------------------
@@ -156,24 +101,6 @@ def test_reduce_by_key(ctx):
     pairs = [("a", 1), ("b", 2), ("a", 3), ("b", 4), ("c", 5)]
     result = dict(ctx.parallelize(pairs, 3).reduce_by_key(lambda a, b: a + b).collect())
     assert result == {"a": 4, "b": 6, "c": 5}
-
-
-def test_fold_by_key(ctx):
-    pairs = [("a", 1), ("a", 2), ("b", 3)]
-    # Zero is applied once per key per map partition (Spark semantics):
-    # with one partition each key sees the zero exactly once.
-    result = dict(ctx.parallelize(pairs, 1).fold_by_key(10, lambda a, b: a + b).collect())
-    assert result == {"a": 13, "b": 13}
-
-
-def test_aggregate_by_key(ctx):
-    pairs = [("a", 1), ("a", 2), ("b", 3)]
-    result = dict(
-        ctx.parallelize(pairs, 1)
-        .aggregate_by_key((0, 0), lambda acc, v: (acc[0] + v, acc[1] + 1), lambda x, y: (x[0] + y[0], x[1] + y[1]))
-        .collect()
-    )
-    assert result == {"a": (3, 2), "b": (3, 1)}
 
 
 def test_group_by_key(ctx):
@@ -189,27 +116,6 @@ def test_join(ctx):
     assert result == [("a", (1, "x")), ("a", (3, "x"))]
 
 
-def test_left_outer_join(ctx):
-    left = ctx.parallelize([("a", 1), ("b", 2)], 2)
-    right = ctx.parallelize([("a", "x")], 1)
-    result = dict(left.left_outer_join(right).collect())
-    assert result == {"a": (1, "x"), "b": (2, None)}
-
-
-def test_right_outer_join(ctx):
-    left = ctx.parallelize([("a", 1)], 1)
-    right = ctx.parallelize([("a", "x"), ("b", "y")], 2)
-    result = dict(left.right_outer_join(right).collect())
-    assert result == {"a": (1, "x"), "b": (None, "y")}
-
-
-def test_full_outer_join(ctx):
-    left = ctx.parallelize([("a", 1)], 1)
-    right = ctx.parallelize([("b", "y")], 1)
-    result = dict(left.full_outer_join(right).collect())
-    assert result == {"a": (1, None), "b": (None, "y")}
-
-
 def test_cogroup(ctx):
     left = ctx.parallelize([("a", 1), ("a", 2)], 2)
     right = ctx.parallelize([("a", "x"), ("b", "y")], 2)
@@ -221,7 +127,7 @@ def test_partition_by_places_keys_deterministically(ctx):
     pairs = [(i, i) for i in range(20)]
     partitioner = HashPartitioner(4)
     rdd = ctx.parallelize(pairs, 3).partition_by(partitioner)
-    parts = rdd.glom().collect()
+    parts = ctx.run_job(rdd, list)
     for split, part in enumerate(parts):
         for key, _value in part:
             assert partitioner.partition(key) == split
@@ -233,20 +139,6 @@ def test_partition_by_same_partitioner_is_noop(ctx):
     assert rdd.partition_by(HashPartitioner(4)) is rdd
 
 
-def test_count_by_key(ctx):
-    pairs = [("a", 1), ("a", 2), ("b", 1)]
-    assert ctx.parallelize(pairs, 2).count_by_key() == {"a": 2, "b": 1}
-
-
-def test_lookup_with_and_without_partitioner(ctx):
-    pairs = [(i, i * i) for i in range(10)]
-    plain = ctx.parallelize(pairs, 3)
-    assert plain.lookup(4) == [16]
-    partitioned = plain.partition_by(HashPartitioner(4))
-    assert partitioned.lookup(4) == [16]
-    assert partitioned.lookup(99) == []
-
-
 # ----------------------------------------------------------------------
 # Actions
 # ----------------------------------------------------------------------
@@ -254,19 +146,6 @@ def test_lookup_with_and_without_partitioner(ctx):
 
 def test_count(ctx):
     assert ctx.parallelize(range(17), 4).count() == 17
-
-
-def test_first_and_take(ctx):
-    rdd = ctx.parallelize(range(10), 4)
-    assert rdd.first() == 0
-    assert rdd.take(3) == [0, 1, 2]
-    assert rdd.take(0) == []
-    assert rdd.take(100) == list(range(10))
-
-
-def test_first_on_empty_raises(ctx):
-    with pytest.raises(ValueError):
-        ctx.parallelize([], 1).first()
 
 
 def test_reduce(ctx):
@@ -298,15 +177,6 @@ def test_sum_max_min(ctx):
     assert rdd.sum() == 14
     assert rdd.max() == 5
     assert rdd.min() == 1
-
-
-def test_is_empty(ctx):
-    assert ctx.parallelize([], 1).is_empty()
-    assert not ctx.parallelize([1], 1).is_empty()
-
-
-def test_collect_as_map(ctx):
-    assert ctx.parallelize([("a", 1), ("b", 2)], 2).collect_as_map() == {"a": 1, "b": 2}
 
 
 def test_foreach_with_accumulator(ctx):
@@ -371,26 +241,12 @@ def test_filter_shaped_narrow_ops_preserve_partitioner(ctx):
     )
     assert base.partitioner is partitioner
     # Record-dropping/value-rewriting ops keep keys intact, so placement
-    # survives them; key-changing or index-dependent ops must not claim it.
+    # survives them; key-changing ops must not claim it.
     assert base.filter(lambda kv: kv[1] % 2 == 0).partitioner is partitioner
     assert base.map_values(lambda v: v + 1).partitioner is partitioner
     assert base.flat_map_values(lambda v: [v, v]).partitioner is partitioner
-    assert base.sample(0.5, seed=3).partitioner is partitioner
     assert base.map(lambda kv: kv).partitioner is None
     assert base.keys().partitioner is None
-    assert base.distinct().partitioner is not partitioner
-    assert base.zip_with_index().partitioner is None
-
-
-def test_sample_preserves_placement_correctly(ctx):
-    partitioner = HashPartitioner(4)
-    rdd = ctx.parallelize([(i % 8, i) for i in range(200)], 3).partition_by(
-        partitioner
-    )
-    sampled = rdd.sample(0.5, seed=11)
-    for split in range(sampled.num_partitions):
-        for key, _value in sampled.iterator(split):
-            assert partitioner.partition(key) == split
 
 
 def test_partitioned_lineage_shuffles_exactly_once(ctx):
@@ -403,7 +259,7 @@ def test_partitioned_lineage_shuffles_exactly_once(ctx):
     placed.count()
     first = ctx.metrics.delta_since(snapshot).shuffle_bytes
     assert first > 0
-    narrowed = placed.sample(0.9, seed=5).map_values(lambda v: v * 2)
+    narrowed = placed.filter(lambda kv: kv[1] % 10).map_values(lambda v: v * 2)
     reduced = narrowed.reduce_by_key(lambda a, b: a + b, num_partitions=4)
     result = dict(reduced.collect())
     delta = ctx.metrics.delta_since(snapshot)

@@ -233,9 +233,3 @@ def test_cluster_spec_properties():
     assert spec.default_parallelism() == 88
 
 
-def test_nested_job_merges_into_outer(ctx):
-    # zip_with_index runs an inner job while building its offsets; the
-    # whole thing must appear as one job in the history.
-    ctx.parallelize(range(10), 2).zip_with_index().collect()
-    descriptions = [j.description for j in ctx.metrics.jobs]
-    assert len(descriptions) == 2  # sizes job + collect job

@@ -16,12 +16,16 @@ Three layers of coverage:
   behavior.
 """
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
 
+import repro.engine.shuffle as shuffle_module
+import repro.engine.taskgraph as taskgraph_module
 from repro import SacSession
 from repro.engine import (
     TINY_CLUSTER,
@@ -401,6 +405,60 @@ def test_staged_run_after_failed_pipelined_job_recovers():
     ctx.runner.clear_injections()
     ctx.scheduler.pipeline = False
     assert sorted(rdd.collect()) == [(0, 16), (1, 16), (2, 16), (3, 16)]
+
+
+class _WeakList(list):
+    """Plain lists cannot be weakly referenced; this one can."""
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["success", "fatal-failure"])
+def test_task_graph_and_map_buckets_die_with_the_job(monkeypatch, fail):
+    """Task closures capture the graph and the shuffles' buckets, and the
+    graph holds the tasks; the scheduler breaks that cycle when the job
+    ends, so nothing waits for the cyclic collector."""
+    refs = []
+    scatter = shuffle_module._scatter_records
+    compile_graph = taskgraph_module.compile_job_graph
+
+    def tracked_scatter(records, partitioner, num_reducers):
+        buckets = [
+            _WeakList(bucket)
+            for bucket in scatter(records, partitioner, num_reducers)
+        ]
+        refs.extend(weakref.ref(bucket) for bucket in buckets)
+        return buckets
+
+    def tracked_compile(*args):
+        compiled = compile_graph(*args)
+        refs.append(weakref.ref(compiled[0]))
+        return compiled
+
+    monkeypatch.setattr(shuffle_module, "_scatter_records", tracked_scatter)
+    monkeypatch.setattr(taskgraph_module, "compile_job_graph", tracked_compile)
+    ctx = EngineContext(
+        cluster=TINY_CLUSTER, runner=SerialTaskRunner(), pipeline=True
+    )
+    left = ctx.parallelize([(k % 8, k) for k in range(64)], 4)
+    right = ctx.parallelize([(k % 8, -k) for k in range(32)], 4)
+    job = (
+        left.join(right)
+        .map(lambda kv: (kv[0] % 3, sum(kv[1])))
+        .reduce_by_key(lambda a, b: a + b)
+    )
+    if fail:
+        ctx.runner.inject_failure("reduce", None, times=1, transient=False)
+    gc.collect()
+    gc.disable()
+    try:
+        if fail:
+            with pytest.raises(InjectedFatalTaskError):
+                job.collect()
+        else:
+            assert len(job.collect()) == 3
+        assert len(refs) > 1
+        assert [ref for ref in refs if ref() is not None] == []
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,15 @@ shared-cache wins the front door exists for.
 
 import asyncio
 import json
+import socket
 import threading
+import time
 import urllib.request
 
 import numpy as np
 import pytest
 
+import repro.serve as serve_module
 from repro.engine import TINY_CLUSTER
 from repro.serve import (
     QueryService,
@@ -169,10 +172,11 @@ def test_replay_shared_substrate_shows_cache_wins():
     total_misses = sum(
         s["plan_cache_misses"] for s in report["tenants"].values()
     )
-    # 3 tenants x 2 rounds x 3 queries; only the very first execution of
-    # each distinct query can miss.
+    # 3 tenants x 2 rounds x 3 queries.  The tenants race, so all three
+    # can miss the same never-seen text in round 1; round 2 always hits.
     assert total_hits + total_misses == 18
-    assert total_misses <= 3
+    assert total_misses <= 9
+    assert total_hits >= 9
     # Retained shuffle outputs answered later tenants' equal shuffles.
     assert service.substrate.metrics.total.shuffle_reuses > 0
     tenant_reuses = sum(
@@ -296,8 +300,24 @@ def test_http_unknown_route_404(service):
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=10)
         assert err.value.code == 404
+        err.value.close()  # the error holds the response's socket
     finally:
         _shutdown(server, loop)
+
+
+def test_stop_closes_a_connection_that_never_sent_its_request(
+    service, monkeypatch
+):
+    monkeypatch.setattr(serve_module, "_DRAIN_SECONDS", 0.05)
+    server, loop = _boot(service)
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as idle:
+        deadline = time.monotonic() + 10
+        while not server._handlers and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert server._handlers
+        _shutdown(server, loop)
+        assert idle.recv(1) == b""  # the server closed its side
+    assert not server._handlers
 
 
 def test_concurrent_http_clients_share_the_substrate(service):

@@ -7,8 +7,9 @@ where bytes live, never what the engine computes or how much data it
 shuffles.  Layers of coverage:
 
 * Golden query shapes (the same seven the pipelined-scheduler parity
-  suite uses) under a cap the working set exceeds several times over,
-  across serial/threaded runners and staged/pipelined scheduling.
+  suite uses) with and without a cap the working set exceeds several
+  times over, across serial/threaded runners and staged/pipelined
+  scheduling.
 * No-cap identity: with no limit configured, no spill machinery exists
   and every spill counter is zero.
 * Fault injection: a corrupt/missing spill object degrades to lineage
@@ -30,15 +31,20 @@ import pytest
 from repro import SacSession
 from repro.engine import (
     TINY_CLUSTER,
+    Aggregator,
     EngineContext,
+    HashPartitioner,
     MetricsRegistry,
     RecordSizeAccountant,
     SerialTaskRunner,
+    Shuffle,
     ThreadedTaskRunner,
+    TransientTaskError,
     PipelinedTaskRunner,
     parse_memory_limit,
 )
 from repro.engine.block_manager import BlockManager, SpillLostError
+from repro.engine.rdd import CoGroupedRDD
 from repro.linalg.factorization import sac_factorization_step
 from repro.planner.planner import PlannerOptions
 from repro.storage.objectstore import (
@@ -156,30 +162,30 @@ def _run_arm(run, options, runner, pipeline, memory_limit):
     ids=[name for name, _run, _opts in _golden_shapes()],
 )
 def test_capped_golden_shapes_match_uncapped(name, run, opts):
-    """Results and shuffle counters under memory pressure are identical
-    to the uncapped run, for every runner/scheduler combination."""
+    """One shuffle, one cogroup: results and shuffle counters are
+    identical whether or not there is a memory cap, for every
+    runner/scheduler combination."""
     options = PlannerOptions(**opts) if opts else None
     base_result, base_counters, _ = _run_arm(
         run, options, SerialTaskRunner(), pipeline=False, memory_limit=None
     )
-    arms = [
-        ("capped-serial-staged", SerialTaskRunner(), False),
-        ("capped-serial-pipelined", SerialTaskRunner(), True),
-        ("capped-threaded-staged", ThreadedTaskRunner(max_workers=4), False),
-        (
-            "capped-threaded-pipelined",
-            PipelinedTaskRunner(max_workers=4),
-            True,
-        ),
-    ]
-    for arm, runner, pipeline in arms:
-        result, counters, engine = _run_arm(
-            run, options, runner, pipeline, memory_limit=CAP
-        )
-        np.testing.assert_array_equal(result, base_result, err_msg=arm)
-        assert counters == base_counters, f"{name}/{arm}"
-        total = engine.metrics.total
-        assert total.restored_bytes <= total.spilled_bytes, f"{name}/{arm}"
+    for memory_limit in (None, CAP):
+        for arm, runner, pipeline in [
+            ("serial-staged", SerialTaskRunner(), False),
+            ("serial-pipelined", SerialTaskRunner(), True),
+            ("threaded-staged", ThreadedTaskRunner(max_workers=4), False),
+            ("threaded-pipelined", PipelinedTaskRunner(max_workers=4), True),
+        ]:
+            arm = f"{name}/{'capped' if memory_limit else 'uncapped'}-{arm}"
+            result, counters, engine = _run_arm(
+                run, options, runner, pipeline, memory_limit
+            )
+            np.testing.assert_array_equal(result, base_result, err_msg=arm)
+            assert counters == base_counters, arm
+            total = engine.metrics.total
+            assert total.restored_bytes <= total.spilled_bytes, arm
+            if memory_limit is None:
+                assert total.spilled_bytes == 0, arm
 
 
 def test_capped_multiply_actually_spills():
@@ -378,6 +384,73 @@ def test_shuffle_output_restore_failure_recomputes_lineage():
         ctx.close()
 
 
+class _UnreadableOnce(list):
+    """A bucket piece whose first read fails (``extend`` iterates it)."""
+
+    failed = False
+
+    def __iter__(self):
+        if not self.failed:
+            self.failed = True
+            raise TransientTaskError("bucket piece unreadable")
+        return super().__iter__()
+
+
+def test_memory_buckets_reread_in_full_after_a_partial_read():
+    """The in-memory bucket store keeps the spiller's retry contract: a
+    reduce task that fails after reading only some map slots' pieces of
+    its bucket finds every piece again when it is retried."""
+    ctx = EngineContext(cluster=TINY_CLUSTER, runner=SerialTaskRunner())
+    add = lambda a, b: a + b  # noqa: E731
+    shuffle = Shuffle(
+        ctx.metrics, ctx.runner, HashPartitioner(2),
+        Aggregator(lambda v: v, add, add), "t", blocks=ctx.block_manager,
+    )
+    for slot in range(3):
+        records = iter([(key, 10 * slot + key) for key in range(4)])
+        shuffle.run_map_slot((slot, 0), records, slot)
+    shuffle.finish_map_phase()
+    pieces = shuffle._store._slots[(1, 0)]
+    pieces[0] = _UnreadableOnce(pieces[0])  # slot 0 reads fine, slot 1 fails
+    [(merged, _seconds)] = ctx.runner.run_stage(
+        [lambda: shuffle.run_reduce_group([0])]
+    )
+    assert merged == [(0, [(0, 30), (2, 36)])]
+    assert ctx.metrics.total.task_retries == 1
+
+
+@pytest.mark.parametrize("memory_limit", [None, 1024], ids=["uncapped", "capped"])
+def test_three_parent_cogroup_keeps_parent_order_and_drops_scratch(memory_limit):
+    """Three parents, the middle one co-partitioned (drained into a
+    ``scratch/`` namespace under a cap): each key's value lists are in
+    parent order and record order, and no scratch partition survives."""
+    ctx = EngineContext(
+        cluster=TINY_CLUSTER, runner=SerialTaskRunner(),
+        memory_limit=memory_limit,
+    )
+    try:
+        partitioner = HashPartitioner(4)
+        data = [[(k % 6, (p, k)) for k in range(60)] for p in range(3)]
+        parents = [ctx.parallelize(records, 3) for records in data]
+        parents[1] = parents[1].partition_by(partitioner)
+        parents[1].count()
+        blocks = ctx.block_manager
+        blocks_before = blocks.num_blocks
+        grouped = dict(CoGroupedRDD(ctx, parents, partitioner).collect())
+        assert grouped == {
+            key: tuple([v for k, v in records if k == key] for records in data)
+            for key in range(6)
+        }
+        if memory_limit is None:
+            assert blocks.num_blocks == blocks_before
+        else:
+            assert ctx.metrics.total.spilled_bytes > 0
+        held = {ns for ns, _split in [*blocks._blocks, *blocks._spilled]}
+        assert not [ns for ns in held if ns.startswith("scratch/")]
+    finally:
+        ctx.close()
+
+
 def test_full_spill_store_raises_spill_store_full(tmp_path):
     """When the spill store runs out of space mid-eviction the job fails
     with the actionable error, not silent corruption."""
@@ -481,7 +554,6 @@ def test_managed_oversize_partition_is_admitted_then_spilled():
 def test_get_managed_lost_partition_raises_spill_lost():
     metrics = MetricsRegistry()
     manager = BlockManager(metrics, memory_budget=None, spill_store=None)
-    manager.managed_output("out/none", 2)
     with pytest.raises(SpillLostError):
         manager.get_managed("out/none", 0)
     assert metrics.total.cache_misses == 1
