@@ -68,10 +68,11 @@ PAPER_EXPECTATIONS = {
         "gradient-descent iteration."
     ),
     "ablation-pipeline": (
-        "Extension (E12): with a deterministic map straggler, task-level "
-        "pipelining overlaps sibling shuffle branches the staged "
-        "scheduler serializes — expect >=1.5x lower wall-clock makespan "
-        "at byte-identical counters and simulated time."
+        "Extension (E12): with a deterministic map straggler, 8 tasks in "
+        "flight overlap the sibling shuffle branches a barrier schedule "
+        "serializes — expect a wall-clock makespan >=1.4x below the "
+        "run's own barrier-model bound (sum of each stage's longest "
+        "task) at byte-identical counters and simulated time."
     ),
     "ablation-coordinate": (
         "Section 4/5 discussion: coordinate format shuffles every element; "

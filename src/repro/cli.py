@@ -114,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--pipeline", action="store_true",
-        help="run with the task-level pipelined scheduler (tasks fire as "
-             "their inputs land instead of waiting at stage barriers)",
+        help="run on the threaded runner (tasks fire as their inputs "
+             "land instead of one at a time)",
     )
     parser.add_argument(
         "--memory-limit", metavar="BYTES",
@@ -228,8 +228,7 @@ def main(argv: list[str] | None = None) -> int:
         options = PlannerOptions(fusion=False)
     session = SacSession(
         tile_size=args.tile_size,
-        runner="pipelined" if args.pipeline else None,
-        pipeline=True if args.pipeline else None,
+        runner="threads" if args.pipeline else None,
         memory_limit=args.memory_limit,
         options=options,
     )

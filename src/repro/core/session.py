@@ -70,8 +70,11 @@ class SacSession:
         options: planner rule switches (ablations).
         num_partitions: partition hint for builders.
         runner: task execution strategy for a fresh engine — a
-            ``TaskRunner``, ``"serial"``, or ``"threads"``; ``None``
-            consults the ``REPRO_RUNNER`` environment variable.
+            ``TaskRunner``, ``"serial"`` (every job's task graph walked
+            one task at a time), or ``"threads"`` (tasks fire on a pool
+            as soon as the partitions they read have landed); ``None``
+            consults the ``REPRO_RUNNER`` environment variable.  Metrics
+            counters are identical under both.
         memory_budget: cached-partition byte cap for a fresh engine's
             block manager (``None`` = unbounded).
         memory_limit: out-of-core memory cap for a fresh engine — caps
@@ -90,13 +93,6 @@ class SacSession:
             (byte-identical to the pre-adaptive engine).  When an
             ``engine`` is supplied, a non-``None`` value overrides that
             engine's setting.
-        pipeline: task-graph (pipelined) job execution — break the stage
-            barrier and fire each task as soon as the partitions it
-            reads have landed.  ``None`` (default) enables it only
-            for a ``PipelinedTaskRunner``; off, the
-            staged scheduler runs with byte-identical metrics counters.
-            When an ``engine`` is supplied, a non-``None`` value
-            overrides that engine's setting.
         tenant: tenant label for multi-tenant substrates.  ``None``
             (default) inherits the engine view's tenant (empty for a
             private engine).  A labeled session's queries are gated by
@@ -119,7 +115,6 @@ class SacSession:
         runner: Any = None,
         memory_budget: Optional[int] = None,
         adaptive: Optional[bool] = None,
-        pipeline: Optional[bool] = None,
         memory_limit: Optional[int | str] = None,
         tenant: Optional[str] = None,
         quota: Optional[int | str] = None,
@@ -130,13 +125,11 @@ class SacSession:
                 adaptive = env_flag("REPRO_ADAPTIVE", True)
             engine = EngineContext(
                 cluster=cluster, runner=runner, memory_budget=memory_budget,
-                adaptive=adaptive, pipeline=pipeline,
-                memory_limit=memory_limit,
+                adaptive=adaptive, memory_limit=memory_limit,
                 tenant=tenant or "", quota=quota, reservation=reservation,
             )
         elif (
             adaptive is not None
-            or pipeline is not None
             or tenant is not None
             or quota is not None
             or reservation is not None
@@ -145,7 +138,7 @@ class SacSession:
             # substrate — never an in-place mutation of the caller's
             # engine, which other sessions may share.
             engine = engine.view(
-                tenant=tenant, adaptive=adaptive, pipeline=pipeline,
+                tenant=tenant, adaptive=adaptive,
                 quota=quota, reservation=reservation,
             )
         self.engine = engine
@@ -233,7 +226,7 @@ class SacSession:
         everything else a compile's outcome depends on: the planner
         option switches (strategy overrides, CSE), whether adaptive
         re-optimization is armed, and the session's build profile (tile
-        size, partition hint, pipelined execution) — so toggling any of
+        size, partition hint) — so toggling any of
         those between compiles, or another same-substrate session with
         a different shape, can never serve a stale cached result.
         """
@@ -250,11 +243,7 @@ class SacSession:
                 bindings,
                 self.options.cache_signature(),
                 bool(manager is not None and manager.enabled),
-                (
-                    self.tile_size,
-                    self.build_context.num_partitions,
-                    bool(getattr(self.engine, "pipeline", False)),
-                ),
+                (self.tile_size, self.build_context.num_partitions),
             )
         except TypeError:  # unsortable/unhashable binding: skip the cache
             return None

@@ -23,7 +23,6 @@ from .scheduler import (
     FaultInjection,
     InjectedFatalTaskError,
     InjectedTaskFailure,
-    PipelinedTaskRunner,
     SerialTaskRunner,
     TaskRunner,
     ThreadedTaskRunner,
@@ -32,12 +31,7 @@ from .scheduler import (
 )
 from .substrate import EngineSubstrate, LruCache, PlanCacheGroup, env_flag
 from .serialization import RecordSizeAccountant
-from .shuffle import (
-    Aggregator,
-    MapOutputStatistics,
-    Shuffle,
-    ShuffleManager,
-)
+from .shuffle import Aggregator, MapOutputStatistics, Shuffle
 from .taskgraph import Task, TaskGraph, compile_job_graph
 
 __all__ = [
@@ -66,12 +60,10 @@ __all__ = [
     "PlanCacheGroup",
     "PAPER_CLUSTER",
     "Partitioner",
-    "PipelinedTaskRunner",
     "RDD",
     "RecordSizeAccountant",
     "SerialTaskRunner",
     "Shuffle",
-    "ShuffleManager",
     "SpillLostError",
     "Task",
     "TaskGraph",

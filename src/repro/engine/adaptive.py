@@ -141,10 +141,11 @@ def coalesce_contiguous_partitions(
 class AdaptiveManager:
     """Holds adaptive state for one engine context.
 
-    The shuffle manager consults :meth:`plan_reduce_groups` before its
-    reduce phase; :class:`~repro.engine.rdd.ShuffledRDD` consults
-    :meth:`plan_map_splits` before its map phase; the planner's runtime
-    join reconsideration records its downgrades and measured sizes here.
+    The task-graph compiler consults :meth:`plan_reduce_groups` before a
+    shuffle's reduce phase and :meth:`find_skew_source` /
+    :meth:`plan_partition_chunks` before its map phase; the planner's
+    runtime join reconsideration records its downgrades and measured
+    sizes here.
     All hooks are no-ops while :attr:`enabled` is ``False``.
     """
 
@@ -254,8 +255,7 @@ class AdaptiveManager:
         """Chunk one hot partition's records, recording the decision.
 
         ``None`` means the partition stays a single map task (too few
-        records to slice) and no decision is recorded — exactly the
-        staged fallback.
+        records to slice) and no decision is recorded.
         """
         want = splits[pid]
         if splittable and len(records) < want:
@@ -283,46 +283,6 @@ class AdaptiveManager:
             },
         ))
         return chunks
-
-    def plan_map_splits(self, parent) -> Optional[list[Iterator]]:
-        """Fan a skewed upstream partition out over several map tasks.
-
-        Walks ``parent``'s lineage through element-wise narrow ops down
-        to a materialized wide stage; if that stage's measured histogram
-        shows hot partitions, returns one iterator per map task — the
-        hot partitions' record lists sliced into chunks with the narrow
-        chain re-applied per chunk, the rest untouched.  ``None`` when
-        nothing qualifies (the common case), leaving the caller on the
-        exact seed code path.
-        """
-        source = self.find_skew_source(parent)
-        if source is None:
-            return None
-        chain, node = source
-        stats = node.output_statistics()
-        if stats is None or stats.num_partitions != node.num_partitions:
-            return None
-        splits = self._plan_skew_splits(stats)
-        if not splits:
-            return None
-
-        base_output = node._materialize()
-        splittable = getattr(node, "_splittable_values", False)
-
-        map_outputs: list[Iterator] = []
-        for pid in range(node.num_partitions):
-            if pid not in splits:
-                map_outputs.append(parent.iterator(pid))
-                continue
-            chunks = self.plan_partition_chunks(
-                stats, splits, pid, base_output[pid], splittable
-            )
-            if chunks is None:
-                map_outputs.append(parent.iterator(pid))
-                continue
-            for chunk in chunks:
-                map_outputs.append(self.rebuild_chain(chain, pid, chunk))
-        return map_outputs
 
     def _plan_skew_splits(self, stats: MapOutputStatistics) -> dict[int, int]:
         """Hot partitions and the number of slices each should fan out to."""

@@ -120,9 +120,9 @@ class ListOutput(list):
 class ManagedOutput:
     """List-like handle over partitions owned by the BlockManager.
 
-    Wide-dependency outputs (shuffle/cogroup results) are adopted into
-    the block manager under an *owner* namespace so the memory budget
-    governs them and eviction can spill them.  The handle indexes like
+    Wide-dependency outputs (shuffle/cogroup results) live in the block
+    manager under an *owner* namespace so the memory budget governs them
+    and eviction can spill them.  The handle indexes like
     the plain ``list`` it replaces; a read of a partition that was lost
     from both tiers raises :class:`SpillLostError`, which the owning RDD
     answers with lineage recomputation.
@@ -564,11 +564,12 @@ class BlockManager:
 
         This is where "where does a wide node's output live" is decided:
         a :class:`ManagedOutput` under the budget (spillable) with a
-        spill tier, a plain :class:`ListOutput` without one.  Producers
-        ``put(split, records)`` each partition as it is made; readers
-        index the handle like a list.  Any previous generation under the
-        same owner is dropped first, so re-materialization after a lost
-        spill starts clean.
+        spill tier, a plain :class:`ListOutput` without one — while the
+        job that produces the node is still running just as afterwards.
+        Producers ``put(split, records)`` each partition as it is made;
+        readers index the handle like a list.  Any previous generation
+        under the same owner is dropped first, so re-materialization
+        after a lost spill starts clean.
         """
         if not self.spill_enabled:
             return ListOutput([None] * num_partitions, stats)
@@ -631,27 +632,6 @@ class BlockManager:
             for key in [key for key in self._spilled if key[0] == owner]:
                 self._drop_spilled(key)
             self._ns_tenant.pop(owner, None)
-
-    def adopt_output(
-        self,
-        owner: str,
-        partitions: list,
-        stats: Any = None,
-        tenant: str = "",
-    ) -> Any:
-        """Move a wide node's finished partitions behind an output handle.
-
-        With a spill tier each partition is admitted (and possibly
-        spilled) before the next, so adopting an oversized output never
-        holds more than budget + one partition resident; without one the
-        list is already where it belongs and comes back unchanged.
-        """
-        if not self.spill_enabled:
-            return partitions
-        output = self.new_output(owner, len(partitions), stats, tenant)
-        for split, records in enumerate(partitions):
-            output.put(split, records)
-        return output
 
     # ------------------------------------------------------------------
     # Prefetch
@@ -799,10 +779,14 @@ class BlockManager:
         aggregator: Optional[Aggregator],
         output: Any,
         opt_in: bool = False,
-    ) -> None:
-        """Retain a finished shuffle's output for later equal shuffles."""
+    ) -> bool:
+        """Retain a finished shuffle's output for later equal shuffles.
+
+        Returns whether it was retained (``False``: reuse is off for
+        this lineage, and the output belongs to its producer alone).
+        """
         if not (self._reuse_shuffles or opt_in):
-            return
+            return False
         with self._lock:
             self._shuffles.setdefault(parent_id, []).append(
                 _ShuffleEntry(partitioner, aggregator, output)
@@ -815,6 +799,7 @@ class BlockManager:
                 if not entries:
                     del self._shuffles[oldest_parent]
                 self._num_shuffle_entries -= 1
+        return True
 
     # ------------------------------------------------------------------
     # Tenancy
@@ -926,13 +911,6 @@ class TenantBlockView:
     ) -> Any:
         return self._manager.new_output(
             owner, num_partitions, stats, tenant=self.tenant
-        )
-
-    def adopt_output(
-        self, owner: str, partitions: list, stats: Any = None
-    ) -> Any:
-        return self._manager.adopt_output(
-            owner, partitions, stats=stats, tenant=self.tenant
         )
 
     def view(self, tenant: str) -> "TenantBlockView":

@@ -4,7 +4,7 @@ Since the substrate split (:mod:`repro.engine.substrate`), a context is
 a cheap per-tenant *view*: the expensive shared machinery — runner pool,
 block manager, metrics, plan caches, admission gate — lives on an
 :class:`~repro.engine.substrate.EngineSubstrate`, and the context
-carries only per-session execution policy (adaptive, pipeline) and the
+carries only per-session execution policy (adaptive) and the
 per-session wrappers built from it.  Constructing a context the
 historical way builds a private substrate and behaves byte-identically
 to the pre-split engine.
@@ -18,8 +18,7 @@ from typing import Any, Callable, Generic, Iterable, Iterator, Optional, TypeVar
 from .adaptive import AdaptiveManager
 from .cluster import PAPER_CLUSTER, ClusterSpec
 from .rdd import RDD, ParallelCollectionRDD
-from .scheduler import DAGScheduler, PipelinedTaskRunner, TaskRunner
-from .shuffle import ShuffleManager
+from .scheduler import DAGScheduler, TaskRunner
 from .substrate import EngineSubstrate, env_flag, parse_memory_limit
 
 __all__ = [
@@ -79,18 +78,18 @@ class EngineContext:
 
     One :class:`~repro.engine.scheduler.TaskRunner` — resolved from the
     ``runner`` argument or the ``REPRO_RUNNER`` environment variable and
-    sized from the cluster spec — is shared by the scheduler's result
-    stages, the shuffle manager's map/reduce tasks, and cogroup merges,
-    so a threaded context keeps one persistent executor pool for its
+    sized from the cluster spec — executes every task of every job
+    (shuffle map/reduce tasks, cogroup merges, result tasks), so a
+    threaded context keeps one persistent executor pool for its
     lifetime (``close()`` or a ``with`` block shuts it down).
 
     Pass ``substrate=`` (or call :meth:`view` /
     :meth:`~repro.engine.substrate.EngineSubstrate.view`) to attach this
     context as a tenant view on an existing substrate instead of
     building a private one: the view shares the substrate's pool, block
-    store, metrics, and plan caches, but carries its *own*
-    adaptive/pipeline flags, scheduler, and shuffle manager — so
-    per-session execution policy never leaks across sessions.  A named
+    store, metrics, and plan caches, but carries its *own* adaptive
+    flag and scheduler — so per-session execution policy never leaks
+    across sessions.  A named
     ``tenant`` writes its cached blocks through a
     :class:`~repro.engine.block_manager.TenantBlockView`, making it
     subject to its ``quota`` and protected by its ``reservation``.
@@ -104,7 +103,6 @@ class EngineContext:
         memory_budget: Optional[int] = None,
         reuse_shuffles: bool = False,
         adaptive: Optional[bool] = None,
-        pipeline: Optional[bool] = None,
         memory_limit: Optional[int | str] = None,
         spill_store: Any = None,
         spill_prefetch: bool = True,
@@ -149,17 +147,9 @@ class EngineContext:
         self.adaptive = AdaptiveManager(
             self.cluster, self.metrics, enabled=adaptive
         )
-        self.shuffle_manager = ShuffleManager(
-            self.metrics, self.runner, self.adaptive, self.block_manager
-        )
-        if pipeline is None:
-            # Task-graph execution defaults on for runners that execute
-            # graphs natively.
-            pipeline = isinstance(self.runner, PipelinedTaskRunner)
-        self.pipeline = pipeline
         self.scheduler = DAGScheduler(
             self.metrics, self.block_manager, self.runner,
-            adaptive=self.adaptive, pipeline=pipeline,
+            adaptive=self.adaptive,
         )
 
     # ------------------------------------------------------------------
@@ -167,6 +157,12 @@ class EngineContext:
     @property
     def default_parallelism(self) -> int:
         return self.substrate.default_parallelism
+
+    @property
+    def pipeline(self) -> bool:
+        """Whether tasks of different stages may overlap (a property of
+        the runner: ``False`` under the serial one)."""
+        return self.runner.parallel
 
     def _register_rdd(self) -> int:
         return self.substrate.register_rdd()
@@ -176,22 +172,20 @@ class EngineContext:
         tenant: Optional[str] = None,
         *,
         adaptive: Optional[bool] = None,
-        pipeline: Optional[bool] = None,
         quota: Optional[int | str] = None,
         reservation: Optional[int | str] = None,
     ) -> "EngineContext":
         """Another context over this context's substrate.
 
         ``tenant=None`` inherits this view's tenant (the flag-override
-        case); flags left ``None`` inherit this view's current values,
-        so ``ctx.view(adaptive=False)`` is "same session shape, adaptive
-        off" without mutating ``ctx``.
+        case); ``adaptive`` left ``None`` inherits this view's current
+        value, so ``ctx.view(adaptive=False)`` is "same session shape,
+        adaptive off" without mutating ``ctx``.
         """
         return EngineContext(
             substrate=self.substrate,
             tenant=self.tenant if tenant is None else tenant,
             adaptive=self.adaptive.enabled if adaptive is None else adaptive,
-            pipeline=self.pipeline if pipeline is None else pipeline,
             quota=quota,
             reservation=reservation,
         )

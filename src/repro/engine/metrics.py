@@ -182,14 +182,14 @@ class JobMetrics:
         return [stage.histogram() for stage in self.stage_costs]
 
     def critical_path_seconds(self) -> float:
-        """Lower bound on makespan: the longest task of every stage.
+        """The barrier-model bound: the longest task of every stage.
 
-        Stages serialize at shuffle barriers under staged execution, so
-        the sum of per-stage longest tasks is the barrier-model critical
-        path.  A pipelined run can beat it by overlapping one stage's
-        straggler with another stage's work — comparing this number
-        against measured wall time is how the harness attributes a
-        pipelining win.
+        Under a barrier schedule stages serialize at shuffle barriers,
+        so the sum of per-stage longest tasks bounds its makespan from
+        below.  The threaded runner can beat it by overlapping one
+        stage's straggler with another stage's work — comparing this
+        number against measured wall time is how the harness (E12)
+        attributes that win.
         """
         return sum(stage.longest_task_seconds for stage in self.stage_costs)
 

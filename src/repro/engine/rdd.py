@@ -9,10 +9,13 @@ Narrow transformations (``map``, ``filter``, ``flatMap``, ...) pipeline
 within a partition.  Wide transformations (``reduceByKey``, ``groupByKey``,
 ``join``, ``cogroup``, ``partitionBy``) insert a :class:`ShuffledRDD` or
 :class:`CoGroupedRDD` whose first evaluation runs a measured shuffle.
-A wide node keeps its output partitions behind whatever handle the
-block manager gives it (``BlockManager.new_output``): a plain list, or
-budget-managed, spillable partitions under a ``memory_limit`` — the
-nodes themselves never ask which.
+The nodes only *describe* that work: the task-graph compiler
+(:mod:`repro.engine.taskgraph`) turns it into tasks — for the job that
+first needs the node, or for the node alone when something reads it
+outside a job.  A wide node keeps its output partitions behind whatever
+handle the block manager gives it (``BlockManager.new_output``): a plain
+list, or budget-managed, spillable partitions under a ``memory_limit`` —
+the nodes themselves never ask which.
 
 The subset implemented is the one the SAC planner and the MLlib-workalike
 baseline generate.
@@ -26,9 +29,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, T
 
 from .partitioner import HashPartitioner, Partitioner
 from .block_manager import SpillLostError
-from .shuffle import (
-    Aggregator, MapOutputStatistics, _combine_map_side, merge_cogroup_bucket,
-)
+from .shuffle import Aggregator, MapOutputStatistics, _combine_map_side
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .context import EngineContext
@@ -120,26 +121,6 @@ class RDD:
             stored = list(self.compute(split))
             blocks.put(self.id, split, stored)
         return iter(stored)
-
-    def prepare_execution(self, seen: set[int]) -> None:
-        """Materialize wide dependencies bottom-up (driver side).
-
-        Called by the scheduler before fanning a job's result tasks onto
-        a parallel runner, so each shuffle runs its map tasks from the
-        driver thread — where they fan out — instead of inside whichever
-        result task happens to pull first.  Fully cached RDDs stop the
-        walk: their partitions replay from the block manager without
-        touching parents (exactly what lazy evaluation would do).
-        """
-        if id(self) in seen:
-            return
-        seen.add(id(self))
-        if self._cached and self.ctx.block_manager.contains_all(
-            self.id, self._num_partitions
-        ):
-            return
-        for dep in self.dependencies:
-            dep.prepare_execution(seen)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -584,64 +565,43 @@ class MapPartitionsRDD(RDD):
         return iter(self._func(split, self._parent.iterator(split)))
 
 
-#: Sentinel marking a pipelined output partition that has not landed yet.
-_PENDING = object()
+class _WideRDD(RDD):
+    """What the two wide nodes share: a retained output, built once.
 
-
-class _PipelinedWide:
-    """What the two wide nodes share: a retained output, two ways to fill it.
-
-    Staged, the node materializes itself behind a barrier
-    (:meth:`_materialize`, from :meth:`prepare_execution` or the first
-    :meth:`compute`) into ``_output`` — the block manager's output
-    handle.  While a pipelined job runs, its output partitions instead
-    land one at a time in :attr:`_pipeline_slots`; downstream tasks whose
-    dependency edges have fired read them through :meth:`compute` before
-    the node is fully materialized.  When every partition has landed the
-    compiler *promotes* the slots to the permanent ``_output`` (the same
-    object shape the staged path produces), so later jobs see a
-    materialized node indistinguishable from a staged run.
+    ``_output`` is the block manager's output handle holding the node's
+    partitions once every one of them has landed.  While a job's task
+    graph is producing the node, the tasks of that job read the
+    partitions that have landed so far through ``_inflight`` (the
+    compiler's record of the build, which refuses a partition that has
+    not).  Whoever builds the node holds ``_materialize_lock``: another
+    job that needs it waits there when it compiles, a lazy reader when
+    it calls :meth:`_materialize`.
     """
 
     _output: Any = None
-    _pipeline_slots: Optional[list] = None
+    _inflight: Any = None
 
-    def prepare_execution(self, seen: set[int]) -> None:
-        if id(self) in seen:
-            return
-        seen.add(id(self))
-        if self._output is not None:
-            return
-        if self._cached and self.ctx.block_manager.contains_all(
-            self.id, self._num_partitions
-        ):
-            return
-        for parent in self.dependencies:
-            parent.prepare_execution(seen)
-        self._materialize()
+    def __init__(self, ctx: "EngineContext", partitioner: Partitioner):
+        super().__init__(ctx, partitioner.num_partitions, partitioner)
+        #: Held by whoever is building the node: the job that compiled
+        #: it into its graph, or a lazy :meth:`_materialize`.
+        self._materialize_lock = threading.Lock()
 
-    def _stage_into_output(
-        self, owner: str, count: int,
-        produce: Callable[[int], tuple[list, float]],
-    ) -> Any:
-        """One stage of ``count`` tasks, each partition ``put`` as made.
+    def _materialize(self) -> Any:
+        """The node's output handle, building the node first if needed.
 
-        ``produce(split)`` returns ``(records, own_seconds)``; a partition
-        goes to the block manager's output handle as soon as its task has
-        it (under a memory cap: under the budget, instead of accumulating
-        in a driver-side list).
+        The lazy path (everything inside a job is built by the job's own
+        graph): the scheduler compiles the graph of this one node and
+        walks it serially on the calling thread.  Concurrent readers
+        race here; one thread builds (and accounts) the node, the rest
+        reuse its output.
         """
-        output = self.ctx.block_manager.new_output(owner, count)
-
-        def task(split: int) -> float:
-            records, seconds = produce(split)
-            output.put(split, records)
-            return seconds
-
-        task_seconds = self.ctx.runner.run_stage(
-            [(lambda split=split: task(split)) for split in range(count)]
-        )
-        self.ctx.metrics.record_stage(count, list(task_seconds))
+        output = self._output
+        if output is None:
+            with self._materialize_lock:
+                if self._output is None:
+                    self.ctx.scheduler.materialize(self)
+                output = self._output
         return output
 
     def _discard_lost_output(self, output: Any) -> None:
@@ -659,9 +619,9 @@ class _PipelinedWide:
                 self._output = None
 
     def compute(self, split: int) -> Iterator:
-        pipelined = self._pipeline_compute(split)
-        if pipelined is not None:
-            return pipelined
+        build = self._inflight
+        if build is not None:
+            return iter(build.read(split))
         # A spilled output partition that cannot be restored (deleted or
         # corrupt spill object) falls back to lineage recomputation: the
         # whole node re-runs, exactly as if the output had never been
@@ -678,54 +638,8 @@ class _PipelinedWide:
             f"partition {split} of rdd {self.id} lost twice in a row"
         )
 
-    def _pipeline_install(self) -> None:
-        self._pipeline_slots = [_PENDING] * self._num_partitions
 
-    def _pipeline_fill(self, split: int, records: list) -> None:
-        self._pipeline_slots[split] = records
-
-    def _pipeline_promote(self, output: list) -> None:
-        # The permanent output goes wherever the block manager keeps
-        # wide outputs (under the memory budget, spillable, when there
-        # is a spill tier).  Mid-flight slots stay plain lists —
-        # pipelining trades strict mid-job bounding for overlap — but
-        # everything a *later* job can read is budget-governed.
-        self._output = self.ctx.block_manager.adopt_output(
-            f"out/{self.id}", output, stats=getattr(output, "stats", None)
-        )
-        self._pipeline_slots = None
-
-    def _pipeline_cleanup(self) -> None:
-        """Drop un-promoted slots (no-op after promotion)."""
-        self._pipeline_slots = None
-
-    def _pipeline_compute(self, split: int) -> Optional[Iterator]:
-        """Partition ``split`` from the in-flight slots, or ``None``.
-
-        Raises when the slot has not landed: a pipelined task reading an
-        unfilled slot means the task graph is missing a dependency edge,
-        which must fail loudly rather than silently re-run the shuffle.
-        """
-        slots = self._pipeline_slots
-        if slots is None:
-            return None
-        value = slots[split]
-        if value is _PENDING:
-            raise RuntimeError(
-                f"pipelined read of partition {split} of rdd {self.id} "
-                f"before it landed (missing task-graph dependency edge)"
-            )
-        return iter(value)
-
-    def _check_not_pipelining(self) -> None:
-        if self._pipeline_slots is not None:
-            raise RuntimeError(
-                f"cannot materialize rdd {self.id} behind a stage barrier "
-                f"while a pipelined job is producing it"
-            )
-
-
-class ShuffledRDD(_PipelinedWide, RDD):
+class ShuffledRDD(_WideRDD):
     """Wide dependency: repartitions (and optionally combines) by key.
 
     The shuffle runs once, on first access to any output partition, and its
@@ -744,11 +658,10 @@ class ShuffledRDD(_PipelinedWide, RDD):
         partitioner: Partitioner,
         aggregator: Optional[Aggregator],
     ):
-        super().__init__(parent.ctx, partitioner.num_partitions, partitioner)
+        super().__init__(parent.ctx, partitioner)
         self._parent = parent
         self._aggregator = aggregator
         self._map_stats: Optional[MapOutputStatistics] = None
-        self._materialize_lock = threading.Lock()
 
     @property
     def dependencies(self) -> list[RDD]:
@@ -758,69 +671,17 @@ class ShuffledRDD(_PipelinedWide, RDD):
         """Measured per-partition map-output histogram of this shuffle.
 
         Materializes the shuffle if needed (this is how the adaptive
-        layer "runs wide stages one at a time": the upstream stage must
-        finish before its statistics can steer the next one).  ``None``
-        when the data never crossed the shuffle machinery (co-partitioned
-        local combine).
+        layer plans from a stage that is not part of the running job:
+        it must finish before its statistics can steer the next one).
+        ``None`` when the data never crossed the shuffle machinery
+        (co-partitioned local combine).
         """
         self._materialize()
         return self._map_stats
 
-    def _materialize(self) -> list[list[tuple[Any, Any]]]:
-        output = self._output
-        if output is None:
-            self._check_not_pipelining()
-            # Concurrent result tasks race here; one thread runs (and
-            # accounts) the shuffle, the rest reuse its output.
-            with self._materialize_lock:
-                if self._output is None:
-                    self._output = self._run_shuffle()
-                output = self._output
-        return output
-
-    def _run_shuffle(self) -> Any:
-        # Fresh per materialization (a lineage-fallback re-run included).
-        self._map_stats = None
-        if self._parent.partitioner == self.partitioner:
-            return self._local_combine()
-        blocks = self.ctx.block_manager
-        opt_in = self._reuse_opt_in or self._parent._reuse_opt_in
-        reused = blocks.lookup_shuffle(
-            self._parent.id, self.partitioner, self._aggregator,
-            opt_in=opt_in,
-        )
-        if reused is not None:
-            self._map_stats = getattr(reused, "stats", None)
-            return reused
-        map_outputs: Any = (
-            self._parent.iterator(i)
-            for i in range(self._parent.num_partitions)
-        )
-        adaptive = getattr(self.ctx, "adaptive", None)
-        if adaptive is not None and adaptive.enabled:
-            # Skew mitigation: if an upstream materialized stage reports
-            # a hot partition, fan its map work out over several tasks
-            # whose partial combines merge in the reduce phase below.
-            expanded = adaptive.plan_map_splits(self._parent)
-            if expanded is not None:
-                map_outputs = expanded
-        output = self.ctx.shuffle_manager.shuffle(
-            map_outputs, self.partitioner, self._aggregator,
-            stage_label=str(self.id),
-        )
-        self._map_stats = getattr(output, "stats", None)
-        blocks.register_shuffle(
-            self._parent.id, self.partitioner, self._aggregator, output,
-            opt_in=opt_in,
-        )
-        return output
-
     def _combine_partition(self, split: int) -> tuple[list, float]:
-        """The in-place combine work for one co-partitioned partition.
-
-        Shared by the staged :meth:`_local_combine` stage and the
-        pipelined combine tasks; returns ``(combined, own_seconds)``.
-        """
+        """The in-place combine work for one co-partitioned partition;
+        returns ``(combined, own_seconds)``."""
         with self.ctx.metrics.task_timer() as timer:
             self.ctx.runner.fault_point(f"combine:{self.id}", split)
             records = self._parent.iterator(split)
@@ -830,18 +691,8 @@ class ShuffledRDD(_PipelinedWide, RDD):
                 combined = _combine_map_side(records, self._aggregator)
         return combined, timer.own_seconds
 
-    def _local_combine(self) -> Any:
-        """Parent already partitioned correctly: combine in place."""
-        output = self._stage_into_output(
-            f"out/{self.id}", self._parent.num_partitions,
-            self._combine_partition,
-        )
-        # Downstream tasks read the output from split 0 up next; warm
-        # the early (spilled-first) partitions ahead of them.
-        self.ctx.block_manager.prefetch_namespace(output.owner)
-        return output
 
-class CoGroupedRDD(_PipelinedWide, RDD):
+class CoGroupedRDD(_WideRDD):
     """Groups several keyed RDDs by key into ``(key, (list_0, list_1, ...))``.
 
     Each parent that is not already partitioned compatibly is shuffled
@@ -851,10 +702,9 @@ class CoGroupedRDD(_PipelinedWide, RDD):
     def __init__(
         self, ctx: "EngineContext", parents: list[RDD], partitioner: Partitioner
     ):
-        super().__init__(ctx, partitioner.num_partitions, partitioner)
+        super().__init__(ctx, partitioner)
         self._parents = parents
-        self._materialize_lock = threading.Lock()
-        #: Per-parent map-output histograms, filled during materialization
+        #: Per-parent map-output histograms, filled as the node is built
         #: (``None`` for a parent that never crossed the shuffle).
         self._parent_stats: list[Optional[MapOutputStatistics]] = []
         #: Set by :meth:`RDD.join`: the grouped value lists only ever feed
@@ -872,8 +722,10 @@ class CoGroupedRDD(_PipelinedWide, RDD):
         moved, so there is no measured histogram to combine).
         """
         self._materialize()
-        if len(self._parent_stats) != len(self._parents):
-            return None
+        return self._combined_statistics()
+
+    def _combined_statistics(self) -> Optional[MapOutputStatistics]:
+        """The parents' histograms summed, as far as they have landed."""
         combined: Optional[MapOutputStatistics] = None
         for stats in self._parent_stats:
             if stats is None:
@@ -881,111 +733,14 @@ class CoGroupedRDD(_PipelinedWide, RDD):
             combined = stats if combined is None else combined.merged_with(stats)
         return combined
 
-    def _materialize(self) -> list[list[tuple[Any, Any]]]:
-        output = self._output
-        if output is None:
-            self._check_not_pipelining()
-            with self._materialize_lock:
-                if self._output is None:
-                    self._output = self._run_cogroup()
-                output = self._output
-        return output
-
     def _drain_partition(self, parent: RDD, index: int, split: int) -> tuple:
-        """Drain one co-partitioned parent partition in place.
-
-        Shared by the staged stage below and the pipelined drain tasks;
-        returns ``(records, own_seconds)``.
-        """
+        """Drain one co-partitioned parent partition in place; returns
+        ``(records, own_seconds)``."""
         with self.ctx.metrics.task_timer() as timer:
             self.ctx.runner.fault_point(f"drain:{self.id}.{index}", split)
             records = list(parent.iterator(split))
         return records, timer.own_seconds
 
-    def _parent_buckets(
-        self, parent: RDD, index: int
-    ) -> list[list[tuple[Any, Any]]]:
-        """One bucket per output partition for one parent."""
-        blocks = self.ctx.block_manager
-        if parent.partitioner == self.partitioner:
-            # Already co-partitioned: drain parent partitions in place
-            # (independent splits, so they fan out on the runner) into a
-            # scratch handle that :meth:`_run_cogroup` drops once the
-            # merge pass has consumed it.
-            self._parent_stats.append(None)
-            return self._stage_into_output(
-                f"scratch/{self.id}.{index}", parent.num_partitions,
-                lambda split: self._drain_partition(parent, index, split),
-            )
-        opt_in = self._reuse_opt_in or parent._reuse_opt_in
-        reused = blocks.lookup_shuffle(
-            parent.id, self.partitioner, None, opt_in=opt_in
-        )
-        if reused is not None:
-            self._parent_stats.append(getattr(reused, "stats", None))
-            return reused
-        map_outputs = (parent.iterator(i) for i in range(parent.num_partitions))
-        buckets = self.ctx.shuffle_manager.shuffle(
-            map_outputs, self.partitioner, None,
-            stage_label=f"{self.id}.{index}",
-        )
-        self._parent_stats.append(getattr(buckets, "stats", None))
-        blocks.register_shuffle(
-            parent.id, self.partitioner, None, buckets, opt_in=opt_in
-        )
-        return buckets
-
-    def _run_cogroup(self) -> Any:
-        """Every parent's buckets, then one merge task per split.
-
-        A merge task folds the parents' buckets for its split in parent
-        order, so each key's value lists keep parent order and only that
-        split's table is being built at a time — under a memory cap the
-        buckets restore from the spill tier as they are read and the
-        finished table goes straight under the budget.  One merge stage
-        of ``num_partitions`` tasks is recorded, after the per-parent
-        drain/shuffle stages.
-        """
-        # Fresh per materialization: a lineage-fallback re-run (lost
-        # spill) must not accumulate stale per-parent histograms.
-        self._parent_stats = []
-        arity = len(self._parents)
-        blocks = self.ctx.block_manager
-        parent_buckets = [
-            self._parent_buckets(parent, index)
-            for index, parent in enumerate(self._parents)
-        ]
-        # The merge stage reads the parent buckets split by split; start
-        # restoring their spilled partitions now so early merge tasks
-        # find them resident (prefetch fills free headroom only).
-        for handle in parent_buckets:
-            blocks.prefetch_namespace(handle.owner)
-        output = blocks.new_output(f"out/{self.id}", self.num_partitions)
-
-        def merge_task(split: int) -> float:
-            with self.ctx.metrics.task_timer() as timer:
-                table: dict[Any, tuple[list, ...]] = {}
-                for index in range(arity):
-                    self.ctx.runner.fault_point(f"merge:{self.id}", split)
-                    merge_cogroup_bucket(
-                        table, parent_buckets[index][split], index, arity
-                    )
-            output.put(split, list(table.items()))
-            return timer.own_seconds
-
-        merge_seconds = self.ctx.runner.run_stage(
-            [
-                (lambda split=split: merge_task(split))
-                for split in range(self.num_partitions)
-            ]
-        )
-        self.ctx.metrics.record_stage(self.num_partitions, list(merge_seconds))
-        for index in range(arity):
-            blocks.drop_managed(f"scratch/{self.id}.{index}")
-        # Downstream tasks read the output from split 0 up next; warm
-        # the early (spilled-first) partitions ahead of them.
-        blocks.prefetch_namespace(output.owner)
-        return output
 
 class UnionRDD(RDD):
     """Concatenation of several RDDs; partitions are juxtaposed."""

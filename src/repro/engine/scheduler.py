@@ -1,38 +1,29 @@
 """Job execution: task runners and the DAG scheduler.
 
-Wide dependencies materialize themselves (see ``ShuffledRDD`` /
-``CoGroupedRDD``); what remains for the scheduler is the result stage:
-evaluate ``func`` over every partition of the target RDD, recording task
-count and compute time.
+Every job runs the same way: :class:`DAGScheduler` compiles the target
+RDD's lineage into a :class:`~repro.engine.taskgraph.TaskGraph` of
+``(stage, partition)`` tasks and hands it to the context's
+:class:`TaskRunner`.  The runners differ only in how many tasks are in
+flight:
 
-Three runners execute the engine's tasks:
+* :class:`SerialTaskRunner` (default) walks the graph one task at a
+  time, lowest creation index first — a barrier schedule, deterministic,
+  and on a single-core machine also the fastest.
+* :class:`ThreadedTaskRunner` keeps up to ``2 * max_workers`` ready
+  tasks on one persistent thread pool, sized from the
+  :class:`~repro.engine.cluster.ClusterSpec`: a task fires as soon as
+  the specific partitions it reads have landed, even while a straggler
+  of an earlier stage is still running.  Task bodies that release the
+  GIL (NumPy/BLAS tile kernels, injected sleeps) genuinely overlap.
 
-* :class:`SerialTaskRunner` (default) runs them one after another —
-  deterministic, and on a single-core machine also the fastest.
-* :class:`ThreadedTaskRunner` fans them out on one persistent thread
-  pool, sized from the :class:`~repro.engine.cluster.ClusterSpec` and
-  shared by every stage of the context — result stages, shuffle
-  map/reduce tasks, and cogroup merges all submit to it.  Task bodies
-  that release the GIL (NumPy/BLAS tile kernels, injected sleeps)
-  genuinely overlap.
-* :class:`PipelinedTaskRunner` additionally executes whole *task
-  graphs* (see :mod:`repro.engine.taskgraph`): per-task dependency
-  counters replace the stage barrier, so a downstream task fires as
-  soon as the specific partitions it reads have landed, even while a
-  straggler from an earlier stage is still running.
-
-With a parallel runner the staged scheduler *prepares* a job before
-fanning out: wide dependencies in the target RDD's lineage are
-materialized bottom-up from the driver thread, exactly like Spark
-running shuffle map stages before the result stage.  Work that still
-reaches the pool from inside a worker (nested materialization through a
-cache miss, say) runs inline on that worker, so the pool can never
-deadlock on itself.
+A graph handed over from inside a pool worker (a nested action, or a
+wide node materializing itself lazily through a cache miss) is walked
+serially on that worker, so the pool can never deadlock on itself.
 
 No runner changes any measured metric: stage/task/shuffle counters are
-identical across all of them (pipelined execution records the same
-stages, just not in barrier order), and simulated parallelism is applied
-by the cost model in :mod:`repro.engine.metrics`, not by real threads.
+identical across them (only the order stages are recorded in may
+differ), and simulated parallelism is applied by the cost model in
+:mod:`repro.engine.metrics`, not by real threads.
 
 Every runner also carries the engine's **fault-injection** surface:
 :meth:`TaskRunner.inject_delay` and :meth:`TaskRunner.inject_failure`
@@ -49,7 +40,7 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Union
@@ -106,17 +97,14 @@ class FaultInjection:
 class TaskRunner:
     """Strategy for executing the engine's tasks."""
 
-    #: Whether the runner may execute tasks concurrently; the scheduler
-    #: pre-materializes wide dependencies only for parallel runners so
-    #: the serial path stays byte-identical to the historical engine.
+    #: Whether tasks of different stages may overlap (reported as
+    #: ``EngineContext.pipeline``).
     parallel = False
 
-    #: Maximum re-executions of a task after a :class:`TransientTaskError`
-    #: (``REPRO_TASK_RETRIES`` overrides the default of 1).
-    max_task_retries: int
-
     def __init__(self) -> None:
-        self.max_task_retries = int(os.environ.get("REPRO_TASK_RETRIES", "1"))
+        #: Maximum re-executions of a task after a
+        #: :class:`TransientTaskError`.
+        self.max_task_retries = 1
         #: Metrics registry retries are counted against (bound by the
         #: owning ``EngineContext``; ``None`` leaves retries uncounted).
         self.metrics = None
@@ -216,15 +204,13 @@ class TaskRunner:
                 if self.metrics is not None:
                     self.metrics.record_task_retry()
 
-    def run_stage(self, tasks: list[Callable[[], Any]]) -> list[Any]:
-        raise NotImplementedError  # pragma: no cover - interface
-
     def run_graph(self, graph: "TaskGraph") -> None:
-        """Execute a task graph serially, in dependency (then index) order.
+        """Walk a task graph serially, in dependency (then index) order.
 
-        The base implementation is deterministic: among ready tasks the
-        one created first runs first.  Parallel runners override this
-        with an eager, bounded-in-flight executor.
+        Deterministic: among ready tasks the one created first runs
+        first, which makes the walk a barrier schedule of the job's
+        stages.  :class:`ThreadedTaskRunner` overrides this with an
+        eager, bounded-in-flight executor.
         """
         ready: list = [(task.index, task) for task in graph.drain_ready()]
         heapq.heapify(ready)
@@ -243,23 +229,24 @@ class TaskRunner:
 class SerialTaskRunner(TaskRunner):
     """Runs tasks one after another (deterministic, default)."""
 
-    def run_stage(self, tasks: list[Callable[[], Any]]) -> list[Any]:
-        return [self._execute_task(task) for task in tasks]
-
 
 class ThreadedTaskRunner(TaskRunner):
-    """Runs stages on one persistent thread pool.
+    """Runs task graphs eagerly on one persistent thread pool.
 
-    The pool is created lazily on the first multi-task stage and reused
-    for every stage afterwards (creating a ``ThreadPoolExecutor`` per
-    stage costs more than many of the engine's stages).  Stages
-    submitted from inside a pool worker — nested materialization — run
-    inline on that worker, which keeps results correct and makes
-    pool-exhaustion deadlocks impossible.  Shut the pool down with
-    :meth:`close` (``EngineContext.close()`` does this).
+    The pool is created lazily on the first graph and reused afterwards
+    (creating a ``ThreadPoolExecutor`` per job costs more than many of
+    the engine's jobs).  Shut it down with :meth:`close`
+    (``EngineContext.close()`` does this).
 
-    A failing task cancels every not-yet-started task of the same stage
-    and the *first* error by submission order is re-raised — not
+    :meth:`run_graph` keeps a bounded ready-queue: tasks whose
+    dependency counters reach zero are submitted to the pool as soon as
+    a slot frees up (at most ``2 * max_workers`` in flight), in creation
+    order among simultaneously-ready tasks.  Synthetic tasks (``fn is
+    None`` — phase barriers, planning hooks, virtual output slots)
+    complete inline under the graph lock and never occupy a pool slot.
+
+    On a task failure no further tasks are submitted; in-flight tasks
+    drain and the error of the lowest-index failed task is raised — not
     whichever future the pool happens to surface first.
     """
 
@@ -301,69 +288,13 @@ class ThreadedTaskRunner(TaskRunner):
                 )
             return self._pool
 
-    def run_stage(self, tasks: list[Callable[[], Any]]) -> list[Any]:
-        if len(tasks) <= 1 or self._max_workers == 1 or self._in_worker():
-            return [self._execute_task(task) for task in tasks]
-        pool = self._ensure_pool()
-        futures = [pool.submit(self._execute_task, task) for task in tasks]
-        done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-        if any(future.exception() is not None for future in done):
-            # Cancel everything not yet started, let running tasks
-            # drain, then raise the error of the lowest-index failure —
-            # deterministic no matter which future surfaced first.
-            for future in not_done:
-                future.cancel()
-            wait(futures)
-            for future in futures:
-                if not future.cancelled() and future.exception() is not None:
-                    raise future.exception()
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-
-class PipelinedTaskRunner(ThreadedTaskRunner):
-    """Threaded runner that also executes task graphs eagerly.
-
-    :meth:`run_graph` keeps a bounded ready-queue: tasks whose
-    dependency counters reach zero are submitted to the shared pool as
-    soon as a slot frees up (at most ``max_inflight`` concurrently), in
-    creation order among simultaneously-ready tasks.  Synthetic tasks
-    (``fn is None`` — phase barriers, planning hooks, virtual output
-    slots) complete inline under the graph lock and never occupy a pool
-    slot.
-
-    On a task failure no further tasks are submitted; in-flight tasks
-    drain and the lowest-index error is raised, mirroring
-    :meth:`ThreadedTaskRunner.run_stage`.
-    """
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        max_inflight: Optional[int] = None,
-    ):
-        super().__init__(max_workers)
-        if max_inflight is None:
-            max_inflight = 2 * self._max_workers
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be positive, got {max_inflight}")
-        self._max_inflight = max_inflight
-
-    @property
-    def max_inflight(self) -> int:
-        return self._max_inflight
-
     def run_graph(self, graph: "TaskGraph") -> None:
         if self._max_workers == 1 or self._in_worker():
             # Single slot (or nested inside a pool worker): the serial
-            # dependency-order executor is equivalent and cannot deadlock.
+            # dependency-order walk is equivalent and cannot deadlock.
             return TaskRunner.run_graph(self, graph)
         pool = self._ensure_pool()
+        window = 2 * self._max_workers
         # Reentrant: a future finished before add_done_callback runs its
         # callback synchronously on the submitting thread, which already
         # holds the lock.
@@ -382,7 +313,7 @@ class PipelinedTaskRunner(ThreadedTaskRunner):
                     _index, task = heapq.heappop(ready)
                     push_ready(graph.complete(task))
                     continue
-                if state["inflight"] >= self._max_inflight:
+                if state["inflight"] >= window:
                     return
                 _index, task = heapq.heappop(ready)
                 state["inflight"] += 1
@@ -417,6 +348,12 @@ class PipelinedTaskRunner(ThreadedTaskRunner):
                 raise state["error"][1]
         graph.check_done()
 
+    def close(self) -> None:
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
 
 def resolve_runner(
     runner: Union[TaskRunner, str, None], cluster: "ClusterSpec"
@@ -424,9 +361,8 @@ def resolve_runner(
     """Resolve a runner argument to a :class:`TaskRunner` instance.
 
     ``None`` consults the ``REPRO_RUNNER`` environment variable
-    (``serial`` when unset); the strings ``"serial"``, ``"threads"``,
-    and ``"pipelined"`` name the built-in runners, the parallel ones
-    sized from ``cluster``.
+    (``serial`` when unset); the strings ``"serial"`` and ``"threads"``
+    name the built-in runners, the threaded one sized from ``cluster``.
     """
     if runner is None:
         runner = os.environ.get("REPRO_RUNNER", "serial")
@@ -436,11 +372,9 @@ def resolve_runner(
         return SerialTaskRunner()
     if runner in ("threads", "threaded"):
         return ThreadedTaskRunner.for_cluster(cluster)
-    if runner in ("pipelined", "pipeline"):
-        return PipelinedTaskRunner.for_cluster(cluster)
     raise ValueError(
-        f"unknown runner {runner!r}: expected a TaskRunner, 'serial', "
-        f"'threads', or 'pipelined'"
+        f"unknown runner {runner!r}: expected a TaskRunner, 'serial' "
+        f"or 'threads'"
     )
 
 
@@ -543,11 +477,11 @@ class FairJobScheduler:
 class DAGScheduler:
     """Executes actions as jobs of timed per-partition tasks.
 
-    With ``pipeline=True`` a job is compiled into a task graph of
+    A job is the target RDD's lineage compiled into a task graph of
     (stage, partition) nodes (see :mod:`repro.engine.taskgraph`) and
-    handed to the runner's :meth:`TaskRunner.run_graph`; otherwise the
-    staged path runs — wide stages materialize bottom-up behind
-    barriers, byte-identical to the historical engine.
+    handed to the runner's :meth:`TaskRunner.run_graph`.  A wide node
+    read outside any job materializes through the same compiler
+    (:meth:`materialize`).
     """
 
     def __init__(
@@ -556,21 +490,16 @@ class DAGScheduler:
         block_manager,
         runner: TaskRunner | None = None,
         adaptive=None,
-        pipeline: bool = False,
     ):
         self._metrics = metrics
         self._runner = runner or SerialTaskRunner()
         #: The context's :class:`~repro.engine.block_manager.BlockManager`;
         #: job dispatch asks it to prefetch the spilled inputs of the
-        #: about-to-run stages back into budget headroom.
+        #: about-to-run job back into budget headroom.
         self._block_manager = block_manager
-        #: Optional :class:`~repro.engine.adaptive.AdaptiveManager`; when
-        #: enabled, jobs are prepared (wide stages materialized one at a
-        #: time, bottom-up) even under the serial runner, so each stage's
-        #: measured statistics exist before the next stage launches.
+        #: Optional :class:`~repro.engine.adaptive.AdaptiveManager`; the
+        #: compiler consults it for reduce coalescing and skew splits.
         self._adaptive = adaptive
-        #: Task-graph execution toggle (``pipeline=``).
-        self.pipeline = pipeline
 
     @property
     def runner(self) -> TaskRunner:
@@ -586,13 +515,39 @@ class DAGScheduler:
 
         Returns one result per partition, in partition order.
         """
+        from .taskgraph import compile_job_graph
+
         with self._metrics.job(description):
-            # Nested actions issued from inside a pool worker (lazy
-            # materialization through a cache miss) run staged inline:
-            # the surrounding graph already owns the pool.
-            if self.pipeline and not self._runner._in_worker():
-                return self._run_pipelined(rdd, func)
-            return self._run_staged(rdd, func)
+            self._prefetch_spilled_inputs(rdd)
+            task_seconds: list[float] = [0.0] * rdd.num_partitions
+            job = compile_job_graph(
+                rdd, func, task_seconds, self._metrics, self._runner,
+                self._adaptive,
+            )
+            try:
+                self._runner.run_graph(job.graph)
+            finally:
+                job.close()
+            self._metrics.record_stage(len(job.result_tasks), task_seconds)
+            return [task.result for task in job.result_tasks]
+
+    def materialize(self, node: "RDD") -> None:
+        """Build wide node ``node`` now, on the calling thread.
+
+        The lazy path — a first ``compute`` outside any job,
+        ``output_statistics()``, the lineage fallback after a lost spill:
+        the graph of that one node, no result tasks, walked serially.
+        The caller holds the node's materialize lock.
+        """
+        from .taskgraph import compile_job_graph
+
+        job = compile_job_graph(
+            node, None, None, self._metrics, self._runner, self._adaptive
+        )
+        try:
+            TaskRunner.run_graph(self._runner, job.graph)
+        finally:
+            job.close()
 
     def _prefetch_spilled_inputs(self, rdd: "RDD") -> None:
         """Warm the spill tier's async prefetch for a job's inputs.
@@ -626,53 +581,3 @@ class DAGScheduler:
                 stack.extend(node.dependencies)
 
         blocks.prefetch_namespaces(input_namespaces())
-
-    def _run_staged(
-        self, rdd: "RDD", func: Callable[[Iterator], Any]
-    ) -> list[Any]:
-        task_seconds: list[float] = [0.0] * rdd.num_partitions
-
-        def make_task(split: int) -> Callable[[], Any]:
-            def task() -> Any:
-                with self._metrics.task_timer() as timer:
-                    self._runner.fault_point("result", split)
-                    result = func(rdd.iterator(split))
-                task_seconds[split] = timer.own_seconds
-                return result
-
-            return task
-
-        adaptive_on = self._adaptive is not None and self._adaptive.enabled
-        self._prefetch_spilled_inputs(rdd)
-        if self._runner.parallel or adaptive_on:
-            rdd.prepare_execution(set())
-        # Wide deps materialized during preparation may themselves have
-        # spilled their outputs under the budget; warm them for the
-        # result tasks about to fan out.
-        self._prefetch_spilled_inputs(rdd)
-        tasks = [make_task(split) for split in range(rdd.num_partitions)]
-        results = self._runner.run_stage(tasks)
-        self._metrics.record_stage(len(tasks), task_seconds)
-        return results
-
-    def _run_pipelined(
-        self, rdd: "RDD", func: Callable[[Iterator], Any]
-    ) -> list[Any]:
-        from .taskgraph import compile_job_graph
-
-        self._prefetch_spilled_inputs(rdd)
-        task_seconds: list[float] = [0.0] * rdd.num_partitions
-        graph, result_tasks, wide_nodes = compile_job_graph(
-            rdd, func, task_seconds, self._metrics, self._runner, self._adaptive
-        )
-        try:
-            self._runner.run_graph(graph)
-        finally:
-            # Promoted nodes already cleared their slots; on failure this
-            # drops partial per-partition state so a later (staged) run
-            # re-materializes from scratch.
-            for node in wide_nodes:
-                node._pipeline_cleanup()
-            graph.discard()
-        self._metrics.record_stage(len(result_tasks), task_seconds)
-        return [task.result for task in result_tasks]

@@ -23,24 +23,18 @@ pricing a homogeneous tile stream costs a memo lookup per record rather
 than a recursive walk, and the accounting is batched per map partition.
 
 Map tasks (drain + combine + bucket + account one map partition) and
-reduce tasks (merge one bucket) are independent, so both fan out on the
-engine's shared :class:`~repro.engine.scheduler.TaskRunner`.  A reduce
-bucket concatenates the map slots' pieces in map-partition order, which
-makes the output — and every recorded counter — identical to a serial
-drain.
+reduce tasks (merge one bucket) are independent, so the task-graph
+compiler (:mod:`repro.engine.taskgraph`) issues each as its own task.
+A reduce bucket concatenates the map slots' pieces in map-partition
+order, which makes the output — and every recorded counter — identical
+to a serial drain.
 
-There is one shuffle, :class:`Shuffle`, and two things vary around it,
-neither of them inside it:
-
-* **Who drives it.**  :meth:`ShuffleManager.shuffle` runs the map slots
-  behind one barrier and the reduce groups behind another; the
-  task-graph compiler (:mod:`repro.engine.taskgraph`) issues the same
-  three calls as individual tasks.
-* **Where its map buckets live** between the phases — the *bucket
-  store*: :class:`_MemoryBuckets`, or :class:`_BucketSpiller` when the
-  block manager has a spill tier.  The block manager chooses
-  (``BlockManager.bucket_store``), from the ``memory_limit`` the user
-  set; the shuffle never asks which one it got.
+There is one shuffle, :class:`Shuffle`, and one thing varies around it:
+**where its map buckets live** between the phases — the *bucket store*:
+:class:`_MemoryBuckets`, or :class:`_BucketSpiller` when the block
+manager has a spill tier.  The block manager chooses
+(``BlockManager.bucket_store``), from the ``memory_limit`` the user set;
+the shuffle never asks which one it got.
 """
 
 from __future__ import annotations
@@ -267,6 +261,11 @@ class _MemoryBuckets:
             local_buckets[reducer] = ()
         return bucket
 
+    def discard(self) -> None:
+        """Let go of whatever was written and never read."""
+        with self._lock:
+            self._slots.clear()
+
 
 class _BucketSpiller:
     """Map-output buckets written straight to the spill store.
@@ -328,6 +327,14 @@ class _BucketSpiller:
             self._metrics.record_spill_restore(sizes[key])
         return bucket
 
+    def discard(self) -> None:
+        """Delete the objects of buckets written and never read (the
+        shuffle's job failed before its reduce side ran)."""
+        with self._lock:
+            unread, self._written = list(self._written), {}
+        for slot, reducer in unread:
+            self._store.delete(self._key(slot, reducer))
+
 
 class Shuffle:
     """Per-slot state of one shuffle: the engine's only shuffle.
@@ -335,17 +342,15 @@ class Shuffle:
     Map *slots* — ``(partition, chunk)`` keys, so a skew-split
     partition's chunks slot in where the original partition would — land
     independently via :meth:`run_map_slot`, each handing its buckets to
-    the *bucket store* (:class:`_MemoryBuckets`, or the block manager's
-    choice when one is given: :class:`_BucketSpiller` under a
-    ``memory_limit``).  Once every slot has landed,
+    the *bucket store* the block manager chose (:class:`_MemoryBuckets`,
+    or :class:`_BucketSpiller` under a ``memory_limit``).  Once every
+    slot has landed,
     :meth:`finish_map_phase` folds the per-slot sizes in ascending slot
     order and records the map stage and shuffle volume; the reduce side
     then reads bucket ``r`` (:meth:`read_bucket`, every slot's piece in
     ascending slot order) or merges it (:meth:`run_reduce_group`).
     Counters and bucket contents therefore do not depend on the order
-    slots completed in, on who drives the phases
-    (:meth:`ShuffleManager.shuffle` behind two barriers, or the task
-    graph one task at a time), or on where the buckets lived.
+    slots completed in or on where the buckets lived.
     """
 
     def __init__(
@@ -354,8 +359,8 @@ class Shuffle:
         runner: TaskRunner,
         partitioner: Partitioner,
         aggregator: Optional[Aggregator],
-        stage_label: Optional[str] = None,
-        blocks=None,
+        stage_label: Optional[str],
+        blocks,
     ):
         self._metrics = metrics
         self._runner = runner
@@ -369,10 +374,7 @@ class Shuffle:
         # tasks (dict access is atomic under the GIL, and a racing
         # double-insert writes the same value).
         self._accountant = RecordSizeAccountant()
-        self._store = (
-            _MemoryBuckets() if blocks is None
-            else blocks.bucket_store(stage_label or "anon")
-        )
+        self._store = blocks.bucket_store(stage_label or "anon")
         #: slot key -> (bucket_bytes, bucket_counts, num_records, seconds)
         self._slots: dict[tuple, tuple] = {}
         self._slots_lock = threading.Lock()
@@ -432,6 +434,10 @@ class Shuffle:
         """Reduce partition ``reducer`` of a plain repartition (consumed)."""
         return self._store.read_bucket(reducer)
 
+    def discard(self) -> None:
+        """Drop map output no reduce task will read (the job is over)."""
+        self._store.discard()
+
     def run_reduce_group(
         self, bucket_ids: list[int]
     ) -> tuple[list[tuple[int, list]], float]:
@@ -446,91 +452,3 @@ class Shuffle:
                 for bid in bucket_ids
             ]
         return merged_buckets, timer.own_seconds
-
-
-class ShuffleManager:
-    """The staged driver of :class:`Shuffle`: one barrier per phase."""
-
-    def __init__(
-        self,
-        metrics: MetricsRegistry,
-        runner: TaskRunner,
-        adaptive,
-        blocks,
-    ):
-        self._metrics = metrics
-        self._runner = runner
-        #: The context's :class:`~repro.engine.adaptive.AdaptiveManager`;
-        #: when enabled it may regroup the reduce phase (partition
-        #: coalescing).
-        self._adaptive = adaptive
-        #: The context's :class:`~repro.engine.block_manager.BlockManager`:
-        #: decides where map buckets and output partitions live.
-        self._blocks = blocks
-
-    def shuffle(
-        self,
-        map_outputs: Iterable[Iterator[tuple[Any, Any]]],
-        partitioner: Partitioner,
-        aggregator: Optional[Aggregator] = None,
-        stage_label: Optional[str] = None,
-    ):
-        """Run a full shuffle.
-
-        Args:
-            map_outputs: one keyed-record iterator per map-side partition.
-                Each iterator is drained inside a timed "map task".
-            partitioner: reduce-side placement of keys.
-            aggregator: combining semantics; ``None`` means plain
-                re-partitioning (records pass through unmodified, possibly
-                with duplicate keys).
-            stage_label: identity suffix for fault-injection points
-                (``map:<label>`` / ``reduce:<label>``); bare ``map`` /
-                ``reduce`` when omitted.
-
-        Returns:
-            The block manager's output handle (list-compatible, carrying
-            the map-output histogram as ``stats``): one list of
-            ``(key, value)`` pairs per reduce partition.  With an
-            aggregator the value is the fully merged combiner.
-        """
-        blocks = self._blocks
-        state = Shuffle(
-            self._metrics, self._runner, partitioner, aggregator,
-            stage_label, blocks=blocks,
-        )
-        self._runner.run_stage([
-            (lambda index=index, it=it: state.run_map_slot((index, 0), it, index))
-            for index, it in enumerate(map_outputs)
-        ])
-        stats = state.finish_map_phase()
-        num_reducers = partitioner.num_partitions
-        output = blocks.new_output(
-            f"out/{stage_label or 'anon'}", num_reducers, stats
-        )
-        if aggregator is None:
-            for reducer in range(num_reducers):
-                output.put(reducer, state.read_bucket(reducer))
-        else:
-            # By default one task merges one bucket; the adaptive layer
-            # may coalesce contiguous small buckets into one task (the
-            # logical partition count is unchanged — each bucket is still
-            # merged separately and lands in its own slot).
-            groups = self._adaptive.plan_reduce_groups(stats)
-            if groups is None:
-                groups = [[reducer] for reducer in range(num_reducers)]
-
-            def reduce_task(bucket_ids: list[int]) -> float:
-                merged_buckets, seconds = state.run_reduce_group(bucket_ids)
-                for bid, merged_bucket in merged_buckets:
-                    output.put(bid, merged_bucket)
-                return seconds
-
-            reduce_seconds = self._runner.run_stage(
-                [(lambda group=group: reduce_task(group)) for group in groups]
-            )
-            self._metrics.record_stage(len(groups), list(reduce_seconds))
-        # The next stage reads the output from split 0 up; restore the
-        # early (spilled-first) partitions ahead of its tasks.
-        blocks.prefetch_namespace(output.owner)
-        return output

@@ -19,9 +19,9 @@ engines with zero reuse.  The substrate splits that world in two:
 
 * :class:`~repro.engine.context.EngineContext` becomes a **cheap
   per-tenant view** over a substrate: it carries only the per-session
-  execution flags (adaptive, pipeline) and per-session wrappers
-  (scheduler, shuffle manager, adaptive manager, tenant-scoped block
-  view) — a few small Python objects, no threads, no storage.
+  execution flag (adaptive) and per-session wrappers (scheduler,
+  adaptive manager, tenant-scoped block view) — a few small Python
+  objects, no threads, no storage.
 
 A context constructed the historical way (``EngineContext()``) builds a
 private substrate and behaves byte-identically to the pre-split engine;
@@ -195,8 +195,8 @@ class EngineSubstrate:
     ``with`` block) releases the pool and the spill store.
 
     Args mirror the resource arguments of the historical
-    ``EngineContext``; per-session flags (``adaptive``, ``pipeline``)
-    live on the views instead.
+    ``EngineContext``; the per-session ``adaptive`` flag lives on the
+    views instead.
     """
 
     def __init__(
@@ -283,7 +283,6 @@ class EngineSubstrate:
         tenant: Optional[str] = None,
         *,
         adaptive: Optional[bool] = None,
-        pipeline: Optional[bool] = None,
         quota: Optional[int | str] = None,
         reservation: Optional[int | str] = None,
     ):
@@ -301,7 +300,6 @@ class EngineSubstrate:
             tenant = self.next_view_name()
         return EngineContext(
             substrate=self, tenant=tenant, adaptive=adaptive,
-            pipeline=pipeline,
             quota=parse_memory_limit(quota),
             reservation=parse_memory_limit(reservation) or 0,
         )

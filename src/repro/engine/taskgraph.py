@@ -1,45 +1,55 @@
-"""Task graphs: per-(stage, partition) scheduling without stage barriers.
+"""Task graphs: how every job runs, one (stage, partition) task at a time.
 
-The staged scheduler materializes wide dependencies one stage at a time —
-every reduce task of a shuffle waits for *all* of its map tasks, even the
-ones whose output it never reads, and a single straggling map task stalls
-the whole downstream program.  This module compiles a lowered RDD program
-into an explicit graph of fine-grained tasks instead:
+This module compiles a lowered RDD program into an explicit graph of
+fine-grained tasks:
 
-* one **map task** per map slot of every in-flight shuffle,
+* one **map task** per map slot of every shuffle the job has to run,
 * one **reduce task** per (possibly coalesced) reduce group,
 * one **combine/drain/merge task** per partition of co-partitioned wide
-  nodes,
+  nodes and cogroups,
 * one **result task** per partition of the job's target RDD,
 
 with explicit parent/child edges (the numpywren ``find_parents`` /
-``find_children`` / ``starters`` / ``terminators`` shape), so the runner
-can fire each task the moment the specific partitions it reads have
-landed.  Synthetic tasks (``fn is None``) act as phase barriers and
-planning hooks; their ``on_complete`` callbacks run under the graph's
-external lock and may *extend* the graph — this is how adaptive
+``find_children`` / ``starters`` / ``terminators`` shape).  How the
+graph is walked is the runner's business (see
+:mod:`repro.engine.scheduler`): the serial runner takes the tasks in
+creation order, which is a barrier schedule of the job's stages; the
+threaded runner fires each task the moment the specific partitions it
+reads have landed, so a straggling map task stalls only the tasks that
+read its output.  Synthetic tasks (``fn is None``) act as phase barriers
+and planning hooks; their ``on_complete`` callbacks run under the
+graph's external lock and may *extend* the graph — this is how adaptive
 decisions (reduce coalescing, skew splitting) are taken mid-flight from
-measured map statistics instead of behind a global barrier.
+measured map statistics.
 
-Metric parity: every stage/task/shuffle counter a staged run records is
-recorded here too, with identical totals — the graph runs the very
-:class:`~repro.engine.shuffle.Shuffle` the staged driver runs (map
-buckets concatenate in deterministic slot order), reduce groups come
-from the same adaptive planner, and per-parent cogroup merges call the
-staged merge helper chained per split, so key insertion order is
-byte-identical.  Only the *recording order* of stages may differ.
+A wide node the graph produces keeps its partitions where the block
+manager says (``BlockManager.new_output`` — a plain list, or budget
+governed and spillable under a ``memory_limit``) from the first one on:
+each task ``put``s its partition into the node's output handle as it
+lands, the job's downstream tasks index the same handle, and when the
+last partition has landed the handle becomes the node's ``_output``.
+Map buckets wait for their reduce side in the block manager's bucket
+store.  A job that fails drops the handles it did not finish, and the
+node stays unmaterialized.
+
+Every stage/task/shuffle counter is independent of the walk: map
+buckets concatenate in deterministic slot order, reduce groups come
+from the adaptive planner, and a cogroup's merge folds its parents in
+parent order.  Only the *recording order* of stages may differ.
 
 The graph itself is **externally synchronized**: the runner serializes
 all calls to :meth:`TaskGraph.complete` / :meth:`TaskGraph.add_task`
-(under its graph lock in the pipelined runner, trivially in the serial
+(under its graph lock in the threaded runner, trivially in the serial
 one), so the graph keeps no lock of its own.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
-from .block_manager import ListOutput
+from .rdd import (
+    CartesianRDD, CoGroupedRDD, MapPartitionsRDD, ShuffledRDD, UnionRDD,
+)
 from .shuffle import Shuffle, merge_cogroup_bucket
 
 
@@ -56,7 +66,7 @@ class Task:
 
     __slots__ = (
         "key", "fn", "index", "on_complete", "result",
-        "pending", "children", "parent_keys", "child_keys", "done",
+        "pending", "children", "parent_keys", "done",
     )
 
     def __init__(
@@ -73,9 +83,11 @@ class Task:
         self.on_complete = on_complete
         self.result: Any = None
         self.pending = pending
-        self.children: list["Task"] = []
-        self.parent_keys: list[tuple] = []
-        self.child_keys: list[tuple] = []
+        # Most tasks of most graphs have no edges at all (a job with no
+        # wide node in flight is a flat list of result tasks), so neither
+        # container is allocated until an edge needs it.
+        self.children: Any = ()
+        self.parent_keys: Any = ()
         self.done = False
 
     def __lt__(self, other: "Task") -> bool:
@@ -120,14 +132,23 @@ class TaskGraph:
         task = Task(key, fn, len(self._tasks), on_complete, virtual_deps)
         self._tasks[key] = task
         for parent in deps:
-            task.parent_keys.append(parent.key)
-            parent.child_keys.append(key)
-            if not parent.done:
-                parent.children.append(task)
-                task.pending += 1
+            self._add_edge(parent, task)
         if task.pending == 0:
             self._fresh.append(task)
         return task
+
+    @staticmethod
+    def _add_edge(parent: Task, child: Task) -> None:
+        if child.parent_keys:
+            child.parent_keys.append(parent.key)
+        else:
+            child.parent_keys = [parent.key]
+        if not parent.done:
+            if parent.children:
+                parent.children.append(child)
+            else:
+                parent.children = [child]
+            child.pending += 1
 
     def add_dependency(self, child: Task, parent: Task) -> None:
         """Add an edge to a task that is known not to be ready yet.
@@ -140,11 +161,7 @@ class TaskGraph:
             raise RuntimeError(
                 f"cannot add dependency to already-ready task {child.key!r}"
             )
-        child.parent_keys.append(parent.key)
-        parent.child_keys.append(child.key)
-        if not parent.done:
-            parent.children.append(child)
-            child.pending += 1
+        self._add_edge(parent, child)
 
     def release(self, task: Task) -> None:
         """Satisfy one virtual dependency of ``task``."""
@@ -180,7 +197,7 @@ class TaskGraph:
             child.pending -= 1
             if child.pending == 0:
                 newly.append(child)
-        task.children = []
+        task.children = ()
         if self._fresh:
             newly.extend(self._fresh)
             self._fresh = []
@@ -202,15 +219,16 @@ class TaskGraph:
         """Drop the task table and every remaining closure.
 
         Task bodies and hooks capture this graph, the shuffles' bucket
-        stores and the cogroups' tables, and the graph holds the tasks —
-        a reference cycle that would keep a finished (or failed) job's
-        intermediate partitions resident until the cyclic collector
-        runs.  The scheduler calls this once ``run_graph`` is over; the
-        result tasks it still holds keep only their ``result``.
+        stores and the nodes' output handles, and the graph holds the
+        tasks — a reference cycle that would keep a finished (or failed)
+        job's intermediate partitions resident until the cyclic
+        collector runs.  The compiled job's ``close()`` calls this once
+        ``run_graph`` is over; the result tasks the scheduler still
+        holds keep only their ``result``.
         """
         for task in self._tasks.values():
             task.fn = task.on_complete = None
-            task.children = []
+            task.children = ()
         self._tasks = {}
         self._fresh = []
 
@@ -220,52 +238,83 @@ class TaskGraph:
         return list(self._tasks[key].parent_keys)
 
     def find_children(self, key: tuple) -> list[tuple]:
-        return list(self._tasks[key].child_keys)
+        return [t.key for t in self._tasks.values() if key in t.parent_keys]
 
     def starters(self) -> list[tuple]:
         return [t.key for t in self._tasks.values() if not t.parent_keys]
 
     def terminators(self) -> list[tuple]:
-        return [t.key for t in self._tasks.values() if not t.child_keys]
+        parents = {key for t in self._tasks.values() for key in t.parent_keys}
+        return [key for key in self._tasks if key not in parents]
 
 
 class _WideBuild:
-    """Compilation record of one in-flight wide node.
+    """Compilation record of one wide node a graph is producing.
 
-    ``out_tasks[split]`` is the task whose completion guarantees the
-    node's output partition ``split`` is readable through its pipeline
-    slots; ``stats_task`` completes once the node's map-output
-    statistics are final; ``stats()`` reads them (``None`` when the node
-    never crossed the shuffle machinery).  ``has_stats`` is False when
-    the accessor is known at compile time to return ``None``, so
-    downstream skew planning need not wait on ``stats_task``.
+    ``output`` is the block manager's handle the node's partitions land
+    in (it becomes the node's ``_output`` when the last one has);
+    ``out_tasks[split]`` is the task whose completion guarantees
+    partition ``split`` is readable from it; ``stats_task`` completes
+    once the node's map-output statistics are final; ``stats()`` reads
+    them (``None`` when the node never crossed the shuffle machinery).
+    ``has_stats`` is False when the accessor is known at compile time to
+    return ``None``, so downstream skew planning need not wait on
+    ``stats_task``.
     """
 
     def __init__(
         self,
+        node,
+        output: Any,
         out_tasks: list[Task],
         stats_task: Task,
         stats: Callable[[], Any],
         has_stats: bool = True,
     ):
+        self.node = node
+        self.output = output
         self.out_tasks = out_tasks
         self.stats_task = stats_task
         self.stats = stats
         self.has_stats = has_stats
 
+    def read(self, split: int) -> list:
+        """Partition ``split``, for a task of the job that is producing it.
+
+        A read before the partition landed means the graph is missing a
+        dependency edge (or the reader is not part of this job), which
+        must fail loudly rather than re-run the shuffle.
+        """
+        if not self.out_tasks[split].done:
+            raise RuntimeError(
+                f"read of partition {split} of rdd {self.node.id} before "
+                f"it landed (missing task-graph dependency edge)"
+            )
+        return self.output[split]
+
 
 def compile_job_graph(
     rdd, func, task_seconds, metrics, runner, adaptive
-) -> tuple[TaskGraph, list[Task], list]:
+) -> "_JobCompiler":
     """Compile one job into a task graph.
 
-    Returns ``(graph, result_tasks, wide_nodes)``: the graph, the
-    ``("result", split)`` tasks in partition order (their ``result``
-    fields hold the job's answers after execution), and the wide nodes
-    whose pipeline slots must be cleaned up if execution fails.
+    Returns the compiled job: its ``graph``, the ``("result", split)``
+    tasks in partition order as ``result_tasks`` (their ``result``
+    fields hold the job's answers after execution), and ``close()``,
+    which the caller must run once the graph has — whether it succeeded
+    or not.  ``func=None`` compiles the lazy materialization of the wide
+    node ``rdd`` itself: that one node, no result tasks.
     """
     compiler = _JobCompiler(metrics, runner, adaptive)
-    return compiler.compile(rdd, func, task_seconds)
+    try:
+        if func is None:
+            compiler._build_wide(rdd)
+        else:
+            compiler.compile(rdd, func, task_seconds)
+    except BaseException:
+        compiler.close()
+        raise
+    return compiler
 
 
 class _JobCompiler:
@@ -274,59 +323,86 @@ class _JobCompiler:
         self._runner = runner
         self._adaptive = adaptive
         self.graph = TaskGraph()
-        #: id(wide node) -> _WideBuild for nodes built by this job.
+        self.result_tasks: list[Task] = []
+        #: id(wide node) -> _WideBuild for nodes this graph produces.
         self.builds: dict[int, _WideBuild] = {}
-        self.wide_nodes: list = []
+        #: id(node) of cached, fully resident nodes the lineage walk
+        #: stopped at (decided once per compile).
+        self._leaves: set[int] = set()
+        self._deps: dict[tuple[int, int], tuple] = {}
+        #: id(node) -> node for wide nodes whose materialize lock this
+        #: job holds (until the node is finished, or the job is).
+        self._claimed: dict[int, Any] = {}
+        #: owner -> (blocks, handle) of outputs begun and not finished.
+        self._open: dict[str, tuple] = {}
+        self._shuffles: list[Shuffle] = []
 
-    def compile(self, rdd, func, task_seconds):
-        self._collect(rdd, set())
-        result_tasks = [
+    def compile(self, rdd, func, task_seconds) -> None:
+        wide: list = []
+        self._collect(rdd, set(), wide)
+        # Another job (or a lazy reader) may be producing one of these
+        # nodes right now: wait for it.  Locks are taken downstream
+        # first, the order a lazy materialization pulls its parents in.
+        for node in sorted(wide, key=lambda node: node.id, reverse=True):
+            node._materialize_lock.acquire()
+            self._claimed[id(node)] = node
+        for node in wide:
+            if node._output is None:
+                self._build_wide(node)
+            if id(node) not in self.builds:
+                self._release(node)  # materialized meanwhile, or reused
+        metrics = self._metrics
+        runner = self._runner
+
+        def make_fn(split):
+            def fn():
+                with metrics.task_timer() as timer:
+                    runner.fault_point("result", split)
+                    result = func(rdd.iterator(split))
+                task_seconds[split] = timer.own_seconds
+                return result
+
+            return fn
+
+        self.result_tasks = [
             self.graph.add_task(
-                ("result", split),
-                fn=self._make_result_fn(rdd, func, split, task_seconds),
+                ("result", split), fn=make_fn(split),
                 deps=self.narrow_deps(rdd, split),
             )
             for split in range(rdd.num_partitions)
         ]
-        return self.graph, result_tasks, self.wide_nodes
-
-    def _make_result_fn(self, rdd, func, split, task_seconds):
-        def fn():
-            with self._metrics.task_timer() as timer:
-                self._runner.fault_point("result", split)
-                result = func(rdd.iterator(split))
-            task_seconds[split] = timer.own_seconds
-            return result
-
-        return fn
 
     # -- lineage walk ---------------------------------------------------
 
-    def _collect(self, node, seen: set[int]) -> None:
-        """Postorder walk mirroring ``prepare_execution``'s stopping rules."""
-        from .rdd import CoGroupedRDD, ShuffledRDD
+    def _collect(self, node, seen: set[int], wide: list) -> None:
+        """Unmaterialized wide nodes of ``node``'s lineage, in postorder.
 
+        Materialized wide nodes and fully cached RDDs stop the walk:
+        their partitions replay from the block manager without touching
+        parents (exactly what lazy evaluation would do).
+        """
         if id(node) in seen:
             return
         seen.add(id(node))
-        wide = isinstance(node, (ShuffledRDD, CoGroupedRDD))
-        if wide and node._output is not None:
+        is_wide = isinstance(node, (ShuffledRDD, CoGroupedRDD))
+        if is_wide and node._output is not None:
             return
         if node._cached and node.ctx.block_manager.contains_all(
             node.id, node.num_partitions
         ):
+            self._leaves.add(id(node))
             return
         for dep in node.dependencies:
-            self._collect(dep, seen)
-        if wide:
-            self._build_wide(node)
+            self._collect(dep, seen, wide)
+        if is_wide:
+            wide.append(node)
 
     def _build_wide(self, node) -> None:
-        from .rdd import CoGroupedRDD
-
         if isinstance(node, CoGroupedRDD):
             self._build_cogroup(node)
             return
+        # Fresh per materialization (a lineage-fallback re-run included).
+        node._map_stats = None
         if node._parent.partitioner == node.partitioner:
             self._build_local_combine(node)
             return
@@ -342,41 +418,117 @@ class _JobCompiler:
             return
         self._build_shuffle(node, opt_in)
 
+    # -- output handles and node state ----------------------------------
+
+    def _new_output(self, blocks, owner: str, count: int) -> Any:
+        """A handle this job must finish (:meth:`_keep`) or will drop."""
+        output = blocks.new_output(owner, count)
+        self._open[owner] = (blocks, output)
+        return output
+
+    def _node_output(self, node, count: int) -> Any:
+        """The handle ``node``'s own partitions land in (see :meth:`_finish`)."""
+        return self._new_output(node.ctx.block_manager, f"out/{node.id}", count)
+
+    def _keep(self, owner: str) -> Any:
+        """Every partition of ``owner``'s handle landed: it outlives the job."""
+        blocks, output = self._open.pop(owner)
+        # The next reader takes the partitions from split 0 up; restore
+        # the early (spilled-first) ones ahead of it.
+        blocks.prefetch_namespace(output.owner)
+        return output
+
+    def _drop(self, owner: str) -> None:
+        """Nobody will read ``owner``'s handle again: free its partitions."""
+        blocks, output = self._open.pop(owner)
+        if output.owner is not None:
+            blocks.drop_managed(output.owner)
+
+    def _begin(self, node, build: _WideBuild) -> None:
+        """Register ``node`` as being produced by this graph.
+
+        A node the job claimed is published: the job's tasks read it
+        through ``node._inflight``.  A lazily materialized node is read
+        by no task of its own graph, so it stays unpublished and
+        concurrent readers wait on its lock instead.
+        """
+        self.builds[id(node)] = build
+        if id(node) in self._claimed:
+            node._inflight = build
+
+    def _finish(self, node) -> None:
+        """The last partition of ``node`` landed: it is materialized."""
+        node._output = self._keep(f"out/{node.id}")
+        node._inflight = None
+        self._release(node)
+
+    def _release(self, node) -> None:
+        if self._claimed.pop(id(node), None) is not None:
+            node._materialize_lock.release()
+
+    def _new_shuffle(self, blocks, partitioner, aggregator, label: str) -> Shuffle:
+        shuffle = Shuffle(
+            self._metrics, self._runner, partitioner, aggregator,
+            stage_label=label, blocks=blocks,
+        )
+        self._shuffles.append(shuffle)
+        return shuffle
+
+    def close(self) -> None:
+        """Release what the job held; drop what it did not finish.
+
+        After a successful run there is nothing left to drop.  After a
+        failure the unfinished nodes stay unmaterialized — their partial
+        outputs, scratch handles and unread map buckets leave the block
+        manager and the spill store — so a later job rebuilds them from
+        scratch.  Either way the task table goes (see
+        :meth:`TaskGraph.discard`).
+        """
+        for build in self.builds.values():
+            build.node._inflight = None
+        for node in list(self._claimed.values()):
+            self._release(node)
+        for owner in list(self._open):
+            self._drop(owner)
+        for shuffle in self._shuffles:
+            shuffle.discard()
+        self.graph.discard()
+
     # -- wide node builders ---------------------------------------------
 
     def _build_local_combine(self, node) -> None:
         """Co-partitioned ShuffledRDD: one combine task per partition."""
         graph = self.graph
-        node._pipeline_install()
-        self.wide_nodes.append(node)
         count = node._parent.num_partitions
+        output = self._node_output(node, count)
         seconds = [0.0] * count
-        combine_tasks = []
-        for split in range(count):
 
-            def fn(split=split):
-                combined, own = node._combine_partition(split)
-                node._pipeline_fill(split, combined)
-                seconds[split] = own
+        def make_fn(split):
+            def fn():
+                combined, seconds[split] = node._combine_partition(split)
+                output.put(split, combined)
 
-            combine_tasks.append(
-                graph.add_task(
-                    ("combine", node.id, split),
-                    fn=fn,
-                    deps=self.narrow_deps(node._parent, split),
-                )
+            return fn
+
+        combine_tasks = [
+            graph.add_task(
+                ("combine", node.id, split),
+                fn=make_fn(split),
+                deps=self.narrow_deps(node._parent, split),
             )
+            for split in range(count)
+        ]
 
         def finalize():
             self._metrics.record_stage(count, list(seconds))
-            node._pipeline_promote(node._pipeline_slots)
+            self._finish(node)
 
         done = graph.add_task(
             ("combined", node.id), deps=combine_tasks, on_complete=finalize
         )
-        self.builds[id(node)] = _WideBuild(
-            combine_tasks, done, lambda: None, has_stats=False
-        )
+        self._begin(node, _WideBuild(
+            node, output, combine_tasks, done, lambda: None, has_stats=False
+        ))
 
     def _build_shuffle(self, node, opt_in: bool) -> None:
         """ShuffledRDD whose data really crosses the shuffle machinery."""
@@ -384,12 +536,11 @@ class _JobCompiler:
         metrics = self._metrics
         adaptive = self._adaptive
         parent = node._parent
-        node._pipeline_install()
-        self.wide_nodes.append(node)
+        blocks = node.ctx.block_manager
         num_reducers = node.num_partitions
-        shuffle = Shuffle(
-            metrics, self._runner, node.partitioner, node._aggregator,
-            stage_label=str(node.id),
+        output = self._node_output(node, num_reducers)
+        shuffle = self._new_shuffle(
+            blocks, node.partitioner, node._aggregator, str(node.id)
         )
         # Virtual output slots: released when the partition's data lands
         # (directly after the map phase without an aggregator, from the
@@ -422,28 +573,29 @@ class _JobCompiler:
                 for c, chunk in enumerate(chunks)
             ]
 
+        def finish():
+            self._finish(node)
+            # Registered once complete, so registry reuse never serves a
+            # half-filled handle.
+            blocks.register_shuffle(
+                parent.id, node.partitioner, node._aggregator, output,
+                opt_in=opt_in,
+            )
+
         def maps_done_hook():
             stats = shuffle.finish_map_phase()
-            blocks = node.ctx.block_manager
+            node._map_stats = output.stats = stats
             if node._aggregator is None:
-                buckets = ListOutput(
-                    (shuffle.read_bucket(r) for r in range(num_reducers)),
-                    stats,
-                )
                 for r in range(num_reducers):
-                    node._pipeline_fill(r, buckets[r])
-                node._map_stats = stats
-                node._pipeline_promote(buckets)
-                # Register the promoted handle (identical to ``buckets``
-                # without a spill tier; a managed, spillable output with
-                # one) so registry reuse survives eviction.
-                blocks.register_shuffle(
-                    parent.id, node.partitioner, None, node._output,
-                    opt_in=opt_in,
-                )
+                    output.put(r, shuffle.read_bucket(r))
+                finish()
                 for r in range(num_reducers):
                     graph.release(out_tasks[r])
                 return
+            # By default one task merges one bucket; the adaptive layer
+            # may coalesce contiguous small buckets into one task (the
+            # logical partition count is unchanged — each bucket is still
+            # merged separately and lands in its own partition).
             groups = None
             if adaptive is not None:
                 groups = adaptive.plan_reduce_groups(stats)
@@ -456,7 +608,7 @@ class _JobCompiler:
                 def fn(gindex=gindex, group=group):
                     merged_buckets, own = shuffle.run_reduce_group(group)
                     for bid, merged in merged_buckets:
-                        node._pipeline_fill(bid, merged)
+                        output.put(bid, merged)
                     reduce_seconds[gindex] = own
 
                 def release_group(group=group):
@@ -474,13 +626,7 @@ class _JobCompiler:
 
             def reduces_done_hook():
                 metrics.record_stage(len(groups), list(reduce_seconds))
-                merged = ListOutput(node._pipeline_slots, stats)
-                node._map_stats = stats
-                node._pipeline_promote(merged)
-                blocks.register_shuffle(
-                    parent.id, node.partitioner, node._aggregator,
-                    node._output, opt_in=opt_in,
-                )
+                finish()
 
             graph.add_task(
                 ("reduces-done", node.id),
@@ -506,7 +652,7 @@ class _JobCompiler:
 
         if source_build is None:
             # Static planning: the skew source (if any) is already
-            # materialized, exactly like the staged path.
+            # materialized (reading its statistics materializes it).
             splits: dict[int, int] = {}
             stats = base_output = None
             splittable = False
@@ -544,12 +690,6 @@ class _JobCompiler:
             # Deferred planning: decide skew splits once the source's
             # map statistics land; chunk each hot partition as soon as
             # that specific partition lands.
-            def source_partition(pid):
-                slots = source_node._pipeline_slots
-                if slots is not None:
-                    return slots[pid]
-                return source_node._materialize()[pid]
-
             def plan_hook():
                 stats = source_build.stats()
                 splits = {}
@@ -569,7 +709,8 @@ class _JobCompiler:
 
                     def chunk_hook(m=m, stats=stats, splits=splits):
                         chunks = adaptive.plan_partition_chunks(
-                            stats, splits, m, source_partition(m), splittable
+                            stats, splits, m, source_build.output[m],
+                            splittable,
                         )
                         if chunks is None:
                             graph.add_dependency(
@@ -597,17 +738,19 @@ class _JobCompiler:
                 on_complete=maps_done_hook,
             )
 
-        self.builds[id(node)] = _WideBuild(
-            out_tasks, maps_done, lambda: shuffle.stats
-        )
+        self._begin(node, _WideBuild(
+            node, output, out_tasks, maps_done, lambda: shuffle.stats
+        ))
 
     def _build_cogroup(self, node) -> None:
-        """CoGroupedRDD: per-parent bucket tasks + chained per-split merges.
+        """CoGroupedRDD: per-parent bucket tasks, then one merge per split.
 
-        Merges for split ``p`` are chained across parents (parent ``i``'s
-        merge depends on parent ``i-1``'s) so each key's value lists keep
-        parent order and the grouped tables match the staged run exactly;
-        different splits still pipeline independently.
+        A merge task folds the parents' buckets for its split in parent
+        order, so each key's value lists keep parent order and only that
+        split's table is being built at a time — under a memory cap the
+        buckets restore from the spill tier as they are read and the
+        finished table goes straight under the budget.  Different splits
+        still pipeline independently.
         """
         graph = self.graph
         metrics = self._metrics
@@ -615,46 +758,56 @@ class _JobCompiler:
         parents = node._parents
         arity = len(parents)
         num_parts = node.num_partitions
-        node._pipeline_install()
-        self.wide_nodes.append(node)
-        node._parent_stats = [None] * arity
         blocks = node.ctx.block_manager
+        output = self._node_output(node, num_parts)
+        # Fresh per materialization: a lineage-fallback re-run (lost
+        # spill) must not see stale per-parent histograms.
+        node._parent_stats = [None] * arity
 
-        grouped: list[dict] = [{} for _ in range(num_parts)]
-        merge_seconds = [0.0] * num_parts
+        #: Per parent: the handle its buckets land in, and per split the
+        #: task that lands it (``None``: a retained shuffle, already there).
+        parent_buckets: list = []
+        bucket_tasks: list = []
         stats_deps: list[Task] = []
+        #: Owners of bucket handles only this node's merges read.
+        scratch: list[str] = []
         any_local = False
-        prev_merges: Optional[list[Task]] = None
 
         for index, parent in enumerate(parents):
             if parent.partitioner == node.partitioner:
+                # Already co-partitioned: drain parent partitions in
+                # place into a scratch handle.
                 any_local = True
-                records_store: list = [None] * parent.num_partitions
-                drain_seconds = [0.0] * parent.num_partitions
-                drain_tasks = []
-                for p in range(parent.num_partitions):
+                count = parent.num_partitions
+                scratch_owner = f"scratch/{node.id}.{index}"
+                scratch.append(scratch_owner)
+                drained = self._new_output(blocks, scratch_owner, count)
+                drain_seconds = [0.0] * count
 
-                    def fn(
-                        p=p, index=index, parent=parent,
-                        records_store=records_store,
-                        drain_seconds=drain_seconds,
-                    ):
-                        records, own = node._drain_partition(parent, index, p)
-                        records_store[p] = records
-                        drain_seconds[p] = own
-
-                    drain_tasks.append(
-                        graph.add_task(
-                            ("drain", node.id, index, p),
-                            fn=fn,
-                            deps=self.narrow_deps(parent, p),
+                def make_drain(p, index=index, parent=parent, drained=drained,
+                               drain_seconds=drain_seconds):
+                    def fn():
+                        records, drain_seconds[p] = node._drain_partition(
+                            parent, index, p
                         )
+                        drained.put(p, records)
+
+                    return fn
+
+                drain_tasks = [
+                    graph.add_task(
+                        ("drain", node.id, index, p),
+                        fn=make_drain(p),
+                        deps=self.narrow_deps(parent, p),
                     )
+                    for p in range(count)
+                ]
 
                 def drained_hook(
-                    count=parent.num_partitions, drain_seconds=drain_seconds
+                    count=count, drain_seconds=drain_seconds, drained=drained
                 ):
                     metrics.record_stage(count, list(drain_seconds))
+                    blocks.prefetch_namespace(drained.owner)
 
                 stats_deps.append(
                     graph.add_task(
@@ -663,170 +816,154 @@ class _JobCompiler:
                         on_complete=drained_hook,
                     )
                 )
-                bucket_tasks: Optional[list[Task]] = drain_tasks
+                parent_buckets.append(drained)
+                bucket_tasks.append(drain_tasks)
+                continue
+            opt_in = node._reuse_opt_in or parent._reuse_opt_in
+            reused = blocks.lookup_shuffle(
+                parent.id, node.partitioner, None, opt_in=opt_in
+            )
+            if reused is not None:
+                node._parent_stats[index] = getattr(reused, "stats", None)
+                blocks.prefetch_namespace(reused.owner)
+                parent_buckets.append(reused)
+                bucket_tasks.append(None)
+                continue
+            label = f"{node.id}.{index}"
+            pshuffle = self._new_shuffle(blocks, node.partitioner, None, label)
+            buckets = self._new_output(blocks, f"out/{label}", num_parts)
 
-                def bucket_of(p, records_store=records_store):
-                    return records_store[p]
+            def make_map(m, pshuffle=pshuffle, parent=parent):
+                def fn():
+                    pshuffle.run_map_slot((m, 0), parent.iterator(m), m)
 
-            else:
-                opt_in = node._reuse_opt_in or parent._reuse_opt_in
-                reused = blocks.lookup_shuffle(
-                    parent.id, node.partitioner, None, opt_in=opt_in
+                return fn
+
+            map_tasks = [
+                graph.add_task(
+                    ("map", node.id, index, m),
+                    fn=make_map(m),
+                    deps=self.narrow_deps(parent, m),
                 )
-                if reused is not None:
-                    node._parent_stats[index] = getattr(reused, "stats", None)
-                    bucket_tasks = None
+                for m in range(parent.num_partitions)
+            ]
 
-                    def bucket_of(p, reused=reused):
-                        return reused[p]
-
+            def shuffled_hook(
+                pshuffle=pshuffle, index=index, parent=parent,
+                opt_in=opt_in, buckets=buckets, label=label,
+            ):
+                stats = pshuffle.finish_map_phase()
+                node._parent_stats[index] = buckets.stats = stats
+                for r in range(num_parts):
+                    buckets.put(r, pshuffle.read_bucket(r))
+                if blocks.register_shuffle(
+                    parent.id, node.partitioner, None, buckets, opt_in=opt_in
+                ):
+                    self._keep(f"out/{label}")
                 else:
-                    pshuffle = Shuffle(
-                        metrics, runner, node.partitioner, None,
-                        stage_label=f"{node.id}.{index}",
-                    )
-                    map_tasks = []
-                    for m in range(parent.num_partitions):
+                    scratch.append(f"out/{label}")
+                    blocks.prefetch_namespace(buckets.owner)
 
-                        def fn(m=m, pshuffle=pshuffle, parent=parent):
-                            pshuffle.run_map_slot((m, 0), parent.iterator(m), m)
+            maps_done = graph.add_task(
+                ("maps-done", node.id, index),
+                deps=map_tasks,
+                on_complete=shuffled_hook,
+            )
+            stats_deps.append(maps_done)
+            parent_buckets.append(buckets)
+            # A reduce bucket concatenates every map slot, so one
+            # barrier task guards all of this parent's buckets.
+            bucket_tasks.append([maps_done] * num_parts)
 
-                        map_tasks.append(
-                            graph.add_task(
-                                ("map", node.id, index, m),
-                                fn=fn,
-                                deps=self.narrow_deps(parent, m),
-                            )
-                        )
-                    buckets_store: dict = {}
+        merge_seconds = [0.0] * num_parts
 
-                    def shuffled_hook(
-                        pshuffle=pshuffle, index=index, parent=parent,
-                        opt_in=opt_in, buckets_store=buckets_store,
-                    ):
-                        stats = pshuffle.finish_map_phase()
-                        buckets = ListOutput(
-                            (pshuffle.read_bucket(r) for r in range(num_parts)),
-                            stats,
-                        )
-                        buckets_store["buckets"] = buckets
-                        node._parent_stats[index] = stats
-                        blocks.register_shuffle(
-                            parent.id, node.partitioner, None, buckets,
-                            opt_in=opt_in,
-                        )
-
-                    maps_done = graph.add_task(
-                        ("maps-done", node.id, index),
-                        deps=map_tasks,
-                        on_complete=shuffled_hook,
-                    )
-                    stats_deps.append(maps_done)
-                    # A reduce bucket concatenates every map slot, so one
-                    # barrier task guards all of this parent's buckets.
-                    bucket_tasks = [maps_done] * num_parts
-
-                    def bucket_of(p, buckets_store=buckets_store):
-                        return buckets_store["buckets"][p]
-
-            merges = []
-            for p in range(num_parts):
-                deps: list[Task] = []
-                if bucket_tasks is not None:
-                    deps.append(bucket_tasks[p])
-                if prev_merges is not None:
-                    deps.append(prev_merges[p])
-                last = index == arity - 1
-
-                def fn(p=p, index=index, bucket_of=bucket_of, last=last):
-                    with metrics.task_timer() as timer:
+        def make_merge(p):
+            def fn():
+                with metrics.task_timer() as timer:
+                    table: dict[Any, tuple[list, ...]] = {}
+                    for index in range(arity):
                         runner.fault_point(f"merge:{node.id}", p)
                         merge_cogroup_bucket(
-                            grouped[p], bucket_of(p), index, arity
+                            table, parent_buckets[index][p], index, arity
                         )
-                    merge_seconds[p] += timer.own_seconds
-                    if last:
-                        node._pipeline_fill(p, list(grouped[p].items()))
-                        grouped[p] = None
+                output.put(p, list(table.items()))
+                merge_seconds[p] = timer.own_seconds
 
-                merges.append(
-                    graph.add_task(
-                        ("merge", node.id, index, p), fn=fn, deps=deps
-                    )
-                )
-            prev_merges = merges
+            return fn
 
-        last_merges = prev_merges
+        merges = [
+            graph.add_task(
+                ("merge", node.id, p),
+                fn=make_merge(p),
+                deps=[tasks[p] for tasks in bucket_tasks if tasks is not None],
+            )
+            for p in range(num_parts)
+        ]
 
         def merges_done_hook():
             metrics.record_stage(num_parts, list(merge_seconds))
-            node._pipeline_promote(node._pipeline_slots)
+            for scratch_owner in scratch:
+                self._drop(scratch_owner)
+            self._finish(node)
 
         graph.add_task(
-            ("merges-done", node.id),
-            deps=last_merges,
-            on_complete=merges_done_hook,
+            ("merges-done", node.id), deps=merges, on_complete=merges_done_hook
         )
         stats_task = graph.add_task(("stats", node.id), deps=stats_deps)
-
-        def stats_accessor():
-            combined = None
-            for stats in node._parent_stats:
-                if stats is None:
-                    return None
-                combined = (
-                    stats if combined is None else combined.merged_with(stats)
-                )
-            return combined
-
-        self.builds[id(node)] = _WideBuild(
-            last_merges, stats_task, stats_accessor, has_stats=not any_local
-        )
+        self._begin(node, _WideBuild(
+            node, output, merges, stats_task, node._combined_statistics,
+            has_stats=not any_local,
+        ))
 
     # -- narrow dependency resolution -----------------------------------
 
-    def narrow_deps(self, node, split: int, acc: Optional[list] = None) -> list:
+    def narrow_deps(self, node, split: int) -> tuple:
         """Tasks that must land before partition ``split`` of ``node``
         can be computed, following the same per-partition wiring the
-        narrow ``compute`` methods use."""
-        from .rdd import (
-            CartesianRDD, CoGroupedRDD, MapPartitionsRDD,
-            ParallelCollectionRDD, ShuffledRDD, UnionRDD,
-        )
+        narrow ``compute`` methods use.
 
-        if acc is None:
-            acc = []
+        Nothing in flight means nothing to wait for, whatever the
+        lineage looks like; otherwise each ``(node, split)`` is resolved
+        once per compile, however many consumers share the chain.
+        """
+        if not self.builds:
+            return ()
+        key = (id(node), split)
+        deps = self._deps.get(key)
+        if deps is None:
+            deps = self._deps[key] = self._resolve_deps(node, split)
+        return deps
+
+    def _resolve_deps(self, node, split: int) -> tuple:
         build = self.builds.get(id(node))
         if build is not None:
-            acc.append(build.out_tasks[split])
-            return acc
-        if isinstance(node, (ShuffledRDD, CoGroupedRDD)):
-            return acc  # materialized, reused, or cached: a leaf
-        if node._cached and node.ctx.block_manager.contains_all(
-            node.id, node.num_partitions
+            return (build.out_tasks[split],)
+        if id(node) in self._leaves or isinstance(
+            node, (ShuffledRDD, CoGroupedRDD)
         ):
-            return acc
+            return ()  # cached, materialized or reused: a leaf
         if isinstance(node, MapPartitionsRDD):
-            return self.narrow_deps(node._parent, split, acc)
+            return self.narrow_deps(node._parent, split)
         if isinstance(node, UnionRDD):
             for parent in node._parents:
                 if split < parent.num_partitions:
-                    return self.narrow_deps(parent, split, acc)
+                    return self.narrow_deps(parent, split)
                 split -= parent.num_partitions
-            return acc
+            return ()
         if isinstance(node, CartesianRDD):
             left_split, right_split = divmod(
                 split, node._right.num_partitions
             )
-            self.narrow_deps(node._left, left_split, acc)
-            return self.narrow_deps(node._right, right_split, acc)
-        if isinstance(node, ParallelCollectionRDD) or not node.dependencies:
-            return acc
+            return (
+                self.narrow_deps(node._left, left_split)
+                + self.narrow_deps(node._right, right_split)
+            )
         # Unknown narrow subclass: the partition mapping is opaque, so
         # depend conservatively on every output partition of every
-        # in-flight wide node beneath it.
+        # in-flight wide node beneath it (a source has none).
+        acc: list = []
         self._all_wide_deps(node, acc, set())
-        return acc
+        return tuple(acc)
 
     def _all_wide_deps(self, node, acc: list, seen: set[int]) -> None:
         if id(node) in seen:

@@ -100,9 +100,9 @@ class QueryService:
     The service owns the substrate (via a loader
     :class:`~repro.core.session.SacSession` whose view hosts the shared
     datasets) and creates one labeled session per tenant on first use.
-    Tenant sessions inherit the loader's adaptive/pipeline flags, so
-    every lineage over the shared datasets executes under one uniform
-    policy — per-tenant *data* is still isolated by tenant-labeled
+    Tenant sessions inherit the loader's adaptive flag (and share its
+    runner), so every lineage over the shared datasets executes under
+    one uniform policy — per-tenant *data* is still isolated by tenant-labeled
     block namespaces and global RDD ids.
     """
 
@@ -115,7 +115,6 @@ class QueryService:
         max_concurrent: Optional[int] = None,
         quota: Optional[int | str] = None,
         memory_limit: Optional[int | str] = None,
-        pipeline: Optional[bool] = None,
         adaptive: Optional[bool] = None,
         engine: Optional[EngineContext] = None,
     ):
@@ -139,7 +138,6 @@ class QueryService:
                     env_flag("REPRO_ADAPTIVE", True)
                     if adaptive is None else adaptive
                 ),
-                pipeline=pipeline,
                 max_concurrent_jobs=max_concurrent,
             )
         self.loader = SacSession(
@@ -578,8 +576,9 @@ def serve_main(argv: Optional[list[str]] = None) -> int:
         help="substrate memory cap with spill-to-disk, e.g. 256M",
     )
     parser.add_argument(
-        "--pipeline", action="store_true", default=None,
-        help="force task-graph (pipelined) execution for served queries",
+        "--pipeline", action="store_true",
+        help="run served queries on the threaded runner (tasks fire as "
+        "their inputs land instead of one at a time)",
     )
     parser.add_argument(
         "--demo", type=int, metavar="N", default=None,
@@ -603,7 +602,7 @@ def serve_main(argv: Optional[list[str]] = None) -> int:
         max_concurrent=args.max_concurrent,
         quota=args.quota,
         memory_limit=args.memory_limit,
-        pipeline=args.pipeline,
+        runner="threads" if args.pipeline else None,
     )
     if args.replay is not None:
         workloads = demo_workload(

@@ -146,9 +146,14 @@ def test_cli_metrics_json(data_file, capsys):
         assert hist["p50_seconds"] <= hist["p95_seconds"] <= hist["max_seconds"]
 
 
-def test_cli_pipeline_flag_matches_staged(data_file, tmp_path, capsys):
+def test_cli_pipeline_flag_matches_staged(
+    data_file, tmp_path, capsys, monkeypatch
+):
+    """``--pipeline`` is the threaded runner: same result and counters as
+    the default serial walk, and ``pipeline`` reports which one ran."""
     import json
 
+    monkeypatch.delenv("REPRO_RUNNER", raising=False)
     query = "tiled_vector(n)[ (i, +/m) | ((i,j),m) <- A, group by i ]"
     args = [
         query,

@@ -37,11 +37,10 @@ tile_sizes = st.integers(min_value=1, max_value=9)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def make_session(tile_size, fusion, runner=None, pipeline=None):
+def make_session(tile_size, fusion, runner=None):
     return SacSession(
         cluster=TINY_CLUSTER, tile_size=tile_size,
-        options=PlannerOptions(fusion=fusion),
-        runner=runner, pipeline=pipeline,
+        options=PlannerOptions(fusion=fusion), runner=runner,
     )
 
 
@@ -49,11 +48,11 @@ def random_matrix(rows, cols, seed):
     return np.random.default_rng(seed).uniform(-5, 5, size=(rows, cols))
 
 
-def _run_both(query, env_of, tile, runner=None, pipeline=None):
+def _run_both(query, env_of, tile, runner=None):
     """Run ``query`` fused and interpreted; return both ndarrays."""
     results = []
     for fusion in (True, False):
-        session = make_session(tile, fusion, runner=runner, pipeline=pipeline)
+        session = make_session(tile, fusion, runner=runner)
         results.append(session.run(query, env_of(session)).to_numpy())
     return results
 
@@ -143,14 +142,10 @@ def test_vector_chain_byte_identical(n, tile, seed, head):
 
 
 # ----------------------------------------------------------------------
-# Runner matrix: serial/threaded × staged/pipelined
+# Runner matrix: serial/threaded
 # ----------------------------------------------------------------------
 
-RUNNER_MATRIX = [
-    ("serial-staged", None, None),
-    ("threads-staged", "threads", None),
-    ("threads-pipelined", "pipelined", True),
-]
+RUNNER_MATRIX = [None, "threads"]
 
 MATRIX_QUERIES = [
     "tiled(n,m)[ ((i,j),2.0*v+1.0) | ((i,j),v) <- M, i != j ]",
@@ -162,11 +157,8 @@ MATRIX_QUERIES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "label,runner,pipeline", RUNNER_MATRIX, ids=[r[0] for r in RUNNER_MATRIX]
-)
 @pytest.mark.parametrize("query", MATRIX_QUERIES)
-def test_runner_matrix_byte_identical(label, runner, pipeline, query):
+def test_runner_matrix_byte_identical(query):
     n, m, tile = 23, 17, 6
     left = random_matrix(n, m, 11)
     right = random_matrix(n, m, 12)
@@ -176,10 +168,9 @@ def test_runner_matrix_byte_identical(label, runner, pipeline, query):
             M=session.tiled(left), N2=session.tiled(right), n=n, m=m
         )
 
-    fused, interpreted = _run_both(
-        query, env_of, tile, runner=runner, pipeline=pipeline
-    )
-    assert np.array_equal(fused, interpreted)
+    for runner in RUNNER_MATRIX:
+        fused, interpreted = _run_both(query, env_of, tile, runner=runner)
+        assert np.array_equal(fused, interpreted), runner
 
 
 # ----------------------------------------------------------------------

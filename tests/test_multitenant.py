@@ -6,7 +6,7 @@ shared :class:`~repro.engine.EngineSubstrate`.  These tests pin the
 contract:
 
 * per-view flags never leak (the S1 regression: attaching a session to
-  an engine used to mutate that engine's adaptive/pipeline in place),
+  an engine used to mutate that engine's adaptive flag in place),
 * N sessions on one substrate compute byte-identical results to N
   isolated sessions (the differential isolation bar),
 * a tenant at its quota evicts its *own* blocks and cannot push another
@@ -33,10 +33,7 @@ from repro.engine import (
 )
 from repro.engine.serialization import RecordSizeAccountant
 
-MULTIPLY = (
-    "tiled(n,m)[ ((i,j),+/v) | ((i,k),a) <- A, ((kk,j),b) <- B,"
-    " kk == k, let v = a*b, group by (i,j) ]"
-)
+from .test_pipelined_scheduler import MULTIPLY
 
 
 # ----------------------------------------------------------------------
@@ -45,18 +42,14 @@ MULTIPLY = (
 
 
 def test_sessions_do_not_mutate_shared_engine_flags():
-    engine = EngineContext(cluster=TINY_CLUSTER, adaptive=True, pipeline=False)
-    s_off = SacSession(engine=engine, adaptive=False, pipeline=True)
-    s_on = SacSession(engine=engine, adaptive=True, pipeline=False)
-    # Each session got its own view with its own flags...
+    engine = EngineContext(cluster=TINY_CLUSTER, adaptive=True)
+    s_off = SacSession(engine=engine, adaptive=False)
+    s_on = SacSession(engine=engine, adaptive=True)
+    # Each session got its own view with its own flag...
     assert s_off.engine.adaptive.enabled is False
-    assert s_off.engine.pipeline is True
     assert s_on.engine.adaptive.enabled is True
-    assert s_on.engine.pipeline is False
     # ...and the original engine is untouched (the old code flipped it).
     assert engine.adaptive.enabled is True
-    assert engine.pipeline is False
-    assert engine.scheduler.pipeline is False
     engine.close()
 
 

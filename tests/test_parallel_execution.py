@@ -6,7 +6,7 @@ shuffles, shuffle records, shuffle bytes — and every computed result is
 identical to the serial runner's.  These tests pin that down on the
 paper's two benchmark shapes (tile addition and both multiplication
 plans) plus the MLlib workalike, and cover the execution machinery
-itself: the persistent pool, nested-stage inlining, accumulator
+itself: the persistent pool, nested-graph inlining, accumulator
 atomicity, and context shutdown.
 """
 
@@ -28,23 +28,7 @@ from repro.engine import (
 from repro.mllib import BlockMatrix
 from repro.workloads import dense_uniform
 
-MULTIPLY = (
-    "tiled(n,m)[ ((i,j),+/v) | ((i,k),a) <- A, ((kk,j),b) <- B,"
-    " kk == k, let v = a*b, group by (i,j) ]"
-)
-
-ADD = "tiled(n,m)[ ((i,j), a + b) | ((i,j),a) <- A, ((ii,jj),b) <- B, ii == i, jj == j ]"
-
-
-def _counters(metrics):
-    total = metrics.total
-    return {
-        "stages": total.stages,
-        "tasks": total.tasks,
-        "shuffles": total.shuffles,
-        "shuffle_records": total.shuffle_records,
-        "shuffle_bytes": total.shuffle_bytes,
-    }
+from .test_pipelined_scheduler import ADD, MULTIPLY, _counters, _run_flat
 
 
 # ----------------------------------------------------------------------
@@ -94,10 +78,10 @@ def test_threaded_runner_rejects_nonpositive_workers():
 def test_threaded_pool_is_persistent_across_stages():
     runner = ThreadedTaskRunner(max_workers=2)
     try:
-        runner.run_stage([lambda: 1, lambda: 2])
+        _run_flat(runner, [lambda: 1, lambda: 2])
         first_pool = runner._pool
         assert first_pool is not None
-        runner.run_stage([lambda: 3, lambda: 4])
+        _run_flat(runner, [lambda: 3, lambda: 4])
         assert runner._pool is first_pool
     finally:
         runner.close()
@@ -106,11 +90,11 @@ def test_threaded_pool_is_persistent_across_stages():
 
 def test_threaded_runner_close_is_idempotent():
     runner = ThreadedTaskRunner(max_workers=2)
-    runner.run_stage([lambda: 1, lambda: 2])
+    _run_flat(runner, [lambda: 1, lambda: 2])
     runner.close()
     runner.close()
     # The runner stays usable: a new pool is spawned lazily.
-    assert runner.run_stage([lambda: 5, lambda: 6]) == [5, 6]
+    assert _run_flat(runner, [lambda: 5, lambda: 6]) == [5, 6]
     runner.close()
 
 
@@ -118,33 +102,35 @@ def test_threaded_runner_preserves_task_order():
     runner = ThreadedTaskRunner(max_workers=4)
     try:
         tasks = [lambda i=i: i * i for i in range(50)]
-        assert runner.run_stage(tasks) == [i * i for i in range(50)]
+        assert _run_flat(runner, tasks) == [i * i for i in range(50)]
     finally:
         runner.close()
 
 
 def test_nested_stage_from_worker_runs_inline_without_deadlock():
-    """A stage submitted from inside a pool worker must not re-enter the
-    pool: with more nested stages than workers that would deadlock."""
+    """A graph handed over from inside a pool worker must not re-enter
+    the pool: with more nested graphs than workers that would deadlock."""
     runner = ThreadedTaskRunner(max_workers=2)
 
     def outer(i):
-        inner = runner.run_stage([lambda j=j: (i, j) for j in range(3)])
+        inner = _run_flat(runner, [lambda j=j: (i, j) for j in range(3)])
         assert threading.current_thread().name.startswith("repro-executor")
         return inner
 
     try:
-        results = runner.run_stage([lambda i=i: outer(i) for i in range(8)])
+        results = _run_flat(runner, [lambda i=i: outer(i) for i in range(8)])
         assert results == [[(i, j) for j in range(3)] for i in range(8)]
     finally:
         runner.close()
 
 
 def test_single_task_stage_runs_on_calling_thread():
-    runner = ThreadedTaskRunner(max_workers=4)
+    """One worker means no pool: the graph is walked by the caller."""
+    runner = ThreadedTaskRunner(max_workers=1)
     try:
-        names = runner.run_stage([lambda: threading.current_thread().name])
-        assert names == [threading.current_thread().name]
+        names = _run_flat(runner, [lambda: threading.current_thread().name] * 3)
+        assert names == [threading.current_thread().name] * 3
+        assert runner._pool is None
     finally:
         runner.close()
 
@@ -180,60 +166,56 @@ def test_accumulator_add_is_atomic_under_threaded_runner():
 # ----------------------------------------------------------------------
 
 
-def _session(runner, group_by_join):
-    return SacSession(
-        tile_size=25,
-        runner=runner,
-        options=PlannerOptions(group_by_join=group_by_join),
-    )
+def _compare_arms(query, a, b, arms):
+    """``query`` over tiled ``a``/``b``, one session per arm (``SacSession``
+    keyword arguments): the outputs must be bitwise equal and the query's
+    counters identical.  Returns them, and each arm's adaptive decisions."""
+    n = a.shape[0]
+    outputs, counters, decisions = [], [], []
+    for kwargs in arms:
+        with SacSession(tile_size=25, **kwargs) as session:
+            A = session.tiled(a).materialize()
+            B = session.tiled(b).materialize()
+            snapshot = session.metrics_snapshot()
+            result = session.run(query, A=A, B=B, n=n, m=n).to_numpy()
+            delta = session.metrics_delta(snapshot)
+        outputs.append(result)
+        counters.append(
+            (delta.stages, delta.tasks, delta.shuffles,
+             delta.shuffle_records, delta.shuffle_bytes)
+        )
+        decisions.append(delta.adaptive_decisions)
+    np.testing.assert_array_equal(outputs[0], outputs[1])
+    assert counters[0] == counters[1]
+    return outputs[0], counters[0], decisions
+
+
+def _both_runners(group_by_join):
+    options = PlannerOptions(group_by_join=group_by_join)
+    return [
+        dict(runner=SerialTaskRunner(), options=options),
+        dict(runner=ThreadedTaskRunner(max_workers=4), options=options),
+    ]
 
 
 @pytest.mark.parametrize("group_by_join", [False, True])
 def test_multiplication_parity_serial_vs_threaded(group_by_join):
     """fig4b shape: both SAC plans give identical bytes and results."""
-    n = 75
-    a = dense_uniform(n, n, seed=1)
-    b = dense_uniform(n, n, seed=2)
-    outputs, counters = [], []
-    for runner in [SerialTaskRunner(), ThreadedTaskRunner(max_workers=4)]:
-        with _session(runner, group_by_join) as session:
-            A = session.tiled(a).materialize()
-            B = session.tiled(b).materialize()
-            snapshot = session.metrics_snapshot()
-            result = session.run(MULTIPLY, A=A, B=B, n=n, m=n).to_numpy()
-            delta = session.metrics_delta(snapshot)
-        outputs.append(result)
-        counters.append(
-            (delta.stages, delta.tasks, delta.shuffles,
-             delta.shuffle_records, delta.shuffle_bytes)
-        )
-    np.testing.assert_array_equal(outputs[0], outputs[1])
-    np.testing.assert_allclose(outputs[0], a @ b)
-    assert counters[0] == counters[1]
-    assert counters[0][4] > 0  # the plans really shuffled
+    a = dense_uniform(75, 75, seed=1)
+    b = dense_uniform(75, 75, seed=2)
+    output, counters, _ = _compare_arms(
+        MULTIPLY, a, b, _both_runners(group_by_join)
+    )
+    np.testing.assert_allclose(output, a @ b)
+    assert counters[4] > 0  # the plans really shuffled
 
 
 def test_addition_parity_serial_vs_threaded():
     """fig4a shape: element-wise addition of co-tiled matrices."""
-    n = 60
-    a = dense_uniform(n, n, seed=3)
-    b = dense_uniform(n, n, seed=4)
-    outputs, counters = [], []
-    for runner in [SerialTaskRunner(), ThreadedTaskRunner(max_workers=4)]:
-        with _session(runner, True) as session:
-            A = session.tiled(a).materialize()
-            B = session.tiled(b).materialize()
-            snapshot = session.metrics_snapshot()
-            result = session.run(ADD, A=A, B=B, n=n, m=n).to_numpy()
-            delta = session.metrics_delta(snapshot)
-        outputs.append(result)
-        counters.append(
-            (delta.stages, delta.tasks, delta.shuffles,
-             delta.shuffle_records, delta.shuffle_bytes)
-        )
-    np.testing.assert_array_equal(outputs[0], outputs[1])
-    np.testing.assert_allclose(outputs[0], a + b)
-    assert counters[0] == counters[1]
+    a = dense_uniform(60, 60, seed=3)
+    b = dense_uniform(60, 60, seed=4)
+    output, _, _ = _compare_arms(ADD, a, b, _both_runners(True))
+    np.testing.assert_allclose(output, a + b)
 
 
 def test_mllib_multiply_parity_serial_vs_threaded():
@@ -334,25 +316,12 @@ def test_adaptive_flag_counter_parity():
     engine takes no action: every counter matches the adaptive-off run
     (which is the seed engine's exact code path), and the off run records
     no decisions."""
-    n = 75
-    a = dense_uniform(n, n, seed=11)
-    b = dense_uniform(n, n, seed=12)
-    outputs, counters, decisions = [], [], []
-    for adaptive in (False, True):
-        with SacSession(
-            tile_size=25, runner=SerialTaskRunner(),
-            options=PlannerOptions(group_by_join=False), adaptive=adaptive,
-        ) as session:
-            A = session.tiled(a).materialize()
-            B = session.tiled(b).materialize()
-            snapshot = session.metrics_snapshot()
-            result = session.run(MULTIPLY, A=A, B=B, n=n, m=n).to_numpy()
-            delta = session.metrics_delta(snapshot)
-        outputs.append(result)
-        counters.append((delta.stages, delta.tasks, delta.shuffles,
-                         delta.shuffle_records, delta.shuffle_bytes))
-        decisions.append(delta.adaptive_decisions)
-    np.testing.assert_array_equal(outputs[0], outputs[1])
-    np.testing.assert_allclose(outputs[0], a @ b)
-    assert counters[0] == counters[1]
+    a = dense_uniform(75, 75, seed=11)
+    b = dense_uniform(75, 75, seed=12)
+    output, _, decisions = _compare_arms(MULTIPLY, a, b, [
+        dict(runner=SerialTaskRunner(), adaptive=adaptive,
+             options=PlannerOptions(group_by_join=False))
+        for adaptive in (False, True)
+    ])
+    np.testing.assert_allclose(output, a @ b)
     assert decisions == [[], []]

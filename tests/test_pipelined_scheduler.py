@@ -1,22 +1,28 @@
-"""Task-level pipelined scheduling: graph mechanics, parity, faults.
+"""Task-graph scheduling: graph mechanics, frozen counters, faults.
 
-Three layers of coverage:
+Four layers of coverage:
 
 * :class:`~repro.engine.taskgraph.TaskGraph` mechanics — edges,
   starters/terminators, dynamic extension from completion hooks,
-  virtual dependencies, deadlock detection.
-* Parity — pipelined execution must return the same results *and*
-  identical stage/task/shuffle counters as the staged scheduler across
-  the paper's query shapes, under both serial and threaded runners; and
-  ``pipeline=False`` must keep the staged path byte-identical whatever
-  runner is installed.
+  virtual dependencies, deadlock detection — and the job compiler's
+  cost (one leaf decision per lineage node, no edges without a wide
+  node in flight).
+* Frozen behaviour — the engine used to have a second, staged job
+  driver, and these shapes pinned the two equal.  The staged driver's
+  counters (and the skewed job's result and adaptive decisions) were
+  recorded before it was deleted; the serial walk and the threaded
+  runner must both reproduce them, and each other's results byte for
+  byte.
 * Fault injection and retries — deterministic delays/failures via
   :meth:`TaskRunner.inject_delay` / :meth:`inject_failure`, bounded
-  retry accounting, and the threaded runner's cancel-on-failure
-  behavior.
+  retry accounting, a transient failure at every stage kind and a fatal
+  one at the map stage of every golden shape, and the threaded runner's
+  stop-on-failure behavior.
+* Metrics — histograms, straggler ratio, critical path.
 """
 
 import gc
+import sys
 import threading
 import time
 import weakref
@@ -32,11 +38,11 @@ from repro.engine import (
     EngineContext,
     InjectedFatalTaskError,
     InjectedTaskFailure,
-    PipelinedTaskRunner,
     SerialTaskRunner,
     TaskGraph,
     ThreadedTaskRunner,
 )
+from repro.engine.block_manager import BlockManager
 from repro.linalg.factorization import sac_factorization_step
 from repro.planner.planner import PlannerOptions
 
@@ -64,15 +70,38 @@ R_30x30 = RNG.uniform(size=(30, 30))
 P_30x10 = np.full((30, 10), 0.1)
 
 
+COUNTER_NAMES = (
+    "stages", "tasks", "shuffles", "shuffle_records", "shuffle_bytes",
+    "task_retries",
+)
+
+
 def _counters(metrics):
-    total = metrics.total
-    return {
-        "stages": total.stages,
-        "tasks": total.tasks,
-        "shuffles": total.shuffles,
-        "shuffle_records": total.shuffle_records,
-        "shuffle_bytes": total.shuffle_bytes,
-    }
+    return {name: getattr(metrics.total, name) for name in COUNTER_NAMES}
+
+
+def _threaded():
+    return ThreadedTaskRunner(max_workers=4)
+
+
+def _held(blocks):
+    """Everything the block manager and its spill store hold for wide
+    nodes and shuffles (cached RDD partitions aside)."""
+    store = blocks.spill_store
+    return (
+        sorted(
+            key for key in set(blocks._blocks) | set(blocks._spilled)
+            if not key[0].startswith("rdd/")
+        ),
+        sorted(store.list("shufmap/")) if store is not None else [],
+    )
+
+
+#: ``staged`` is the serial walk of a job's task graph, ``pipelined`` the
+#: threaded runner (what ``engine.pipeline`` and ``--pipeline`` mean).
+RUNNERS = pytest.mark.parametrize(
+    "runner_factory", [SerialTaskRunner, _threaded], ids=["staged", "pipelined"]
+)
 
 
 # ----------------------------------------------------------------------
@@ -146,26 +175,78 @@ def test_task_graph_detects_stuck_tasks():
         SerialTaskRunner().run_graph(graph)
 
 
-def test_pipelined_runner_rejects_bad_inflight():
-    with pytest.raises(ValueError, match="max_inflight"):
-        PipelinedTaskRunner(max_workers=2, max_inflight=0)
+def test_graph_compile_decides_leaves_once_and_adds_no_edges(monkeypatch):
+    """Compiling a job is O(lineage + tasks): whether a node is a leaf is
+    asked of the block manager once per node, not once per partition per
+    chain step, and with nothing in flight the graph is a flat list."""
+    leaf_checks = []
+    compiles = []
+    contains_all = BlockManager.contains_all
+    compile_graph = taskgraph_module.compile_job_graph
+
+    def counted_contains_all(self, rdd_id, num_splits):
+        leaf_checks.append(rdd_id)
+        return contains_all(self, rdd_id, num_splits)
+
+    def tracked_compile(*args):
+        first = len(leaf_checks)
+        job = compile_graph(*args)
+        edges = sum(len(t.parent_keys) for t in job.graph.tasks.values())
+        compiles.append((leaf_checks[first:], len(job.result_tasks), edges))
+        return job
+
+    monkeypatch.setattr(BlockManager, "contains_all", counted_contains_all)
+    monkeypatch.setattr(taskgraph_module, "compile_job_graph", tracked_compile)
+    smooth = "tiled(n,m)[ ((i,j),0.5*v+0.1*v*v) | ((i,j),v) <- X ]"
+    with SacSession(tile_size=4, runner=SerialTaskRunner()) as session:
+        x = session.tiled(RNG.uniform(size=(48, 48))).materialize()
+        for _step in range(3):
+            x = session.run(smooth, X=x, n=48, m=48).materialize()
+        x.to_numpy()
+    assert max(tasks for _checks, tasks, _edges in compiles) == 88
+    for checks, _tasks, edges in compiles:
+        assert len(checks) == len(set(checks))
+        assert edges == 0
 
 
 # ----------------------------------------------------------------------
-# Parity: pipelined == staged, results and counters
+# Frozen behaviour: what the staged driver recorded, both runners
 # ----------------------------------------------------------------------
+
+#: ``COUNTER_NAMES`` of each golden shape, recorded on commit 325e019
+#: from the staged scheduler under the serial runner — ``task_retries``,
+#: 0 in every run, left off.  The static and the adaptive arm recorded
+#: the same numbers for every shape.
+GOLDEN_COUNTERS = {
+    "multiply-gbj-on": (4, 16, 2, 36, 30744),
+    "multiply-gbj-off": (6, 24, 3, 30, 25788),
+    "add": (4, 16, 2, 12, 10140),
+    "transpose": (1, 4, 0, 0, 0),
+    "smoothing": (9, 36, 5, 2404, 226136),
+    "row-sums": (3, 12, 1, 5, 590),
+    "factorization": (22, 72, 9, 57, 48138),
+}
+
+#: ``_skewed_pipeline`` on the same commit and arm (adaptive on).
+SKEW_RESULT = sorted(
+    [(8 * k, 120) for k in range(2000)] + [(k, 1) for k in range(1, 8)]
+)
+SKEW_COUNTERS = (5, 43, 2, 4014, 336343, 0)
+SKEW_DECISIONS = ["coalesce", "skew-split", "coalesce"]
+
+
+def _golden(name, task_retries=0):
+    return dict(zip(COUNTER_NAMES, GOLDEN_COUNTERS[name] + (task_retries,)))
+
+
+def _run_multiply(session):
+    return session.run(
+        MULTIPLY, A=session.tiled(A_30x20), B=session.tiled(B_20x30),
+        n=30, m=30,
+    ).to_numpy()
 
 
 def _golden_shapes():
-    def multiply(gbj):
-        def run(session):
-            return session.run(
-                MULTIPLY, A=session.tiled(A_30x20), B=session.tiled(B_20x30),
-                n=30, m=30,
-            ).to_numpy()
-
-        return run
-
     def simple(query, **dims):
         def run(session):
             return session.run(
@@ -185,8 +266,8 @@ def _golden_shapes():
         )
 
     return [
-        ("multiply-gbj-on", multiply(True), {"group_by_join": True}),
-        ("multiply-gbj-off", multiply(False), {"group_by_join": False}),
+        ("multiply-gbj-on", _run_multiply, {"group_by_join": True}),
+        ("multiply-gbj-off", _run_multiply, {"group_by_join": False}),
         ("add", simple(ADD, n=30, m=20), {}),
         ("transpose", simple(TRANSPOSE, n=30, m=20), {}),
         ("smoothing", simple(SMOOTH, n=30, m=20), {}),
@@ -195,58 +276,44 @@ def _golden_shapes():
     ]
 
 
-def _run_arm(run, options, adaptive, runner, pipeline):
-    session = SacSession(
+def _session(options, adaptive, runner, memory_limit=None):
+    return SacSession(
         cluster=TINY_CLUSTER, tile_size=10, options=options,
-        adaptive=adaptive, runner=runner, pipeline=pipeline,
+        adaptive=adaptive, runner=runner, memory_limit=memory_limit,
     )
-    try:
+
+
+def _run_arm(run, options, adaptive, runner, memory_limit=None):
+    """One golden shape in a fresh session: (result, counters, metrics)."""
+    with _session(options, adaptive, runner, memory_limit) as session:
         result = np.asarray(run(session))
-        return result, _counters(session.engine.metrics)
-    finally:
-        session.engine.close()
+        metrics = session.engine.metrics
+        return result, _counters(metrics), metrics.total
+
+
+GOLDEN_SHAPES = pytest.mark.parametrize(
+    "name,run,opts",
+    _golden_shapes(),
+    ids=[name for name, _run, _opts in _golden_shapes()],
+)
 
 
 @pytest.mark.parametrize("adaptive", [False, True], ids=["static", "adaptive"])
-@pytest.mark.parametrize(
-    "name,run,opts",
-    [(name, run, opts) for name, run, opts in _golden_shapes()],
-    ids=[name for name, _run, _opts in _golden_shapes()],
-)
+@GOLDEN_SHAPES
 def test_pipelined_parity_golden_shapes(name, run, opts, adaptive):
-    """Pipelined results and counters match staged, serial and threaded."""
+    """Serial walk and threaded runner both record the frozen counters
+    and return the same bytes."""
     options = PlannerOptions(**opts) if opts else None
-    base_result, base_counters = _run_arm(
-        run, options, adaptive, SerialTaskRunner(), pipeline=False
+    serial, serial_counters, _ = _run_arm(
+        run, options, adaptive, SerialTaskRunner()
     )
-    arms = [
-        ("pipelined-serial", SerialTaskRunner(), True),
-        ("staged-threaded", ThreadedTaskRunner(max_workers=4), False),
-        ("pipelined-threaded", PipelinedTaskRunner(max_workers=4), True),
-    ]
-    for arm, runner, pipeline in arms:
-        result, counters = _run_arm(run, options, adaptive, runner, pipeline)
-        np.testing.assert_array_equal(result, base_result, err_msg=arm)
-        assert counters == base_counters, f"{name}/{arm}"
-
-
-def test_pipeline_off_counters_identical_with_pipelined_runner():
-    """pipeline=False keeps the staged path whatever runner is installed."""
-
-    def run(session):
-        return session.run(
-            MULTIPLY, A=session.tiled(A_30x20), B=session.tiled(B_20x30),
-            n=30, m=30,
-        ).to_numpy()
-
-    base_result, base_counters = _run_arm(
-        run, None, False, SerialTaskRunner(), pipeline=False
+    threaded, threaded_counters, _ = _run_arm(
+        run, options, adaptive, _threaded()
     )
-    result, counters = _run_arm(
-        run, None, False, PipelinedTaskRunner(max_workers=4), pipeline=False
-    )
-    np.testing.assert_array_equal(result, base_result)
-    assert counters == base_counters
+    assert serial_counters == _golden(name)
+    assert threaded_counters == _golden(name)
+    assert serial.dtype == threaded.dtype
+    assert serial.tobytes() == threaded.tobytes()
 
 
 def _skewed_pipeline(ctx):
@@ -267,34 +334,20 @@ def _skewed_pipeline(ctx):
 
 
 @pytest.mark.parametrize(
-    "runner_factory,pipeline",
-    [
-        (SerialTaskRunner, True),
-        (lambda: PipelinedTaskRunner(max_workers=4), True),
-    ],
-    ids=["serial", "threaded"],
+    "runner_factory", [SerialTaskRunner, _threaded], ids=["serial", "threaded"]
 )
-def test_pipelined_skew_split_parity(runner_factory, pipeline):
-    """Deferred in-graph skew planning takes the same decisions as staged."""
-
-    def run(pipeline, runner):
-        ctx = EngineContext(
-            cluster=TINY_CLUSTER, runner=runner, adaptive=True,
-            pipeline=pipeline,
-        )
-        try:
-            result = _skewed_pipeline(ctx)
-            decisions = [d.kind for d in ctx.adaptive.decisions]
-            return result, _counters(ctx.metrics), decisions
-        finally:
-            ctx.close()
-
-    base = run(False, SerialTaskRunner())
-    got = run(pipeline, runner_factory())
-    assert got[0] == base[0]
-    assert got[1] == base[1]
-    assert got[2] == base[2]
-    assert "skew-split" in base[2]
+def test_pipelined_skew_split_parity(runner_factory):
+    """Skew planning deferred into the graph takes the decisions the
+    staged driver took behind its barriers."""
+    ctx = EngineContext(
+        cluster=TINY_CLUSTER, runner=runner_factory(), adaptive=True
+    )
+    try:
+        assert _skewed_pipeline(ctx) == SKEW_RESULT
+        assert _counters(ctx.metrics) == dict(zip(COUNTER_NAMES, SKEW_COUNTERS))
+        assert [d.kind for d in ctx.adaptive.decisions] == SKEW_DECISIONS
+    finally:
+        ctx.close()
 
 
 # ----------------------------------------------------------------------
@@ -311,44 +364,36 @@ def _count_job(ctx):
     )
 
 
-@pytest.mark.parametrize("pipeline", [False, True], ids=["staged", "pipelined"])
-def test_injected_delay_inflates_task_time(pipeline):
-    ctx = EngineContext(
-        cluster=TINY_CLUSTER, runner=SerialTaskRunner(), pipeline=pipeline
-    )
-    ctx.runner.inject_delay("map", 0, 0.05)
-    _count_job(ctx)
-    snapshot = ctx.metrics.snapshot()
+@RUNNERS
+def test_injected_delay_inflates_task_time(runner_factory):
+    with EngineContext(cluster=TINY_CLUSTER, runner=runner_factory()) as ctx:
+        ctx.runner.inject_delay("map", 0, 0.05)
+        _count_job(ctx)
+        snapshot = ctx.metrics.snapshot()
     histograms = snapshot.stage_histograms()
     assert max(h["max_seconds"] for h in histograms) >= 0.05
     assert snapshot.task_retries == 0
 
 
-@pytest.mark.parametrize("pipeline", [False, True], ids=["staged", "pipelined"])
-def test_transient_failure_is_retried_and_counted(pipeline):
-    ctx = EngineContext(
-        cluster=TINY_CLUSTER, runner=SerialTaskRunner(), pipeline=pipeline
-    )
-    ctx.runner.inject_failure("map", 1, times=1)
-    result = sorted(_count_job(ctx))
+@RUNNERS
+def test_transient_failure_is_retried_and_counted(runner_factory):
+    with EngineContext(cluster=TINY_CLUSTER, runner=runner_factory()) as ctx:
+        ctx.runner.inject_failure("map", 1, times=1)
+        result = sorted(_count_job(ctx))
     assert result == [(0, 16), (1, 16), (2, 16), (3, 16)]
     assert ctx.metrics.snapshot().task_retries == 1
 
 
-def test_retries_exhausted_raises(monkeypatch):
-    monkeypatch.setenv("REPRO_TASK_RETRIES", "1")
-    ctx = EngineContext(
-        cluster=TINY_CLUSTER, runner=SerialTaskRunner(), pipeline=True
-    )
+def test_retries_exhausted_raises():
+    ctx = EngineContext(cluster=TINY_CLUSTER, runner=SerialTaskRunner())
+    assert ctx.runner.max_task_retries == 1
     ctx.runner.inject_failure("map", 1, times=3)
     with pytest.raises(InjectedTaskFailure):
         _count_job(ctx)
 
 
 def test_fatal_injected_failure_is_not_retried():
-    ctx = EngineContext(
-        cluster=TINY_CLUSTER, runner=SerialTaskRunner(), pipeline=True
-    )
+    ctx = EngineContext(cluster=TINY_CLUSTER, runner=SerialTaskRunner())
     ctx.runner.inject_failure("reduce", None, times=1, transient=False)
     with pytest.raises(InjectedFatalTaskError):
         _count_job(ctx)
@@ -357,9 +402,7 @@ def test_fatal_injected_failure_is_not_retried():
 
 def test_stage_scoped_injection_matches_full_label():
     """An injection keyed ``map:<rdd id>`` hits only that shuffle's maps."""
-    ctx = EngineContext(
-        cluster=TINY_CLUSTER, runner=SerialTaskRunner(), pipeline=True
-    )
+    ctx = EngineContext(cluster=TINY_CLUSTER, runner=SerialTaskRunner())
     rdd = ctx.parallelize(range(16), 4).map(lambda x: (x % 2, 1))
     shuffled = rdd.reduce_by_key(lambda a, b: a + b)
     ctx.runner.inject_failure(f"map:{shuffled.id}", None, times=1)
@@ -378,8 +421,7 @@ def test_stage_scoped_injection_matches_full_label():
 
 def test_pipelined_task_failure_propagates_deterministically():
     """The lowest-index failing task's error surfaces from run_graph."""
-    runner = PipelinedTaskRunner(max_workers=4)
-    ctx = EngineContext(cluster=TINY_CLUSTER, runner=runner, pipeline=True)
+    ctx = EngineContext(cluster=TINY_CLUSTER, runner=_threaded())
     ctx.runner.inject_failure(
         "result", None, times=None, transient=False,
         message="boom",
@@ -389,22 +431,63 @@ def test_pipelined_task_failure_propagates_deterministically():
     ctx.close()
 
 
-def test_staged_run_after_failed_pipelined_job_recovers():
-    """A failed graph drops partial slots; a staged re-run succeeds."""
+@pytest.mark.parametrize("memory_limit", [None, 1024], ids=["uncapped", "capped"])
+def test_rerun_after_failed_job_recovers(memory_limit):
+    """A job that fails with some partitions already landed drops them
+    and leaves the node unmaterialized; a re-run succeeds."""
     ctx = EngineContext(
-        cluster=TINY_CLUSTER, runner=SerialTaskRunner(), pipeline=True
+        cluster=TINY_CLUSTER, runner=SerialTaskRunner(),
+        memory_limit=memory_limit,
     )
     rdd = (
         ctx.parallelize(range(64), 4)
         .map(lambda x: (x % 4, 1))
         .reduce_by_key(lambda a, b: a + b)
     )
-    ctx.runner.inject_failure("reduce", None, times=1, transient=False)
+    ctx.runner.inject_failure("reduce", 1, times=1, transient=False)
     with pytest.raises(InjectedFatalTaskError):
         rdd.collect()
+    assert rdd._output is None and rdd._inflight is None
+    assert _held(ctx.block_manager) == ([], [])
     ctx.runner.clear_injections()
-    ctx.scheduler.pipeline = False
     assert sorted(rdd.collect()) == [(0, 16), (1, 16), (2, 16), (3, 16)]
+    ctx.close()
+
+
+def test_concurrent_jobs_over_one_lineage_build_each_wide_node_once():
+    """Jobs racing over the same unmaterialized lineage (tenants sharing
+    a CSE plan): one job builds each wide node while the others wait at
+    its lock, so every shuffle runs — and is counted — exactly once."""
+    ctx = EngineContext(cluster=TINY_CLUSTER, runner=_threaded())
+    left = ctx.parallelize([(k % 8, k) for k in range(256)], 4)
+    right = ctx.parallelize([(k % 8, -k) for k in range(64)], 4)
+    shared = (
+        left.join(right)
+        .map(lambda kv: (kv[0] % 3, sum(kv[1])))
+        .reduce_by_key(lambda a, b: a + b)
+    )
+    outcomes = []
+
+    def client():
+        try:
+            outcomes.append(sorted(shared.collect()))
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            outcomes.append(exc)
+
+    threads = [threading.Thread(target=client) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert outcomes == [[(0, 73728), (1, 73728), (2, 49152)]] * 8
+    assert ctx.metrics.total.shuffles == 3  # the join's two sides + the reduce
+    ctx.close()
 
 
 class _WeakList(list):
@@ -430,14 +513,12 @@ def test_task_graph_and_map_buckets_die_with_the_job(monkeypatch, fail):
 
     def tracked_compile(*args):
         compiled = compile_graph(*args)
-        refs.append(weakref.ref(compiled[0]))
+        refs.append(weakref.ref(compiled.graph))
         return compiled
 
     monkeypatch.setattr(shuffle_module, "_scatter_records", tracked_scatter)
     monkeypatch.setattr(taskgraph_module, "compile_job_graph", tracked_compile)
-    ctx = EngineContext(
-        cluster=TINY_CLUSTER, runner=SerialTaskRunner(), pipeline=True
-    )
+    ctx = EngineContext(cluster=TINY_CLUSTER, runner=SerialTaskRunner())
     left = ctx.parallelize([(k % 8, k) for k in range(64)], 4)
     right = ctx.parallelize([(k % 8, -k) for k in range(32)], 4)
     job = (
@@ -462,12 +543,88 @@ def test_task_graph_and_map_buckets_die_with_the_job(monkeypatch, fail):
 
 
 # ----------------------------------------------------------------------
+# One fault sweep over the golden shapes
+# ----------------------------------------------------------------------
+
+STAGE_KINDS = ("map", "reduce", "combine", "drain", "merge", "result")
+
+
+@RUNNERS
+@GOLDEN_SHAPES
+def test_transient_failure_at_every_stage_kind(name, run, opts, runner_factory):
+    """One retried task of any kind changes nothing but ``task_retries``."""
+    options = PlannerOptions(**opts) if opts else None
+    clean = _run_arm(run, options, False, SerialTaskRunner())[0]
+    fired_kinds = set()
+    for kind in STAGE_KINDS:
+        with _session(options, False, runner_factory()) as session:
+            runner = session.engine.runner
+            runner.inject_failure(kind, 0, times=1)
+            result = np.asarray(run(session))
+            fired = 1 - runner._injections[0].remaining
+            assert result.tobytes() == clean.tobytes(), kind
+            assert _counters(session.engine.metrics) == _golden(name, fired), kind
+        if fired:
+            fired_kinds.add(kind)
+    assert "result" in fired_kinds
+    assert ("map" in fired_kinds) == (GOLDEN_COUNTERS[name][2] > 0)
+
+
+@pytest.mark.parametrize("memory_limit", [None, 4096], ids=["uncapped", "capped"])
+@RUNNERS
+@pytest.mark.parametrize(
+    "name,run,opts",
+    [shape for shape in _golden_shapes() if GOLDEN_COUNTERS[shape[0]][2]],
+    ids=[name for name, counters in GOLDEN_COUNTERS.items() if counters[2]],
+)
+def test_fatal_map_failure_leaves_nothing_behind(
+    name, run, opts, runner_factory, memory_limit
+):
+    """A job that dies in a map stage drops every partial output, scratch
+    handle and unread map bucket, and the same session then re-runs the
+    shape to the clean result."""
+    options = PlannerOptions(**opts) if opts else None
+    clean = _run_arm(run, options, False, SerialTaskRunner())[0]
+    with _session(options, False, runner_factory(), memory_limit) as session:
+        engine = session.engine
+        blocks = engine.block_manager
+        before_job = []
+        run_job = engine.scheduler.run_job
+
+        def state():
+            # Under a cap cached partitions legitimately change tiers.
+            if memory_limit:
+                return _held(blocks)
+            return _held(blocks), blocks.num_blocks, blocks.cached_bytes
+
+        def recording_run_job(*args, **kwargs):
+            before_job.append(state())
+            return run_job(*args, **kwargs)
+
+        engine.scheduler.run_job = recording_run_job
+        engine.runner.inject_failure("map", 0, times=1, transient=False)
+        with pytest.raises(InjectedFatalTaskError):
+            run(session)
+        assert state() == before_job[-1]
+        engine.runner.clear_injections()
+        assert np.asarray(run(session)).tobytes() == clean.tobytes()
+
+
+# ----------------------------------------------------------------------
 # Threaded runner error propagation (regression)
 # ----------------------------------------------------------------------
 
 
+def _run_flat(runner, bodies):
+    """Run independent task bodies as one graph; results in task order."""
+    graph = TaskGraph()
+    tasks = [graph.add_task((i,), fn=body) for i, body in enumerate(bodies)]
+    runner.run_graph(graph)
+    return [task.result for task in tasks]
+
+
 def test_threaded_stage_failure_cancels_pending_and_is_deterministic():
-    """A failing task cancels not-yet-started ones; first error wins."""
+    """A failing task stops further submissions; first error wins."""
     runner = ThreadedTaskRunner(max_workers=2)
     started = []
     lock = threading.Lock()
@@ -485,11 +642,11 @@ def test_threaded_stage_failure_cancels_pending_and_is_deterministic():
         return task
 
     with pytest.raises(ValueError, match="task 0 failed"):
-        runner.run_stage([make_task(i) for i in range(6)])
-    # Two workers: tasks 0 and 1 start; once 0 fails, 2..5 are cancelled
-    # (at most one more may have slipped in while the failure surfaced).
+        _run_flat(runner, [make_task(i) for i in range(12)])
+    # Two workers, four tasks in flight: once 0 fails nothing further is
+    # submitted, so the other eight never start.
     assert 0 in started
-    assert len(started) <= 3
+    assert len(started) <= 4
     runner.close()
 
 
@@ -504,7 +661,7 @@ def test_threaded_stage_failure_reraises_lowest_index_error():
         return task
 
     with pytest.raises(ValueError, match="task 0 failed"):
-        runner.run_stage([make_task(i) for i in range(4)])
+        _run_flat(runner, [make_task(i) for i in range(4)])
     runner.close()
 
 
@@ -514,9 +671,7 @@ def test_threaded_stage_failure_reraises_lowest_index_error():
 
 
 def test_stage_histograms_and_straggler_ratio():
-    ctx = EngineContext(
-        cluster=TINY_CLUSTER, runner=SerialTaskRunner(), pipeline=True
-    )
+    ctx = EngineContext(cluster=TINY_CLUSTER, runner=SerialTaskRunner())
     ctx.runner.inject_delay("result", 0, 0.06)
     ctx.runner.inject_delay("result", None, 0.01)
     ctx.parallelize(range(32), 8).map(lambda x: x).collect()

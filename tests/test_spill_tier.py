@@ -6,10 +6,9 @@ shuffle counters to an uncapped run — the spill tier may only change
 where bytes live, never what the engine computes or how much data it
 shuffles.  Layers of coverage:
 
-* Golden query shapes (the same seven the pipelined-scheduler parity
-  suite uses) with and without a cap the working set exceeds several
-  times over, across serial/threaded runners and staged/pipelined
-  scheduling.
+* Golden query shapes (the seven of the task-scheduler suite, pinned to
+  the same frozen counters) with and without a cap the working set
+  exceeds several times over, under the serial and the threaded runner.
 * No-cap identity: with no limit configured, no spill machinery exists
   and every spill counter is zero.
 * Fault injection: a corrupt/missing spill object degrades to lineage
@@ -40,12 +39,10 @@ from repro.engine import (
     Shuffle,
     ThreadedTaskRunner,
     TransientTaskError,
-    PipelinedTaskRunner,
     parse_memory_limit,
 )
 from repro.engine.block_manager import BlockManager, SpillLostError
 from repro.engine.rdd import CoGroupedRDD
-from repro.linalg.factorization import sac_factorization_step
 from repro.planner.planner import PlannerOptions
 from repro.storage.objectstore import (
     InMemoryStore,
@@ -54,28 +51,9 @@ from repro.storage.objectstore import (
     SpillStoreFullError,
 )
 
-RNG = np.random.default_rng(20210831)
-
-MULTIPLY = (
-    "tiled(n,m)[ ((i,j),+/v) | ((i,k),a) <- A, ((kk,j),b) <- B,"
-    " kk == k, let v = a*b, group by (i,j) ]"
+from .test_pipelined_scheduler import (
+    GOLDEN_SHAPES, _golden, _run_arm, _run_multiply,
 )
-ADD = (
-    "tiled(n,m)[ ((i,j), a + b) | ((i,j),a) <- A, ((ii,jj),b) <- B,"
-    " ii == i, jj == j ]"
-)
-TRANSPOSE = "tiled(m,n)[ ((j,i), a) | ((i,j),a) <- A ]"
-SMOOTH = (
-    "tiled(n,m)[ ((i,j), (a + b + c) / 3.0) | ((i,j),a) <- A,"
-    " ((ii,jj),b) <- A, ((iii,jjj),c) <- A, ii == i-1, jj == j,"
-    " iii == i+1, jjj == j ]"
-)
-ROW_SUMS = "tiled_vector(n)[ (i, +/m) | ((i,j),m) <- A, group by i ]"
-
-A_30x20 = RNG.uniform(size=(30, 20))
-B_20x30 = RNG.uniform(size=(20, 30))
-R_30x30 = RNG.uniform(size=(30, 30))
-P_30x10 = np.full((30, 10), 0.1)
 
 #: The memory cap for the differential arms.  The golden shapes' working
 #: sets (inputs + shuffle buckets + outputs at tile_size=10) run several
@@ -83,106 +61,30 @@ P_30x10 = np.full((30, 10), 0.1)
 CAP = 4096
 
 
-def _counters(metrics):
-    """The counters capped and uncapped runs must agree on exactly.
-
-    Cache/spill counters are intentionally excluded: a capped run evicts
-    and restores; an uncapped run does neither.
-    """
-    total = metrics.total
-    return {
-        "stages": total.stages,
-        "tasks": total.tasks,
-        "shuffles": total.shuffles,
-        "shuffle_records": total.shuffle_records,
-        "shuffle_bytes": total.shuffle_bytes,
-    }
-
-
-def _golden_shapes():
-    def multiply(gbj):
-        def run(session):
-            return session.run(
-                MULTIPLY, A=session.tiled(A_30x20), B=session.tiled(B_20x30),
-                n=30, m=30,
-            ).to_numpy()
-
-        return run
-
-    def simple(query, **dims):
-        def run(session):
-            return session.run(
-                query, A=session.tiled(A_30x20), B=session.tiled(A_30x20),
-                **dims,
-            ).to_numpy()
-
-        return run
-
-    def factorization(session):
-        state = sac_factorization_step(
-            session, session.tiled(R_30x30), session.tiled(P_30x10),
-            session.tiled(P_30x10),
-        )
-        return np.concatenate(
-            [state.p.to_numpy().ravel(), state.q.to_numpy().ravel()]
-        )
-
-    return [
-        ("multiply-gbj-on", multiply(True), {"group_by_join": True}),
-        ("multiply-gbj-off", multiply(False), {"group_by_join": False}),
-        ("add", simple(ADD, n=30, m=20), {}),
-        ("transpose", simple(TRANSPOSE, n=30, m=20), {}),
-        ("smoothing", simple(SMOOTH, n=30, m=20), {}),
-        ("row-sums", simple(ROW_SUMS, n=30), {}),
-        ("factorization", factorization, {}),
-    ]
-
-
-def _run_arm(run, options, runner, pipeline, memory_limit):
-    session = SacSession(
-        cluster=TINY_CLUSTER, tile_size=10, options=options,
-        adaptive=False, runner=runner, pipeline=pipeline,
-        memory_limit=memory_limit,
-    )
-    try:
-        result = np.asarray(run(session))
-        return result, _counters(session.engine.metrics), session.engine
-    finally:
-        session.engine.close()
-
-
 # ----------------------------------------------------------------------
-# Differential golden shapes: capped == uncapped, all runner modes
+# Differential golden shapes: capped == uncapped, both runners
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "name,run,opts",
-    [(name, run, opts) for name, run, opts in _golden_shapes()],
-    ids=[name for name, _run, _opts in _golden_shapes()],
-)
+@GOLDEN_SHAPES
 def test_capped_golden_shapes_match_uncapped(name, run, opts):
-    """One shuffle, one cogroup: results and shuffle counters are
-    identical whether or not there is a memory cap, for every
-    runner/scheduler combination."""
+    """One shuffle, one cogroup: results and shuffle counters (cache and
+    spill counters aside — a capped run evicts and restores, an uncapped
+    one does neither) are identical whether or not there is a memory
+    cap, under either runner."""
     options = PlannerOptions(**opts) if opts else None
-    base_result, base_counters, _ = _run_arm(
-        run, options, SerialTaskRunner(), pipeline=False, memory_limit=None
-    )
+    base_result = _run_arm(run, options, False, SerialTaskRunner())[0]
     for memory_limit in (None, CAP):
-        for arm, runner, pipeline in [
-            ("serial-staged", SerialTaskRunner(), False),
-            ("serial-pipelined", SerialTaskRunner(), True),
-            ("threaded-staged", ThreadedTaskRunner(max_workers=4), False),
-            ("threaded-pipelined", PipelinedTaskRunner(max_workers=4), True),
+        for arm, runner in [
+            ("serial", SerialTaskRunner()),
+            ("threaded", ThreadedTaskRunner(max_workers=4)),
         ]:
             arm = f"{name}/{'capped' if memory_limit else 'uncapped'}-{arm}"
-            result, counters, engine = _run_arm(
-                run, options, runner, pipeline, memory_limit
+            result, counters, total = _run_arm(
+                run, options, False, runner, memory_limit
             )
             np.testing.assert_array_equal(result, base_result, err_msg=arm)
-            assert counters == base_counters, arm
-            total = engine.metrics.total
+            assert counters == _golden(name), arm
             assert total.restored_bytes <= total.spilled_bytes, arm
             if memory_limit is None:
                 assert total.spilled_bytes == 0, arm
@@ -191,16 +93,7 @@ def test_capped_golden_shapes_match_uncapped(name, run, opts):
 def test_capped_multiply_actually_spills():
     """The differential suite is not vacuous: the multiply's working set
     overflows the cap, so bytes really move through the spill tier."""
-    def run(session):
-        return session.run(
-            MULTIPLY, A=session.tiled(A_30x20), B=session.tiled(B_20x30),
-            n=30, m=30,
-        ).to_numpy()
-
-    _result, _counters_, engine = _run_arm(
-        run, None, SerialTaskRunner(), pipeline=False, memory_limit=CAP
-    )
-    total = engine.metrics.total
+    total = _run_arm(_run_multiply, None, False, SerialTaskRunner(), CAP)[2]
     assert total.spilled_bytes > 0
     assert total.restored_bytes > 0
     assert total.spill_restores > 0
@@ -210,12 +103,8 @@ def test_capped_multiply_actually_spills():
 def test_no_limit_means_no_spill_machinery():
     """Default sessions carry zero spill state: counters stay zero and
     no store exists, keeping behavior byte-identical to the seed."""
-    session = SacSession(cluster=TINY_CLUSTER, tile_size=10, adaptive=False)
-    try:
-        session.run(
-            MULTIPLY, A=session.tiled(A_30x20), B=session.tiled(B_20x30),
-            n=30, m=30,
-        ).to_numpy()
+    with SacSession(cluster=TINY_CLUSTER, tile_size=10, adaptive=False) as session:
+        _run_multiply(session)
         assert not session.engine.block_manager.spill_enabled
         assert session.engine.block_manager.spill_store is None
         total = session.engine.metrics.total
@@ -224,8 +113,6 @@ def test_no_limit_means_no_spill_machinery():
         assert total.spill_restores == 0
         assert total.prefetch_hits == 0
         assert total.restore_stall_seconds == 0.0
-    finally:
-        session.engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -412,8 +299,8 @@ def test_memory_buckets_reread_in_full_after_a_partial_read():
     shuffle.finish_map_phase()
     pieces = shuffle._store._slots[(1, 0)]
     pieces[0] = _UnreadableOnce(pieces[0])  # slot 0 reads fine, slot 1 fails
-    [(merged, _seconds)] = ctx.runner.run_stage(
-        [lambda: shuffle.run_reduce_group([0])]
+    merged, _seconds = ctx.runner._execute_task(
+        lambda: shuffle.run_reduce_group([0])
     )
     assert merged == [(0, [(0, 30), (2, 36)])]
     assert ctx.metrics.total.task_retries == 1
