@@ -7,10 +7,6 @@ the end of the session the rows are printed as one table per experiment,
 with the speedup ratios the paper reports alongside the paper's expected
 shape, so the output can be compared to Figure 4 directly.
 
-Setting ``REPRO_BENCH_DUMP=<path>`` additionally writes every recorded
-measurement (including the exact shuffle/stage/task counters) as JSON,
-so counter regressions across engine changes can be diffed exactly.
-
 On a multi-core host the benchmarks default to the threaded task runner
 (``REPRO_RUNNER=threads``) so stages genuinely overlap; on one core
 threads only add overhead, so the serial runner stays the default.
@@ -21,11 +17,10 @@ override.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -229,10 +224,6 @@ def plan_report(compiled, session=None) -> dict:
 def pytest_sessionfinish(session, exitstatus):
     if not _ROWS:
         return
-    dump_path = os.environ.get("REPRO_BENCH_DUMP")
-    if dump_path:
-        with open(dump_path, "w") as fh:
-            json.dump([asdict(row) for row in _ROWS], fh, indent=1, sort_keys=True)
     by_experiment: dict[str, list[Row]] = defaultdict(list)
     for row in _ROWS:
         by_experiment[row.experiment].append(row)

@@ -29,18 +29,13 @@ import numpy as np
 from ..comprehension import (
     Expr, FreshNames, Interpreter, desugar, normalize, parse,
 )
-from ..engine import PAPER_CLUSTER, ClusterSpec, EngineContext, RDD, env_flag
-from ..engine.substrate import LruCache
-from ..planner import Plan, PlannerOptions, cse_enabled, plan_state
+from ..engine import PAPER_CLUSTER, ClusterSpec, EngineContext, RDD
+from ..planner import Plan, PlannerOptions, plan_state
+from ..planner.ir import partitioner_signature
 from ..planner.lower import lower
 from ..planner.codegen import explain as explain_plan
 from ..storage import TiledMatrix, TiledVector
 from ..storage.registry import REGISTRY, BuildContext
-
-#: The session-level caches moved up to the substrate
-#: (:class:`repro.engine.substrate.PlanCacheGroup`) so same-shaped
-#: sessions share compile hits; the name survives for importers.
-_LruCache = LruCache
 
 
 @dataclass
@@ -59,6 +54,19 @@ class CompiledQuery:
         return explain_plan(self.plan, self.parsed, self.normalized)
 
 
+def _front_half(parsed: Expr, env: dict[str, Any]) -> Expr:
+    """Desugar and normalize a parsed query against its bindings."""
+    fresh = FreshNames()
+
+    def is_array(name: str) -> bool:
+        value = env.get(name)
+        return value is not None and (
+            REGISTRY.is_storage(value) or isinstance(value, RDD)
+        )
+
+    return normalize(desugar(parsed, is_array=is_array, fresh=fresh), fresh=fresh)
+
+
 class SacSession:
     """Compiles and runs SAC array comprehensions.
 
@@ -75,24 +83,19 @@ class SacSession:
             as soon as the partitions they read have landed); ``None``
             consults the ``REPRO_RUNNER`` environment variable.  Metrics
             counters are identical under both.
-        memory_budget: cached-partition byte cap for a fresh engine's
-            block manager (``None`` = unbounded).
         memory_limit: out-of-core memory cap for a fresh engine — caps
-            resident block bytes like ``memory_budget`` but evicted
-            partitions *spill to disk* and restore transparently
-            instead of being dropped for recompute.  Accepts a byte
-            count or a ``"64M"``-style string; ``None`` (default)
-            consults the ``REPRO_MEMORY_LIMIT`` environment variable
-            and otherwise leaves the tier off (byte-identical to the
-            limit-free engine).
+            resident block bytes, and evicted partitions *spill to disk*
+            and restore transparently instead of being dropped for
+            recompute.  Accepts a byte count or a ``"64M"``-style
+            string; ``None`` (default) leaves the tier off
+            (byte-identical to the limit-free engine).
         adaptive: adaptive query execution — measure map outputs at
             stage boundaries and re-optimize (broadcast downgrades,
             partition coalescing, skew splits).  ``None`` (default)
-            consults the ``REPRO_ADAPTIVE`` environment variable and
-            otherwise enables it; pass ``False`` for the static planner
-            (byte-identical to the pre-adaptive engine).  When an
-            ``engine`` is supplied, a non-``None`` value overrides that
-            engine's setting.
+            is on for a fresh engine and inherits a supplied
+            ``engine``'s setting; ``False`` is the static planner
+            (byte-identical to the pre-adaptive engine); a non-``None``
+            value over a supplied engine makes a view with that setting.
         tenant: tenant label for multi-tenant substrates.  ``None``
             (default) inherits the engine view's tenant (empty for a
             private engine).  A labeled session's queries are gated by
@@ -113,7 +116,6 @@ class SacSession:
         options: Optional[PlannerOptions] = None,
         num_partitions: Optional[int] = None,
         runner: Any = None,
-        memory_budget: Optional[int] = None,
         adaptive: Optional[bool] = None,
         memory_limit: Optional[int | str] = None,
         tenant: Optional[str] = None,
@@ -121,11 +123,10 @@ class SacSession:
         reservation: Optional[int | str] = None,
     ):
         if engine is None:
-            if adaptive is None:
-                adaptive = env_flag("REPRO_ADAPTIVE", True)
             engine = EngineContext(
-                cluster=cluster, runner=runner, memory_budget=memory_budget,
-                adaptive=adaptive, memory_limit=memory_limit,
+                cluster=cluster, runner=runner,
+                adaptive=True if adaptive is None else adaptive,
+                memory_limit=memory_limit,
                 tenant=tenant or "", quota=quota, reservation=reservation,
             )
         elif (
@@ -153,26 +154,17 @@ class SacSession:
         # Iterative algorithms re-submit identical query text every step;
         # parsing is pure, so cache the ASTs, and the (parsed,
         # normalized) pair is cached per storage signature of the
-        # bindings.  Lowering always re-runs against the live
-        # environment, so a cached compile builds fresh RDD lineages.
-        # The caches live on the substrate (PlanCacheGroup), so sessions
-        # sharing an engine share hits; every key carries this session's
-        # build profile (see _plan_cache_key), so differently-shaped
-        # sessions can never serve each other stale entries.
+        # bindings.  The caches live on the substrate (PlanCacheGroup),
+        # so sessions sharing an engine share hits; every key carries
+        # this session's build profile (see _plan_cache_key), so
+        # differently-shaped sessions can never serve each other stale
+        # entries.
         caches = self.engine.substrate.plan_caches
         self._parse_cache = caches.parse
         self._plan_cache = caches.plan
-        # Whole-Plan reuse across compiles, keyed by the plan's IR
-        # fingerprint (only set when common-subplan elimination is on).
-        # Handing back the earlier Plan object lets repeated steps of an
-        # iterative workload share lowered RDD lineages — and therefore
-        # the shuffle outputs the CSE pass marked for reuse.
-        self._compiled_plan_cache = caches.compiled
-        # Pass-pipeline reuse: the finished PlanState for one compile,
-        # keyed by the front-half key *plus* binding identities (see
-        # _pass_cache_key).  A hit skips straight to lowering, which
-        # still runs per compile so every plan gets fresh RDD lineages
-        # and execution stays byte-identical to an uncached compile.
+        # Pass-pipeline reuse: the finished PlanState and, under CSE,
+        # the Plan lowered from it — keyed by the front-half key *plus*
+        # binding identities (see _pass_cache_key).
         self._pass_cache = caches.passes
 
     def _parse_cached(self, query: str) -> Expr:
@@ -195,27 +187,19 @@ class SacSession:
         """
         if isinstance(value, RDD):
             return ("rdd", value.num_partitions,
-                    self._partitioner_signature(value.partitioner))
+                    partitioner_signature(value.partitioner))
         if not REGISTRY.is_storage(value):
             return ("scalar", type(value).__name__)
         sig: tuple = (type(value).__name__,)
         tiles = getattr(value, "tiles", None) or getattr(value, "blocks", None)
         if isinstance(tiles, RDD):
             sig += (tiles.num_partitions,
-                    self._partitioner_signature(tiles.partitioner))
+                    partitioner_signature(tiles.partitioner))
         for attr in ("rows", "cols", "length", "tile_size"):
             dim = getattr(value, attr, None)
             if isinstance(dim, int):
                 sig += (attr, dim)
         return sig
-
-    @staticmethod
-    def _partitioner_signature(partitioner: Any) -> Any:
-        if partitioner is None:
-            return None
-        return (type(partitioner).__name__,) + tuple(
-            sorted((k, repr(v)) for k, v in vars(partitioner).items())
-        )
 
     def _plan_cache_key(
         self, query: str, full_env: dict[str, Any]
@@ -237,12 +221,11 @@ class SacSession:
                     for name, value in full_env.items()
                 )
             )
-            manager = getattr(self.engine, "adaptive", None)
             return (
                 query,
                 bindings,
                 self.options.cache_signature(),
-                bool(manager is not None and manager.enabled),
+                self.engine.adaptive.enabled,
                 (self.tile_size, self.build_context.num_partitions),
             )
         except TypeError:  # unsortable/unhashable binding: skip the cache
@@ -287,9 +270,14 @@ class SacSession:
         binding storage signatures), and the pass-pipeline back half is
         additionally reused when the bindings are the *same objects*
         (see :meth:`_pass_cache_key`); pass ``cache=False`` to bypass
-        both.  Lowering always re-runs so every compile hands back a
-        fresh plan over fresh RDD lineages — a cache hit produces a
-        byte-identical execution, just without re-deriving the tree.
+        both.  Without CSE, lowering re-runs on every compile, so each
+        one hands back a fresh plan over fresh RDD lineages — a cache
+        hit produces a byte-identical execution, just without
+        re-deriving the tree.  With CSE, a plan that lowered to a reuse
+        fingerprint is kept beside its pass result and handed back
+        whole, so repeated steps of an iterative workload (and other
+        tenants over the same hosted datasets) share its lowered
+        lineages and the shuffle outputs retained under them.
         """
         full_env = {**(env or {}), **bindings}
         key = self._plan_cache_key(query, full_env) if cache else None
@@ -302,53 +290,34 @@ class SacSession:
             parsed, normalized = cached
         else:
             parsed = self._parse_cached(query)
-            fresh = FreshNames()
-
-            def is_array(name: str) -> bool:
-                value = full_env.get(name)
-                return value is not None and (
-                    REGISTRY.is_storage(value) or isinstance(value, RDD)
-                )
-
-            desugared = desugar(parsed, is_array=is_array, fresh=fresh)
-            normalized = normalize(desugared, fresh=fresh)
+            normalized = _front_half(parsed, full_env)
             if key is not None:
                 self._plan_cache.put(key, (parsed, normalized))
         # Back half: reuse the pass-pipeline result when the bindings
-        # are identical objects (not merely same-shaped), then lower —
-        # lowering always runs, so a cached compile builds the same
-        # fresh RDD lineages an uncached one would.
+        # are identical objects (not merely same-shaped).  The pass key
+        # determines the PlanState and so the plan's fingerprint, so a
+        # stored plan is the one lowering the state again would equal.
         pass_key = self._pass_cache_key(key, full_env) if key is not None else None
-        state = self._pass_cache.get(pass_key) if pass_key is not None else None
-        if state is None:
+        entry = self._pass_cache.get(pass_key) if pass_key is not None else None
+        if entry is None:
             state = plan_state(
                 normalized, full_env, self.engine, self.build_context,
                 self.options,
             )
+            plan = lower(state)
             if pass_key is not None:
-                self._pass_cache.put(pass_key, state)
-        plan = lower(state)
-        # With CSE on, lowering fingerprints reusable plans; an earlier
-        # compile with the same key + fingerprint produced a Plan whose
-        # lowered lineages (and marked shuffle outputs) this one can
-        # share outright.
-        if key is not None and plan.fingerprint and cse_enabled(self.options):
-            swap_key = (key, plan.fingerprint)
-            prior = self._compiled_plan_cache.get(swap_key)
-            if prior is not None:
-                plan = prior
-            else:
-                self._compiled_plan_cache.put(swap_key, plan)
+                self._pass_cache.put(
+                    pass_key, (state, plan if plan.fingerprint else None)
+                )
+        else:
+            state, plan = entry
+            if plan is None:
+                plan = lower(state)
         return CompiledQuery(query, parsed, normalized, plan)
 
     def compile_stats(self) -> dict[str, dict[str, int]]:
-        """Hit/miss/eviction counters for the parse and plan caches."""
-        return {
-            "parse_cache": self._parse_cache.stats(),
-            "plan_cache": self._plan_cache.stats(),
-            "compiled_plan_cache": self._compiled_plan_cache.stats(),
-            "pass_cache": self._pass_cache.stats(),
-        }
+        """Hit/miss/eviction counters for the three plan-cache tiers."""
+        return self.engine.substrate.plan_caches.stats()
 
     def run(self, query: str, env: Optional[dict[str, Any]] = None, **bindings: Any) -> Any:
         """Compile and execute a query.
@@ -392,16 +361,7 @@ class SacSession:
         rejects (it is always correct, just not distributed).
         """
         full_env = {**(env or {}), **bindings}
-        parsed = parse(query)
-        fresh = FreshNames()
-
-        def is_array(name: str) -> bool:
-            value = full_env.get(name)
-            return value is not None and (
-                REGISTRY.is_storage(value) or isinstance(value, RDD)
-            )
-
-        expr = normalize(desugar(parsed, is_array=is_array, fresh=fresh), fresh=fresh)
+        expr = _front_half(parse(query), full_env)
         return Interpreter(full_env, build_context=self.build_context).evaluate(expr)
 
     # ------------------------------------------------------------------

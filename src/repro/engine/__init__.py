@@ -29,7 +29,7 @@ from .scheduler import (
     TransientTaskError,
     resolve_runner,
 )
-from .substrate import EngineSubstrate, LruCache, PlanCacheGroup, env_flag
+from .substrate import EngineSubstrate, LruCache, PlanCacheGroup
 from .serialization import RecordSizeAccountant
 from .shuffle import Aggregator, MapOutputStatistics, Shuffle
 from .taskgraph import Task, TaskGraph, compile_job_graph
@@ -74,7 +74,6 @@ __all__ = [
     "TINY_CLUSTER",
     "TransientTaskError",
     "compile_job_graph",
-    "env_flag",
     "parse_memory_limit",
     "portable_hash",
     "resolve_runner",

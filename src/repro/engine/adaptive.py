@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from .cluster import ClusterSpec
 from .metrics import MetricsRegistry
@@ -79,19 +79,14 @@ class AdaptiveDecision:
         return " | ".join(parts)
 
 
-#: A reduce-phase hook: given one shuffle's map-output histogram and the
-#: cluster spec, either ``None`` (no opinion) or a ``(groups, decision)``
-#: pair, where ``groups`` lists the bucket ids each reduce task handles.
-ReduceHook = Callable[
-    [MapOutputStatistics, ClusterSpec],
-    Optional[tuple[list[list[int]], AdaptiveDecision]],
-]
-
-
 def coalesce_contiguous_partitions(
     stats: MapOutputStatistics, cluster: ClusterSpec
 ) -> Optional[tuple[list[list[int]], AdaptiveDecision]]:
-    """Built-in reduce hook: pack small contiguous buckets together.
+    """Reduce-phase coalescing: pack small contiguous buckets together.
+
+    Returns ``None`` (leave the shuffle alone) or ``(groups,
+    decision)``, ``groups`` listing the bucket ids each reduce task
+    handles.
 
     Greedy first-fit over the partition order: a group closes once its
     measured bytes reach the coalesce target.  The target never drops a
@@ -169,11 +164,6 @@ class AdaptiveManager:
         #: keeps the key from ever aliasing a different storage.
         self._measured_refs: dict[int, Any] = {}
         self._lock = threading.Lock()
-        self._reduce_hooks: list[ReduceHook] = [coalesce_contiguous_partitions]
-
-    def install_reduce_hook(self, hook: ReduceHook) -> None:
-        """Register a hook consulted (in order) before each reduce phase."""
-        self._reduce_hooks.append(hook)
 
     def record_decision(self, decision: AdaptiveDecision) -> None:
         """Append a decision to the manager and the active job's metrics."""
@@ -197,13 +187,12 @@ class AdaptiveManager:
         """Bucket grouping for one shuffle's reduce phase, or ``None``."""
         if not self.enabled or stats is None:
             return None
-        for hook in self._reduce_hooks:
-            planned = hook(stats, self.cluster)
-            if planned is not None:
-                groups, decision = planned
-                self.record_decision(decision)
-                return groups
-        return None
+        planned = coalesce_contiguous_partitions(stats, self.cluster)
+        if planned is None:
+            return None
+        groups, decision = planned
+        self.record_decision(decision)
+        return groups
 
     # ------------------------------------------------------------------
     # Map-phase planning (skew splitting)

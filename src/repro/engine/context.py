@@ -19,12 +19,9 @@ from .adaptive import AdaptiveManager
 from .cluster import PAPER_CLUSTER, ClusterSpec
 from .rdd import RDD, ParallelCollectionRDD
 from .scheduler import DAGScheduler, TaskRunner
-from .substrate import EngineSubstrate, env_flag, parse_memory_limit
+from .substrate import EngineSubstrate, parse_memory_limit
 
-__all__ = [
-    "Accumulator", "Broadcast", "EngineContext", "env_flag",
-    "parse_memory_limit",
-]
+__all__ = ["Accumulator", "Broadcast", "EngineContext", "parse_memory_limit"]
 
 T = TypeVar("T")
 
@@ -88,8 +85,9 @@ class EngineContext:
     context as a tenant view on an existing substrate instead of
     building a private one: the view shares the substrate's pool, block
     store, metrics, and plan caches, but carries its *own* adaptive
-    flag and scheduler — so per-session execution policy never leaks
-    across sessions.  A named
+    flag (off unless ``adaptive=True``, which ``SacSession`` and
+    ``QueryService`` pass to the engines they create) and scheduler —
+    so per-session execution policy never leaks across sessions.  A named
     ``tenant`` writes its cached blocks through a
     :class:`~repro.engine.block_manager.TenantBlockView`, making it
     subject to its ``quota`` and protected by its ``reservation``.
@@ -102,7 +100,7 @@ class EngineContext:
         default_parallelism: Optional[int] = None,
         memory_budget: Optional[int] = None,
         reuse_shuffles: bool = False,
-        adaptive: Optional[bool] = None,
+        adaptive: bool = False,
         memory_limit: Optional[int | str] = None,
         spill_store: Any = None,
         spill_prefetch: bool = True,
@@ -139,11 +137,6 @@ class EngineContext:
             # The unlabeled default tenant writes through the raw shared
             # manager — byte-identical to the pre-tenancy store.
             self.block_manager = substrate.block_manager
-        if adaptive is None:
-            # Raw engine contexts default to non-adaptive (the historical
-            # behavior); SAC sessions pass an explicit value.  The
-            # environment variable overrides either default for A/B runs.
-            adaptive = env_flag("REPRO_ADAPTIVE", False)
         self.adaptive = AdaptiveManager(
             self.cluster, self.metrics, enabled=adaptive
         )

@@ -42,20 +42,6 @@ from .metrics import MetricsRegistry
 from .scheduler import FairJobScheduler, TaskRunner, resolve_runner
 
 
-def env_flag(name: str, default: Optional[bool] = None) -> Optional[bool]:
-    """Read a boolean environment knob.
-
-    ``"1"``, ``"true"``, ``"yes"``, and ``"on"`` (any case) are true;
-    any other set value is false; an *unset* variable returns
-    ``default`` — so callers can distinguish "explicitly off" from
-    "absent" by passing ``default=None``.
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() in ("1", "true", "yes", "on")
-
-
 def parse_memory_limit(text: str | int | None) -> Optional[int]:
     """A byte count from ``"64M"``-style size strings (K/M/G suffixes).
 
@@ -124,16 +110,6 @@ class LruCache:
                 self._data.popitem(last=False)
                 self.evictions += 1
 
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
     def __getitem__(self, key):
         """Raw (non-counting, non-reordering) access, for introspection."""
         return self._data[key]
@@ -150,39 +126,31 @@ class LruCache:
 class PlanCacheGroup:
     """The compiled-query caches, shared by every session of a substrate.
 
-    Four tiers, exactly the ones :class:`~repro.core.session.SacSession`
-    used to own privately (same sizes, same key discipline — the keys
-    already carry binding signatures, planner-option signatures, and the
-    adaptive flag, plus a per-session build profile, so moving the
-    *store* up to the substrate lets same-shaped sessions share hits
-    without ever serving a stale or foreign entry):
+    Three tiers (the keys carry binding signatures, planner-option
+    signatures, and the adaptive flag, plus a per-session build profile,
+    so same-shaped sessions share hits without ever serving a stale or
+    foreign entry):
 
     * ``parse``: query text -> AST (parsing is pure).
     * ``plan``: front-half key -> (parsed, normalized) pair.
-    * ``passes``: identity-level key -> finished ``PlanState`` (same
-      storage *objects* required, so a cross-session hit only happens
-      for sessions querying the same hosted datasets).
-    * ``compiled``: (front key, IR fingerprint) -> whole lowered
-      ``Plan`` for CSE shuffle-output sharing.
+    * ``passes``: identity-level key -> (finished ``PlanState``, the
+      ``Plan`` lowered from it if that carries a CSE reuse fingerprint,
+      else ``None``).  Same storage *objects* required, so a
+      cross-session hit only happens for sessions querying the same
+      hosted datasets — exactly when sharing the whole plan is sound.
     """
 
     def __init__(self):
         self.parse = LruCache(512)
         self.plan = LruCache(256)
-        self.compiled = LruCache(64)
         self.passes = LruCache(256)
 
     def stats(self) -> dict[str, dict[str, int]]:
         return {
             "parse_cache": self.parse.stats(),
             "plan_cache": self.plan.stats(),
-            "compiled_plan_cache": self.compiled.stats(),
             "pass_cache": self.passes.stats(),
         }
-
-    def clear(self) -> None:
-        for cache in (self.parse, self.plan, self.compiled, self.passes):
-            cache.clear()
 
 
 class EngineSubstrate:
@@ -221,8 +189,6 @@ class EngineSubstrate:
         # bytes and turns eviction into spill-to-store (the legacy
         # ``memory_budget`` keeps the historical drop-for-recompute
         # semantics).  With neither set, nothing spill-related exists.
-        if memory_limit is None:
-            memory_limit = os.environ.get("REPRO_MEMORY_LIMIT") or None
         self.memory_limit = parse_memory_limit(memory_limit)
         self._owns_spill_store = False
         if self.memory_limit is not None:
@@ -242,9 +208,6 @@ class EngineSubstrate:
         # Spill/restore paths pass through the runner's fault points
         # (``inject_failure("restore", ...)``).
         self.block_manager.runner = self.runner
-        if max_concurrent_jobs is None:
-            raw = os.environ.get("REPRO_SERVE_MAX_CONCURRENT")
-            max_concurrent_jobs = int(raw) if raw else None
         self.admission = FairJobScheduler(
             max_concurrent_jobs, metrics=self.metrics
         )
@@ -273,16 +236,11 @@ class EngineSubstrate:
             self._rdd_counter += 1
             return self._rdd_counter
 
-    def next_view_name(self) -> str:
-        with self._rdd_counter_lock:
-            self._view_counter += 1
-            return f"tenant-{self._view_counter}"
-
     def view(
         self,
         tenant: Optional[str] = None,
         *,
-        adaptive: Optional[bool] = None,
+        adaptive: bool = False,
         quota: Optional[int | str] = None,
         reservation: Optional[int | str] = None,
     ):
@@ -297,11 +255,12 @@ class EngineSubstrate:
         from .context import EngineContext
 
         if tenant is None:
-            tenant = self.next_view_name()
+            with self._rdd_counter_lock:
+                self._view_counter += 1
+                tenant = f"tenant-{self._view_counter}"
         return EngineContext(
             substrate=self, tenant=tenant, adaptive=adaptive,
-            quota=parse_memory_limit(quota),
-            reservation=parse_memory_limit(reservation) or 0,
+            quota=quota, reservation=reservation,
         )
 
     # ------------------------------------------------------------------

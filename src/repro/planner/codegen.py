@@ -14,8 +14,8 @@ the Python analogue, in two parts:
   statement runs once per stack, not once per tile.  Elementwise ufuncs
   are exact per element however the elements are batched, so a fused
   run is bit-identical to the interpreted chain.  Expressions render
-  through :func:`repro.planner.kernels.emit_vectorized_source`, which
-  calls the same ufuncs ``compile_vectorized`` dispatches to.
+  through :func:`repro.planner.kernels.emit_vectorized_source`, the
+  same text ``compile_vectorized`` compiles for the interpreter chain.
 
 * :func:`explain` — the inspectable compilation report ``SacSession``
   exposes to users.
@@ -37,7 +37,9 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from ..comprehension.ast import Expr, free_vars, to_source
-from .kernels import KernelUnsupported, _div, emit_vectorized_source
+from .kernels import (
+    KernelUnsupported, _div, emit_vectorized_source, literal_source,
+)
 from .plan import Plan
 
 
@@ -151,12 +153,14 @@ def generate_fused_kernel(
     )
 
     # Variable spellings inside the generated scope.  Constants are
-    # embedded as literals (repr round-trips exactly for the scalar
-    # types ``const_env`` holds), so the fingerprint distinguishes
-    # kernels closed over different constants; tile-local bindings
-    # shadow constants exactly as the interpreter's env merge does.
+    # embedded as literals (``literal_source`` round-trips the scalar
+    # types ``const_env`` holds exactly), so the fingerprint
+    # distinguishes kernels closed over different constants; tile-local
+    # bindings shadow constants exactly as the interpreter's env merge
+    # does.
     names: dict[str, str] = {
-        name: repr(value) for name, value in setup.const_env.items()
+        name: literal_source(value)
+        for name, value in setup.const_env.items()
     }
     for slot, var in enumerate(used_index_vars):
         names[var] = f"_ix{slot}"

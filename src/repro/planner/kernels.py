@@ -23,12 +23,13 @@ block" is a vectorized NumPy expression, so this module provides:
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from ..comprehension.ast import (
-    BinOp, Call, Expr, IfExpr, Lit, TupleExpr, UnOp, Var,
+    BinOp, Call, Expr, IfExpr, Lit, TupleExpr, UnOp, Var, free_vars,
 )
 from ..comprehension.monoids import Monoid, monoid
 
@@ -39,33 +40,6 @@ class KernelUnsupported(Exception):
 
 Env = dict[str, Any]
 Kernel = Callable[[Env], Any]
-
-_NP_BINOPS: dict[str, Callable] = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "%": np.mod,
-    "==": np.equal,
-    "!=": np.not_equal,
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-    "&&": np.logical_and,
-    "||": np.logical_or,
-}
-
-_NP_CALLS: dict[str, Callable] = {
-    "abs": np.abs,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "floor": np.floor,
-    "ceil": np.ceil,
-    "pow": np.power,
-    "min": np.minimum,
-    "max": np.maximum,
-}
 
 
 def _div(a: Any, b: Any) -> Any:
@@ -85,51 +59,25 @@ def compile_vectorized(expr: Expr) -> Kernel:
     """Compile ``expr`` into a function of an array environment.
 
     Every free variable must be present in the environment at call time,
-    bound to a scalar or a broadcastable NumPy array.
+    bound to a scalar or a broadcastable NumPy array.  The function is
+    :func:`emit_vectorized_source`'s text over ``env['name']`` lookups,
+    so the interpreter chain and the fused kernels evaluate one
+    rendering.  Rendering (and :class:`KernelUnsupported`) happens
+    here; ``compile()`` waits for the first call — it costs more than
+    planning a small expression, and a fused chain never calls it.
     """
-    if isinstance(expr, Lit):
-        value = expr.value
-        return lambda _env: value
-    if isinstance(expr, Var):
-        name = expr.name
-        return lambda env: env[name]
-    if isinstance(expr, TupleExpr):
-        parts = [compile_vectorized(item) for item in expr.items]
-        return lambda env: tuple(part(env) for part in parts)
-    if isinstance(expr, BinOp):
-        left = compile_vectorized(expr.left)
-        right = compile_vectorized(expr.right)
-        if expr.op == "/":
-            return lambda env: _div(left(env), right(env))
-        try:
-            op = _NP_BINOPS[expr.op]
-        except KeyError:
-            raise KernelUnsupported(f"operator {expr.op!r}") from None
-        return lambda env: op(left(env), right(env))
-    if isinstance(expr, UnOp):
-        operand = compile_vectorized(expr.operand)
-        if expr.op == "-":
-            return lambda env: np.negative(operand(env))
-        return lambda env: np.logical_not(operand(env))
-    if isinstance(expr, IfExpr):
-        cond = compile_vectorized(expr.cond)
-        then = compile_vectorized(expr.then)
-        orelse = compile_vectorized(expr.orelse)
-        return lambda env: np.where(cond(env), then(env), orelse(env))
-    if isinstance(expr, Call):
-        try:
-            fn = _NP_CALLS[expr.func]
-        except KeyError:
-            raise KernelUnsupported(f"function {expr.func!r}") from None
-        args = [compile_vectorized(arg) for arg in expr.args]
-        return lambda env: fn(*(arg(env) for arg in args))
-    raise KernelUnsupported(f"expression {type(expr).__name__}")
+    names = {name: f"env[{name!r}]" for name in free_vars(expr)}
+    source = "lambda env: " + emit_vectorized_source(expr, names)
+    compiled: list[Kernel] = []
+
+    def kernel(env: Env) -> Any:
+        if not compiled:
+            compiled.append(eval(source, {"np": np, "_div": _div}))
+        return compiled[0](env)
+
+    return kernel
 
 
-#: Source spellings of the vectorized operator tables above.  The fused
-#: per-partition codegen (:mod:`repro.planner.codegen`) renders the same
-#: ufunc calls :func:`compile_vectorized` would make, so the generated
-#: text evaluates bit-identically to the interpreter's closure kernels.
 _NP_BINOP_SOURCE: dict[str, str] = {
     "+": "np.add",
     "-": "np.subtract",
@@ -158,20 +106,34 @@ _NP_CALL_SOURCE: dict[str, str] = {
 }
 
 
+def literal_source(value: Any) -> str:
+    """Source text of a scalar constant, valid in the kernel namespace.
+
+    ``repr`` round-trips every finite scalar exactly but spells the
+    non-finite floats as the bare names ``inf`` / ``nan``; those render
+    through ``np.inf`` / ``np.nan``, sign and type kept, so each value
+    keeps its own text (and kernel fingerprint).
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        text = "np.nan" if value != value else "np.inf"
+        if math.copysign(1.0, value) < 0:
+            text = "-" + text
+        return f"np.float64({text})" if isinstance(value, np.floating) else text
+    return repr(value)
+
+
 def emit_vectorized_source(expr: Expr, names: dict[str, str]) -> str:
     """Render ``expr`` as NumPy source text over pre-bound ``names``.
 
     ``names`` maps each DSL variable to the Python expression that holds
-    its value in the generated scope (a local identifier, or a literal
-    for closed-over constants).  The rendering calls exactly the ufuncs
-    :func:`compile_vectorized` dispatches to (including ``_div`` for the
-    DSL's integral division), so evaluating the text reproduces the
-    interpreter kernel bit for bit.  Raises :class:`KernelUnsupported`
-    in precisely the cases :func:`compile_vectorized` would, plus for
-    variables absent from ``names``.
+    its value in the generated scope (a local identifier, an ``env[...]``
+    lookup, or :func:`literal_source` text for closed-over constants).
+    Operators render as ufunc calls (``_div`` for the DSL's integral
+    division).  Raises :class:`KernelUnsupported` for constructs with no
+    vectorized form and for variables absent from ``names``.
     """
     if isinstance(expr, Lit):
-        return repr(expr.value)
+        return literal_source(expr.value)
     if isinstance(expr, Var):
         try:
             return names[expr.name]
@@ -416,18 +378,6 @@ def _broadcast_to_axes(
         else:
             shape.append(1)
     return permuted.reshape(shape)
-
-
-def reduce_axes_with(
-    values: np.ndarray, mon: Monoid, axes: Sequence[int]
-) -> np.ndarray:
-    """Reduce ``values`` over ``axes`` with a monoid ufunc."""
-    if mon.np_combine is None:
-        raise KernelUnsupported(f"monoid {mon.name!r} has no ufunc")
-    result = values
-    for axis in sorted(axes, reverse=True):
-        result = mon.np_combine.reduce(result, axis=axis)
-    return result
 
 
 def combine_tiles(mon: Monoid, left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from .codegen import get_fused_kernel
 from .groupby_join import GbjMatch, _match_stats, reconsider_join_strategy
 from .ir import IRNode, _digest
 from .kernels import combine_tiles, contract, gather
-from .passes import PlanState, cse_enabled, fusion_enabled
+from .passes import PlanState, cse_enabled
 from .plan import (
     Plan, RULE_COORDINATE, RULE_GROUP_BY_JOIN, RULE_LOCAL,
     RULE_PRESERVE_TILING, RULE_TILED_REDUCE, RULE_TILED_SHUFFLE,
@@ -80,15 +80,12 @@ def _plan_fingerprint(root: IRNode, state: PlanState) -> str:
     back the earlier compile's Plan (and its shuffle outputs) is
     indistinguishable from re-planning.
     """
-    options = state.options
     manager = getattr(state.engine, "adaptive", None)
     return _digest((
         root.identity_fingerprint(),
         state.wrapper,
         state.reduce_monoid,
-        (options.group_by_join, options.force_coordinate,
-         options.allow_tiled, options.broadcast_threshold,
-         fusion_enabled(options)),
+        state.options.cache_signature(),
         bool(manager is not None and manager.enabled),
     ))
 

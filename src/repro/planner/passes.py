@@ -19,7 +19,7 @@ decided, and built in a single motion.  It is now a
 5. **cse** — common-subplan elimination: merge identity-equal subtrees
    and mark the plan's shuffle outputs for
    :class:`~repro.engine.block_manager.BlockManager` reuse (off by
-   default; ``PlannerOptions(cse=True)`` or ``REPRO_CSE=1``);
+   default; ``PlannerOptions(cse=True)``, which ``repro serve`` passes);
 6. **fusion** — collapse a preserve-tiling MapTiles/Filter chain into a
    single :data:`~repro.planner.ir.OP_FUSED_KERNEL` node carrying the
    fingerprinted per-partition source
@@ -46,7 +46,7 @@ from ..comprehension.ast import (
 )
 from ..comprehension.errors import SacPlanError
 from ..comprehension.interpreter import Interpreter
-from ..engine import EngineContext, RDD, env_flag
+from ..engine import EngineContext, RDD
 from ..storage.registry import BuildContext
 from ..storage.sparse_tiled import SparseTiledMatrix
 from ..storage.tiled import TiledMatrix, TiledVector
@@ -78,15 +78,8 @@ _DISTRIBUTED_BUILDERS = {"tiled", "tiled_vector", "rdd"}
 
 
 def cse_enabled(options: "PlannerOptions") -> bool:
-    """Is common-subplan elimination on for this compile?
-
-    ``PlannerOptions.cse`` wins when set; otherwise the ``REPRO_CSE``
-    environment variable decides, and the default is **off** so every
-    plan choice and counter stays identical to the pre-IR planner.
-    """
-    if options.cse is not None:
-        return options.cse
-    return env_flag("REPRO_CSE", False)
+    """Is common-subplan elimination on for this compile (default off)?"""
+    return options.cse
 
 
 def fusion_enabled(options: "PlannerOptions") -> bool:
@@ -309,8 +302,6 @@ def pass_tiling_resolution(state: PlanState) -> str:
     options = state.options
     if options.force_coordinate:
         return "skipped (force_coordinate)"
-    if not options.allow_tiled:
-        return "skipped (tiled rules disabled)"
     if state.builder not in ("tiled", "tiled_vector"):
         return "skipped (result is not a tiled builder)"
     const_env = {
@@ -531,7 +522,7 @@ def pass_cse(state: PlanState) -> str:
     if root is None:
         return "skipped (local plan)"
     if not cse_enabled(state.options):
-        return "disabled (enable with PlannerOptions(cse=True) or REPRO_CSE=1)"
+        return "disabled (enable with PlannerOptions(cse=True))"
     root, merged = dedupe_dag(root)
     root.attrs["cse"] = True
     root.attrs["cse_merged"] = merged

@@ -28,16 +28,14 @@ decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Any, Optional
 
 from ..comprehension.ast import Expr
 from ..engine import EngineContext
 from ..storage.registry import BuildContext
 from .lower import lower
-from .passes import (
-    PassManager, PlanState, cse_enabled, default_passes, fusion_enabled,
-)
+from .passes import PassManager, PlanState, default_passes
 from .plan import Plan
 
 
@@ -58,11 +56,11 @@ class PlannerOptions:
     hard override; ``0`` forbids broadcasting even in cost-based mode,
     and ``None`` (default) leaves the choice to the cost model.
 
-    ``cse``: common-subplan elimination.  ``None`` (default) defers to
-    the ``REPRO_CSE`` environment variable (off unless set); ``True`` /
-    ``False`` pin it.  When on, identity-equal subplans are merged, the
-    plan gets a reuse fingerprint the session cache can key on, and the
-    plan's shuffle outputs are marked for
+    ``cse``: common-subplan elimination, off by default (``repro
+    serve`` turns it on).  When on, identity-equal subplans are merged,
+    the plan gets a reuse fingerprint, the session hands the same
+    lowered plan back on the next compile over the same objects, and
+    its shuffle outputs are marked for
     :class:`~repro.engine.block_manager.BlockManager` reuse.
 
     ``fusion``: fused kernel codegen, on by default.  Preserve-tiling
@@ -75,22 +73,14 @@ class PlannerOptions:
 
     group_by_join: Optional[bool] = None
     force_coordinate: bool = False
-    allow_tiled: bool = True
     broadcast_threshold: Optional[int] = None
-    cse: Optional[bool] = None
+    cse: bool = False
     fusion: bool = True
 
     def cache_signature(self) -> tuple:
-        """Hashable identity for plan caching (every field that can
-        change which plan comes out must appear here)."""
-        return (
-            self.group_by_join,
-            self.force_coordinate,
-            self.allow_tiled,
-            self.broadcast_threshold,
-            cse_enabled(self),
-            fusion_enabled(self),
-        )
+        """Hashable identity for plan caching: every field, since each
+        one can change which plan comes out."""
+        return astuple(self)
 
 
 def plan_state(

@@ -20,13 +20,11 @@ and :func:`replay` drives N concurrent clients through any submit
 callable (in-process or HTTP) — the harness behind the cross-tenant
 differential tests, the E15 benchmark, and the CI smoke job.
 
-Environment knobs (all read through
-:func:`~repro.engine.substrate.env_flag` / the substrate):
-
-* ``REPRO_SERVE_MAX_CONCURRENT`` — admission bound on concurrently
-  running jobs (unset: unbounded).
-* ``REPRO_SERVE_QUOTA`` — default per-tenant resident-byte quota
-  (``"64M"`` style; unset: no quota).
+A deployment's bounds are :class:`QueryService` arguments and ``repro
+serve`` flags: ``max_concurrent`` / ``--max-concurrent`` (concurrently
+running jobs; default unbounded), ``quota`` / ``--quota`` (per-tenant
+resident bytes, ``"64M"`` style; default none) and ``memory_limit`` /
+``--memory-limit`` (substrate cap with spill-to-disk).
 
 Served queries compile with common-subplan elimination (pass
 ``options=`` to :class:`QueryService` to change that), so equal
@@ -38,7 +36,6 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -49,7 +46,7 @@ import numpy as np
 from .core.session import SacSession
 from .engine import PAPER_CLUSTER, ClusterSpec, EngineContext
 from .engine.metrics import _percentile
-from .engine.substrate import env_flag, parse_memory_limit
+from .engine.substrate import parse_memory_limit
 from .planner import PlannerOptions
 
 
@@ -103,7 +100,9 @@ class QueryService:
     Tenant sessions inherit the loader's adaptive flag (and share its
     runner), so every lineage over the shared datasets executes under
     one uniform policy — per-tenant *data* is still isolated by tenant-labeled
-    block namespaces and global RDD ids.
+    block namespaces and global RDD ids.  The engine runs adaptive
+    unless ``adaptive=False`` and retains shuffle outputs when
+    ``options.cse`` is on.
     """
 
     def __init__(
@@ -115,31 +114,22 @@ class QueryService:
         max_concurrent: Optional[int] = None,
         quota: Optional[int | str] = None,
         memory_limit: Optional[int | str] = None,
-        adaptive: Optional[bool] = None,
-        engine: Optional[EngineContext] = None,
+        adaptive: bool = True,
     ):
         if options is None:
             # Serve defaults CSE on: shared-substrate shuffle reuse
             # across tenants is the point of the front door.
             options = PlannerOptions(cse=True)
-        if quota is None:
-            quota = os.environ.get("REPRO_SERVE_QUOTA") or None
         self._quota = parse_memory_limit(quota)
-        self._options = options
-        self._tile_size = tile_size
-        if engine is None:
-            engine = EngineContext(
-                cluster=cluster, runner=runner, memory_limit=memory_limit,
-                # Retain finished shuffle outputs so equal shuffles from
-                # *other* tenants' queries are answered from the store
-                # (CSE's per-plan opt-in only covers within-plan reuse).
-                reuse_shuffles=bool(options.cse),
-                adaptive=(
-                    env_flag("REPRO_ADAPTIVE", True)
-                    if adaptive is None else adaptive
-                ),
-                max_concurrent_jobs=max_concurrent,
-            )
+        engine = EngineContext(
+            cluster=cluster, runner=runner, memory_limit=memory_limit,
+            # Retain finished shuffle outputs so equal shuffles from
+            # *other* tenants' queries are answered from the store
+            # (CSE's per-plan opt-in only covers within-plan reuse).
+            reuse_shuffles=options.cse,
+            adaptive=adaptive,
+            max_concurrent_jobs=max_concurrent,
+        )
         self.loader = SacSession(
             engine=engine, tile_size=tile_size, options=options
         )
@@ -161,10 +151,6 @@ class QueryService:
         self.datasets[name] = stored
         return stored
 
-    def host_storage(self, name: str, storage: Any) -> None:
-        """Register an already-built storage object as a shared dataset."""
-        self.datasets[name] = storage
-
     # -- query execution ------------------------------------------------
 
     def session(self, tenant: str) -> SacSession:
@@ -173,8 +159,9 @@ class QueryService:
             session = self._sessions.get(tenant)
             if session is None:
                 session = SacSession(
-                    engine=self.loader.engine, tile_size=self._tile_size,
-                    options=self._options, tenant=tenant, quota=self._quota,
+                    engine=self.loader.engine, tile_size=self.loader.tile_size,
+                    options=self.loader.options, tenant=tenant,
+                    quota=self._quota,
                 )
                 self._sessions[tenant] = session
             return session
@@ -564,12 +551,11 @@ def serve_main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--max-concurrent", type=int, default=None,
         help="admission bound on concurrently running jobs "
-        "(default: REPRO_SERVE_MAX_CONCURRENT, else unbounded)",
+        "(default: unbounded)",
     )
     parser.add_argument(
         "--quota", default=None,
-        help="per-tenant resident-byte quota, e.g. 64M "
-        "(default: REPRO_SERVE_QUOTA, else none)",
+        help="per-tenant resident-byte quota, e.g. 64M (default: none)",
     )
     parser.add_argument(
         "--memory-limit", default=None,

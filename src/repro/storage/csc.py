@@ -112,16 +112,6 @@ class CscMatrix:
             out[rows, j] = values
         return out
 
-    def transpose_to_csr_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The same entries laid out row-major (useful for kernels)."""
-        order = np.argsort(
-            np.repeat(np.arange(self.cols), np.diff(self.indptr))
-            + self.indices * self.cols
-        )
-        cols = np.repeat(np.arange(self.cols), np.diff(self.indptr))[order]
-        rows = self.indices[order]
-        return rows, cols, self.data[order]
-
     def __repr__(self) -> str:
         return f"CscMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 

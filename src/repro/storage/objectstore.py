@@ -252,11 +252,6 @@ class LocalDiskStore(ObjectStore):
                 if key.startswith(prefix):
                     yield key
 
-    @property
-    def stored_bytes(self) -> int:
-        with self._lock:
-            return self._bytes
-
     def close(self) -> None:
         if self._tmpdir is not None:
             self._tmpdir.cleanup()

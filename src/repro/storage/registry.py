@@ -83,9 +83,6 @@ class StorageRegistry:
             )
         return fn(value)
 
-    def has_builder(self, name: str) -> bool:
-        return name in self._builders
-
     def build(
         self,
         name: str,

@@ -135,13 +135,6 @@ class TiledMatrix:
         )
         return cls(rows, cols, tile_size, rdd)
 
-    @classmethod
-    def from_tile_rdd(
-        cls, rows: int, cols: int, tile_size: int, tiles: RDD
-    ) -> "TiledMatrix":
-        """Wrap an existing RDD of ``((bi, bj), ndarray)`` pairs."""
-        return cls(rows, cols, tile_size, tiles)
-
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str) -> None:

@@ -26,6 +26,7 @@ from repro.engine.adaptive import (
     _lower_median,
     coalesce_contiguous_partitions,
 )
+from repro.serve import QueryService
 from repro.workloads import dense_uniform, zipf_block_rows
 
 MULTIPLY = (
@@ -271,13 +272,20 @@ def test_adaptive_disabled_session_takes_no_actions():
         np.testing.assert_allclose(out, a @ b)
 
 
-def test_engine_env_var_enables_adaptive(monkeypatch):
-    monkeypatch.setenv("REPRO_ADAPTIVE", "1")
-    assert EngineContext(cluster=TINY_CLUSTER).adaptive.enabled
-    monkeypatch.delenv("REPRO_ADAPTIVE")
-    # Raw engine contexts stay non-adaptive by default...
-    assert not EngineContext(cluster=TINY_CLUSTER).adaptive.enabled
-    # ...while sessions default to adaptive on.
+def test_adaptive_constructor_defaults():
+    """Each constructor decides its own default; nothing else does."""
+    # Raw engine contexts are static...
+    engine = EngineContext(cluster=TINY_CLUSTER)
+    assert not engine.adaptive.enabled
+    # ...sessions and the serve front door turn it on for the engines
+    # they create...
     assert SacSession(tile_size=10).engine.adaptive.enabled
-    monkeypatch.setenv("REPRO_ADAPTIVE", "0")
-    assert not SacSession(tile_size=10).engine.adaptive.enabled
+    assert not SacSession(tile_size=10, adaptive=False).engine.adaptive.enabled
+    with QueryService(cluster=TINY_CLUSTER) as service:
+        assert service.loader.engine.adaptive.enabled
+    # ...and a session over a supplied engine keeps that engine's
+    # setting unless told otherwise.
+    assert not SacSession(engine=engine, tile_size=10).engine.adaptive.enabled
+    assert SacSession(
+        engine=engine, tile_size=10, adaptive=True
+    ).engine.adaptive.enabled

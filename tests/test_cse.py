@@ -1,6 +1,6 @@
 """Common-subplan (shuffle) reuse: the CSE pass end to end.
 
-With ``PlannerOptions(cse=True)`` (or ``REPRO_CSE=1``) the planner
+With ``PlannerOptions(cse=True)`` the planner
 fingerprints reusable plans, the session hands an identical recompile
 the *same* Plan object, lowering marks the plan's replicated shuffle
 inputs, and the :class:`~repro.engine.block_manager.BlockManager`
@@ -98,21 +98,6 @@ def test_cse_disabled_by_default():
     assert plan.fingerprint is None
     cse_entry = next(e for e in plan.trace if e.name == "cse")
     assert "disabled" in cse_entry.note
-
-
-def test_cse_env_flag(monkeypatch):
-    """``REPRO_CSE=1`` enables the pass when options leave it unset."""
-    monkeypatch.setenv("REPRO_CSE", "1")
-    rng = np.random.default_rng(3)
-    session = SacSession(cluster=TINY_CLUSTER, tile_size=10)
-    A = session.tiled(rng.uniform(size=(30, 20)))
-    B = session.tiled(rng.uniform(size=(20, 30)))
-    plan = session.compile(MULTIPLY, A=A, B=B, n=30, m=30).plan
-    assert plan.fingerprint
-    # An explicit option always wins over the environment.
-    session.options = PlannerOptions(cse=False)
-    plan = session.compile(MULTIPLY, A=A, B=B, n=30, m=30).plan
-    assert plan.fingerprint is None
 
 
 def test_dedupe_dag_merges_identical_subtrees():

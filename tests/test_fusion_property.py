@@ -142,6 +142,45 @@ def test_vector_chain_byte_identical(n, tile, seed, head):
 
 
 # ----------------------------------------------------------------------
+# Scalar bindings become literals in the kernel text: every float64 value
+# must survive the rendering, the non-finite ones included
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("c", [
+    float("inf"), float("-inf"), float("nan"), -0.0, 1e-320,
+    np.float64(0.1), np.float64("-inf"), np.int64(3),
+], ids=repr)
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0
+def test_scalar_binding_literals_match_interpreter(c):
+    query = "tiled(n,m)[ ((i,j), c*x + c) | ((i,j),x) <- A ]"
+    data = random_matrix(4, 4, 11)
+    data[0, 0] = 0.0  # inf * 0 -> nan, -0.0 * 0 keeps its sign
+
+    def env_of(session):
+        return dict(A=session.tiled(data), n=4, m=4, c=c)
+
+    fused, interpreted = _run_both(query, env_of, 2)
+    assert fused.tobytes() == interpreted.tobytes()
+    assert np.array_equal(fused, c * data + c, equal_nan=True)
+    if not isinstance(c, np.integer):  # not a planner constant: coordinate rule
+        session = make_session(2, fusion=True)
+        _assert_fused(session, query, env_of(session))
+
+
+def test_non_finite_literals_keep_distinct_fingerprints():
+    from repro.planner.kernels import literal_source
+
+    values = [float("inf"), float("-inf"), float("nan"), np.float64("inf")]
+    texts = [literal_source(v) for v in values]
+    assert len(set(texts)) == len(texts)
+    for value, text in zip(values, texts):
+        back = eval(text, {"np": np})
+        assert type(back) is type(value)
+        assert np.array([back]).tobytes() == np.array([value]).tobytes()
+
+
+# ----------------------------------------------------------------------
 # Runner matrix: serial/threaded
 # ----------------------------------------------------------------------
 

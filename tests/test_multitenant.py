@@ -15,6 +15,8 @@ contract:
   tenants.
 """
 
+import pathlib
+import re
 import threading
 import time
 
@@ -29,7 +31,6 @@ from repro.engine import (
     FairJobScheduler,
     MetricsRegistry,
     TINY_CLUSTER,
-    env_flag,
 )
 from repro.engine.serialization import RecordSizeAccountant
 
@@ -389,32 +390,28 @@ def test_admission_wait_lands_in_tenant_metrics():
     assert report["y"]["admission_wait_seconds"] > 0
 
 
-def test_substrate_admission_env_knob(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVE_MAX_CONCURRENT", "3")
-    substrate = EngineSubstrate(cluster=TINY_CLUSTER)
-    assert substrate.admission.max_concurrent == 3
-    substrate.close()
-
-
 # ----------------------------------------------------------------------
-# env_flag (S2): one parser for every boolean knob
+# Environment: two switches, one read site each
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("raw", ["1", "true", "TRUE", "yes", "on", "On"])
-def test_env_flag_truthy_spellings(monkeypatch, raw):
-    monkeypatch.setenv("REPRO_TEST_FLAG", raw)
-    assert env_flag("REPRO_TEST_FLAG") is True
+def test_environment_switches_are_exactly_runner_and_spill_dir():
+    """Every other default is a constructor argument or a CLI flag.
 
-
-@pytest.mark.parametrize("raw", ["0", "false", "no", "off", ""])
-def test_env_flag_falsy_spellings(monkeypatch, raw):
-    monkeypatch.setenv("REPRO_TEST_FLAG", raw)
-    assert env_flag("REPRO_TEST_FLAG") is False
-
-
-def test_env_flag_default_when_unset(monkeypatch):
-    monkeypatch.delenv("REPRO_TEST_FLAG", raising=False)
-    assert env_flag("REPRO_TEST_FLAG") is None
-    assert env_flag("REPRO_TEST_FLAG", True) is True
-    assert env_flag("REPRO_TEST_FLAG", False) is False
+    ``REPRO_RUNNER`` is the CI axis (``scheduler.resolve_runner``) and
+    ``REPRO_SPILL_DIR`` a deployment path (``EngineSubstrate``); a new
+    ``REPRO_*`` name anywhere in ``src/``, or a second read of these
+    two, has to come through here.
+    """
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    named, reads = set(), []
+    for path in sorted(src.rglob("*.py")):
+        for line in path.read_text().splitlines():
+            names = re.findall(r"REPRO_[A-Z_]+", line)
+            named.update(names)
+            if "os.environ" in line or "getenv(" in line:
+                reads += [(name, path.name) for name in names]
+    assert named == {"REPRO_RUNNER", "REPRO_SPILL_DIR"}
+    assert sorted(reads) == [
+        ("REPRO_RUNNER", "scheduler.py"), ("REPRO_SPILL_DIR", "substrate.py"),
+    ]

@@ -60,7 +60,7 @@ def test_add_trace(session):
         " tile size 10",
         "strategy-selection: rule preserve-tiling [rewrote plan]",
         "adaptive-install: not a cost-chosen group-by-join candidate",
-        "cse: disabled (enable with PlannerOptions(cse=True) or REPRO_CSE=1)",
+        "cse: disabled (enable with PlannerOptions(cse=True))",
         "fusion: fused 1 tile operator(s) into kernel 068ec7510ddfc251"
         " (mode joined) [rewrote plan]",
     ]
@@ -108,7 +108,7 @@ def test_multiply_trace(session):
         "strategy-selection: rule group-by-join (strategy"
         " gbj-broadcast-left) [rewrote plan]",
         "adaptive-install: not a cost-chosen group-by-join candidate",
-        "cse: disabled (enable with PlannerOptions(cse=True) or REPRO_CSE=1)",
+        "cse: disabled (enable with PlannerOptions(cse=True))",
         "fusion: no fusible MapTiles/Filter chain (rule group-by-join)",
     ]
     assert final == (
@@ -130,7 +130,7 @@ def test_transpose_trace(session):
         " tile size 10",
         "strategy-selection: rule preserve-tiling [rewrote plan]",
         "adaptive-install: not a cost-chosen group-by-join candidate",
-        "cse: disabled (enable with PlannerOptions(cse=True) or REPRO_CSE=1)",
+        "cse: disabled (enable with PlannerOptions(cse=True))",
         "fusion: fused 1 tile operator(s) into kernel 8dfab873be3b95a5"
         " (mode tiles) [rewrote plan]",
     ]
@@ -173,7 +173,7 @@ def test_factorization_step_trace(session):
         "strategy-selection: rule group-by-join (strategy"
         " gbj-broadcast-left) [rewrote plan]",
         "adaptive-install: not a cost-chosen group-by-join candidate",
-        "cse: disabled (enable with PlannerOptions(cse=True) or REPRO_CSE=1)",
+        "cse: disabled (enable with PlannerOptions(cse=True))",
         "fusion: no fusible MapTiles/Filter chain (rule group-by-join)",
     ]
     assert final == (

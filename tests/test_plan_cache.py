@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from repro import SacSession
-from repro.core.session import _LruCache
-from repro.engine import TINY_CLUSTER
+from repro.engine import TINY_CLUSTER, LruCache
 from repro.engine.partitioner import GridPartitioner
 from repro.planner import (
     PlannerOptions, RULE_GROUP_BY_JOIN, RULE_TILED_REDUCE,
@@ -161,23 +160,46 @@ def test_miss_on_cse_toggle(session):
     assert stats["hits"] == 0 and stats["misses"] == 2
 
 
-def test_cse_fingerprint_swaps_in_prior_plan():
+def test_cse_fingerprint_swaps_in_prior_plan(monkeypatch):
     """With CSE on, an identical recompile hands back the same Plan.
 
-    The fingerprint hashes storage identity, so rebinding a name to a
-    *fresh* array of the same shape must still produce a new plan.
+    The plan rides on the pass-cache entry, so the warm compile — from
+    this session or another tenant's on the same substrate — never
+    lowers.  The key carries storage identity, so rebinding a name to a
+    *fresh* array of the same shape must still produce a new plan, and
+    ``cache=False`` lowers fresh.
     """
+    import repro.core.session as session_module
+
+    lowered = []
+    real_lower = session_module.lower
+    monkeypatch.setattr(
+        session_module, "lower",
+        lambda state: lowered.append(state) or real_lower(state),
+    )
     session = SacSession(
         cluster=TINY_CLUSTER, tile_size=10,
         options=PlannerOptions(cse=True),
     )
     A, B = _mats(session)
     first = session.compile(MULTIPLY, A=A, B=B, n=30, m=30)
+    assert first.plan.fingerprint and len(lowered) == 1
     second = session.compile(MULTIPLY, A=A, B=B, n=30, m=30)
-    assert second.plan is first.plan
+    other = SacSession(
+        engine=session.engine, tile_size=10, options=session.options,
+        tenant="other",
+    )
+    third = other.compile(MULTIPLY, A=A, B=B, n=30, m=30)
+    assert second.plan is first.plan and third.plan is first.plan
+    assert len(lowered) == 1
+    uncached = session.compile(MULTIPLY, A=A, B=B, n=30, m=30, cache=False)
+    assert uncached.plan is not first.plan and len(lowered) == 2
     A2, B2 = _mats(session)
-    third = session.compile(MULTIPLY, A=A2, B=B2, n=30, m=30)
-    assert third.plan is not first.plan
+    rebound = session.compile(MULTIPLY, A=A2, B=B2, n=30, m=30)
+    assert rebound.plan is not first.plan and len(lowered) == 3
+    assert set(session.compile_stats()) == {
+        "parse_cache", "plan_cache", "pass_cache",
+    }
 
 
 def test_cache_false_bypasses(session):
@@ -350,12 +372,15 @@ def test_pass_cache_hit_execution_is_byte_identical(session):
     A, B = _mats(session)
     env = dict(A=A, B=B, n=30, m=30)
     first = session.compile(MULTIPLY, env)
-    r1 = first.execute().to_numpy()
+    out1 = first.execute()
+    r1 = out1.to_numpy()
     c1 = session.engine.metrics.total.shuffle_bytes
     second = session.compile(MULTIPLY, env)
     assert pass_stats(session)["hits"] == 1
     assert second.plan is not first.plan
-    r2 = second.execute().to_numpy()
+    out2 = second.execute()
+    assert out2.tiles.id != out1.tiles.id  # a fresh lineage, not a reuse
+    r2 = out2.to_numpy()
     c2 = session.engine.metrics.total.shuffle_bytes
     assert r1.tobytes() == r2.tobytes()
     assert c2 - c1 == c1  # second run shuffled exactly as many bytes
@@ -401,7 +426,7 @@ def test_threaded_compiles_are_safe():
 
 
 def test_lru_evicts_oldest_and_counts():
-    cache = _LruCache(maxsize=2)
+    cache = LruCache(maxsize=2)
     cache.put("a", 1)
     cache.put("b", 2)
     assert cache.get("a") == 1  # refreshes "a"

@@ -85,7 +85,6 @@ def _run_mode(mode: str) -> dict:
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src)
-    env.pop("REPRO_MEMORY_LIMIT", None)
     proc = subprocess.run(
         [sys.executable, "-c", WORKER, mode],
         capture_output=True, text=True, timeout=300, env=env,
