@@ -6,7 +6,7 @@ the Python analogue, in two parts:
 * :func:`generate_fused_kernel` — turns one preserve-tiling chain
   (MapTiles / Filter over scans) into the *source text* of a single
   per-partition NumPy function.  The text reproduces, statement for
-  statement, what :func:`repro.planner.lower._lower_preserve` and
+  statement, what :func:`repro.planner.lower._lower_map_tiles` and
   ``_result_storage`` do across five or six Python-level RDD hops —
   coordinate projection, index grids, tile realignment, the vectorized
   head value, guard masks, and boundary clipping — but on a leading

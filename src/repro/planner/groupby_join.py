@@ -22,14 +22,15 @@ candidates first: :func:`match_group_by_join` recognizes the pattern
 and returns a :class:`GbjMatch` carrying the quantities the cost model
 needs (grids, dimensions, partition counts via the generators), then
 :func:`emit_replicate` / :func:`emit_broadcast` emit the chosen
-physical IR node, which :mod:`repro.planner.lower` turns into the RDD
-program.
+physical tree, which :mod:`repro.planner.lower` turns into the RDD
+program node by node — at compile time and, when the adaptive layer
+downgrades a strategy mid-job, again for the replacement tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..comprehension.ast import Var, free_vars, to_source
 from ..engine import RecordSizeAccountant
@@ -38,15 +39,20 @@ from ..comprehension.monoids import Monoid, monoid
 from ..storage import stats as density
 from .cost import (
     STRATEGY_BROADCAST_LEFT, STRATEGY_BROADCAST_RIGHT, STRATEGY_REPLICATE,
+    CostModel, choose_strategy,
 )
 from .ir import (
-    IRNode, OP_ASSEMBLE, OP_BROADCAST, OP_GROUP_BY_JOIN, OP_REPLICATE,
-    scan_gen_node,
+    BroadcastNode, GroupByJoinNode, IRNode, ReplicateNode, scan_gen_node,
 )
+from .kernels import combine_tiles
 from .plan import RULE_GROUP_BY_JOIN
 from .tiling import (
-    ResolvedGen, TiledSetup, _drop_if_dense, _out_classes, assemble_sig,
+    ResolvedGen, TiledSetup, _drop_if_dense, _out_classes, assemble_root,
+    axis_names, bind_contraction,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from .passes import PlanState
 
 #: Bytes per float64 element (kept in sync with cost.ELEMENT_BYTES).
 _ELEMENT_BYTES = 8
@@ -69,10 +75,6 @@ class GbjMatch:
     left_join_axis: int
     right_col_axis: int
     right_join_axis: int
-    #: Einsum-style axis names for :func:`~repro.planner.kernels.contract`.
-    left_axes: tuple[str, ...]
-    right_axes: tuple[str, ...]
-    out_axes: tuple[str, str]
     #: Index classes of the result's dimensions and of the join.
     row_class: int
     col_class: int
@@ -81,10 +83,13 @@ class GbjMatch:
     grid_rows: int
     grid_cols: int
     grid_join: int
-    #: The aggregated term h(a, b) and its monoid.
+    #: The aggregated term h(a, b) and its monoid, and what both 5.4
+    #: strategies run with them: ``contract(left_tile, right_tile)`` is
+    #: ⊕/h over one tile pair, ``fold`` the tile monoid ⊗′.
     term: object
     mon: Monoid
-    value_vars: tuple[str, str]
+    contract: Callable
+    fold: Callable
     #: Logical dimensions (elements, not tiles).
     row_dim: int = 0
     col_dim: int = 0
@@ -129,12 +134,10 @@ def match_group_by_join(setup: TiledSetup) -> Optional[GbjMatch]:
     # The group key must take one dimension from each generator.
     gx, gy = key_exprs
     assert isinstance(gx, Var) and isinstance(gy, Var)
-    if gx.name in left_gen.index_vars and gy.name in right_gen.index_vars:
-        pass
-    elif gx.name in right_gen.index_vars and gy.name in left_gen.index_vars:
+    if gx.name in right_gen.index_vars and gy.name in left_gen.index_vars:
+        # Classes stay as they are: already dimension-ordered by the key.
         left_gen, right_gen = right_gen, left_gen
-        out_classes = out_classes  # classes already dimension-ordered by key
-    else:
+    elif not (gx.name in left_gen.index_vars and gy.name in right_gen.index_vars):
         return None
 
     # The join condition must link the two generators on single index vars.
@@ -167,11 +170,6 @@ def match_group_by_join(setup: TiledSetup) -> Optional[GbjMatch]:
     right_col_axis = right_gen.index_vars.index(gy.name if gy.name in right_gen.index_vars else gx.name)
     right_join_axis = right_gen.index_vars.index(ky.name)
 
-    class_names = {cls: f"c{cls}" for cls in setup.class_dim}
-    left_axes = tuple(class_names[c] for c in left_gen.axis_classes)
-    right_axes = tuple(class_names[c] for c in right_gen.axis_classes)
-    out_axes = (class_names[row_class], class_names[col_class])
-
     return GbjMatch(
         left_gen=left_gen,
         right_gen=right_gen,
@@ -179,9 +177,6 @@ def match_group_by_join(setup: TiledSetup) -> Optional[GbjMatch]:
         left_join_axis=left_join_axis,
         right_col_axis=right_col_axis,
         right_join_axis=right_join_axis,
-        left_axes=left_axes,
-        right_axes=right_axes,
-        out_axes=out_axes,
         row_class=row_class,
         col_class=col_class,
         join_class=join_class,
@@ -190,7 +185,11 @@ def match_group_by_join(setup: TiledSetup) -> Optional[GbjMatch]:
         grid_join=setup.grid_size(join_class),
         term=slot.expr,
         mon=mon,
-        value_vars=(value_vars[0], value_vars[1]),
+        contract=bind_contraction(
+            left_gen.axis_classes, right_gen.axis_classes,
+            (row_class, col_class), slot.expr, mon, value_vars,
+        ),
+        fold=lambda a, b: combine_tiles(mon, a, b),
         row_dim=setup.class_dim[row_class],
         col_dim=setup.class_dim[col_class],
         join_dim=setup.class_dim[join_class],
@@ -212,7 +211,9 @@ def _gbj_sig(match: GbjMatch) -> tuple:
     return (
         ("term", to_source(match.term)),
         ("monoid", match.mon.name),
-        ("axes", match.left_axes, match.right_axes, match.out_axes),
+        ("axes", axis_names(match.left_gen.axis_classes),
+         axis_names(match.right_gen.axis_classes),
+         axis_names((match.row_class, match.col_class))),
         ("positions", match.left_row_axis, match.left_join_axis,
          match.right_col_axis, match.right_join_axis),
         ("grid", match.grid_rows, match.grid_cols, match.grid_join),
@@ -223,39 +224,45 @@ def emit_replicate(
     setup: TiledSetup, match: GbjMatch, builder: str, args: tuple
 ) -> IRNode:
     """The SUMMA-style translation: replicate row/column tile bands."""
-    left_scan = scan_gen_node(match.left_gen)
-    right_scan = scan_gen_node(match.right_gen)
-    left_rep = IRNode(
-        op=OP_REPLICATE,
-        children=(left_scan,),
-        sig=(("axis", match.left_row_axis, match.left_join_axis),
-             ("copies", match.grid_cols)),
-        label="rows",
+
+    def band(gen, own_axis, join_axis, copies, label):
+        """One side's tiles, each copied across the result's other dimension
+        and tagged with its join coordinate."""
+        rows = label == "rows"
+
+        def fan_out(record):
+            coords, tile = record
+            own, k = coords[own_axis], coords[join_axis]
+            if rows:
+                return [((own, q), (k, tile)) for q in range(copies)]
+            return [((p, own), (k, tile)) for p in range(copies)]
+
+        return ReplicateNode(
+            children=(scan_gen_node(gen),),
+            sig=(("axis", own_axis, join_axis), ("copies", copies)),
+            label=label,
+            fan_out=fan_out,
+        )
+
+    left_rep = band(
+        match.left_gen, match.left_row_axis, match.left_join_axis,
+        match.grid_cols, "rows",
     )
-    right_rep = IRNode(
-        op=OP_REPLICATE,
-        children=(right_scan,),
-        sig=(("axis", match.right_col_axis, match.right_join_axis),
-             ("copies", match.grid_rows)),
-        label="cols",
+    right_rep = band(
+        match.right_gen, match.right_col_axis, match.right_join_axis,
+        match.grid_rows, "cols",
     )
-    join = IRNode(
-        op=OP_GROUP_BY_JOIN,
+    join = GroupByJoinNode(
         children=(left_rep, right_rep),
         sig=_gbj_sig(match) + (("strategy", STRATEGY_REPLICATE),),
         attrs={"strategy": STRATEGY_REPLICATE, "monoid": match.mon.name},
         label="summa",
+        match=match,
     )
-    root = IRNode(
-        op=OP_ASSEMBLE,
-        children=(join,),
-        sig=assemble_sig(setup, builder, args),
-    )
-    root.attrs.update(
+    return assemble_root(
+        setup, builder, args, join, _match_stats(match),
         rule=RULE_GROUP_BY_JOIN,
-        builder=builder,
         strategy=STRATEGY_REPLICATE,
-        reusable=True,
         description=(
             "group-by-join (SUMMA): replicate row/column tile bands, "
             "cogroup on result coordinates, contract reducer-side"
@@ -270,11 +277,7 @@ def emit_replicate(
             "replication": f"A x{match.grid_cols}, B x{match.grid_rows}",
             "monoid": match.mon.name,
         },
-        payload=dict(
-            setup=setup, match=match, builder=builder, args=args,
-        ),
     )
-    return root
 
 
 def emit_broadcast(
@@ -295,38 +298,34 @@ def emit_broadcast(
     strategy = (
         STRATEGY_BROADCAST_LEFT if small_is_left else STRATEGY_BROADCAST_RIGHT
     )
-    small = match.left_gen if small_is_left else match.right_gen
-    large = match.right_gen if small_is_left else match.left_gen
-    small_node = IRNode(
-        op=OP_BROADCAST,
-        children=(scan_gen_node(small),),
-        sig=(("side", side),),
-        label=side,
-    )
-    large_node = scan_gen_node(large)
-    children = (
-        (small_node, large_node) if small_is_left else (large_node, small_node)
-    )
-    join = IRNode(
-        op=OP_GROUP_BY_JOIN,
-        children=children,
+    left_node: IRNode = scan_gen_node(match.left_gen)
+    right_node: IRNode = scan_gen_node(match.right_gen)
+    if small_is_left:
+        left_node = BroadcastNode(
+            children=(left_node,), sig=(("side", side),), label=side,
+            join_axis=match.left_join_axis, key_axis=match.left_row_axis,
+        )
+    else:
+        right_node = BroadcastNode(
+            children=(right_node,), sig=(("side", side),), label=side,
+            join_axis=match.right_join_axis, key_axis=match.right_col_axis,
+        )
+    join = GroupByJoinNode(
+        children=(left_node, right_node),
         sig=_gbj_sig(match) + (
             ("strategy", strategy),
             ("reduce_partitions", reduce_partitions),
         ),
         attrs={"strategy": strategy, "monoid": match.mon.name},
         label="broadcast",
+        match=match,
+        side=side,
+        reduce_partitions=reduce_partitions,
     )
-    root = IRNode(
-        op=OP_ASSEMBLE,
-        children=(join,),
-        sig=assemble_sig(setup, builder, args),
-    )
-    root.attrs.update(
+    return assemble_root(
+        setup, builder, args, join, _match_stats(match),
         rule=RULE_GROUP_BY_JOIN,
-        builder=builder,
         strategy=strategy,
-        reusable=True,
         description=(
             f"group-by-join (broadcast): small {side} side broadcast to "
             "every task; partial tiles merged with reduceByKey"
@@ -337,12 +336,7 @@ def emit_broadcast(
             "            .reduceByKey(⊗′))"
         ),
         details={"broadcast_side": side, "monoid": match.mon.name},
-        payload=dict(
-            setup=setup, match=match, builder=builder, args=args,
-            side=side, reduce_partitions=reduce_partitions,
-        ),
     )
-    return root
 
 
 # ----------------------------------------------------------------------
@@ -389,14 +383,8 @@ def measure_gen_size(gen: ResolvedGen) -> Optional[tuple[int, int]]:
 
 
 def reconsider_join_strategy(
-    engine,
-    setup: TiledSetup,
-    match: GbjMatch,
-    candidates: dict,
-    chosen: str,
-    builder: str,
-    args: tuple,
-) -> Optional[tuple]:
+    state: "PlanState", candidates: dict, chosen: str
+) -> Optional[tuple[IRNode, str]]:
     """Re-cost a cost-chosen group-by-join from measured input sizes.
 
     Called by the planner's adaptive wrapper just before the plan's
@@ -410,14 +398,11 @@ def reconsider_join_strategy(
     upstream filter was underestimated) — and only when the measured
     side actually fits the cluster's per-copy broadcast budget.
 
-    Returns ``(replacement_thunk, new_strategy)`` or None to keep the
-    compile-time choice.
+    Returns ``(replacement tree, new_strategy)`` — the same
+    :func:`emit_broadcast` tree a compile-time broadcast choice emits,
+    for the caller to lower — or None to keep the compile-time choice.
     """
-    from .cost import (
-        STRATEGY_BROADCAST_LEFT, STRATEGY_BROADCAST_RIGHT, STRATEGY_REPLICATE,
-        STRATEGY_TILED_REDUCE, CostModel, choose_strategy,
-    )
-
+    engine, setup, match = state.engine, state.setup, state.match
     manager = getattr(engine, "adaptive", None)
     if manager is None or not manager.enabled:
         return None
@@ -439,11 +424,7 @@ def reconsider_join_strategy(
         memory_limit=getattr(engine, "memory_limit", None),
     )
     recost = model.candidates(setup, match)
-    allowed = [
-        STRATEGY_REPLICATE, STRATEGY_BROADCAST_LEFT,
-        STRATEGY_BROADCAST_RIGHT, STRATEGY_TILED_REDUCE,
-    ]
-    new_strategy = choose_strategy(recost, allowed)
+    new_strategy = choose_strategy(recost)
     if new_strategy == chosen or new_strategy not in (
         STRATEGY_BROADCAST_LEFT, STRATEGY_BROADCAST_RIGHT
     ):
@@ -481,10 +462,8 @@ def reconsider_join_strategy(
             ),
         },
     ))
-    from .lower import build_broadcast_thunk
-
-    replacement = build_broadcast_thunk(
-        setup, match, builder, args, side,
+    replacement = emit_broadcast(
+        setup, match, state.builder, state.args, side,
         reduce_partitions=estimate.reduce_partitions,
     )
     return replacement, new_strategy

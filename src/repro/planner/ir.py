@@ -12,25 +12,32 @@ module gives every plan an explicit shape instead:
   annotated with tiling classes, :class:`~repro.storage.stats.DensityStats`,
   partitioner facts, and the cost model's estimates.
 
-Nodes are deliberately dumb records — ``op`` + children + attributes —
-so passes (:mod:`repro.planner.passes`) can rewrite them and the single
-lowering site (:mod:`repro.planner.lower`) can turn them into RDD
-programs.  Two fingerprints serve two audiences:
-
-* :meth:`IRNode.structural_fingerprint` hashes only the *semantic*
-  signature (``sig``) — stable across sessions and storage objects, used
-  by golden tests and ``to_dict`` exports;
-* :meth:`IRNode.identity_fingerprint` additionally hashes the identity
-  of the storages a plan reads (``identity``), so two plans share a
-  fingerprint only when re-executing one would read the very same
-  distributed data — the key common-subplan reuse is allowed to use.
+Nodes are records — ``op`` + children + annotations, plus, on the
+physical level, the typed fields their lowerer executes (one
+:class:`IRNode` subclass per operator that owns code) — so passes
+(:mod:`repro.planner.passes`) can rewrite them and the single lowering
+site (:mod:`repro.planner.lower`) turns each node, applied to its
+lowered children, into its piece of the RDD program.
+:meth:`IRNode.identity_fingerprint` hashes the semantic signatures
+(``sig``) together with the identity of the storages a plan reads
+(``identity``), so two plans share a fingerprint only when re-executing
+one would read the very same distributed data — the key common-subplan
+reuse is allowed to use.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from ..engine import RDD
+    from ..storage.stats import DensityStats
+    from .analysis import CompInfo
+    from .codegen import FusedKernel
+    from .groupby_join import GbjMatch
+    from .tiling import ResolvedGen, TiledSetup
 
 #: Operator vocabulary.  Logical and physical trees draw from the same
 #: set; ``level`` tells them apart.
@@ -45,7 +52,6 @@ OP_REPLICATE = "Replicate"
 OP_BROADCAST = "Broadcast"
 OP_ASSEMBLE = "Assemble"
 OP_COORDINATE = "Coordinate"
-OP_LOCAL = "Local"
 OP_REDUCE = "Reduce"
 OP_COLLECT = "Collect"
 
@@ -61,8 +67,8 @@ class IRNode:
     stable values only); ``identity`` carries runtime object identities
     (storage ``id()``s) that distinguish structurally equal plans over
     different data.  ``attrs`` is free-form annotation space — tiling
-    classes, density stats, cost estimates, and the opaque lowering
-    payload the rule emitters stash for :mod:`repro.planner.lower`.
+    classes, density stats, cost estimates — that nothing executes;
+    what is executed lives in the typed fields of the subclasses below.
     """
 
     op: str
@@ -127,14 +133,6 @@ class IRNode:
         self._render_memo = go(self)
         return self._render_memo
 
-    # ------------------------------------------------------------------
-    # Fingerprints
-    # ------------------------------------------------------------------
-
-    def structural_fingerprint(self) -> str:
-        """Hash of the semantic tree shape; stable across processes."""
-        return _digest(self._canonical(include_identity=False))
-
     def identity_fingerprint(self) -> str:
         """Hash of shape + the identities of the storages read.
 
@@ -142,18 +140,16 @@ class IRNode:
         objects — the precondition for reusing a lowered subplan (and
         its shuffle outputs) instead of rebuilding it.
         """
-        return _digest(self._canonical(include_identity=True))
+        return _digest(self._canonical())
 
-    def _canonical(self, include_identity: bool) -> tuple:
+    def _canonical(self) -> tuple:
         return (
             self.op,
             self.level,
             self.label,
             repr(self.sig),
-            repr(self.identity) if include_identity else "",
-            tuple(
-                child._canonical(include_identity) for child in self.children
-            ),
+            repr(self.identity),
+            tuple(child._canonical() for child in self.children),
         )
 
     # ------------------------------------------------------------------
@@ -186,8 +182,8 @@ class IRNode:
         return go(self)
 
 
-#: Node attributes worth exporting in ``to_dict`` (the rest is opaque
-#: lowering payload: closures, storages, analysis objects).
+#: Node attributes worth exporting in ``to_dict`` (the rest are
+#: driver-side annotations: descriptions, estimates, pass marks).
 _EXPORTED_ATTRS = {
     "rule", "strategy", "storage", "dims", "classes", "partitioner",
     "stats", "tile_size", "monoid", "builder", "cse", "cse_merged",
@@ -211,6 +207,124 @@ def _json_safe(value: Any) -> Any:
 
 
 # ----------------------------------------------------------------------
+# Physical operators: the typed fields each node's lowerer executes
+# ----------------------------------------------------------------------
+
+
+@dataclass(eq=False, kw_only=True)
+class ScanNode(IRNode):
+    """Leaf: ``records()`` is the generator's tile-record RDD (element
+    pairs under ``Coordinate``); logical scans carry none."""
+
+    op: str = OP_SCAN
+    records: Optional[Callable[[], RDD]] = None
+
+
+@dataclass(eq=False, kw_only=True)
+class FilterNode(IRNode):
+    """5.1 residual guards, compiled to the masks the parent applies."""
+
+    op: str = OP_FILTER
+    masks: Sequence[Callable[[dict], Any]]
+
+
+@dataclass(eq=False, kw_only=True)
+class MapTilesNode(IRNode):
+    """5.1: tile join on the output coordinate + the per-tile head."""
+
+    op: str = OP_MAP_TILES
+    setup: TiledSetup
+    out_classes: Sequence[int]
+    value_fn: Callable[[dict], Any]
+
+
+@dataclass(eq=False, kw_only=True)
+class FusedKernelNode(IRNode):
+    """A MapTiles(/Filter) chain as one generated kernel; ``fallback`` is
+    the chain it replaced, lowered only if the kernel fails to compile."""
+
+    op: str = OP_FUSED_KERNEL
+    kernel: FusedKernel
+    setup: TiledSetup
+    out_classes: Sequence[int]
+    fallback: IRNode
+
+
+@dataclass(eq=False, kw_only=True)
+class ReplicateNode(IRNode):
+    """flatMap each tile to the ``(destination, …)`` records ``fan_out``
+    lists: I_f(K) in 5.2, a row or column band in 5.4."""
+
+    op: str = OP_REPLICATE
+    fan_out: Callable[[tuple], list]
+
+
+@dataclass(eq=False, kw_only=True)
+class GroupByNode(IRNode):
+    """5.2: groupByKey + the masked scatter into destination tiles."""
+
+    op: str = OP_GROUP_BY
+    assemble: Callable[[tuple], tuple]
+
+
+@dataclass(eq=False, kw_only=True)
+class TiledReduceNode(IRNode):
+    """5.3: tile join, ``compute`` per joined tuple, reduceByKey(``fold``
+    = ⊗′), ``finish`` (the residual f′) per key."""
+
+    op: str = OP_TILED_REDUCE
+    setup: TiledSetup
+    out_classes: Sequence[int]
+    compute: Callable[[dict, tuple], tuple]
+    fold: Callable[[tuple, tuple], tuple]
+    finish: Callable[[tuple, tuple], Any]
+
+
+@dataclass(eq=False, kw_only=True)
+class BroadcastNode(IRNode):
+    """5.4: collect the small side, keyed by its join coordinate."""
+
+    op: str = OP_BROADCAST
+    join_axis: int
+    key_axis: int
+
+
+@dataclass(eq=False, kw_only=True)
+class GroupByJoinNode(IRNode):
+    """5.4: SUMMA cogroup of two replicated bands (``side is None``) or
+    the large side streamed past the broadcast ``side``."""
+
+    op: str = OP_GROUP_BY_JOIN
+    match: GbjMatch
+    side: Optional[str] = None
+    reduce_partitions: Optional[int] = None
+
+
+@dataclass(eq=False, kw_only=True)
+class AssembleNode(IRNode):
+    """Root of every tiled rule: clip the tile RDD into the builder."""
+
+    op: str = OP_ASSEMBLE
+    tile_size: int
+    builder: str
+    args: tuple
+    out_stats: Optional[DensityStats]
+
+
+@dataclass(eq=False, kw_only=True)
+class CoordinateNode(IRNode):
+    """Section 4 over element records.  ``join_order``: per folded
+    generator, its index and the (joined-side, own-side) key
+    expressions — no keys means a cartesian product."""
+
+    op: str = OP_COORDINATE
+    info: CompInfo
+    builder: Optional[str]
+    args: tuple
+    join_order: Sequence[tuple[int, list, list]]
+
+
+# ----------------------------------------------------------------------
 # Construction helpers
 # ----------------------------------------------------------------------
 
@@ -224,7 +338,9 @@ def partitioner_signature(partitioner: Any) -> Any:
     )
 
 
-def scan_storage_node(name: str, storage: Any, level: str = PHYSICAL) -> IRNode:
+def scan_storage_node(
+    name: str, storage: Any, level: str = PHYSICAL
+) -> ScanNode:
     """A ``Scan`` leaf over one named environment binding.
 
     Captures the storage's class, dimensions, tile partitioning, and
@@ -251,8 +367,7 @@ def scan_storage_node(name: str, storage: Any, level: str = PHYSICAL) -> IRNode:
         if density is not None:
             sig += (("density", density, block_density),)
             attrs["stats"] = str(stats)
-    return IRNode(
-        op=OP_SCAN,
+    return ScanNode(
         level=level,
         sig=sig,
         identity=(id(storage),),
@@ -261,17 +376,18 @@ def scan_storage_node(name: str, storage: Any, level: str = PHYSICAL) -> IRNode:
     )
 
 
-def scan_gen_node(gen: Any, level: str = PHYSICAL) -> IRNode:
+def scan_gen_node(gen: ResolvedGen, level: str = PHYSICAL) -> ScanNode:
     """A ``Scan`` leaf for one resolved tiled generator.
 
-    ``gen`` is a :class:`~repro.planner.tiling.ResolvedGen`; its axis
-    classes and dimensions are recorded as node attributes so the tree
-    carries the tiling facts the rules decided with.
+    The node owns ``gen``'s tile records (what lowering reads); its axis
+    classes and dimensions are also recorded as node attributes so the
+    tree carries the tiling facts the rules decided with.
     """
     name = "?"
     if gen.index_vars:
         name = ",".join(gen.index_vars)
     node = scan_storage_node(name, gen.storage, level=level)
+    node.records = gen.tile_records
     node.sig += (
         ("axes", tuple(gen.axis_classes)),
         ("dims", tuple(gen.axis_dims)),
@@ -300,13 +416,7 @@ class PassTraceEntry:
         return text + (" [rewrote plan]" if self.changed else "")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "note": self.note,
-            "changed": self.changed,
-            "before": self.before,
-            "after": self.after,
-        }
+        return asdict(self)
 
 
 def dedupe_dag(root: IRNode) -> tuple[IRNode, int]:

@@ -20,8 +20,8 @@ decided, and built in a single motion.  It is now a
    and mark the plan's shuffle outputs for
    :class:`~repro.engine.block_manager.BlockManager` reuse (off by
    default; ``PlannerOptions(cse=True)``, which ``repro serve`` passes);
-6. **fusion** — collapse a preserve-tiling MapTiles/Filter chain into a
-   single :data:`~repro.planner.ir.OP_FUSED_KERNEL` node carrying the
+6. **fusion** — replace a preserve-tiling MapTiles/Filter subtree with a
+   single :class:`~repro.planner.ir.FusedKernelNode` owning the
    fingerprinted per-partition source
    :func:`~repro.planner.codegen.generate_fused_kernel` emitted, so the
    lowering runs one generated NumPy hop per stacked batch of tiles
@@ -32,8 +32,9 @@ decided, and built in a single motion.  It is now a
 Every pass records a :class:`~repro.planner.ir.PassTraceEntry` with the
 physical DAG rendered before and after, so ``Plan.explain()`` can show
 *how* a plan came to be, and golden tests can pin the pipeline down.
-Passes only decide and annotate — no RDD is constructed here; that is
-:mod:`repro.planner.lower`'s job.
+Passes only decide, annotate and rewrite the tree — no RDD is constructed
+here; that is :mod:`repro.planner.lower`'s job, node by node over
+whatever tree the last pass left.
 """
 
 from __future__ import annotations
@@ -58,11 +59,11 @@ from .cost import (
 from .codegen import generate_fused_kernel
 from .groupby_join import emit_broadcast, emit_replicate, match_group_by_join
 from .ir import (
-    IRNode, LOGICAL, OP_COLLECT, OP_FILTER, OP_FUSED_KERNEL, OP_GROUP_BY,
-    OP_MAP_TILES, OP_REDUCE, PassTraceEntry, dedupe_dag, scan_storage_node,
+    AssembleNode, FusedKernelNode, IRNode, LOGICAL, OP_COLLECT, OP_FILTER,
+    OP_GROUP_BY, OP_MAP_TILES, OP_REDUCE, PassTraceEntry, dedupe_dag,
+    scan_storage_node,
 )
 from .kernels import KernelUnsupported
-from .plan import RULE_PRESERVE_TILING
 from .rdd_rules import emit_coordinate
 from .tiling import (
     emit_preserve, emit_shuffle, emit_tiled_reduce, resolve_tiled,
@@ -112,6 +113,8 @@ class PlanState:
     args: tuple = ()
     info: Any = None
     setup: Any = None
+    #: The recognized group-by-join, if any (the adaptive hook re-costs it).
+    match: Any = None
     logical: Optional[IRNode] = None
     physical: Optional[IRNode] = None
     trace: list[PassTraceEntry] = field(default_factory=list)
@@ -316,8 +319,7 @@ def pass_tiling_resolution(state: PlanState) -> str:
         # pristine for other storages' compiles).
         state.info = setup.info
     if setup is not None and not sparse_gens_sound(setup):
-        setup = None  # sparse semantics need the coordinate path
-        state.setup = None
+        state.setup = None  # sparse semantics need the coordinate path
         return "sparse generator semantics unsound -> coordinate path"
     state.setup = setup
     if setup is None:
@@ -388,7 +390,7 @@ def _select_group_by(state: PlanState) -> Optional[IRNode]:
     """
     setup, engine, options = state.setup, state.engine, state.options
     builder, args = state.builder, state.args
-    match = match_group_by_join(setup)
+    match = state.match = match_group_by_join(setup)
     candidates: dict[str, CostEstimate] = {}
     # Cost-chosen = no explicit override pinned the strategy; only then
     # may the adaptive layer second-guess the choice at execute time.
@@ -416,7 +418,6 @@ def _select_group_by(state: PlanState) -> Optional[IRNode]:
             _attach_estimates(root, strategy, candidates)
             if cost_chosen and strategy == STRATEGY_REPLICATE:
                 root.attrs["adaptive_candidate"] = True
-            root.attrs["adaptive_match"] = match
             return root
 
     root = emit_tiled_reduce(setup, builder, args)
@@ -430,7 +431,6 @@ def _select_group_by(state: PlanState) -> Optional[IRNode]:
         _attach_estimates(root, STRATEGY_TILED_REDUCE, candidates)
         if match is not None and cost_chosen:
             root.attrs["adaptive_candidate"] = True
-            root.attrs["adaptive_match"] = match
     return root
 
 
@@ -454,15 +454,11 @@ def _choose_gbj_strategy(
         return STRATEGY_REPLICATE
     if options.group_by_join is True:
         return STRATEGY_REPLICATE
-    allowed = [
-        STRATEGY_REPLICATE,
-        STRATEGY_BROADCAST_LEFT,
-        STRATEGY_BROADCAST_RIGHT,
-        STRATEGY_TILED_REDUCE,
-    ]
     if threshold == 0:
-        allowed = [STRATEGY_REPLICATE, STRATEGY_TILED_REDUCE]
-    return choose_strategy(candidates, allowed)
+        return choose_strategy(
+            candidates, [STRATEGY_REPLICATE, STRATEGY_TILED_REDUCE]
+        )
+    return choose_strategy(candidates)
 
 
 def _attach_estimates(
@@ -539,11 +535,11 @@ def pass_cse(state: PlanState) -> str:
 
 
 def pass_fusion(state: PlanState) -> str:
-    """Collapse a preserve-tiling chain into one generated kernel node.
+    """Replace a preserve-tiling chain with one generated kernel node.
 
-    Only rewrites plans the lowering executes as a MapTiles/Filter chain
-    of elementwise Python hops (rule ``preserve-tiling``); every other
-    rule keeps its shape.  When the chain has no source form
+    Only rewrites an ``Assemble`` over a ``MapTiles`` subtree — the
+    chain lowering executes as elementwise Python hops per tile; every
+    other tree keeps its shape.  When the chain has no source form
     (:class:`KernelUnsupported`), the interpreter chain stays in place
     for exactly this query — a per-chain fallback, not a global switch.
     """
@@ -552,24 +548,35 @@ def pass_fusion(state: PlanState) -> str:
         return "skipped (local plan)"
     if not fusion_enabled(state.options):
         return "disabled (PlannerOptions(fusion=False))"
-    if root.attrs.get("rule") != RULE_PRESERVE_TILING:
+    if not (isinstance(root, AssembleNode) and root.children[0].op == OP_MAP_TILES):
         return (
             f"no fusible MapTiles/Filter chain "
             f"(rule {root.attrs.get('rule', '?')})"
         )
-    payload = root.attrs["payload"]
     try:
-        fused = generate_fused_kernel(
-            payload["setup"], payload["out_classes"],
-            payload["builder"], payload["args"],
-        )
+        node = fuse_map_tiles(root)
     except KernelUnsupported as exc:
         return f"kernel codegen unsupported ({exc}); interpreter chain kept"
+    root.children = (node,)
+    root._render_memo = None
+    root.attrs.setdefault("details", {})["fused_kernel"] = node.kernel.fingerprint
+    return (
+        f"fused {len(node.attrs['fused_ops'])} tile operator(s) into kernel "
+        f"{node.kernel.fingerprint} (mode {node.kernel.mode})"
+    )
 
-    # Splice the FusedKernel node over the MapTiles (and Filter) chain;
-    # the scans stay as its children so storage identities — and with
-    # them CSE/reuse fingerprints — are preserved.
+
+def fuse_map_tiles(root: AssembleNode) -> FusedKernelNode:
+    """The ``FusedKernel`` node that replaces ``root``'s MapTiles subtree.
+
+    The scans stay as its children, so storage identities — and with them
+    CSE/reuse fingerprints — are preserved; the replaced subtree rides
+    along as the node's lower-time fallback.
+    """
     mapped = root.children[0]
+    fused = generate_fused_kernel(
+        mapped.setup, mapped.out_classes, root.builder, root.args
+    )
     chain = [mapped]
     inner = mapped.children
     if len(inner) == 1 and inner[0].op == OP_FILTER:
@@ -579,34 +586,19 @@ def pass_fusion(state: PlanState) -> str:
         f"{node.op}[{node.label}]" if node.label else node.op
         for node in chain
     ]
-    node = IRNode(
-        op=OP_FUSED_KERNEL,
+    return FusedKernelNode(
         children=inner,
         sig=(
             ("fingerprint", fused.fingerprint),
             ("mode", fused.mode),
             ("fused", tuple(chain_ids)),
         ),
-        attrs={
-            "fingerprint": fused.fingerprint,
-            "fused_ops": list(chain_ids),
-            "source": fused.source,
-        },
+        attrs={"fingerprint": fused.fingerprint, "fused_ops": chain_ids},
         label="fused kernel",
-    )
-    root.children = (node,)
-    root._render_memo = None
-    root.attrs["fused_kernel"] = {
-        "nodes": list(chain_ids),
-        "fingerprint": fused.fingerprint,
-        "mode": fused.mode,
-        "source": fused.source,
-    }
-    root.attrs.setdefault("details", {})["fused_kernel"] = fused.fingerprint
-    state.physical = root
-    return (
-        f"fused {len(chain)} tile operator(s) into kernel "
-        f"{fused.fingerprint} (mode {fused.mode})"
+        kernel=fused,
+        setup=mapped.setup,
+        out_classes=mapped.out_classes,
+        fallback=mapped,
     )
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from .ir import OP_FUSED_KERNEL
+
 if TYPE_CHECKING:  # pragma: no cover - types only
     from .cost import CostEstimate
     from .ir import IRNode, PassTraceEntry
@@ -60,18 +62,23 @@ class Plan:
         return self.thunk()
 
     def fused_kernels(self) -> list[dict[str, Any]]:
-        """Fused-chain records off the physical DAG (possibly empty).
+        """One record per ``FusedKernel`` node of the physical DAG.
 
-        Each entry carries the collapsed chain's node ids, the source
+        Each entry carries the replaced chain's node ids, the source
         fingerprint, the record ``mode``, and the generated kernel text
-        exactly as the ``fusion`` pass stashed them.
+        — read off the very node lowering executes.
         """
         if self.physical is None:
             return []
         return [
-            node.attrs["fused_kernel"]
+            {
+                "nodes": list(node.attrs["fused_ops"]),
+                "fingerprint": node.kernel.fingerprint,
+                "mode": node.kernel.mode,
+                "source": node.kernel.source,
+            }
             for node in self.physical.walk()
-            if "fused_kernel" in node.attrs
+            if node.op == OP_FUSED_KERNEL
         ]
 
     def explain(self) -> str:
@@ -143,15 +150,7 @@ class Plan:
             out["passes"] = [entry.to_dict() for entry in self.trace]
         fused = self.fused_kernels()
         if fused:
-            out["fused_kernels"] = [
-                {
-                    "nodes": list(entry["nodes"]),
-                    "fingerprint": entry["fingerprint"],
-                    "mode": entry["mode"],
-                    "source": entry["source"],
-                }
-                for entry in fused
-            ]
+            out["fused_kernels"] = fused
         if self.logical is not None:
             out["logical"] = self.logical.to_dict()
         if self.physical is not None:

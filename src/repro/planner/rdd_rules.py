@@ -18,9 +18,11 @@ expression evaluation reuses the reference interpreter's semantics, so
 this path is correct by construction for anything the interpreter
 accepts.
 
-The rule here only *recognizes* and emits a ``Coordinate`` IR node; the
-element-level runtime (joins, group-by, assembly) lives in
-:mod:`repro.planner.lower`.
+The rule here *recognizes* and *plans*: it emits a ``Coordinate`` IR
+node over one element ``Scan`` per generator, carrying the join order it
+chose (a function of the analysis, never of data) and the program text
+``explain()`` prints; the element-level runtime (joins, group-by,
+assembly) lives in :mod:`repro.planner.lower`.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..comprehension.ast import Var, to_source
+from ..comprehension.ast import Expr, Var, to_source
 from ..engine import EngineContext, RDD
 from ..storage import CooMatrix, CooVector, CsrMatrix, DenseMatrix, DenseVector
 from ..storage.registry import REGISTRY, BuildContext
 from ..storage.tiled import TiledMatrix, TiledVector
 from .analysis import CompInfo, GenInfo
-from .ir import IRNode, OP_COORDINATE, scan_storage_node
+from .ir import CoordinateNode, IRNode, scan_storage_node
 from .plan import RULE_COORDINATE
 
 #: Environment values whose repr is cheap and semantically meaningful;
@@ -56,20 +58,18 @@ def emit_coordinate(
         return None
     if info.ranges:
         return None  # data-dependent ranges need the interpreter
-    sources = []
-    for gen in info.generators:
+    scans = []
+    for idx, gen in enumerate(info.generators):
         rdd = _element_rdd(gen, env, engine)
         if rdd is None:
             return None
-        sources.append(rdd)
-
-    scans = tuple(
-        scan_storage_node(
+        scan = scan_storage_node(
             gen.source.name if isinstance(gen.source, Var) else f"gen{idx}",
             env.get(gen.source.name) if isinstance(gen.source, Var) else None,
         )
-        for idx, gen in enumerate(info.generators)
-    )
+        scan.records = lambda rdd=rdd: rdd
+        scans.append(scan)
+    join_order = _join_order(info)
     # The interpreter evaluates guard/head expressions against the whole
     # environment, not just the generators — e.g. ``N2[i, j]`` indexes a
     # bystander binding.  Scalars go into the signature; every other
@@ -86,9 +86,8 @@ def emit_coordinate(
         for name, value in sorted(env.items())
         if not isinstance(value, _SCALAR_TYPES)
     )
-    root = IRNode(
-        op=OP_COORDINATE,
-        children=scans,
+    root = CoordinateNode(
+        children=tuple(scans),
         sig=(
             ("comp", to_source(info.comp)),
             ("builder", builder, tuple(repr(a) for a in args)),
@@ -96,6 +95,10 @@ def emit_coordinate(
             ("scalars", scalars),
         ),
         identity=identity,
+        info=info,
+        builder=builder,
+        args=args,
+        join_order=join_order,
     )
     root.attrs.update(
         rule=RULE_COORDINATE,
@@ -105,14 +108,78 @@ def emit_coordinate(
             "element-level translation: coordinate pairs joined with RDD "
             "joins (Rule 14), aggregated with reduceByKey (Rule 13)"
         ),
-        pseudocode="",
+        pseudocode=_pseudocode(info, [s.label for s in scans], join_order),
         details={"generators": len(info.generators)},
-        payload=dict(
-            info=info, env=env, engine=engine, builder=builder, args=args,
-            build_context=build_context, sources=sources,
-        ),
     )
     return root
+
+
+def _join_order(info: CompInfo) -> list[tuple[int, list[Expr], list[Expr]]]:
+    """Order in which generators fold into one record stream (Rule 14).
+
+    Starting from generator 0, repeatedly take every generator whose
+    equality conditions reach the already-joined set — an entry is
+    ``(generator, keys over the joined records, keys over its own)`` —
+    else the next one by cartesian product (empty keys).
+    """
+    order = []
+    joined_set = {0}
+    remaining = list(range(1, len(info.generators)))
+    pending_joins = list(info.joins)
+    while remaining:
+        progress = False
+        for gen_idx in list(remaining):
+            conds = [
+                j
+                for j in pending_joins
+                if {j.left_gen, j.right_gen} <= joined_set | {gen_idx}
+                and gen_idx in (j.left_gen, j.right_gen)
+            ]
+            if not conds:
+                continue
+            left_keys = []
+            right_keys = []
+            for cond in conds:
+                if cond.left_gen == gen_idx:
+                    right_keys.append(cond.left)
+                    left_keys.append(cond.right)
+                else:
+                    right_keys.append(cond.right)
+                    left_keys.append(cond.left)
+            order.append((gen_idx, left_keys, right_keys))
+            joined_set.add(gen_idx)
+            remaining.remove(gen_idx)
+            for cond in conds:
+                pending_joins.remove(cond)
+            progress = True
+        if not progress:
+            gen_idx = remaining.pop(0)
+            order.append((gen_idx, [], []))
+            joined_set.add(gen_idx)
+    return order
+
+
+def _pseudocode(info: CompInfo, names: list[str], join_order: list) -> str:
+    """The element-level program, one RDD operator per line."""
+    steps = ["<elements>", f"{names[0]}.map(bind)"]
+    for gen_idx, left_keys, _right_keys in join_order:
+        if left_keys:
+            steps.append(
+                f".join({names[gen_idx]} on {[to_source(e) for e in left_keys]})"
+            )
+        else:
+            steps.append(f".cartesian({names[gen_idx]})")
+    steps += [f".filter({to_source(g)})" for g in info.residual_guards]
+    if info.group_key_vars is not None:
+        steps.append(".map(record => (key, (g1..gm))).reduceByKey(⊗)")
+        slot_vars = [slot.slot_var for slot in info.slots]
+        if not (len(slot_vars) == 1 and info.residual_value == Var(slot_vars[0])):
+            steps.append(".mapValues(f)")
+    elif info.head_key is None:
+        steps.append(".map(head)")
+    else:
+        steps.append(f".map(record => ({to_source(info.head_key)}, value))")
+    return "\n".join(steps)
 
 
 # ----------------------------------------------------------------------

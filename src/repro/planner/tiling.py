@@ -28,11 +28,10 @@ All three share the same vocabulary: index variables are grouped into
 logical array dimension, one tile-coordinate component, and one axis of
 the NumPy arrays inside tiles.
 
-Since the plan-IR refactor these rules *emit IR nodes*
-(:class:`~repro.planner.ir.IRNode`): each ``emit_*`` function performs
-the rule's eligibility checks and kernel compilation, and packages what
-the (separate, single) lowering site :mod:`repro.planner.lower` needs to
-assemble the RDD program.
+These rules *emit IR nodes* (:mod:`repro.planner.ir`): each ``emit_*``
+function performs the rule's eligibility checks and kernel compilation
+and hands every node the typed fields its lowerer in
+:mod:`repro.planner.lower` executes — the tree it returns is the plan.
 """
 
 from __future__ import annotations
@@ -45,18 +44,18 @@ import numpy as np
 
 from ..comprehension.ast import Expr, Var, free_vars, to_source
 from ..comprehension.errors import SacPlanError
-from ..comprehension.monoids import monoid
+from ..comprehension.monoids import Monoid, monoid
 from ..engine import RDD
 from ..storage import stats as density
 from ..storage.stats import DENSE, DensityStats
 from ..storage.tiled import TiledMatrix, TiledVector
 from .analysis import CompInfo, key_components
 from .ir import (
-    IRNode, OP_ASSEMBLE, OP_FILTER, OP_GROUP_BY, OP_MAP_TILES, OP_REPLICATE,
-    OP_TILED_REDUCE, scan_gen_node,
+    AssembleNode, FilterNode, GroupByNode, IRNode, MapTilesNode,
+    ReplicateNode, TiledReduceNode, scan_gen_node,
 )
 from .kernels import (
-    KernelUnsupported, compile_vectorized_cached, contract,
+    KernelUnsupported, combine_tiles, compile_vectorized_cached, contract,
 )
 from .plan import (
     RULE_PRESERVE_TILING, RULE_TILED_REDUCE, RULE_TILED_SHUFFLE,
@@ -317,59 +316,47 @@ def _tile_shape(setup: TiledSetup, out_classes: Sequence[int], coords: Sequence[
 
 
 def _result_storage(
-    setup: TiledSetup,
+    n: int,
     builder: str,
     args: tuple,
     tiles: RDD,
     stats: Optional[DensityStats] = None,
+    clipped: bool = False,
 ):
     """Down-coerce a tile RDD through the requested distributed builder.
 
     Like the paper's builders, out-of-range indices are clipped: tiles
     wholly outside the declared dimensions are dropped and boundary
     tiles are trimmed (the declared result may be smaller than the
-    traversed inputs).  ``stats`` carries the rule's propagated density
-    estimate onto the result, so chained queries keep planning
-    sparse-aware without running a count.
+    traversed inputs) — unless the producer already did (``clipped``:
+    a fused kernel trims inside the kernel).  ``stats`` carries the
+    rule's propagated density estimate onto the result, so chained
+    queries keep planning sparse-aware without running a count.
     """
-    n = setup.tile_size
-    if builder == "tiled":
-        rows, cols = int(args[0]), int(args[1])
+    if builder not in ("tiled", "tiled_vector"):
+        raise SacPlanError(f"tiled rules cannot build {builder!r}")
+    matrix = builder == "tiled"
+    dims = tuple(int(a) for a in args[: 2 if matrix else 1])
 
-        def clip(record):
-            (bi, bj), tile = record
-            if bi * n >= rows or bj * n >= cols:
-                return None
-            height = min(tile.shape[0], rows - bi * n)
-            width = min(tile.shape[1], cols - bj * n)
-            if (height, width) != tile.shape:
-                tile = tile[:height, :width]
-            return (bi, bj), tile
+    def clip(record):
+        key, tile = record
+        coords = key if isinstance(key, tuple) else (key,)
+        if any(c * n >= dim for c, dim in zip(coords, dims)):
+            return None
+        extent = tuple(
+            min(size, dim - c * n)
+            for size, dim, c in zip(tile.shape, dims, coords)
+        )
+        if extent != tile.shape:
+            tile = tile[tuple(slice(e) for e in extent)]
+        return (coords if matrix else coords[0]), tile
 
-        clipped = tiles.map(clip).filter(lambda r: r is not None)
-        result = TiledMatrix(rows, cols, n, clipped)
-        if stats is not None:
-            result.stats = stats
-        return result
-    if builder == "tiled_vector":
-        length = int(args[0])
-
-        def clip_block(record):
-            key, block = record
-            bi = key[0] if isinstance(key, tuple) else key
-            if bi * n >= length:
-                return None
-            extent = min(block.shape[0], length - bi * n)
-            if extent != block.shape[0]:
-                block = block[:extent]
-            return bi, block
-
-        blocks = tiles.map(clip_block).filter(lambda r: r is not None)
-        vector = TiledVector(length, n, blocks)
-        if stats is not None:
-            vector.stats = stats
-        return vector
-    raise SacPlanError(f"tiled rules cannot build {builder!r}")
+    if not clipped:
+        tiles = tiles.map(clip).filter(lambda r: r is not None)
+    result = (TiledMatrix if matrix else TiledVector)(*dims, n, tiles)
+    if stats is not None:
+        result.stats = stats
+    return result
 
 
 def _value_stats(setup: TiledSetup, expr: Expr) -> Optional[DensityStats]:
@@ -447,19 +434,38 @@ def _all_vars(setup: TiledSetup) -> set[str]:
 # ----------------------------------------------------------------------
 
 
-def assemble_sig(setup: TiledSetup, builder: str, args: tuple) -> tuple:
-    """Semantic signature shared by every tiled rule's ``Assemble`` root.
+def assemble_root(
+    setup: TiledSetup,
+    builder: str,
+    args: tuple,
+    child: IRNode,
+    out_stats: Optional[DensityStats],
+    label: str = "",
+    **annotations: Any,
+) -> AssembleNode:
+    """The ``Assemble`` root every tiled rule emits over its tile producer.
 
-    Captures the builder, its (already evaluated) arguments, the tile
-    size, and the scalar constants the compiled kernels closed over.
+    Its signature captures the builder, its (already evaluated)
+    arguments, the tile size, and the scalar constants the compiled
+    kernels closed over; ``annotations`` are what ``explain()`` prints.
     """
-    return (
-        ("builder", builder, tuple(repr(a) for a in args)),
-        ("tile_size", setup.tile_size),
-        ("consts", tuple(
-            sorted((k, repr(v)) for k, v in setup.const_env.items())
-        )),
+    root = AssembleNode(
+        children=(child,),
+        sig=(
+            ("builder", builder, tuple(repr(a) for a in args)),
+            ("tile_size", setup.tile_size),
+            ("consts", tuple(
+                sorted((k, repr(v)) for k, v in setup.const_env.items())
+            )),
+        ),
+        label=label,
+        tile_size=setup.tile_size,
+        builder=builder,
+        args=args,
+        out_stats=out_stats,
     )
+    root.attrs.update(builder=builder, reusable=True, **annotations)
+    return root
 
 
 def emit_preserve(
@@ -468,7 +474,8 @@ def emit_preserve(
     """Equation (17): join tiles on the output coordinate, compute locally.
 
     Checks eligibility and compiles the per-tile kernels; the RDD
-    program (tile join + map) is assembled in :mod:`repro.planner.lower`.
+    program (tile join + map) is assembled in :mod:`repro.planner.lower`
+    from the nodes emitted here.
     """
     info = setup.info
     if info.group_key_vars is not None or info.post_group_quals:
@@ -506,44 +513,33 @@ def emit_preserve(
     scans = tuple(scan_gen_node(gen) for gen in setup.gens)
     inner: tuple[IRNode, ...] = scans
     if info.residual_guards:
-        inner = (IRNode(
-            op=OP_FILTER,
+        inner = (FilterNode(
             children=scans,
             sig=(("guards", tuple(to_source(g) for g in info.residual_guards)),),
             label="residual guards",
+            masks=masks,
         ),)
-    mapped = IRNode(
-        op=OP_MAP_TILES,
+    mapped = MapTilesNode(
         children=inner,
         sig=(
             ("head", to_source(info.head_value)),
             ("out", tuple(out_classes)),
         ),
         label="per-tile kernel",
+        setup=setup,
+        out_classes=out_classes,
+        value_fn=value_fn,
     )
-    root = IRNode(
-        op=OP_ASSEMBLE,
-        children=(mapped,),
-        sig=assemble_sig(setup, builder, args),
-        label=builder,
-    )
-    root.attrs.update(
+    return assemble_root(
+        setup, builder, args, mapped, out_stats, label=builder,
         rule=RULE_PRESERVE_TILING,
-        builder=builder,
-        reusable=True,
         description=(
             "output tile coordinates are a projection of input tile "
             "coordinates; tiles joined directly (no re-tiling shuffle)"
         ),
         pseudocode=_preserve_pseudocode(setup, out_classes),
         details={"generators": len(setup.gens), "out_dims": len(out_classes)},
-        payload=dict(
-            setup=setup, builder=builder, args=args,
-            out_classes=out_classes, value_fn=value_fn, masks=masks,
-            out_stats=out_stats,
-        ),
     )
-    return root
 
 
 def _preserve_pseudocode(setup: TiledSetup, out_classes: Sequence[int]) -> str:
@@ -565,9 +561,10 @@ def emit_shuffle(
 ) -> Optional[IRNode]:
     """Equation (19): replicate tiles to I_f(K), groupByKey, scatter.
 
-    Checks eligibility and compiles the key/value/guard kernels; the
-    replicate → group → assemble RDD program is built in
-    :mod:`repro.planner.lower`.
+    Checks eligibility, compiles the key/value/guard kernels and binds
+    them into the two per-record functions the ``Replicate`` and
+    ``GroupBy`` nodes own; :mod:`repro.planner.lower` composes them as
+    flatMap → groupByKey → map.
     """
     info = setup.info
     if info.group_key_vars is not None or info.post_group_quals:
@@ -595,33 +592,28 @@ def emit_shuffle(
     # but rarely change how many tiles are touched).
     out_stats = _drop_if_dense(_value_stats(setup, info.head_value))
 
-    scan = scan_gen_node(gen)
-    replicated = IRNode(
-        op=OP_REPLICATE,
-        children=(scan,),
+    replicate, assemble = _scatter_fns(
+        gen, setup.tile_size, out_dims, key_fns, value_fn, masks
+    )
+    replicated = ReplicateNode(
+        children=(scan_gen_node(gen),),
         sig=(
             ("key", tuple(to_source(c) for c in components)),
             ("dims", tuple(out_dims)),
             ("guards", tuple(to_source(g) for g in info.residual_guards)),
         ),
         label="I_f(K)",
+        fan_out=replicate,
     )
-    grouped = IRNode(
-        op=OP_GROUP_BY,
+    grouped = GroupByNode(
         children=(replicated,),
         sig=(("head", to_source(info.head_value)),),
         label="destination tiles",
+        assemble=assemble,
     )
-    root = IRNode(
-        op=OP_ASSEMBLE,
-        children=(grouped,),
-        sig=assemble_sig(setup, builder, args),
-        label=builder,
-    )
-    root.attrs.update(
+    return assemble_root(
+        setup, builder, args, grouped, out_stats, label=builder,
         rule=RULE_TILED_SHUFFLE,
-        builder=builder,
-        reusable=True,
         description=(
             "output indices are computed from input indices; tiles "
             "replicated to their destination set I_f(K) and regrouped"
@@ -632,13 +624,74 @@ def emit_shuffle(
             "              group by K ])"
         ),
         details={"key": to_source(info.head_key)},
-        payload=dict(
-            setup=setup, builder=builder, args=args, out_dims=out_dims,
-            key_fns=key_fns, value_fn=value_fn, masks=masks,
-            out_stats=out_stats,
-        ),
     )
-    return root
+
+
+def _scatter_fns(
+    gen: ResolvedGen,
+    n: int,
+    out_dims: Sequence[int],
+    key_fns: Sequence[Callable],
+    value_fn: Callable,
+    masks: Sequence[Callable],
+) -> tuple[Callable, Callable]:
+    """The two per-record functions of Eq. (19): ``replicate`` lists the
+    destination tiles I_f(K) an input tile contributes to, ``assemble``
+    scatters a destination's grouped contributions into its tile."""
+
+    def locate(coords, tile):
+        """Per element: bindings, destination indices, and whether it
+        passes the guards and lands inside the declared result."""
+        grids = np.indices(tile.shape)
+        # Bind each index variable to its own axis (by position, not by
+        # class: a residual ``i == j`` unifies the classes but the two
+        # variables still read different axes — the guard masks them).
+        env: dict[str, Any] = {}
+        for axis, var in enumerate(gen.index_vars):
+            env[var] = grids[axis] + coords[axis] * n
+        if gen.value_var is not None:
+            env[gen.value_var] = tile
+        keys = [
+            np.broadcast_to(np.asarray(fn(env)), tile.shape) for fn in key_fns
+        ]
+        keep = np.ones(tile.shape, dtype=bool)
+        for mask_fn in masks:
+            keep &= np.asarray(mask_fn(env), dtype=bool)
+        for dim, key in zip(out_dims, keys):
+            keep &= (key >= 0) & (key < dim)
+        return env, keys, keep
+
+    def replicate(record):
+        coords, tile = record
+        _env, keys, keep = locate(coords, tile)
+        if not keep.any():
+            return []
+        dest = np.stack([key[keep] // n for key in keys], axis=-1)
+        unique = {tuple(int(c) for c in row) for row in np.unique(dest, axis=0)}
+        return [(k, (coords, tile)) for k in sorted(unique)]
+
+    def assemble(record):
+        out_coord, contributions = record
+        shape = tuple(
+            min(n, dim - c * n) for dim, c in zip(out_dims, out_coord)
+        )
+        out = np.zeros(shape)
+        for coords, tile in contributions:
+            env, keys, keep = locate(coords, tile)
+            for key, k_block in zip(keys, out_coord):
+                keep &= key // n == k_block
+            if not keep.any():
+                continue
+            value = np.broadcast_to(
+                np.asarray(value_fn(env), dtype=np.float64), tile.shape
+            )
+            locals_ = tuple(
+                (key[keep] - k_block * n) for key, k_block in zip(keys, out_coord)
+            )
+            out[locals_] = value[keep]
+        return out_coord, out
+
+    return replicate, assemble
 
 
 # ----------------------------------------------------------------------
@@ -652,8 +705,8 @@ def emit_tiled_reduce(
     """Join tiles on index equalities, contract per pair, reduceByKey(⊗′).
 
     Checks the 5.3 preconditions and compiles the partial/residual
-    kernels; the tile join and reduceByKey are assembled in
-    :mod:`repro.planner.lower`.
+    kernels and the ⊗′ fold onto the ``TiledReduce`` node; the tile join
+    and reduceByKey are assembled in :mod:`repro.planner.lower`.
     """
     info = setup.info
     if info.group_key_vars is None or info.post_group_quals or not info.slots:
@@ -682,13 +735,15 @@ def emit_tiled_reduce(
     compute = _partial_tile_fn(setup, out_classes)
     if compute is None:
         return None
-    finish = _residual_fn(setup, out_classes)
     out_stats = _drop_if_dense(_contraction_stats(setup, out_classes))
 
-    scans = tuple(scan_gen_node(gen) for gen in setup.gens)
-    reduce_node = IRNode(
-        op=OP_TILED_REDUCE,
-        children=scans,
+    def fold(left, right):
+        return tuple(
+            combine_tiles(m, a, b) for m, a, b in zip(slot_monoids, left, right)
+        )
+
+    reduce_node = TiledReduceNode(
+        children=tuple(scan_gen_node(gen) for gen in setup.gens),
         sig=(
             ("slots", tuple(
                 (to_source(slot.expr), slot.monoid) for slot in info.slots
@@ -698,17 +753,15 @@ def emit_tiled_reduce(
             ("guards", tuple(to_source(g) for g in info.residual_guards)),
         ),
         label="join + reduceByKey(⊗′)",
+        setup=setup,
+        out_classes=out_classes,
+        compute=compute,
+        fold=fold,
+        finish=_residual_fn(setup, out_classes),
     )
-    root = IRNode(
-        op=OP_ASSEMBLE,
-        children=(reduce_node,),
-        sig=assemble_sig(setup, builder, args),
-        label=builder,
-    )
-    root.attrs.update(
+    return assemble_root(
+        setup, builder, args, reduce_node, out_stats, label=builder,
         rule=RULE_TILED_REDUCE,
-        builder=builder,
-        reusable=True,
         description=(
             "tile-level join + per-pair partial aggregation, merged with "
             "reduceByKey over the tile monoid ⊗′"
@@ -718,13 +771,7 @@ def emit_tiled_reduce(
             "monoids": [m.name for m in slot_monoids],
             "generators": len(setup.gens),
         },
-        payload=dict(
-            setup=setup, builder=builder, args=args,
-            out_classes=out_classes, slot_monoids=slot_monoids,
-            compute=compute, finish=finish, out_stats=out_stats,
-        ),
     )
-    return root
 
 
 def _contraction_stats(
@@ -755,38 +802,57 @@ def _contraction_stats(
     return density.reduction(setup.gens[0].stats, join_dim, grid_join)
 
 
+def axis_names(classes: Sequence[int]) -> tuple[str, ...]:
+    """Einsum-style axis names, one per index class: how ``contract``
+    tells contracted from kept dimensions."""
+    return tuple(f"c{cls}" for cls in classes)
+
+
+def bind_contraction(
+    left_classes: Sequence[int],
+    right_classes: Sequence[int],
+    out_classes: Sequence[int],
+    term: Optional[Expr],
+    mon: Monoid,
+    value_vars: tuple[str, str],
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``⊕/h(a, b)`` over one tile pair with the axes bound.
+
+    Every contraction the planner emits (5.3 pairs, 5.4 SUMMA and
+    broadcast) is a closure made here.
+    """
+    left_axes, right_axes, out_axes = map(
+        axis_names, (left_classes, right_classes, out_classes)
+    )
+
+    def contract_pair(left, right):
+        return contract(
+            left, right, left_axes, right_axes, out_axes, term, mon, value_vars
+        )
+
+    return contract_pair
+
+
 def _partial_tile_fn(
     setup: TiledSetup, out_classes: list[int]
 ) -> Optional[Callable]:
     """Build the per-record partial-tile computation for every slot."""
     info = setup.info
     gens = setup.gens
-    class_names = {cls: f"c{cls}" for cls in setup.class_dim}
 
     if len(gens) == 2:
         value_vars = (gens[0].value_var, gens[1].value_var)
         if None in value_vars:
             return None
-        left_axes = tuple(class_names[c] for c in gens[0].axis_classes)
-        right_axes = tuple(class_names[c] for c in gens[1].axis_classes)
-        out_axes = tuple(class_names[c] for c in out_classes)
-        slot_specs = []
+        pairs = []
         for slot in info.slots:
             if not free_vars(slot.expr) <= {value_vars[0], value_vars[1]}:
                 return None
-            slot_specs.append((slot.expr, monoid(slot.monoid)))
-
-        def compute_pair(coords, tiles):
-            left, right = tiles
-            return tuple(
-                contract(
-                    left, right, left_axes, right_axes, out_axes,
-                    term, mon, (value_vars[0], value_vars[1]),
-                )
-                for term, mon in slot_specs
-            )
-
-        return compute_pair
+            pairs.append(bind_contraction(
+                gens[0].axis_classes, gens[1].axis_classes, out_classes,
+                slot.expr, monoid(slot.monoid), value_vars,
+            ))
+        return lambda coords, tiles: tuple(pair(*tiles) for pair in pairs)
 
     gen = gens[0]
     contracted = [c for c in dict.fromkeys(gen.axis_classes) if c not in out_classes]

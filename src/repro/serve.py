@@ -39,6 +39,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -214,6 +215,8 @@ class QueryService:
 # ----------------------------------------------------------------------
 
 _MAX_BODY = 4 * 1024 * 1024
+#: How long a request may take to deliver the body it announced.
+_BODY_SECONDS = 10.0
 #: How long :meth:`ServeServer.stop` waits for in-flight requests.
 _DRAIN_SECONDS = 10.0
 
@@ -298,11 +301,8 @@ class ServeServer:
             except Exception as exc:  # defensive: a handler bug must not kill the loop
                 status, payload = 500, {"ok": False, "error": repr(exc)}
             body = json.dumps(payload).encode()
-            reason = {200: "OK", 400: "Bad Request", 404: "Not Found"}.get(
-                status, "Error"
-            )
             writer.write(
-                f"HTTP/1.1 {status} {reason}\r\n"
+                f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
                 f"Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n"
                 f"Connection: close\r\n\r\n".encode() + body
@@ -332,23 +332,37 @@ class ServeServer:
             name, _, value = line.partition(":")
             if name.strip().lower() == "content-length":
                 try:
-                    content_length = min(int(value.strip()), _MAX_BODY)
+                    content_length = int(value.strip())
                 except ValueError:
+                    content_length = -1
+                if content_length < 0:
                     return 400, {"ok": False, "error": "bad content-length"}
         if method == "GET" and path == "/health":
             return 200, {"ok": True}
         if method == "GET" and path == "/metrics":
             return 200, {"ok": True, **self.service.metrics_report()}
         if method == "POST" and path == "/query":
-            raw = await reader.readexactly(content_length)
-            try:
-                request = json.loads(raw or b"{}")
-                tenant = str(request.get("tenant", "anonymous"))
-                query = request["query"]
-                env = request.get("env") or {}
-            except (json.JSONDecodeError, KeyError) as exc:
-                return 400, {"ok": False, "error": f"bad request: {exc!r}"}
+            if content_length > _MAX_BODY:
+                return 413, {"ok": False, "error": f"body over {_MAX_BODY} bytes"}
             loop = asyncio.get_running_loop()
+            # A timer, not ``wait_for``: no extra task on the normal path.
+            deadline = loop.call_later(_BODY_SECONDS, reader.feed_eof)
+            try:
+                raw = await reader.readexactly(content_length)
+                request = json.loads(raw or b"{}")
+            except asyncio.IncompleteReadError:
+                return 400, {"ok": False, "error": "body shorter than content-length"}
+            except ValueError:  # not UTF-8, or not JSON
+                return 400, {"ok": False, "error": "body is not valid JSON"}
+            finally:
+                deadline.cancel()
+            query = env = None
+            if isinstance(request, dict):
+                query, env = request.get("query"), request.get("env") or {}
+            if not isinstance(query, str) or not isinstance(env, dict):
+                message = "body must be an object: string 'query', object 'env'"
+                return 400, {"ok": False, "error": message}
+            tenant = str(request.get("tenant", "anonymous"))
             try:
                 rendered = await loop.run_in_executor(
                     None,

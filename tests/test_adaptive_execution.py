@@ -231,6 +231,35 @@ def test_broadcast_downgrade_recovers_cheap_plan_mid_job():
         np.testing.assert_allclose(out.to_numpy(), a @ b)
 
 
+def test_downgrade_lowers_an_emit_broadcast_tree(monkeypatch):
+    """The replacement is IR: the tree ``emit_broadcast`` returns, lowered
+    through the same ``lower_node`` as the compile-time plan."""
+    from repro.planner import lower as lower_module
+
+    assert not hasattr(lower_module, "build_broadcast_thunk")
+    roots = []
+    real_lower_node = lower_module.lower_node
+
+    def spy(node, state):
+        if node.op == "Assemble":
+            roots.append(node)
+        return real_lower_node(node, state)
+
+    session, A, B, a, b, n = _downgrade_session()
+    with session:
+        compiled = session.compile(MULTIPLY, A=A, B=B, n=n, m=n)
+        monkeypatch.setattr(lower_module, "lower_node", spy)
+        out = compiled.execute()
+        (replacement,) = roots  # nothing else is lowered at execute time
+        assert replacement is not compiled.plan.physical
+        assert replacement.attrs["strategy"] == "gbj-broadcast-right"
+        assert replacement.render() == (
+            "Assemble(GroupByJoin[broadcast]"
+            "(Scan[i,k], Broadcast[right](Scan[kk,j])))"
+        )
+        np.testing.assert_allclose(out.to_numpy(), a @ b)
+
+
 def test_measured_sizes_feed_later_compiles():
     session, A, B, a, b, n = _downgrade_session()
     with session:

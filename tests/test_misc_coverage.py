@@ -9,7 +9,7 @@ from repro.comprehension.interpreter import index_value
 from repro.engine import (
     BENCH_CLUSTER, ClusterSpec, EngineContext, PAPER_CLUSTER, TINY_CLUSTER,
 )
-from repro.storage import DenseMatrix, DenseVector
+from repro.storage import CooMatrix, DenseMatrix, DenseVector
 
 RNG = np.random.default_rng(9)
 
@@ -162,6 +162,21 @@ def test_explain_contains_pseudocode_per_rule(session):
     )
     assert "tiled-reduce" in reduce_report
     assert "reduceByKey" in reduce_report
+
+    coo = CooMatrix.from_numpy(np.where(a > 7, a, 0.0))
+    coordinate_report = session.explain(
+        "tiled_vector(n)[ (i,+/v) | ((i,j),x) <- C, (jj,y) <- X, jj == j,"
+        " let v = x*y, group by i ]",
+        C=coo, X=session.tiled_vector(a[0]), n=30,
+    )
+    assert "rule: coordinate" in coordinate_report
+    assert coordinate_report.endswith(
+        "generated program:\n"
+        "  <elements>\n"
+        "  C.map(bind)\n"
+        "  .join(X on ['j'])\n"
+        "  .map(record => (key, (g1..gm))).reduceByKey(⊗)"
+    )
 
 
 def test_gbj_shuffles_no_partial_products(session):

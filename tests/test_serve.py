@@ -305,6 +305,48 @@ def test_http_unknown_route_404(service):
         _shutdown(server, loop)
 
 
+def _post(length, body: bytes) -> bytes:
+    return (
+        f"POST /query HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+        + body
+    )
+
+
+_OVER_LIMIT = serve_module._MAX_BODY + 1
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    (_post(7, b"[1,2,3]"), 400),                      # JSON, but not an object
+    (_post(-5, b""), 400),                            # negative length
+    (_post(4, b"\xff\xfe{}"), 400),                   # not UTF-8
+    (_post(50, b"{\"q\""), 400),                       # shorter than announced
+    (_post(_OVER_LIMIT, b""), 413),                   # refused, not truncated
+    (_post(12, b'{"query": 5}'), 400),                # non-string query
+    (_post(26, b'{"query": "1", "env": [1]}'), 400),  # non-object env
+])
+def test_malformed_request_gets_a_fixed_4xx_answer(
+    service, monkeypatch, request_bytes, status
+):
+    monkeypatch.setattr(serve_module, "_BODY_SECONDS", 0.05)
+    server, loop = _boot(service)
+    try:
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as client:
+            client.sendall(request_bytes)
+            answer = b""
+            while chunk := client.recv(4096):  # until the server closes
+                answer += chunk
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.split()[1] == str(status).encode()
+        payload = json.loads(body)
+        assert payload["ok"] is False
+        # A fixed message, not the repr of whatever the parser raised.
+        assert "Error" not in payload["error"]
+    finally:
+        _shutdown(server, loop)
+
+
 def test_stop_closes_a_connection_that_never_sent_its_request(
     service, monkeypatch
 ):
