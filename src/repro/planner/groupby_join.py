@@ -10,12 +10,16 @@ key pairs one dimension from each side, and an aggregation::
 Matrix multiplication is the canonical instance (gx = i, kx = k,
 ky = kk, gy = j, h = a*b, ⊕ = +).  Instead of shuffling one partial
 product tile per (i, k, j) triple — what the Section 5.3 translation
-does — this rule replicates each A-tile across the result's column
-blocks and each B-tile across the result's row blocks, cogroups on the
-*result* coordinate, and evaluates all contractions reducer-side,
-accumulating directly into one output tile.  This generalizes the SUMMA
-algorithm; total shuffle volume is ``|A|·m/N + |B|·n/N`` tiles instead
-of ``n·l·m/N³`` partial products.
+does — this rule cuts the result's tile grid into a ``p_r × p_c``
+processor grid of *cells*, replicates each A-tile to the ``p_c`` cells
+of its row band and each B-tile to the ``p_r`` cells of its column
+band, cogroups on the cell, and evaluates all contractions
+reducer-side — one band GEMM per cell where cells span several
+destination tiles, the term is a multiply-add and every block is
+stored; per tile pair into an owned accumulator otherwise.  This is the SUMMA algorithm; total shuffle volume is
+``|A|·p_c + |B|·p_r`` tiles instead of ``n·l·m/N³`` partial products.
+The cost model picks the grid (:meth:`CostModel.replicate`);
+``p_r = n/N, p_c = m/N`` is the paper's one destination tile per cell.
 
 Matching and building are split so the planner can *cost* the
 candidates first: :func:`match_group_by_join` recognizes the pattern
@@ -44,7 +48,7 @@ from .cost import (
 from .ir import (
     BroadcastNode, GroupByJoinNode, IRNode, ReplicateNode, scan_gen_node,
 )
-from .kernels import combine_tiles
+from .kernels import _is_multiply_add, combine_tiles
 from .plan import RULE_GROUP_BY_JOIN
 from .tiling import (
     ResolvedGen, TiledSetup, _drop_if_dense, _out_classes, assemble_root,
@@ -94,6 +98,9 @@ class GbjMatch:
     row_dim: int = 0
     col_dim: int = 0
     join_dim: int = 0
+    #: ``contract`` is a plain matrix product of 2-D tiles, so a cell's
+    #: tiles may be concatenated into bands and multiplied by one GEMM.
+    band_gemm: bool = False
 
     @property
     def flops(self) -> float:
@@ -104,14 +111,6 @@ class GbjMatch:
     def result_bytes(self) -> int:
         """Dense payload bytes of the full result."""
         return self.row_dim * self.col_dim * _ELEMENT_BYTES
-
-    def tile_count(self, side: str) -> int:
-        """Stored tile count of one side (for broadcast thresholds)."""
-        gen = self.left_gen if side == "left" else self.right_gen
-        storage = gen.storage
-        if hasattr(storage, "grid_rows"):
-            return storage.grid_rows * storage.grid_cols
-        return storage.grid_size
 
 
 def match_group_by_join(setup: TiledSetup) -> Optional[GbjMatch]:
@@ -193,6 +192,12 @@ def match_group_by_join(setup: TiledSetup) -> Optional[GbjMatch]:
         row_dim=setup.class_dim[row_class],
         col_dim=setup.class_dim[col_class],
         join_dim=setup.class_dim[join_class],
+        band_gemm=(
+            _is_multiply_add(slot.expr, mon, value_vars)
+            and {left_row_axis, left_join_axis} == {0, 1}
+            and {right_col_axis, right_join_axis} == {0, 1}
+            and len(left_gen.index_vars) == len(right_gen.index_vars) == 2
+        ),
     )
 
 
@@ -221,60 +226,90 @@ def _gbj_sig(match: GbjMatch) -> tuple:
 
 
 def emit_replicate(
-    setup: TiledSetup, match: GbjMatch, builder: str, args: tuple
+    setup: TiledSetup,
+    match: GbjMatch,
+    builder: str,
+    args: tuple,
+    grid: tuple[int, int],
 ) -> IRNode:
-    """The SUMMA-style translation: replicate row/column tile bands."""
+    """The SUMMA translation on a ``(p_r, p_c)`` processor grid: replicate
+    row/column tile bands to the grid's cells."""
+    p_r, p_c = grid
+    gk = match.grid_join
 
-    def band(gen, own_axis, join_axis, copies, label):
-        """One side's tiles, each copied across the result's other dimension
-        and tagged with its join coordinate."""
+    def band(gen, own_axis, join_axis, own_grid, own_cells, copies, label):
+        """One side's tiles, each copied to every cell of its band and
+        tagged with its position ``own·gk + k`` in that side's tile grid."""
         rows = label == "rows"
 
         def fan_out(record):
             coords, tile = record
-            own, k = coords[own_axis], coords[join_axis]
+            own = coords[own_axis]
+            # Cells are balanced to within one tile of each other.
+            cell = own * own_cells // own_grid
+            tagged = (own * gk + coords[join_axis], tile)
             if rows:
-                return [((own, q), (k, tile)) for q in range(copies)]
-            return [((p, own), (k, tile)) for p in range(copies)]
+                return [((cell, other), tagged) for other in range(copies)]
+            return [((other, cell), tagged) for other in range(copies)]
 
         return ReplicateNode(
             children=(scan_gen_node(gen),),
-            sig=(("axis", own_axis, join_axis), ("copies", copies)),
+            sig=(
+                ("axis", own_axis, join_axis),
+                ("cells", own_cells),
+                ("copies", copies),
+            ),
             label=label,
             fan_out=fan_out,
         )
 
     left_rep = band(
         match.left_gen, match.left_row_axis, match.left_join_axis,
-        match.grid_cols, "rows",
+        match.grid_rows, p_r, p_c, "rows",
     )
     right_rep = band(
         match.right_gen, match.right_col_axis, match.right_join_axis,
-        match.grid_rows, "cols",
+        match.grid_cols, p_c, p_r, "cols",
     )
     join = GroupByJoinNode(
         children=(left_rep, right_rep),
-        sig=_gbj_sig(match) + (("strategy", STRATEGY_REPLICATE),),
+        sig=_gbj_sig(match) + (
+            ("strategy", STRATEGY_REPLICATE), ("cells", p_r, p_c),
+        ),
         attrs={"strategy": STRATEGY_REPLICATE, "monoid": match.mon.name},
         label="summa",
         match=match,
+        grid=grid,
     )
+    cell_rows = -(-match.grid_rows // p_r)
+    cell_cols = -(-match.grid_cols // p_c)
     return assemble_root(
         setup, builder, args, join, _match_stats(match),
         rule=RULE_GROUP_BY_JOIN,
         strategy=STRATEGY_REPLICATE,
         description=(
-            "group-by-join (SUMMA): replicate row/column tile bands, "
-            "cogroup on result coordinates, contract reducer-side"
+            "group-by-join (SUMMA): replicate row/column tile bands to a "
+            "processor grid, cogroup on the cell, contract reducer-side"
         ),
         pseudocode=(
-            "Tiled(n, m, rdd[ (k, V) | (k, (__a, __b)) <- As.cogroup(Bs) ])\n"
-            "As = A.tiles.flatMap { ((i,k),a) => (0 until m/N).map(q => ((gx(i,k),q),(kx(i,k),a))) }\n"
-            "Bs = B.tiles.flatMap { ((kk,j),b) => (0 until n/N).map(p => ((p,gy(kk,j)),(ky(kk,j),b))) }\n"
+            "Tiled(n, m, rdd[ (k, V) | (cell, (__a, __b)) <- As.cogroup(Bs), "
+            "(k, V) <- contract(__a, __b) ])\n"
+            f"As = A.tiles.flatMap {{ ((i,k),a) => (0 until {p_c}).map(q => "
+            "((cell(gx(i,k)),q),(tag(gx(i,k),kx(i,k)),a))) }\n"
+            f"Bs = B.tiles.flatMap {{ ((kk,j),b) => (0 until {p_r}).map(p => "
+            "((p,cell(gy(kk,j))),(tag(gy(kk,j),ky(kk,j)),b))) }\n"
             f"V accumulates ⊕/{to_source(match.term)} over matching tile pairs"
+            + (
+                " (one GEMM over the bands of a cell of several tiles when"
+                " every block is stored)"
+                if match.band_gemm else ""
+            )
         ),
         details={
-            "replication": f"A x{match.grid_cols}, B x{match.grid_rows}",
+            "replication": (
+                f"A x{p_c}, B x{p_r} over a {p_r}x{p_c} grid of "
+                f"≤{cell_rows}x{cell_cols}-tile cells"
+            ),
             "monoid": match.mon.name,
         },
     )

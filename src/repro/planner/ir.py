@@ -253,7 +253,7 @@ class FusedKernelNode(IRNode):
 @dataclass(eq=False, kw_only=True)
 class ReplicateNode(IRNode):
     """flatMap each tile to the ``(destination, …)`` records ``fan_out``
-    lists: I_f(K) in 5.2, a row or column band in 5.4."""
+    lists: I_f(K) in 5.2, the cells of a row or column band in 5.4."""
 
     op: str = OP_REPLICATE
     fan_out: Callable[[tuple], list]
@@ -291,13 +291,15 @@ class BroadcastNode(IRNode):
 
 @dataclass(eq=False, kw_only=True)
 class GroupByJoinNode(IRNode):
-    """5.4: SUMMA cogroup of two replicated bands (``side is None``) or
-    the large side streamed past the broadcast ``side``."""
+    """5.4: SUMMA cogroup of two bands replicated to the cells of the
+    ``grid`` processor grid (``side is None``), or the large side
+    streamed past the broadcast ``side``."""
 
     op: str = OP_GROUP_BY_JOIN
     match: GbjMatch
     side: Optional[str] = None
     reduce_partitions: Optional[int] = None
+    grid: Optional[tuple[int, int]] = None
 
 
 @dataclass(eq=False, kw_only=True)

@@ -16,9 +16,12 @@ block" is a vectorized NumPy expression, so this module provides:
   heads, a diagonal gather for ``i == j``, ...).
 
 * :func:`contract` — the Section 5.3/5.4 per-tile-pair aggregation.  The
-  multiply-add case dispatches to ``einsum`` (BLAS-backed: this *is* the
-  optimal tile kernel the paper gets from its generic rules); any other
+  multiply-add case dispatches to BLAS (``@``; this *is* the optimal
+  tile kernel the paper gets from its generic rules); any other
   monoid/term pair uses a broadcast-and-reduce with the monoid's ufunc.
+
+* :func:`band_gemm` — a whole SUMMA cell's multiply-add as one GEMM over
+  the concatenated row and column bands.
 """
 
 from __future__ import annotations
@@ -324,6 +327,47 @@ def _blas_contract(
         if left_axes == right_axes:
             return np.asarray(left @ right)
     return None
+
+
+def band_gemm(
+    left: Sequence[tuple[int, int, np.ndarray]],
+    right: Sequence[tuple[int, int, np.ndarray]],
+) -> Optional[list[tuple[tuple[int, int], np.ndarray]]]:
+    """Every ``(i, j)`` product tile of a block grid from ONE GEMM.
+
+    ``left`` lists ``(i, k, tile)`` with ``rows_i × depth_k`` tiles,
+    ``right`` ``(k, j, tile)`` with ``depth_k × cols_j`` tiles; ragged
+    edge tiles keep their true size.  The tiles are copied into one row
+    band and one column band, multiplied by a single ``a @ b`` (the sum
+    over ``k`` happens inside BLAS, on the deep inner dimension), and the
+    result is cut into destination tiles.  Returns ``None`` unless both
+    sides are complete grids over the same ``k`` — an absent block would
+    be multiplied as zeros, work no per-pair contraction does.
+    """
+    a_tiles = {(i, k): tile for i, k, tile in left}
+    b_tiles = {(k, j): tile for k, j, tile in right}
+    rows = sorted({i for i, _k in a_tiles})
+    depth = sorted({k for _i, k in a_tiles})
+    cols = sorted({j for _k, j in b_tiles})
+    if (
+        not len(left) == len(a_tiles) == len(rows) * len(depth)
+        or not len(right) == len(b_tiles) == len(depth) * len(cols)
+        or depth != sorted({k for k, _j in b_tiles})
+    ):
+        return None
+    product = (
+        np.block([[a_tiles[i, k] for k in depth] for i in rows])
+        @ np.block([[b_tiles[k, j] for j in cols] for k in depth])
+    )
+    row_at = np.cumsum([0] + [a_tiles[i, depth[0]].shape[0] for i in rows])
+    col_at = np.cumsum([0] + [b_tiles[depth[0], j].shape[1] for j in cols])
+    # Copies, not views: each tile is a record of its own to the block
+    # manager's byte accounting and to the spill tier.
+    return [
+        ((i, j), product[row_at[r]:row_at[r + 1], col_at[c]:col_at[c + 1]].copy())
+        for r, i in enumerate(rows)
+        for c, j in enumerate(cols)
+    ]
 
 
 def _is_multiply_add(

@@ -45,7 +45,7 @@ from .ir import (
     OP_FUSED_KERNEL, OP_GROUP_BY, OP_GROUP_BY_JOIN, OP_MAP_TILES,
     OP_REPLICATE, OP_SCAN, OP_TILED_REDUCE, _digest,
 )
-from .kernels import gather
+from .kernels import band_gemm, gather
 from .passes import PlanState, cse_enabled
 from .plan import Plan, RULE_LOCAL, RULE_LOCAL_CODEGEN
 from .tiling import ResolvedGen, TiledSetup, _result_storage, _tile_shape
@@ -400,12 +400,16 @@ def _lower_broadcast(node: IRNode, inputs: list, state: PlanState) -> Callable:
 
 def _lower_gbj(node: IRNode, inputs: list, state: PlanState) -> Tiles:
     """SUMMA (no broadcast ``side``): cogroup the replicated bands on
-    the result coordinate, contract reducer-side into one tile."""
+    the processor-grid cell, contract reducer-side into the cell's
+    destination tiles."""
     if node.side is not None:
         return _map_side_join(node, *inputs)
     left_rdd, right_rdd = inputs
     match: GbjMatch = node.match
-    contract, fold = match.contract, match.fold
+    contract, accumulate = match.contract, match.mon.np_combine
+    gk = match.grid_join
+    left_plain = match.left_join_axis == 1
+    right_plain = match.right_join_axis == 0
     if cse_enabled(state.options):
         # The replicated bands are the plan's shuffle inputs.  Opting
         # their lineage in lets the BlockManager serve the recorded map
@@ -415,26 +419,60 @@ def _lower_gbj(node: IRNode, inputs: list, state: PlanState) -> Tiles:
         left_rdd.mark_shuffle_reuse()
         right_rdd.mark_shuffle_reuse()
 
-    def reduce_destination(record):
-        key, (left_tiles, right_tiles) = record
-        by_k: dict[int, list[np.ndarray]] = {}
-        for k, tile in right_tiles:
-            by_k.setdefault(k, []).append(tile)
-        out: Optional[np.ndarray] = None
-        for k, left_tile in left_tiles:
-            for right_tile in by_k.get(k, ()):
-                partial = contract(left_tile, right_tile)
-                out = partial if out is None else fold(out, partial)
-        if out is None:
-            return None
-        return key, out
+    def reduce_cell(record):
+        _cell, (left_tagged, right_tagged) = record
+        # Tags are ``own·gk + k`` (see ``emit_replicate``).
+        by_row: dict[int, list] = {}
+        for tag, tile in left_tagged:
+            i, k = divmod(tag, gk)
+            by_row.setdefault(i, []).append((k, tile))
+        by_col: dict[int, dict[int, list]] = {}
+        for tag, tile in right_tagged:
+            j, k = divmod(tag, gk)
+            by_col.setdefault(j, {}).setdefault(k, []).append(tile)
+        # One GEMM over the cell's bands pays two band copies.  It earns
+        # them where the cell spans several destination tiles; a single
+        # destination's concatenated GEMM runs no faster than its tile
+        # GEMMs (measured at tiles of 50 and of 200).
+        if match.band_gemm and len(by_row) * len(by_col) > 1:
+            tiles = band_gemm(
+                [
+                    (i, k, t if left_plain else t.T)
+                    for i, row in by_row.items() for k, t in row
+                ],
+                [
+                    (k, j, t if right_plain else t.T)
+                    for j, col in by_col.items()
+                    for k, stack in col.items() for t in stack
+                ],
+            )
+            if tiles is not None:
+                return tiles
+        # Per tile pair, ascending k, into an accumulator the cell owns.
+        tiles = []
+        for i in sorted(by_row):
+            row = sorted(by_row[i], key=lambda entry: entry[0])
+            for j in sorted(by_col):
+                col = by_col[j]
+                out: Optional[np.ndarray] = None
+                for k, left_tile in row:
+                    for right_tile in col.get(k, ()):
+                        partial = contract(left_tile, right_tile)
+                        if out is None:
+                            out = partial
+                        else:
+                            accumulate(out, partial, out=out)
+                if out is not None:
+                    tiles.append(((i, j), out))
+        return tiles
 
     def build():
+        # One cell per partition while the cluster has the slots.
         partitioner = GridPartitioner(
-            match.grid_rows, match.grid_cols, left_rdd.ctx.default_parallelism
+            *node.grid, left_rdd.ctx.default_parallelism
         )
         cogrouped = left_rdd.cogroup(right_rdd, partitioner=partitioner)
-        return cogrouped.map(reduce_destination).filter(lambda r: r is not None)
+        return cogrouped.flat_map(reduce_cell)
 
     return Tiles(build)
 

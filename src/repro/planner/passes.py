@@ -404,10 +404,12 @@ def _select_group_by(state: PlanState) -> Optional[IRNode]:
             memory_limit=getattr(engine, "memory_limit", None),
         )
         candidates = model.candidates(setup, match)
-        strategy = _choose_gbj_strategy(options, match, candidates)
+        strategy = _choose_gbj_strategy(options, match, candidates, model)
         root: Optional[IRNode] = None
         if strategy == STRATEGY_REPLICATE:
-            root = emit_replicate(setup, match, builder, args)
+            root = emit_replicate(
+                setup, match, builder, args, candidates[strategy].grid
+            )
         elif strategy in (STRATEGY_BROADCAST_LEFT, STRATEGY_BROADCAST_RIGHT):
             side = "left" if strategy == STRATEGY_BROADCAST_LEFT else "right"
             root = emit_broadcast(
@@ -425,7 +427,9 @@ def _select_group_by(state: PlanState) -> Optional[IRNode]:
         # The 5.3 rule has preconditions (e.g. on the head key) the
         # group-by-join does not; fall back to the always-buildable
         # SUMMA plan rather than dropping to the coordinate path.
-        root = emit_replicate(setup, match, builder, args)
+        root = emit_replicate(
+            setup, match, builder, args, candidates[STRATEGY_REPLICATE].grid
+        )
         return _attach_estimates(root, STRATEGY_REPLICATE, candidates)
     if root is not None and candidates:
         _attach_estimates(root, STRATEGY_TILED_REDUCE, candidates)
@@ -438,18 +442,19 @@ def _choose_gbj_strategy(
     options: "PlannerOptions",
     match,
     candidates: dict[str, CostEstimate],
+    model: CostModel,
 ) -> str:
     """Apply the option overrides, else ask the cost model."""
     if options.group_by_join is False:
         return STRATEGY_TILED_REDUCE
     threshold = options.broadcast_threshold
     if threshold is not None and threshold > 0:
-        # Legacy gating override: broadcast whichever side fits under the
-        # threshold (right side preferred, matching the original
-        # implementation), SUMMA replication otherwise.
-        if match.tile_count("right") <= threshold:
+        # Legacy gating override: broadcast whichever side's *stored*
+        # tiles fit under the threshold (right side preferred, matching
+        # the original implementation), SUMMA replication otherwise.
+        if model.stored_tiles(match.right_gen) <= threshold:
             return STRATEGY_BROADCAST_RIGHT
-        if match.tile_count("left") <= threshold:
+        if model.stored_tiles(match.left_gen) <= threshold:
             return STRATEGY_BROADCAST_LEFT
         return STRATEGY_REPLICATE
     if options.group_by_join is True:

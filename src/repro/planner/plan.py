@@ -143,6 +143,7 @@ class Plan:
                     "broadcast_bytes": est.broadcast_bytes,
                     "tasks": est.tasks,
                     "total_seconds": est.total_seconds,
+                    **({"grid": list(est.grid)} if est.grid else {}),
                 }
                 for est in ordered
             ]

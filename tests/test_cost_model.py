@@ -15,7 +15,8 @@ from repro.planner import (
     RULE_GROUP_BY_JOIN, STRATEGY_BROADCAST_LEFT, STRATEGY_BROADCAST_RIGHT,
     STRATEGY_REPLICATE, STRATEGY_TILED_REDUCE, CostEstimate, choose_strategy,
 )
-from repro.engine import BENCH_CLUSTER, TINY_CLUSTER
+from repro.engine import BENCH_CLUSTER, PAPER_CLUSTER, TINY_CLUSTER
+from repro.storage import TiledMatrix
 
 MULTIPLY = (
     "tiled(n,m)[ ((i,j),+/v) | ((i,k),a) <- A, ((kk,j),b) <- B,"
@@ -26,14 +27,22 @@ RNG = np.random.default_rng(11)
 #: Figure 4.B shapes (scaled down; same grid shapes as the benchmark).
 FIG4B = [(180, 90), (360, 90)]
 
+#: The estimate checks also run the ``multiply_dense`` shape (10x10x10
+#: tiles) scaled down on the default cluster, where the model's SUMMA
+#: grid (5x5) is coarser than the tile grid.
+PRICED = [(n, tile, BENCH_CLUSTER) for n, tile in FIG4B] + [
+    (500, 50, PAPER_CLUSTER)
+]
+PRICED_IDS = [f"{n}-{tile}" for n, tile, _cluster in PRICED]
+
 GBJ_FAMILY = {
     STRATEGY_REPLICATE, STRATEGY_BROADCAST_LEFT, STRATEGY_BROADCAST_RIGHT
 }
 
 
-def _measured_run(n, tile, group_by_join):
+def _measured_run(n, tile, group_by_join, cluster=BENCH_CLUSTER):
     session = SacSession(
-        cluster=BENCH_CLUSTER, tile_size=tile,
+        cluster=cluster, tile_size=tile,
         options=PlannerOptions(group_by_join=group_by_join),
     )
     a = RNG.uniform(0, 9, size=(n, n))
@@ -47,13 +56,16 @@ def _measured_run(n, tile, group_by_join):
     return compiled, delta
 
 
-@pytest.mark.parametrize("n,tile", FIG4B)
+@pytest.mark.parametrize("n,tile,cluster", PRICED, ids=PRICED_IDS)
 @pytest.mark.parametrize("group_by_join", [True, False])
-def test_estimates_within_2x_of_measured(n, tile, group_by_join):
-    compiled, delta = _measured_run(n, tile, group_by_join)
+def test_estimates_within_2x_of_measured(n, tile, cluster, group_by_join):
+    compiled, delta = _measured_run(n, tile, group_by_join, cluster)
     estimate = compiled.plan.estimate
     assert estimate is not None
     assert delta.shuffle_bytes > 0
+    if group_by_join:
+        coarse = max(estimate.grid) < n // tile
+        assert coarse == (cluster is PAPER_CLUSTER)
     ratio = estimate.shuffle_bytes / delta.shuffle_bytes
     assert 0.5 <= ratio <= 2.0, (
         f"{estimate.strategy}: estimated {estimate.shuffle_bytes} vs "
@@ -133,8 +145,8 @@ def _block_band(n, tile, seed=0):
     return a
 
 
-def _forced_run(n, tile, options, sparse):
-    session = SacSession(cluster=BENCH_CLUSTER, tile_size=tile, options=options)
+def _forced_run(n, tile, options, sparse, cluster=BENCH_CLUSTER):
+    session = SacSession(cluster=cluster, tile_size=tile, options=options)
     if sparse:
         A = session.sparse_tiled(_block_band(n, tile, seed=1)).materialize()
         B = session.sparse_tiled(_block_band(n, tile, seed=2)).materialize()
@@ -147,16 +159,16 @@ def _forced_run(n, tile, options, sparse):
     return compiled, session.metrics_delta(snapshot)
 
 
-@pytest.mark.parametrize("n,tile", FIG4B)
+@pytest.mark.parametrize("n,tile,cluster", PRICED, ids=PRICED_IDS)
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "block-band"])
 @pytest.mark.parametrize("label,options,expected", FORCINGS, ids=[f[0] for f in FORCINGS])
 def test_every_forced_strategy_estimates_within_2x(
-    n, tile, sparse, label, options, expected
+    n, tile, cluster, sparse, label, options, expected
 ):
     """Each strategy, forced on dense AND block-band sparse inputs, must
     predict its measured shuffle bytes within 2x — the sparse cases only
     hold because the model scales by the recorded block density."""
-    compiled, delta = _forced_run(n, tile, options, sparse)
+    compiled, delta = _forced_run(n, tile, options, sparse, cluster)
     assert compiled.plan.details["strategy"] == expected
     estimate = compiled.plan.estimate
     assert estimate is not None and delta.shuffle_bytes > 0
@@ -233,3 +245,84 @@ def test_choose_strategy_stable_tie_prefers_replicate():
     assert choose_strategy(
         candidates, [STRATEGY_TILED_REDUCE, STRATEGY_BROADCAST_LEFT]
     ) == STRATEGY_TILED_REDUCE
+
+
+# ----------------------------------------------------------------------
+# The SUMMA processor grid: chosen by the model, shown by explain()
+# ----------------------------------------------------------------------
+
+
+def _unread(session, n, tile):
+    """An ``n x n`` tiled operand a compile prices and never reads: one
+    placeholder record per tile, partitioned as ``session.tiled`` would."""
+    placeholders = session.engine.parallelize(range((n // tile) ** 2))
+    return TiledMatrix(n, n, tile, placeholders)
+
+
+def test_default_session_leaves_the_5_3_plan_on_the_multiply_dense_shape():
+    """2000x2000 at tile 200, the wall-clock ledger's ``multiply_dense``:
+    the default cluster's own arithmetic picks SUMMA on a grid coarser
+    than the 10x10 tile grid, and ``explain()`` says which."""
+    session = SacSession(tile_size=200)
+    compiled = session.compile(
+        MULTIPLY, A=_unread(session, 2000, 200), B=_unread(session, 2000, 200),
+        n=2000, m=2000,
+    )
+    plan = compiled.plan
+    estimate = plan.estimate
+    assert plan.rule == RULE_GROUP_BY_JOIN
+    assert estimate.strategy == STRATEGY_REPLICATE
+    p_r, p_c = estimate.grid
+    assert p_r < 10 and p_c < 10
+    naive = plan.candidates[STRATEGY_TILED_REDUCE]
+    assert estimate.shuffle_bytes < naive.shuffle_bytes
+    assert estimate.total_seconds < naive.total_seconds
+    # What the chosen grid implies, everywhere a reader looks.
+    assert estimate.shuffle_records == 100 * (p_r + p_c)
+    cell = f"{-(-10 // p_r)}x{-(-10 // p_c)}"
+    assert plan.details["replication"] == (
+        f"A x{p_c}, B x{p_r} over a {p_r}x{p_c} grid of ≤{cell}-tile cells"
+    )
+    assert f"[{p_r}x{p_c} grid]" in estimate.summary()
+    assert f"(0 until {p_c})" in plan.pseudocode
+    assert f"(0 until {p_r})" in plan.pseudocode
+    exported = plan.to_dict()
+    (chosen,) = [c for c in exported["candidates"] if c["chosen"]]
+    assert chosen["grid"] == [p_r, p_c]
+    assert exported["details"]["replication"] == plan.details["replication"]
+
+
+def test_one_destination_per_cell_prices_what_it_priced_before_the_grid():
+    """``p_r = gr, p_c = gc`` is the per-destination replication: the
+    estimate at that grid is commit a9d0f9a's, field for field."""
+    compiled, _ = _measured_run(360, 90, True)
+    model_estimate = compiled.plan.estimate
+    assert model_estimate.grid == (4, 4)
+    assert (
+        model_estimate.shuffle_bytes, model_estimate.shuffle_records,
+        model_estimate.tasks, model_estimate.reduce_partitions,
+    ) == (8302592, 128, 48, 16)
+    assert model_estimate.total_seconds == pytest.approx(0.0172202368)
+
+
+def test_broadcast_threshold_counts_stored_tiles():
+    """The threshold compares what a broadcast would ship — a block
+    diagonal of 16 stored tiles fits under 20, its 16x16 dense grid of
+    256 does not."""
+    n, tile = 160, 10
+    session = SacSession(
+        tile_size=tile, options=PlannerOptions(broadcast_threshold=20)
+    )
+    A = session.sparse_tiled(_block_band(n, tile, seed=1))
+    B = session.sparse_tiled(_block_band(n, tile, seed=2))
+    assert A.tiles.count() == B.tiles.count() == 16
+    compiled = session.compile(MULTIPLY, A=A, B=B, n=n, m=n)
+    assert compiled.plan.details["strategy"] == STRATEGY_BROADCAST_RIGHT
+    dense = session.compile(
+        MULTIPLY, A=session.tiled(_block_band(n, tile, seed=1)), B=A, n=n, m=n
+    )
+    assert dense.plan.details["strategy"] == STRATEGY_BROADCAST_RIGHT
+    both_dense = session.compile(
+        MULTIPLY, A=A, B=session.tiled(_block_band(n, tile, seed=2)), n=n, m=n
+    )
+    assert both_dense.plan.details["strategy"] == STRATEGY_BROADCAST_LEFT
