@@ -16,6 +16,8 @@ from typing import Any
 
 import numpy as np
 
+from .batch import ColumnBatch
+
 #: Flat per-record envelope a real serializer would add (type tags, length
 #: prefixes).  Chosen to roughly match Kryo's overhead for small tuples.
 RECORD_OVERHEAD = 8
@@ -57,6 +59,8 @@ def _estimate(obj: Any) -> int:
         return 8 + sum(_estimate(item) for item in obj)
     if isinstance(obj, dict):
         return 8 + sum(_estimate(k) + _estimate(v) for k, v in obj.items())
+    if type(obj) is ColumnBatch:
+        return obj.wire_bytes()
     return _fallback_estimate(obj)
 
 
@@ -78,13 +82,13 @@ def estimate_record_size(record: Any) -> int:
 # ----------------------------------------------------------------------
 #
 # Shuffle streams in this engine are overwhelmingly *homogeneous*: every
-# record of a tiled-matrix shuffle is ``((i, j), ndarray)``, every record
-# of a coordinate shuffle is ``((i, j), float)`` and every record of a
-# coordinate join is ``((k,), {name: scalar, ...})``.  Walking each
-# record recursively through ``_estimate`` costs more than the rest of
-# the shuffle loop combined, so the accountant below derives a record's
-# size from a structural *signature* — key shape plus value type (and
-# dtype/shape for arrays) — and memoizes the estimate per signature.
+# record of a tiled-matrix shuffle is ``((i, j), ndarray)`` and every
+# record of a per-element coordinate shuffle is ``((i, j), float)``.
+# Walking each record recursively through ``_estimate`` costs more than
+# the rest of the shuffle loop combined, so the accountant below derives
+# a record's size from a structural *signature* — key shape plus value
+# type (and dtype/shape for arrays) — and memoizes the estimate per
+# signature.
 # Records that do not fit a fixed-size signature fall back to the full
 # recursive walk, so the totals are byte-identical to per-record
 # estimation in every case.
@@ -101,15 +105,16 @@ _TILE_RECORD_OVERHEAD = 2 + (2 + 8 + 8) + 16 + RECORD_OVERHEAD
 #: The same for an ``(int, ndarray)`` :class:`TiledVector` block record.
 _BLOCK_RECORD_OVERHEAD = 2 + 8 + 16 + RECORD_OVERHEAD
 
+#: A ``(reducer, ColumnBatch)`` record minus the batch's wire bytes.
+_BATCH_RECORD_OVERHEAD = 2 + 8 + RECORD_OVERHEAD
+
 
 def _fixed_size_signature(obj: Any) -> Any:
     """A hashable signature for values whose estimate is type-determined.
 
     Returns ``None`` when ``obj``'s size depends on its contents (strings,
-    lists, arbitrary objects), which routes the record to the full walk.
-    A ``dict`` keyed by strings — the binding environment a coordinate
-    join ships per element — carries its keys in the signature, so their
-    lengths are fixed by it too.
+    lists, dicts, arbitrary objects), which routes the record to the
+    full walk.
     """
     t = type(obj)
     if t in _FIXED_SIZE_TYPES:
@@ -119,14 +124,6 @@ def _fixed_size_signature(obj: Any) -> Any:
         if None in parts:
             return None
         return ("t", parts)
-    if t is dict:
-        for name in obj:
-            if type(name) is not str:
-                return None
-        parts = tuple(map(_fixed_size_signature, obj.values()))
-        if None in parts:
-            return None
-        return ("d", tuple(obj), parts)
     if isinstance(obj, np.generic):
         return ("g", t)
     return None
@@ -159,7 +156,8 @@ class RecordSizeAccountant:
     records and ``(i, ndarray)`` vector blocks — the block-array hot
     path, one record per tile from every ``BlockManager.put`` — inline
     from ``ndarray.nbytes``, with no call per record and no memo entry
-    per ragged edge shape.
+    per ragged edge shape; a ``(reducer, ColumnBatch)`` record of the
+    coordinate rule likewise, in O(columns).
     """
 
     __slots__ = ("_memo",)
@@ -196,5 +194,8 @@ class RecordSizeAccountant:
                     ):
                         total += value.nbytes + _TILE_RECORD_OVERHEAD
                         continue
+                elif type(value) is ColumnBatch and type(key) is int:
+                    total += value.wire_bytes() + _BATCH_RECORD_OVERHEAD
+                    continue
             total += size_of(record)
         return total

@@ -54,6 +54,13 @@ class GenInfo:
     def arity(self) -> int:
         return len(self.index_vars)
 
+    @property
+    def bound_vars(self) -> list[str]:
+        """Every variable the generator binds: indices, then the value."""
+        if self.value_var is None:
+            return list(self.index_vars)
+        return [*self.index_vars, self.value_var]
+
 
 @dataclass
 class RangeGen:

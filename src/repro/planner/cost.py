@@ -80,8 +80,10 @@ ELEMENT_BYTES = 8
 #: headers and the shuffle's record overhead (see engine.serialization;
 #: a tile record measures ~50-60 bytes beyond its payload).
 TILE_RECORD_OVERHEAD = 64
-#: Bytes per shuffled element-level record on the coordinate path
-#: (an ((i, j), v) pair of smallints and a float).
+#: Bytes per shuffled record of the coordinate rule's *per-element*
+#: record type (an ((i, j), v) pair of smallints and a float).  A plan
+#: that runs over column batches ships ~8 bytes per column per row, so
+#: this over-prices it — the conservative side (ROADMAP item 4).
 COORD_RECORD_BYTES = 48
 #: Throughput the model assumes for the measured (local NumPy) tile
 #: contraction, in flops per second of *measured* compute.  ``contract``
@@ -92,7 +94,8 @@ COORD_RECORD_BYTES = 48
 LOCAL_CONTRACT_FLOPS = 2.0e10
 #: Python-level overhead per tile-pair contraction call.
 CONTRACT_CALL_SECONDS = 5e-5
-#: Interpreter cost per element record on the coordinate path.
+#: Interpreter cost per record of the coordinate rule's per-element
+#: record type (a column batch pays array passes, far less per row).
 COORD_ELEMENT_SECONDS = 2e-6
 
 #: Candidate strategy names (details["strategy"] / explain keys).

@@ -213,11 +213,13 @@ def _json_safe(value: Any) -> Any:
 
 @dataclass(eq=False, kw_only=True)
 class ScanNode(IRNode):
-    """Leaf: ``records()`` is the generator's tile-record RDD (element
-    pairs under ``Coordinate``); logical scans carry none."""
+    """Leaf: ``records()`` is the generator's tile-record RDD — under
+    ``Coordinate``, its :class:`~repro.planner.rdd_rules.ElementSource`,
+    readable as element pairs or as column batches; logical scans carry
+    none."""
 
     op: str = OP_SCAN
-    records: Optional[Callable[[], RDD]] = None
+    records: Optional[Callable[[], Any]] = None
 
 
 @dataclass(eq=False, kw_only=True)
@@ -315,7 +317,8 @@ class AssembleNode(IRNode):
 
 @dataclass(eq=False, kw_only=True)
 class CoordinateNode(IRNode):
-    """Section 4 over element records.  ``join_order``: per folded
+    """Section 4 over element records — one per element, or one column
+    batch per partition; the lowerer picks.  ``join_order``: per folded
     generator, its index and the (joined-side, own-side) key
     expressions — no keys means a cartesian product."""
 

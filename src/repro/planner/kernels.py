@@ -58,7 +58,50 @@ def _div(a: Any, b: Any) -> Any:
     return a / b
 
 
-def compile_vectorized(expr: Expr) -> Kernel:
+def _any_zero(divisor: Any) -> bool:
+    return bool(np.any(np.equal(divisor, 0)))
+
+
+def _div_checked(a: Any, b: Any) -> Any:
+    """:func:`_div` that fails the way the interpreter's ``/`` does."""
+    if _any_zero(b):
+        raise ZeroDivisionError("division by zero")
+    return _div(a, b)
+
+
+def _mod_checked(a: Any, b: Any) -> Any:
+    if _any_zero(b):
+        raise ZeroDivisionError("modulo by zero")
+    return np.mod(a, b)
+
+
+def _partial(fn: Callable) -> Callable:
+    """``fn`` raising ``math``'s errors where NumPy would warn and return
+    ``nan`` / ``inf``: a domain error is a ``ValueError``, a range error
+    an ``OverflowError``."""
+
+    def call(*args: Any) -> Any:
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                return fn(*args)
+        except FloatingPointError as exc:
+            error = OverflowError if "overflow" in str(exc) else ValueError
+            raise error(f"math domain or range error: {exc}") from None
+
+    return call
+
+
+#: Scope of a ``checked`` kernel: the operators a row can fail in raise
+#: the interpreter's exception for that row instead of warning.
+_CHECKED_SCOPE = {
+    "np": np, "_div": _div_checked, "_mod": _mod_checked, "_partial": _partial,
+}
+
+#: Calls that are partial functions (``math`` raises outside their domain).
+PARTIAL_CALLS = frozenset({"log", "sqrt", "exp", "pow"})
+
+
+def compile_vectorized(expr: Expr, checked: bool = False) -> Kernel:
     """Compile ``expr`` into a function of an array environment.
 
     Every free variable must be present in the environment at call time,
@@ -68,15 +111,26 @@ def compile_vectorized(expr: Expr) -> Kernel:
     rendering.  Rendering (and :class:`KernelUnsupported`) happens
     here; ``compile()`` waits for the first call — it costs more than
     planning a small expression, and a fused chain never calls it.
+
+    ``checked`` kernels stand in for per-row interpretation (the
+    coordinate rule's column batches), where a failing row is an error,
+    never a warning: a zero divisor under ``/`` or ``%`` raises
+    ``ZeroDivisionError``, ``log`` / ``sqrt`` / ``exp`` / ``pow`` raise
+    ``math``'s errors, and everything Python floats do silently
+    (overflow to ``inf``, ``inf - inf``) stays silent under ``-W error``.
     """
     names = {name: f"env[{name!r}]" for name in free_vars(expr)}
-    source = "lambda env: " + emit_vectorized_source(expr, names)
+    source = "lambda env: " + emit_vectorized_source(expr, names, checked)
+    scope = _CHECKED_SCOPE if checked else {"np": np, "_div": _div}
     compiled: list[Kernel] = []
 
     def kernel(env: Env) -> Any:
         if not compiled:
-            compiled.append(eval(source, {"np": np, "_div": _div}))
-        return compiled[0](env)
+            compiled.append(eval(source, dict(scope)))
+        if not checked:
+            return compiled[0](env)
+        with np.errstate(all="ignore"):
+            return compiled[0](env)
 
     return kernel
 
@@ -125,7 +179,9 @@ def literal_source(value: Any) -> str:
     return repr(value)
 
 
-def emit_vectorized_source(expr: Expr, names: dict[str, str]) -> str:
+def emit_vectorized_source(
+    expr: Expr, names: dict[str, str], checked: bool = False
+) -> str:
     """Render ``expr`` as NumPy source text over pre-bound ``names``.
 
     ``names`` maps each DSL variable to the Python expression that holds
@@ -133,7 +189,9 @@ def emit_vectorized_source(expr: Expr, names: dict[str, str]) -> str:
     lookup, or :func:`literal_source` text for closed-over constants).
     Operators render as ufunc calls (``_div`` for the DSL's integral
     division).  Raises :class:`KernelUnsupported` for constructs with no
-    vectorized form and for variables absent from ``names``.
+    vectorized form and for variables absent from ``names``.  ``checked``
+    text (see :func:`compile_vectorized`) routes ``%`` and the partial
+    calls through the raising helpers of its scope.
     """
     if isinstance(expr, Lit):
         return literal_source(expr.value)
@@ -143,36 +201,42 @@ def emit_vectorized_source(expr: Expr, names: dict[str, str]) -> str:
         except KeyError:
             raise KernelUnsupported(f"unbound variable {expr.name!r}") from None
     if isinstance(expr, TupleExpr):
-        parts = [emit_vectorized_source(item, names) for item in expr.items]
+        parts = [emit_vectorized_source(item, names, checked) for item in expr.items]
         if len(parts) == 1:
             return f"({parts[0]},)"
         return "(" + ", ".join(parts) + ")"
     if isinstance(expr, BinOp):
-        left = emit_vectorized_source(expr.left, names)
-        right = emit_vectorized_source(expr.right, names)
+        left = emit_vectorized_source(expr.left, names, checked)
+        right = emit_vectorized_source(expr.right, names, checked)
         if expr.op == "/":
             return f"_div({left}, {right})"
+        if checked and expr.op == "%":
+            return f"_mod({left}, {right})"
         try:
             op = _NP_BINOP_SOURCE[expr.op]
         except KeyError:
             raise KernelUnsupported(f"operator {expr.op!r}") from None
         return f"{op}({left}, {right})"
     if isinstance(expr, UnOp):
-        operand = emit_vectorized_source(expr.operand, names)
+        operand = emit_vectorized_source(expr.operand, names, checked)
         if expr.op == "-":
             return f"np.negative({operand})"
         return f"np.logical_not({operand})"
     if isinstance(expr, IfExpr):
-        cond = emit_vectorized_source(expr.cond, names)
-        then = emit_vectorized_source(expr.then, names)
-        orelse = emit_vectorized_source(expr.orelse, names)
+        cond = emit_vectorized_source(expr.cond, names, checked)
+        then = emit_vectorized_source(expr.then, names, checked)
+        orelse = emit_vectorized_source(expr.orelse, names, checked)
         return f"np.where({cond}, {then}, {orelse})"
     if isinstance(expr, Call):
         try:
             fn = _NP_CALL_SOURCE[expr.func]
         except KeyError:
             raise KernelUnsupported(f"function {expr.func!r}") from None
-        args = ", ".join(emit_vectorized_source(arg, names) for arg in expr.args)
+        args = ", ".join(
+            emit_vectorized_source(arg, names, checked) for arg in expr.args
+        )
+        if checked and expr.func in PARTIAL_CALLS:
+            fn = f"_partial({fn})"
         return f"{fn}({args})"
     raise KernelUnsupported(f"expression {type(expr).__name__}")
 
@@ -183,15 +247,16 @@ def emit_vectorized_source(expr: Expr, names: dict[str, str]) -> str:
 _KERNEL_MEMO = "_sac_kernel_memo"
 
 
-def compile_vectorized_cached(expr: Expr) -> Kernel:
+def compile_vectorized_cached(expr: Expr, checked: bool = False) -> Kernel:
     """:func:`compile_vectorized` memoized on the node (failures too)."""
-    memo = getattr(expr, _KERNEL_MEMO, None)
+    slot = _KERNEL_MEMO + "_checked" if checked else _KERNEL_MEMO
+    memo = getattr(expr, slot, None)
     if memo is None:
         try:
-            memo = compile_vectorized(expr)
+            memo = compile_vectorized(expr, checked)
         except KernelUnsupported as exc:
             memo = exc
-        object.__setattr__(expr, _KERNEL_MEMO, memo)
+        object.__setattr__(expr, slot, memo)
     if isinstance(memo, KernelUnsupported):
         raise memo
     return memo

@@ -25,19 +25,23 @@ thunk from outside the tree.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from ..comprehension.ast import Expr, Var, free_vars
-from ..comprehension.errors import SacPlanError
+from ..comprehension.ast import (
+    BinOp, Call, Expr, IfExpr, Lit, TupleExpr, UnOp, Var, free_vars, walk,
+)
+from ..comprehension.errors import SacPlanError, SacTypeError
 from ..comprehension.interpreter import Interpreter
 from ..comprehension.monoids import monoid
-from ..engine import EngineContext, GridPartitioner, RDD
+from ..engine import EngineContext, GridPartitioner, HashPartitioner, RDD
+from ..engine.batch import ColumnBatch, group_reduce, merge_join, scatter, segments
 from ..storage.registry import REGISTRY, BuildContext
 from ..storage.tiled import TiledMatrix, TiledVector
-from .analysis import CompInfo
+from .analysis import CompInfo, key_components
 from .codegen import get_fused_kernel
 from .groupby_join import GbjMatch, reconsider_join_strategy
 from .ir import (
@@ -45,9 +49,13 @@ from .ir import (
     OP_FUSED_KERNEL, OP_GROUP_BY, OP_GROUP_BY_JOIN, OP_MAP_TILES,
     OP_REPLICATE, OP_SCAN, OP_TILED_REDUCE, _digest,
 )
-from .kernels import band_gemm, gather
+from .kernels import (
+    PARTIAL_CALLS, KernelUnsupported, band_gemm, compile_vectorized_cached,
+    gather,
+)
 from .passes import PlanState, cse_enabled
 from .plan import Plan, RULE_LOCAL, RULE_LOCAL_CODEGEN
+from .rdd_rules import INT_COLUMN_CAP
 from .tiling import ResolvedGen, TiledSetup, _result_storage, _tile_shape
 
 
@@ -60,13 +68,16 @@ def lower(state: PlanState) -> Plan:
         plan.logical = state.logical
         return plan
 
-    # ``details`` is copied: the adaptive thunk writes into it at execute
-    # time, and one root may be lowered into many plans when the session
-    # reuses a pass-pipeline result.
+    # Lowered first: a lowerer may annotate its node (the coordinate
+    # rule records which record type it chose).  ``details`` is copied:
+    # the adaptive thunk writes into it at execute time, and one root may
+    # be lowered into many plans when the session reuses a pass-pipeline
+    # result.
+    thunk = lower_node(root, state)
     plan = Plan(
         rule=root.attrs["rule"],
         description=root.attrs["description"],
-        thunk=lower_node(root, state),
+        thunk=thunk,
         pseudocode=root.attrs.get("pseudocode", ""),
         details=dict(root.attrs.get("details") or {}),
         estimate=root.attrs.get("estimate"),
@@ -519,7 +530,26 @@ def _map_side_join(node: IRNode, left: Any, right: Any) -> Tiles:
 
 
 def _lower_coordinate(node: IRNode, sources: list, state: PlanState) -> Callable:
-    """Element-level RDD operations: joins (Rule 14), group-by (Rule 13)."""
+    """Element-level RDD operations: joins (Rule 14), group-by (Rule 13).
+
+    The one place that picks the record type, from the comprehension and
+    its sources only: column batches when every source yields numeric
+    columns and every expression has an array form, else the same
+    program over one record per element — with the reason on the node,
+    for ``explain()``.
+    """
+    details = node.attrs.setdefault("details", {})
+    try:
+        build, width = _batch_program(node, sources, state)
+        details["records"] = f"column batches (shuffle width {width})"
+    except KernelUnsupported as reason:
+        details["records"] = f"one per element ({reason})"
+        build = _record_program(node, [s.pairs() for s in sources], state)
+    return build
+
+
+def _record_program(node: IRNode, sources: list[RDD], state: PlanState) -> Callable:
+    """One ``dict`` environment per element through the interpreter."""
     info: CompInfo = node.info
     build_context = state.build_context
     evaluator = Interpreter(state.env, build_context=build_context)
@@ -722,6 +752,313 @@ def _combine_into_tiles(keyed: RDD, shape_of: Callable[[Any], Any]) -> RDD:
         return np.where(b != 0, b, a)
 
     return keyed.combine_by_key(create, merge_value, merge_tiles)
+
+
+# ----------------------------------------------------------------------
+# Section 4 over column batches
+# ----------------------------------------------------------------------
+
+#: Environment bindings a batch expression may read besides columns.
+_SCALAR_TYPES = (bool, int, float, np.number)
+
+_ARITHMETIC_OPS = frozenset("+-*/%")
+_BOOLEAN_OPS = frozenset({"==", "!=", "<", "<=", ">", ">=", "&&", "||"})
+
+
+def _batch_program(
+    node: IRNode, sources: list, state: PlanState
+) -> tuple[Callable, int]:
+    """``node``'s program over :class:`ColumnBatch` records, and the
+    width of its shuffles.
+
+    The same ``join_order`` fold, guards, group-by and builder as
+    :func:`_record_program`, each operator an array pass
+    (:mod:`repro.engine.batch`).  Raises :class:`KernelUnsupported`
+    naming the first thing that has no array form.
+    """
+    info: CompInfo = node.info
+    engine, env = state.engine, state.env
+    gens = info.generators
+    row_counts = [source.rows() for source in sources]
+    scalars = {
+        name: value for name, value in env.items()
+        if isinstance(value, _SCALAR_TYPES)
+    }
+
+    def column(expr: Expr, bound: set[str]) -> Callable[[ColumnBatch], np.ndarray]:
+        """``expr`` over a batch whose columns are ``bound``."""
+        _require_array_form(expr, bound, scalars, env)
+        kernel = compile_vectorized_cached(expr, checked=True)
+
+        def evaluate(batch: ColumnBatch) -> np.ndarray:
+            value = np.asarray(kernel({**scalars, **batch.columns}))
+            return value if value.ndim else np.full(batch.rows, value)
+
+        return evaluate
+
+    bound = set(gens[0].bound_vars)
+    steps = []
+    for gen_idx, left_keys, right_keys in node.join_order:
+        if not left_keys:
+            raise KernelUnsupported("a cartesian step")
+        own = set(gens[gen_idx].bound_vars)
+        steps.append((
+            gen_idx,
+            [column(e, bound) for e in left_keys],
+            [column(e, own) for e in right_keys],
+        ))
+        bound |= own
+    guards = [column(guard, bound) for guard in info.residual_guards]
+
+    grouped = info.group_key_vars is not None
+    if grouped:
+        if not info.slots or not info.group_key_exprs:
+            raise KernelUnsupported("a group-by without a key or an aggregation")
+        key_fns = [column(e, bound) for e in info.group_key_exprs]
+        slot_fns = [column(slot.expr, bound) for slot in info.slots]
+        monoids = [monoid(slot.monoid) for slot in info.slots]
+        for mon in monoids:
+            if mon.np_combine is None:
+                raise KernelUnsupported(f"monoid {mon.name!r} has no ufunc")
+        combines = [mon.np_combine for mon in monoids]
+        key_vars = list(info.group_key_vars)
+        slot_vars = [slot.slot_var for slot in info.slots]
+        residual = column(info.residual_value, set(key_vars + slot_vars))
+        tuple_key = len(key_fns) != 1
+    else:
+        key_fns = [column(e, bound) for e in key_components(info.head_key)]
+        value_fn = column(info.head_value, bound)
+        tuple_key = isinstance(info.head_key, TupleExpr)
+    builder = node.builder
+    if builder in ("tiled", "tiled_vector") and (
+        len(key_fns), tuple_key
+    ) != ((2, True) if builder == "tiled" else (1, False)):
+        raise KernelUnsupported(f"keys that do not index a {builder!r} builder")
+
+    # A partition smaller than the coalesce target is not worth its own
+    # task: the width follows the rows there are, not the cluster's cores.
+    estimated = sum(
+        8 * len(gen.bound_vars) * rows for gen, rows in zip(gens, row_counts)
+    )
+    width = max(1, min(
+        engine.default_parallelism,
+        math.ceil(estimated / engine.cluster.adaptive_coalesce_bytes),
+    ))
+    partitioner = HashPartitioner(width)
+
+    def scatter_on(fns: list) -> Callable[[ColumnBatch], list]:
+        return lambda batch: scatter(batch, [fn(batch) for fn in fns], width)
+
+    def join_on(left_fns: list, right_fns: list) -> Callable[[tuple], list]:
+        def join(record: tuple) -> list:
+            _reducer, (lefts, rights) = record
+            if not lefts or not rights:
+                return []
+            left, right = ColumnBatch.concat(lefts), ColumnBatch.concat(rights)
+            joined = merge_join(
+                left, right,
+                [fn(left) for fn in left_fns], [fn(right) for fn in right_fns],
+            )
+            return [joined] if joined.rows else []
+
+        return join
+
+    def select(batch: ColumnBatch) -> ColumnBatch:
+        for guard in guards:
+            batch = batch.take(guard(batch).astype(bool, copy=False))
+        return batch
+
+    def head(batch: ColumnBatch) -> list:
+        batch = select(batch)
+        if not batch.rows:
+            return []
+        return [_result_batch([fn(batch) for fn in key_fns], value_fn(batch))]
+
+    def partial_groups(batch: ColumnBatch) -> list:
+        """Map side: one row per key of this batch, scattered by key."""
+        batch = select(batch)
+        if not batch.rows:
+            return []
+        slots = [
+            _foldable(fn(batch), mon) for fn, mon in zip(slot_fns, monoids)
+        ]
+        keys, slots = group_reduce([fn(batch) for fn in key_fns], slots, combines)
+        partial = ColumnBatch(dict(zip(key_vars + slot_vars, keys + slots)))
+        return scatter(partial, keys, width)
+
+    def merge_groups(record: tuple) -> ColumnBatch:
+        """Reduce side: fold the map sides' partial rows in map-partition
+        order, then the residual f over the aggregates."""
+        _reducer, pieces = record
+        columns = ColumnBatch.concat(pieces).columns
+        keys, slots = group_reduce(
+            [columns[name] for name in key_vars],
+            [columns[name] for name in slot_vars], combines,
+        )
+        groups = ColumnBatch(dict(zip(key_vars + slot_vars, keys + slots)))
+        return _result_batch(keys, residual(groups))
+
+    def build() -> Any:
+        joined = sources[0].batches(width)
+        for gen_idx, left_fns, right_fns in steps:
+            # ``cogroup``, not ``join``: a piece is not a value list the
+            # skew splitter may chunk.
+            joined = joined.flat_map(scatter_on(left_fns)).cogroup(
+                sources[gen_idx].batches(width).flat_map(scatter_on(right_fns)),
+                partitioner=partitioner,
+            ).flat_map(join_on(left_fns, right_fns))
+        if grouped:
+            result = joined.flat_map(partial_groups).group_by_key(
+                partitioner=partitioner
+            ).map(merge_groups)
+        else:
+            result = joined.flat_map(head)
+        n = state.build_context.tile_size
+        if builder == "tiled":
+            rows, cols = int(node.args[0]), int(node.args[1])
+            tiles = _assemble_tiles(result, (rows, cols), n, partitioner)
+            return TiledMatrix(rows, cols, n, tiles)
+        if builder == "tiled_vector":
+            length = int(node.args[0])
+            blocks = _assemble_tiles(result, (length,), n, partitioner)
+            return TiledVector(length, n, blocks)
+        items = result.flat_map(lambda batch: _items(batch, len(key_fns), tuple_key))
+        if builder is None or builder == "rdd":
+            return items
+        return REGISTRY.build(builder, node.args, items.collect(), state.build_context)
+
+    return build, width
+
+
+def _require_array_form(
+    expr: Expr, bound: set[str], scalars: dict, env: dict
+) -> None:
+    """Raise :class:`KernelUnsupported` where evaluating ``expr`` over
+    whole columns would not be evaluating it row by row."""
+    for sub in walk(expr):
+        if isinstance(sub, TupleExpr):
+            raise KernelUnsupported("a tuple value")
+        if isinstance(sub, Lit) and not isinstance(sub.value, (bool, int, float)):
+            raise KernelUnsupported(f"a {type(sub.value).__name__} value")
+        if isinstance(sub, Var) and sub.name not in bound:
+            if sub.name not in scalars:
+                raise KernelUnsupported(
+                    f"{sub.name!r} is neither a bound column nor a scalar"
+                )
+            value = scalars[sub.name]
+            if isinstance(value, int) and abs(value) > INT_COLUMN_CAP:
+                raise KernelUnsupported(f"{sub.name!r} is beyond ±2**62")
+        if isinstance(sub, Call):
+            if callable(env.get(sub.func)):
+                raise KernelUnsupported(f"user function {sub.func!r}")
+            if sub.func in ("min", "max", "pow") and len(sub.args) != 2:
+                raise KernelUnsupported(f"{sub.func} of {len(sub.args)} arguments")
+        # Python evaluates these lazily, NumPy both sides for every row.
+        lazy = ()
+        if isinstance(sub, IfExpr):
+            lazy = (sub.then, sub.orelse)
+        elif isinstance(sub, BinOp) and sub.op in ("&&", "||"):
+            lazy = (sub.right,)
+        if any(_is_partial(part) for branch in lazy for part in walk(branch)):
+            raise KernelUnsupported("a partial operator behind a condition")
+        # ``True + True`` is 2 in Python and ``True`` in NumPy.
+        operands = ()
+        if isinstance(sub, BinOp) and sub.op in _ARITHMETIC_OPS:
+            operands = (sub.left, sub.right)
+        elif isinstance(sub, UnOp) and sub.op == "-":
+            operands = (sub.operand,)
+        if any(_is_boolean(operand) for operand in operands):
+            raise KernelUnsupported("arithmetic on a boolean")
+
+
+def _is_partial(expr: Expr) -> bool:
+    return (isinstance(expr, BinOp) and expr.op in "/%") or (
+        isinstance(expr, Call) and expr.func in PARTIAL_CALLS
+    )
+
+
+def _is_boolean(expr: Expr) -> bool:
+    return (isinstance(expr, BinOp) and expr.op in _BOOLEAN_OPS) or (
+        isinstance(expr, UnOp) and expr.op != "-"
+    )
+
+
+def _foldable(slot: np.ndarray, mon: Any) -> np.ndarray:
+    """A boolean slot counts as 0/1 under ``+`` and ``*``, as in Python."""
+    if slot.dtype == bool and mon.name in "+*":
+        return slot.astype(np.int64)
+    return slot
+
+
+def _result_batch(keys: list[np.ndarray], value: np.ndarray) -> ColumnBatch:
+    """The program's output rows: key components ``k0..``, value ``v``."""
+    columns = {f"k{position}": key for position, key in enumerate(keys)}
+    columns["v"] = value
+    return ColumnBatch(columns)
+
+
+def _items(batch: ColumnBatch, n_keys: int, tuple_key: bool) -> list:
+    """A result batch as the ``(key, value)`` items a builder takes (bare
+    values when the head has no key), Python scalars throughout."""
+    values = batch.columns["v"].tolist()
+    if not n_keys:
+        return values
+    keys = [batch.columns[f"k{position}"].tolist() for position in range(n_keys)]
+    return list(zip(zip(*keys) if tuple_key else keys[0], values))
+
+
+def _index_column(column: np.ndarray) -> np.ndarray:
+    """A key component as the int64 index a tile is addressed by."""
+    if column.dtype.kind != "f":
+        return column.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):  # nan / inf fail the test below
+        index = column.astype(np.int64)
+    if (index != column).any():
+        raise SacTypeError("a tiled builder needs integral indices")
+    return index
+
+
+def _assemble_tiles(
+    result: RDD, dims: tuple[int, ...], n: int, partitioner: HashPartitioner
+) -> RDD:
+    """Result batches into the builder's dense ``(coord, tile)`` records.
+
+    Rows outside ``dims`` are dropped, the rest scattered by tile
+    coordinate; each tile is then one fancy assignment (of duplicate
+    indices the last row wins).
+    """
+    rank = range(len(dims))
+
+    def scatter_by_tile(batch: ColumnBatch) -> list:
+        index = [_index_column(batch.columns[f"k{axis}"]) for axis in rank]
+        keep = np.ones(batch.rows, dtype=bool)
+        for column, dim in zip(index, dims):
+            keep &= (column >= 0) & (column < dim)
+        kept = _result_batch(index, batch.columns["v"]).take(keep)
+        coords = [kept.columns[f"k{axis}"] // n for axis in rank]
+        return scatter(kept, coords, partitioner.num_partitions)
+
+    def build_tiles(record: tuple) -> list:
+        _reducer, pieces = record
+        columns = ColumnBatch.concat(pieces).columns
+        index = [columns[f"k{axis}"] for axis in rank]
+        coords = [column // n for column in index]
+        order, starts = segments(coords)
+        bounds = [*starts.tolist(), len(order)]
+        tiles = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            rows = order[lo:hi]
+            coord = tuple(int(column[rows[0]]) for column in coords)
+            tile = np.zeros(tuple(
+                min(n, dim - block * n) for block, dim in zip(coord, dims)
+            ))
+            tile[tuple(column[rows] % n for column in index)] = columns["v"][rows]
+            tiles.append((coord if len(dims) > 1 else coord[0], tile))
+        return tiles
+
+    return result.flat_map(scatter_by_tile).group_by_key(
+        partitioner=partitioner
+    ).flat_map(build_tiles)
 
 
 # ----------------------------------------------------------------------

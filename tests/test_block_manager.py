@@ -21,6 +21,7 @@ from repro.engine import (
 )
 from repro.engine.block_manager import SHUFFLE_REGISTRY_LIMIT
 from repro.engine.rdd import ShuffledRDD
+from repro.engine.batch import ColumnBatch
 from repro.engine.serialization import estimate_record_size
 
 
@@ -288,6 +289,8 @@ SAMPLE_RECORDS = [
     ((0,), {}),
     ((0,), {1: 2.0}),  # non-str name: full walk
     ((0,), {"x": [1, 2]}),  # content-sized value: full walk
+    (2, ColumnBatch({"i": np.arange(3), "a": np.zeros(3)})),  # coordinate batch
+    (0, ([ColumnBatch({"i": np.arange(2)})], [])),  # ... cogrouped
     [1, 2, 3],
     "bare string",
     ((0.5, 1), True),

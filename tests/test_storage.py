@@ -95,6 +95,48 @@ def test_coo_vector():
     assert list(v.sparsify()) == [(1, 2.0)]
 
 
+def test_coo_holds_sorted_read_only_columns():
+    a = np.random.default_rng(5).integers(-2, 3, size=(9, 7))  # many zeros
+    coo = CooMatrix.from_numpy(a)
+    assert coo.nnz == np.count_nonzero(a)
+    np.testing.assert_array_equal(coo.to_numpy(), a)
+    keys = list(zip(coo.row_index.tolist(), coo.col_index.tolist()))
+    assert keys == sorted(keys) == [key for key, _ in coo.sparsify()]
+    # Integer input keeps integer values, element for element.
+    assert coo.values.dtype == a.dtype
+    assert all(type(value) is int for _, value in coo.sparsify())
+    for column in (coo.row_index, coo.col_index, coo.values):
+        with pytest.raises(ValueError):
+            column[0] = 1
+    with pytest.raises(TypeError):
+        coo.entries[(0, 0)] = 1
+    assert dict(coo.entries) == dict(coo.sparsify())
+    assert coo.get(*keys[0]) == a[keys[0]] and coo.get(8, 6) == a[8, 6]
+
+
+def test_coo_from_items_last_writer_wins_and_sorts():
+    items = [((2, 1), 5.0), ((0, 3), 1.0), ((2, 1), 7.0), ((0, 0), 0.0), ((2, 1), 0.0)]
+    coo = CooMatrix.from_items(3, 4, items)
+    # The explicit zeros are dropped (one of them a *later* duplicate).
+    assert list(coo.sparsify()) == [((0, 3), 1.0), ((2, 1), 7.0)]
+    v = CooVector.from_items(4, [(3, 1), (1, 2), (3, 9), (7, 1)])
+    assert list(v.sparsify()) == [(1, 2), (3, 9)]
+    assert v.values.dtype.kind == "i" and dict(v.entries) == {1: 2, 3: 9}
+
+
+def test_coo_still_constructs_from_a_dict():
+    coo = CooMatrix(3, 3, {(2, 2): 4.0, (0, 1): 2.0})
+    assert list(coo.sparsify()) == [((0, 1), 2.0), ((2, 2), 4.0)]
+    assert repr(coo) == "CooMatrix(3x3, nnz=2)"
+    assert coo.density() == 2 / 9
+    np.testing.assert_array_equal(coo.to_numpy(), [[0, 2, 0], [0, 0, 0], [0, 0, 4]])
+    # Values NumPy has no numeric dtype for are kept as they are.
+    odd = CooMatrix(2, 2, {(1, 0): "x", (0, 0): (1, 2)})
+    assert list(odd.sparsify()) == [((0, 0), (1, 2)), ((1, 0), "x")]
+    assert CooMatrix(2, 2, {}).nnz == 0 and CooVector(2, {}).nnz == 0
+    assert repr(CooVector(4, {3: 1.5})) == "CooVector(length=4, nnz=1)"
+
+
 # ----------------------------------------------------------------------
 # CSR
 # ----------------------------------------------------------------------
