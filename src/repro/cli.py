@@ -177,6 +177,8 @@ def _metrics_report(session: SacSession, as_json: bool) -> None:
             "restore_stall_seconds": total.restore_stall_seconds,
             "kernel_cache_hits": total.kernel_cache_hits,
             "kernel_cache_misses": total.kernel_cache_misses,
+            "kernel_batch_inputs": total.kernel_batch_inputs,
+            "kernel_record_inputs": total.kernel_record_inputs,
         }, indent=2))
         return
     print(total.summary())
@@ -185,7 +187,9 @@ def _metrics_report(session: SacSession, as_json: bool) -> None:
     elif total.kernel_cache_hits or total.kernel_cache_misses:
         print(
             f"fused kernels: {total.kernel_cache_misses} compiled, "
-            f"{total.kernel_cache_hits} cache hits"
+            f"{total.kernel_cache_hits} cache hits; input partitions: "
+            f"{total.kernel_batch_inputs} batches, "
+            f"{total.kernel_record_inputs} record lists"
         )
     if session.engine.block_manager.spill_enabled:
         print(

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Optional
 
 from .cluster import ClusterSpec
 from .metrics import MetricsRegistry
@@ -226,12 +226,12 @@ class AdaptiveManager:
         return chain, node
 
     @staticmethod
-    def rebuild_chain(chain: list, pid: int, records: list) -> Iterator:
-        """Re-apply a narrow element-wise chain to a slice of partition ``pid``."""
-        it: Iterator = iter(records)
+    def rebuild_chain(chain: list, pid: int, records: Iterable) -> Iterable:
+        """Re-apply a narrow element-wise chain to a slice of partition
+        ``pid`` (a record list, or a tile batch handed on as it is)."""
         for narrow in reversed(chain):
-            it = iter(narrow._func(pid, it))
-        return it
+            records = narrow._func(pid, records)
+        return records
 
     def plan_partition_chunks(
         self,
@@ -254,7 +254,7 @@ class AdaptiveManager:
             return None
         from .rdd import _slice
 
-        chunks = _slice(list(records), slices)
+        chunks = _slice(records, slices)
         median = _lower_median(stats.bytes_per_partition)
         self.record_decision(AdaptiveDecision(
             kind="skew-split",

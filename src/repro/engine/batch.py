@@ -1,10 +1,19 @@
-"""Column batches: struct-of-arrays records and their three array passes.
+"""Array-at-a-time partitions: tile batches and column batches.
 
-Section 4's coordinate rule moves one ``(key, value)`` record per array
-element.  When every bound variable is numeric the same program runs
-over :class:`ColumnBatch` records instead — one per partition, a
-``{name: 1-D ndarray}`` of the bound variables — and each of its
-operators is one array pass:
+**Tile batches.**  Section 5 stores a matrix as an RDD of ``((i, j),
+tile)`` records.  A partition of same-shaped tiles is held as one
+:class:`TileBatch` instead — a ``(t, 2)`` coordinate array and a ``(t,
+h, w)`` value array — which *is* the sequence of the records it stands
+for, so every record-level consumer reads it unchanged, while the
+consumers that profit (the fused kernel through :func:`tile_groups`, the
+byte accountant, ``count``, ``TiledMatrix.to_numpy``) read the two
+arrays whole.
+
+**Column batches.**  Section 4's coordinate rule moves one ``(key,
+value)`` record per array element.  When every bound variable is
+numeric the same program runs over :class:`ColumnBatch` records
+instead — one per partition, a ``{name: 1-D ndarray}`` of the bound
+variables — and each of its operators is one array pass:
 
 * :func:`scatter` — hash the key columns, one stable argsort, columns
   permuted once, each reducer's piece a *slice* of the permuted columns;
@@ -25,7 +34,9 @@ data's, and cost nothing.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+import itertools
+import operator
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +46,125 @@ from .partitioner import HashPartitioner
 #: hashing (any function of the key is a valid hash), so negative and
 #: huge components take the batch path too.
 _KEY_WINDOW = np.int64((1 << 60) - 1)
+
+
+class TileBatch:
+    """Same-shaped tiles: ``coords`` ``(t, 2)`` int64, ``values`` ``(t, h, w)``.
+
+    A read-only sequence of the ``((i, j), tile)`` records it stands
+    for: ``len`` is ``t``, iteration yields ``((int, int), values[k])``
+    (the records built once, on first use, from one ``tolist``), and a
+    slice is the batch of those rows.  It pickles as its two arrays.
+    """
+
+    __slots__ = ("coords", "values", "_records")
+
+    def __init__(self, coords: np.ndarray, values: np.ndarray):
+        self.coords = coords
+        self.values = values
+        self._records: Optional[list] = None
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def records(self) -> list[tuple[tuple[int, int], np.ndarray]]:
+        records = self._records
+        if records is None:
+            keys = map(tuple, self.coords.tolist())
+            records = self._records = list(zip(keys, self.values))
+        return records
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, int], np.ndarray]]:
+        return iter(self.records())
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return TileBatch(self.coords[index], self.values[index])
+        return self.records()[index]
+
+    def __reduce__(self) -> tuple:
+        return TileBatch, (self.coords, self.values)
+
+    def __repr__(self) -> str:
+        return f"TileBatch({len(self)} tiles of {self.values.shape[1:]})"
+
+
+_NDARRAY = {np.ndarray}
+#: What the tiles of one group agree on.
+_TRAITS = (operator.attrgetter("dtype"), operator.attrgetter("shape"))
+
+
+def _stack(tiles: Sequence[np.ndarray]) -> np.ndarray:
+    """Same-shaped tiles as one array with a leading batch axis."""
+    if len(tiles) == 1:
+        return tiles[0][None]
+    return np.concatenate(tiles).reshape((len(tiles),) + tiles[0].shape)
+
+
+def tile_groups(
+    part: Iterable, operands: Sequence[int], joined: bool = False
+) -> list[tuple[Optional[np.ndarray], np.ndarray, tuple[np.ndarray, ...]]]:
+    """A fused kernel's input partition as ``(rows, coords, values)`` groups.
+
+    Every group agrees on the dtype and shape of each of its records'
+    tiles: ``coords`` is its ``(g, d)`` int64 key array, ``values`` the
+    stacked operand tiles (``operands`` index a joined record's tile
+    tuple; a plain record has one tile), and ``rows`` the records'
+    positions in the partition — ``None`` when the group is the whole
+    partition in order.  A :class:`TileBatch` is one such group as it
+    is; a record list is copied into the stacks of its groups.
+    """
+    if type(part) is TileBatch:
+        if not len(part):
+            return []
+        return [(None, part.coords, (part.values,) if operands else ())]
+    records = list(part)
+    if len(records) < 2:  # nothing to group: a partition of one tile is common
+        if not records:
+            return []
+        ((key, value),) = records
+        tiles = [np.asarray(tile) for tile in (value if joined else (value,))]
+        coords = np.array([key], dtype=np.int64)
+        return [(None, coords, tuple([tiles[k][None] for k in operands]))]
+    keys, values = zip(*records)
+    # One column per tile of a record, each an array.
+    columns = [
+        column if set(map(type, column)) == _NDARRAY
+        else list(map(np.asarray, column))
+        for column in (zip(*values) if joined else [values])
+    ]
+    stacked = [columns[k] for k in operands]
+    traits = [list(map(trait, column)) for column in columns for trait in _TRAITS]
+    if all(trait.count(trait[0]) == len(trait) for trait in traits):
+        return [(None, _coords(keys), tuple(map(_stack, stacked)))]
+    groups: dict[tuple, list[int]] = {}
+    for row, signature in enumerate(zip(*traits)):
+        groups.setdefault(signature, []).append(row)
+    return [
+        (
+            np.array(rows),
+            _coords([keys[row] for row in rows]),
+            tuple(_stack([column[row] for row in rows]) for column in stacked),
+        )
+        for rows in groups.values()
+    ]
+
+
+def _coords(keys: Sequence[tuple]) -> np.ndarray:
+    """Tuple keys as a ``(len(keys), d)`` int64 array."""
+    width = len(keys[0])
+    flat = itertools.chain.from_iterable(keys)
+    return np.fromiter(flat, np.int64, len(keys) * width).reshape(-1, width)
+
+
+def in_input_order(pieces: Sequence[tuple[Optional[np.ndarray], list]]) -> list:
+    """The records of :func:`tile_groups`' groups, ``(rows, records)``
+    each, back in partition order."""
+    if len(pieces) < 2:
+        return pieces[0][1] if pieces else []
+    rows = np.concatenate([rows for rows, _ in pieces])
+    records = [record for _, group in pieces for record in group]
+    return [records[i] for i in np.argsort(rows, kind="stable").tolist()]
 
 
 class ColumnBatch:

@@ -384,11 +384,17 @@ class BlockManager:
                 records = None
             stall = time.perf_counter() - start
             with self._lock:
+                # An unpersist (or a drop) while the object was read
+                # forgot the block: a reader still gets the records, but
+                # they must not land again.
+                dropped = key not in self._spilled
                 self._drop_spilled(key)
                 if records is None:
                     if not prefetch:
                         self._metrics.record_cache_miss()
                     return None
+                if dropped:
+                    return None if prefetch else records
                 if key not in self._blocks:
                     self._blocks[key] = _Block(
                         records, nbytes, prefetched=prefetch

@@ -17,7 +17,7 @@ from typing import Any, Callable, Generic, Iterable, Iterator, Optional, TypeVar
 
 from .adaptive import AdaptiveManager
 from .cluster import PAPER_CLUSTER, ClusterSpec
-from .rdd import RDD, ParallelCollectionRDD
+from .rdd import RDD, ParallelCollectionRDD, _slice
 from .scheduler import DAGScheduler, TaskRunner
 from .substrate import EngineSubstrate, parse_memory_limit
 
@@ -205,12 +205,12 @@ class EngineContext:
         self, data: Iterable, num_partitions: Optional[int] = None
     ) -> RDD:
         """Distribute an in-memory collection as an RDD."""
-        return ParallelCollectionRDD(
-            self, data, num_partitions or self.default_parallelism
-        )
+        items = list(data)
+        count = max(1, min(num_partitions or self.default_parallelism, len(items)))
+        return ParallelCollectionRDD(self, _slice(items, count))
 
     def empty_rdd(self) -> RDD:
-        return ParallelCollectionRDD(self, [], 1)
+        return ParallelCollectionRDD(self, [[]])
 
     def range(self, start: int, end: int, num_partitions: Optional[int] = None) -> RDD:
         return self.parallelize(range(start, end), num_partitions)

@@ -105,6 +105,11 @@ class JobMetrics:
     #: compiles the generated source.  Both zero when no chain fused.
     kernel_cache_hits: int = 0
     kernel_cache_misses: int = 0
+    #: Partitions a fused kernel ran over, by entry: a
+    #: :class:`~repro.engine.batch.TileBatch` read whole, or a record
+    #: list grouped into batches first.
+    kernel_batch_inputs: int = 0
+    kernel_record_inputs: int = 0
     #: Tasks re-executed after a :class:`~repro.engine.scheduler.TransientTaskError`
     #: (bounded by the runner's ``max_task_retries``).
     task_retries: int = 0
@@ -135,6 +140,8 @@ class JobMetrics:
         self.restore_stall_seconds += other.restore_stall_seconds
         self.kernel_cache_hits += other.kernel_cache_hits
         self.kernel_cache_misses += other.kernel_cache_misses
+        self.kernel_batch_inputs += other.kernel_batch_inputs
+        self.kernel_record_inputs += other.kernel_record_inputs
         self.task_retries += other.task_retries
         self.stage_costs.extend(other.stage_costs)
         self.adaptive_decisions.extend(other.adaptive_decisions)
@@ -515,6 +522,14 @@ class MetricsRegistry:
         with self._lock:
             self.current.kernel_cache_misses += 1
 
+    def record_kernel_input(self, batched: bool) -> None:
+        """A fused kernel ran over one partition: a tile batch or records."""
+        with self._lock:
+            if batched:
+                self.current.kernel_batch_inputs += 1
+            else:
+                self.current.kernel_record_inputs += 1
+
     # -- Per-tenant counters --------------------------------------------
 
     @contextmanager
@@ -631,6 +646,8 @@ class MetricsRegistry:
         delta.restore_stall_seconds -= snapshot.restore_stall_seconds
         delta.kernel_cache_hits -= snapshot.kernel_cache_hits
         delta.kernel_cache_misses -= snapshot.kernel_cache_misses
+        delta.kernel_batch_inputs -= snapshot.kernel_batch_inputs
+        delta.kernel_record_inputs -= snapshot.kernel_record_inputs
         delta.task_retries -= snapshot.task_retries
         delta.stage_costs = delta.stage_costs[len(snapshot.stage_costs):]
         delta.adaptive_decisions = delta.adaptive_decisions[

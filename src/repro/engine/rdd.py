@@ -27,6 +27,7 @@ import itertools
 import threading
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, TypeVar
 
+from .batch import TileBatch
 from .partitioner import HashPartitioner, Partitioner
 from .block_manager import SpillLostError
 from .shuffle import Aggregator, MapOutputStatistics, _combine_map_side
@@ -102,11 +103,12 @@ class RDD:
             node._reuse_opt_in = True
             stack.extend(node.dependencies)
 
-    def compute(self, split: int) -> Iterator:
-        """Produce the records of partition ``split``."""
+    def compute(self, split: int) -> Iterable:
+        """Produce the records of partition ``split``: an iterator, or a
+        :class:`~repro.engine.batch.TileBatch` handed on as it is."""
         raise NotImplementedError
 
-    def iterator(self, split: int) -> Iterator:
+    def iterator(self, split: int) -> Iterable:
         """Like :meth:`compute` but honouring :meth:`cache`.
 
         Cached partitions live in the context's
@@ -118,9 +120,11 @@ class RDD:
         blocks = self.ctx.block_manager
         stored = blocks.get(self.id, split)
         if stored is None:
-            stored = list(self.compute(split))
+            stored = self.compute(split)
+            if type(stored) is not TileBatch:
+                stored = list(stored)
             blocks.put(self.id, split, stored)
-        return iter(stored)
+        return stored if type(stored) is TileBatch else iter(stored)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -354,9 +358,7 @@ class RDD:
         return list(itertools.chain.from_iterable(parts))
 
     def count(self) -> int:
-        parts = self.ctx.run_job(
-            self, lambda it: sum(1 for _ in it), description="count"
-        )
+        parts = self.ctx.run_job(self, _length, description="count")
         return sum(parts)
 
     def reduce(self, func: Callable[[T, T], T]) -> T:
@@ -444,6 +446,12 @@ class RDD:
         return f"{type(self).__name__}(id={self.id}, partitions={self._num_partitions})"
 
 
+def _length(part: Iterable) -> int:
+    if type(part) is TileBatch:
+        return len(part)
+    return sum(1 for _ in part)
+
+
 def _fold_iter(it: Iterator, zero: Any, func: Callable[[Any, Any], Any]) -> Any:
     acc = zero
     for item in it:
@@ -506,16 +514,15 @@ class StatCounter:
 
 
 class ParallelCollectionRDD(RDD):
-    """An RDD over an in-memory sequence, sliced into partitions."""
+    """An RDD over in-memory partitions: record lists or tile batches."""
 
-    def __init__(self, ctx: "EngineContext", data: Iterable, num_partitions: int):
-        items = list(data)
-        num_partitions = max(1, min(num_partitions, max(1, len(items))))
-        super().__init__(ctx, num_partitions)
-        self._slices = _slice(items, num_partitions)
+    def __init__(self, ctx: "EngineContext", slices: list):
+        super().__init__(ctx, len(slices))
+        self._slices = slices
 
-    def compute(self, split: int) -> Iterator:
-        return iter(self._slices[split])
+    def compute(self, split: int) -> Iterable:
+        part = self._slices[split]
+        return part if type(part) is TileBatch else iter(part)
 
 
 def _slice(items: list, num_partitions: int) -> list[list]:
@@ -561,8 +568,9 @@ class MapPartitionsRDD(RDD):
     def dependencies(self) -> list[RDD]:
         return [self._parent]
 
-    def compute(self, split: int) -> Iterator:
-        return iter(self._func(split, self._parent.iterator(split)))
+    def compute(self, split: int) -> Iterable:
+        out = self._func(split, self._parent.iterator(split))
+        return out if type(out) is TileBatch else iter(out)
 
 
 class _WideRDD(RDD):

@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .batch import ColumnBatch
+from .batch import ColumnBatch, TileBatch
 
 #: Flat per-record envelope a real serializer would add (type tags, length
 #: prefixes).  Chosen to roughly match Kryo's overhead for small tuples.
@@ -156,8 +156,9 @@ class RecordSizeAccountant:
     records and ``(i, ndarray)`` vector blocks — the block-array hot
     path, one record per tile from every ``BlockManager.put`` — inline
     from ``ndarray.nbytes``, with no call per record and no memo entry
-    per ragged edge shape; a ``(reducer, ColumnBatch)`` record of the
-    coordinate rule likewise, in O(columns).
+    per ragged edge shape; a :class:`TileBatch` partition in O(1), the
+    same bytes as its records; a ``(reducer, ColumnBatch)`` record of
+    the coordinate rule in O(columns).
     """
 
     __slots__ = ("_memo",)
@@ -178,6 +179,9 @@ class RecordSizeAccountant:
 
     def batch_size(self, records: Any) -> int:
         """Total size of a batch of records (one call per partition)."""
+        if type(records) is TileBatch:
+            # What the per-tile walk below sums, without the walk.
+            return records.values.nbytes + len(records) * _TILE_RECORD_OVERHEAD
         total = 0
         ndarray = np.ndarray
         size_of = self.record_size

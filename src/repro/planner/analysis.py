@@ -336,3 +336,18 @@ def key_components(key: Optional[Expr]) -> list[Expr]:
     if isinstance(key, TupleExpr):
         return list(key.items)
     return [key]
+
+
+def regrouped_head_key(info: CompInfo) -> Optional[Expr]:
+    """A group-by's head key over the group-by variables — ``i+2`` in
+    ``(i+2, +/b) … group by i`` — or ``None`` when it is the group key
+    itself, which then keys the output."""
+    if info.group_key_vars is None or info.head_key is None:
+        return None
+    head = info.comp.head
+    assert isinstance(head, TupleExpr)
+    key = head.items[0]
+    group = [Var(name) for name in info.group_key_vars]
+    if key_components(key) == group and isinstance(key, TupleExpr) == (len(group) > 1):
+        return None
+    return key

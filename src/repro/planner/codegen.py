@@ -10,8 +10,9 @@ the Python analogue, in two parts:
   ``_result_storage`` do across five or six Python-level RDD hops —
   coordinate projection, index grids, tile realignment, the vectorized
   head value, guard masks, and boundary clipping — but on a leading
-  batch axis: a partition's same-shaped tiles are stacked and every
-  statement runs once per stack, not once per tile.  Elementwise ufuncs
+  batch axis: every statement runs once per batch of same-shaped tiles
+  (a :class:`~repro.engine.batch.TileBatch` partition as it is stored),
+  not once per tile.  Elementwise ufuncs
   are exact per element however the elements are batched, so a fused
   run is bit-identical to the interpreted chain.  Expressions render
   through :func:`repro.planner.kernels.emit_vectorized_source`, the
@@ -37,6 +38,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from ..comprehension.ast import Expr, free_vars, to_source
+from ..engine.batch import TileBatch, in_input_order, tile_groups
 from .kernels import (
     KernelUnsupported, _div, emit_vectorized_source, literal_source,
 )
@@ -75,26 +77,17 @@ class _Emitter:
         self.lines.append("    " * self.depth + text if text else "")
 
 
-#: Upper bound on the float64 output bytes one stacked chunk computes.
-#: Up to it a partition's same-shaped tiles are copied into one
-#: ``(B, h, w)`` array and the ufunc chain runs once; a tile above half
-#: of it is a chunk of one (``tile[None]``, no copy), where the per-call
-#: overhead is already negligible and a stack would only double memory.
-#: Chosen by the tile 4 → 200 sweep recorded in docs/INTERNALS.md
-#: "Kernel fusion"; not an option.
+#: Upper bound on the float64 output bytes one ufunc chain computes: a
+#: batch runs in slices of at most this many bytes (views, no copy), so
+#: the chain's temporaries stay in cache; a tile above half of it is a
+#: slice of one.  Chosen by the tile 4 → 200 sweep recorded in
+#: docs/INTERNALS.md "Kernel fusion"; not an option.
 _CHUNK_BYTES = 1 << 17
 
 
 def _tuple_source(items: Sequence[str]) -> str:
     """``items`` as the source of a tuple display (or unpacking target)."""
     return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
-
-
-def _stack(tiles: Sequence[np.ndarray]) -> np.ndarray:
-    """Same-shaped tiles as one array with a leading batch axis."""
-    if len(tiles) == 1:
-        return tiles[0][None]
-    return np.concatenate(tiles).reshape((len(tiles),) + tiles[0].shape)
 
 
 def generate_fused_kernel(
@@ -105,14 +98,15 @@ def generate_fused_kernel(
 ) -> FusedKernel:
     """Emit the per-partition source for one preserve-tiling chain.
 
-    The generated function makes two passes over a partition.  The
-    first groups the records by ``(operand dtype, operand shape,
-    trimmed output extent)`` — integer arithmetic on the coordinates
-    only — so a group's members agree on every shape the statements
-    see.  The second stacks each group, in chunks of at most
-    :data:`_CHUNK_BYTES`, onto a leading batch axis and runs the
-    interpreter's statements once per chunk; the output records are the
-    chunk's per-tile views, in input record order.
+    The generated function has one body over batches: a
+    :class:`~repro.engine.batch.TileBatch` partition is one batch as it
+    is, a record list is grouped by operand dtype and shape
+    (:func:`~repro.engine.batch.tile_groups`).  Per batch, the drop and
+    trim tests are array comparisons on the coordinates, and the
+    interpreter's statements run once per slice of at most
+    :data:`_CHUNK_BYTES`.  A batch with nothing dropped or trimmed comes
+    back as a batch over the new values; anything else as records, the
+    slices' per-tile views, in input record order.
 
     Raises :class:`KernelUnsupported` when any piece of the chain has no
     source form — the caller (the ``fusion`` pass) then leaves the
@@ -145,9 +139,6 @@ def generate_fused_kernel(
         var for var, cls in setup.classes.items()
         if var in used and cls in position
     )
-    index_positions = sorted(
-        {position[setup.classes[var]] for var in used_index_vars}
-    )
     needs_grids = bool(used_index_vars) or any(
         axis_map != identity for axis_map in axis_maps
     )
@@ -177,21 +168,13 @@ def generate_fused_kernel(
     ]
 
     mode = "tiles" if len(gens) == 1 else "joined"
-    out = _Emitter()
-    out.emit("def _fused_partition(_part):")
-    out.depth += 1
-    out.emit("_groups = {}")
-    out.emit("_count = 0")
-
-    # -- Pass 1: one record at a time, coordinates only -----------------
     if mode == "tiles":
-        gen = gens[0]
         # Output coordinate = projection of the tile coordinate; a
         # repeated class (e.g. an ``i == j`` diagonal) must agree on
         # both axes or the tile contributes nothing.
         first_axis: dict[int, int] = {}
         conflicts: list[tuple[int, int]] = []
-        for axis, cls in enumerate(gen.axis_classes):
+        for axis, cls in enumerate(gens[0].axis_classes):
             pos = position[cls]
             if pos in first_axis:
                 conflicts.append((axis, first_axis[pos]))
@@ -199,76 +182,86 @@ def generate_fused_kernel(
                 first_axis[pos] = axis
         if set(first_axis) != set(identity):
             raise KernelUnsupported("output dimension not bound by the scan")
-        out.emit("for _coords, _t0 in _part:")
-        out.depth += 1
-        for axis, first in conflicts:
-            out.emit(f"if _coords[{axis}] != _coords[{first}]:")
-            out.emit("    continue")
-        for pos in identity:
-            out.emit(f"_k{pos} = _coords[{first_axis[pos]}]")
+        columns = [first_axis[pos] for pos in identity]
     else:
-        out.emit("for _oc, _tiles in _part:")
-        out.depth += 1
-        for pos in identity:
-            out.emit(f"_k{pos} = _oc[{pos}]")
-        for k in operands:
-            out.emit(f"_t{k} = _tiles[{k}]")
+        conflicts = []
+        columns = identity
+    # Only a matrix chain over one scan can hand its input batch on.
+    batch_out = mode == "tiles" and builder == "tiled"
 
-    # Tiles wholly outside the declared output are dropped either way;
-    # skipping their compute changes nothing observable.
-    drop = " or ".join(
-        f"_k{pos} * {n} >= {declared[pos]}" for pos in identity
-    )
-    out.emit(f"if {drop}:")
-    out.emit("    continue")
-    for k in operands:
-        out.emit(f"if type(_t{k}) is not _ndarray:")
-        out.emit(f"    _t{k} = np.asarray(_t{k})")
-    # The output tile's trimmed extent along each axis: ``n`` for every
-    # block short of the last full one, else what is left of the
-    # smaller of the traversed and the declared dimension.
-    key_parts = [f"_t{k}.dtype, _t{k}.shape" for k in operands]
-    for pos in identity:
-        limit = min(dims[pos], declared[pos])
-        key_parts.append(
-            f"{n} if _k{pos} < {limit // n} else {limit} - _k{pos} * {n}"
+    # A tile whose block coordinate reaches ceil(declared / n) on the
+    # output axis its column feeds lies wholly outside the declared
+    # output: dropped either way, so its compute is skipped.  Only a
+    # declared extent short of the traversed one has such tiles.
+    outside = any(declared[pos] < dims[pos] for pos in identity)
+    row_tests, any_tests = [], []
+    if outside:
+        row_tests.append("(_c >= _LIMITS).any(axis=1)")
+        any_tests.append("(_c >= _LIMITS).any()")
+    for axis, first in conflicts:
+        row_tests.append(f"(_c[:, {axis}] != _c[:, {first}])")
+        any_tests.append(f"{row_tests[-1]}.any()")
+
+    out = _Emitter()
+    if outside:
+        feeds = (
+            [position[cls] for cls in gens[0].axis_classes]
+            if mode == "tiles" else identity
         )
-    out.emit(f"_key = {_tuple_source(key_parts)}")
-    out.emit("_group = _groups.get(_key)")
-    out.emit("if _group is None:")
-    out.emit("    _group = _groups[_key] = []")
-    if builder == "tiled_vector":
-        out_key = "_k0"  # TiledVector blocks are keyed by a bare int
-    elif mode == "joined":
-        out_key = "_oc"
-    else:
-        out_key = _tuple_source([f"_k{pos}" for pos in identity])
-    # Column layout of a group member; pass 2 reads columns by number.
-    fields = ["_count", out_key]
-    coord_col = {pos: len(fields) + c for c, pos in enumerate(index_positions)}
-    fields += [f"_k{pos}" for pos in index_positions]
-    tile_col = {k: len(fields) + c for c, k in enumerate(operands)}
-    fields += [f"_t{k}" for k in operands]
-    out.emit(f"_group.append(({', '.join(fields)}))")
-    out.emit("_count += 1")
-    out.depth -= 1
-
-    # -- Pass 2: one ufunc chain per stacked chunk ------------------------
-    out.emit("_order = []")
-    out.emit("_records = []")
-    key_names = [f"_d{k}, _s{k}" for k in operands]
-    key_names += [f"_h{pos}" for pos in identity]
-    out.emit(f"for {_tuple_source(key_names)}, _group in _groups.items():")
+        limits = [str(-(-declared[pos] // n)) for pos in feeds]
+        out.emit(f"_LIMITS = np.array({_tuple_source(limits)})")
+        out.emit("")
+        out.emit("")
+    out.emit("def _fused_partition(_part):")
     out.depth += 1
-    # The kernels evaluate at the traversed extent (input dimensions),
-    # exactly like ``_tile_shape``; trimming to the declared output
-    # happens after, like ``_result_storage``.
-    slack = [max(0, dims[pos] - declared[pos]) for pos in identity]
-    extent = [f"_h{pos}" for pos in identity]
+    out.emit(
+        f"_groups = _tile_groups(_part, {_tuple_source([str(k) for k in operands])}"
+        f"{', True' if mode == 'joined' else ''})"
+    )
+    if batch_out:
+        out.emit("_batched = type(_part) is _TileBatch")
+    out.emit("_pieces = []")
+    out.emit("for _rows, _c, _vs in _groups:")
+    out.depth += 1
+    if row_tests:
+        out.emit(f"if {' or '.join(any_tests)}:")
+        out.depth += 1
+        if batch_out:
+            out.emit("_batched = False")
+        out.emit(f"_keep = np.flatnonzero(~({' | '.join(row_tests)}))")
+        out.emit("if not len(_keep):")
+        out.emit("    continue")
+        out.emit("_rows = _keep if _rows is None else _rows[_keep]")
+        out.emit("_c = _c[_keep]")
+        out.emit("_vs = [_v[_keep] for _v in _vs]")
+        out.depth -= 1
     for pos in identity:
-        if slack[pos]:
-            out.emit(f"_e{pos} = min({n}, _h{pos} + {slack[pos]})")
-            extent[pos] = f"_e{pos}"
+        out.emit(f"_k{pos} = _c[:, {columns[pos]}]")
+
+    # The statements evaluate at the traversed extent, exactly like
+    # ``_tile_shape``: ``n`` short of the last block of the traversed
+    # dimension (a group's tiles agree on it: they share their shapes).
+    extent = []
+    for pos in identity:
+        if dims[pos] % n:
+            out.emit(f"_e{pos} = min({n}, {dims[pos]} - int(_k{pos}[0]) * {n})")
+            extent.append(f"_e{pos}")
+        else:
+            extent.append(str(n))
+    # Trimming to the declared output happens after, like
+    # ``_result_storage``: only the block the declared dimension ends
+    # inside is cut, to what is left of it.
+    cuts = [
+        pos for pos in identity
+        if declared[pos] < dims[pos] and declared[pos] % n
+    ]
+    for pos in cuts:
+        out.emit(
+            f"_cut{pos} = np.flatnonzero(_k{pos} == {declared[pos] // n}).tolist()"
+        )
+    if cuts and batch_out:
+        out.emit(f"if {' or '.join(f'_cut{pos}' for pos in cuts)}:")
+        out.emit("    _batched = False")
     if needs_grids:
         for pos in identity:
             grid = f"np.arange({extent[pos]})"
@@ -276,51 +269,59 @@ def generate_fused_kernel(
                 spread = ", ".join("-1" if p == pos else "1" for p in identity)
                 grid += f".reshape({spread})"
             out.emit(f"_l{pos} = {grid}")
+
+    # -- One ufunc chain per slice of at most _CHUNK_BYTES ----------------
+    out.emit("_t = len(_k0)")
     out.emit(f"_per = {_CHUNK_BYTES} // (8 * {' * '.join(extent)}) or 1")
-    out.emit("for _lo in range(0, len(_group), _per):")
+    out.emit("_vals = []")
+    out.emit("for _lo in range(0, _t, _per):")
     out.depth += 1
-    out.emit("_cols = list(zip(*_group[_lo:_lo + _per]))")
-    out.emit("_b = len(_cols[0])")
+    out.emit("_hi = _lo + _per")
+    out.emit("_b = min(_per, _t - _lo)")
     out.emit(f"_shape = (_b, {', '.join(extent)})")
     ones = ", 1" * rank
     for slot, var in enumerate(used_index_vars):
         pos = position[setup.classes[var]]
         out.emit(
-            f"_ix{slot} = _l{pos} + "
-            f"np.array(_cols[{coord_col[pos]}]).reshape(_b{ones}) * {n}"
+            f"_ix{slot} = _l{pos} + _k{pos}[_lo:_hi].reshape(_b{ones}) * {n}"
         )
-    for k in operands:
-        stacked = f"_stack(_cols[{tile_col[k]}])"
+    for column, k in enumerate(operands):
         if axis_maps[k] == identity:
-            out.emit(f"_v{k} = {stacked}")
+            out.emit(f"_v{k} = _vs[{column}][_lo:_hi]")
         else:
             index = ", ".join(f"_l{dim}" for dim in axis_maps[k])
-            out.emit(f"_v{k} = {stacked}[:, {index}]")
-
+            out.emit(f"_v{k} = _vs[{column}][_lo:_hi][:, {index}]")
     out.emit(f"_val = np.asarray({value_src}, dtype=np.float64)")
     out.emit("if _val.shape != _shape:")
     out.emit("    _val = np.broadcast_to(_val, _shape).copy()")
     if mask_srcs:
-        out.emit("_keep = np.ones(_shape, dtype=bool)")
+        out.emit("_mask = np.ones(_shape, dtype=bool)")
         for mask_src in mask_srcs:
-            out.emit(f"_keep &= np.asarray({mask_src}, dtype=bool)")
-        out.emit("_val = np.where(_keep, _val, 0.0)")
-    if any(slack):
-        bounds = ", ".join(f"_h{pos}" for pos in identity)
-        out.emit(f"if (_b, {bounds}) != _shape:")
-        slices = ", ".join(f":_h{pos}" for pos in identity)
-        out.emit(f"    _val = _val[:, {slices}]")
-    out.emit("_order.extend(_cols[0])")
-    out.emit("_records.extend(zip(_cols[1], _val))")
-    out.depth -= 2
-    # Groups interleave in the input, so put the records back in input
-    # order (a single group is already in it).
-    out.emit("if len(_groups) > 1:")
-    out.emit("    _out = [None] * _count")
-    out.emit("    for _i, _record in zip(_order, _records):")
-    out.emit("        _out[_i] = _record")
-    out.emit("    return _out")
-    out.emit("return _records")
+            out.emit(f"_mask &= np.asarray({mask_src}, dtype=bool)")
+        out.emit("_val = np.where(_mask, _val, 0.0)")
+    out.emit("_vals.append(_val)")
+    out.depth -= 1
+
+    # -- Output: the batch itself, or records in input order --------------
+    if batch_out:
+        coords = "_c" if columns == identity else "np.stack((_k0, _k1), axis=1)"
+        out.emit("if _batched:")
+        out.emit(
+            f"    return _TileBatch({coords}, "
+            "_vals[0] if len(_vals) == 1 else np.concatenate(_vals))"
+        )
+    if builder == "tiled_vector":
+        out.emit("_keys = _k0.tolist()")  # TiledVector blocks: a bare int key
+    else:
+        out.emit("_keys = list(zip(_k0.tolist(), _k1.tolist()))")
+    out.emit("_tiles = [_tile for _val in _vals for _tile in _val]")
+    for pos in cuts:
+        index = ", ".join([":"] * pos + [f":{declared[pos] % n}"])
+        out.emit(f"for _i in _cut{pos}:")
+        out.emit(f"    _tiles[_i] = _tiles[_i][{index}]")
+    out.emit("_pieces.append((_rows, list(zip(_keys, _tiles))))")
+    out.depth -= 1
+    out.emit("return _in_order(_pieces)")
 
     source = "\n".join(out.lines) + "\n"
     fingerprint = hashlib.sha1(source.encode()).hexdigest()[:16]
@@ -365,7 +366,8 @@ class KernelCache:
                     metrics.record_kernel_cache_hit()
                 return fn
         namespace: dict[str, Any] = {
-            "np": np, "_div": _div, "_ndarray": np.ndarray, "_stack": _stack,
+            "np": np, "_div": _div, "_TileBatch": TileBatch,
+            "_tile_groups": tile_groups, "_in_order": in_input_order,
         }
         code = compile(source, f"<sac-fused:{fingerprint}>", "exec")
         exec(code, namespace)

@@ -411,7 +411,6 @@ def measure_gen_size(gen: ResolvedGen) -> Optional[tuple[int, int]]:
     nbytes = 0
     records = 0
     for part in partitions:
-        part = list(part)
         nbytes += accountant.batch_size(part)
         records += len(part)
     return nbytes, records

@@ -38,10 +38,12 @@ from ..comprehension.errors import SacPlanError, SacTypeError
 from ..comprehension.interpreter import Interpreter
 from ..comprehension.monoids import monoid
 from ..engine import EngineContext, GridPartitioner, HashPartitioner, RDD
-from ..engine.batch import ColumnBatch, group_reduce, merge_join, scatter, segments
+from ..engine.batch import (
+    ColumnBatch, TileBatch, group_reduce, merge_join, scatter, segments,
+)
 from ..storage.registry import REGISTRY, BuildContext
 from ..storage.tiled import TiledMatrix, TiledVector
-from .analysis import CompInfo, key_components
+from .analysis import CompInfo, key_components, regrouped_head_key
 from .codegen import get_fused_kernel
 from .groupby_join import GbjMatch, reconsider_join_strategy
 from .ir import (
@@ -250,9 +252,10 @@ def _lower_fused_kernel(node: IRNode, sources: list, state: PlanState) -> Tiles:
     single elementwise ``map_partitions``.  In ``"tiles"`` mode the
     kernel consumes the scan's raw tile records — the whole projection /
     compute / clip chain is one hop; in ``"joined"`` mode the tile join
-    is kept and only compute + clip fuse.  On any compile-time surprise
-    the subtree the kernel replaced is lowered instead — the interpreter
-    chain, which is always correct.
+    is kept and only compute + clip fuse.  Every partition the kernel
+    runs over is counted by the entry it takes: a tile batch or records.
+    On any compile-time surprise the subtree the kernel replaced is
+    lowered instead — the interpreter chain, which is always correct.
     """
     fused = node.kernel
     metrics = state.engine.metrics if state.engine is not None else None
@@ -264,7 +267,12 @@ def _lower_fused_kernel(node: IRNode, sources: list, state: PlanState) -> Tiles:
         (source_rdd,) = sources
     else:
         source_rdd = _join_on_out_coord(node.setup, node.out_classes, sources)
-    tiles_rdd = source_rdd.map_partitions(kernel, elementwise=True)
+    def run(part):
+        if metrics is not None:
+            metrics.record_kernel_input(type(part) is TileBatch)
+        return kernel(part)
+
+    tiles_rdd = source_rdd.map_partitions(run, elementwise=True)
     return Tiles(lambda: tiles_rdd, clipped=True)
 
 
@@ -664,10 +672,12 @@ def _apply_group_by(
 
     residual = info.residual_value
     slot_vars = [slot.slot_var for slot in info.slots]
-    if len(slot_vars) == 1 and residual == Var(slot_vars[0]):
+    head_key = regrouped_head_key(info)
+    if head_key is None and len(slot_vars) == 1 and residual == Var(slot_vars[0]):
         result = reduced.map_values(lambda aggs: aggs[0])
     else:
         finish = expr_fn(residual)
+        rekey = expr_fn(head_key) if head_key is not None else None
         key_vars = info.group_key_vars or []
 
         def apply_residual(kv):
@@ -675,7 +685,7 @@ def _apply_group_by(
             record = dict(zip(slot_vars, aggs))
             parts = key if isinstance(key, tuple) else (key,)
             record.update(zip(key_vars, parts))
-            return key, finish(record)
+            return (key if rekey is None else rekey(record)), finish(record)
 
         result = reduced.map(apply_residual)
     return result
@@ -823,15 +833,22 @@ def _batch_program(
         combines = [mon.np_combine for mon in monoids]
         key_vars = list(info.group_key_vars)
         slot_vars = [slot.slot_var for slot in info.slots]
-        residual = column(info.residual_value, set(key_vars + slot_vars))
-        tuple_key = len(key_fns) != 1
+        aggregated = set(key_vars + slot_vars)
+        residual = column(info.residual_value, aggregated)
+        head_key = regrouped_head_key(info)
+        if head_key is None:
+            head_fns = None
+            n_keys, tuple_key = len(key_fns), len(key_fns) != 1
+        else:
+            head_fns = [column(e, aggregated) for e in key_components(head_key)]
+            n_keys, tuple_key = len(head_fns), isinstance(head_key, TupleExpr)
     else:
         key_fns = [column(e, bound) for e in key_components(info.head_key)]
         value_fn = column(info.head_value, bound)
-        tuple_key = isinstance(info.head_key, TupleExpr)
+        n_keys, tuple_key = len(key_fns), isinstance(info.head_key, TupleExpr)
     builder = node.builder
     if builder in ("tiled", "tiled_vector") and (
-        len(key_fns), tuple_key
+        n_keys, tuple_key
     ) != ((2, True) if builder == "tiled" else (1, False)):
         raise KernelUnsupported(f"keys that do not index a {builder!r} builder")
 
@@ -896,6 +913,8 @@ def _batch_program(
             [columns[name] for name in slot_vars], combines,
         )
         groups = ColumnBatch(dict(zip(key_vars + slot_vars, keys + slots)))
+        if head_fns is not None:
+            keys = [fn(groups) for fn in head_fns]
         return _result_batch(keys, residual(groups))
 
     def build() -> Any:
@@ -922,7 +941,7 @@ def _batch_program(
             length = int(node.args[0])
             blocks = _assemble_tiles(result, (length,), n, partitioner)
             return TiledVector(length, n, blocks)
-        items = result.flat_map(lambda batch: _items(batch, len(key_fns), tuple_key))
+        items = result.flat_map(lambda batch: _items(batch, n_keys, tuple_key))
         if builder is None or builder == "rdd":
             return items
         return REGISTRY.build(builder, node.args, items.collect(), state.build_context)

@@ -46,7 +46,7 @@ from ..storage.csc import CscMatrix
 from ..storage.registry import REGISTRY, BuildContext
 from ..storage.sparse_tiled import SparseTiledMatrix
 from ..storage.tiled import TiledMatrix, TiledVector
-from .analysis import CompInfo, GenInfo
+from .analysis import CompInfo, GenInfo, regrouped_head_key
 from .ir import CoordinateNode, IRNode, scan_storage_node
 from .kernels import KernelUnsupported
 from .plan import RULE_COORDINATE
@@ -181,7 +181,10 @@ def _pseudocode(info: CompInfo, names: list[str], join_order: list) -> str:
     if info.group_key_vars is not None:
         steps.append(".map(record => (key, (g1..gm))).reduceByKey(⊗)")
         slot_vars = [slot.slot_var for slot in info.slots]
-        if not (len(slot_vars) == 1 and info.residual_value == Var(slot_vars[0])):
+        head_key = regrouped_head_key(info)
+        if head_key is not None:
+            steps.append(f".map((key, aggs) => ({to_source(head_key)}, f))")
+        elif not (len(slot_vars) == 1 and info.residual_value == Var(slot_vars[0])):
             steps.append(".mapValues(f)")
     elif info.head_key is None:
         steps.append(".map(head)")

@@ -28,7 +28,14 @@ import numpy as np
 
 from ..comprehension.errors import SacTypeError
 from ..engine import EngineContext, GridPartitioner, RDD
+from ..engine.batch import TileBatch
+from ..engine.rdd import ParallelCollectionRDD
 from .registry import REGISTRY, BuildContext
+
+
+def _raw(part: Iterable) -> Any:
+    """A partition as a job result: a tile batch as it is, else a list."""
+    return part if type(part) is TileBatch else list(part)
 
 
 class TiledMatrix:
@@ -86,23 +93,46 @@ class TiledMatrix:
         tile_size: int,
         num_partitions: Optional[int] = None,
     ) -> "TiledMatrix":
-        """Cut a local 2-D array into tiles and distribute them."""
+        """Cut a local 2-D array into tiles and distribute them.
+
+        Tiles are numbered row-major and dealt out in contiguous runs; a
+        run of full tiles is one :class:`TileBatch`, a slice of a single
+        ``(tiles, n, n)`` copy of the array, and a run holding a ragged
+        edge tile a list of ``((bi, bj), tile)`` records.
+        """
         array = np.asarray(array, dtype=np.float64)
         if array.ndim != 2:
             raise SacTypeError(f"need a 2-D array, got shape {array.shape}")
         rows, cols = array.shape
-        tiles = []
-        for bi in range(math.ceil(rows / tile_size)):
-            for bj in range(math.ceil(cols / tile_size)):
-                block = array[
-                    bi * tile_size : (bi + 1) * tile_size,
-                    bj * tile_size : (bj + 1) * tile_size,
-                ].copy()
-                tiles.append(((bi, bj), block))
-        rdd = engine.parallelize(
-            tiles, num_partitions or engine.default_parallelism
-        )
-        return cls(rows, cols, tile_size, rdd)
+        if tile_size <= 0:
+            raise SacTypeError(f"tile size must be positive: {tile_size}")
+        n = tile_size
+        grid_cols = math.ceil(cols / n)
+        count = math.ceil(rows / n) * grid_cols
+        full_rows, full_cols = rows // n, cols // n
+        full = np.ascontiguousarray(
+            array[: full_rows * n, : full_cols * n]
+            .reshape(full_rows, n, full_cols, n)
+            .swapaxes(1, 2)
+        ).reshape(full_rows * full_cols, n, n)
+        parts = max(1, min(num_partitions or engine.default_parallelism, count))
+        slices: list = []
+        for p in range(parts):
+            start, end = p * count // parts, (p + 1) * count // parts
+            bi, bj = np.divmod(np.arange(start, end), grid_cols)
+            if (bi < full_rows).all() and (bj < full_cols).all():
+                # Full tiles are consecutive in ``full`` too: a run
+                # crossing a tile row holds no ragged column tile.
+                first = start // grid_cols * full_cols + start % grid_cols
+                slices.append(TileBatch(
+                    np.stack((bi, bj), axis=1), full[first : first + end - start]
+                ))
+            else:
+                slices.append([
+                    ((i, j), array[i * n : (i + 1) * n, j * n : (j + 1) * n].copy())
+                    for i, j in zip(bi.tolist(), bj.tolist())
+                ])
+        return cls(rows, cols, tile_size, ParallelCollectionRDD(engine, slices))
 
     @classmethod
     def from_items(
@@ -170,11 +200,27 @@ class TiledMatrix:
     # -- materialization ---------------------------------------------------
 
     def to_numpy(self) -> np.ndarray:
-        """Collect all tiles into one local dense array."""
+        """Collect all tiles into one local dense array: a
+        :class:`TileBatch` partition with one fancy assignment, a record
+        list tile by tile."""
+        n = self.tile_size
         out = np.zeros((self.rows, self.cols))
-        for (bi, bj), tile in self.tiles.collect():
-            n = self.tile_size
-            out[bi * n : bi * n + tile.shape[0], bj * n : bj * n + tile.shape[1]] = tile
+        grid = None
+        parts = self.tiles.ctx.run_job(self.tiles, _raw, description="collect")
+        for part in parts:
+            if type(part) is not TileBatch:
+                for (bi, bj), tile in part:
+                    out[bi * n : bi * n + tile.shape[0], bj * n : bj * n + tile.shape[1]] = tile
+                continue
+            if grid is None:
+                # ``out`` as a (tile row, row, tile column, column) grid
+                # of its full tiles, a view.
+                row_stride, col_stride = out.strides
+                grid = np.lib.stride_tricks.as_strided(
+                    out, (self.rows // n, n, self.cols // n, n),
+                    (n * row_stride, row_stride, n * col_stride, col_stride),
+                )
+            grid[part.coords[:, 0], :, part.coords[:, 1], :] = part.values
         return out
 
     def sparsify(self) -> Iterator[tuple[tuple[int, int], Any]]:

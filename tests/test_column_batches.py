@@ -172,6 +172,26 @@ def test_both_record_types_agree(session, query, make_env, integer):
     )
 
 
+#: A head key computed from the group key keys the output, not the group
+#: key itself.
+REKEYED = {
+    "rdd": "rdd[ (i+2, +/b) | ((i,j),b) <- A, group by i ]",
+    "tiled_vector": "tiled_vector(6)[ (i+2, +/b) | ((i,j),b) <- A, group by i ]",
+    "tiled": "tiled(6,4)[ ((i+2,0), +/b) | ((i,j),b) <- A, group by i ]",
+}
+
+
+@pytest.mark.parametrize("builder", list(REKEYED))
+def test_a_head_key_over_the_group_key_keys_the_output(session, builder):
+    query = REKEYED[builder]
+    env = dict(A=session.tiled(np.arange(16.0).reshape(4, 4)))
+    want = session.interpret(query, **env)
+    batch, record, _width = lowerings(session, query, **env)
+    assert_same(batch(), want, exact=True)
+    assert_same(record(), want, exact=True)
+    assert ".map((key, aggs) => (" in session.explain(query, **env)
+
+
 # ----------------------------------------------------------------------
 # (b) random operands against the reference interpreter
 # ----------------------------------------------------------------------

@@ -2,16 +2,18 @@
 
 The fusion pass replaces the preserve-tiling MapTiles/Filter interpreter
 chain with one generated NumPy kernel per partition, run once per
-stacked batch of same-shaped tiles.  The contract is *byte identity*:
-for every fusible chain, the fused run must produce exactly the same
-array as the interpreter chain (``np.array_equal``, not allclose — the
-kernel re-emits the same ufunc calls in the same order, and an
+batch of same-shaped tiles — a tile batch partition as it is stored, a
+record list grouped first.  The contract is *byte identity* of result
+bytes and engine counters: for every fusible chain, the fused run must
+produce exactly the same array as the interpreter chain (not allclose —
+the kernel re-emits the same ufunc calls in the same order, and an
 elementwise ufunc is exact per element however the elements are
-batched).  These tests fuzz that contract over random chains, pin it
-across the serial/threaded × staged/pipelined runner matrix, and cover
-the batch boundaries (ragged groups, chunk budget, record order,
-spill), the KernelUnsupported fallback, the kernel cache counters, the
-explain() surfacing, and the vectorized ``partition_batch`` fast path.
+batched).  These tests fuzz that contract over random chains on both
+partition kinds, pin it across the serial/threaded runners, and cover
+the batch boundaries (ragged groups, dropped and trimmed tiles, chunk
+budget, record order, spill), the KernelUnsupported fallback, the
+kernel cache counters, the explain() surfacing, and the vectorized
+``partition_batch`` fast path.
 """
 
 import pickle
@@ -23,8 +25,10 @@ from hypothesis import strategies as st
 
 from repro import SacSession
 from repro.engine import TINY_CLUSTER
+from repro.engine.batch import TileBatch
 from repro.engine.partitioner import GridPartitioner, HashPartitioner
 from repro.planner import PlannerOptions
+from repro.storage.tiled import TiledMatrix
 
 SETTINGS = settings(
     max_examples=25,
@@ -37,10 +41,10 @@ tile_sizes = st.integers(min_value=1, max_value=9)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def make_session(tile_size, fusion, runner=None):
+def make_session(tile_size, fusion, runner=None, **session_args):
     return SacSession(
         cluster=TINY_CLUSTER, tile_size=tile_size,
-        options=PlannerOptions(fusion=fusion), runner=runner,
+        options=PlannerOptions(fusion=fusion), runner=runner, **session_args,
     )
 
 
@@ -48,12 +52,27 @@ def random_matrix(rows, cols, seed):
     return np.random.default_rng(seed).uniform(-5, 5, size=(rows, cols))
 
 
-def _run_both(query, env_of, tile, runner=None):
-    """Run ``query`` fused and interpreted; return both ndarrays."""
-    results = []
+#: Counters a fused run must leave exactly as the interpreter chain
+#: does; under a memory cap the cache hits and misses are left out (a
+#: prefetch restores a block before or after its read).
+COUNTERS = (
+    "stages", "tasks", "shuffles", "shuffle_records", "shuffle_bytes",
+    "cache_hits", "cache_misses",
+)
+
+
+def _run_both(query, env_of, tile, runner=None, **session_args):
+    """Run ``query`` fused and interpreted; return both ndarrays, after
+    checking the two left the same engine counters."""
+    results, counters = [], []
     for fusion in (True, False):
-        session = make_session(tile, fusion, runner=runner)
+        session = make_session(tile, fusion, runner=runner, **session_args)
         results.append(session.run(query, env_of(session)).to_numpy())
+        total = session.engine.metrics.total
+        names = COUNTERS[:5] if session_args.get("memory_limit") else COUNTERS
+        counters.append([getattr(total, name) for name in names])
+        session.engine.close()
+    assert counters[0] == counters[1]
     return results
 
 
@@ -65,17 +84,35 @@ def _assert_fused(session, query, env):
     assert notes and notes[0].startswith("fusion: fused"), notes
 
 
+def tiled_source(session, data, source):
+    """``data`` as a tiled matrix: ``from_numpy`` (tile batches, a ragged
+    edge's partitions record lists) or ``from_items`` (record lists)."""
+    if source == "batches":
+        return session.tiled(data)
+    rows, cols = data.shape
+    items = [((i, j), float(data[i, j])) for i in range(rows) for j in range(cols)]
+    return TiledMatrix.from_items(
+        session.engine, rows, cols, session.tile_size, items,
+    )
+
+
 # ----------------------------------------------------------------------
 # Differential fuzz: random chains, fused vs interpreted, byte-identical
 # ----------------------------------------------------------------------
 
 SINGLE_HEADS = [
     "2.0*v", "v+1.0", "v*v", "v-0.5", "0.5*v+2.0*v*v", "v/4.0", "0.0-v",
+    # index grids; a scalar head (the broadcast_to(...).copy() branch)
+    "v+2.0*i-j", "3.5",
 ]
-DOUBLE_HEADS = ["a+b", "a*b", "2.0*a-b", "a-b+1.0"]
+DOUBLE_HEADS = ["a+b", "a*b", "2.0*a-b", "a-b+1.0", "a+i*1.0"]
 # i == j would be a join *equality* (it unifies the index classes and
 # changes the plan shape), so only order/inequality guards appear here.
 GUARDS = ["", ", i != j", ", i < j", ", i > j"]
+SOURCES = ["batches", "records"]
+#: Declared extent = traversed minus this: 0 keeps every tile, more
+#: drops whole tiles and trims the one the declared edge cuts.
+cuts = st.integers(min_value=0, max_value=5)
 
 
 @SETTINGS
@@ -84,23 +121,33 @@ GUARDS = ["", ", i != j", ", i < j", ", i > j"]
     head=st.sampled_from(SINGLE_HEADS),
     guard=st.sampled_from(GUARDS),
     transpose=st.booleans(),
+    source=st.sampled_from(SOURCES),
+    cut_n=cuts, cut_m=cuts,
 )
 def test_single_generator_chain_byte_identical(
-    n, m, tile, seed, head, guard, transpose
+    n, m, tile, seed, head, guard, transpose, source, cut_n, cut_m
 ):
     data = random_matrix(n, m, seed)
+    dn, dm = max(1, n - cut_n), max(1, m - cut_m)
     if transpose:
-        query = f"tiled(m,n)[ ((j,i),{head}) | ((i,j),v) <- M{guard} ]"
+        query = f"tiled(dm,dn)[ ((j,i),{head}) | ((i,j),v) <- M{guard} ]"
     else:
-        query = f"tiled(n,m)[ ((i,j),{head}) | ((i,j),v) <- M{guard} ]"
+        query = f"tiled(dn,dm)[ ((i,j),{head}) | ((i,j),v) <- M{guard} ]"
 
     def env_of(session):
-        return dict(M=session.tiled(data), n=n, m=m)
+        return dict(M=tiled_source(session, data, source), dn=dn, dm=dm)
 
     fused, interpreted = _run_both(query, env_of, tile)
-    assert np.array_equal(fused, interpreted)
+    assert fused.tobytes() == interpreted.tobytes()
     session = make_session(tile, fusion=True)
-    _assert_fused(session, query, env_of(session))
+    env = env_of(session)
+    _assert_fused(session, query, env)
+    # Every partition enters the kernel as what it is stored as.
+    stored = env["M"].tiles._slices
+    session.run(query, env).materialize()
+    total = session.engine.metrics.total
+    assert total.kernel_batch_inputs == sum(type(p) is TileBatch for p in stored)
+    assert total.kernel_batch_inputs + total.kernel_record_inputs == len(stored)
 
 
 @SETTINGS
@@ -108,20 +155,28 @@ def test_single_generator_chain_byte_identical(
     n=dims, m=dims, tile=tile_sizes, seed=seeds,
     head=st.sampled_from(DOUBLE_HEADS),
     guard=st.sampled_from(GUARDS),
+    source=st.sampled_from(SOURCES),
+    cut_n=cuts,
 )
-def test_two_generator_chain_byte_identical(n, m, tile, seed, head, guard):
+def test_two_generator_chain_byte_identical(
+    n, m, tile, seed, head, guard, source, cut_n
+):
     left = random_matrix(n, m, seed)
     right = random_matrix(n, m, seed + 1)
+    dn = max(1, n - cut_n)
     query = (
-        f"tiled(n,m)[ ((i,j),{head}) | ((i,j),a) <- A, ((ii,jj),b) <- B,"
+        f"tiled(dn,m)[ ((i,j),{head}) | ((i,j),a) <- A, ((ii,jj),b) <- B,"
         f" ii == i, jj == j{guard} ]"
     )
 
     def env_of(session):
-        return dict(A=session.tiled(left), B=session.tiled(right), n=n, m=m)
+        return dict(
+            A=tiled_source(session, left, source),
+            B=tiled_source(session, right, source), dn=dn, m=m,
+        )
 
     fused, interpreted = _run_both(query, env_of, tile)
-    assert np.array_equal(fused, interpreted)
+    assert fused.tobytes() == interpreted.tobytes()
     session = make_session(tile, fusion=True)
     _assert_fused(session, query, env_of(session))
 
@@ -139,6 +194,27 @@ def test_vector_chain_byte_identical(n, tile, seed, head):
 
     fused, interpreted = _run_both(query, env_of, tile)
     assert np.array_equal(fused, interpreted)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.integers(min_value=6, max_value=20), seed=seeds,
+    head=st.sampled_from(SINGLE_HEADS), source=st.sampled_from(SOURCES),
+)
+def test_chain_under_a_memory_cap_byte_identical(n, seed, head, source):
+    """Spilled and restored partitions (a batch pickles as its two
+    arrays) feed the kernel as they were stored."""
+    data = random_matrix(n, n, seed)
+    query = f"tiled(n,n)[ ((i,j),{head}) | ((i,j),v) <- M ]"
+    outputs = []
+    for limit in (None, 2048):
+        def env_of(session):
+            return dict(M=tiled_source(session, data, source).materialize(), n=n)
+
+        fused, interpreted = _run_both(query, env_of, 2, memory_limit=limit)
+        assert fused.tobytes() == interpreted.tobytes()
+        outputs.append(fused.tobytes())
+    assert outputs[0] == outputs[1]
 
 
 # ----------------------------------------------------------------------
@@ -219,8 +295,10 @@ def test_runner_matrix_byte_identical(query):
 #: 11x14 at tile 4, all in ONE partition, declared 9x9: full tiles, a
 #: right-edge column trimmed to width 1, a bottom-edge row trimmed to
 #: height 1, their corner, and tile column 3 wholly outside the
-#: declared extent — every group the kernel can form, interleaved.
+#: declared extent — every group the kernel can form, interleaved: a
+#: record list.  12x16 is the same cut through a tile batch.
 RAGGED_ROWS, RAGGED_COLS, RAGGED_TILE = 11, 14, 4
+FULL_ROWS, FULL_COLS = 12, 16
 
 BOUNDARY_QUERIES = [
     # plain chain; index grids (i and j read); transposed axis map with
@@ -246,20 +324,23 @@ def _fused_kernel(session, query, env):
 
 @pytest.mark.parametrize("query", BOUNDARY_QUERIES)
 def test_ragged_partition_tiles_and_order_match_interpreter(query):
-    data = random_matrix(RAGGED_ROWS, RAGGED_COLS, 21)
-    tiles = []
-    for fusion in (True, False):
-        session = make_session(RAGGED_TILE, fusion)
-        env = dict(M=session.tiled(data, num_partitions=1))
-        if fusion:
-            _assert_fused(session, query, env)
-        tiles.append(session.run(query, env).tiles.collect())
-    fused, interpreted = tiles
-    # Same records, same order, same bytes — tile by tile.
-    assert [key for key, _ in fused] == [key for key, _ in interpreted]
-    for (_, got), (_, want) in zip(fused, interpreted):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    for shape, batched in (((RAGGED_ROWS, RAGGED_COLS), 0), ((FULL_ROWS, FULL_COLS), 1)):
+        data = random_matrix(*shape, 21)
+        tiles = []
+        for fusion in (True, False):
+            session = make_session(RAGGED_TILE, fusion)
+            env = dict(M=session.tiled(data, num_partitions=1))
+            if fusion:
+                _assert_fused(session, query, env)
+            tiles.append(session.run(query, env).tiles.collect())
+            if fusion:  # the partition entered the kernel as stored
+                assert session.engine.metrics.total.kernel_batch_inputs == batched
+        fused, interpreted = tiles
+        # Same records, same order, same bytes — tile by tile.
+        assert [key for key, _ in fused] == [key for key, _ in interpreted]
+        for (_, got), (_, want) in zip(fused, interpreted):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_output_order_is_input_record_order():
@@ -280,6 +361,15 @@ def test_output_order_is_input_record_order():
         key for key, _ in records if key[1] * RAGGED_TILE < 9
     ]
     for (_, got), (_, want) in zip(batched, single):
+        assert got.tobytes() == want.tobytes()
+    # A batch cut by the declared extent comes back as its records.
+    full = session.tiled(random_matrix(FULL_ROWS, FULL_COLS, 22), num_partitions=1)
+    (batch,) = full.tiles._slices
+    kernel = _fused_kernel(session, query, dict(M=full))
+    from_batch, from_records = kernel(batch), kernel(list(batch))
+    assert type(from_batch) is list
+    assert [key for key, _ in from_batch] == [key for key, _ in from_records]
+    for (_, got), (_, want) in zip(from_batch, from_records):
         assert got.tobytes() == want.tobytes()
 
 
@@ -306,8 +396,6 @@ def _mixed_records(with_list):
 def test_mixed_dtype_and_non_ndarray_tiles_take_their_own_groups(
     head, with_list
 ):
-    from repro.storage.tiled import TiledMatrix
-
     query = f"tiled(12,8)[ ((i,j),{head}) | ((i,j),v) <- M ]"
     results = []
     for fusion in (True, False):
@@ -343,12 +431,18 @@ def test_tiles_over_the_chunk_budget_do_not_share_memory():
         if shared:  # a spilled view must not drag its chunk along
             view = outputs[0]
             assert len(pickle.dumps(view)) < len(pickle.dumps(view.base)) / 4
+        # The batch entry runs the same slices and hands back one batch.
+        (batch,) = source.tiles._slices
+        out = kernel(batch)
+        assert type(out) is TileBatch and out.coords is batch.coords
+        assert out.values.tobytes() == b"".join(v.tobytes() for v in outputs)
 
 
 def test_fused_small_tile_chain_under_memory_limit_restores_identical():
-    """Each output tile is a view of a shared chunk: a spill must
-    pickle only the view, and unpersist must give back every byte the
-    chain's results held (only the input's partitions remain)."""
+    """Each output partition is a tile batch: a spill pickles its two
+    arrays, a restore hands the kernel a batch again, and unpersist
+    gives back every byte the chain's results held (only the input's
+    partitions remain)."""
     query = "tiled(n,m)[ ((i,j),0.5*v+0.1*v*v) | ((i,j),v) <- M ]"
     n, tile = 30, 3  # 10 partitions of ~1.2 kB against a 4 kB cap
     data = random_matrix(n, n, 25)
@@ -374,6 +468,7 @@ def test_fused_small_tile_chain_under_memory_limit_restores_identical():
             total = session.engine.metrics.total
             assert total.spilled_bytes > 0 and total.spill_restores > 0
             assert total.kernel_cache_hits + total.kernel_cache_misses == 3
+            assert (total.kernel_batch_inputs, total.kernel_record_inputs) == (30, 0)
         for step in steps:
             step.tiles.unpersist()
         assert held() == before

@@ -61,7 +61,7 @@ def test_add_trace(session):
         "strategy-selection: rule preserve-tiling [rewrote plan]",
         "adaptive-install: not a cost-chosen group-by-join candidate",
         "cse: disabled (enable with PlannerOptions(cse=True))",
-        "fusion: fused 1 tile operator(s) into kernel 068ec7510ddfc251"
+        "fusion: fused 1 tile operator(s) into kernel 4c67ee27291e082c"
         " (mode joined) [rewrote plan]",
     ]
     assert final == (
@@ -131,7 +131,7 @@ def test_transpose_trace(session):
         "strategy-selection: rule preserve-tiling [rewrote plan]",
         "adaptive-install: not a cost-chosen group-by-join candidate",
         "cse: disabled (enable with PlannerOptions(cse=True))",
-        "fusion: fused 1 tile operator(s) into kernel 8dfab873be3b95a5"
+        "fusion: fused 1 tile operator(s) into kernel 74ea951f8d96ae7b"
         " (mode tiles) [rewrote plan]",
     ]
     assert final == "Assemble[tiled](FusedKernel[fused kernel](Scan[i,j]))"
