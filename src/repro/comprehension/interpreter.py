@@ -306,7 +306,7 @@ class Interpreter:
 
 
 # ----------------------------------------------------------------------
-# Shared helpers (also used by the planner's generated code)
+# Shared helpers (also used by the flatMap form)
 # ----------------------------------------------------------------------
 
 

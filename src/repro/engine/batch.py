@@ -265,7 +265,11 @@ def merge_join(
 ) -> ColumnBatch:
     """Inner equi-join: the columns of both sides (the right side's win a
     shared name), one row per matching pair, in left row order and, for
-    one left row, in right row order."""
+    one left row, in right row order.  No keys: every pair (a cartesian
+    product)."""
+    if not left_keys:
+        left_keys = [np.zeros(left.rows, np.int8)]
+        right_keys = [np.zeros(right.rows, np.int8)]
     if left.rows == 0 or right.rows == 0:
         return ColumnBatch({
             **{n: c[:0] for n, c in left.columns.items()},
@@ -309,15 +313,41 @@ def group_reduce(
     keys: Sequence[np.ndarray],
     slots: Sequence[np.ndarray],
     combines: Sequence[np.ufunc],
+    python_order: bool = False,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """One row per distinct (composite) key, ascending, each slot folded
-    over the key's rows in row order by its monoid's ufunc."""
+    over the key's rows in row order by its monoid's ufunc.  With
+    ``python_order``, a Python loop's groups bit for bit: keys by first
+    row, each fold strictly left to right (``reduceat`` adds in lanes)."""
     order, starts = segments(keys)
     heads = order[starts]
+    fold = _fold_in_order if python_order else np.ufunc.reduceat
     # Python floats overflow to inf (and inf - inf to nan) silently.
     with np.errstate(over="ignore", invalid="ignore"):
         folded = [
-            ufunc.reduceat(slot[order], starts)
+            fold(ufunc, slot[order], starts)
             for slot, ufunc in zip(slots, combines)
         ]
+    if python_order:
+        rank = np.argsort(heads, kind="stable")
+        heads, folded = heads[rank], [slot[rank] for slot in folded]
     return [key[heads] for key in keys], folded
+
+
+def _fold_in_order(
+    ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """``ufunc.reduceat(values, starts)`` folding each segment left to
+    right, in at most √len(values) passes: one ``accumulate`` per
+    segment, or one pass per position across the segments that long."""
+    lengths = np.diff(starts, append=len(values))
+    longest = int(lengths.max(initial=0))
+    out = values[starts]
+    if len(starts) < longest:
+        for segment, (lo, n) in enumerate(zip(starts.tolist(), lengths.tolist())):
+            out[segment] = ufunc.accumulate(values[lo:lo + n])[-1]
+        return out
+    for position in range(1, longest):
+        live = np.flatnonzero(lengths > position)
+        out[live] = ufunc(out[live], values[starts[live] + position])
+    return out

@@ -27,7 +27,7 @@ from .passes import (
     PassManager, PlanState, cse_enabled, default_passes, fusion_enabled,
 )
 from .plan import (
-    Plan, RULE_COORDINATE, RULE_GROUP_BY_JOIN, RULE_LOCAL, RULE_LOCAL_CODEGEN,
+    Plan, RULE_COORDINATE, RULE_GROUP_BY_JOIN, RULE_LOCAL, RULE_LOCAL_BATCH,
     RULE_PRESERVE_TILING, RULE_TILED_REDUCE, RULE_TILED_SHUFFLE,
 )
 from .planner import PlannerOptions, plan_query, plan_state
@@ -56,7 +56,7 @@ __all__ = [
     "RULE_COORDINATE",
     "RULE_GROUP_BY_JOIN",
     "RULE_LOCAL",
-    "RULE_LOCAL_CODEGEN",
+    "RULE_LOCAL_BATCH",
     "RULE_PRESERVE_TILING",
     "RULE_TILED_REDUCE",
     "RULE_TILED_SHUFFLE",

@@ -67,7 +67,7 @@ class FusedKernel:
 
 
 class _Emitter:
-    """Tiny indented line buffer (the ``local_codegen`` idiom)."""
+    """Tiny indented line buffer."""
 
     def __init__(self) -> None:
         self.lines: list[str] = []

@@ -83,7 +83,7 @@ TILE_RECORD_OVERHEAD = 64
 #: Bytes per shuffled record of the coordinate rule's *per-element*
 #: record type (an ((i, j), v) pair of smallints and a float).  A plan
 #: that runs over column batches ships ~8 bytes per column per row, so
-#: this over-prices it — the conservative side (ROADMAP item 4).
+#: this over-prices it — the conservative side (ROADMAP item 7).
 COORD_RECORD_BYTES = 48
 #: Throughput the model assumes for the measured (local NumPy) tile
 #: contraction, in flops per second of *measured* compute.  ``contract``

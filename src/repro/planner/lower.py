@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from ..comprehension.ast import (
-    BinOp, Call, Expr, IfExpr, Lit, TupleExpr, UnOp, Var, free_vars, walk,
+    BinOp, BuilderApp, Call, Comprehension, Expr, Generator, IfExpr, LetQual,
+    Lit, Reduce, TupleExpr, UnOp, Var, free_vars, pattern_vars, walk,
 )
 from ..comprehension.errors import SacPlanError, SacTypeError
 from ..comprehension.interpreter import Interpreter
@@ -43,7 +44,7 @@ from ..engine.batch import (
 )
 from ..storage.registry import REGISTRY, BuildContext
 from ..storage.tiled import TiledMatrix, TiledVector
-from .analysis import CompInfo, key_components, regrouped_head_key
+from .analysis import CompInfo, GenInfo, key_components, regrouped_head_key
 from .codegen import get_fused_kernel
 from .groupby_join import GbjMatch, reconsider_join_strategy
 from .ir import (
@@ -55,9 +56,9 @@ from .kernels import (
     PARTIAL_CALLS, KernelUnsupported, band_gemm, compile_vectorized_cached,
     gather,
 )
-from .passes import PlanState, cse_enabled
-from .plan import Plan, RULE_LOCAL, RULE_LOCAL_CODEGEN
-from .rdd_rules import INT_COLUMN_CAP
+from .passes import PlanState, analyze_cached, cse_enabled
+from .plan import Plan, RULE_LOCAL, RULE_LOCAL_BATCH
+from .rdd_rules import INT_COLUMN_CAP, _join_order, _local_columns, _pseudocode
 from .tiling import ResolvedGen, TiledSetup, _result_storage, _tile_shape
 
 
@@ -775,24 +776,38 @@ _ARITHMETIC_OPS = frozenset("+-*/%")
 _BOOLEAN_OPS = frozenset({"==", "!=", "<", "<=", ">", ">=", "&&", "||"})
 
 
-def _batch_program(
-    node: IRNode, sources: list, state: PlanState
-) -> tuple[Callable, int]:
-    """``node``'s program over :class:`ColumnBatch` records, and the
-    width of its shuffles.
+@dataclass
+class _BatchOps:
+    """The coordinate program's array passes, wired by
+    :func:`_batch_program` (RDDs) or :func:`_local_plan` (in process).
 
-    The same ``join_order`` fold, guards, group-by and builder as
-    :func:`_record_program`, each operator an array pass
-    (:mod:`repro.engine.batch`).  Raises :class:`KernelUnsupported`
-    naming the first thing that has no array form.
+    ``steps``: ``(generator, key columns of the joined rows, of its
+    own)`` per ``join_order`` step, no keys for a cartesian one.  ``head``
+    maps joined rows to result rows (keys ``k0..``, value ``v``); under a
+    group-by, ``fold`` maps them to one row per key (``key_vars``, then
+    the slots) and ``reduce`` such rows to result rows.
     """
-    info: CompInfo = node.info
-    engine, env = state.engine, state.env
+
+    steps: list[tuple[int, list, list]]
+    head: Optional[Callable[[ColumnBatch], ColumnBatch]]
+    fold: Optional[Callable[..., ColumnBatch]]
+    reduce: Optional[Callable[..., ColumnBatch]]
+    key_vars: list[str]
+    n_keys: int
+    tuple_key: bool
+
+
+def _batch_ops(
+    info: CompInfo, join_order: Sequence, env: dict[str, Any]
+) -> _BatchOps:
+    """``info``'s operators over column batches; raises
+    :class:`KernelUnsupported` naming the first thing with no array form."""
     gens = info.generators
-    row_counts = [source.rows() for source in sources]
+    # A name a pattern binds is never the environment's inside the query.
+    shadowed = {name for gen in gens for name in gen.bound_vars}
     scalars = {
         name: value for name, value in env.items()
-        if isinstance(value, _SCALAR_TYPES)
+        if isinstance(value, _SCALAR_TYPES) and name not in shadowed
     }
 
     def column(expr: Expr, bound: set[str]) -> Callable[[ColumnBatch], np.ndarray]:
@@ -808,9 +823,7 @@ def _batch_program(
 
     bound = set(gens[0].bound_vars)
     steps = []
-    for gen_idx, left_keys, right_keys in node.join_order:
-        if not left_keys:
-            raise KernelUnsupported("a cartesian step")
+    for gen_idx, left_keys, right_keys in join_order:
         own = set(gens[gen_idx].bound_vars)
         steps.append((
             gen_idx,
@@ -820,35 +833,90 @@ def _batch_program(
         bound |= own
     guards = [column(guard, bound) for guard in info.residual_guards]
 
-    grouped = info.group_key_vars is not None
-    if grouped:
-        if not info.slots or not info.group_key_exprs:
-            raise KernelUnsupported("a group-by without a key or an aggregation")
-        key_fns = [column(e, bound) for e in info.group_key_exprs]
-        slot_fns = [column(slot.expr, bound) for slot in info.slots]
-        monoids = [monoid(slot.monoid) for slot in info.slots]
-        for mon in monoids:
-            if mon.np_combine is None:
-                raise KernelUnsupported(f"monoid {mon.name!r} has no ufunc")
-        combines = [mon.np_combine for mon in monoids]
-        key_vars = list(info.group_key_vars)
-        slot_vars = [slot.slot_var for slot in info.slots]
-        aggregated = set(key_vars + slot_vars)
-        residual = column(info.residual_value, aggregated)
-        head_key = regrouped_head_key(info)
-        if head_key is None:
-            head_fns = None
-            n_keys, tuple_key = len(key_fns), len(key_fns) != 1
-        else:
-            head_fns = [column(e, aggregated) for e in key_components(head_key)]
-            n_keys, tuple_key = len(head_fns), isinstance(head_key, TupleExpr)
-    else:
+    def select(batch: ColumnBatch) -> ColumnBatch:
+        for guard in guards:
+            batch = batch.take(guard(batch).astype(bool, copy=False))
+        return batch
+
+    if info.group_key_vars is None:
         key_fns = [column(e, bound) for e in key_components(info.head_key)]
         value_fn = column(info.head_value, bound)
-        n_keys, tuple_key = len(key_fns), isinstance(info.head_key, TupleExpr)
+
+        def head(batch: ColumnBatch) -> ColumnBatch:
+            batch = select(batch)
+            return _result_batch([fn(batch) for fn in key_fns], value_fn(batch))
+
+        return _BatchOps(
+            steps, head, None, None, [],
+            len(key_fns), isinstance(info.head_key, TupleExpr),
+        )
+
+    if not info.slots or not info.group_key_exprs:
+        raise KernelUnsupported("a group-by without a key or an aggregation")
+    key_fns = [column(e, bound) for e in info.group_key_exprs]
+    slot_fns = [column(slot.expr, bound) for slot in info.slots]
+    monoids = [monoid(slot.monoid) for slot in info.slots]
+    for mon in monoids:
+        if mon.np_combine is None:
+            raise KernelUnsupported(f"monoid {mon.name!r} has no ufunc")
+    combines = [mon.np_combine for mon in monoids]
+    key_vars = list(info.group_key_vars)
+    names = key_vars + [slot.slot_var for slot in info.slots]
+    residual = column(info.residual_value, set(names))
+    head_key = regrouped_head_key(info)
+    if head_key is None:
+        head_fns = None
+        n_keys, tuple_key = len(key_fns), len(key_fns) != 1
+    else:
+        head_fns = [column(e, set(names)) for e in key_components(head_key)]
+        n_keys, tuple_key = len(head_fns), isinstance(head_key, TupleExpr)
+
+    def fold(batch: ColumnBatch, python_order: bool = False) -> ColumnBatch:
+        batch = select(batch)
+        slots = [
+            _foldable(fn(batch), mon) for fn, mon in zip(slot_fns, monoids)
+        ]
+        keys, slots = group_reduce(
+            [fn(batch) for fn in key_fns], slots, combines, python_order
+        )
+        return ColumnBatch(dict(zip(names, keys + slots)))
+
+    def reduce(
+        pieces: Sequence[ColumnBatch], python_order: bool = False
+    ) -> ColumnBatch:
+        columns = ColumnBatch.concat(pieces).columns
+        keys, slots = group_reduce(
+            [columns[name] for name in key_vars],
+            [columns[name] for name in names[len(key_vars):]],
+            combines, python_order,
+        )
+        groups = ColumnBatch(dict(zip(names, keys + slots)))
+        if head_fns is not None:
+            keys = [fn(groups) for fn in head_fns]
+        return _result_batch(keys, residual(groups))
+
+    return _BatchOps(steps, None, fold, reduce, key_vars, n_keys, tuple_key)
+
+
+def _batch_program(
+    node: IRNode, sources: list, state: PlanState
+) -> tuple[Callable, int]:
+    """``node``'s program over :class:`ColumnBatch` records, and the
+    width of its shuffles.
+
+    :func:`_batch_ops` wired as :func:`_record_program` is, each step a
+    shuffle.  Raises :class:`KernelUnsupported` naming the first thing
+    that has no array form.
+    """
+    engine = state.engine
+    gens = node.info.generators
+    row_counts = [source.rows() for source in sources]
+    if any(not left_keys for _gen, left_keys, _right in node.join_order):
+        raise KernelUnsupported("a cartesian step")
+    ops = _batch_ops(node.info, node.join_order, state.env)
     builder = node.builder
     if builder in ("tiled", "tiled_vector") and (
-        n_keys, tuple_key
+        ops.n_keys, ops.tuple_key
     ) != ((2, True) if builder == "tiled" else (1, False)):
         raise KernelUnsupported(f"keys that do not index a {builder!r} builder")
 
@@ -880,58 +948,33 @@ def _batch_program(
 
         return join
 
-    def select(batch: ColumnBatch) -> ColumnBatch:
-        for guard in guards:
-            batch = batch.take(guard(batch).astype(bool, copy=False))
-        return batch
-
-    def head(batch: ColumnBatch) -> list:
-        batch = select(batch)
-        if not batch.rows:
-            return []
-        return [_result_batch([fn(batch) for fn in key_fns], value_fn(batch))]
-
     def partial_groups(batch: ColumnBatch) -> list:
         """Map side: one row per key of this batch, scattered by key."""
-        batch = select(batch)
-        if not batch.rows:
-            return []
-        slots = [
-            _foldable(fn(batch), mon) for fn, mon in zip(slot_fns, monoids)
-        ]
-        keys, slots = group_reduce([fn(batch) for fn in key_fns], slots, combines)
-        partial = ColumnBatch(dict(zip(key_vars + slot_vars, keys + slots)))
-        return scatter(partial, keys, width)
+        groups = ops.fold(batch)
+        keys = [groups.columns[name] for name in ops.key_vars]
+        return scatter(groups, keys, width)
 
     def merge_groups(record: tuple) -> ColumnBatch:
         """Reduce side: fold the map sides' partial rows in map-partition
         order, then the residual f over the aggregates."""
         _reducer, pieces = record
-        columns = ColumnBatch.concat(pieces).columns
-        keys, slots = group_reduce(
-            [columns[name] for name in key_vars],
-            [columns[name] for name in slot_vars], combines,
-        )
-        groups = ColumnBatch(dict(zip(key_vars + slot_vars, keys + slots)))
-        if head_fns is not None:
-            keys = [fn(groups) for fn in head_fns]
-        return _result_batch(keys, residual(groups))
+        return ops.reduce(pieces)
 
     def build() -> Any:
         joined = sources[0].batches(width)
-        for gen_idx, left_fns, right_fns in steps:
+        for gen_idx, left_fns, right_fns in ops.steps:
             # ``cogroup``, not ``join``: a piece is not a value list the
             # skew splitter may chunk.
             joined = joined.flat_map(scatter_on(left_fns)).cogroup(
                 sources[gen_idx].batches(width).flat_map(scatter_on(right_fns)),
                 partitioner=partitioner,
             ).flat_map(join_on(left_fns, right_fns))
-        if grouped:
+        if ops.fold is not None:
             result = joined.flat_map(partial_groups).group_by_key(
                 partitioner=partitioner
             ).map(merge_groups)
         else:
-            result = joined.flat_map(head)
+            result = joined.map(ops.head)
         n = state.build_context.tile_size
         if builder == "tiled":
             rows, cols = int(node.args[0]), int(node.args[1])
@@ -941,7 +984,9 @@ def _batch_program(
             length = int(node.args[0])
             blocks = _assemble_tiles(result, (length,), n, partitioner)
             return TiledVector(length, n, blocks)
-        items = result.flat_map(lambda batch: _items(batch, n_keys, tuple_key))
+        items = result.flat_map(
+            lambda batch: _items(batch, ops.n_keys, ops.tuple_key)
+        )
         if builder is None or builder == "rdd":
             return items
         return REGISTRY.build(builder, node.args, items.collect(), state.build_context)
@@ -1137,34 +1182,110 @@ def _record_estimate(plan: Plan, engine: EngineContext) -> None:
 
 
 # ----------------------------------------------------------------------
-# Local fallback
+# Sections 2-3 — local plans
 # ----------------------------------------------------------------------
 
 
 def lower_local(
     expr: Expr, env: dict[str, Any], build_context: BuildContext
 ) -> Plan:
-    from .local_codegen import CodegenUnsupported, compile_local
-
+    """A query over driver-side storages: the coordinate program's column
+    batches at width 1, in process — else the reference interpreter,
+    with the reason the batches could not run."""
     try:
-        source, thunk = compile_local(expr, env, build_context)
-    except CodegenUnsupported as reason:
+        return _local_plan(expr, env, build_context)
+    except (KernelUnsupported, SacPlanError) as reason:
         interpreter = Interpreter(env, build_context=build_context)
         return Plan(
             rule=RULE_LOCAL,
             description="reference in-memory evaluation (Sections 2-3)",
             thunk=lambda: interpreter.evaluate(expr),
-            details={"codegen_fallback": str(reason)},
+            details={"fallback": str(reason)},
         )
+
+
+def _local_plan(
+    expr: Expr, env: dict[str, Any], build_context: BuildContext
+) -> Plan:
+    """No engine and no shuffle: ``merge_join`` the sources in
+    ``join_order``, then the head, or fold → reduce the groups — each
+    row the interpreter's, in its order.  The interpreter applies the
+    builder or the ``op/`` fold to those rows, as it would to its own."""
+    if isinstance(expr, BuilderApp) and isinstance(expr.source, Comprehension):
+        comp, finish = expr.source, replace(expr, source=_ROWS)
+    elif isinstance(expr, Reduce) and isinstance(expr.expr, Comprehension):
+        comp, finish = expr.expr, replace(expr, expr=_ROWS)
+    elif isinstance(expr, Comprehension):
+        comp, finish = expr, _ROWS
+    else:
+        raise SacPlanError(f"not a comprehension query: {type(expr).__name__}")
+    info = analyze_cached(comp)
+    if info.ranges or info.post_group_quals:
+        raise KernelUnsupported("a range, or a qualifier after the group-by")
+    # Columns share one flat scope; where the interpreter's scoping
+    # differs, its answer is the one to give.
+    bound = [
+        name for qual in comp.qualifiers
+        if isinstance(qual, (Generator, LetQual))
+        for name in pattern_vars(qual.pattern)
+    ]
+    if len(set(bound)) != len(bound) or free_vars(comp) & set(bound):
+        raise KernelUnsupported("a name bound twice or read before it is bound")
+    join_order = _join_order(info)
+    # The interpreter nests generators in qualifier order; a join in any
+    # other order lists the same rows in another order.
+    folded = [gen_idx for gen_idx, _left, _right in join_order]
+    if folded != list(range(1, len(info.generators))):
+        raise KernelUnsupported("generators joined out of qualifier order")
+    batches = [_local_batch(gen, env) for gen in info.generators]
+    ops = _batch_ops(info, join_order, env)
+    # A group-by head without a key lists bare values.
+    n_keys = ops.n_keys if info.head_key is not None else 0
+    interpreter = Interpreter(env, build_context=build_context)
+
+    def run() -> Any:
+        joined = batches[0]
+        for gen_idx, left_fns, right_fns in ops.steps:
+            right = batches[gen_idx]
+            joined = merge_join(
+                joined, right,
+                [fn(joined) for fn in left_fns], [fn(right) for fn in right_fns],
+            )
+        if ops.fold is not None:
+            # Re-folding one row per key keeps the rows in their order.
+            groups = ops.fold(joined, python_order=True)
+            result = ops.reduce([groups], python_order=True)
+        else:
+            result = ops.head(joined)
+        rows = _items(result, n_keys, ops.tuple_key)
+        return interpreter.evaluate(finish, extra_env={_ROWS.name: rows})
+
     return Plan(
-        rule=RULE_LOCAL_CODEGEN,
+        rule=RULE_LOCAL_BATCH,
         description=(
-            "generated imperative loop code (Sections 2-3): sparsifiers "
-            "inlined as index loops, builders as array writes"
+            "the coordinate program in process (Sections 2-3): joins, "
+            "guards and group-bys as array passes over column batches"
         ),
-        thunk=thunk,
-        pseudocode=source,
+        thunk=run,
+        pseudocode=_pseudocode(
+            info, [gen.source.name for gen in info.generators], join_order
+        ),
+        details={"records": "column batches (in process)"},
     )
+
+
+#: The local plan's result rows, as the interpreter's finishing step reads
+#: them (no parsed name starts with ``$``).
+_ROWS = Var("$rows")
+
+
+def _local_batch(gen: GenInfo, env: dict[str, Any]) -> ColumnBatch:
+    """A generator's driver-side storage as one batch of its columns."""
+    value = env.get(gen.source.name) if isinstance(gen.source, Var) else None
+    columns = _local_columns(value)
+    if len(columns) - 1 != gen.arity:
+        raise KernelUnsupported("a key pattern unlike the source's indices")
+    return ColumnBatch(dict(zip(gen.bound_vars, columns)))
 
 
 #: Physical operator -> its one lowerer ``(node, lowered children, state)``.

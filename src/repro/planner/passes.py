@@ -51,7 +51,7 @@ from ..engine import EngineContext, RDD
 from ..storage.registry import BuildContext
 from ..storage.sparse_tiled import SparseTiledMatrix
 from ..storage.tiled import TiledMatrix, TiledVector
-from .analysis import analyze
+from .analysis import CompInfo, analyze
 from .cost import (
     STRATEGY_BROADCAST_LEFT, STRATEGY_BROADCAST_RIGHT, STRATEGY_REPLICATE,
     STRATEGY_TILED_REDUCE, CostEstimate, CostModel, choose_strategy,
@@ -200,8 +200,9 @@ def pass_normalize_bridge(state: PlanState) -> str:
     else:
         return "local evaluation (not a comprehension query)"
 
-    state.info = _analyze_cached(state.comp)
-    if state.info is None:
+    try:
+        state.info = analyze_cached(state.comp)
+    except SacPlanError:
         state.kind = "local"
         return f"{shape}; analysis rejected the comprehension -> local"
     state.logical = _logical_dag(state)
@@ -213,7 +214,7 @@ def pass_normalize_bridge(state: PlanState) -> str:
 _ANALYSIS_MEMO = "_sac_analysis_memo"
 
 
-def _analyze_cached(comp: Comprehension):
+def analyze_cached(comp: Comprehension) -> CompInfo:
     """``analyze(comp)`` memoized on the AST node itself.
 
     Nodes are frozen dataclasses and rewrites build new trees, so the
@@ -228,7 +229,9 @@ def _analyze_cached(comp: Comprehension):
         except SacPlanError as exc:
             memo = exc
         object.__setattr__(comp, _ANALYSIS_MEMO, memo)
-    return None if isinstance(memo, SacPlanError) else memo
+    if isinstance(memo, SacPlanError):
+        raise type(memo)(*memo.args)  # afresh: a shared traceback would grow
+    return memo
 
 
 def _logical_dag(state: PlanState) -> IRNode:

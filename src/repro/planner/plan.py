@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 
 #: Rule identifiers, named after the paper's sections.
 RULE_LOCAL = "local"                       # Sections 2-3, interpreter
-RULE_LOCAL_CODEGEN = "local-codegen"       # Sections 2-3, generated loops
+RULE_LOCAL_BATCH = "local-batch"           # Sections 2-3, column batches
 RULE_PRESERVE_TILING = "preserve-tiling"   # Section 5.1, Eq. (17)
 RULE_TILED_SHUFFLE = "tiled-shuffle"       # Section 5.2, Eq. (19)
 RULE_TILED_REDUCE = "tiled-reduce"         # Section 5.3 (join + reduceByKey)

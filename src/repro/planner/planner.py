@@ -10,7 +10,8 @@ Order of preference for a tiled-builder comprehension over tiled inputs
 3. preserve-tiling (5.1) — no group-by, aligned output;
 4. tiled shuffle (5.2) — no group-by, computed output indices;
 5. coordinate (Section 4, Rules 13/14) — the element-level fallback;
-6. local — the reference interpreter (always correct).
+6. local — in-memory inputs: the coordinate program's column batches
+   in process, else the reference interpreter (always correct).
 
 The mechanics live elsewhere: :mod:`repro.planner.passes` runs the
 named pass pipeline over the two-level IR (:mod:`repro.planner.ir`),

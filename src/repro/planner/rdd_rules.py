@@ -338,13 +338,12 @@ def _local_values(value: Any) -> np.ndarray:
         return value.data.reshape(-1)
     if isinstance(value, np.ndarray) and value.ndim in (1, 2):
         return value.reshape(-1)
-    raise KernelUnsupported(
-        f"a {type(value).__name__} source holds arbitrary objects"
-    )
+    raise KernelUnsupported(f"a {type(value).__name__} source has no columns")
 
 
 def _local_columns(value: Any) -> list[np.ndarray]:
     """Index columns, then the value column, of a driver-side storage."""
+    values = _value_column(_local_values(value))
     if isinstance(value, CooMatrix):
         index = [value.row_index, value.col_index]
     elif isinstance(value, CooVector):
@@ -356,7 +355,7 @@ def _local_columns(value: Any) -> list[np.ndarray]:
     else:
         shape = value.data.shape if not isinstance(value, np.ndarray) else value.shape
         index = [grid.reshape(-1) for grid in np.indices(shape)]
-    return [*index, _value_column(_local_values(value))]
+    return [*index, values]
 
 
 def _tile_columns(coord: Any, tile: Any, n: int) -> list[np.ndarray]:

@@ -304,7 +304,7 @@ FALLBACKS = [
     ("an RDD of arbitrary objects",
      "rdd[ (i, +/v) | ((i,j),v) <- P, group by i ]",
      lambda s: dict(P=s.rdd([((0, 0), 1.0), ((0, 1), 2.0), ((1, 0), 3.0)])),
-     "source holds arbitrary objects"),
+     "RDD source has no columns"),
     ("a cartesian step",
      "tiled(n,m)[ ((i,j), x * y) | (i,x) <- U, (j,y) <- V ]",
      lambda s: dict(U=s.tiled_vector(np.ones(3)), V=s.tiled_vector(np.ones(4)),

@@ -360,14 +360,14 @@ def test_smoothing_falls_back(session):
 
 
 def test_local_inputs_use_local_plan(session):
-    from repro.planner import RULE_LOCAL_CODEGEN
+    from repro.planner import RULE_LOCAL_BATCH
     from repro.storage import DenseMatrix
 
     compiled = session.compile(
         "matrix(2,2)[ ((i,j), v+1.0) | ((i,j),v) <- D ]",
         D=DenseMatrix.zeros(2, 2),
     )
-    assert compiled.plan.rule in (RULE_LOCAL, RULE_LOCAL_CODEGEN)
+    assert compiled.plan.rule == RULE_LOCAL_BATCH
     np.testing.assert_allclose(compiled.execute().data, np.ones((2, 2)))
 
 

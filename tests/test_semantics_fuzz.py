@@ -2,13 +2,13 @@
 
 Hypothesis generates small closed comprehensions over random association
 lists and checks that the reference interpreter, the Figure-3 flatMap
-form, and (when the query fits its fragment) the Sections 2–3 generated
-loop code all agree.
+form, and the planner's local plan (Sections 2–3) all agree.  The local
+plan reads each list rebound as a 1-D int ``ndarray``, so a query with
+an array form runs as the coordinate program's column batches.
 """
 
 import numpy as np
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, find, given, settings
 from hypothesis import strategies as st
 
 from repro.comprehension import (
@@ -17,7 +17,9 @@ from repro.comprehension import (
 )
 from repro.comprehension.flatmap_form import evaluate as eval_flatmap
 from repro.comprehension.flatmap_form import to_flatmap_form
-from repro.planner.local_codegen import CodegenUnsupported, compile_local
+from repro.planner import RULE_LOCAL_BATCH
+from repro.planner.lower import lower_local
+from repro.storage.registry import BuildContext
 
 SETTINGS = settings(
     max_examples=60, deadline=None,
@@ -76,6 +78,15 @@ def closed_queries(draw):
     return Comprehension(head, tuple(qualifiers)), env
 
 
+def local_plan(comp, env):
+    """The planner's local plan with every list rebound as an array."""
+    arrays = {
+        name: np.array([value for _, value in pairs], dtype=np.int64)
+        for name, pairs in env.items()
+    }
+    return lower_local(comp, arrays, BuildContext())
+
+
 @SETTINGS
 @given(data=closed_queries())
 def test_three_evaluators_agree(data):
@@ -85,11 +96,16 @@ def test_three_evaluators_agree(data):
     via_flatmap = eval_flatmap(to_flatmap_form(comp), env)
     assert via_flatmap == reference, to_source(comp)
 
-    try:
-        _code, thunk = compile_local(comp, env)
-    except CodegenUnsupported:
-        return
-    assert list(thunk()) == reference, to_source(comp)
+    assert local_plan(comp, env).execute() == reference, to_source(comp)
+
+
+def test_fuzzed_queries_run_as_column_batches():
+    """The draws reach the batch rule, not only the interpreter."""
+    find(
+        closed_queries(),
+        lambda data: local_plan(*data).rule == RULE_LOCAL_BATCH,
+        settings=settings(database=None),
+    )
 
 
 @SETTINGS
