@@ -48,7 +48,13 @@ ARMS = {
 
 
 def _setup(shape_a, shape_b, options):
-    session = SacSession(cluster=BENCH_CLUSTER, tile_size=TILE, options=options)
+    # One partition per core: a broadcast contracts on the large side's
+    # partitions, and the few its bytes alone ask for would price every
+    # flip away.
+    session = SacSession(
+        cluster=BENCH_CLUSTER, tile_size=TILE, options=options,
+        num_partitions=BENCH_CLUSTER.default_parallelism(),
+    )
     env = {
         "A": session.tiled(dense_uniform(*shape_a, seed=3)).materialize(),
         "B": session.tiled(dense_uniform(*shape_b, seed=4)).materialize(),

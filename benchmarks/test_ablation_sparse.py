@@ -129,8 +129,12 @@ def banded_array(n, tile, band, seed):
 
 
 def _sweep_run(band, options):
+    # One partition per stored tile, as on the paper's cluster: the flip
+    # weighs map-side parallelism, which the CSC bytes alone would cut to
+    # a partition or two.
     session = SacSession(
-        cluster=BENCH_CLUSTER, tile_size=SWEEP_TILE, options=options
+        cluster=BENCH_CLUSTER, tile_size=SWEEP_TILE, options=options,
+        num_partitions=BENCH_CLUSTER.default_parallelism(),
     )
     A = session.sparse_tiled(banded_array(SWEEP_N, SWEEP_TILE, band, seed=1))
     B = session.sparse_tiled(banded_array(SWEEP_N, SWEEP_TILE, band, seed=2))

@@ -60,10 +60,14 @@ def _run_arm(limit, prefetch):
         b = np.floor(8 * dense_uniform(N, N, seed=N + 1))
         import time
 
+        # One partition per core: prefetch restores the partitions the
+        # next tasks read, and 0.5 MB operands sized by their bytes are
+        # one partition each, with nothing to restore ahead of a reader.
+        parts = engine.default_parallelism
         start = time.perf_counter()
-        result = session.run(
-            MULTIPLY, A=session.tiled(a), B=session.tiled(b), n=N, m=N
-        ).to_numpy()
+        A = session.tiled(a, num_partitions=parts)
+        B = session.tiled(b, num_partitions=parts)
+        result = session.run(MULTIPLY, A=A, B=B, n=N, m=N).to_numpy()
         wall = time.perf_counter() - start
         total = session.engine.metrics.total
         counters = {

@@ -159,8 +159,13 @@ def _skewed_setup(adaptive):
         options=PlannerOptions(group_by_join=False),
         runner="serial", adaptive=adaptive,
     )
-    A = session.sparse_tiled(a)
-    B = session.sparse_tiled(b)
+    # One partition per core, as on the paper's cluster: the operands'
+    # stored bytes alone would make a few partitions, whose map tasks
+    # neither arm can split, and the skew under study is the join's.
+    parts = session.engine.default_parallelism
+    A = session.sparse_tiled(a, num_partitions=parts)
+    B = session.sparse_tiled(b, num_partitions=parts)
+    assert A.tiles.num_partitions > 1 and B.tiles.num_partitions > 1
     compiled = session.compile(MULTIPLY, A=A, B=B, n=SKEW_N, m=SKEW_N)
     return session, A, B, compiled
 

@@ -76,7 +76,9 @@ class SacSession:
         cluster: simulated cluster spec for a fresh engine.
         tile_size: side length N of square tiles for block arrays.
         options: planner rule switches (ablations).
-        num_partitions: partition hint for builders.
+        num_partitions: partition count for every storage this session
+            builds (``tiled``, the builders in a query); ``None`` sizes
+            each by its bytes (``EngineContext.partitions_for``).
         runner: task execution strategy for a fresh engine — a
             ``TaskRunner``, ``"serial"`` (every job's task graph walked
             one task at a time), or ``"threads"`` (tasks fire on a pool
@@ -91,11 +93,11 @@ class SacSession:
             (byte-identical to the limit-free engine).
         adaptive: adaptive query execution — measure map outputs at
             stage boundaries and re-optimize (broadcast downgrades,
-            partition coalescing, skew splits).  ``None`` (default)
-            is on for a fresh engine and inherits a supplied
-            ``engine``'s setting; ``False`` is the static planner
-            (byte-identical to the pre-adaptive engine); a non-``None``
-            value over a supplied engine makes a view with that setting.
+            skew splits).  ``None`` (default) is on for a fresh engine
+            and inherits a supplied ``engine``'s setting; ``False`` is
+            the static planner (byte-identical to the pre-adaptive
+            engine); a non-``None`` value over a supplied engine makes a
+            view with that setting.
         tenant: tenant label for multi-tenant substrates.  ``None``
             (default) inherits the engine view's tenant (empty for a
             private engine).  A labeled session's queries are gated by
@@ -368,12 +370,17 @@ class SacSession:
     # Storage constructors
     # ------------------------------------------------------------------
 
+    def _partitions(self, num_partitions: Optional[int]) -> Optional[int]:
+        """An explicit count, else the session's hint; ``None`` leaves
+        the storage to size itself by bytes."""
+        return num_partitions or self.build_context.num_partitions
+
     def tiled(
         self, array: np.ndarray, num_partitions: Optional[int] = None
     ) -> TiledMatrix:
         """Distribute a local 2-D array as a tiled matrix."""
         return TiledMatrix.from_numpy(
-            self.engine, array, self.tile_size, num_partitions
+            self.engine, array, self.tile_size, self._partitions(num_partitions)
         )
 
     def tiled_vector(
@@ -381,7 +388,7 @@ class SacSession:
     ) -> TiledVector:
         """Distribute a local 1-D array as a block vector."""
         return TiledVector.from_numpy(
-            self.engine, array, self.tile_size, num_partitions
+            self.engine, array, self.tile_size, self._partitions(num_partitions)
         )
 
     def sparse_tiled(self, array: np.ndarray, num_partitions: Optional[int] = None):
@@ -393,7 +400,7 @@ class SacSession:
         from ..storage.sparse_tiled import SparseTiledMatrix
 
         return SparseTiledMatrix.from_numpy(
-            self.engine, array, self.tile_size, num_partitions
+            self.engine, array, self.tile_size, self._partitions(num_partitions)
         )
 
     def rdd(self, items, num_partitions: Optional[int] = None) -> RDD:

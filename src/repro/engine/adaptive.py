@@ -6,13 +6,6 @@ estimate-vs-actual gap at runtime, the way Spark's AQE does, using the
 :class:`~repro.engine.shuffle.MapOutputStatistics` histograms that every
 shuffle's map phase records for free:
 
-* **Partition coalescing** — before the reduce phase of a combining
-  shuffle launches, contiguous reduce buckets whose measured bytes fall
-  below ``ClusterSpec.adaptive_coalesce_bytes`` merge into one reduce
-  *task* (each bucket is still merged separately, so the logical
-  partitioning is unchanged), cutting task-launch overhead.  Never
-  coalesces below ``total_cores`` tasks, so parallelism is preserved.
-
 * **Skew splitting** — before a downstream shuffle's map stage launches,
   the lineage is walked through element-wise narrow ops down to the
   materialized wide stage feeding it.  A reduce partition whose measured
@@ -58,7 +51,7 @@ from .shuffle import MapOutputStatistics
 class AdaptiveDecision:
     """One runtime re-optimization, with the numbers that triggered it."""
 
-    #: ``"coalesce"``, ``"skew-split"`` or ``"broadcast-downgrade"``.
+    #: ``"skew-split"`` or ``"broadcast-downgrade"``.
     kind: str
     #: Human-readable account of what fired and why.
     description: str
@@ -79,69 +72,14 @@ class AdaptiveDecision:
         return " | ".join(parts)
 
 
-def coalesce_contiguous_partitions(
-    stats: MapOutputStatistics, cluster: ClusterSpec
-) -> Optional[tuple[list[list[int]], AdaptiveDecision]]:
-    """Reduce-phase coalescing: pack small contiguous buckets together.
-
-    Returns ``None`` (leave the shuffle alone) or ``(groups,
-    decision)``, ``groups`` listing the bucket ids each reduce task
-    handles.
-
-    Greedy first-fit over the partition order: a group closes once its
-    measured bytes reach the coalesce target.  The target never drops a
-    shuffle below ``total_cores`` reduce tasks, so a well-sized shuffle
-    (the default ``reducers == total_cores`` layout) is left untouched.
-    """
-    num_partitions = stats.num_partitions
-    floor = max(1, cluster.total_cores)
-    if num_partitions <= floor:
-        return None
-    target = max(
-        1,
-        min(
-            cluster.adaptive_coalesce_bytes,
-            -(-stats.total_bytes // floor),  # ceil division
-        ),
-    )
-    groups: list[list[int]] = []
-    current: list[int] = []
-    current_bytes = 0
-    for pid, nbytes in enumerate(stats.bytes_per_partition):
-        if current and current_bytes + nbytes > target:
-            groups.append(current)
-            current, current_bytes = [], 0
-        current.append(pid)
-        current_bytes += nbytes
-    if current:
-        groups.append(current)
-    if len(groups) >= num_partitions:
-        return None
-    decision = AdaptiveDecision(
-        kind="coalesce",
-        description=(
-            f"coalesced {num_partitions} reduce partitions into "
-            f"{len(groups)} tasks (target {target} bytes/task)"
-        ),
-        measured={
-            "partitions": num_partitions,
-            "tasks": len(groups),
-            "total_bytes": stats.total_bytes,
-            "target_bytes": target,
-        },
-    )
-    return groups, decision
-
-
 class AdaptiveManager:
     """Holds adaptive state for one engine context.
 
-    The task-graph compiler consults :meth:`plan_reduce_groups` before a
-    shuffle's reduce phase and :meth:`find_skew_source` /
-    :meth:`plan_partition_chunks` before its map phase; the planner's
-    runtime join reconsideration records its downgrades and measured
-    sizes here.
-    All hooks are no-ops while :attr:`enabled` is ``False``.
+    The task-graph compiler consults :meth:`find_skew_source` /
+    :meth:`plan_partition_chunks` before a shuffle's map phase; the
+    planner's runtime join reconsideration records its downgrades and
+    measured sizes here.  All hooks are no-ops while :attr:`enabled` is
+    ``False``.
     """
 
     def __init__(
@@ -176,23 +114,6 @@ class AdaptiveManager:
         with self._lock:
             self.measured_sizes[id(storage)] = (nbytes, records)
             self._measured_refs[id(storage)] = storage
-
-    # ------------------------------------------------------------------
-    # Reduce-phase planning (coalescing)
-    # ------------------------------------------------------------------
-
-    def plan_reduce_groups(
-        self, stats: Optional[MapOutputStatistics]
-    ) -> Optional[list[list[int]]]:
-        """Bucket grouping for one shuffle's reduce phase, or ``None``."""
-        if not self.enabled or stats is None:
-            return None
-        planned = coalesce_contiguous_partitions(stats, self.cluster)
-        if planned is None:
-            return None
-        groups, decision = planned
-        self.record_decision(decision)
-        return groups
 
     # ------------------------------------------------------------------
     # Map-phase planning (skew splitting)

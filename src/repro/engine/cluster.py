@@ -56,10 +56,10 @@ class ClusterSpec:
     #: downgrade a join strategy to broadcast for.  Mirrors Spark's
     #: ``spark.sql.adaptive.autoBroadcastJoinThreshold``.
     adaptive_broadcast_bytes: int = 32 * 2**20
-    #: Target post-coalesce reduce-partition size: contiguous reduce
-    #: buckets smaller than this merge into one reduce task (never below
-    #: ``total_cores`` tasks, so parallelism is preserved).
-    adaptive_coalesce_bytes: int = 1 * 2**20
+    #: Bytes per partition a storage builder aims for: an input is cut
+    #: into ``⌈bytes / partition_bytes⌉`` partitions, at most
+    #: :meth:`default_parallelism` (``EngineContext.partitions_for``).
+    partition_bytes: int = 1 * 2**20
     #: A reduce partition is "skewed" when its measured map-output bytes
     #: exceed this factor times the median non-empty partition's bytes.
     adaptive_skew_factor: float = 4.0
@@ -85,7 +85,12 @@ class ClusterSpec:
         return self.num_executors * self.cores_per_executor
 
     def default_parallelism(self) -> int:
-        """Default number of partitions for new RDDs (as in Spark)."""
+        """The most partitions a storage builder cuts an input into, the
+        partition count of a tiled shuffle's reduce side, and the
+        default of ``EngineContext.parallelize``.  A storage builder
+        asks for fewer when its bytes do: ``EngineContext.partitions_for``
+        makes one partition per :attr:`partition_bytes`, so a 1.8 MB
+        matrix is two partitions, not one per simulated core."""
         return self.total_cores
 
     def local_parallelism(self) -> int:

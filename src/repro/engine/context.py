@@ -12,6 +12,7 @@ to the pre-split engine.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Any, Callable, Generic, Iterable, Iterator, Optional, TypeVar
 
@@ -150,6 +151,17 @@ class EngineContext:
     @property
     def default_parallelism(self) -> int:
         return self.substrate.default_parallelism
+
+    def partitions_for(self, nbytes: int, items: int) -> int:
+        """How many partitions ``items`` records of ``nbytes`` in total
+        are cut into: one per ``ClusterSpec.partition_bytes``,
+        rounded up, at least one and at most one per record, capped at
+        :attr:`default_parallelism`.  Every storage builder without an
+        explicit partition count, and the coordinate rule's shuffle
+        width, size themselves here, so a small input is a few tasks
+        however many cores the simulated cluster has."""
+        wanted = math.ceil(nbytes / self.cluster.partition_bytes)
+        return max(1, min(wanted, self.default_parallelism, items))
 
     @property
     def pipeline(self) -> bool:

@@ -115,8 +115,8 @@ class JobMetrics:
     task_retries: int = 0
     stage_costs: list = field(default_factory=list)
     #: Runtime re-optimizations (:class:`~repro.engine.adaptive.AdaptiveDecision`)
-    #: taken while this job ran: coalesced reduce phases, skew splits,
-    #: join-strategy downgrades.  Empty whenever adaptive execution is off.
+    #: taken while this job ran: skew splits, join-strategy downgrades.
+    #: Empty whenever adaptive execution is off.
     adaptive_decisions: list = field(default_factory=list)
 
     def merge(self, other: "JobMetrics") -> None:

@@ -498,7 +498,7 @@ class DAGScheduler:
         #: about-to-run job back into budget headroom.
         self._block_manager = block_manager
         #: Optional :class:`~repro.engine.adaptive.AdaptiveManager`; the
-        #: compiler consults it for reduce coalescing and skew splits.
+        #: compiler consults it for skew splits.
         self._adaptive = adaptive
 
     @property

@@ -62,7 +62,7 @@ class MapOutputStatistics:
     so ``sum(bytes_per_partition)`` is integer-identical to the recorded
     ``shuffle_bytes`` contribution and collecting the histogram never
     perturbs a counter.  The adaptive layer reads these numbers to decide
-    coalescing, skew splitting, and join-strategy downgrades.
+    skew splits and join-strategy downgrades.
     """
 
     bytes_per_partition: tuple[int, ...]
@@ -348,7 +348,7 @@ class Shuffle:
     :meth:`finish_map_phase` folds the per-slot sizes in ascending slot
     order and records the map stage and shuffle volume; the reduce side
     then reads bucket ``r`` (:meth:`read_bucket`, every slot's piece in
-    ascending slot order) or merges it (:meth:`run_reduce_group`).
+    ascending slot order) or merges it (:meth:`run_reduce`).
     Counters and bucket contents therefore do not depend on the order
     slots completed in or on where the buckets lived.
     """
@@ -438,17 +438,11 @@ class Shuffle:
         """Drop map output no reduce task will read (the job is over)."""
         self._store.discard()
 
-    def run_reduce_group(
-        self, bucket_ids: list[int]
-    ) -> tuple[list[tuple[int, list]], float]:
-        """Merge one reduce task's buckets; returns pairs + own-seconds."""
-        aggregator = self.aggregator
+    def run_reduce(self, bucket_id: int) -> tuple[list, float]:
+        """Merge one reduce bucket; returns it merged + own-seconds."""
         with self._metrics.task_timer() as timer:
-            self._runner.fault_point(self._reduce_label, bucket_ids[0])
-            merged_buckets = [
-                (bid, _merge_reduce_side(
-                    self._store.read_bucket(bid), aggregator
-                ))
-                for bid in bucket_ids
-            ]
-        return merged_buckets, timer.own_seconds
+            self._runner.fault_point(self._reduce_label, bucket_id)
+            merged = _merge_reduce_side(
+                self._store.read_bucket(bucket_id), self.aggregator
+            )
+        return merged, timer.own_seconds

@@ -4,7 +4,7 @@ This module compiles a lowered RDD program into an explicit graph of
 fine-grained tasks:
 
 * one **map task** per map slot of every shuffle the job has to run,
-* one **reduce task** per (possibly coalesced) reduce group,
+* one **reduce task** per reduce bucket,
 * one **combine/drain/merge task** per partition of co-partitioned wide
   nodes and cogroups,
 * one **result task** per partition of the job's target RDD,
@@ -19,8 +19,7 @@ reads have landed, so a straggling map task stalls only the tasks that
 read its output.  Synthetic tasks (``fn is None``) act as phase barriers
 and planning hooks; their ``on_complete`` callbacks run under the
 graph's external lock and may *extend* the graph — this is how adaptive
-decisions (reduce coalescing, skew splitting) are taken mid-flight from
-measured map statistics.
+skew splits are taken mid-flight from measured map statistics.
 
 A wide node the graph produces keeps its partitions where the block
 manager says (``BlockManager.new_output`` — a plain list, or budget
@@ -33,9 +32,9 @@ store.  A job that fails drops the handles it did not finish, and the
 node stays unmaterialized.
 
 Every stage/task/shuffle counter is independent of the walk: map
-buckets concatenate in deterministic slot order, reduce groups come
-from the adaptive planner, and a cogroup's merge folds its parents in
-parent order.  Only the *recording order* of stages may differ.
+buckets concatenate in deterministic slot order, one reduce task
+merges each bucket, and a cogroup's merge folds its parents in parent
+order.  Only the *recording order* of stages may differ.
 
 The graph itself is **externally synchronized**: the runner serializes
 all calls to :meth:`TaskGraph.complete` / :meth:`TaskGraph.add_task`
@@ -592,40 +591,25 @@ class _JobCompiler:
                 for r in range(num_reducers):
                     graph.release(out_tasks[r])
                 return
-            # By default one task merges one bucket; the adaptive layer
-            # may coalesce contiguous small buckets into one task (the
-            # logical partition count is unchanged — each bucket is still
-            # merged separately and lands in its own partition).
-            groups = None
-            if adaptive is not None:
-                groups = adaptive.plan_reduce_groups(stats)
-            if groups is None:
-                groups = [[r] for r in range(num_reducers)]
-            reduce_seconds = [0.0] * len(groups)
+            reduce_seconds = [0.0] * num_reducers
             reduce_tasks = []
-            for gindex, group in enumerate(groups):
+            for r in range(num_reducers):
 
-                def fn(gindex=gindex, group=group):
-                    merged_buckets, own = shuffle.run_reduce_group(group)
-                    for bid, merged in merged_buckets:
-                        output.put(bid, merged)
-                    reduce_seconds[gindex] = own
-
-                def release_group(group=group):
-                    for bid in group:
-                        graph.release(out_tasks[bid])
+                def fn(r=r):
+                    merged, reduce_seconds[r] = shuffle.run_reduce(r)
+                    output.put(r, merged)
 
                 reduce_tasks.append(
                     graph.add_task(
-                        ("reduce", node.id, group[0]),
+                        ("reduce", node.id, r),
                         fn=fn,
                         deps=[maps_done],
-                        on_complete=release_group,
+                        on_complete=lambda r=r: graph.release(out_tasks[r]),
                     )
                 )
 
             def reduces_done_hook():
-                metrics.record_stage(len(groups), list(reduce_seconds))
+                metrics.record_stage(num_reducers, list(reduce_seconds))
                 finish()
 
             graph.add_task(

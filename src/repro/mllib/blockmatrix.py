@@ -34,6 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..engine import EngineContext, GridPartitioner, RDD
+from ..storage.tiled import distribute_blocks
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,9 @@ class BlockMatrix:
                     bj * block_size : (bj + 1) * block_size,
                 ].copy()
                 blocks.append(((bi, bj), block))
-        rdd = engine.parallelize(blocks, num_partitions or engine.default_parallelism)
+        # The partition count ``TiledMatrix.from_numpy`` picks for the
+        # same array, so SAC and the baseline run on one layout.
+        rdd = distribute_blocks(engine, blocks, num_partitions)
         return cls(rdd, block_size, block_size, rows, cols, profile)
 
     # -- kernel accounting ----------------------------------------------------

@@ -25,7 +25,6 @@ thunk from outside the tree.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Sequence
 
@@ -920,15 +919,11 @@ def _batch_program(
     ) != ((2, True) if builder == "tiled" else (1, False)):
         raise KernelUnsupported(f"keys that do not index a {builder!r} builder")
 
-    # A partition smaller than the coalesce target is not worth its own
-    # task: the width follows the rows there are, not the cluster's cores.
+    # The width follows the rows there are, not the cluster's cores.
     estimated = sum(
         8 * len(gen.bound_vars) * rows for gen, rows in zip(gens, row_counts)
     )
-    width = max(1, min(
-        engine.default_parallelism,
-        math.ceil(estimated / engine.cluster.adaptive_coalesce_bytes),
-    ))
+    width = engine.partitions_for(estimated, sum(row_counts))
     partitioner = HashPartitioner(width)
 
     def scatter_on(fns: list) -> Callable[[ColumnBatch], list]:
@@ -1141,8 +1136,8 @@ def _install_adaptive_reconsideration(
     a broadcast downgrade — an ``emit_broadcast`` tree through the same
     :func:`lower_node` — replaces the planned program if it fires.
     Every adaptive decision recorded while the plan runs (downgrades,
-    but also the engine's skew splits and partition coalescing) is
-    sliced onto ``plan.adaptive_decisions`` for ``explain()``.
+    but also the engine's skew splits) is sliced onto
+    ``plan.adaptive_decisions`` for ``explain()``.
     """
     engine = state.engine
     manager = getattr(engine, "adaptive", None)

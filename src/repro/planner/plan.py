@@ -42,9 +42,9 @@ class Plan:
     estimate: Optional["CostEstimate"] = None
     #: Every candidate's estimate, keyed by strategy name.
     candidates: dict[str, "CostEstimate"] = field(default_factory=dict)
-    #: Adaptive-execution decisions (strategy downgrades, partition
-    #: coalescing, skew splits) that fired while this plan ran; populated
-    #: at execute time when the engine's adaptive layer is enabled.
+    #: Adaptive-execution decisions (strategy downgrades, skew splits)
+    #: that fired while this plan ran; populated at execute time when the
+    #: engine's adaptive layer is enabled.
     adaptive_decisions: list = field(default_factory=list)
     #: Pass-pipeline trace: one before/after entry per named pass.
     trace: list["PassTraceEntry"] = field(default_factory=list)

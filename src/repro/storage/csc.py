@@ -82,6 +82,11 @@ class CscMatrix:
     def nnz(self) -> int:
         return int(self.indptr[-1])
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the three stored arrays."""
+        return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
+
     def density(self) -> float:
         total = self.rows * self.cols
         return self.nnz / total if total else 0.0

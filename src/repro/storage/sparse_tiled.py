@@ -32,6 +32,7 @@ from . import stats as density_stats
 from .csc import CscMatrix
 from .registry import REGISTRY, BuildContext
 from .stats import DensityStats
+from .tiled import TiledMatrix, distribute_blocks
 
 
 class SparseTiledMatrix:
@@ -108,7 +109,7 @@ class SparseTiledMatrix:
                 ]
                 if np.any(block):
                     tiles.append(((bi, bj), CscMatrix.from_numpy(block)))
-        rdd = engine.parallelize(tiles, num_partitions or engine.default_parallelism)
+        rdd = distribute_blocks(engine, tiles, num_partitions)
         return cls(
             rows, cols, tile_size, rdd,
             recorded_nnz=sum(tile.nnz for _, tile in tiles),
@@ -140,7 +141,7 @@ class SparseTiledMatrix:
             for coord, entries in sorted(grid.items())
         ]
         tiles = [(coord, tile) for coord, tile in tiles if tile.nnz]
-        rdd = engine.parallelize(tiles, num_partitions or engine.default_parallelism)
+        rdd = distribute_blocks(engine, tiles, num_partitions)
         return cls(
             rows, cols, tile_size, rdd,
             recorded_nnz=sum(tile.nnz for _, tile in tiles),
@@ -209,8 +210,6 @@ class SparseTiledMatrix:
         """Convert to a dense :class:`TiledMatrix` (materializes zeros
         inside stored tiles; absent tiles stay absent, and the recorded
         density statistics carry over)."""
-        from .tiled import TiledMatrix
-
         dense = self.tiles.map_values(lambda tile: tile.to_numpy())
         out = TiledMatrix(self.rows, self.cols, self.tile_size, dense)
         out.stats = self.stats

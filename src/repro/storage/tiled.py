@@ -38,6 +38,17 @@ def _raw(part: Iterable) -> Any:
     return part if type(part) is TileBatch else list(part)
 
 
+def distribute_blocks(
+    engine: EngineContext, blocks: list, num_partitions: Optional[int]
+) -> RDD:
+    """``(key, block)`` records as an RDD of ``num_partitions``
+    partitions, or as many as their block bytes ask for."""
+    nbytes = sum(block.nbytes for _key, block in blocks)
+    return engine.parallelize(
+        blocks, num_partitions or engine.partitions_for(nbytes, len(blocks))
+    )
+
+
 class TiledMatrix:
     """A matrix partitioned into a distributed grid of dense tiles."""
 
@@ -115,7 +126,9 @@ class TiledMatrix:
             .reshape(full_rows, n, full_cols, n)
             .swapaxes(1, 2)
         ).reshape(full_rows * full_cols, n, n)
-        parts = max(1, min(num_partitions or engine.default_parallelism, count))
+        parts = max(1, min(
+            num_partitions or engine.partitions_for(array.nbytes, count), count
+        ))
         slices: list = []
         for p in range(parts):
             start, end = p * count // parts, (p + 1) * count // parts
@@ -160,9 +173,7 @@ class TiledMatrix:
                 tile = np.zeros(matrix.tile_shape(*coord))
                 grid[coord] = tile
             tile[i % tile_size, j % tile_size] = value
-        rdd = engine.parallelize(
-            sorted(grid.items()), num_partitions or engine.default_parallelism
-        )
+        rdd = distribute_blocks(engine, sorted(grid.items()), num_partitions)
         return cls(rows, cols, tile_size, rdd)
 
     # -- persistence ---------------------------------------------------------
@@ -192,9 +203,7 @@ class TiledMatrix:
                 continue
             _prefix, bi, bj = name.split("_")
             tiles.append(((int(bi), int(bj)), archive[name]))
-        rdd = engine.parallelize(
-            sorted(tiles), num_partitions or engine.default_parallelism
-        )
+        rdd = distribute_blocks(engine, sorted(tiles), num_partitions)
         return cls(rows, cols, tile_size, rdd)
 
     # -- materialization ---------------------------------------------------
@@ -295,7 +304,7 @@ class TiledVector:
             (bi, array[bi * tile_size : (bi + 1) * tile_size].copy())
             for bi in range(math.ceil(len(array) / tile_size))
         ]
-        rdd = engine.parallelize(blocks, num_partitions or engine.default_parallelism)
+        rdd = distribute_blocks(engine, blocks, num_partitions)
         return cls(len(array), tile_size, rdd)
 
     @classmethod
@@ -319,9 +328,7 @@ class TiledVector:
                 block = np.zeros(helper.block_length(block_index))
                 grid[block_index] = block
             block[i % tile_size] = value
-        rdd = engine.parallelize(
-            sorted(grid.items()), num_partitions or engine.default_parallelism
-        )
+        rdd = distribute_blocks(engine, sorted(grid.items()), num_partitions)
         return cls(length, tile_size, rdd)
 
     def to_numpy(self) -> np.ndarray:

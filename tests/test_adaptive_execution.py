@@ -1,13 +1,12 @@
 """Adaptive query execution: re-optimization from measured statistics.
 
-Covers the three mechanisms end to end — reduce-partition coalescing,
-skew splitting, and the runtime broadcast downgrade — plus the pure
-planning helpers and the invariant that ``adaptive=False`` takes no
-action on any workload.  Result equality between the adaptive and
-static arms is asserted everywhere: re-optimization may re-associate
-floating-point reductions but must never change what is computed
-(`assert_allclose` where association changes, exact equality where the
-execution is untouched).
+Covers the two mechanisms end to end — skew splitting and the runtime
+broadcast downgrade — plus the pure planning helpers and the invariant
+that ``adaptive=False`` takes no action on any workload.  Result
+equality between the adaptive and static arms is asserted everywhere:
+re-optimization may re-associate floating-point reductions but must
+never change what is computed (`assert_allclose` where association
+changes, exact equality where the execution is untouched).
 """
 
 import dataclasses
@@ -15,17 +14,8 @@ import dataclasses
 import numpy as np
 
 from repro import PlannerOptions, SacSession
-from repro.engine import (
-    EngineContext,
-    PAPER_CLUSTER,
-    TINY_CLUSTER,
-    MapOutputStatistics,
-)
-from repro.engine.adaptive import (
-    _expand_cartesian_records,
-    _lower_median,
-    coalesce_contiguous_partitions,
-)
+from repro.engine import PAPER_CLUSTER, TINY_CLUSTER, EngineContext
+from repro.engine.adaptive import _expand_cartesian_records, _lower_median
 from repro.serve import QueryService
 from repro.workloads import dense_uniform, zipf_block_rows
 
@@ -45,37 +35,10 @@ def _makespan(delta) -> float:
 # ----------------------------------------------------------------------
 
 
-def _stats(byte_buckets):
-    return MapOutputStatistics(
-        bytes_per_partition=tuple(byte_buckets),
-        records_per_partition=tuple(1 if b else 0 for b in byte_buckets),
-    )
-
-
 def test_lower_median_ignores_empty_buckets_and_hot_tail():
     assert _lower_median([0, 10, 0, 1000]) == 10
     assert _lower_median([5, 10, 1000]) == 10
     assert _lower_median([0, 0]) == 0
-
-
-def test_coalesce_hook_packs_contiguous_buckets():
-    stats = _stats([100] * 32)
-    planned = coalesce_contiguous_partitions(stats, TINY_CLUSTER)
-    assert planned is not None
-    groups, decision = planned
-    assert decision.kind == "coalesce"
-    # Groups are a contiguous, order-preserving, complete partition cover.
-    assert [pid for group in groups for pid in group] == list(range(32))
-    assert 1 < len(groups) < 32
-    assert decision.measured["tasks"] == len(groups)
-
-
-def test_coalesce_hook_declines_well_sized_shuffles():
-    # At or below total_cores partitions there is nothing to win.
-    assert coalesce_contiguous_partitions(_stats([100] * 4), TINY_CLUSTER) is None
-    # Partitions already at the byte target stay alone.
-    big = 2 * TINY_CLUSTER.adaptive_coalesce_bytes
-    assert coalesce_contiguous_partitions(_stats([big] * 8), TINY_CLUSTER) is None
 
 
 def test_expand_cartesian_records_preserves_pair_multiset():
@@ -92,39 +55,6 @@ def test_expand_cartesian_records_preserves_pair_multiset():
     # Unsplittable shapes are returned unchanged rather than looping.
     odd = [(1, "not-a-pair")]
     assert _expand_cartesian_records(list(odd), 4) == odd
-
-
-# ----------------------------------------------------------------------
-# Partition coalescing (engine level)
-# ----------------------------------------------------------------------
-
-
-def _coalesce_run(adaptive):
-    with EngineContext(
-        cluster=TINY_CLUSTER, runner="serial", adaptive=adaptive
-    ) as ctx:
-        data = [(i % 32, i) for i in range(640)]
-        snapshot = ctx.metrics.snapshot()
-        shuffled = ctx.parallelize(data, 8).reduce_by_key(
-            lambda a, b: a + b, num_partitions=32
-        )
-        result = sorted(shuffled.collect())
-        delta = ctx.metrics.delta_since(snapshot)
-        decisions = delta.adaptive_decisions
-    return result, delta, decisions
-
-
-def test_coalesce_cuts_reduce_tasks_not_partitions():
-    off_result, off_delta, off_decisions = _coalesce_run(False)
-    on_result, on_delta, on_decisions = _coalesce_run(True)
-    assert on_result == off_result
-    assert off_decisions == []
-    kinds = [d.kind for d in on_decisions]
-    assert "coalesce" in kinds
-    # Fewer reduce tasks launched, same shuffle accounting.
-    assert on_delta.tasks < off_delta.tasks
-    assert on_delta.shuffle_bytes == off_delta.shuffle_bytes
-    assert on_delta.shuffle_records == off_delta.shuffle_records
 
 
 # ----------------------------------------------------------------------
@@ -150,8 +80,12 @@ def _skew_run(adaptive, n=360, tile=45):
         options=PlannerOptions(group_by_join=False),
         runner="serial", adaptive=adaptive,
     ) as session:
-        A = session.sparse_tiled(a)
-        B = session.sparse_tiled(b)
+        # The skew is spread over the cluster's cores, not over the few
+        # partitions the operands' bytes would ask for.
+        parts = session.engine.default_parallelism
+        A = session.sparse_tiled(a, num_partitions=parts)
+        B = session.sparse_tiled(b, num_partitions=parts)
+        assert A.tiles.num_partitions > 1 and B.tiles.num_partitions > 1
         snapshot = session.metrics_snapshot()
         out = session.run(MULTIPLY, A=A, B=B, n=n, m=n).to_numpy()
         delta = session.metrics_delta(snapshot)

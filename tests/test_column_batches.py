@@ -270,10 +270,10 @@ def test_ragged_tiles_and_wide_shuffles():
         "tiled_vector(n)[ (i,+/v) | ((i,j),a) <- A, (jj,x) <- X, jj == j,"
         " let v = a*x, group by i ]"
     )
-    # A coalesce target of a few rows forces one reducer per core.
+    # A partition target of a few rows forces one reducer per core.
     cluster = ClusterSpec(
         num_nodes=1, executors_per_node=1, cores_per_executor=5,
-        adaptive_coalesce_bytes=64,
+        partition_bytes=64,
     )
     with SacSession(cluster=cluster, tile_size=TILE, options=FORCED) as wide:
         env = dict(A=wide.tiled(a), X=wide.tiled_vector(x), n=13)
@@ -381,11 +381,11 @@ def _spmv(runner, adaptive):
     rng = np.random.default_rng(3)
     a = rng.random((120, 90)) * (rng.random((120, 90)) < 0.2)
     x = rng.random(90)
-    # Small coalesce / skew thresholds so both adaptive actions would
-    # fire on a per-element stream of this size.
+    # Small partition / skew thresholds: a per-element stream of this
+    # size would be split as skewed.
     cluster = ClusterSpec(
         num_nodes=1, executors_per_node=1, cores_per_executor=4,
-        adaptive_coalesce_bytes=4096, adaptive_skew_min_bytes=1024,
+        partition_bytes=4096, adaptive_skew_min_bytes=1024,
     )
     with SacSession(
         cluster=cluster, tile_size=16, runner=runner, adaptive=adaptive,
@@ -440,10 +440,10 @@ def test_width_rule():
         # 88 MB of columns and beyond: the cluster's cores, never more.
         assert _width(s, math.ceil(88 * 2**20 / 24)) == cores
         assert _width(s, 10 * 88 * 2**20 // 24) == cores
-        # The rule itself, from ClusterSpec.adaptive_coalesce_bytes.
+        # The rule itself, from ClusterSpec.partition_bytes.
         rows = 300_000
         assert _width(s, rows) == math.ceil(
-            (rows * 24 + 4 * 16) / s.engine.cluster.adaptive_coalesce_bytes
+            (rows * 24 + 4 * 16) / s.engine.cluster.partition_bytes
         )
 
 

@@ -40,15 +40,18 @@ GBJ_FAMILY = {
 }
 
 
-def _measured_run(n, tile, group_by_join, cluster=BENCH_CLUSTER):
+def _measured_run(n, tile, group_by_join, cluster=BENCH_CLUSTER, parts=None):
     session = SacSession(
         cluster=cluster, tile_size=tile,
         options=PlannerOptions(group_by_join=group_by_join),
+        num_partitions=parts,
     )
     a = RNG.uniform(0, 9, size=(n, n))
     b = RNG.uniform(0, 9, size=(n, n))
     A = session.tiled(a).materialize()
     B = session.tiled(b).materialize()
+    if parts is not None:
+        assert A.tiles.num_partitions == B.tiles.num_partitions > 1
     compiled = session.compile(MULTIPLY, A=A, B=B, n=n, m=n)
     snapshot = session.metrics_snapshot()
     compiled.execute().tiles.count()
@@ -145,14 +148,18 @@ def _block_band(n, tile, seed=0):
     return a
 
 
-def _forced_run(n, tile, options, sparse, cluster=BENCH_CLUSTER):
-    session = SacSession(cluster=cluster, tile_size=tile, options=options)
+def _forced_run(n, tile, options, sparse, cluster=BENCH_CLUSTER, parts=None):
+    session = SacSession(
+        cluster=cluster, tile_size=tile, options=options, num_partitions=parts
+    )
     if sparse:
         A = session.sparse_tiled(_block_band(n, tile, seed=1)).materialize()
         B = session.sparse_tiled(_block_band(n, tile, seed=2)).materialize()
     else:
         A = session.tiled(RNG.uniform(0, 9, size=(n, n))).materialize()
         B = session.tiled(RNG.uniform(0, 9, size=(n, n))).materialize()
+    if parts is not None:
+        assert A.tiles.num_partitions == B.tiles.num_partitions > 1
     compiled = session.compile(MULTIPLY, A=A, B=B, n=n, m=n)
     snapshot = session.metrics_snapshot()
     compiled.execute().tiles.count()
@@ -167,8 +174,15 @@ def test_every_forced_strategy_estimates_within_2x(
 ):
     """Each strategy, forced on dense AND block-band sparse inputs, must
     predict its measured shuffle bytes within 2x — the sparse cases only
-    hold because the model scales by the recorded block density."""
-    compiled, delta = _forced_run(n, tile, options, sparse, cluster)
+    hold because the model scales by the recorded block density.
+
+    The operands are cut one partition per core: the broadcast estimate
+    assumes a large tile's partials rarely share a partition, which a
+    matrix cut into a few row-major runs breaks (each result tile's
+    partials then come from one partition, half the estimate)."""
+    compiled, delta = _forced_run(
+        n, tile, options, sparse, cluster, parts=cluster.default_parallelism()
+    )
     assert compiled.plan.details["strategy"] == expected
     estimate = compiled.plan.estimate
     assert estimate is not None and delta.shuffle_bytes > 0
@@ -190,7 +204,12 @@ def test_block_sparse_default_flips_away_from_replicate():
     from SUMMA replication, cut measured shuffle bytes at least 2x
     against forced replication, and stay within 2x of its estimate."""
     n, tile = 720, 45
-    chosen, chosen_delta = _forced_run(n, tile, PlannerOptions(), sparse=True)
+    # One partition per stored tile: the flip weighs map-side parallelism,
+    # which the 0.5 MB of CSC tiles alone would cut to one partition.
+    parts = BENCH_CLUSTER.default_parallelism()
+    chosen, chosen_delta = _forced_run(
+        n, tile, PlannerOptions(), sparse=True, parts=parts
+    )
     strategy = chosen.plan.details["strategy"]
     assert strategy != STRATEGY_REPLICATE
     estimate = chosen.plan.estimate
@@ -198,13 +217,15 @@ def test_block_sparse_default_flips_away_from_replicate():
     assert 0.5 <= ratio <= 2.0
 
     _, replicate_delta = _forced_run(
-        n, tile, PlannerOptions(group_by_join=True), sparse=True
+        n, tile, PlannerOptions(group_by_join=True), sparse=True, parts=parts
     )
     assert chosen_delta.shuffle_bytes * 2 <= replicate_delta.shuffle_bytes
 
     # Without the recorded statistic the same inputs price densely and
     # the planner stays with replication — the flip is the statistic's.
-    session = SacSession(cluster=BENCH_CLUSTER, tile_size=tile)
+    session = SacSession(
+        cluster=BENCH_CLUSTER, tile_size=tile, num_partitions=parts
+    )
     from repro.storage import SparseTiledMatrix
 
     A = session.sparse_tiled(_block_band(n, tile, seed=1))
@@ -255,7 +276,10 @@ def test_choose_strategy_stable_tie_prefers_replicate():
 def _unread(session, n, tile):
     """An ``n x n`` tiled operand a compile prices and never reads: one
     placeholder record per tile, partitioned as ``session.tiled`` would."""
-    placeholders = session.engine.parallelize(range((n // tile) ** 2))
+    count = (n // tile) ** 2
+    placeholders = session.engine.parallelize(
+        range(count), session.engine.partitions_for(8 * n * n, count)
+    )
     return TiledMatrix(n, n, tile, placeholders)
 
 
@@ -294,8 +318,11 @@ def test_default_session_leaves_the_5_3_plan_on_the_multiply_dense_shape():
 
 def test_one_destination_per_cell_prices_what_it_priced_before_the_grid():
     """``p_r = gr, p_c = gc`` is the per-destination replication: the
-    estimate at that grid is commit a9d0f9a's, field for field."""
-    compiled, _ = _measured_run(360, 90, True)
+    estimate at that grid is commit a9d0f9a's, field for field, on the
+    one-partition-per-core operands it priced then."""
+    compiled, _ = _measured_run(
+        360, 90, True, parts=BENCH_CLUSTER.default_parallelism()
+    )
     model_estimate = compiled.plan.estimate
     assert model_estimate.grid == (4, 4)
     assert (

@@ -8,7 +8,11 @@ shows up as a reviewable golden diff rather than a silent behavior
 change.
 
 Shapes and the cluster are fixed (TINY_CLUSTER, 10×10 tiles, dense
-arange data), making every strategy choice deterministic.
+arange data), making every strategy choice deterministic.  The operands
+are a few KB, so each is one partition; the two multiplies chose a
+broadcast of the left side while every storage was cut into the
+cluster's four partitions, and choose SUMMA replication since storages
+are sized by their bytes.
 """
 
 import numpy as np
@@ -106,14 +110,15 @@ def test_multiply_trace(session):
         "tiling-resolution: resolved 2 generator(s); index classes"
         " [0, 1, 2], tile size 10",
         "strategy-selection: rule group-by-join (strategy"
-        " gbj-broadcast-left) [rewrote plan]",
-        "adaptive-install: not a cost-chosen group-by-join candidate",
+        " gbj-replicate) [rewrote plan]",
+        "adaptive-install: re-optimization hook armed for strategy"
+        " gbj-replicate",
         "cse: disabled (enable with PlannerOptions(cse=True))",
         "fusion: no fusible MapTiles/Filter chain (rule group-by-join)",
     ]
     assert final == (
-        "Assemble(GroupByJoin[broadcast]"
-        "(Broadcast[left](Scan[i,k]), Scan[kk,j]))"
+        "Assemble(GroupByJoin[summa]"
+        "(Replicate[rows](Scan[i,k]), Replicate[cols](Scan[kk,j])))"
     )
 
 
@@ -171,14 +176,15 @@ def test_factorization_step_trace(session):
         "tiling-resolution: resolved 2 generator(s); index classes"
         " [0, 1, 2], tile size 10",
         "strategy-selection: rule group-by-join (strategy"
-        " gbj-broadcast-left) [rewrote plan]",
-        "adaptive-install: not a cost-chosen group-by-join candidate",
+        " gbj-replicate) [rewrote plan]",
+        "adaptive-install: re-optimization hook armed for strategy"
+        " gbj-replicate",
         "cse: disabled (enable with PlannerOptions(cse=True))",
         "fusion: no fusible MapTiles/Filter chain (rule group-by-join)",
     ]
     assert final == (
-        "Assemble(GroupByJoin[broadcast]"
-        "(Broadcast[left](Scan[i,k]), Scan[j,kk]))"
+        "Assemble(GroupByJoin[summa]"
+        "(Replicate[rows](Scan[i,k]), Replicate[cols](Scan[j,kk])))"
     )
 
 

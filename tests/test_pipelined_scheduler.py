@@ -199,7 +199,12 @@ def test_graph_compile_decides_leaves_once_and_adds_no_edges(monkeypatch):
     monkeypatch.setattr(taskgraph_module, "compile_job_graph", tracked_compile)
     smooth = "tiled(n,m)[ ((i,j),0.5*v+0.1*v*v) | ((i,j),v) <- X ]"
     with SacSession(tile_size=4, runner=SerialTaskRunner()) as session:
-        x = session.tiled(RNG.uniform(size=(48, 48))).materialize()
+        # One partition per core, so a per-partition leaf check would show.
+        x = session.tiled(
+            RNG.uniform(size=(48, 48)),
+            num_partitions=session.engine.default_parallelism,
+        ).materialize()
+        assert x.tiles.num_partitions == 88
         for _step in range(3):
             x = session.run(smooth, X=x, n=48, m=48).materialize()
         x.to_numpy()
@@ -218,23 +223,35 @@ def test_graph_compile_decides_leaves_once_and_adds_no_edges(monkeypatch):
 #: 0 in every run, left off.  The static and the adaptive arm recorded
 #: the same numbers for every shape.  ``smoothing`` — a coordinate plan —
 #: was re-recorded when its records became column batches (it shuffled
-#: 2404 per-element records / 226136 bytes in 36 tasks).
+#: 2404 per-element records / 226136 bytes in 36 tasks).  All were
+#: re-recorded when storages began sizing their partitions by bytes: the
+#: operands, a few KB each, are one partition instead of the cluster's
+#: four.  Before that they were (stages, tasks, shuffles, records, bytes)
+#: multiply-gbj-on (4, 16, 2, 36, 30744), multiply-gbj-off (6, 24, 3, 30,
+#: 25788), add (4, 16, 2, 12, 10140), transpose (1, 4, 0, 0, 0),
+#: smoothing (9, 18, 5, 14, 85564), row-sums (3, 12, 1, 5, 590) and
+#: factorization (22, 72, 9, 57, 48138); the factorization's P×Qᵀ moved
+#: from a broadcast of P to SUMMA replication, one shuffle more.
 GOLDEN_COUNTERS = {
-    "multiply-gbj-on": (4, 16, 2, 36, 30744),
-    "multiply-gbj-off": (6, 24, 3, 30, 25788),
-    "add": (4, 16, 2, 12, 10140),
-    "transpose": (1, 4, 0, 0, 0),
-    "smoothing": (9, 18, 5, 14, 85564),
-    "row-sums": (3, 12, 1, 5, 590),
-    "factorization": (22, 72, 9, 57, 48138),
+    "multiply-gbj-on": (4, 10, 2, 36, 30744),
+    "multiply-gbj-off": (6, 6, 3, 21, 18174),
+    "add": (4, 4, 2, 12, 10140),
+    "transpose": (1, 1, 0, 0, 0),
+    "smoothing": (9, 9, 5, 5, 84898),
+    "row-sums": (3, 3, 1, 3, 354),
+    "factorization": (22, 59, 10, 66, 55914),
 }
 
 #: ``_skewed_pipeline`` on the same commit and arm (adaptive on).
 SKEW_RESULT = sorted(
     [(8 * k, 120) for k in range(2000)] + [(k, 1) for k in range(1, 8)]
 )
-SKEW_COUNTERS = (5, 43, 2, 4014, 336343, 0)
-SKEW_DECISIONS = ["coalesce", "skew-split", "coalesce"]
+#: Re-recorded when reduce-partition coalescing was deleted: both
+#: shuffles' 8 reduce buckets, twice ``total_cores``, had been coalesced
+#: into 2 tasks each (43 tasks, decisions coalesce / skew-split /
+#: coalesce); every bucket is its own task now.
+SKEW_COUNTERS = (5, 55, 2, 4014, 336343, 0)
+SKEW_DECISIONS = ["skew-split"]
 
 
 def _golden(name, task_retries=0):

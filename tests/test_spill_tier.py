@@ -299,10 +299,8 @@ def test_memory_buckets_reread_in_full_after_a_partial_read():
     shuffle.finish_map_phase()
     pieces = shuffle._store._slots[(1, 0)]
     pieces[0] = _UnreadableOnce(pieces[0])  # slot 0 reads fine, slot 1 fails
-    merged, _seconds = ctx.runner._execute_task(
-        lambda: shuffle.run_reduce_group([0])
-    )
-    assert merged == [(0, [(0, 30), (2, 36)])]
+    merged, _seconds = ctx.runner._execute_task(lambda: shuffle.run_reduce(0))
+    assert merged == [(0, 30), (2, 36)]
     assert ctx.metrics.total.task_retries == 1
 
 

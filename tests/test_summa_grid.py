@@ -115,10 +115,11 @@ def test_integer_data_is_bit_equal_on_every_grid(
     assert total.shuffle_records == 20 * grid[1] + 12 * grid[0]
     if grid == (GRID_ROWS, GRID_COLS):
         # One destination tile per cell is the per-destination replication
-        # of commit a9d0f9a; these are the counters it recorded.
+        # of commit a9d0f9a; these are the counters it recorded, except
+        # tasks 16 -> 10: each operand is one partition now, not four.
         assert (
             total.stages, total.tasks, total.shuffle_records, total.shuffle_bytes
-        ) == (4, 16, 120, 102480)
+        ) == (4, 10, 120, 102480)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")

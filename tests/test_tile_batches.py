@@ -79,7 +79,8 @@ def test_pickle_restores_the_arrays_without_the_record_cache():
 
 @pytest.mark.parametrize("rows", [12, 11])
 def test_count_is_the_number_of_tiles(rows):
-    source = make_session().tiled(np.ones((rows, 9)))
+    source = make_session().tiled(np.ones((rows, 9)), num_partitions=4)
+    assert source.tiles.num_partitions == 4
     assert source.num_tiles() == source.grid_rows * source.grid_cols == 12
     # Four partitions of one tile row each; a ragged row stays a list.
     assert len(batches(source)) == (3 if rows % TILE else 4)
