@@ -4,8 +4,9 @@ The paper (and its DIABLO predecessor) motivates block arrays by the
 cost of the coordinate format: every element is a keyed record, so joins
 and group-bys shuffle every element individually, while tiled arrays
 move whole dense blocks with indices computed, not stored.  This ablation
-runs the same multiplication comprehension with ``force_coordinate``
-(Rules 13/14 over element pairs) against the tiled GBJ plan.
+runs the same multiplication comprehension pinned to
+``strategy="coordinate"`` (Rules 13/14 over element pairs) against the
+tiled GBJ plan.
 
 Sizes are small: the coordinate plan is quadratically heavier by design.
 The coordinate plan runs over column batches (one record per partition,
@@ -29,12 +30,12 @@ MULTIPLY = (
 )
 
 
-def _setup(n, force_coordinate):
+def _setup(n, strategy):
     a = dense_uniform(n, n, seed=n)
     b = dense_uniform(n, n, seed=n + 1)
     session = SacSession(
         tile_size=TILE,
-        options=PlannerOptions(force_coordinate=force_coordinate),
+        options=PlannerOptions(strategy=strategy),
     )
     A = session.tiled(a).materialize()
     B = session.tiled(b).materialize()
@@ -44,7 +45,7 @@ def _setup(n, force_coordinate):
 @pytest.mark.parametrize("n", SIZES)
 def test_multiply_tiled(benchmark, measure, n):
     record, run_measured = measure
-    session, A, B = _setup(n, force_coordinate=False)
+    session, A, B = _setup(n, None)
 
     def run():
         session.run(MULTIPLY, A=A, B=B, n=n, m=n).tiles.count()
@@ -57,7 +58,7 @@ def test_multiply_tiled(benchmark, measure, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_multiply_coordinate(benchmark, measure, n):
     record, run_measured = measure
-    session, A, B = _setup(n, force_coordinate=True)
+    session, A, B = _setup(n, "coordinate")
 
     def run():
         session.run(MULTIPLY, A=A, B=B, n=n, m=n).tiles.count()
@@ -81,16 +82,16 @@ def test_coordinate_slower_than_tiled_simulated(measure):
     _record, run_measured = measure
     for n in SIZES:
         measured = {}
-        for force_coordinate in (False, True):
-            session, A, B = _setup(n, force_coordinate)
+        for strategy in (None, "coordinate"):
+            session, A, B = _setup(n, strategy)
 
             def run():
                 session.run(MULTIPLY, A=A, B=B, n=n, m=n).tiles.count()
 
             _wall, sim, shuffled, _counters = run_measured(session.engine, run)
-            measured[force_coordinate] = (sim, shuffled)
+            measured[strategy] = (sim, shuffled)
         (tiled_sim, tiled_bytes), (coord_sim, coord_bytes) = (
-            measured[False], measured[True]
+            measured[None], measured["coordinate"]
         )
         assert coord_sim > (3 if n == SIZES[-1] else 1) * tiled_sim, n
         assert coord_bytes > tiled_bytes, n
@@ -100,8 +101,8 @@ def test_coordinate_and_tiled_agree():
     import numpy as np
 
     n = SIZES[0]
-    s1, A1, B1 = _setup(n, False)
-    s2, A2, B2 = _setup(n, True)
+    s1, A1, B1 = _setup(n, None)
+    s2, A2, B2 = _setup(n, "coordinate")
     r1 = s1.run(MULTIPLY, A=A1, B=B1, n=n, m=n).to_numpy()
     r2 = s2.run(MULTIPLY, A=A2, B=B2, n=n, m=n).to_numpy()
     np.testing.assert_allclose(r1, r2, rtol=1e-10)

@@ -42,8 +42,8 @@ CASES = [
 #: Forced-strategy arms the chosen plan is compared against.
 ARMS = {
     "cost-based": None,
-    "forced replicate": PlannerOptions(group_by_join=True),
-    "forced join+group-by": PlannerOptions(group_by_join=False),
+    "forced replicate": PlannerOptions(strategy="gbj-replicate"),
+    "forced join+group-by": PlannerOptions(strategy="tiled-reduce"),
 }
 
 
@@ -98,7 +98,7 @@ def test_costmodel_flip_saves_shuffle(measure, case, shape_a, shape_b,
     _, run_measured = measure
     session, compiled, _env = _setup(shape_a, shape_b, None)
     forced_session, forced, _fenv = _setup(
-        shape_a, shape_b, PlannerOptions(group_by_join=True)
+        shape_a, shape_b, PlannerOptions(strategy="gbj-replicate")
     )
 
     def measure_bytes(sess, plan):

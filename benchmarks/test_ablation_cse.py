@@ -35,7 +35,7 @@ ARMS = {"cse off": False, "cse on": True}
 def _setup(n, cse):
     session = SacSession(
         cluster=BENCH_CLUSTER, tile_size=TILE,
-        options=PlannerOptions(group_by_join=True, cse=cse),
+        options=PlannerOptions(strategy="gbj-replicate", cse=cse),
     )
     env = {
         "A": session.tiled(dense_uniform(n, n, seed=5)).materialize(),

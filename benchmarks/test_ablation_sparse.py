@@ -171,7 +171,7 @@ def test_density_sweep_cost_based_default(measure, band):
 def test_density_sweep_forced_replicate(measure, band):
     record, _ = measure
     compiled, wall, sim, shuffled, counters = _sweep_run(
-        band, PlannerOptions(group_by_join=True)
+        band, PlannerOptions(strategy="gbj-replicate")
     )
     assert compiled.plan.details["strategy"] == STRATEGY_REPLICATE
     record(

@@ -21,7 +21,7 @@ from repro import PlannerOptions, SacSession
 from repro.core import ops
 from repro.engine import BENCH_CLUSTER, PAPER_CLUSTER, EngineContext
 from repro.mllib import BlockMatrix
-from repro.planner import RULE_GROUP_BY_JOIN, RULE_TILED_REDUCE
+from repro.planner import RULE_GROUP_BY_JOIN
 from repro.workloads import dense_uniform, zipf_block_rows
 
 TILE = 90
@@ -43,28 +43,27 @@ def _arrays(n):
     return dense_uniform(n, n, seed=n), dense_uniform(n, n, seed=n + 1)
 
 
-def _sac_setup(n, group_by_join, runner=None):
+def _sac_setup(n, strategy, runner=None):
     a, b = _arrays(n)
     # Every arm plans against the cluster spec the harness simulates, so
     # the model's choices — the strategy of the cost-based arm, the SUMMA
     # grid of the GBJ arms — can be validated by measurement.
     session = SacSession(
         cluster=BENCH_CLUSTER, tile_size=TILE,
-        options=PlannerOptions(group_by_join=group_by_join), runner=runner,
+        options=PlannerOptions(strategy=strategy), runner=runner,
     )
     A = session.tiled(a).materialize()
     B = session.tiled(b).materialize()
     compiled = session.compile(MULTIPLY, A=A, B=B, n=n, m=n)
-    if group_by_join is not None:
-        expected = RULE_GROUP_BY_JOIN if group_by_join else RULE_TILED_REDUCE
-        assert compiled.plan.rule == expected
+    if strategy is not None:
+        assert compiled.plan.details["strategy"] == strategy
     return session, A, B, compiled
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_multiplication_sac_gbj(benchmark, measure, n):
     record, run_measured = measure
-    session, A, B, compiled = _sac_setup(n, group_by_join=True)
+    session, A, B, compiled = _sac_setup(n, "gbj-replicate")
 
     def run():
         session.run(MULTIPLY, A=A, B=B, n=n, m=n).tiles.count()
@@ -78,7 +77,7 @@ def test_multiplication_sac_gbj(benchmark, measure, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_multiplication_sac_join_groupby(benchmark, measure, n):
     record, run_measured = measure
-    session, A, B, compiled = _sac_setup(n, group_by_join=False)
+    session, A, B, compiled = _sac_setup(n, "tiled-reduce")
 
     def run():
         session.run(MULTIPLY, A=A, B=B, n=n, m=n).tiles.count()
@@ -93,7 +92,7 @@ def test_multiplication_sac_join_groupby(benchmark, measure, n):
 def test_multiplication_sac_costbased(benchmark, measure, n):
     """The cost-based default: the planner picks the strategy itself."""
     record, run_measured = measure
-    session, A, B, compiled = _sac_setup(n, group_by_join=None)
+    session, A, B, compiled = _sac_setup(n, None)
 
     def run():
         session.run(MULTIPLY, A=A, B=B, n=n, m=n).tiles.count()
@@ -131,8 +130,9 @@ def test_fig4b_ordering_holds(measure):
     _, run_measured = measure
     n = SIZES[-1]
     simulated = {}
-    for arm, group_by_join in [("gbj", True), ("join+group-by", False)]:
-        session, A, B, _ = _sac_setup(n, group_by_join, runner="serial")
+    arms = [("gbj", "gbj-replicate"), ("join+group-by", "tiled-reduce")]
+    for arm, strategy in arms:
+        session, A, B, _ = _sac_setup(n, strategy, runner="serial")
         simulated[arm] = run_measured(
             session.engine,
             lambda: session.run(MULTIPLY, A=A, B=B, n=n, m=n).tiles.count(),
@@ -143,7 +143,7 @@ def test_fig4b_ordering_holds(measure):
     assert simulated["gbj"] < simulated["mllib"] < simulated["join+group-by"], (
         simulated
     )
-    _, _, _, chosen = _sac_setup(n, group_by_join=None)
+    _, _, _, chosen = _sac_setup(n, None)
     assert chosen.plan.rule == RULE_GROUP_BY_JOIN
     assert chosen.plan.details["strategy"].startswith("gbj-")
 
@@ -156,7 +156,7 @@ def _skewed_setup(adaptive):
     a, b = skewed.T.copy(), skewed
     session = SacSession(
         cluster=PAPER_CLUSTER, tile_size=TILE,
-        options=PlannerOptions(group_by_join=False),
+        options=PlannerOptions(strategy="tiled-reduce"),
         runner="serial", adaptive=adaptive,
     )
     # One partition per core, as on the paper's cluster: the operands'
@@ -224,8 +224,8 @@ def test_multiplication_results_agree():
 
     n = SIZES[0]
     a, b = _arrays(n)
-    gbj_session, A1, B1, _ = _sac_setup(n, True)
-    jg_session, A2, B2, _ = _sac_setup(n, False)
+    gbj_session, A1, B1, _ = _sac_setup(n, "gbj-replicate")
+    jg_session, A2, B2, _ = _sac_setup(n, "tiled-reduce")
     engine = EngineContext()
     expected = a @ b
     np.testing.assert_allclose(

@@ -61,7 +61,9 @@ def main() -> None:
         A=A, C=C, n=N, m=N,
     )
 
-    no_gbj = SacSession(tile_size=TILE, options=PlannerOptions(group_by_join=False))
+    no_gbj = SacSession(
+        tile_size=TILE, options=PlannerOptions(strategy="tiled-reduce")
+    )
     A2 = no_gbj.tiled(dense_uniform(N, M, seed=1))
     C2 = no_gbj.tiled(dense_uniform(M, N, seed=3))
     show(
@@ -72,7 +74,9 @@ def main() -> None:
         A=A2, C=C2, n=N, m=N,
     )
 
-    coo = SacSession(tile_size=TILE, options=PlannerOptions(force_coordinate=True))
+    coo = SacSession(
+        tile_size=TILE, options=PlannerOptions(strategy="coordinate")
+    )
     A3 = coo.tiled(dense_uniform(24, 20, seed=1))
     show(
         "Coordinate-format execution (Section 4, Rules 13/14) — the "

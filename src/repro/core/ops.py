@@ -96,10 +96,10 @@ def multiply(
 ) -> TiledMatrix:
     """Matrix multiplication — Query (9).
 
-    Compiles to the group-by-join / SUMMA plan (5.4) when the session's
-    planner options allow it, otherwise to the tile join + reduceByKey
-    plan (5.3).  The ``PlannerOptions(group_by_join=False)`` session
-    reproduces the paper's slower "SAC" variant from Figure 4.B.
+    Compiles to the cost model's choice among the group-by-join plans
+    (5.4) and the tile join + reduceByKey plan (5.3).  A session with
+    ``PlannerOptions(strategy="tiled-reduce")`` reproduces the paper's
+    slower "SAC" variant from Figure 4.B.
     """
     if a.cols != b.rows:
         raise ValueError(

@@ -7,23 +7,27 @@ re-read.  This module is the engine's in-process analog:
 * **Partition blocks** (``RDD.cache``): each cached partition is stored
   with its estimated serialized size (via the same accountant that
   prices shuffles, so cached bytes and shuffled bytes are comparable).
-  When a ``memory_budget`` is configured, least-recently-used blocks are
-  evicted until the store fits; an evicted partition is transparently
-  recomputed on next access.  Hits, misses, and evicted bytes are
-  reported through :class:`~repro.engine.metrics.MetricsRegistry`.
+  When a ``memory_budget`` is configured (the substrate passes its
+  ``memory_limit``) or a tenant has a quota, least-recently-used blocks
+  are evicted until the store fits: spilled when a spill store is
+  attached (below), else dropped, and a dropped partition is
+  transparently recomputed on next access.  Hits, misses, and evicted
+  bytes are reported through
+  :class:`~repro.engine.metrics.MetricsRegistry`.
 
-* **Shuffle outputs** (opt-in, ``reuse_shuffles=True``): a finished
-  shuffle registers its reduce-side output under ``(parent RDD id,
+* **Shuffle outputs** (per lineage, :meth:`RDD.mark_shuffle_reuse`,
+  which the planner's CSE pass calls): a finished shuffle of a marked
+  lineage registers its reduce-side output under ``(parent RDD id,
   partitioner, aggregator)``.  A later shuffle of the *same* parent
   through an equal partitioner (aggregator matched by identity; plain
   re-partitions match each other) reuses the retained output instead of
   moving the data again — Spark's shuffle files surviving across jobs.
   The registry keeps the most recent :data:`SHUFFLE_REGISTRY_LIMIT`
   outputs; dropping an entry only forgets the reuse opportunity (the
-  owning RDD keeps its own reference), so the bound is safe.  Reuse is
-  off by default because it changes shuffle accounting: a reused
-  shuffle records no stage, no tasks, and no bytes — correct for the
-  cluster being simulated, but not comparable against runs without it.
+  owning RDD keeps its own reference), so the bound is safe.  Unmarked
+  lineages never register: a reused shuffle records no stage, no tasks,
+  and no bytes — correct for the cluster being simulated, but not
+  comparable against runs without it.
 
 * **The spill tier** (``spill_store=``, wired up by the session's
   ``memory_limit``): with an object store attached, eviction serializes
@@ -181,14 +185,11 @@ class BlockManager:
     Args:
         metrics: registry receiving hit/miss/eviction/spill counters.
         memory_budget: cap on total resident block bytes; ``None``
-            (default) stores everything, matching the historical
-            unbounded cache.
-        reuse_shuffles: retain shuffle outputs and serve later equal
-            shuffles from them (off by default — reuse skips the
-            repeated shuffle's stage/byte accounting).
+            (default) stores everything.  The substrate fills it from
+            its ``memory_limit``.
         spill_store: object store backing the spill tier
-            (:mod:`repro.storage.objectstore`); ``None`` keeps the
-            historical drop-for-recompute eviction.
+            (:mod:`repro.storage.objectstore`); ``None`` drops evicted
+            blocks for recompute.
         prefetch: allow background restoration of spilled blocks ahead
             of stage dispatch (only meaningful with a spill store).
     """
@@ -197,7 +198,6 @@ class BlockManager:
         self,
         metrics: MetricsRegistry,
         memory_budget: Optional[int] = None,
-        reuse_shuffles: bool = False,
         spill_store: Any = None,
         prefetch: bool = True,
     ):
@@ -207,7 +207,6 @@ class BlockManager:
             )
         self._metrics = metrics
         self._budget = memory_budget
-        self._reuse_shuffles = reuse_shuffles
         self._store = spill_store
         self._prefetch_enabled = prefetch
         #: Set by the context so restore/spill paths pass through the
@@ -238,10 +237,6 @@ class BlockManager:
     # ------------------------------------------------------------------
     # Partition blocks
     # ------------------------------------------------------------------
-
-    @property
-    def memory_budget(self) -> Optional[int]:
-        return self._budget
 
     @property
     def spill_enabled(self) -> bool:
@@ -756,21 +751,16 @@ class BlockManager:
         parent_id: int,
         partitioner: Partitioner,
         aggregator: Optional[Aggregator],
-        opt_in: bool = False,
     ) -> Optional[Any]:
         """A retained equal shuffle's output, or ``None``.
 
         Equality means: same map-side parent, equal partitioner, and the
         *same* aggregator object (combining functions cannot be compared
         structurally) — or no aggregator on either side, which makes all
-        plain re-partitions of a parent interchangeable.
-
-        ``opt_in`` admits a single lookup even when the engine-wide
-        ``reuse_shuffles`` flag is off — used by the planner's CSE pass,
-        which marks exactly the lineages whose reuse it proved safe.
+        plain re-partitions of a parent interchangeable.  Only lineages
+        the planner's CSE pass marked (:meth:`RDD.mark_shuffle_reuse`)
+        ask.
         """
-        if not (self._reuse_shuffles or opt_in):
-            return None
         with self._lock:
             for entry in self._shuffles.get(parent_id, ()):
                 if entry.aggregator is aggregator and entry.partitioner == partitioner:
@@ -784,15 +774,9 @@ class BlockManager:
         partitioner: Partitioner,
         aggregator: Optional[Aggregator],
         output: Any,
-        opt_in: bool = False,
-    ) -> bool:
-        """Retain a finished shuffle's output for later equal shuffles.
-
-        Returns whether it was retained (``False``: reuse is off for
-        this lineage, and the output belongs to its producer alone).
-        """
-        if not (self._reuse_shuffles or opt_in):
-            return False
+    ) -> None:
+        """Retain a finished shuffle's output for later equal shuffles
+        (of marked lineages only, like :meth:`lookup_shuffle`)."""
         with self._lock:
             self._shuffles.setdefault(parent_id, []).append(
                 _ShuffleEntry(partitioner, aggregator, output)
@@ -805,7 +789,6 @@ class BlockManager:
                 if not entries:
                     del self._shuffles[oldest_parent]
                 self._num_shuffle_entries -= 1
-        return True
 
     # ------------------------------------------------------------------
     # Tenancy

@@ -98,9 +98,6 @@ class EngineContext:
         self,
         cluster: ClusterSpec = PAPER_CLUSTER,
         runner: Optional[TaskRunner | str] = None,
-        default_parallelism: Optional[int] = None,
-        memory_budget: Optional[int] = None,
-        reuse_shuffles: bool = False,
         adaptive: bool = False,
         memory_limit: Optional[int | str] = None,
         spill_store: Any = None,
@@ -114,8 +111,6 @@ class EngineContext:
         if substrate is None:
             substrate = EngineSubstrate(
                 cluster=cluster, runner=runner,
-                default_parallelism=default_parallelism,
-                memory_budget=memory_budget, reuse_shuffles=reuse_shuffles,
                 memory_limit=memory_limit, spill_store=spill_store,
                 spill_prefetch=spill_prefetch,
                 max_concurrent_jobs=max_concurrent_jobs,

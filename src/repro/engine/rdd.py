@@ -65,9 +65,9 @@ class RDD:
         self.partitioner = partitioner
         self._cached = False
         #: Per-lineage opt-in to shuffle-output reuse (set by the
-        #: planner's CSE pass via :meth:`mark_shuffle_reuse`); lets the
-        #: BlockManager retain/serve this RDD's map outputs even when
-        #: the engine-wide ``reuse_shuffles`` flag is off.
+        #: planner's CSE pass via :meth:`mark_shuffle_reuse`); only
+        #: marked lineages have the BlockManager retain/serve their
+        #: shuffle outputs.
         self._reuse_opt_in = False
 
     # ------------------------------------------------------------------
@@ -88,10 +88,10 @@ class RDD:
 
         A shuffle consuming a marked RDD registers its map outputs with
         the BlockManager and equal later shuffles over the same marked
-        parent are served from them — regardless of the engine-wide
-        ``reuse_shuffles`` setting.  Only the planner should call this,
-        and only for plans whose IR fingerprint proves that re-executing
-        reads the very same storages.
+        parent are served from them; no other shuffle is retained.
+        Only the planner should call this, and only for plans whose IR
+        fingerprint proves that re-executing reads the very same
+        storages.
         """
         seen: set[int] = set()
         stack: list["RDD"] = [self]

@@ -162,18 +162,18 @@ class EngineSubstrate:
     via :meth:`view`; a substrate-owning context's ``close()`` (or a
     ``with`` block) releases the pool and the spill store.
 
-    Args mirror the resource arguments of the historical
-    ``EngineContext``; the per-session ``adaptive`` flag lives on the
-    views instead.
+    Args mirror the resource arguments of ``EngineContext``; the
+    per-session ``adaptive`` flag lives on the views instead.
+    ``memory_limit`` is the one memory knob: it caps resident block
+    bytes and spills what does not fit (to ``spill_store``, else a
+    private ``LocalDiskStore``).  Parallelism is the cluster's
+    (:meth:`ClusterSpec.default_parallelism`).
     """
 
     def __init__(
         self,
         cluster: ClusterSpec = PAPER_CLUSTER,
         runner: Optional[TaskRunner | str] = None,
-        default_parallelism: Optional[int] = None,
-        memory_budget: Optional[int] = None,
-        reuse_shuffles: bool = False,
         memory_limit: Optional[int | str] = None,
         spill_store: Any = None,
         spill_prefetch: bool = True,
@@ -186,14 +186,11 @@ class EngineSubstrate:
         # land in the right JobMetrics.
         self.runner.metrics = self.metrics
         # Out-of-core tier: ``memory_limit`` both caps resident block
-        # bytes and turns eviction into spill-to-store (the legacy
-        # ``memory_budget`` keeps the historical drop-for-recompute
-        # semantics).  With neither set, nothing spill-related exists.
+        # bytes and turns eviction into spill-to-store.  Without it,
+        # nothing spill-related exists and the block store is unbounded.
         self.memory_limit = parse_memory_limit(memory_limit)
         self._owns_spill_store = False
         if self.memory_limit is not None:
-            if memory_budget is None:
-                memory_budget = self.memory_limit
             if spill_store is None:
                 from ..storage.objectstore import LocalDiskStore
 
@@ -202,8 +199,8 @@ class EngineSubstrate:
                 )
                 self._owns_spill_store = True
         self.block_manager = BlockManager(
-            self.metrics, memory_budget, reuse_shuffles=reuse_shuffles,
-            spill_store=spill_store, prefetch=spill_prefetch,
+            self.metrics, self.memory_limit, spill_store=spill_store,
+            prefetch=spill_prefetch,
         )
         # Spill/restore paths pass through the runner's fault points
         # (``inject_failure("restore", ...)``).
@@ -212,9 +209,6 @@ class EngineSubstrate:
             max_concurrent_jobs, metrics=self.metrics
         )
         self.plan_caches = PlanCacheGroup()
-        self._default_parallelism = (
-            default_parallelism or cluster.default_parallelism()
-        )
         self._rdd_counter = 0
         self._rdd_counter_lock = threading.Lock()
         self._view_counter = 0
@@ -224,7 +218,7 @@ class EngineSubstrate:
 
     @property
     def default_parallelism(self) -> int:
-        return self._default_parallelism
+        return self.cluster.default_parallelism()
 
     def register_rdd(self) -> int:
         """The next substrate-global RDD id.

@@ -408,8 +408,8 @@ class _JobCompiler:
         blocks = node.ctx.block_manager
         opt_in = node._reuse_opt_in or node._parent._reuse_opt_in
         reused = blocks.lookup_shuffle(
-            node._parent.id, node.partitioner, node._aggregator, opt_in=opt_in
-        )
+            node._parent.id, node.partitioner, node._aggregator
+        ) if opt_in else None
         if reused is not None:
             # Compile-time shuffle reuse: the node is a materialized leaf.
             node._map_stats = getattr(reused, "stats", None)
@@ -576,10 +576,10 @@ class _JobCompiler:
             self._finish(node)
             # Registered once complete, so registry reuse never serves a
             # half-filled handle.
-            blocks.register_shuffle(
-                parent.id, node.partitioner, node._aggregator, output,
-                opt_in=opt_in,
-            )
+            if opt_in:
+                blocks.register_shuffle(
+                    parent.id, node.partitioner, node._aggregator, output
+                )
 
         def maps_done_hook():
             stats = shuffle.finish_map_phase()
@@ -805,8 +805,8 @@ class _JobCompiler:
                 continue
             opt_in = node._reuse_opt_in or parent._reuse_opt_in
             reused = blocks.lookup_shuffle(
-                parent.id, node.partitioner, None, opt_in=opt_in
-            )
+                parent.id, node.partitioner, None
+            ) if opt_in else None
             if reused is not None:
                 node._parent_stats[index] = getattr(reused, "stats", None)
                 blocks.prefetch_namespace(reused.owner)
@@ -840,9 +840,10 @@ class _JobCompiler:
                 node._parent_stats[index] = buckets.stats = stats
                 for r in range(num_parts):
                     buckets.put(r, pshuffle.read_bucket(r))
-                if blocks.register_shuffle(
-                    parent.id, node.partitioner, None, buckets, opt_in=opt_in
-                ):
+                if opt_in:
+                    blocks.register_shuffle(
+                        parent.id, node.partitioner, None, buckets
+                    )
                     self._keep(f"out/{label}")
                 else:
                     scratch.append(f"out/{label}")

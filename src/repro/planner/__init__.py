@@ -15,7 +15,7 @@ from .codegen import (
 )
 from .cost import (
     CostEstimate, CostModel, STRATEGY_BROADCAST_LEFT, STRATEGY_BROADCAST_RIGHT,
-    STRATEGY_COORDINATE, STRATEGY_REPLICATE, STRATEGY_TILED_REDUCE,
+    STRATEGIES, STRATEGY_COORDINATE, STRATEGY_REPLICATE, STRATEGY_TILED_REDUCE,
     choose_strategy,
 )
 from .ir import IRNode, PassTraceEntry
@@ -48,6 +48,7 @@ __all__ = [
     "KernelUnsupported",
     "Plan",
     "PlannerOptions",
+    "STRATEGIES",
     "STRATEGY_BROADCAST_LEFT",
     "STRATEGY_BROADCAST_RIGHT",
     "STRATEGY_COORDINATE",

@@ -30,8 +30,6 @@ lookups report hit/miss counters into the engine's
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -39,6 +37,7 @@ import numpy as np
 
 from ..comprehension.ast import Expr, free_vars, to_source
 from ..engine.batch import TileBatch, in_input_order, tile_groups
+from ..engine.substrate import LruCache
 from .kernels import (
     KernelUnsupported, _div, emit_vectorized_source, literal_source,
 )
@@ -336,20 +335,17 @@ def generate_fused_kernel(
 class KernelCache:
     """Compile each fused source once per fingerprint, LRU-bounded.
 
-    Thread-safe; compilation happens outside the lock (a racing double
-    compile of the same fingerprint is harmless and keeps lookups from
-    serializing behind ``exec``).  Hit/miss lookups are mirrored into
-    the engine's metrics when a registry is passed, so ``--metrics``
-    and the benchmark harness can report kernel-cache behavior.
+    The bound, the counters and the lock are the substrate's
+    :class:`~repro.engine.substrate.LruCache`; compilation happens
+    outside its lock (a racing double compile of the same fingerprint
+    is harmless and keeps lookups from serializing behind ``exec``).
+    Hit/miss lookups are mirrored into the engine's metrics when a
+    registry is passed, so ``--metrics`` and the benchmark harness can
+    report kernel-cache behavior.
     """
 
     def __init__(self, maxsize: int = 128):
-        self._maxsize = maxsize
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, Callable]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self._cache = LruCache(maxsize)
 
     def get(
         self,
@@ -357,14 +353,11 @@ class KernelCache:
         source: str,
         metrics: Optional[Any] = None,
     ) -> Callable:
-        with self._lock:
-            fn = self._entries.get(fingerprint)
-            if fn is not None:
-                self._entries.move_to_end(fingerprint)
-                self.hits += 1
-                if metrics is not None:
-                    metrics.record_kernel_cache_hit()
-                return fn
+        fn = self._cache.get(fingerprint)
+        if fn is not None:
+            if metrics is not None:
+                metrics.record_kernel_cache_hit()
+            return fn
         namespace: dict[str, Any] = {
             "np": np, "_div": _div, "_TileBatch": TileBatch,
             "_tile_groups": tile_groups, "_in_order": in_input_order,
@@ -372,24 +365,13 @@ class KernelCache:
         code = compile(source, f"<sac-fused:{fingerprint}>", "exec")
         exec(code, namespace)
         fn = namespace["_fused_partition"]
-        with self._lock:
-            self.misses += 1
-            self._entries[fingerprint] = fn
-            while len(self._entries) > self._maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+        self._cache.put(fingerprint, fn)
         if metrics is not None:
             metrics.record_kernel_cache_miss()
         return fn
 
     def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "size": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
+        return self._cache.stats()
 
 
 #: Process-wide cache: fused sources are pure functions of the plan, so

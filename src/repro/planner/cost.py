@@ -104,6 +104,11 @@ STRATEGY_BROADCAST_LEFT = "gbj-broadcast-left"
 STRATEGY_BROADCAST_RIGHT = "gbj-broadcast-right"
 STRATEGY_TILED_REDUCE = "tiled-reduce"
 STRATEGY_COORDINATE = "coordinate"
+#: Every name ``PlannerOptions(strategy=...)`` accepts.
+STRATEGIES = (
+    STRATEGY_REPLICATE, STRATEGY_BROADCAST_LEFT, STRATEGY_BROADCAST_RIGHT,
+    STRATEGY_TILED_REDUCE, STRATEGY_COORDINATE,
+)
 
 
 @dataclass(frozen=True)
@@ -244,12 +249,6 @@ class CostModel:
                 block_density = min(1.0, records / tiles) if tiles else 1.0
                 stats = DensityStats(block_density, block_density)
         return elements * ELEMENT_BYTES, tiles, partitions, stats
-
-    def stored_tiles(self, gen) -> float:
-        """Stored tile count of a generator: its dense grid scaled by the
-        block density :meth:`_gen_stats` prices with."""
-        _nbytes, tiles, _partitions, stats = self._gen_stats(gen)
-        return tiles * stats.block_density
 
     def _compute(self, flops: float, calls: float, parallelism: int) -> float:
         parallelism = max(1, parallelism)
@@ -515,17 +514,12 @@ class CostModel:
         )
 
 
-def choose_strategy(
-    candidates: dict[str, CostEstimate],
-    allowed: Optional[list[str]] = None,
-) -> str:
-    """The cheapest allowed strategy; ties break toward the earlier entry
-    (replicate — the paper's preferred SUMMA plan — is listed first)."""
-    order = allowed or [
-        STRATEGY_REPLICATE,
-        STRATEGY_BROADCAST_LEFT,
-        STRATEGY_BROADCAST_RIGHT,
-        STRATEGY_TILED_REDUCE,
+def choose_strategy(candidates: dict[str, CostEstimate]) -> str:
+    """The cheapest tiled strategy; ties break toward the earlier entry of
+    :data:`STRATEGIES` (replicate — the paper's preferred SUMMA plan — is
+    listed first).  The coordinate estimate is for ``explain`` only."""
+    viable = [
+        name for name in STRATEGIES
+        if name in candidates and name != STRATEGY_COORDINATE
     ]
-    viable = [name for name in order if name in candidates]
     return min(viable, key=lambda name: candidates[name].total_seconds)

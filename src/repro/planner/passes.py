@@ -53,8 +53,9 @@ from ..storage.sparse_tiled import SparseTiledMatrix
 from ..storage.tiled import TiledMatrix, TiledVector
 from .analysis import CompInfo, analyze
 from .cost import (
-    STRATEGY_BROADCAST_LEFT, STRATEGY_BROADCAST_RIGHT, STRATEGY_REPLICATE,
-    STRATEGY_TILED_REDUCE, CostEstimate, CostModel, choose_strategy,
+    STRATEGY_BROADCAST_LEFT, STRATEGY_BROADCAST_RIGHT, STRATEGY_COORDINATE,
+    STRATEGY_REPLICATE, STRATEGY_TILED_REDUCE, CostEstimate, CostModel,
+    choose_strategy,
 )
 from .codegen import generate_fused_kernel
 from .groupby_join import emit_broadcast, emit_replicate, match_group_by_join
@@ -305,9 +306,8 @@ def pass_tiling_resolution(state: PlanState) -> str:
     """Resolve generators against tiled storages for the Section 5 rules."""
     if state.kind != "distributed":
         return "skipped (local plan)"
-    options = state.options
-    if options.force_coordinate:
-        return "skipped (force_coordinate)"
+    if state.options.strategy == STRATEGY_COORDINATE:
+        return "skipped (strategy coordinate)"
     if state.builder not in ("tiled", "tiled_vector"):
         return "skipped (result is not a tiled builder)"
     const_env = {
@@ -368,6 +368,8 @@ def pass_strategy_selection(state: PlanState) -> str:
     if root is None:
         state.kind = "local"
         return "no distributed rule applies -> local fallback"
+    if state.options.strategy == STRATEGY_COORDINATE:
+        root.attrs["details"]["strategy"] = STRATEGY_COORDINATE
     state.physical = root
     return _selection_note(root)
 
@@ -386,20 +388,17 @@ def _select_group_by(state: PlanState) -> Optional[IRNode]:
     When the group-by-join pattern matches, every candidate (SUMMA
     replication, broadcasting either side, the 5.3 join+group-by) is
     costed against the engine's cluster spec and the cheapest one is
-    emitted — unless an explicit override (``group_by_join``,
-    ``broadcast_threshold``) forces a strategy.  The estimates are
-    attached to the root node for ``explain`` and the
+    emitted — unless ``PlannerOptions.strategy`` pins one.  The
+    estimates are attached to the root node for ``explain`` and the
     estimated-vs-actual shuffle counters.
     """
     setup, engine, options = state.setup, state.engine, state.options
     builder, args = state.builder, state.args
     match = state.match = match_group_by_join(setup)
     candidates: dict[str, CostEstimate] = {}
-    # Cost-chosen = no explicit override pinned the strategy; only then
-    # may the adaptive layer second-guess the choice at execute time.
-    cost_chosen = (
-        options.group_by_join is None and options.broadcast_threshold is None
-    )
+    # Only an unpinned choice may be second-guessed by the adaptive
+    # layer at execute time.
+    cost_chosen = options.strategy is None
     if match is not None:
         model = CostModel(
             engine.cluster, engine.default_parallelism,
@@ -407,7 +406,7 @@ def _select_group_by(state: PlanState) -> Optional[IRNode]:
             memory_limit=getattr(engine, "memory_limit", None),
         )
         candidates = model.candidates(setup, match)
-        strategy = _choose_gbj_strategy(options, match, candidates, model)
+        strategy = options.strategy or choose_strategy(candidates)
         root: Optional[IRNode] = None
         if strategy == STRATEGY_REPLICATE:
             root = emit_replicate(
@@ -426,7 +425,10 @@ def _select_group_by(state: PlanState) -> Optional[IRNode]:
             return root
 
     root = emit_tiled_reduce(setup, builder, args)
-    if root is None and match is not None and options.group_by_join is not False:
+    if (
+        root is None and match is not None
+        and options.strategy != STRATEGY_TILED_REDUCE
+    ):
         # The 5.3 rule has preconditions (e.g. on the head key) the
         # group-by-join does not; fall back to the always-buildable
         # SUMMA plan rather than dropping to the coordinate path.
@@ -439,34 +441,6 @@ def _select_group_by(state: PlanState) -> Optional[IRNode]:
         if match is not None and cost_chosen:
             root.attrs["adaptive_candidate"] = True
     return root
-
-
-def _choose_gbj_strategy(
-    options: "PlannerOptions",
-    match,
-    candidates: dict[str, CostEstimate],
-    model: CostModel,
-) -> str:
-    """Apply the option overrides, else ask the cost model."""
-    if options.group_by_join is False:
-        return STRATEGY_TILED_REDUCE
-    threshold = options.broadcast_threshold
-    if threshold is not None and threshold > 0:
-        # Legacy gating override: broadcast whichever side's *stored*
-        # tiles fit under the threshold (right side preferred, matching
-        # the original implementation), SUMMA replication otherwise.
-        if model.stored_tiles(match.right_gen) <= threshold:
-            return STRATEGY_BROADCAST_RIGHT
-        if model.stored_tiles(match.left_gen) <= threshold:
-            return STRATEGY_BROADCAST_LEFT
-        return STRATEGY_REPLICATE
-    if options.group_by_join is True:
-        return STRATEGY_REPLICATE
-    if threshold == 0:
-        return choose_strategy(
-            candidates, [STRATEGY_REPLICATE, STRATEGY_TILED_REDUCE]
-        )
-    return choose_strategy(candidates)
 
 
 def _attach_estimates(

@@ -19,12 +19,12 @@ and :mod:`repro.planner.lower` turns the physical DAG into the
 executable :class:`~repro.planner.plan.Plan`.  ``plan_query`` is just
 the composition, so the finished plan carries the full pass trace.
 
-``PlannerOptions`` exposes overrides for the ablations:
-``group_by_join=False`` reproduces the paper's "SAC" (join + group-by)
-multiplication, ``group_by_join=True`` forces SUMMA replication,
-``force_coordinate=True`` reproduces the coordinate-format execution of
-the earlier DIABLO system; the default (``None``) lets the cost model
-decide.
+``PlannerOptions(strategy=...)`` pins one of the cost model's candidate
+names for the ablations: ``"tiled-reduce"`` reproduces the paper's
+"SAC" (join + group-by) multiplication, ``"gbj-replicate"`` forces
+SUMMA replication, ``"coordinate"`` reproduces the coordinate-format
+execution of the earlier DIABLO system; the default (``None``) lets the
+cost model decide.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from typing import Any, Optional
 from ..comprehension.ast import Expr
 from ..engine import EngineContext
 from ..storage.registry import BuildContext
+from .cost import STRATEGIES
 from .lower import lower
 from .passes import PassManager, PlanState, default_passes
 from .plan import Plan
@@ -42,20 +43,18 @@ from .plan import Plan
 
 @dataclass
 class PlannerOptions:
-    """Overrides controlling rule selection (used by the ablations).
+    """Planner switches; ``strategy`` is the ablations' one override.
 
-    ``group_by_join``: ``None`` (default) lets the cost model pick the
-    cheapest group-by-join strategy (SUMMA replication, broadcasting one
-    side, or the 5.3 join+group-by); ``True`` forces SUMMA replication
-    (the pre-cost-model default); ``False`` forces the 5.3 translation.
-
-    ``broadcast_threshold`` is an extension beyond the paper: when set
-    > 0 and one side of a group-by-join has at most that many tiles, the
-    whole side is broadcast to every task instead of SUMMA-replicated —
-    the standard Spark map-side-join optimization, profitable for tall
-    skinny factors (e.g. the factorization's rank-k matrices).  It is a
-    hard override; ``0`` forbids broadcasting even in cost-based mode,
-    and ``None`` (default) leaves the choice to the cost model.
+    ``strategy``: ``None`` (default) lets the cost model pick the
+    cheapest plan for a group-by-join (SUMMA replication, broadcasting
+    one side, or the 5.3 join+group-by).  A candidate name pins it:
+    ``"gbj-replicate"`` (SUMMA, Section 5.4), ``"gbj-broadcast-left"`` /
+    ``"gbj-broadcast-right"`` (ship that whole side to every task — the
+    Spark map-side join, an extension beyond the paper),
+    ``"tiled-reduce"`` (the 5.3 join+group-by) or ``"coordinate"``
+    (skip the tiled rules: the element-level Rules 13/14).  A pin is
+    honoured where its rule applies; elsewhere the rules run in their
+    usual order.  A pinned plan is never re-planned adaptively.
 
     ``cse``: common-subplan elimination, off by default (``repro
     serve`` turns it on).  When on, identity-equal subplans are merged,
@@ -72,11 +71,16 @@ class PlannerOptions:
     for every chain (the differential tests' reference).
     """
 
-    group_by_join: Optional[bool] = None
-    force_coordinate: bool = False
-    broadcast_threshold: Optional[int] = None
+    strategy: Optional[str] = None
     cse: bool = False
     fusion: bool = True
+
+    def __post_init__(self) -> None:
+        if self.strategy is not None and self.strategy not in STRATEGIES:
+            raise ValueError(
+                f"unknown strategy {self.strategy!r}; expected None or one "
+                f"of {', '.join(STRATEGIES)}"
+            )
 
     def cache_signature(self) -> tuple:
         """Hashable identity for plan caching: every field, since each

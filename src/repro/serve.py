@@ -102,8 +102,10 @@ class QueryService:
     runner), so every lineage over the shared datasets executes under
     one uniform policy — per-tenant *data* is still isolated by tenant-labeled
     block namespaces and global RDD ids.  The engine runs adaptive
-    unless ``adaptive=False`` and retains shuffle outputs when
-    ``options.cse`` is on.
+    unless ``adaptive=False``.  With ``options.cse`` on (the default
+    here) the shuffles CSE marks for reuse stay in the shared block
+    store, so equal shuffles from other tenants' queries over the hosted
+    datasets are answered from it.
     """
 
     def __init__(
@@ -124,10 +126,6 @@ class QueryService:
         self._quota = parse_memory_limit(quota)
         engine = EngineContext(
             cluster=cluster, runner=runner, memory_limit=memory_limit,
-            # Retain finished shuffle outputs so equal shuffles from
-            # *other* tenants' queries are answered from the store
-            # (CSE's per-plan opt-in only covers within-plan reuse).
-            reuse_shuffles=options.cse,
             adaptive=adaptive,
             max_concurrent_jobs=max_concurrent,
         )

@@ -77,7 +77,7 @@ def _skew_run(adaptive, n=360, tile=45):
     a, b = _skewed_arrays(n, tile)
     with SacSession(
         cluster=_SKEW_CLUSTER, tile_size=tile,
-        options=PlannerOptions(group_by_join=False),
+        options=PlannerOptions(strategy="tiled-reduce"),
         runner="serial", adaptive=adaptive,
     ) as session:
         # The skew is spread over the cluster's cores, not over the few
@@ -209,7 +209,7 @@ def test_measured_sizes_feed_later_compiles():
 
 def test_downgrade_respects_explicit_strategy_overrides():
     session, A, B, a, b, n = _downgrade_session()
-    session.options = PlannerOptions(group_by_join=True)  # pinned by user
+    session.options = PlannerOptions(strategy="gbj-replicate")  # pinned by user
     with session:
         compiled = session.compile(MULTIPLY, A=A, B=B, n=n, m=n)
         assert compiled.plan.details["strategy"] == "gbj-replicate"

@@ -27,7 +27,7 @@ from repro.engine.serialization import estimate_record_size
 
 @pytest.fixture()
 def ctx():
-    return EngineContext(cluster=TINY_CLUSTER, default_parallelism=4)
+    return EngineContext(cluster=TINY_CLUSTER)
 
 
 def _tile_records(split, nbytes_per_record=800, records=2):
@@ -70,8 +70,10 @@ def test_unpersist_drops_blocks_without_counting_eviction(ctx):
 
 def test_lru_eviction_under_memory_budget():
     per_split = 2 + (2 + 8 + 8) + 16 + 8 + 800  # one tile record per split
+    # A tenant quota is a budget without a spill store: evicted blocks
+    # are dropped and recomputed.
     ctx = EngineContext(
-        cluster=TINY_CLUSTER, memory_budget=2 * per_split + 10
+        cluster=TINY_CLUSTER, tenant="t", quota=2 * per_split + 10
     )
     rdd = ctx.parallelize(
         [((i, 0), np.zeros(100)) for i in range(4)], 4
@@ -200,8 +202,9 @@ def test_shuffle_reuse_disabled_by_default(ctx):
 
 
 def test_shuffle_reuse_serves_equal_repartition():
-    ctx = EngineContext(cluster=TINY_CLUSTER, reuse_shuffles=True)
+    ctx = EngineContext(cluster=TINY_CLUSTER)
     source = ctx.parallelize([(i % 5, i) for i in range(50)], 4)
+    source.mark_shuffle_reuse()
     first = ShuffledRDD(source, HashPartitioner(3), None)
     second = ShuffledRDD(source, HashPartitioner(3), None)
     out_first = first.collect()
@@ -215,8 +218,9 @@ def test_shuffle_reuse_serves_equal_repartition():
 
 
 def test_shuffle_reuse_requires_equal_partitioner():
-    ctx = EngineContext(cluster=TINY_CLUSTER, reuse_shuffles=True)
+    ctx = EngineContext(cluster=TINY_CLUSTER)
     source = ctx.parallelize([(i % 5, i) for i in range(50)], 4)
+    source.mark_shuffle_reuse()
     ShuffledRDD(source, HashPartitioner(3), None).collect()
     ShuffledRDD(source, HashPartitioner(4), None).collect()
     assert ctx.metrics.total.shuffles == 2
@@ -224,8 +228,9 @@ def test_shuffle_reuse_requires_equal_partitioner():
 
 
 def test_shuffle_reuse_distinguishes_aggregators():
-    ctx = EngineContext(cluster=TINY_CLUSTER, reuse_shuffles=True)
+    ctx = EngineContext(cluster=TINY_CLUSTER)
     source = ctx.parallelize([(i % 5, i) for i in range(50)], 4)
+    source.mark_shuffle_reuse()
     partitioner = HashPartitioner(3)
     reduced = source.reduce_by_key(lambda a, b: a + b, partitioner=partitioner)
     reduced.collect()
@@ -237,7 +242,7 @@ def test_shuffle_reuse_distinguishes_aggregators():
 
 def test_shuffle_registry_is_bounded():
     metrics = MetricsRegistry()
-    blocks = BlockManager(metrics, reuse_shuffles=True)
+    blocks = BlockManager(metrics)
     for i in range(SHUFFLE_REGISTRY_LIMIT + 5):
         blocks.register_shuffle(i, HashPartitioner(2), None, [[("k", i)]])
     # The oldest entries were trimmed.
@@ -247,9 +252,11 @@ def test_shuffle_registry_is_bounded():
 
 
 def test_cogroup_reuses_repartition_when_enabled():
-    ctx = EngineContext(cluster=TINY_CLUSTER, reuse_shuffles=True)
+    ctx = EngineContext(cluster=TINY_CLUSTER)
     left = ctx.parallelize([(i % 3, i) for i in range(30)], 4)
     right = ctx.parallelize([(i % 3, -i) for i in range(30)], 4)
+    left.mark_shuffle_reuse()
+    right.mark_shuffle_reuse()
     partitioner = HashPartitioner(3)
     first = left.cogroup(right, partitioner=partitioner)
     second = left.cogroup(right, partitioner=partitioner)

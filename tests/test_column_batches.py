@@ -28,7 +28,7 @@ from repro.storage import (
 
 RNG = np.random.default_rng(24)
 TILE = 4
-FORCED = PlannerOptions(force_coordinate=True)
+FORCED = PlannerOptions(strategy="coordinate")
 
 
 @pytest.fixture()

@@ -14,7 +14,7 @@ RNG = np.random.default_rng(17)
 def session():
     return SacSession(
         cluster=TINY_CLUSTER, tile_size=8,
-        options=PlannerOptions(force_coordinate=True),
+        options=PlannerOptions(strategy="coordinate"),
     )
 
 

@@ -13,7 +13,8 @@ import pytest
 from repro import PlannerOptions, SacSession
 from repro.planner import (
     RULE_GROUP_BY_JOIN, STRATEGY_BROADCAST_LEFT, STRATEGY_BROADCAST_RIGHT,
-    STRATEGY_REPLICATE, STRATEGY_TILED_REDUCE, CostEstimate, choose_strategy,
+    STRATEGY_COORDINATE, STRATEGY_REPLICATE, STRATEGY_TILED_REDUCE,
+    STRATEGIES, CostEstimate, choose_strategy,
 )
 from repro.engine import BENCH_CLUSTER, PAPER_CLUSTER, TINY_CLUSTER
 from repro.storage import TiledMatrix
@@ -40,10 +41,10 @@ GBJ_FAMILY = {
 }
 
 
-def _measured_run(n, tile, group_by_join, cluster=BENCH_CLUSTER, parts=None):
+def _measured_run(n, tile, strategy, cluster=BENCH_CLUSTER, parts=None):
     session = SacSession(
         cluster=cluster, tile_size=tile,
-        options=PlannerOptions(group_by_join=group_by_join),
+        options=PlannerOptions(strategy=strategy),
         num_partitions=parts,
     )
     a = RNG.uniform(0, 9, size=(n, n))
@@ -60,13 +61,14 @@ def _measured_run(n, tile, group_by_join, cluster=BENCH_CLUSTER, parts=None):
 
 
 @pytest.mark.parametrize("n,tile,cluster", PRICED, ids=PRICED_IDS)
-@pytest.mark.parametrize("group_by_join", [True, False])
-def test_estimates_within_2x_of_measured(n, tile, cluster, group_by_join):
-    compiled, delta = _measured_run(n, tile, group_by_join, cluster)
+@pytest.mark.parametrize("replicate", [True, False])
+def test_estimates_within_2x_of_measured(n, tile, cluster, replicate):
+    strategy = STRATEGY_REPLICATE if replicate else STRATEGY_TILED_REDUCE
+    compiled, delta = _measured_run(n, tile, strategy, cluster)
     estimate = compiled.plan.estimate
     assert estimate is not None
     assert delta.shuffle_bytes > 0
-    if group_by_join:
+    if replicate:
         coarse = max(estimate.grid) < n // tile
         assert coarse == (cluster is PAPER_CLUSTER)
     ratio = estimate.shuffle_bytes / delta.shuffle_bytes
@@ -78,14 +80,14 @@ def test_estimates_within_2x_of_measured(n, tile, cluster, group_by_join):
 
 @pytest.mark.parametrize("n,tile", FIG4B)
 def test_default_choice_matches_faster_measured_plan(n, tile):
-    def simulated_times(group_by_join):
+    def simulated_times(strategy):
         return [
-            _measured_run(n, tile, group_by_join)[1].simulated_time(BENCH_CLUSTER)
+            _measured_run(n, tile, strategy)[1].simulated_time(BENCH_CLUSTER)
             for _ in range(3)
         ]
 
-    gbj_times = simulated_times(True)
-    naive_times = simulated_times(False)
+    gbj_times = simulated_times(STRATEGY_REPLICATE)
+    naive_times = simulated_times(STRATEGY_TILED_REDUCE)
     chosen, _ = _measured_run(n, tile, None)
     strategy = chosen.plan.details["strategy"]
     # Simulated time is built from measured task clocks, so under load
@@ -104,7 +106,7 @@ def test_estimated_shuffle_counter_recorded():
 
 def test_candidates_attached_even_under_override():
     """Forced strategies still report what the model would have said."""
-    compiled, _ = _measured_run(180, 90, False)
+    compiled, _ = _measured_run(180, 90, STRATEGY_TILED_REDUCE)
     assert compiled.plan.rule != RULE_GROUP_BY_JOIN
     assert set(GBJ_FAMILY) <= set(compiled.plan.candidates)
     assert compiled.plan.estimate.strategy == STRATEGY_TILED_REDUCE
@@ -126,15 +128,18 @@ def test_explain_reports_candidates():
 # Differential: every strategy, dense and block-band sparse inputs
 # ----------------------------------------------------------------------
 
+#: Every ``PlannerOptions(strategy=...)`` pin, by test id.
 FORCINGS = [
-    ("replicate", PlannerOptions(group_by_join=True), STRATEGY_REPLICATE),
-    ("tiled-reduce", PlannerOptions(group_by_join=False), STRATEGY_TILED_REDUCE),
-    (
-        "broadcast",
-        PlannerOptions(broadcast_threshold=10**6),
-        STRATEGY_BROADCAST_RIGHT,
-    ),
+    ("replicate", STRATEGY_REPLICATE),
+    ("tiled-reduce", STRATEGY_TILED_REDUCE),
+    ("broadcast", STRATEGY_BROADCAST_RIGHT),
+    ("broadcast-left", STRATEGY_BROADCAST_LEFT),
+    ("coordinate", STRATEGY_COORDINATE),
 ]
+#: The pins the estimate check runs: the coordinate plan's join has n³
+#: rows at these shapes, and the model still prices its per-element
+#: stream rather than the column batches that run.
+TILED_FORCINGS = [f for f in FORCINGS if f[1] != STRATEGY_COORDINATE]
 
 
 def _block_band(n, tile, seed=0):
@@ -148,9 +153,10 @@ def _block_band(n, tile, seed=0):
     return a
 
 
-def _forced_run(n, tile, options, sparse, cluster=BENCH_CLUSTER, parts=None):
+def _forced_run(n, tile, strategy, sparse, cluster=BENCH_CLUSTER, parts=None):
     session = SacSession(
-        cluster=cluster, tile_size=tile, options=options, num_partitions=parts
+        cluster=cluster, tile_size=tile,
+        options=PlannerOptions(strategy=strategy), num_partitions=parts,
     )
     if sparse:
         A = session.sparse_tiled(_block_band(n, tile, seed=1)).materialize()
@@ -168,9 +174,11 @@ def _forced_run(n, tile, options, sparse, cluster=BENCH_CLUSTER, parts=None):
 
 @pytest.mark.parametrize("n,tile,cluster", PRICED, ids=PRICED_IDS)
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "block-band"])
-@pytest.mark.parametrize("label,options,expected", FORCINGS, ids=[f[0] for f in FORCINGS])
+@pytest.mark.parametrize(
+    "label,strategy", TILED_FORCINGS, ids=[f[0] for f in TILED_FORCINGS]
+)
 def test_every_forced_strategy_estimates_within_2x(
-    n, tile, cluster, sparse, label, options, expected
+    n, tile, cluster, sparse, label, strategy
 ):
     """Each strategy, forced on dense AND block-band sparse inputs, must
     predict its measured shuffle bytes within 2x — the sparse cases only
@@ -181,9 +189,9 @@ def test_every_forced_strategy_estimates_within_2x(
     matrix cut into a few row-major runs breaks (each result tile's
     partials then come from one partition, half the estimate)."""
     compiled, delta = _forced_run(
-        n, tile, options, sparse, cluster, parts=cluster.default_parallelism()
+        n, tile, strategy, sparse, cluster, parts=cluster.default_parallelism()
     )
-    assert compiled.plan.details["strategy"] == expected
+    assert compiled.plan.details["strategy"] == strategy
     estimate = compiled.plan.estimate
     assert estimate is not None and delta.shuffle_bytes > 0
     ratio = estimate.shuffle_bytes / delta.shuffle_bytes
@@ -198,6 +206,35 @@ def test_every_forced_strategy_estimates_within_2x(
         assert estimate.densities == "dense"
 
 
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "block-band"])
+@pytest.mark.parametrize("label,strategy", FORCINGS, ids=[f[0] for f in FORCINGS])
+def test_every_pin_is_the_plans_strategy(sparse, label, strategy):
+    """A pin is the plan's strategy, whatever the model would choose, and
+    every pinned plan computes the product."""
+    n, tile = 40, 10
+    session = SacSession(
+        cluster=TINY_CLUSTER, tile_size=tile,
+        options=PlannerOptions(strategy=strategy),
+    )
+    if sparse:
+        a, b = _block_band(n, tile, seed=1), _block_band(n, tile, seed=2)
+        A, B = session.sparse_tiled(a), session.sparse_tiled(b)
+    else:
+        a, b = RNG.uniform(0, 9, size=(n, n)), RNG.uniform(0, 9, size=(n, n))
+        A, B = session.tiled(a), session.tiled(b)
+    compiled = session.compile(MULTIPLY, A=A, B=B, n=n, m=n)
+    assert compiled.plan.details["strategy"] == strategy
+    np.testing.assert_allclose(compiled.execute().to_numpy(), a @ b)
+
+
+def test_unknown_strategy_is_rejected_naming_the_candidates():
+    with pytest.raises(ValueError) as raised:
+        PlannerOptions(strategy="bogus")
+    assert "'bogus'" in str(raised.value)
+    for name in STRATEGIES:
+        assert name in str(raised.value)
+
+
 def test_block_sparse_default_flips_away_from_replicate():
     """The acceptance experiment: on a block-diagonal multiply with a
     16x16 grid, density-aware pricing must flip the default plan away
@@ -208,7 +245,7 @@ def test_block_sparse_default_flips_away_from_replicate():
     # which the 0.5 MB of CSC tiles alone would cut to one partition.
     parts = BENCH_CLUSTER.default_parallelism()
     chosen, chosen_delta = _forced_run(
-        n, tile, PlannerOptions(), sparse=True, parts=parts
+        n, tile, None, sparse=True, parts=parts
     )
     strategy = chosen.plan.details["strategy"]
     assert strategy != STRATEGY_REPLICATE
@@ -217,7 +254,7 @@ def test_block_sparse_default_flips_away_from_replicate():
     assert 0.5 <= ratio <= 2.0
 
     _, replicate_delta = _forced_run(
-        n, tile, PlannerOptions(group_by_join=True), sparse=True, parts=parts
+        n, tile, STRATEGY_REPLICATE, sparse=True, parts=parts
     )
     assert chosen_delta.shuffle_bytes * 2 <= replicate_delta.shuffle_bytes
 
@@ -243,7 +280,7 @@ def test_block_sparse_default_flips_away_from_replicate():
 def test_sparse_estimated_shuffle_counter_stays_honest():
     """JobMetrics.estimated_shuffle_bytes must carry the density-scaled
     estimate, not the dense bound."""
-    compiled, delta = _forced_run(360, 90, PlannerOptions(), sparse=True)
+    compiled, delta = _forced_run(360, 90, None, sparse=True)
     assert delta.estimated_shuffle_bytes == compiled.plan.estimate.shuffle_bytes
     assert 0.5 <= delta.estimated_shuffle_bytes / delta.shuffle_bytes <= 2.0
 
@@ -263,9 +300,6 @@ def test_choose_strategy_stable_tie_prefers_replicate():
         STRATEGY_BROADCAST_LEFT: est(STRATEGY_BROADCAST_LEFT, 2.0),
     }
     assert choose_strategy(candidates) == STRATEGY_REPLICATE
-    assert choose_strategy(
-        candidates, [STRATEGY_TILED_REDUCE, STRATEGY_BROADCAST_LEFT]
-    ) == STRATEGY_TILED_REDUCE
 
 
 # ----------------------------------------------------------------------
@@ -321,7 +355,7 @@ def test_one_destination_per_cell_prices_what_it_priced_before_the_grid():
     estimate at that grid is commit a9d0f9a's, field for field, on the
     one-partition-per-core operands it priced then."""
     compiled, _ = _measured_run(
-        360, 90, True, parts=BENCH_CLUSTER.default_parallelism()
+        360, 90, STRATEGY_REPLICATE, parts=BENCH_CLUSTER.default_parallelism()
     )
     model_estimate = compiled.plan.estimate
     assert model_estimate.grid == (4, 4)
@@ -331,25 +365,3 @@ def test_one_destination_per_cell_prices_what_it_priced_before_the_grid():
     ) == (8302592, 128, 48, 16)
     assert model_estimate.total_seconds == pytest.approx(0.0172202368)
 
-
-def test_broadcast_threshold_counts_stored_tiles():
-    """The threshold compares what a broadcast would ship — a block
-    diagonal of 16 stored tiles fits under 20, its 16x16 dense grid of
-    256 does not."""
-    n, tile = 160, 10
-    session = SacSession(
-        tile_size=tile, options=PlannerOptions(broadcast_threshold=20)
-    )
-    A = session.sparse_tiled(_block_band(n, tile, seed=1))
-    B = session.sparse_tiled(_block_band(n, tile, seed=2))
-    assert A.tiles.count() == B.tiles.count() == 16
-    compiled = session.compile(MULTIPLY, A=A, B=B, n=n, m=n)
-    assert compiled.plan.details["strategy"] == STRATEGY_BROADCAST_RIGHT
-    dense = session.compile(
-        MULTIPLY, A=session.tiled(_block_band(n, tile, seed=1)), B=A, n=n, m=n
-    )
-    assert dense.plan.details["strategy"] == STRATEGY_BROADCAST_RIGHT
-    both_dense = session.compile(
-        MULTIPLY, A=A, B=session.tiled(_block_band(n, tile, seed=2)), n=n, m=n
-    )
-    assert both_dense.plan.details["strategy"] == STRATEGY_BROADCAST_LEFT

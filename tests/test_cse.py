@@ -35,7 +35,7 @@ def _run_steps(cse: bool, steps: int = STEPS):
     rng = np.random.default_rng(7)
     session = SacSession(
         cluster=TINY_CLUSTER, tile_size=10,
-        options=PlannerOptions(group_by_join=True, cse=cse),
+        options=PlannerOptions(strategy="gbj-replicate", cse=cse),
     )
     A = session.tiled(rng.uniform(size=(40, 30)))
     B = session.tiled(rng.uniform(size=(30, 40)))
@@ -77,7 +77,7 @@ def test_cse_annotations_and_trace():
     rng = np.random.default_rng(3)
     session = SacSession(
         cluster=TINY_CLUSTER, tile_size=10,
-        options=PlannerOptions(group_by_join=True, cse=True),
+        options=PlannerOptions(strategy="gbj-replicate", cse=True),
     )
     A = session.tiled(rng.uniform(size=(30, 20)))
     B = session.tiled(rng.uniform(size=(20, 30)))

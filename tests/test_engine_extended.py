@@ -8,7 +8,7 @@ from repro.engine.rdd import StatCounter
 
 @pytest.fixture()
 def ctx():
-    return EngineContext(cluster=TINY_CLUSTER, default_parallelism=4)
+    return EngineContext(cluster=TINY_CLUSTER)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from repro.engine import EngineContext, HashPartitioner, TINY_CLUSTER
 
 @pytest.fixture()
 def ctx():
-    return EngineContext(cluster=TINY_CLUSTER, default_parallelism=4)
+    return EngineContext(cluster=TINY_CLUSTER)
 
 
 def test_parallelize_collect_roundtrip(ctx):

@@ -16,7 +16,7 @@ from repro.engine.serialization import estimate_record_size, estimate_size
 
 @pytest.fixture()
 def ctx():
-    return EngineContext(cluster=TINY_CLUSTER, default_parallelism=4)
+    return EngineContext(cluster=TINY_CLUSTER)
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +221,7 @@ def test_simulated_time_monotone_in_shuffle_bytes():
 def test_simulated_time_charges_task_overhead():
     spec = ClusterSpec(num_nodes=1, executors_per_node=1, cores_per_executor=1,
                        task_launch_overhead=0.5)
-    ctx = EngineContext(cluster=spec, default_parallelism=4)
+    ctx = EngineContext(cluster=spec)
     ctx.parallelize(range(8), 4).collect()
     assert ctx.simulated_time() >= 0.5 * 4
 

@@ -124,11 +124,10 @@ def test_negative_indices_clipped_by_builder(session):
 
 
 def test_threaded_runner_matches_serial():
-    serial = EngineContext(cluster=TINY_CLUSTER, default_parallelism=4)
+    serial = EngineContext(cluster=TINY_CLUSTER)
     threaded = EngineContext(
         cluster=TINY_CLUSTER,
         runner=ThreadedTaskRunner(max_workers=4),
-        default_parallelism=4,
     )
     data = [(i % 5, i) for i in range(200)]
     expected = sorted(
@@ -149,7 +148,7 @@ def test_zero_partitions_rejected():
 
 
 def test_deeply_chained_narrow_ops():
-    ctx = EngineContext(cluster=TINY_CLUSTER, default_parallelism=2)
+    ctx = EngineContext(cluster=TINY_CLUSTER)
     rdd = ctx.parallelize(range(10), 2)
     for _ in range(200):
         rdd = rdd.map(lambda x: x + 1)

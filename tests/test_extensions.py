@@ -74,15 +74,15 @@ MULTIPLY = (
 )
 
 
-def broadcast_session():
+def broadcast_session(side):
     return SacSession(
         cluster=TINY_CLUSTER, tile_size=10,
-        options=PlannerOptions(broadcast_threshold=16),
+        options=PlannerOptions(strategy=f"gbj-broadcast-{side}"),
     )
 
 
 def test_broadcast_join_small_right_side():
-    session = broadcast_session()
+    session = broadcast_session("right")
     a = RNG.uniform(0, 9, size=(60, 40))
     b = RNG.uniform(0, 9, size=(40, 10))  # 4x1 grid: broadcastable
     A, B = session.tiled(a), session.tiled(b)
@@ -92,7 +92,7 @@ def test_broadcast_join_small_right_side():
 
 
 def test_broadcast_join_small_left_side():
-    session = broadcast_session()
+    session = broadcast_session("left")
     a = RNG.uniform(0, 9, size=(10, 40))  # small side is the left one
     b = RNG.uniform(0, 9, size=(40, 120))
     A, B = session.tiled(a), session.tiled(b)
@@ -102,19 +102,9 @@ def test_broadcast_join_small_left_side():
     np.testing.assert_allclose(compiled.execute().to_numpy(), a @ b, rtol=1e-10)
 
 
-def test_broadcast_join_not_used_when_both_large():
-    session = broadcast_session()
-    a = RNG.uniform(0, 9, size=(60, 60))
-    b = RNG.uniform(0, 9, size=(60, 60))
-    A, B = session.tiled(a), session.tiled(b)
-    compiled = session.compile(MULTIPLY, A=A, B=B, n=60, m=60)
-    assert "SUMMA" in compiled.plan.description
-    np.testing.assert_allclose(compiled.execute().to_numpy(), a @ b, rtol=1e-10)
-
-
 def test_cost_model_may_broadcast_by_default(session):
-    # With no broadcast_threshold set the planner is cost-based and free
-    # to broadcast the tiny right side; the estimates must be attached.
+    # With no strategy pinned the planner is cost-based and free to
+    # broadcast the tiny right side; the estimates must be attached.
     a = RNG.uniform(0, 9, size=(60, 40))
     b = RNG.uniform(0, 9, size=(40, 10))
     A, B = session.tiled(a), session.tiled(b)
@@ -124,22 +114,8 @@ def test_cost_model_may_broadcast_by_default(session):
     np.testing.assert_allclose(compiled.execute().to_numpy(), a @ b, rtol=1e-10)
 
 
-def test_broadcast_disabled_by_zero_threshold():
-    # broadcast_threshold=0 vetoes the broadcast candidates outright.
-    session = SacSession(
-        cluster=TINY_CLUSTER, tile_size=10,
-        options=PlannerOptions(broadcast_threshold=0),
-    )
-    a = RNG.uniform(0, 9, size=(60, 40))
-    b = RNG.uniform(0, 9, size=(40, 10))
-    A, B = session.tiled(a), session.tiled(b)
-    compiled = session.compile(MULTIPLY, A=A, B=B, n=60, m=10)
-    assert "broadcast" not in compiled.plan.details["strategy"]
-    np.testing.assert_allclose(compiled.execute().to_numpy(), a @ b, rtol=1e-10)
-
-
 def test_broadcast_join_transposed_form():
-    session = broadcast_session()
+    session = broadcast_session("right")
     p = RNG.uniform(0, 9, size=(80, 10))
     q = RNG.uniform(0, 9, size=(60, 10))
     P, Q = session.tiled(p), session.tiled(q)
@@ -159,12 +135,12 @@ def test_broadcast_join_shuffles_less_than_summa():
     # choose the broadcast here.
     summa = SacSession(
         cluster=TINY_CLUSTER, tile_size=10,
-        options=PlannerOptions(group_by_join=True),
+        options=PlannerOptions(strategy="gbj-replicate"),
     )
     A1, B1 = summa.tiled(a), summa.tiled(b)
     summa.run(MULTIPLY, A=A1, B=B1, n=60, m=10).tiles.count()
 
-    broadcast = broadcast_session()
+    broadcast = broadcast_session("right")
     A2, B2 = broadcast.tiled(a), broadcast.tiled(b)
     broadcast.run(MULTIPLY, A=A2, B=B2, n=60, m=10).tiles.count()
 

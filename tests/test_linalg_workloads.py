@@ -91,7 +91,7 @@ def test_sac_step_matches_reference(session, factorization_inputs):
 
 def test_mllib_step_matches_reference(factorization_inputs):
     r, p, q = factorization_inputs
-    engine = EngineContext(cluster=TINY_CLUSTER, default_parallelism=4)
+    engine = EngineContext(cluster=TINY_CLUSTER)
     p_new, q_new, error = mllib_factorization_step(
         BlockMatrix.from_numpy(engine, r, TILE),
         BlockMatrix.from_numpy(engine, p, TILE),
@@ -108,7 +108,7 @@ def test_sac_and_mllib_agree(session, factorization_inputs):
     sac_state = sac_factorization_step(
         session, session.tiled(r), session.tiled(p), session.tiled(q)
     )
-    engine = EngineContext(cluster=TINY_CLUSTER, default_parallelism=4)
+    engine = EngineContext(cluster=TINY_CLUSTER)
     p_m, q_m, _ = mllib_factorization_step(
         BlockMatrix.from_numpy(engine, r, TILE),
         BlockMatrix.from_numpy(engine, p, TILE),

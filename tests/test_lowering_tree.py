@@ -67,7 +67,7 @@ def test_a_spliced_fused_kernel_node_runs_without_any_root_attribute():
 def test_a_swapped_scan_changes_what_the_join_reads():
     session = SacSession(
         cluster=TINY_CLUSTER, tile_size=10,
-        options=PlannerOptions(group_by_join=True),
+        options=PlannerOptions(strategy="gbj-replicate"),
     )
     a, other, b = (RNG.uniform(size=(30, 20)) for _ in range(3))
     b = b.T.copy()

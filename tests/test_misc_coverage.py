@@ -37,7 +37,7 @@ def test_empty_rdd():
 
 
 def test_broadcast_used_inside_shuffled_stage():
-    ctx = EngineContext(cluster=TINY_CLUSTER, default_parallelism=4)
+    ctx = EngineContext(cluster=TINY_CLUSTER)
     lookup = ctx.broadcast({0: "even", 1: "odd"})
     result = dict(
         ctx.parallelize(range(10), 4)
@@ -46,12 +46,6 @@ def test_broadcast_used_inside_shuffled_stage():
         .collect()
     )
     assert result == {"even": 5, "odd": 5}
-
-
-def test_default_parallelism_override():
-    ctx = EngineContext(cluster=PAPER_CLUSTER, default_parallelism=3)
-    assert ctx.default_parallelism == 3
-    assert ctx.parallelize(range(100)).num_partitions == 3
 
 
 # ----------------------------------------------------------------------
@@ -71,7 +65,7 @@ def test_simulated_time_scales_with_compute_scale():
 def test_skewed_stage_dominated_by_longest_task():
     """The makespan term: one giant task bounds the stage regardless of
     how many cores the simulated cluster has."""
-    ctx = EngineContext(cluster=PAPER_CLUSTER, default_parallelism=8)
+    ctx = EngineContext(cluster=PAPER_CLUSTER)
     # All the work lands in one partition.
     data = [(0, i) for i in range(20000)]
     ctx.parallelize(data, 8).group_by_key().map_values(
@@ -194,7 +188,7 @@ def test_gbj_shuffles_no_partial_products(session):
 
     j53 = SacSession(
         cluster=TINY_CLUSTER, tile_size=10,
-        options=PlannerOptions(group_by_join=False),
+        options=PlannerOptions(strategy="tiled-reduce"),
     )
     j53.run(query, A=j53.tiled(a), B=j53.tiled(a), n=40).tiles.count()
     j53_shuffles = j53.engine.metrics.total.shuffles

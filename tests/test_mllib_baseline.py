@@ -14,7 +14,7 @@ C_NP = RNG.uniform(0, 10, size=(37, 26))
 
 @pytest.fixture()
 def engine():
-    return EngineContext(cluster=TINY_CLUSTER, default_parallelism=4)
+    return EngineContext(cluster=TINY_CLUSTER)
 
 
 def block(engine, array, size=16, profile=PURE_JVM_BREEZE):
@@ -118,8 +118,8 @@ def test_simulate_multiply_covers_all_blocks(engine):
 
 def test_jvm_profile_charges_simulated_compute_only(engine):
     """The kernel profile affects simulated time, never correctness."""
-    fast_engine = EngineContext(cluster=TINY_CLUSTER, default_parallelism=4)
-    slow_engine = EngineContext(cluster=TINY_CLUSTER, default_parallelism=4)
+    fast_engine = EngineContext(cluster=TINY_CLUSTER)
+    slow_engine = EngineContext(cluster=TINY_CLUSTER)
     a, c = A_NP, C_NP
     no_profile = BlockMatrix.from_numpy(fast_engine, a, 16, profile=None)
     with_profile = BlockMatrix.from_numpy(

@@ -190,21 +190,22 @@ def _compare_arms(query, a, b, arms):
     return outputs[0], counters[0], decisions
 
 
-def _both_runners(group_by_join):
-    options = PlannerOptions(group_by_join=group_by_join)
+def _both_runners(strategy):
+    options = PlannerOptions(strategy=strategy)
     return [
         dict(runner=SerialTaskRunner(), options=options),
         dict(runner=ThreadedTaskRunner(max_workers=4), options=options),
     ]
 
 
-@pytest.mark.parametrize("group_by_join", [False, True])
-def test_multiplication_parity_serial_vs_threaded(group_by_join):
+@pytest.mark.parametrize("replicate", [False, True])
+def test_multiplication_parity_serial_vs_threaded(replicate):
     """fig4b shape: both SAC plans give identical bytes and results."""
     a = dense_uniform(75, 75, seed=1)
     b = dense_uniform(75, 75, seed=2)
     output, counters, _ = _compare_arms(
-        MULTIPLY, a, b, _both_runners(group_by_join)
+        MULTIPLY, a, b,
+        _both_runners("gbj-replicate" if replicate else "tiled-reduce"),
     )
     np.testing.assert_allclose(output, a @ b)
     assert counters[4] > 0  # the plans really shuffled
@@ -214,7 +215,7 @@ def test_addition_parity_serial_vs_threaded():
     """fig4a shape: element-wise addition of co-tiled matrices."""
     a = dense_uniform(60, 60, seed=3)
     b = dense_uniform(60, 60, seed=4)
-    output, _, _ = _compare_arms(ADD, a, b, _both_runners(True))
+    output, _, _ = _compare_arms(ADD, a, b, _both_runners("gbj-replicate"))
     np.testing.assert_allclose(output, a + b)
 
 
@@ -320,7 +321,7 @@ def test_adaptive_flag_counter_parity():
     b = dense_uniform(75, 75, seed=12)
     output, _, decisions = _compare_arms(MULTIPLY, a, b, [
         dict(runner=SerialTaskRunner(), adaptive=adaptive,
-             options=PlannerOptions(group_by_join=False))
+             options=PlannerOptions(strategy="tiled-reduce"))
         for adaptive in (False, True)
     ])
     np.testing.assert_allclose(output, a @ b)

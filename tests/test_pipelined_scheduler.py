@@ -285,8 +285,8 @@ def _golden_shapes():
         )
 
     return [
-        ("multiply-gbj-on", _run_multiply, {"group_by_join": True}),
-        ("multiply-gbj-off", _run_multiply, {"group_by_join": False}),
+        ("multiply-gbj-on", _run_multiply, {"strategy": "gbj-replicate"}),
+        ("multiply-gbj-off", _run_multiply, {"strategy": "tiled-reduce"}),
         ("add", simple(ADD, n=30, m=20), {}),
         ("transpose", simple(TRANSPOSE, n=30, m=20), {}),
         ("smoothing", simple(SMOOTH, n=30, m=20), {}),

@@ -134,7 +134,7 @@ def test_miss_on_changed_planner_options(session):
     A, B = _mats(session)
     first = session.compile(MULTIPLY, A=A, B=B, n=30, m=30)
     assert first.plan.rule == RULE_GROUP_BY_JOIN
-    session.options = PlannerOptions(group_by_join=False)
+    session.options = PlannerOptions(strategy="tiled-reduce")
     second = session.compile(MULTIPLY, A=A, B=B, n=30, m=30)
     stats = plan_stats(session)
     assert stats["hits"] == 0 and stats["misses"] == 2

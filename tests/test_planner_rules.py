@@ -197,7 +197,7 @@ def test_reversal(session):
 def test_matmul_without_gbj_uses_tiled_reduce():
     session = SacSession(
         cluster=TINY_CLUSTER, tile_size=TILE,
-        options=PlannerOptions(group_by_join=False),
+        options=PlannerOptions(strategy="tiled-reduce"),
     )
     A, C = session.tiled(A_NP), session.tiled(C_NP)
     check(
@@ -303,7 +303,7 @@ def test_gbj_min_plus_semiring(session):
 def test_gbj_disabled_by_option():
     session = SacSession(
         cluster=TINY_CLUSTER, tile_size=TILE,
-        options=PlannerOptions(group_by_join=False),
+        options=PlannerOptions(strategy="tiled-reduce"),
     )
     A, C = session.tiled(A_NP), session.tiled(C_NP)
     compiled = session.compile(
@@ -319,10 +319,10 @@ def test_gbj_disabled_by_option():
 # ----------------------------------------------------------------------
 
 
-def test_force_coordinate_option():
+def test_coordinate_strategy_pin():
     session = SacSession(
         cluster=TINY_CLUSTER, tile_size=TILE,
-        options=PlannerOptions(force_coordinate=True),
+        options=PlannerOptions(strategy="coordinate"),
     )
     small_a, small_c = A_NP[:12, :10], C_NP[:10, :8]
     A, C = session.tiled(small_a), session.tiled(small_c)

@@ -148,7 +148,7 @@ def test_local_matrix_query_matches_numpy(n, m, seed):
 @given(n=dims, m=dims, tile=tile_sizes, seed=seeds)
 def test_tiled_roundtrip(n, m, tile, seed):
     a = random_matrix(n, m, seed)
-    engine = EngineContext(cluster=TINY_CLUSTER, default_parallelism=4)
+    engine = EngineContext(cluster=TINY_CLUSTER)
     t = TiledMatrix.from_numpy(engine, a, tile)
     np.testing.assert_allclose(t.to_numpy(), a)
     # Sparsify covers exactly the full index space.
@@ -188,7 +188,7 @@ def test_sparsify_builder_inverse(n, m, seed):
     partitions=st.integers(1, 7),
 )
 def test_reduce_by_key_matches_group_by_key(pairs, partitions):
-    engine = EngineContext(cluster=TINY_CLUSTER, default_parallelism=4)
+    engine = EngineContext(cluster=TINY_CLUSTER)
     rdd = engine.parallelize(pairs, partitions)
     reduced = dict(rdd.reduce_by_key(lambda a, b: a + b).collect())
     grouped = {k: sum(vs) for k, vs in rdd.group_by_key().collect()}
@@ -201,7 +201,7 @@ def test_reduce_by_key_matches_group_by_key(pairs, partitions):
     partitions=st.integers(1, 9),
 )
 def test_collect_is_partition_invariant(items, partitions):
-    engine = EngineContext(cluster=TINY_CLUSTER, default_parallelism=4)
+    engine = EngineContext(cluster=TINY_CLUSTER)
     assert engine.parallelize(items, partitions).collect() == items
 
 
@@ -211,7 +211,7 @@ def test_collect_is_partition_invariant(items, partitions):
     right=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 9)), max_size=30),
 )
 def test_join_matches_nested_loop(left, right):
-    engine = EngineContext(cluster=TINY_CLUSTER, default_parallelism=4)
+    engine = EngineContext(cluster=TINY_CLUSTER)
     joined = sorted(
         engine.parallelize(left, 3).join(engine.parallelize(right, 2)).collect()
     )

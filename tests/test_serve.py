@@ -29,6 +29,10 @@ from repro.serve import (
 )
 
 ROW_SUMS = "tiled_vector(n)[ (i, +/a) | ((i,j),a) <- A, group by i ]"
+MULTIPLY = (
+    "tiled(n,m)[ ((i,j),+/v) | ((i,k),a) <- A, ((kk,j),b) <- B,"
+    " kk == k, let v = a*b, group by (i,j) ]"
+)
 
 
 @pytest.fixture
@@ -119,6 +123,24 @@ def test_tenant_metrics_attributed_per_tenant(service):
     # bob compiled nothing: every tier was primed by alice.
     assert report["tenants"]["bob"]["plan_cache_hit_rate"] == 1.0
     assert report["admission"]["running"] == 0
+
+
+def test_only_marked_shuffles_are_retained(service):
+    """The shuffle registry holds what CSE marked and nothing else: a row
+    sum marks no shuffle and leaves it empty, a SUMMA multiply retains
+    its two band shuffles."""
+    rng = np.random.default_rng(2)
+    service.host("A", rng.uniform(size=(16, 16)))
+    service.host("B", rng.uniform(size=(16, 16)))
+    blocks = service.substrate.block_manager
+    service.submit("alice", ROW_SUMS, {"n": 16})
+    assert blocks._num_shuffle_entries == 0
+    service.submit("alice", MULTIPLY, {"n": 16, "m": 16})
+    compiled = service.session("alice").compile(
+        MULTIPLY, n=16, m=16, **service.datasets
+    )
+    assert compiled.plan.details["strategy"] == "gbj-replicate"
+    assert blocks._num_shuffle_entries == 2
 
 
 def test_submit_error_counts_against_tenant(service):

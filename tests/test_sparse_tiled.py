@@ -30,7 +30,7 @@ def session():
 
 @pytest.fixture()
 def engine():
-    return EngineContext(cluster=TINY_CLUSTER, default_parallelism=4)
+    return EngineContext(cluster=TINY_CLUSTER)
 
 
 # ----------------------------------------------------------------------

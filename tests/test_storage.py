@@ -14,7 +14,7 @@ from repro.storage.registry import BuildContext, StorageRegistry
 
 @pytest.fixture()
 def engine():
-    return EngineContext(cluster=TINY_CLUSTER, default_parallelism=4)
+    return EngineContext(cluster=TINY_CLUSTER)
 
 
 # ----------------------------------------------------------------------

@@ -48,10 +48,10 @@ FLOAT_A = RNG.uniform(size=(50, 40))
 FLOAT_B = RNG.uniform(size=(40, 30))
 
 
-def _session(group_by_join=True):
+def _session(strategy="gbj-replicate"):
     return SacSession(
         cluster=TINY_CLUSTER, tile_size=TILE, adaptive=False,
-        options=PlannerOptions(group_by_join=group_by_join),
+        options=PlannerOptions(strategy=strategy),
         runner=SerialTaskRunner(),
     )
 
@@ -74,7 +74,7 @@ def _run_on_grid(session, query, grid, a, b, sparse=False):
 
 @pytest.fixture(scope="module")
 def tiled_reduce_product():
-    with _session(group_by_join=False) as session:
+    with _session("tiled-reduce") as session:
         return session.run(
             MULTIPLY, A=session.tiled(INT_A), B=session.tiled(INT_B), n=50, m=30
         ).to_numpy()

@@ -122,14 +122,19 @@ QUERIES = {
         dict(n=12, m=9), RULE_TILED_SHUFFLE,
     ),
     "5.3 tiled reduce": (
-        PlannerOptions(group_by_join=False), MULTIPLY, dict(n=12, m=6), "tiled-reduce",
+        PlannerOptions(strategy="tiled-reduce"), MULTIPLY, dict(n=12, m=6),
+        "tiled-reduce",
     ),
-    "5.4 SUMMA": (PlannerOptions(group_by_join=True), MULTIPLY, dict(n=12, m=6), "SUMMA"),
+    "5.4 SUMMA": (
+        PlannerOptions(strategy="gbj-replicate"), MULTIPLY, dict(n=12, m=6),
+        "SUMMA",
+    ),
     "broadcast join": (
-        PlannerOptions(broadcast_threshold=10**6), MULTIPLY, dict(n=12, m=6), "broadcast",
+        PlannerOptions(strategy="gbj-broadcast-right"), MULTIPLY,
+        dict(n=12, m=6), "broadcast",
     ),
     "coordinate rule": (
-        PlannerOptions(force_coordinate=True),
+        PlannerOptions(strategy="coordinate"),
         "tiled_vector(n)[ (i, +/a) | ((i,j),a) <- A, group by i ]",
         dict(n=12), "column batches",
     ),
