@@ -118,12 +118,11 @@ PAPER_EXPECTATIONS = {
         "moderate tile size."
     ),
     "ablation-fusion": (
-        "Extension (E14): kernel codegen (the default) collapses the "
-        "MapTiles/Filter interpreter chain into one generated NumPy "
-        "kernel per partition, run once per stacked batch of tiles — "
-        "expect >=2x lower wall clock than fusion=False on the "
-        "map-heavy smoothing chain at byte-identical results and "
-        "identical engine counters."
+        "Extension (E14): rule 5.1 runs the map-heavy smoothing chain "
+        "as one generated NumPy kernel per partition, once per stacked "
+        "batch of tiles; fused_over_numpy_x is its wall clock over the "
+        "same expression in NumPy on the whole matrix, at "
+        "byte-identical results and one kernel compile."
     ),
     "ablation-serve": (
         "Extension (E15): N concurrent replay clients on one shared "

@@ -1,143 +1,111 @@
-"""Ablation E14 — fused batched tile kernel codegen on a map-heavy pipeline.
+"""Ablation E14 — rule 5.1's generated kernel against hand-written NumPy.
 
 An iterative elementwise smoothing-style chain (``x' = 0.5x + 0.1x^2``,
-re-run for ``STEPS`` steps) over deliberately tiny tiles: with many
-tiles per partition, the interpreter chain (``fusion=False``) pays its
-per-tile Python overhead — expression-tree walking, coordinate
-expansion, per-hop record plumbing, clip — thousands of times per step,
-while the default arm runs one generated NumPy kernel per partition,
-once per stacked batch of tiles.  Both arms must
-produce byte-identical result arrays and identical engine counters
-(fusion only collapses Python hops; it moves no data), and the fused
-arm must be at least 2x faster on wall clock.
+re-run for ``STEPS`` steps) over deliberately tiny tiles: 6400 tiles
+per step, the regime where per-tile overhead would dominate the ufunc
+work.  Rule 5.1 runs it as one generated NumPy kernel per partition,
+once per stacked batch of tiles; the reference is the same expression
+written in NumPy over the whole dense matrix.  The report gives
+``fused_over_numpy_x``, the fused chain's wall clock over NumPy's, as
+the distance the engine still pays for distribution.
 
-The two arms are measured *interleaved* (off, on, off, on, ...) taking
-each arm's best round, so host-level interference (GC, other
-processes, CPU frequency drift) lands on both arms instead of biasing
-whichever ran second.  The wall-clock bar re-measures up to
-``ATTEMPTS`` times before failing: the identity invariants are exact
-and checked every attempt, but a loaded host can compress the timing
-gap in any single measurement.
+Both arms must produce byte-identical arrays (an elementwise ufunc is
+exact per element however its input is batched), and the chain compiles
+its kernel at most once: every later step is a kernel-cache hit.  The
+arms are measured *interleaved* (NumPy, fused, NumPy, fused, ...)
+taking each arm's best round, so host-level interference lands on both.
 """
 
 import gc
 import time
 
-import pytest
-
-from repro import PlannerOptions, SacSession
+from repro import SacSession
 from repro.engine import BENCH_CLUSTER
+from repro.planner import RULE_PRESERVE_TILING
 from repro.workloads import dense_uniform
 
-#: Tiny tiles on a mid-size matrix: 80x80 = 6400 tiles per step, the
-#: regime where per-tile interpreter overhead dominates the ufunc work.
+#: Tiny tiles on a mid-size matrix: 80x80 = 6400 tiles per step.
 TILE = 3
 N = 240
 PARTS = 2
 STEPS = 4
 ROUNDS = 8
-ATTEMPTS = 3
 
 #: A contraction map, so iterating it keeps values bounded (no drift
 #: into overflow, which would change ufunc timing mid-benchmark).
 SMOOTH = "tiled(n,m)[ ((i,j),0.5*v+0.1*v*v) | ((i,j),v) <- X ]"
 
-ARMS = {"fusion off": False, "fusion on": True}
 
-ENGINE_KEYS = ("stages", "tasks", "shuffles", "shuffle_records",
-               "shuffle_bytes")
-
-
-def _make_arm(fusion):
-    session = SacSession(
-        cluster=BENCH_CLUSTER, tile_size=TILE,
-        options=PlannerOptions(fusion=fusion), num_partitions=PARTS,
-    )
-    x0 = session.tiled(dense_uniform(N, N, seed=14)).materialize()
-    return session, x0
-
-
-def _one_round(session, x0):
+def _fused_round(session, x0):
     start = time.perf_counter()
     x = x0
     for _ in range(STEPS):
         x = session.run(SMOOTH, X=x, n=N, m=N).materialize()
+    return time.perf_counter() - start, x.to_numpy()
+
+
+def _numpy_round(x0):
+    start = time.perf_counter()
+    x = x0
+    for _ in range(STEPS):
+        x = 0.5 * x + 0.1 * x * x
     return time.perf_counter() - start, x
 
 
-def _counters(session):
-    total = session.engine.metrics.total
-    return {
-        "stages": total.stages,
-        "tasks": total.tasks,
-        "shuffles": total.shuffles,
-        "shuffle_records": total.shuffle_records,
-        "shuffle_bytes": total.shuffle_bytes,
-        "kernel_cache_hits": total.kernel_cache_hits,
-        "kernel_cache_misses": total.kernel_cache_misses,
-    }
-
-
-def _measure():
-    """One interleaved measurement; returns per-arm best wall, results,
-    counters, and simulated seconds.  Asserts the exact invariants."""
-    arms = {fusion: _make_arm(fusion) for fusion in (False, True)}
-    best = {False: None, True: None}
+def test_fused_smoothing_against_numpy(measure, capsys):
+    """E14: the fused chain's wall clock over NumPy's, byte-identical."""
+    record, _run_measured = measure
+    session = SacSession(
+        cluster=BENCH_CLUSTER, tile_size=TILE, num_partitions=PARTS,
+    )
+    dense = dense_uniform(N, N, seed=14)
+    x0 = session.tiled(dense).materialize()
+    assert session.compile(SMOOTH, X=x0, n=N, m=N).plan.rule == (
+        RULE_PRESERVE_TILING
+    )
+    before = session.engine.metrics.snapshot()
+    best = {"numpy": None, "fused kernel": None}
     results = {}
     gc.collect()
     gc.disable()
     try:
         for _ in range(ROUNDS):
-            for fusion in (False, True):
-                session, x0 = arms[fusion]
-                wall, x = _one_round(session, x0)
-                if best[fusion] is None or wall < best[fusion]:
-                    best[fusion] = wall
-                results[fusion] = x.to_numpy()
+            for arm in best:
+                if arm == "numpy":
+                    wall, results[arm] = _numpy_round(dense)
+                else:
+                    wall, results[arm] = _fused_round(session, x0)
+                if best[arm] is None or wall < best[arm]:
+                    best[arm] = wall
     finally:
         gc.enable()
+    delta = session.engine.metrics.delta_since(before)
 
-    counters = {f: _counters(arms[f][0]) for f in (False, True)}
-    sims = {
-        f: arms[f][0].engine.metrics.total.simulated_time(BENCH_CLUSTER)
-        for f in (False, True)
+    assert results["fused kernel"].tobytes() == results["numpy"].tobytes()
+    # The chain compiles once; past the first lowering every step is a
+    # kernel-cache hit.
+    assert delta.kernel_cache_misses <= 1
+    assert delta.kernel_cache_hits >= ROUNDS * STEPS - 1
+
+    counters = {
+        "stages": delta.stages,
+        "tasks": delta.tasks,
+        "shuffles": delta.shuffles,
+        "shuffle_records": delta.shuffle_records,
+        "shuffle_bytes": delta.shuffle_bytes,
+        "kernel_cache_hits": delta.kernel_cache_hits,
+        "kernel_cache_misses": delta.kernel_cache_misses,
     }
-
-    # Fusion collapses Python hops; the data movement must not change.
-    assert results[True].tobytes() == results[False].tobytes()
-    assert {k: counters[False][k] for k in ENGINE_KEYS} == (
-        {k: counters[True][k] for k in ENGINE_KEYS}
+    sim = delta.simulated_time(BENCH_CLUSTER) / ROUNDS
+    record(
+        "ablation-fusion", "fused kernel", N, best["fused kernel"], sim,
+        delta.shuffle_bytes // ROUNDS, counters,
     )
-    # The chain compiles once per step; past the first lowering every
-    # step is a kernel-cache hit, and the interpreter arm never
-    # touches the cache.
-    assert counters[True]["kernel_cache_misses"] <= 1
-    assert counters[True]["kernel_cache_hits"] >= 1
-    assert counters[False]["kernel_cache_misses"] == 0
-    assert counters[False]["kernel_cache_hits"] == 0
-    return best, counters, sims
-
-
-def test_fused_smoothing_2x_at_identical_counters(measure):
-    """E14: >=2x wall clock, byte-identical bytes, identical counters."""
-    record, _run_measured = measure
-    best = counters = sims = speedup = None
-    for _attempt in range(ATTEMPTS):
-        best, counters, sims = _measure()
-        speedup = best[False] / best[True]
-        if speedup >= 2.0:
-            break
-
-    for name, fusion in ARMS.items():
-        record(
-            "ablation-fusion", name, N, best[fusion], sims[fusion],
-            counters[fusion]["shuffle_bytes"], counters[fusion],
+    record("ablation-fusion", "numpy", N, best["numpy"], 0.0, 0)
+    ratio = best["fused kernel"] / best["numpy"]
+    with capsys.disabled():
+        print(
+            f"\nE14 fused_over_numpy_x {ratio:.1f} (fused "
+            f"{best['fused kernel']:.4f}s, numpy {best['numpy']:.4f}s "
+            f"for {STEPS} steps)"
         )
-    print(
-        f"\nfused kernels: interpreter {best[False]:.3f}s, "
-        f"fused {best[True]:.3f}s ({speedup:.2f}x)"
-    )
-    assert speedup >= 2.0, (
-        f"fused kernel speedup {speedup:.2f}x < 2.0x "
-        f"(interpreter {best[False]:.3f}s vs fused {best[True]:.3f}s)"
-    )

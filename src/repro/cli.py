@@ -124,11 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
              "temp directory) and restore transparently",
     )
     parser.add_argument(
-        "--no-fusion", action="store_true",
-        help="pin fused kernel codegen off; preserve-tiling chains then "
-             "run the interpreter tile pipeline",
-    )
-    parser.add_argument(
         "--explain", action="store_true",
         help="print the compilation report instead of executing",
     )
@@ -182,9 +177,7 @@ def _metrics_report(session: SacSession, as_json: bool) -> None:
         }, indent=2))
         return
     print(total.summary())
-    if not session.options.fusion:
-        print("fused kernels: interpreter chain pinned (--no-fusion)")
-    elif total.kernel_cache_hits or total.kernel_cache_misses:
+    if total.kernel_cache_hits or total.kernel_cache_misses:
         print(
             f"fused kernels: {total.kernel_cache_misses} compiled, "
             f"{total.kernel_cache_hits} cache hits; input partitions: "
@@ -225,16 +218,10 @@ def main(argv: list[str] | None = None) -> int:
 
         return serve_main(argv[1:])
     args = build_parser().parse_args(argv)
-    options = None
-    if args.no_fusion:
-        from .planner import PlannerOptions
-
-        options = PlannerOptions(fusion=False)
     session = SacSession(
         tile_size=args.tile_size,
         runner="threads" if args.pipeline else None,
         memory_limit=args.memory_limit,
-        options=options,
     )
 
     env: dict[str, Any] = {}

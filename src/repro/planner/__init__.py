@@ -21,7 +21,6 @@ from .cost import (
 from .ir import IRNode, PassTraceEntry
 from .kernels import (
     KernelUnsupported, compile_vectorized, compile_vectorized_cached, contract,
-    gather,
 )
 from .passes import (
     PassManager, PlanState, cse_enabled, default_passes, fusion_enabled,
@@ -71,7 +70,6 @@ __all__ = [
     "compile_vectorized_cached",
     "contract",
     "explain",
-    "gather",
     "generate_fused_kernel",
     "plan_query",
     "plan_state",

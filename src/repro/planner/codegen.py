@@ -3,20 +3,19 @@
 The paper's system emits Scala source at compile time; this module is
 the Python analogue, in two parts:
 
-* :func:`generate_fused_kernel` — turns one preserve-tiling chain
-  (MapTiles / Filter over scans) into the *source text* of a single
-  per-partition NumPy function.  The text reproduces, statement for
-  statement, what :func:`repro.planner.lower._lower_map_tiles` and
-  ``_result_storage`` do across five or six Python-level RDD hops —
-  coordinate projection, index grids, tile realignment, the vectorized
-  head value, guard masks, and boundary clipping — but on a leading
-  batch axis: every statement runs once per batch of same-shaped tiles
-  (a :class:`~repro.engine.batch.TileBatch` partition as it is stored),
-  not once per tile.  Elementwise ufuncs
-  are exact per element however the elements are batched, so a fused
-  run is bit-identical to the interpreted chain.  Expressions render
-  through :func:`repro.planner.kernels.emit_vectorized_source`, the
-  same text ``compile_vectorized`` compiles for the interpreter chain.
+* :func:`generate_fused_kernel` — turns one preserve-tiling rule (5.1:
+  a head value and residual guards over joined scans) into the *source
+  text* of a single per-partition NumPy function: coordinate
+  projection, index grids, tile realignment, the vectorized head value,
+  guard masks, and boundary clipping to the declared extent, on a
+  leading batch axis — every statement runs once per batch of
+  same-shaped tiles (a :class:`~repro.engine.batch.TileBatch` partition
+  as it is stored), not once per tile.  Elementwise ufuncs are exact
+  per element however the elements are batched, so a fused run is
+  bit-identical to evaluating the head over the whole dense operands.
+  Expressions render through
+  :func:`repro.planner.kernels.emit_vectorized_source`, the same text
+  ``compile_vectorized`` compiles for the other rules.
 
 * :func:`explain` — the inspectable compilation report ``SacSession``
   exposes to users.
@@ -95,21 +94,20 @@ def generate_fused_kernel(
     builder: str,
     args: tuple,
 ) -> FusedKernel:
-    """Emit the per-partition source for one preserve-tiling chain.
+    """Emit the per-partition source for one preserve-tiling query.
 
     The generated function has one body over batches: a
     :class:`~repro.engine.batch.TileBatch` partition is one batch as it
     is, a record list is grouped by operand dtype and shape
     (:func:`~repro.engine.batch.tile_groups`).  Per batch, the drop and
     trim tests are array comparisons on the coordinates, and the
-    interpreter's statements run once per slice of at most
+    head's statements run once per slice of at most
     :data:`_CHUNK_BYTES`.  A batch with nothing dropped or trimmed comes
     back as a batch over the new values; anything else as records, the
     slices' per-tile views, in input record order.
 
     Raises :class:`KernelUnsupported` when any piece of the chain has no
-    source form — the caller (the ``fusion`` pass) then leaves the
-    interpreter chain in place for exactly that query.
+    source form — rule 5.1 then does not apply to that query.
     """
     info = setup.info
     gens = setup.gens
@@ -146,8 +144,7 @@ def generate_fused_kernel(
     # embedded as literals (``literal_source`` round-trips the scalar
     # types ``const_env`` holds exactly), so the fingerprint
     # distinguishes kernels closed over different constants; tile-local
-    # bindings shadow constants exactly as the interpreter's env merge
-    # does.
+    # bindings shadow constants, as in the reference interpreter.
     names: dict[str, str] = {
         name: literal_source(value)
         for name, value in setup.const_env.items()
@@ -237,9 +234,9 @@ def generate_fused_kernel(
     for pos in identity:
         out.emit(f"_k{pos} = _c[:, {columns[pos]}]")
 
-    # The statements evaluate at the traversed extent, exactly like
-    # ``_tile_shape``: ``n`` short of the last block of the traversed
-    # dimension (a group's tiles agree on it: they share their shapes).
+    # The statements evaluate at the traversed extent: ``n`` short of
+    # the last block of the traversed dimension (a group's tiles agree
+    # on it: they share their shapes).
     extent = []
     for pos in identity:
         if dims[pos] % n:

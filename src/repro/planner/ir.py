@@ -223,33 +223,14 @@ class ScanNode(IRNode):
 
 
 @dataclass(eq=False, kw_only=True)
-class FilterNode(IRNode):
-    """5.1 residual guards, compiled to the masks the parent applies."""
-
-    op: str = OP_FILTER
-    masks: Sequence[Callable[[dict], Any]]
-
-
-@dataclass(eq=False, kw_only=True)
-class MapTilesNode(IRNode):
-    """5.1: tile join on the output coordinate + the per-tile head."""
-
-    op: str = OP_MAP_TILES
-    setup: TiledSetup
-    out_classes: Sequence[int]
-    value_fn: Callable[[dict], Any]
-
-
-@dataclass(eq=False, kw_only=True)
 class FusedKernelNode(IRNode):
-    """A MapTiles(/Filter) chain as one generated kernel; ``fallback`` is
-    the chain it replaced, lowered only if the kernel fails to compile."""
+    """5.1: the tile join on the output coordinate + one generated
+    per-partition kernel (head value, guard masks, clipping)."""
 
     op: str = OP_FUSED_KERNEL
     kernel: FusedKernel
     setup: TiledSetup
     out_classes: Sequence[int]
-    fallback: IRNode
 
 
 @dataclass(eq=False, kw_only=True)

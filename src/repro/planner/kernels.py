@@ -10,11 +10,6 @@ block" is a vectorized NumPy expression, so this module provides:
   :class:`KernelUnsupported` for constructs with no vectorized form, in
   which case the planner falls back to slower reference evaluation.
 
-* :func:`gather` — realigns a source tile to the output tile's local
-  index grids according to the variable mapping the analysis derived
-  (identity for aligned element-wise ops, a transpose for ``((j,i),v)``
-  heads, a diagonal gather for ``i == j``, ...).
-
 * :func:`contract` — the Section 5.3/5.4 per-tile-pair aggregation.  The
   multiply-add case dispatches to BLAS (``@``; this *is* the optimal
   tile kernel the paper gets from its generic rules); any other
@@ -107,7 +102,7 @@ def compile_vectorized(expr: Expr, checked: bool = False) -> Kernel:
     Every free variable must be present in the environment at call time,
     bound to a scalar or a broadcastable NumPy array.  The function is
     :func:`emit_vectorized_source`'s text over ``env['name']`` lookups,
-    so the interpreter chain and the fused kernels evaluate one
+    so the other rules' tile kernels and the fused kernels evaluate one
     rendering.  Rendering (and :class:`KernelUnsupported`) happens
     here; ``compile()`` waits for the first call — it costs more than
     planning a small expression, and a fused chain never calls it.
@@ -260,31 +255,6 @@ def compile_vectorized_cached(expr: Expr, checked: bool = False) -> Kernel:
     if isinstance(memo, KernelUnsupported):
         raise memo
     return memo
-
-
-# ----------------------------------------------------------------------
-# Tile realignment
-# ----------------------------------------------------------------------
-
-
-def gather(
-    tile: np.ndarray,
-    axis_map: Sequence[int],
-    grids: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Realign ``tile`` so its axes follow the output's local index grids.
-
-    ``axis_map[d]`` names the output dimension that indexes axis ``d`` of
-    the tile; ``grids`` are ``np.indices(out_shape)``.  The identity map
-    on a matching shape returns the tile itself (no copy).
-    """
-    if list(axis_map) == list(range(len(grids))) and tile.shape == tuple(
-        g.shape[d] for d, g in enumerate(grids)
-    ):
-        if tile.ndim == len(grids):
-            return tile
-    index = tuple(grids[out_dim] for out_dim in axis_map)
-    return tile[index]
 
 
 # ----------------------------------------------------------------------

@@ -47,18 +47,17 @@ from .analysis import CompInfo, GenInfo, key_components, regrouped_head_key
 from .codegen import get_fused_kernel
 from .groupby_join import GbjMatch, reconsider_join_strategy
 from .ir import (
-    IRNode, OP_ASSEMBLE, OP_BROADCAST, OP_COORDINATE, OP_FILTER,
-    OP_FUSED_KERNEL, OP_GROUP_BY, OP_GROUP_BY_JOIN, OP_MAP_TILES,
-    OP_REPLICATE, OP_SCAN, OP_TILED_REDUCE, _digest,
+    IRNode, OP_ASSEMBLE, OP_BROADCAST, OP_COORDINATE, OP_FUSED_KERNEL,
+    OP_GROUP_BY, OP_GROUP_BY_JOIN, OP_REPLICATE, OP_SCAN, OP_TILED_REDUCE,
+    _digest,
 )
 from .kernels import (
     PARTIAL_CALLS, KernelUnsupported, band_gemm, compile_vectorized_cached,
-    gather,
 )
 from .passes import PlanState, analyze_cached, cse_enabled
 from .plan import Plan, RULE_LOCAL, RULE_LOCAL_BATCH
 from .rdd_rules import INT_COLUMN_CAP, _join_order, _local_columns, _pseudocode
-from .tiling import ResolvedGen, TiledSetup, _result_storage, _tile_shape
+from .tiling import ResolvedGen, TiledSetup, _result_storage
 
 
 def lower(state: PlanState) -> Plan:
@@ -185,84 +184,20 @@ def _lower_assemble(node: IRNode, inputs: list, state: PlanState) -> Callable:
 # ----------------------------------------------------------------------
 
 
-def _lower_map_tiles(node: IRNode, inputs: list, state: PlanState) -> Tiles:
-    """Join tiles on the output coordinate, compute locally per tile."""
-    if node.children[0].op == OP_FILTER:
-        ((sources, masks),) = inputs
-    else:
-        sources, masks = inputs, ()
-    setup: TiledSetup = node.setup
-    out_classes, value_fn = node.out_classes, node.value_fn
-    info = setup.info
-    position = {cls: pos for pos, cls in enumerate(out_classes)}
-    joined = _join_on_out_coord(setup, out_classes, sources)
-
-    gens = setup.gens
-    # Only materialize index grids for variables the kernels actually use.
-    used = free_vars(info.head_value)
-    for guard in info.residual_guards:
-        used |= free_vars(guard)
-    used_index_vars = {
-        var for var, cls in setup.classes.items()
-        if var in used and cls in position
-    }
-    n = setup.tile_size
-    identity = list(range(len(out_classes)))
-    axis_maps = [
-        [position[cls] for cls in gen.axis_classes] for gen in gens
-    ]
-    needs_grids = bool(used_index_vars) or any(
-        axis_map != identity for axis_map in axis_maps
-    )
-
-    def compute(record):
-        coords, tiles = record
-        shape = _tile_shape(setup, out_classes, coords)
-        env: dict[str, Any] = {}
-        grids = np.indices(shape) if needs_grids else None
-        for var in used_index_vars:
-            pos = position[setup.classes[var]]
-            env[var] = grids[pos] + coords[pos] * n
-        for gen, axis_map, tile in zip(gens, axis_maps, tiles):
-            if gen.value_var is not None:
-                if axis_map == identity:
-                    env[gen.value_var] = tile
-                else:
-                    env[gen.value_var] = gather(tile, axis_map, grids)
-        value = np.asarray(value_fn(env), dtype=np.float64)
-        if value.shape != shape:
-            value = np.broadcast_to(value, shape).copy()
-        if masks:
-            keep = np.ones(shape, dtype=bool)
-            for mask_fn in masks:
-                keep &= np.asarray(mask_fn(env), dtype=bool)
-            value = np.where(keep, value, 0.0)
-        return coords, value
-
-    tiles_rdd = joined.map(compute)
-    return Tiles(lambda: tiles_rdd)
-
-
 def _lower_fused_kernel(node: IRNode, sources: list, state: PlanState) -> Tiles:
-    """One generated NumPy kernel per partition instead of N Python hops.
+    """Rule 5.1's generated NumPy kernel, one call per partition.
 
-    The ``fusion`` pass already proved the chain has a source form and
-    put the generated text on the node; here it is compiled (once per
-    fingerprint, through the bounded kernel cache) and lowered to a
-    single elementwise ``map_partitions``.  In ``"tiles"`` mode the
+    Rule 5.1 put the generated text on the node; here it is compiled
+    (once per fingerprint, through the bounded kernel cache) and lowered
+    to a single elementwise ``map_partitions``.  In ``"tiles"`` mode the
     kernel consumes the scan's raw tile records — the whole projection /
     compute / clip chain is one hop; in ``"joined"`` mode the tile join
-    is kept and only compute + clip fuse.  Every partition the kernel
+    runs first and only compute + clip fuse.  Every partition the kernel
     runs over is counted by the entry it takes: a tile batch or records.
-    On any compile-time surprise the subtree the kernel replaced is
-    lowered instead — the interpreter chain, which is always correct.
     """
     fused = node.kernel
     metrics = state.engine.metrics if state.engine is not None else None
-    try:
-        kernel = get_fused_kernel(fused.fingerprint, fused.source, metrics)
-    except Exception:
-        return lower_node(node.fallback, state)
+    kernel = get_fused_kernel(fused.fingerprint, fused.source, metrics)
     if fused.mode == "tiles":
         (source_rdd,) = sources
     else:
@@ -1287,8 +1222,6 @@ def _local_batch(gen: GenInfo, env: dict[str, Any]) -> ColumnBatch:
 #: :func:`lower_node` failing loudly on an unknown operator is the point.
 _LOWERER_FOR: dict[str, Callable[[IRNode, list, PlanState], Any]] = {
     OP_SCAN: lambda node, _inputs, state: node.records(),
-    OP_FILTER: lambda node, sources, state: (sources, node.masks),
-    OP_MAP_TILES: _lower_map_tiles,
     OP_FUSED_KERNEL: _lower_fused_kernel,
     OP_REPLICATE: lambda node, inputs, state: inputs[0].flat_map(node.fan_out),
     OP_GROUP_BY: _lower_group_by,

@@ -11,23 +11,17 @@ decided, and built in a single motion.  It is now a
    *logical* operator DAG;
 2. **tiling-resolution** — resolve generators against tiled storages
    (index classes, grids, density stats) when the tiled rules may apply;
-3. **strategy-selection** — run the translation rules in the paper's
-   preference order and, for group-by-joins, the cost model; emits the
-   *physical* operator DAG;
+3. **strategy-selection** — check the head key against the builder,
+   then run the translation rules in the paper's preference order and,
+   for group-by-joins, the cost model; emits the *physical* operator
+   DAG (rule 5.1's is its generated kernel,
+   :func:`~repro.planner.codegen.generate_fused_kernel`);
 4. **adaptive-install** — mark cost-chosen plans for the stage-boundary
    re-optimization hook;
 5. **cse** — common-subplan elimination: merge identity-equal subtrees
    and mark the plan's shuffle outputs for
    :class:`~repro.engine.block_manager.BlockManager` reuse (off by
-   default; ``PlannerOptions(cse=True)``, which ``repro serve`` passes);
-6. **fusion** — replace a preserve-tiling MapTiles/Filter subtree with a
-   single :class:`~repro.planner.ir.FusedKernelNode` owning the
-   fingerprinted per-partition source
-   :func:`~repro.planner.codegen.generate_fused_kernel` emitted, so the
-   lowering runs one generated NumPy hop per stacked batch of tiles
-   instead of N Python-level RDD hops per tile (on by default;
-   ``PlannerOptions(fusion=False)`` pins the interpreter lowering, and
-   chains with no source form keep it per query).
+   default; ``PlannerOptions(cse=True)``, which ``repro serve`` passes).
 
 Every pass records a :class:`~repro.planner.ir.PassTraceEntry` with the
 physical DAG rendered before and after, so ``Plan.explain()`` can show
@@ -43,7 +37,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..comprehension.ast import (
-    BuilderApp, Comprehension, Expr, Generator, Reduce, Var, to_source,
+    BuilderApp, Comprehension, Expr, Generator, Reduce, TupleExpr, Var,
+    to_source,
 )
 from ..comprehension.errors import SacPlanError
 from ..comprehension.interpreter import Interpreter
@@ -57,14 +52,11 @@ from .cost import (
     STRATEGY_REPLICATE, STRATEGY_TILED_REDUCE, CostEstimate, CostModel,
     choose_strategy,
 )
-from .codegen import generate_fused_kernel
 from .groupby_join import emit_broadcast, emit_replicate, match_group_by_join
 from .ir import (
-    AssembleNode, FusedKernelNode, IRNode, LOGICAL, OP_COLLECT, OP_FILTER,
-    OP_GROUP_BY, OP_MAP_TILES, OP_REDUCE, PassTraceEntry, dedupe_dag,
-    scan_storage_node,
+    IRNode, LOGICAL, OP_COLLECT, OP_FILTER, OP_FUSED_KERNEL, OP_GROUP_BY,
+    OP_MAP_TILES, OP_REDUCE, PassTraceEntry, dedupe_dag, scan_storage_node,
 )
-from .kernels import KernelUnsupported
 from .rdd_rules import emit_coordinate
 from .tiling import (
     emit_preserve, emit_shuffle, emit_tiled_reduce, resolve_tiled,
@@ -85,12 +77,9 @@ def cse_enabled(options: "PlannerOptions") -> bool:
 
 
 def fusion_enabled(options: "PlannerOptions") -> bool:
-    """Is fused kernel codegen on for this compile?
-
-    On unless ``PlannerOptions(fusion=False)`` pins the interpreter
-    chain (the reference the differential suite compares against).
-    """
-    return options.fusion
+    """Always ``True``: rule 5.1 emits its generated kernel (kept for the
+    benchmark harness, which records it)."""
+    return True
 
 
 @dataclass
@@ -155,7 +144,6 @@ def default_passes() -> list[tuple[str, PassFn]]:
         ("strategy-selection", pass_strategy_selection),
         ("adaptive-install", pass_adaptive_install),
         ("cse", pass_cse),
-        ("fusion", pass_fusion),
     ]
 
 
@@ -343,6 +331,7 @@ def pass_strategy_selection(state: PlanState) -> str:
     """Run the rules in the paper's preference order; emit physical IR."""
     if state.kind != "distributed":
         return "skipped (local plan)"
+    _check_key_arity(state)
     setup, info = state.setup, state.info
     if setup is not None:
         if info.group_key_vars is not None:
@@ -375,11 +364,50 @@ def pass_strategy_selection(state: PlanState) -> str:
 
 
 def _selection_note(root: IRNode) -> str:
-    rule = root.attrs.get("rule", "?")
+    note = f"rule {root.attrs.get('rule', '?')}"
     strategy = root.attrs.get("strategy")
     if strategy:
-        return f"rule {rule} (strategy {strategy})"
-    return f"rule {rule}"
+        note += f" (strategy {strategy})"
+    for node in root.children:  # rule 5.1: Assemble(FusedKernel(scans))
+        if node.op == OP_FUSED_KERNEL:
+            note += f"; kernel {node.kernel.fingerprint} (mode {node.kernel.mode})"
+    return note
+
+
+#: Head-key components each distributed array builder indexes by.
+_KEY_ARITY = {"tiled": 2, "tiled_vector": 1}
+
+
+def _check_key_arity(state: PlanState) -> None:
+    """A head key the builder cannot index is a plan error at compile,
+    before any rule (each would fail its own way at execute time)."""
+    want = _KEY_ARITY.get(state.builder)
+    key = state.info.head_key
+    got = _key_arity(key, state.info, state.env)
+    if want is not None and got is not None and got != want:
+        raise SacPlanError(
+            f"{state.builder} takes a {want}-component key; the head key "
+            f"{to_source(key)} has {got}"
+        )
+
+
+def _key_arity(key: Optional[Expr], info: CompInfo, env: dict) -> Optional[int]:
+    """How many components ``key`` has, where the query fixes it."""
+    if isinstance(key, TupleExpr):
+        return len(key.items)
+    if not isinstance(key, Var):
+        return None
+    for gen in info.generators:
+        if gen.index_vars == [key.name]:  # bound to a whole source key
+            source = env.get(gen.source.name) if isinstance(gen.source, Var) else None
+            if isinstance(source, TiledVector):
+                return 1
+            if isinstance(source, (TiledMatrix, SparseTiledMatrix)):
+                return 2
+            return None
+        if key.name in gen.index_vars:
+            return 1
+    return None
 
 
 def _select_group_by(state: PlanState) -> Optional[IRNode]:
@@ -508,79 +536,6 @@ def pass_cse(state: PlanState) -> str:
     return (
         f"{merged} duplicate subplan(s) merged; "
         "shuffle outputs marked for cross-query reuse"
-    )
-
-
-# ----------------------------------------------------------------------
-# Pass 6 — fused per-tile kernel codegen
-# ----------------------------------------------------------------------
-
-
-def pass_fusion(state: PlanState) -> str:
-    """Replace a preserve-tiling chain with one generated kernel node.
-
-    Only rewrites an ``Assemble`` over a ``MapTiles`` subtree — the
-    chain lowering executes as elementwise Python hops per tile; every
-    other tree keeps its shape.  When the chain has no source form
-    (:class:`KernelUnsupported`), the interpreter chain stays in place
-    for exactly this query — a per-chain fallback, not a global switch.
-    """
-    root = state.physical
-    if root is None:
-        return "skipped (local plan)"
-    if not fusion_enabled(state.options):
-        return "disabled (PlannerOptions(fusion=False))"
-    if not (isinstance(root, AssembleNode) and root.children[0].op == OP_MAP_TILES):
-        return (
-            f"no fusible MapTiles/Filter chain "
-            f"(rule {root.attrs.get('rule', '?')})"
-        )
-    try:
-        node = fuse_map_tiles(root)
-    except KernelUnsupported as exc:
-        return f"kernel codegen unsupported ({exc}); interpreter chain kept"
-    root.children = (node,)
-    root._render_memo = None
-    root.attrs.setdefault("details", {})["fused_kernel"] = node.kernel.fingerprint
-    return (
-        f"fused {len(node.attrs['fused_ops'])} tile operator(s) into kernel "
-        f"{node.kernel.fingerprint} (mode {node.kernel.mode})"
-    )
-
-
-def fuse_map_tiles(root: AssembleNode) -> FusedKernelNode:
-    """The ``FusedKernel`` node that replaces ``root``'s MapTiles subtree.
-
-    The scans stay as its children, so storage identities — and with them
-    CSE/reuse fingerprints — are preserved; the replaced subtree rides
-    along as the node's lower-time fallback.
-    """
-    mapped = root.children[0]
-    fused = generate_fused_kernel(
-        mapped.setup, mapped.out_classes, root.builder, root.args
-    )
-    chain = [mapped]
-    inner = mapped.children
-    if len(inner) == 1 and inner[0].op == OP_FILTER:
-        chain.append(inner[0])
-        inner = inner[0].children
-    chain_ids = [
-        f"{node.op}[{node.label}]" if node.label else node.op
-        for node in chain
-    ]
-    return FusedKernelNode(
-        children=inner,
-        sig=(
-            ("fingerprint", fused.fingerprint),
-            ("mode", fused.mode),
-            ("fused", tuple(chain_ids)),
-        ),
-        attrs={"fingerprint": fused.fingerprint, "fused_ops": chain_ids},
-        label="fused kernel",
-        kernel=fused,
-        setup=mapped.setup,
-        out_classes=mapped.out_classes,
-        fallback=mapped,
     )
 
 

@@ -7,7 +7,9 @@ Order of preference for a tiled-builder comprehension over tiled inputs
    model* (:mod:`repro.planner.cost`) picks the cheapest of SUMMA
    replication, broadcasting either side, or the 5.3 join+group-by;
 2. tiled reduce (5.3) — group-by with combinable aggregations;
-3. preserve-tiling (5.1) — no group-by, aligned output;
+3. preserve-tiling (5.1) — no group-by, aligned output: one generated
+   NumPy kernel per partition (:mod:`repro.planner.codegen`), when the
+   head and guards have a source form;
 4. tiled shuffle (5.2) — no group-by, computed output indices;
 5. coordinate (Section 4, Rules 13/14) — the element-level fallback;
 6. local — in-memory inputs: the coordinate program's column batches
@@ -62,18 +64,10 @@ class PlannerOptions:
     lowered plan back on the next compile over the same objects, and
     its shuffle outputs are marked for
     :class:`~repro.engine.block_manager.BlockManager` reuse.
-
-    ``fusion``: fused kernel codegen, on by default.  Preserve-tiling
-    MapTiles/Filter chains lower to one generated NumPy kernel per
-    partition, run once per stacked batch of tiles, instead of N
-    Python-level RDD hops per tile; chains without a source form keep
-    the interpreter lowering.  ``False`` pins the interpreter lowering
-    for every chain (the differential tests' reference).
     """
 
     strategy: Optional[str] = None
     cse: bool = False
-    fusion: bool = True
 
     def __post_init__(self) -> None:
         if self.strategy is not None and self.strategy not in STRATEGIES:

@@ -50,9 +50,10 @@ from ..storage import stats as density
 from ..storage.stats import DENSE, DensityStats
 from ..storage.tiled import TiledMatrix, TiledVector
 from .analysis import CompInfo, key_components
+from .codegen import generate_fused_kernel
 from .ir import (
-    AssembleNode, FilterNode, GroupByNode, IRNode, MapTilesNode,
-    ReplicateNode, TiledReduceNode, scan_gen_node,
+    OP_FILTER, OP_MAP_TILES, AssembleNode, FusedKernelNode, GroupByNode,
+    IRNode, ReplicateNode, TiledReduceNode, scan_gen_node,
 )
 from .kernels import (
     KernelUnsupported, combine_tiles, compile_vectorized_cached, contract,
@@ -309,12 +310,6 @@ def _index_env(
     return env
 
 
-def _tile_shape(setup: TiledSetup, out_classes: Sequence[int], coords: Sequence[int]):
-    return tuple(
-        setup.block_extent(cls, coord) for cls, coord in zip(out_classes, coords)
-    )
-
-
 def _result_storage(
     n: int,
     builder: str,
@@ -473,9 +468,11 @@ def emit_preserve(
 ) -> Optional[IRNode]:
     """Equation (17): join tiles on the output coordinate, compute locally.
 
-    Checks eligibility and compiles the per-tile kernels; the RDD
-    program (tile join + map) is assembled in :mod:`repro.planner.lower`
-    from the nodes emitted here.
+    Checks eligibility and generates the rule's one per-partition kernel
+    (:func:`~repro.planner.codegen.generate_fused_kernel`): the head
+    value, the residual guards and the boundary clipping, run once per
+    batch of same-shaped tiles.  A head or guard with no source form
+    (:class:`KernelUnsupported`) means the rule does not apply.
     """
     info = setup.info
     if info.group_key_vars is not None or info.post_group_quals:
@@ -490,11 +487,9 @@ def emit_preserve(
     for gen in setup.gens:
         if not set(gen.axis_classes) <= out_set:
             return None  # an input dimension is not an output dimension
-
-    allowed = _all_vars(setup)
-    value_fn = _try_compile(info.head_value, allowed, setup.const_env)
-    masks = _guard_masks(setup, allowed)
-    if value_fn is None or masks is None:
+    try:
+        fused = generate_fused_kernel(setup, out_classes, builder, args)
+    except KernelUnsupported:
         return None
 
     # Element density follows the head value; block density is further
@@ -510,35 +505,35 @@ def emit_preserve(
         )
     )
 
-    scans = tuple(scan_gen_node(gen) for gen in setup.gens)
-    inner: tuple[IRNode, ...] = scans
+    # The logical operators the kernel computes, as ``explain`` names them.
+    chain_ids = [f"{OP_MAP_TILES}[per-tile kernel]"]
     if info.residual_guards:
-        inner = (FilterNode(
-            children=scans,
-            sig=(("guards", tuple(to_source(g) for g in info.residual_guards)),),
-            label="residual guards",
-            masks=masks,
-        ),)
-    mapped = MapTilesNode(
-        children=inner,
+        chain_ids.append(f"{OP_FILTER}[residual guards]")
+    kernel = FusedKernelNode(
+        children=tuple(scan_gen_node(gen) for gen in setup.gens),
         sig=(
-            ("head", to_source(info.head_value)),
-            ("out", tuple(out_classes)),
+            ("fingerprint", fused.fingerprint),
+            ("mode", fused.mode),
+            ("fused", tuple(chain_ids)),
         ),
-        label="per-tile kernel",
+        attrs={"fingerprint": fused.fingerprint, "fused_ops": chain_ids},
+        label="fused kernel",
+        kernel=fused,
         setup=setup,
         out_classes=out_classes,
-        value_fn=value_fn,
     )
     return assemble_root(
-        setup, builder, args, mapped, out_stats, label=builder,
+        setup, builder, args, kernel, out_stats, label=builder,
         rule=RULE_PRESERVE_TILING,
         description=(
             "output tile coordinates are a projection of input tile "
             "coordinates; tiles joined directly (no re-tiling shuffle)"
         ),
         pseudocode=_preserve_pseudocode(setup, out_classes),
-        details={"generators": len(setup.gens), "out_dims": len(out_classes)},
+        details={
+            "generators": len(setup.gens), "out_dims": len(out_classes),
+            "fused_kernel": fused.fingerprint,
+        },
     )
 
 

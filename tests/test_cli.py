@@ -75,7 +75,7 @@ def test_cli_explain_json(data_file, capsys):
     pass_names = [entry["name"] for entry in payload["passes"]]
     assert pass_names == [
         "normalize-bridge", "tiling-resolution", "strategy-selection",
-        "adaptive-install", "cse", "fusion",
+        "adaptive-install", "cse",
     ]
 
 

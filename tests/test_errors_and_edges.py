@@ -53,6 +53,27 @@ def test_builder_wrong_arity(session):
         session.run("matrix(3)[ ((i,j),v) | ((i,j),v) <- M ]", M=[((0, 0), 1.0)])
 
 
+@pytest.mark.parametrize("strategy", [None, "coordinate"])
+@pytest.mark.parametrize("query,builder,arities", [
+    ("tiled_vector(4)[ ((i,j), v) | ((i,j),v) <- A ]", "tiled_vector", "1.*2"),
+    ("tiled(4,4)[ (i, x) | (i,x) <- V ]", "tiled", "2.*1"),
+])
+def test_head_key_unlike_the_builder_is_a_plan_error(
+    query, builder, arities, strategy
+):
+    from repro.planner import PlannerOptions
+
+    session = SacSession(
+        cluster=TINY_CLUSTER, tile_size=2,
+        options=PlannerOptions(strategy=strategy),
+    )
+    env = dict(
+        A=session.tiled(np.ones((4, 4))), V=session.tiled_vector(np.ones(4))
+    )
+    with pytest.raises(SacPlanError, match=f"^{builder} .*{arities}"):
+        session.compile(query, env)
+
+
 # ----------------------------------------------------------------------
 # Empty and degenerate inputs
 # ----------------------------------------------------------------------

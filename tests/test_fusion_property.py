@@ -1,19 +1,17 @@
-"""Fused kernel codegen: differential fuzz and fallback parity.
+"""Rule 5.1's generated kernel against a NumPy oracle.
 
-The fusion pass replaces the preserve-tiling MapTiles/Filter interpreter
-chain with one generated NumPy kernel per partition, run once per
-batch of same-shaped tiles — a tile batch partition as it is stored, a
-record list grouped first.  The contract is *byte identity* of result
-bytes and engine counters: for every fusible chain, the fused run must
-produce exactly the same array as the interpreter chain (not allclose —
-the kernel re-emits the same ufunc calls in the same order, and an
-elementwise ufunc is exact per element however the elements are
-batched).  These tests fuzz that contract over random chains on both
-partition kinds, pin it across the serial/threaded runners, and cover
-the batch boundaries (ragged groups, dropped and trimmed tiles, chunk
-budget, record order, spill), the KernelUnsupported fallback, the
-kernel cache counters, the explain() surfacing, and the vectorized
-``partition_batch`` fast path.
+A preserve-tiling query runs as one generated NumPy kernel per
+partition, once per batch of same-shaped tiles — a tile batch partition
+as it is stored, a record list grouped first.  The contract is *byte
+identity* with the oracle: the head evaluated by ``compile_vectorized``
+over the whole dense operands (not allclose — the kernel emits the same
+ufunc calls, and an elementwise ufunc is exact per element however its
+input is batched).  These tests fuzz that contract over random heads,
+guards and declared extents on both partition kinds, pin it across the
+serial/threaded runners, and cover the batch boundaries (ragged groups,
+dropped and trimmed tiles, chunk budget, record order, spill), a head
+with no vectorized form, the kernel cache counters, the explain()
+surfacing, and the vectorized ``partition_batch`` fast path.
 """
 
 import pickle
@@ -24,10 +22,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import SacSession
+from repro.comprehension.parser import parse
 from repro.engine import TINY_CLUSTER
 from repro.engine.batch import TileBatch
 from repro.engine.partitioner import GridPartitioner, HashPartitioner
-from repro.planner import PlannerOptions
+from repro.planner import RULE_COORDINATE, RULE_PRESERVE_TILING
+from repro.planner.kernels import compile_vectorized
 from repro.storage.tiled import TiledMatrix
 
 SETTINGS = settings(
@@ -41,10 +41,9 @@ tile_sizes = st.integers(min_value=1, max_value=9)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def make_session(tile_size, fusion, runner=None, **session_args):
+def make_session(tile_size, runner=None, **session_args):
     return SacSession(
-        cluster=TINY_CLUSTER, tile_size=tile_size,
-        options=PlannerOptions(fusion=fusion), runner=runner, **session_args,
+        cluster=TINY_CLUSTER, tile_size=tile_size, runner=runner, **session_args,
     )
 
 
@@ -52,36 +51,49 @@ def random_matrix(rows, cols, seed):
     return np.random.default_rng(seed).uniform(-5, 5, size=(rows, cols))
 
 
-#: Counters a fused run must leave exactly as the interpreter chain
-#: does; under a memory cap the cache hits and misses are left out (a
-#: prefetch restores a block before or after its read).
-COUNTERS = (
-    "stages", "tasks", "shuffles", "shuffle_records", "shuffle_bytes",
-    "cache_hits", "cache_misses",
-)
+def oracle(head, shape, guards=(), **operands):
+    """``head`` over whole dense ``operands`` of ``shape``, with
+    ``np.indices`` grids bound to ``i`` (and ``j``); each guard zeroes
+    the elements it rejects."""
+    env = dict(zip("ij", np.indices(shape)), **operands)
+    value = np.asarray(compile_vectorized(parse(head))(env), dtype=np.float64)
+    if value.shape != shape:
+        value = np.broadcast_to(value, shape).copy()
+    for guard in guards:
+        mask = np.asarray(compile_vectorized(parse(guard))(env), dtype=bool)
+        value = np.where(mask, value, 0.0)
+    return value
 
 
-def _run_both(query, env_of, tile, runner=None, **session_args):
-    """Run ``query`` fused and interpreted; return both ndarrays, after
-    checking the two left the same engine counters."""
-    results, counters = [], []
-    for fusion in (True, False):
-        session = make_session(tile, fusion, runner=runner, **session_args)
-        results.append(session.run(query, env_of(session)).to_numpy())
-        total = session.engine.metrics.total
-        names = COUNTERS[:5] if session_args.get("memory_limit") else COUNTERS
-        counters.append([getattr(total, name) for name in names])
-        session.engine.close()
-    assert counters[0] == counters[1]
-    return results
+def fit(array, declared):
+    """``array`` cut or zero-filled to the declared extent."""
+    out = np.zeros(declared)
+    region = tuple(slice(min(a, d)) for a, d in zip(array.shape, declared))
+    out[region] = array[region]
+    return out
+
+
+def guards_of(guard):
+    """``", i != j, i + j > 3"`` as its guard expressions."""
+    return [part.strip() for part in guard.split(",") if part.strip()]
+
+
+def _run_fused(query, env_of, tile, runner=None, **session_args):
+    """``query``'s result as an ndarray, after checking it took rule 5.1."""
+    session = make_session(tile, runner=runner, **session_args)
+    env = env_of(session)
+    _assert_fused(session, query, env)
+    result = session.run(query, env).to_numpy()
+    session.engine.close()
+    return result
 
 
 def _assert_fused(session, query, env):
-    """The compile must actually take the fused path (guards the fuzz
-    against silently degrading into interpreter-vs-interpreter)."""
+    """The compile must actually run the generated kernel (guards the
+    fuzz against silently testing another rule)."""
     plan = session.compile(query, env).plan
-    notes = [e.summary() for e in plan.trace if e.name == "fusion"]
-    assert notes and notes[0].startswith("fusion: fused"), notes
+    assert plan.rule == RULE_PRESERVE_TILING, plan.rule
+    assert len(plan.fused_kernels()) == 1
 
 
 def tiled_source(session, data, source):
@@ -97,7 +109,7 @@ def tiled_source(session, data, source):
 
 
 # ----------------------------------------------------------------------
-# Differential fuzz: random chains, fused vs interpreted, byte-identical
+# Differential fuzz: random chains, fused vs the NumPy oracle, byte-identical
 # ----------------------------------------------------------------------
 
 SINGLE_HEADS = [
@@ -129,20 +141,21 @@ def test_single_generator_chain_byte_identical(
 ):
     data = random_matrix(n, m, seed)
     dn, dm = max(1, n - cut_n), max(1, m - cut_m)
+    want = oracle(head, (n, m), guards_of(guard), v=data)
     if transpose:
         query = f"tiled(dm,dn)[ ((j,i),{head}) | ((i,j),v) <- M{guard} ]"
+        want = fit(want.T, (dm, dn))
     else:
         query = f"tiled(dn,dm)[ ((i,j),{head}) | ((i,j),v) <- M{guard} ]"
+        want = fit(want, (dn, dm))
 
     def env_of(session):
         return dict(M=tiled_source(session, data, source), dn=dn, dm=dm)
 
-    fused, interpreted = _run_both(query, env_of, tile)
-    assert fused.tobytes() == interpreted.tobytes()
-    session = make_session(tile, fusion=True)
-    env = env_of(session)
-    _assert_fused(session, query, env)
+    assert _run_fused(query, env_of, tile).tobytes() == want.tobytes()
     # Every partition enters the kernel as what it is stored as.
+    session = make_session(tile)
+    env = env_of(session)
     stored = env["M"].tiles._slices
     session.run(query, env).materialize()
     total = session.engine.metrics.total
@@ -168,6 +181,7 @@ def test_two_generator_chain_byte_identical(
         f"tiled(dn,m)[ ((i,j),{head}) | ((i,j),a) <- A, ((ii,jj),b) <- B,"
         f" ii == i, jj == j{guard} ]"
     )
+    want = oracle(head, (n, m), guards_of(guard), a=left, b=right)
 
     def env_of(session):
         return dict(
@@ -175,10 +189,8 @@ def test_two_generator_chain_byte_identical(
             B=tiled_source(session, right, source), dn=dn, m=m,
         )
 
-    fused, interpreted = _run_both(query, env_of, tile)
-    assert fused.tobytes() == interpreted.tobytes()
-    session = make_session(tile, fusion=True)
-    _assert_fused(session, query, env_of(session))
+    fused = _run_fused(query, env_of, tile)
+    assert fused.tobytes() == fit(want, (dn, m)).tobytes()
 
 
 @SETTINGS
@@ -192,8 +204,8 @@ def test_vector_chain_byte_identical(n, tile, seed, head):
     def env_of(session):
         return dict(V=session.tiled_vector(data), n=n)
 
-    fused, interpreted = _run_both(query, env_of, tile)
-    assert np.array_equal(fused, interpreted)
+    fused = _run_fused(query, env_of, tile)
+    assert fused.tobytes() == oracle(head, (n,), x=data).tobytes()
 
 
 @settings(max_examples=10, deadline=None)
@@ -206,15 +218,13 @@ def test_chain_under_a_memory_cap_byte_identical(n, seed, head, source):
     arrays) feed the kernel as they were stored."""
     data = random_matrix(n, n, seed)
     query = f"tiled(n,n)[ ((i,j),{head}) | ((i,j),v) <- M ]"
-    outputs = []
+    want = oracle(head, (n, n), v=data).tobytes()
     for limit in (None, 2048):
         def env_of(session):
             return dict(M=tiled_source(session, data, source).materialize(), n=n)
 
-        fused, interpreted = _run_both(query, env_of, 2, memory_limit=limit)
-        assert fused.tobytes() == interpreted.tobytes()
-        outputs.append(fused.tobytes())
-    assert outputs[0] == outputs[1]
+        fused = _run_fused(query, env_of, 2, memory_limit=limit)
+        assert fused.tobytes() == want
 
 
 # ----------------------------------------------------------------------
@@ -232,16 +242,13 @@ def test_scalar_binding_literals_match_interpreter(c):
     query = "tiled(n,m)[ ((i,j), c*x + c) | ((i,j),x) <- A ]"
     data = random_matrix(4, 4, 11)
     data[0, 0] = 0.0  # inf * 0 -> nan, -0.0 * 0 keeps its sign
-
-    def env_of(session):
-        return dict(A=session.tiled(data), n=4, m=4, c=c)
-
-    fused, interpreted = _run_both(query, env_of, 2)
-    assert fused.tobytes() == interpreted.tobytes()
-    assert np.array_equal(fused, c * data + c, equal_nan=True)
+    session = make_session(2)
+    env = dict(A=session.tiled(data), n=4, m=4, c=c)
     if not isinstance(c, np.integer):  # not a planner constant: coordinate rule
-        session = make_session(2, fusion=True)
-        _assert_fused(session, query, env_of(session))
+        _assert_fused(session, query, env)
+    result = session.run(query, env).to_numpy()
+    assert result.tobytes() == oracle("c*x + c", (4, 4), x=data, c=c).tobytes()
+    assert np.array_equal(result, c * data + c, equal_nan=True)
 
 
 def test_non_finite_literals_keep_distinct_fingerprints():
@@ -262,21 +269,27 @@ def test_non_finite_literals_keep_distinct_fingerprints():
 
 RUNNER_MATRIX = [None, "threads"]
 
-MATRIX_QUERIES = [
-    "tiled(n,m)[ ((i,j),2.0*v+1.0) | ((i,j),v) <- M, i != j ]",
-    "tiled(m,n)[ ((j,i),v*v) | ((i,j),v) <- M ]",
+#: query -> its oracle over the two operands ``M`` and ``N2``.
+MATRIX_QUERIES = {
+    "tiled(n,m)[ ((i,j),2.0*v+1.0) | ((i,j),v) <- M, i != j ]": (
+        lambda left, right: oracle("2.0*v+1.0", left.shape, ["i != j"], v=left)
+    ),
+    "tiled(m,n)[ ((j,i),v*v) | ((i,j),v) <- M ]": (
+        lambda left, right: oracle("v*v", left.shape, v=left).T
+    ),
     (
         "tiled(n,m)[ ((i,j),a-2.0*b) | ((i,j),a) <- M, ((ii,jj),b) <- N2,"
         " ii == i, jj == j ]"
-    ),
-]
+    ): lambda left, right: oracle("a-2.0*b", left.shape, a=left, b=right),
+}
 
 
-@pytest.mark.parametrize("query", MATRIX_QUERIES)
+@pytest.mark.parametrize("query", list(MATRIX_QUERIES))
 def test_runner_matrix_byte_identical(query):
     n, m, tile = 23, 17, 6
     left = random_matrix(n, m, 11)
     right = random_matrix(n, m, 12)
+    want = MATRIX_QUERIES[query](left, right)
 
     def env_of(session):
         return dict(
@@ -284,8 +297,8 @@ def test_runner_matrix_byte_identical(query):
         )
 
     for runner in RUNNER_MATRIX:
-        fused, interpreted = _run_both(query, env_of, tile, runner=runner)
-        assert np.array_equal(fused, interpreted), runner
+        fused = _run_fused(query, env_of, tile, runner=runner)
+        assert fused.tobytes() == want.tobytes(), runner
 
 
 # ----------------------------------------------------------------------
@@ -300,18 +313,24 @@ def test_runner_matrix_byte_identical(query):
 RAGGED_ROWS, RAGGED_COLS, RAGGED_TILE = 11, 14, 4
 FULL_ROWS, FULL_COLS = 12, 16
 
-BOUNDARY_QUERIES = [
+#: query -> (head, guards, transposed, declared extent) for its oracle.
+BOUNDARY_QUERIES = {
     # plain chain; index grids (i and j read); transposed axis map with
     # a grid; scalar-constant head (the broadcast_to(...).copy() branch);
     # guard masks over the batched grids
-    "tiled(9,9)[ ((i,j),0.5*v+0.1*v*v) | ((i,j),v) <- M ]",
-    "tiled(9,9)[ ((i,j),v+2.0*i-j) | ((i,j),v) <- M ]",
-    "tiled(9,9)[ ((j,i),v*v+i) | ((i,j),v) <- M ]",
-    "tiled(9,9)[ ((i,j),3.5) | ((i,j),v) <- M ]",
-    "tiled(9,9)[ ((i,j),v-1.0) | ((i,j),v) <- M, i != j, i + j > 3 ]",
+    "tiled(9,9)[ ((i,j),0.5*v+0.1*v*v) | ((i,j),v) <- M ]": (
+        "0.5*v+0.1*v*v", (), False, (9, 9)),
+    "tiled(9,9)[ ((i,j),v+2.0*i-j) | ((i,j),v) <- M ]": (
+        "v+2.0*i-j", (), False, (9, 9)),
+    "tiled(9,9)[ ((j,i),v*v+i) | ((i,j),v) <- M ]": (
+        "v*v+i", (), True, (9, 9)),
+    "tiled(9,9)[ ((i,j),3.5) | ((i,j),v) <- M ]": ("3.5", (), False, (9, 9)),
+    "tiled(9,9)[ ((i,j),v-1.0) | ((i,j),v) <- M, i != j, i + j > 3 ]": (
+        "v-1.0", ("i != j", "i + j > 3"), False, (9, 9)),
     # declared beyond the input on one axis, inside it on the other
-    "tiled(20,9)[ ((i,j),v+1.0) | ((i,j),v) <- M ]",
-]
+    "tiled(20,9)[ ((i,j),v+1.0) | ((i,j),v) <- M ]": (
+        "v+1.0", (), False, (20, 9)),
+}
 
 
 def _fused_kernel(session, query, env):
@@ -322,31 +341,39 @@ def _fused_kernel(session, query, env):
     return get_fused_kernel(entry["fingerprint"], entry["source"])
 
 
-@pytest.mark.parametrize("query", BOUNDARY_QUERIES)
+@pytest.mark.parametrize("query", list(BOUNDARY_QUERIES))
 def test_ragged_partition_tiles_and_order_match_interpreter(query):
+    head, guards, transposed, declared = BOUNDARY_QUERIES[query]
+    n = RAGGED_TILE
     for shape, batched in (((RAGGED_ROWS, RAGGED_COLS), 0), ((FULL_ROWS, FULL_COLS), 1)):
         data = random_matrix(*shape, 21)
-        tiles = []
-        for fusion in (True, False):
-            session = make_session(RAGGED_TILE, fusion)
-            env = dict(M=session.tiled(data, num_partitions=1))
-            if fusion:
-                _assert_fused(session, query, env)
-            tiles.append(session.run(query, env).tiles.collect())
-            if fusion:  # the partition entered the kernel as stored
-                assert session.engine.metrics.total.kernel_batch_inputs == batched
-        fused, interpreted = tiles
-        # Same records, same order, same bytes — tile by tile.
-        assert [key for key, _ in fused] == [key for key, _ in interpreted]
-        for (_, got), (_, want) in zip(fused, interpreted):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        session = make_session(n)
+        source = session.tiled(data, num_partitions=1)
+        _assert_fused(session, query, dict(M=source))
+        tiles = session.run(query, M=source).tiles.collect()
+        # The partition entered the kernel as stored.
+        assert session.engine.metrics.total.kernel_batch_inputs == batched
+        want = oracle(head, shape, guards, v=data)
+        if transposed:
+            want = want.T
+        # Tiles end at the traversed extent: cut, never zero-filled.
+        want = want[tuple(slice(d) for d in declared)]
+        # Input record order, less the tiles wholly outside the output.
+        keys = [key[::-1] if transposed else key for key, _ in source.tiles.collect()]
+        assert [key for key, _ in tiles] == [
+            key for key in keys
+            if all(c * n < extent for c, extent in zip(key, want.shape))
+        ]
+        for (r, c), got in tiles:
+            block = want[r * n:(r + 1) * n, c * n:(c + 1) * n]
+            assert got.dtype == block.dtype and got.shape == block.shape
+            assert got.tobytes() == block.tobytes()
 
 
 def test_output_order_is_input_record_order():
     """Groups interleave in a shuffled partition; outputs must not."""
-    session = make_session(RAGGED_TILE, fusion=True)
-    query = BOUNDARY_QUERIES[1]
+    session = make_session(RAGGED_TILE)
+    query = list(BOUNDARY_QUERIES)[1]
     source = session.tiled(
         random_matrix(RAGGED_ROWS, RAGGED_COLS, 22), num_partitions=1
     )
@@ -390,23 +417,24 @@ def _mixed_records(with_list):
     # ``v/4`` floors on integer tiles and divides on float ones, so a
     # stack that mixed the dtypes would change the answer.
     ("v/4", False),
-    # A nested-list tile (the interpreter's ufuncs accept one).
+    # A nested-list tile (NumPy ufuncs accept one).
     ("2.0*v+1.0", True),
 ])
 def test_mixed_dtype_and_non_ndarray_tiles_take_their_own_groups(
     head, with_list
 ):
     query = f"tiled(12,8)[ ((i,j),{head}) | ((i,j),v) <- M ]"
-    results = []
-    for fusion in (True, False):
-        session = make_session(4, fusion)
-        records = _mixed_records(with_list)
-        source = TiledMatrix(
-            12, 8, 4, session.engine.parallelize(records, 1)
-        )
-        results.append(session.run(query, M=source).to_numpy())
-    fused, interpreted = results
-    assert fused.tobytes() == interpreted.tobytes()
+    session = make_session(4)
+    source = TiledMatrix(
+        12, 8, 4, session.engine.parallelize(_mixed_records(with_list), 1)
+    )
+    _assert_fused(session, query, dict(M=source))
+    fused = session.run(query, M=source).to_numpy()
+    # Each tile is its block's whole operand, in its own dtype.
+    want = np.zeros((12, 8))
+    for (r, c), tile in _mixed_records(with_list):
+        want[r * 4:(r + 1) * 4, c * 4:(c + 1) * 4] = oracle(head, (4, 4), v=tile)
+    assert fused.tobytes() == want.tobytes()
 
 
 def test_tiles_over_the_chunk_budget_do_not_share_memory():
@@ -415,7 +443,7 @@ def test_tiles_over_the_chunk_budget_do_not_share_memory():
     query = "tiled(n,m)[ ((i,j),0.5*v+0.1*v*v) | ((i,j),v) <- M ]"
     big = int((_CHUNK_BYTES // 8) ** 0.5)  # one tile > half the budget
     for tile, shared in ((4, True), (big, False)):
-        session = make_session(tile, fusion=True)
+        session = make_session(tile)
         n = 3 * tile
         source = session.tiled(random_matrix(n, n, 24), num_partitions=1)
         kernel = _fused_kernel(session, query, dict(M=source, n=n, m=n))
@@ -477,35 +505,22 @@ def test_fused_small_tile_chain_under_memory_limit_restores_identical():
 
 
 # ----------------------------------------------------------------------
-# KernelUnsupported fallback: interpreter chain kept, results unchanged
+# A head with no vectorized form is not rule 5.1's
 # ----------------------------------------------------------------------
 
 
-def test_kernel_unsupported_falls_back_to_interpreter(monkeypatch):
-    from repro.planner import passes
-    from repro.planner.kernels import KernelUnsupported
-
-    def refuse(*_args, **_kwargs):
-        raise KernelUnsupported("forced by test")
-
-    query = "tiled(n,m)[ ((i,j),2.0*v) | ((i,j),v) <- M ]"
+def test_head_without_a_source_form_takes_the_coordinate_rule():
+    """A Python function bound in the environment renders to no kernel
+    text, so 5.1 does not apply; the coordinate rule runs it per row."""
+    query = "tiled(n,m)[ ((i,j),f(v)) | ((i,j),v) <- M ]"
     data = random_matrix(13, 9, 3)
-
-    baseline_session = make_session(5, fusion=False)
-    baseline = baseline_session.run(
-        query, M=baseline_session.tiled(data), n=13, m=9
-    ).to_numpy()
-
-    monkeypatch.setattr(passes, "generate_fused_kernel", refuse)
-    session = make_session(5, fusion=True)
-    env = dict(M=session.tiled(data), n=13, m=9)
+    session = make_session(5)
+    env = dict(M=session.tiled(data), n=13, m=9, f=lambda x: x * x + 1.0)
     plan = session.compile(query, env).plan
-    notes = [e.summary() for e in plan.trace if e.name == "fusion"]
-    assert notes == [
-        "fusion: kernel codegen unsupported (forced by test);"
-        " interpreter chain kept"
-    ]
-    assert np.array_equal(session.run(query, env).to_numpy(), baseline)
+    assert plan.rule == RULE_COORDINATE and plan.fused_kernels() == []
+    notes = [e.summary() for e in plan.trace if e.name == "strategy-selection"]
+    assert notes == ["strategy-selection: rule coordinate [rewrote plan]"]
+    assert np.array_equal(session.run(query, env).to_numpy(), data * data + 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -519,13 +534,13 @@ def test_kernel_cache_counters():
     query = "tiled(n,m)[ ((i,j),7.5309*v) | ((i,j),v) <- M ]"
     data = random_matrix(13, 11, 5)
 
-    first = make_session(5, fusion=True)
+    first = make_session(5)
     first.run(query, M=first.tiled(data), n=13, m=11)
     cold = first.engine.metrics.total
     assert cold.kernel_cache_misses == 1
     assert cold.kernel_cache_hits == 0
 
-    second = make_session(5, fusion=True)
+    second = make_session(5)
     second.run(query, M=second.tiled(data), n=13, m=11)
     warm = second.engine.metrics.total
     assert warm.kernel_cache_misses == 0
@@ -552,7 +567,7 @@ def test_kernel_cache_lru_eviction():
 
 
 def test_explain_and_to_dict_surface_fused_source():
-    session = make_session(5, fusion=True)
+    session = make_session(5)
     query = "tiled(n,m)[ ((i,j),v*v) | ((i,j),v) <- M, i != j ]"
     env = dict(M=session.tiled(random_matrix(13, 9, 4)), n=13, m=9)
 
@@ -569,17 +584,7 @@ def test_explain_and_to_dict_surface_fused_source():
     assert "def _fused_partition(_part):" in entry["source"]
 
 
-def test_to_dict_has_no_fused_section_when_off():
-    session = make_session(5, fusion=False)
-    query = "tiled(n,m)[ ((i,j),v*v) | ((i,j),v) <- M ]"
-    env = dict(M=session.tiled(random_matrix(13, 9, 4)), n=13, m=9)
-    out = session.compile(query, env).plan.to_dict()
-    assert "fused_kernels" not in out
-
-
-def test_cli_fuses_by_default_and_no_fusion_pins_the_interpreter(
-    tmp_path, capsys
-):
+def test_cli_reports_fused_kernels(tmp_path, capsys):
     from repro.cli import main
 
     path = tmp_path / "x.npy"
@@ -592,8 +597,6 @@ def test_cli_fuses_by_default_and_no_fusion_pins_the_interpreter(
     ]
     assert main(argv) == 0
     assert "fused kernels: 1 compiled" in capsys.readouterr().out
-    assert main(argv + ["--no-fusion"]) == 0
-    assert "fused kernels: interpreter chain pinned" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

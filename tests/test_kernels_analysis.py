@@ -6,7 +6,7 @@ import pytest
 from repro.comprehension import Lit, Reduce, Var, desugar, normalize, parse
 from repro.comprehension.monoids import MONOIDS, is_monoid, monoid
 from repro.comprehension.errors import SacTypeError
-from repro.planner import analyze, compile_vectorized, contract, gather
+from repro.planner import analyze, compile_vectorized, contract
 from repro.planner.kernels import KernelUnsupported
 
 
@@ -189,26 +189,8 @@ def test_compile_unsupported_raises():
 
 
 # ----------------------------------------------------------------------
-# gather / contract
+# contract
 # ----------------------------------------------------------------------
-
-
-def test_gather_identity_returns_same_object():
-    tile = np.arange(6.0).reshape(2, 3)
-    grids = np.indices((2, 3))
-    assert gather(tile, [0, 1], grids) is tile
-
-
-def test_gather_transpose():
-    tile = np.arange(6.0).reshape(2, 3)
-    grids = np.indices((3, 2))
-    np.testing.assert_allclose(gather(tile, [1, 0], grids), tile.T)
-
-
-def test_gather_diagonal():
-    tile = np.arange(9.0).reshape(3, 3)
-    grids = np.indices((3,))
-    np.testing.assert_allclose(gather(tile, [0, 0], grids), np.diag(tile))
 
 
 def test_contract_matmul_uses_einsum():

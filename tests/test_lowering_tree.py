@@ -19,7 +19,6 @@ from repro.engine import TINY_CLUSTER
 from repro.planner import PlannerOptions, ir, plan_state
 from repro.planner import lower as lower_module
 from repro.planner.lower import lower, lower_node
-from repro.planner.passes import fuse_map_tiles
 
 SRC = pathlib.Path(repro.__file__).parent
 RNG = np.random.default_rng(22)
@@ -39,29 +38,31 @@ def _state(session, query, env):
 
 
 def test_a_spliced_fused_kernel_node_runs_without_any_root_attribute():
-    session = SacSession(
-        cluster=TINY_CLUSTER, tile_size=10, options=PlannerOptions(fusion=False)
-    )
+    session = SacSession(cluster=TINY_CLUSTER, tile_size=10)
     a, b = RNG.uniform(size=(30, 20)), RNG.uniform(size=(30, 20))
-    # A constant no other test uses keeps the process-wide kernel cache cold.
     query = (
-        "tiled(n,m)[ ((i,j),x+0.22731*y) | ((i,j),x) <- A, ((ii,jj),y) <- B,"
+        "tiled(n,m)[ ((i,j),x+c*y) | ((i,j),x) <- A, ((ii,jj),y) <- B,"
         " ii == i, jj == j ]"
     )
-    env = dict(A=session.tiled(a), B=session.tiled(b), n=30, m=20)
+    env = dict(A=session.tiled(a), B=session.tiled(b), n=30, m=20, c=0.22731)
     state = _state(session, query, env)
     root = state.physical
-    assert root.children[0].op == ir.OP_MAP_TILES
+    (kernel,) = root.children
+    assert kernel.op == ir.OP_FUSED_KERNEL
     annotations = dict(root.attrs)
+    # The same query closed over another constant: another kernel text.
+    other = _state(session, query, dict(env, c=0.51093)).physical.children[0]
+    assert other.kernel.fingerprint != kernel.kernel.fingerprint
 
-    root.children = (fuse_map_tiles(root),)
+    root.children = (other,)
     root._render_memo = None
     plan = lower(state)
 
     assert root.attrs == annotations
-    assert session.engine.metrics.total.kernel_cache_misses == 1
-    assert [entry["mode"] for entry in plan.fused_kernels()] == ["joined"]
-    np.testing.assert_array_equal(plan.execute().to_numpy(), a + 0.22731 * b)
+    assert [entry["fingerprint"] for entry in plan.fused_kernels()] == [
+        other.kernel.fingerprint
+    ]
+    np.testing.assert_array_equal(plan.execute().to_numpy(), a + 0.51093 * b)
 
 
 def test_a_swapped_scan_changes_what_the_join_reads():

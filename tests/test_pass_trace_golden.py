@@ -43,10 +43,8 @@ def trace_of(session, query, env):
 
 PASS_NAMES = [
     "normalize-bridge", "tiling-resolution", "strategy-selection",
-    "adaptive-install", "cse", "fusion",
+    "adaptive-install", "cse",
 ]
-
-FUSION_OFF = "fusion: disabled (PlannerOptions(fusion=False))"
 
 
 def test_add_trace(session):
@@ -62,36 +60,13 @@ def test_add_trace(session):
         "normalize-bridge: builder 'tiled'; 2 generator(s) analyzed",
         "tiling-resolution: resolved 2 generator(s); index classes [0, 1],"
         " tile size 10",
-        "strategy-selection: rule preserve-tiling [rewrote plan]",
+        "strategy-selection: rule preserve-tiling; kernel 4c67ee27291e082c"
+        " (mode joined) [rewrote plan]",
         "adaptive-install: not a cost-chosen group-by-join candidate",
         "cse: disabled (enable with PlannerOptions(cse=True))",
-        "fusion: fused 1 tile operator(s) into kernel 4c67ee27291e082c"
-        " (mode joined) [rewrote plan]",
     ]
     assert final == (
         "Assemble[tiled](FusedKernel[fused kernel]"
-        "(Scan[i,j], Scan[ii,jj]))"
-    )
-
-
-def test_add_trace_fusion_pinned_off():
-    """``fusion=False`` keeps the interpreter chain and says so."""
-    from repro.planner import PlannerOptions
-
-    session = SacSession(
-        cluster=TINY_CLUSTER, tile_size=TILE,
-        options=PlannerOptions(fusion=False),
-    )
-    summaries, final = trace_of(
-        session,
-        "tiled(n,m)[ ((i,j),a+b) | ((i,j),a) <- M, ((ii,jj),b) <- N2,"
-        " ii == i, jj == j ]",
-        {"M": _mat(session, 30, 20), "N2": _mat(session, 30, 20),
-         "n": 30, "m": 20},
-    )
-    assert summaries[-1] == FUSION_OFF
-    assert final == (
-        "Assemble[tiled](MapTiles[per-tile kernel]"
         "(Scan[i,j], Scan[ii,jj]))"
     )
 
@@ -114,7 +89,6 @@ def test_multiply_trace(session):
         "adaptive-install: re-optimization hook armed for strategy"
         " gbj-replicate",
         "cse: disabled (enable with PlannerOptions(cse=True))",
-        "fusion: no fusible MapTiles/Filter chain (rule group-by-join)",
     ]
     assert final == (
         "Assemble(GroupByJoin[summa]"
@@ -133,11 +107,10 @@ def test_transpose_trace(session):
         "normalize-bridge: builder 'tiled'; 1 generator(s) analyzed",
         "tiling-resolution: resolved 1 generator(s); index classes [0, 1],"
         " tile size 10",
-        "strategy-selection: rule preserve-tiling [rewrote plan]",
+        "strategy-selection: rule preserve-tiling; kernel 74ea951f8d96ae7b"
+        " (mode tiles) [rewrote plan]",
         "adaptive-install: not a cost-chosen group-by-join candidate",
         "cse: disabled (enable with PlannerOptions(cse=True))",
-        "fusion: fused 1 tile operator(s) into kernel 74ea951f8d96ae7b"
-        " (mode tiles) [rewrote plan]",
     ]
     assert final == "Assemble[tiled](FusedKernel[fused kernel](Scan[i,j]))"
 
@@ -157,7 +130,6 @@ def test_smoothing_trace(session):
         "strategy-selection: no distributed rule applies -> local fallback",
         "adaptive-install: skipped (local plan)",
         "cse: skipped (local plan)",
-        "fusion: skipped (local plan)",
     ]
     assert final == ""
 
@@ -180,7 +152,6 @@ def test_factorization_step_trace(session):
         "adaptive-install: re-optimization hook armed for strategy"
         " gbj-replicate",
         "cse: disabled (enable with PlannerOptions(cse=True))",
-        "fusion: no fusible MapTiles/Filter chain (rule group-by-join)",
     ]
     assert final == (
         "Assemble(GroupByJoin[summa]"
@@ -200,48 +171,51 @@ def test_trace_appears_in_explain(session):
 
 
 # ----------------------------------------------------------------------
-# Fusion-pass goldens: the seven query shapes, default options
+# Strategy-selection goldens: the seven query shapes, default options
 # ----------------------------------------------------------------------
 
 
-#: (shape, query, env builder, expected fusion note prefix).  Covers the
-#: pass's full decision surface: single-generator chains collapse whole
-#: ("tiles"), multi-generator chains fuse after the join ("joined"),
-#: guard chains pick up the Filter node, and the group-by / local /
-#: shuffle shapes report exactly why nothing fused.
-FUSION_SHAPES = [
+#: (shape, query, expected strategy-selection note).  Single-generator
+#: 5.1 queries run their kernel over the raw tiles ("tiles"),
+#: multi-generator ones after the tile join ("joined"); guards ride in
+#: the same kernel; the group-by / shuffle / local shapes name their rule.
+SELECTION_SHAPES = [
     ("add", (
         "tiled(n,m)[ ((i,j),a+b) | ((i,j),a) <- M, ((ii,jj),b) <- N2,"
         " ii == i, jj == j ]"
-    ), "fused 1 tile operator(s)"),
+    ), "rule preserve-tiling; kernel 4c67ee27291e082c (mode joined)"),
     ("scale", "tiled(n,m)[ ((i,j),2.0*v) | ((i,j),v) <- M ]",
-     "fused 1 tile operator(s)"),
+     "rule preserve-tiling; kernel cbe507dcaeba7663 (mode tiles)"),
     ("transpose", "tiled(m,n)[ ((j,i),v) | ((i,j),v) <- M ]",
-     "fused 1 tile operator(s)"),
+     "rule preserve-tiling; kernel 74ea951f8d96ae7b (mode tiles)"),
     ("guarded", "tiled(n,m)[ ((i,j),v*v) | ((i,j),v) <- M, i != j ]",
-     "fused 2 tile operator(s)"),
+     "rule preserve-tiling; kernel 9b7e20ca5575904a (mode tiles)"),
     ("multiply", (
         "tiled(n,n)[ ((i,j),+/v) | ((i,k),a) <- M, ((kk,j),b) <- C,"
         " kk == k, let v = a*b, group by (i,j) ]"
-    ), "no fusible MapTiles/Filter chain (rule group-by-join)"),
+    ), "rule group-by-join (strategy gbj-replicate)"),
     ("shift", "tiled(n,m)[ ((i+1,j),v) | ((i,j),v) <- M, i+1 < n ]",
-     "no fusible MapTiles/Filter chain (rule tiled-shuffle)"),
+     "rule tiled-shuffle"),
     ("smoothing", (
         "tiled(n,m)[ ((ii,jj),(+/a) / count/a) | ((i,j),a) <- M,"
         " ii <- (i-1) to (i+1), jj <- (j-1) to (j+1),"
         " ii >= 0, ii < n, jj >= 0, jj < m, group by (ii,jj) ]"
-    ), "skipped (local plan)"),
+    ), "no distributed rule applies -> local fallback"),
 ]
 
 
 @pytest.mark.parametrize(
-    "shape,query,note", FUSION_SHAPES, ids=[s[0] for s in FUSION_SHAPES]
+    "shape,query,note", SELECTION_SHAPES, ids=[s[0] for s in SELECTION_SHAPES]
 )
 def test_fusion_note_per_shape(session, shape, query, note):
-    """The fusion pass's note is pinned for every query shape."""
+    """The strategy-selection note is pinned for every query shape: a
+    5.1 query names its kernel's fingerprint and mode."""
     env = {"M": _mat(session, 30, 20), "N2": _mat(session, 30, 20),
            "C": _mat(session, 20, 30), "n": 30, "m": 20}
     summaries, _final = trace_of(session, query, env)
-    fusion_lines = [s for s in summaries if s.startswith("fusion:")]
-    assert len(fusion_lines) == 1
-    assert fusion_lines[0].startswith(f"fusion: {note}"), fusion_lines[0]
+    (selection,) = [
+        s for s in summaries if s.startswith("strategy-selection:")
+    ]
+    assert selection.removesuffix(" [rewrote plan]") == (
+        f"strategy-selection: {note}"
+    )

@@ -116,7 +116,6 @@ def _both(options, consume):
 QUERIES = {
     "5.1 fused scan": (None, SMOOTH, dict(n=12, m=9), "fused kernel"),
     "5.1 fused join": (None, ADD, dict(n=12, m=9), "fused kernel"),
-    "5.1 unfused": (PlannerOptions(fusion=False), ADD, dict(n=12, m=9), "preserve-tiling"),
     "5.2 tiled shuffle": (
         None, "tiled(n,m)[ (((i+1)%n, j), a) | ((i,j),a) <- A ]",
         dict(n=12, m=9), RULE_TILED_SHUFFLE,
