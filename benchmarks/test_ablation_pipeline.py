@@ -44,7 +44,7 @@ EXACT = ("stages", "tasks", "shuffles", "shuffle_records", "shuffle_bytes",
 
 
 def _session(runner):
-    session = SacSession(tile_size=TILE, runner=runner, adaptive=False)
+    session = SacSession(tile_size=TILE, runner=runner)
     r = session.tiled(rating_matrix(N, density=0.10, seed=N)).materialize()
     p = session.tiled(factor_matrix(N, RANK, seed=N + 1)).materialize()
     q = session.tiled(factor_matrix(N, RANK, seed=N + 2)).materialize()

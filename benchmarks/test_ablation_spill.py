@@ -53,7 +53,7 @@ def _run_arm(limit, prefetch):
     )
     session = SacSession(
         engine=engine, tile_size=TILE,
-        options=PlannerOptions(strategy="gbj-replicate"), adaptive=False,
+        options=PlannerOptions(strategy="gbj-replicate"),
     )
     try:
         a = np.floor(8 * dense_uniform(N, N, seed=N))

@@ -14,6 +14,9 @@ Paper shape: SAC join+group-by up to ~3× slower than MLlib; SAC GBJ up
 to ~6× faster than MLlib.
 """
 
+import dataclasses
+import math
+
 import pytest
 
 from conftest import plan_report
@@ -151,13 +154,16 @@ def test_fig4b_ordering_holds(measure):
 def _skewed_setup(adaptive):
     """Zipfian tile skew: block row 0 of B (and block column 0 of A) is
     fully dense, so join key k=0 carries most of the work — the Section
-    5.3 hot-key pathology the adaptive skew splitter attacks."""
+    5.3 hot-key pathology the adaptive skew splitter attacks.  The
+    static arm is the same engine with a skew factor that never fires."""
     skewed = zipf_block_rows(SKEW_N, SKEW_N, TILE, alpha=SKEW_ALPHA, seed=7)
     a, b = skewed.T.copy(), skewed
+    cluster = PAPER_CLUSTER
+    if not adaptive:
+        cluster = dataclasses.replace(cluster, adaptive_skew_factor=math.inf)
     session = SacSession(
-        cluster=PAPER_CLUSTER, tile_size=TILE,
-        options=PlannerOptions(strategy="tiled-reduce"),
-        runner="serial", adaptive=adaptive,
+        cluster=cluster, tile_size=TILE,
+        options=PlannerOptions(strategy="tiled-reduce"), runner="serial",
     )
     # One partition per core, as on the paper's cluster: the operands'
     # stored bytes alone would make a few partitions, whose map tasks
@@ -187,6 +193,8 @@ def test_multiplication_skewed(benchmark, measure, adaptive):
     if adaptive:
         assert counters["adaptive_decisions"] > 0
         assert "skew-split" in counters["adaptive_kinds"]
+    else:
+        assert counters["adaptive_decisions"] == 0
 
 
 def test_skewed_adaptive_improves_makespan(measure):

@@ -91,13 +91,6 @@ class SacSession:
             recompute.  Accepts a byte count or a ``"64M"``-style
             string; ``None`` (default) leaves the tier off
             (byte-identical to the limit-free engine).
-        adaptive: adaptive query execution — measure map outputs at
-            stage boundaries and re-optimize (broadcast downgrades,
-            skew splits).  ``None`` (default) is on for a fresh engine
-            and inherits a supplied ``engine``'s setting; ``False`` is
-            the static planner (byte-identical to the pre-adaptive
-            engine); a non-``None`` value over a supplied engine makes a
-            view with that setting.
         tenant: tenant label for multi-tenant substrates.  ``None``
             (default) inherits the engine view's tenant (empty for a
             private engine).  A labeled session's queries are gated by
@@ -118,7 +111,6 @@ class SacSession:
         options: Optional[PlannerOptions] = None,
         num_partitions: Optional[int] = None,
         runner: Any = None,
-        adaptive: Optional[bool] = None,
         memory_limit: Optional[int | str] = None,
         tenant: Optional[str] = None,
         quota: Optional[int | str] = None,
@@ -126,23 +118,17 @@ class SacSession:
     ):
         if engine is None:
             engine = EngineContext(
-                cluster=cluster, runner=runner,
-                adaptive=True if adaptive is None else adaptive,
-                memory_limit=memory_limit,
+                cluster=cluster, runner=runner, memory_limit=memory_limit,
                 tenant=tenant or "", quota=quota, reservation=reservation,
             )
         elif (
-            adaptive is not None
-            or tenant is not None
-            or quota is not None
-            or reservation is not None
+            tenant is not None or quota is not None or reservation is not None
         ):
             # Per-session overrides become a fresh view over the same
             # substrate — never an in-place mutation of the caller's
             # engine, which other sessions may share.
             engine = engine.view(
-                tenant=tenant, adaptive=adaptive,
-                quota=quota, reservation=reservation,
+                tenant=tenant, quota=quota, reservation=reservation
             )
         self.engine = engine
         self.tenant = getattr(engine, "tenant", "") or ""
@@ -210,11 +196,10 @@ class SacSession:
 
         Besides the query text and binding signatures, the key carries
         everything else a compile's outcome depends on: the planner
-        option switches (strategy overrides, CSE), whether adaptive
-        re-optimization is armed, and the session's build profile (tile
-        size, partition hint) — so toggling any of
-        those between compiles, or another same-substrate session with
-        a different shape, can never serve a stale cached result.
+        option switches (strategy pin, CSE) and the session's build
+        profile (tile size, partition hint) — so toggling any of those
+        between compiles, or another same-substrate session with a
+        different shape, can never serve a stale cached result.
         """
         try:
             bindings = tuple(
@@ -227,7 +212,6 @@ class SacSession:
                 query,
                 bindings,
                 self.options.cache_signature(),
-                self.engine.adaptive.enabled,
                 (self.tile_size, self.build_context.num_partitions),
             )
         except TypeError:  # unsortable/unhashable binding: skip the cache

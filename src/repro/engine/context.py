@@ -4,10 +4,10 @@ Since the substrate split (:mod:`repro.engine.substrate`), a context is
 a cheap per-tenant *view*: the expensive shared machinery — runner pool,
 block manager, metrics, plan caches, admission gate — lives on an
 :class:`~repro.engine.substrate.EngineSubstrate`, and the context
-carries only per-session execution policy (adaptive) and the
-per-session wrappers built from it.  Constructing a context the
-historical way builds a private substrate and behaves byte-identically
-to the pre-split engine.
+carries only the per-session wrappers built over it (scheduler,
+adaptive manager, tenant-scoped block view).  Constructing a context
+the historical way builds a private substrate and behaves
+byte-identically to the pre-split engine.
 """
 
 from __future__ import annotations
@@ -86,10 +86,11 @@ class EngineContext:
     context as a tenant view on an existing substrate instead of
     building a private one: the view shares the substrate's pool, block
     store, metrics, and plan caches, but carries its *own* adaptive
-    flag (off unless ``adaptive=True``, which ``SacSession`` and
-    ``QueryService`` pass to the engines they create) and scheduler —
-    so per-session execution policy never leaks across sessions.  A named
-    ``tenant`` writes its cached blocks through a
+    manager and scheduler, so per-session state never leaks across
+    sessions.  Adaptive execution is always armed; the cluster's
+    ``adaptive_*`` thresholds and a ``PlannerOptions(strategy=)`` pin
+    are what keep it from acting.  A named ``tenant`` writes its cached
+    blocks through a
     :class:`~repro.engine.block_manager.TenantBlockView`, making it
     subject to its ``quota`` and protected by its ``reservation``.
     """
@@ -98,7 +99,6 @@ class EngineContext:
         self,
         cluster: ClusterSpec = PAPER_CLUSTER,
         runner: Optional[TaskRunner | str] = None,
-        adaptive: bool = False,
         memory_limit: Optional[int | str] = None,
         spill_store: Any = None,
         spill_prefetch: bool = True,
@@ -133,9 +133,7 @@ class EngineContext:
             # The unlabeled default tenant writes through the raw shared
             # manager — byte-identical to the pre-tenancy store.
             self.block_manager = substrate.block_manager
-        self.adaptive = AdaptiveManager(
-            self.cluster, self.metrics, enabled=adaptive
-        )
+        self.adaptive = AdaptiveManager(self.cluster, self.metrics)
         self.scheduler = DAGScheduler(
             self.metrics, self.block_manager, self.runner,
             adaptive=self.adaptive,
@@ -171,21 +169,18 @@ class EngineContext:
         self,
         tenant: Optional[str] = None,
         *,
-        adaptive: Optional[bool] = None,
         quota: Optional[int | str] = None,
         reservation: Optional[int | str] = None,
     ) -> "EngineContext":
         """Another context over this context's substrate.
 
-        ``tenant=None`` inherits this view's tenant (the flag-override
-        case); ``adaptive`` left ``None`` inherits this view's current
-        value, so ``ctx.view(adaptive=False)`` is "same session shape,
-        adaptive off" without mutating ``ctx``.
+        ``tenant=None`` inherits this view's tenant, so
+        ``ctx.view(quota=...)`` re-scopes the same tenant without
+        mutating ``ctx``.
         """
         return EngineContext(
             substrate=self.substrate,
             tenant=self.tenant if tenant is None else tenant,
-            adaptive=self.adaptive.enabled if adaptive is None else adaptive,
             quota=quota,
             reservation=reservation,
         )

@@ -116,7 +116,6 @@ class JobMetrics:
     stage_costs: list = field(default_factory=list)
     #: Runtime re-optimizations (:class:`~repro.engine.adaptive.AdaptiveDecision`)
     #: taken while this job ran: skew splits, join-strategy downgrades.
-    #: Empty whenever adaptive execution is off.
     adaptive_decisions: list = field(default_factory=list)
 
     def merge(self, other: "JobMetrics") -> None:

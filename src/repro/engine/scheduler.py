@@ -488,17 +488,17 @@ class DAGScheduler:
         self,
         metrics,
         block_manager,
-        runner: TaskRunner | None = None,
-        adaptive=None,
+        runner: TaskRunner,
+        adaptive,
     ):
         self._metrics = metrics
-        self._runner = runner or SerialTaskRunner()
+        self._runner = runner
         #: The context's :class:`~repro.engine.block_manager.BlockManager`;
         #: job dispatch asks it to prefetch the spilled inputs of the
         #: about-to-run job back into budget headroom.
         self._block_manager = block_manager
-        #: Optional :class:`~repro.engine.adaptive.AdaptiveManager`; the
-        #: compiler consults it for skew splits.
+        #: The context's :class:`~repro.engine.adaptive.AdaptiveManager`;
+        #: the compiler consults it for skew splits.
         self._adaptive = adaptive
 
     @property

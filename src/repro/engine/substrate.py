@@ -18,10 +18,9 @@ engines with zero reuse.  The substrate splits that world in two:
   :class:`~repro.engine.scheduler.FairJobScheduler` admission gate.
 
 * :class:`~repro.engine.context.EngineContext` becomes a **cheap
-  per-tenant view** over a substrate: it carries only the per-session
-  execution flag (adaptive) and per-session wrappers (scheduler,
-  adaptive manager, tenant-scoped block view) — a few small Python
-  objects, no threads, no storage.
+  per-tenant view** over a substrate: it carries only per-session
+  wrappers (scheduler, adaptive manager, tenant-scoped block view) — a
+  few small Python objects, no threads, no storage.
 
 A context constructed the historical way (``EngineContext()``) builds a
 private substrate and behaves byte-identically to the pre-split engine;
@@ -126,10 +125,9 @@ class LruCache:
 class PlanCacheGroup:
     """The compiled-query caches, shared by every session of a substrate.
 
-    Three tiers (the keys carry binding signatures, planner-option
-    signatures, and the adaptive flag, plus a per-session build profile,
-    so same-shaped sessions share hits without ever serving a stale or
-    foreign entry):
+    Three tiers (the keys carry binding signatures and planner-option
+    signatures, plus a per-session build profile, so same-shaped
+    sessions share hits without ever serving a stale or foreign entry):
 
     * ``parse``: query text -> AST (parsing is pure).
     * ``plan``: front-half key -> (parsed, normalized) pair.
@@ -162,8 +160,7 @@ class EngineSubstrate:
     via :meth:`view`; a substrate-owning context's ``close()`` (or a
     ``with`` block) releases the pool and the spill store.
 
-    Args mirror the resource arguments of ``EngineContext``; the
-    per-session ``adaptive`` flag lives on the views instead.
+    Args mirror the resource arguments of ``EngineContext``.
     ``memory_limit`` is the one memory knob: it caps resident block
     bytes and spills what does not fit (to ``spill_store``, else a
     private ``LocalDiskStore``).  Parallelism is the cluster's
@@ -234,7 +231,6 @@ class EngineSubstrate:
         self,
         tenant: Optional[str] = None,
         *,
-        adaptive: bool = False,
         quota: Optional[int | str] = None,
         reservation: Optional[int | str] = None,
     ):
@@ -253,8 +249,8 @@ class EngineSubstrate:
                 self._view_counter += 1
                 tenant = f"tenant-{self._view_counter}"
         return EngineContext(
-            substrate=self, tenant=tenant, adaptive=adaptive,
-            quota=quota, reservation=reservation,
+            substrate=self, tenant=tenant, quota=quota,
+            reservation=reservation,
         )
 
     # ------------------------------------------------------------------

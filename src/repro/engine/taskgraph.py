@@ -618,71 +618,64 @@ class _JobCompiler:
                 on_complete=reduces_done_hook,
             )
 
-        # Map-phase planning.  With adaptive skew splitting enabled and
-        # the skew source still in flight in this very graph, planning is
-        # deferred behind the source's statistics task — which costs
-        # nothing, because every map task's data dependency (the source's
-        # output partitions) already covers the stats barrier.
-        source = None
-        if adaptive is not None and adaptive.enabled:
-            source = adaptive.find_skew_source(parent)
-        source_build = None
-        chain = source_node = None
+        # Map-phase planning.  When the parent reads a wide stage through
+        # element-wise ops (the skew source), the source's hot partitions
+        # fan out over chunked map tasks.  A source already materialized
+        # is planned now (reading its statistics materializes it); one
+        # still in flight in this very graph is planned behind its
+        # statistics task — which costs nothing, because every map
+        # task's data dependency (the source's output partitions)
+        # already covers the stats barrier.
+        chain = source_node = source_build = None
+        source = adaptive.find_skew_source(parent)
         if source is not None:
             chain, source_node = source
             source_build = self.builds.get(id(source_node))
             if source_build is not None and not source_build.has_stats:
                 source = source_build = None
+        splittable = getattr(source_node, "_splittable_values", False)
+
+        def hot_map_tasks(m, stats, splits, records, deps):
+            """Hot partition ``m``'s map tasks: its ``records`` in chunks,
+            or one ordinary task when they are too few to slice."""
+            chunks = adaptive.plan_partition_chunks(
+                stats, splits, m, records, splittable
+            )
+            if chunks is None:
+                return [normal_map_task(m, deps)]
+            return chunk_map_tasks(m, chunks, chain)
 
         if source_build is None:
-            # Static planning: the skew source (if any) is already
-            # materialized (reading its statistics materializes it).
             splits: dict[int, int] = {}
             stats = base_output = None
-            splittable = False
             if source is not None:
                 stats = source_node.output_statistics()
-                if (
-                    stats is not None
-                    and stats.num_partitions == source_node.num_partitions
-                ):
-                    splits = adaptive._plan_skew_splits(stats)
+                splits = adaptive.plan_skew_splits(
+                    stats, source_node.num_partitions
+                )
                 if splits:
                     base_output = source_node._materialize()
-                    splittable = getattr(
-                        source_node, "_splittable_values", False
-                    )
             map_tasks = []
             for m in range(parent.num_partitions):
-                chunks = None
+                deps = self.narrow_deps(parent, m)
                 if m in splits:
-                    chunks = adaptive.plan_partition_chunks(
-                        stats, splits, m, base_output[m], splittable
-                    )
-                if chunks is None:
-                    map_tasks.append(
-                        normal_map_task(m, self.narrow_deps(parent, m))
+                    map_tasks.extend(
+                        hot_map_tasks(m, stats, splits, base_output[m], deps)
                     )
                 else:
-                    map_tasks.extend(chunk_map_tasks(m, chunks, chain))
+                    map_tasks.append(normal_map_task(m, deps))
             maps_done = graph.add_task(
                 ("maps-done", node.id),
                 deps=map_tasks,
                 on_complete=maps_done_hook,
             )
         else:
-            # Deferred planning: decide skew splits once the source's
-            # map statistics land; chunk each hot partition as soon as
-            # that specific partition lands.
+            # Chunk each hot partition as soon as that partition lands.
             def plan_hook():
                 stats = source_build.stats()
-                splits = {}
-                if (
-                    stats is not None
-                    and stats.num_partitions == source_node.num_partitions
-                ):
-                    splits = adaptive._plan_skew_splits(stats)
-                splittable = getattr(source_node, "_splittable_values", False)
+                splits = adaptive.plan_skew_splits(
+                    stats, source_node.num_partitions
+                )
                 for m in range(parent.num_partitions):
                     if m not in splits:
                         graph.add_dependency(
@@ -692,17 +685,10 @@ class _JobCompiler:
                         continue
 
                     def chunk_hook(m=m, stats=stats, splits=splits):
-                        chunks = adaptive.plan_partition_chunks(
-                            stats, splits, m, source_build.output[m],
-                            splittable,
-                        )
-                        if chunks is None:
-                            graph.add_dependency(
-                                maps_done, normal_map_task(m, ())
-                            )
-                        else:
-                            for task in chunk_map_tasks(m, chunks, chain):
-                                graph.add_dependency(maps_done, task)
+                        for task in hot_map_tasks(
+                            m, stats, splits, source_build.output[m], ()
+                        ):
+                            graph.add_dependency(maps_done, task)
 
                     chunk_plan = graph.add_task(
                         ("chunk-plan", node.id, m),

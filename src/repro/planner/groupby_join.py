@@ -437,9 +437,7 @@ def reconsider_join_strategy(
     for the caller to lower — or None to keep the compile-time choice.
     """
     engine, setup, match = state.engine, state.setup, state.match
-    manager = getattr(engine, "adaptive", None)
-    if manager is None or not manager.enabled:
-        return None
+    manager = engine.adaptive
     fresh = False
     for gen in (match.left_gen, match.right_gen):
         storage = getattr(gen, "storage", None)

@@ -129,17 +129,15 @@ def _plan_fingerprint(root: IRNode, state: PlanState) -> str:
 
     Two compiles share a fingerprint only when they lowered the same
     physical DAG over the *same storage objects* under the same planner
-    options, result wrapper, and adaptive setting — i.e. when handing
-    back the earlier compile's Plan (and its shuffle outputs) is
-    indistinguishable from re-planning.
+    options and result wrapper — i.e. when handing back the earlier
+    compile's Plan (and its shuffle outputs) is indistinguishable from
+    re-planning.
     """
-    manager = getattr(state.engine, "adaptive", None)
     return _digest((
         root.identity_fingerprint(),
         state.wrapper,
         state.reduce_monoid,
         state.options.cache_signature(),
-        bool(manager is not None and manager.enabled),
     ))
 
 
@@ -1074,10 +1072,7 @@ def _install_adaptive_reconsideration(
     but also the engine's skew splits) is sliced onto
     ``plan.adaptive_decisions`` for ``explain()``.
     """
-    engine = state.engine
-    manager = getattr(engine, "adaptive", None)
-    if manager is None or not manager.enabled:
-        return
+    manager = state.engine.adaptive
     candidates = root.attrs.get("candidates") or {}
     strategy = root.attrs.get("strategy")
     inner = plan.thunk

@@ -15,10 +15,10 @@ decided, and built in a single motion.  It is now a
    then run the translation rules in the paper's preference order and,
    for group-by-joins, the cost model; emits the *physical* operator
    DAG (rule 5.1's is its generated kernel,
-   :func:`~repro.planner.codegen.generate_fused_kernel`);
-4. **adaptive-install** — mark cost-chosen plans for the stage-boundary
-   re-optimization hook;
-5. **cse** — common-subplan elimination: merge identity-equal subtrees
+   :func:`~repro.planner.codegen.generate_fused_kernel`), and marks a
+   cost-chosen group-by-join for the stage-boundary re-optimization
+   hook;
+4. **cse** — common-subplan elimination: merge identity-equal subtrees
    and mark the plan's shuffle outputs for
    :class:`~repro.engine.block_manager.BlockManager` reuse (off by
    default; ``PlannerOptions(cse=True)``, which ``repro serve`` passes).
@@ -142,7 +142,6 @@ def default_passes() -> list[tuple[str, PassFn]]:
         ("normalize-bridge", pass_normalize_bridge),
         ("tiling-resolution", pass_tiling_resolution),
         ("strategy-selection", pass_strategy_selection),
-        ("adaptive-install", pass_adaptive_install),
         ("cse", pass_cse),
     ]
 
@@ -430,7 +429,9 @@ def _select_group_by(state: PlanState) -> Optional[IRNode]:
     if match is not None:
         model = CostModel(
             engine.cluster, engine.default_parallelism,
-            measured=_adaptive_measurements(engine),
+            # A query compiled after an adaptive correction prices with
+            # the measured facts and picks the cheap plan up front.
+            measured=engine.adaptive.measured_sizes,
             memory_limit=getattr(engine, "memory_limit", None),
         )
         candidates = model.candidates(setup, match)
@@ -449,7 +450,7 @@ def _select_group_by(state: PlanState) -> Optional[IRNode]:
         if root is not None:
             _attach_estimates(root, strategy, candidates)
             if cost_chosen and strategy == STRATEGY_REPLICATE:
-                root.attrs["adaptive_candidate"] = True
+                root.attrs["adaptive_install"] = True
             return root
 
     root = emit_tiled_reduce(setup, builder, args)
@@ -467,7 +468,7 @@ def _select_group_by(state: PlanState) -> Optional[IRNode]:
     if root is not None and candidates:
         _attach_estimates(root, STRATEGY_TILED_REDUCE, candidates)
         if match is not None and cost_chosen:
-            root.attrs["adaptive_candidate"] = True
+            root.attrs["adaptive_install"] = True
     return root
 
 
@@ -484,41 +485,8 @@ def _attach_estimates(
     return root
 
 
-def _adaptive_measurements(engine: EngineContext) -> Optional[dict]:
-    """Measured input sizes for the compile-time cost model, when the
-    adaptive layer is on and has recorded any — so a query compiled
-    *after* an adaptive correction prices with the measured facts and
-    picks the cheap plan up front instead of re-correcting at runtime."""
-    manager = getattr(engine, "adaptive", None)
-    if manager is not None and manager.enabled and manager.measured_sizes:
-        return manager.measured_sizes
-    return None
-
-
 # ----------------------------------------------------------------------
-# Pass 4 — adaptive hook installation
-# ----------------------------------------------------------------------
-
-
-def pass_adaptive_install(state: PlanState) -> str:
-    """Mark cost-chosen plans for stage-boundary re-optimization."""
-    root = state.physical
-    if root is None:
-        return "skipped (local plan)"
-    if not root.attrs.get("adaptive_candidate"):
-        return "not a cost-chosen group-by-join candidate"
-    manager = getattr(state.engine, "adaptive", None)
-    if manager is None or not manager.enabled:
-        return "adaptive execution disabled on the engine"
-    root.attrs["adaptive_install"] = True
-    return (
-        f"re-optimization hook armed for strategy "
-        f"{root.attrs.get('strategy', '?')}"
-    )
-
-
-# ----------------------------------------------------------------------
-# Pass 5 — common-subplan elimination
+# Pass 4 — common-subplan elimination
 # ----------------------------------------------------------------------
 
 

@@ -43,8 +43,8 @@ class Plan:
     #: Every candidate's estimate, keyed by strategy name.
     candidates: dict[str, "CostEstimate"] = field(default_factory=dict)
     #: Adaptive-execution decisions (strategy downgrades, skew splits)
-    #: that fired while this plan ran; populated at execute time when the
-    #: engine's adaptive layer is enabled.
+    #: that fired while this plan ran; populated at execute time for a
+    #: cost-chosen group-by-join.
     adaptive_decisions: list = field(default_factory=list)
     #: Pass-pipeline trace: one before/after entry per named pass.
     trace: list["PassTraceEntry"] = field(default_factory=list)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import logging
 import threading
 import time
 from dataclasses import dataclass, field
@@ -44,6 +45,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from .comprehension.errors import SacError
 from .core.session import SacSession
 from .engine import PAPER_CLUSTER, ClusterSpec, EngineContext
 from .engine.metrics import _percentile
@@ -98,11 +100,10 @@ class QueryService:
     The service owns the substrate (via a loader
     :class:`~repro.core.session.SacSession` whose view hosts the shared
     datasets) and creates one labeled session per tenant on first use.
-    Tenant sessions inherit the loader's adaptive flag (and share its
-    runner), so every lineage over the shared datasets executes under
-    one uniform policy — per-tenant *data* is still isolated by tenant-labeled
-    block namespaces and global RDD ids.  The engine runs adaptive
-    unless ``adaptive=False``.  With ``options.cse`` on (the default
+    Tenant sessions share the loader's runner, so every lineage over the
+    shared datasets executes under one uniform policy — per-tenant
+    *data* is still isolated by tenant-labeled block namespaces and
+    global RDD ids.  With ``options.cse`` on (the default
     here) the shuffles CSE marks for reuse stay in the shared block
     store, so equal shuffles from other tenants' queries over the hosted
     datasets are answered from it.
@@ -117,7 +118,6 @@ class QueryService:
         max_concurrent: Optional[int] = None,
         quota: Optional[int | str] = None,
         memory_limit: Optional[int | str] = None,
-        adaptive: bool = True,
     ):
         if options is None:
             # Serve defaults CSE on: shared-substrate shuffle reuse
@@ -126,7 +126,6 @@ class QueryService:
         self._quota = parse_memory_limit(quota)
         engine = EngineContext(
             cluster=cluster, runner=runner, memory_limit=memory_limit,
-            adaptive=adaptive,
             max_concurrent_jobs=max_concurrent,
         )
         self.loader = SacSession(
@@ -217,6 +216,8 @@ _MAX_BODY = 4 * 1024 * 1024
 _BODY_SECONDS = 10.0
 #: How long :meth:`ServeServer.stop` waits for in-flight requests.
 _DRAIN_SECONDS = 10.0
+#: Where a query that failed inside the server leaves its traceback.
+_LOG = logging.getLogger(__name__)
 
 
 class ServeServer:
@@ -370,7 +371,15 @@ class ServeServer:
                     ),
                 )
             except Exception as exc:
-                return 400, {"ok": False, "tenant": tenant, "error": repr(exc)}
+                # A query the language rejects is the client's fault;
+                # anything else went wrong in the server.
+                status = 400 if isinstance(exc, SacError) else 500
+                if status == 500:
+                    _LOG.exception("query from tenant %r failed", tenant)
+                return status, {
+                    "ok": False, "tenant": tenant, "error": str(exc),
+                    "error_type": type(exc).__name__,
+                }
             return 200, {"ok": True, **rendered}
         return 404, {"ok": False, "error": f"no route {method} {path}"}
 

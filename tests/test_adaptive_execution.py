@@ -2,21 +2,22 @@
 
 Covers the two mechanisms end to end — skew splitting and the runtime
 broadcast downgrade — plus the pure planning helpers and the invariant
-that ``adaptive=False`` takes no action on any workload.  Result
-equality between the adaptive and static arms is asserted everywhere:
+that a cluster whose thresholds never fire, under a strategy pin, takes
+no action.  Result equality between the adaptive arm and the static one
+(the skew factor set to infinity) is asserted everywhere:
 re-optimization may re-associate floating-point reductions but must
 never change what is computed (`assert_allclose` where association
 changes, exact equality where the execution is untouched).
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
 from repro import PlannerOptions, SacSession
-from repro.engine import PAPER_CLUSTER, TINY_CLUSTER, EngineContext
+from repro.engine import PAPER_CLUSTER
 from repro.engine.adaptive import _expand_cartesian_records, _lower_median
-from repro.serve import QueryService
 from repro.workloads import dense_uniform, zipf_block_rows
 
 MULTIPLY = (
@@ -74,11 +75,15 @@ def _skewed_arrays(n=360, tile=45, alpha=2.5, seed=7):
 
 
 def _skew_run(adaptive, n=360, tile=45):
+    """The skewed multiply; the static arm's skew factor never fires."""
     a, b = _skewed_arrays(n, tile)
+    cluster = _SKEW_CLUSTER
+    if not adaptive:
+        cluster = dataclasses.replace(cluster, adaptive_skew_factor=math.inf)
     with SacSession(
-        cluster=_SKEW_CLUSTER, tile_size=tile,
+        cluster=cluster, tile_size=tile,
         options=PlannerOptions(strategy="tiled-reduce"),
-        runner="serial", adaptive=adaptive,
+        runner="serial",
     ) as session:
         # The skew is spread over the cluster's cores, not over the few
         # partitions the operands' bytes would ask for.
@@ -133,7 +138,7 @@ def _downgrade_session(tile=90, n=720):
     a = dense_uniform(n, n, seed=1)
     b = np.zeros((n, n))
     b[:tile, :] = dense_uniform(tile, n, seed=2)
-    session = SacSession(tile_size=tile, runner="serial", adaptive=True)
+    session = SacSession(tile_size=tile, runner="serial")
     A = session.tiled(a)
     B = session.sparse_tiled(b)
     B._recorded_nnz = None
@@ -224,7 +229,13 @@ def test_downgrade_respects_explicit_strategy_overrides():
 
 
 def test_adaptive_disabled_session_takes_no_actions():
-    session = SacSession(tile_size=45, runner="serial", adaptive=False)
+    """Thresholds that never fire and a strategy pin leave the always
+    armed adaptive layer idle."""
+    static = dataclasses.replace(PAPER_CLUSTER, adaptive_skew_factor=math.inf)
+    session = SacSession(
+        cluster=static, tile_size=45, runner="serial",
+        options=PlannerOptions(strategy="tiled-reduce"),
+    )
     a, b = _skewed_arrays()
     with session:
         A = session.sparse_tiled(a)
@@ -233,22 +244,3 @@ def test_adaptive_disabled_session_takes_no_actions():
         assert session.engine.adaptive.decisions == []
         assert session.engine.adaptive.measured_sizes == {}
         np.testing.assert_allclose(out, a @ b)
-
-
-def test_adaptive_constructor_defaults():
-    """Each constructor decides its own default; nothing else does."""
-    # Raw engine contexts are static...
-    engine = EngineContext(cluster=TINY_CLUSTER)
-    assert not engine.adaptive.enabled
-    # ...sessions and the serve front door turn it on for the engines
-    # they create...
-    assert SacSession(tile_size=10).engine.adaptive.enabled
-    assert not SacSession(tile_size=10, adaptive=False).engine.adaptive.enabled
-    with QueryService(cluster=TINY_CLUSTER) as service:
-        assert service.loader.engine.adaptive.enabled
-    # ...and a session over a supplied engine keeps that engine's
-    # setting unless told otherwise.
-    assert not SacSession(engine=engine, tile_size=10).engine.adaptive.enabled
-    assert SacSession(
-        engine=engine, tile_size=10, adaptive=True
-    ).engine.adaptive.enabled

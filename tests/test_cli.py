@@ -74,8 +74,7 @@ def test_cli_explain_json(data_file, capsys):
     assert payload["physical"]["op"] == "Assemble"
     pass_names = [entry["name"] for entry in payload["passes"]]
     assert pass_names == [
-        "normalize-bridge", "tiling-resolution", "strategy-selection",
-        "adaptive-install", "cse",
+        "normalize-bridge", "tiling-resolution", "strategy-selection", "cse",
     ]
 
 

@@ -7,6 +7,7 @@ check both against the reference interpreter, pin each fallback reason,
 the shuffle-width rule, and what a batch costs on the wire.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -382,14 +383,14 @@ def _spmv(runner, adaptive):
     a = rng.random((120, 90)) * (rng.random((120, 90)) < 0.2)
     x = rng.random(90)
     # Small partition / skew thresholds: a per-element stream of this
-    # size would be split as skewed.
+    # size would be split as skewed.  The static arm never splits.
     cluster = ClusterSpec(
         num_nodes=1, executors_per_node=1, cores_per_executor=4,
         partition_bytes=4096, adaptive_skew_min_bytes=1024,
     )
-    with SacSession(
-        cluster=cluster, tile_size=16, runner=runner, adaptive=adaptive,
-    ) as s:
+    if not adaptive:
+        cluster = dataclasses.replace(cluster, adaptive_skew_factor=math.inf)
+    with SacSession(cluster=cluster, tile_size=16, runner=runner) as s:
         result = s.run(
             SPMV, A=CooMatrix.from_numpy(a), X=s.tiled_vector(x), n=120
         ).to_numpy()

@@ -5,8 +5,8 @@ The substrate split (:mod:`repro.engine.substrate`) makes
 shared :class:`~repro.engine.EngineSubstrate`.  These tests pin the
 contract:
 
-* per-view flags never leak (the S1 regression: attaching a session to
-  an engine used to mutate that engine's adaptive flag in place),
+* per-session overrides never leak (the S1 regression: attaching a
+  session to an engine used to mutate that engine in place),
 * N sessions on one substrate compute byte-identical results to N
   isolated sessions (the differential isolation bar),
 * a tenant at its quota evicts its *own* blocks and cannot push another
@@ -15,6 +15,8 @@ contract:
   tenants.
 """
 
+import dataclasses
+import inspect
 import pathlib
 import re
 import threading
@@ -38,37 +40,50 @@ from .test_pipelined_scheduler import MULTIPLY
 
 
 # ----------------------------------------------------------------------
-# S1 regression: per-session flags must not mutate a shared engine
+# S1 regression: per-session overrides must not mutate a shared engine
 # ----------------------------------------------------------------------
 
 
 def test_sessions_do_not_mutate_shared_engine_flags():
-    engine = EngineContext(cluster=TINY_CLUSTER, adaptive=True)
-    s_off = SacSession(engine=engine, adaptive=False)
-    s_on = SacSession(engine=engine, adaptive=True)
-    # Each session got its own view with its own flag...
-    assert s_off.engine.adaptive.enabled is False
-    assert s_on.engine.adaptive.enabled is True
-    # ...and the original engine is untouched (the old code flipped it).
-    assert engine.adaptive.enabled is True
+    engine = EngineContext(cluster=TINY_CLUSTER)
+    plain = SacSession(engine=engine)
+    scoped = SacSession(engine=engine, tenant="t1", quota="1M")
+    # Without an override a session runs on the engine it was given...
+    assert plain.engine is engine
+    # ...with one it gets its own view over the same substrate...
+    assert scoped.engine is not engine
+    assert scoped.engine.substrate is engine.substrate
+    assert scoped.engine.tenant == scoped.tenant == "t1"
+    assert scoped.engine.adaptive is not engine.adaptive
+    assert engine.substrate.block_manager.tenant_usage()["t1"][
+        "quota_bytes"
+    ] == 2**20
+    # ...and the original engine is untouched.
+    assert engine.tenant == ""
+    assert engine.block_manager is engine.substrate.block_manager
     engine.close()
 
 
 def test_opposite_flag_sessions_both_honored_at_run_time():
     rng = np.random.default_rng(5)
     engine = EngineContext(cluster=TINY_CLUSTER)
-    s_adaptive = SacSession(engine=engine, tile_size=10, adaptive=True)
-    s_static = SacSession(engine=engine, tile_size=10, adaptive=False)
+    s_roomy = SacSession(engine=engine, tile_size=10, tenant="roomy")
+    s_tight = SacSession(
+        engine=engine, tile_size=10, tenant="tight", quota=1
+    )
     data = rng.uniform(size=(20, 20))
-    A1, B1 = s_adaptive.tiled(data), s_adaptive.tiled(data.T)
-    A2, B2 = s_static.tiled(data), s_static.tiled(data.T)
-    r1 = s_adaptive.run(MULTIPLY, A=A1, B=B1, n=20, m=20).to_numpy()
-    r2 = s_static.run(MULTIPLY, A=A2, B=B2, n=20, m=20).to_numpy()
+    A1, B1 = s_roomy.tiled(data), s_roomy.tiled(data.T)
+    A2, B2 = s_tight.tiled(data), s_tight.tiled(data.T)
+    r1 = s_roomy.run(MULTIPLY, A=A1, B=B1, n=20, m=20).to_numpy()
+    r2 = s_tight.run(MULTIPLY, A=A2, B=B2, n=20, m=20).to_numpy()
     np.testing.assert_allclose(r1, data @ data.T, rtol=1e-10)
     np.testing.assert_allclose(r2, data @ data.T, rtol=1e-10)
-    # Flags still where each session put them.
-    assert s_adaptive.engine.adaptive.enabled is True
-    assert s_static.engine.adaptive.enabled is False
+    # Each quota held where its session put it.
+    usage = engine.substrate.block_manager.tenant_usage()
+    assert usage.get("roomy", {}).get("quota_bytes") is None
+    assert usage["tight"]["quota_bytes"] == 1
+    assert usage["tight"]["resident_bytes"] <= 1
+    assert engine.tenant == ""
     engine.close()
 
 
@@ -391,7 +406,7 @@ def test_admission_wait_lands_in_tenant_metrics():
 
 
 # ----------------------------------------------------------------------
-# Environment: two switches, one read site each
+# Environment: two switches, one read site each; the knobs by name
 # ----------------------------------------------------------------------
 
 
@@ -414,4 +429,35 @@ def test_environment_switches_are_exactly_runner_and_spill_dir():
     assert named == {"REPRO_RUNNER", "REPRO_SPILL_DIR"}
     assert sorted(reads) == [
         ("REPRO_RUNNER", "scheduler.py"), ("REPRO_SPILL_DIR", "substrate.py"),
+    ]
+
+
+def test_configuration_surface_is_pinned():
+    """The constructor and option knobs, by name: one can come back (or
+    go) only with a diff here.  Adaptive execution is not among them —
+    it is how the engine runs; the cluster's thresholds and a strategy
+    pin are what keep it from acting."""
+    from repro.planner import PlannerOptions
+    from repro.serve import QueryService
+
+    def params(fn):
+        return [name for name in inspect.signature(fn).parameters if name != "self"]
+
+    assert params(SacSession) == [
+        "engine", "cluster", "tile_size", "options", "num_partitions",
+        "runner", "memory_limit", "tenant", "quota", "reservation",
+    ]
+    assert params(EngineContext) == [
+        "cluster", "runner", "memory_limit", "spill_store",
+        "spill_prefetch", "substrate", "tenant", "quota", "reservation",
+        "max_concurrent_jobs",
+    ]
+    assert params(EngineContext.view) == ["tenant", "quota", "reservation"]
+    assert params(EngineSubstrate.view) == ["tenant", "quota", "reservation"]
+    assert params(QueryService) == [
+        "cluster", "tile_size", "runner", "options", "max_concurrent",
+        "quota", "memory_limit",
+    ]
+    assert [f.name for f in dataclasses.fields(PlannerOptions)] == [
+        "strategy", "cse",
     ]

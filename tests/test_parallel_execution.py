@@ -169,9 +169,9 @@ def test_accumulator_add_is_atomic_under_threaded_runner():
 def _compare_arms(query, a, b, arms):
     """``query`` over tiled ``a``/``b``, one session per arm (``SacSession``
     keyword arguments): the outputs must be bitwise equal and the query's
-    counters identical.  Returns them, and each arm's adaptive decisions."""
+    counters identical.  Returns them."""
     n = a.shape[0]
-    outputs, counters, decisions = [], [], []
+    outputs, counters = [], []
     for kwargs in arms:
         with SacSession(tile_size=25, **kwargs) as session:
             A = session.tiled(a).materialize()
@@ -184,10 +184,9 @@ def _compare_arms(query, a, b, arms):
             (delta.stages, delta.tasks, delta.shuffles,
              delta.shuffle_records, delta.shuffle_bytes)
         )
-        decisions.append(delta.adaptive_decisions)
     np.testing.assert_array_equal(outputs[0], outputs[1])
     assert counters[0] == counters[1]
-    return outputs[0], counters[0], decisions
+    return outputs[0], counters[0]
 
 
 def _both_runners(strategy):
@@ -203,7 +202,7 @@ def test_multiplication_parity_serial_vs_threaded(replicate):
     """fig4b shape: both SAC plans give identical bytes and results."""
     a = dense_uniform(75, 75, seed=1)
     b = dense_uniform(75, 75, seed=2)
-    output, counters, _ = _compare_arms(
+    output, counters = _compare_arms(
         MULTIPLY, a, b,
         _both_runners("gbj-replicate" if replicate else "tiled-reduce"),
     )
@@ -215,7 +214,7 @@ def test_addition_parity_serial_vs_threaded():
     """fig4a shape: element-wise addition of co-tiled matrices."""
     a = dense_uniform(60, 60, seed=3)
     b = dense_uniform(60, 60, seed=4)
-    output, _, _ = _compare_arms(ADD, a, b, _both_runners("gbj-replicate"))
+    output, _ = _compare_arms(ADD, a, b, _both_runners("gbj-replicate"))
     np.testing.assert_allclose(output, a + b)
 
 
@@ -312,17 +311,3 @@ def test_map_output_statistics_identical_serial_vs_threaded():
     assert serial_stats == threaded_stats
 
 
-def test_adaptive_flag_counter_parity():
-    """On a workload with no skew and well-sized partitions, the adaptive
-    engine takes no action: every counter matches the adaptive-off run
-    (which is the seed engine's exact code path), and the off run records
-    no decisions."""
-    a = dense_uniform(75, 75, seed=11)
-    b = dense_uniform(75, 75, seed=12)
-    output, _, decisions = _compare_arms(MULTIPLY, a, b, [
-        dict(runner=SerialTaskRunner(), adaptive=adaptive,
-             options=PlannerOptions(strategy="tiled-reduce"))
-        for adaptive in (False, True)
-    ])
-    np.testing.assert_allclose(output, a @ b)
-    assert decisions == [[], []]

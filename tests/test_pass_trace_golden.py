@@ -43,7 +43,7 @@ def trace_of(session, query, env):
 
 PASS_NAMES = [
     "normalize-bridge", "tiling-resolution", "strategy-selection",
-    "adaptive-install", "cse",
+    "cse",
 ]
 
 
@@ -62,7 +62,6 @@ def test_add_trace(session):
         " tile size 10",
         "strategy-selection: rule preserve-tiling; kernel 4c67ee27291e082c"
         " (mode joined) [rewrote plan]",
-        "adaptive-install: not a cost-chosen group-by-join candidate",
         "cse: disabled (enable with PlannerOptions(cse=True))",
     ]
     assert final == (
@@ -86,8 +85,6 @@ def test_multiply_trace(session):
         " [0, 1, 2], tile size 10",
         "strategy-selection: rule group-by-join (strategy"
         " gbj-replicate) [rewrote plan]",
-        "adaptive-install: re-optimization hook armed for strategy"
-        " gbj-replicate",
         "cse: disabled (enable with PlannerOptions(cse=True))",
     ]
     assert final == (
@@ -109,7 +106,6 @@ def test_transpose_trace(session):
         " tile size 10",
         "strategy-selection: rule preserve-tiling; kernel 74ea951f8d96ae7b"
         " (mode tiles) [rewrote plan]",
-        "adaptive-install: not a cost-chosen group-by-join candidate",
         "cse: disabled (enable with PlannerOptions(cse=True))",
     ]
     assert final == "Assemble[tiled](FusedKernel[fused kernel](Scan[i,j]))"
@@ -128,7 +124,6 @@ def test_smoothing_trace(session):
         "normalize-bridge: builder 'tiled'; 1 generator(s) analyzed",
         "tiling-resolution: generators did not resolve to tiled storages",
         "strategy-selection: no distributed rule applies -> local fallback",
-        "adaptive-install: skipped (local plan)",
         "cse: skipped (local plan)",
     ]
     assert final == ""
@@ -149,8 +144,6 @@ def test_factorization_step_trace(session):
         " [0, 1, 2], tile size 10",
         "strategy-selection: rule group-by-join (strategy"
         " gbj-replicate) [rewrote plan]",
-        "adaptive-install: re-optimization hook armed for strategy"
-        " gbj-replicate",
         "cse: disabled (enable with PlannerOptions(cse=True))",
     ]
     assert final == (

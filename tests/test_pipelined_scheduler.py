@@ -221,8 +221,8 @@ def test_graph_compile_decides_leaves_once_and_adds_no_edges(monkeypatch):
 #: ``COUNTER_NAMES`` of each golden shape, recorded on commit 325e019
 #: from the staged scheduler under the serial runner — ``task_retries``,
 #: 0 in every run, left off.  The static and the adaptive arm recorded
-#: the same numbers for every shape.  ``smoothing`` — a coordinate plan —
-#: was re-recorded when its records became column batches (it shuffled
+#: the same numbers for every shape; only the adaptive engine is left.
+#: ``smoothing`` — a coordinate plan — was re-recorded when its records became column batches (it shuffled
 #: 2404 per-element records / 226136 bytes in 36 tasks).  All were
 #: re-recorded when storages began sizing their partitions by bytes: the
 #: operands, a few KB each, are one partition instead of the cluster's
@@ -295,16 +295,16 @@ def _golden_shapes():
     ]
 
 
-def _session(options, adaptive, runner, memory_limit=None):
+def _session(options, runner, memory_limit=None):
     return SacSession(
         cluster=TINY_CLUSTER, tile_size=10, options=options,
-        adaptive=adaptive, runner=runner, memory_limit=memory_limit,
+        runner=runner, memory_limit=memory_limit,
     )
 
 
-def _run_arm(run, options, adaptive, runner, memory_limit=None):
+def _run_arm(run, options, runner, memory_limit=None):
     """One golden shape in a fresh session: (result, counters, metrics)."""
-    with _session(options, adaptive, runner, memory_limit) as session:
+    with _session(options, runner, memory_limit) as session:
         result = np.asarray(run(session))
         metrics = session.engine.metrics
         return result, _counters(metrics), metrics.total
@@ -317,39 +317,41 @@ GOLDEN_SHAPES = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.parametrize("adaptive", [False, True], ids=["static", "adaptive"])
-@GOLDEN_SHAPES
-def test_pipelined_parity_golden_shapes(name, run, opts, adaptive):
+@pytest.mark.parametrize(
+    "name,run,opts",
+    _golden_shapes(),
+    # Ids keep the ``-adaptive`` suffix of the arm the goldens pin.
+    ids=[f"{name}-adaptive" for name, _run, _opts in _golden_shapes()],
+)
+def test_pipelined_parity_golden_shapes(name, run, opts):
     """Serial walk and threaded runner both record the frozen counters
     and return the same bytes."""
     options = PlannerOptions(**opts) if opts else None
-    serial, serial_counters, _ = _run_arm(
-        run, options, adaptive, SerialTaskRunner()
-    )
-    threaded, threaded_counters, _ = _run_arm(
-        run, options, adaptive, _threaded()
-    )
+    serial, serial_counters, _ = _run_arm(run, options, SerialTaskRunner())
+    threaded, threaded_counters, _ = _run_arm(run, options, _threaded())
     assert serial_counters == _golden(name)
     assert threaded_counters == _golden(name)
     assert serial.dtype == threaded.dtype
     assert serial.tobytes() == threaded.tobytes()
 
 
-def _skewed_pipeline(ctx):
-    """Two chained shuffles whose second sees the first's skewed histogram."""
+def _skewed_pipeline(ctx, materialize_source=False):
+    """Two chained shuffles whose second sees the first's skewed histogram.
+
+    With ``materialize_source`` a first action builds the first shuffle,
+    so the second's skew split is planned when its job compiles instead
+    of inside its task graph."""
     # 2000 distinct keys that all hash to reduce partition 0, carrying
     # ~350 KiB of values — past ``adaptive_skew_min_bytes``, so the
     # second shuffle's map over that partition is re-planned (split into
     # chunks) from the first shuffle's measured output histogram.
     pairs = [(8 * k, "v" * 120) for k in range(2000)]
     pairs += [(k, "w") for k in range(1, 8)]
-    grouped = (
-        ctx.parallelize(pairs, 8)
-        .group_by_key()
-        .flat_map(lambda kv: [(kv[0], len(v)) for v in kv[1]])
-        .reduce_by_key(lambda a, b: a + b)
-    )
-    return sorted(grouped.collect())
+    grouped = ctx.parallelize(pairs, 8).group_by_key()
+    if materialize_source:
+        grouped.count()
+    summed = grouped.flat_map(lambda kv: [(kv[0], len(v)) for v in kv[1]])
+    return sorted(summed.reduce_by_key(lambda a, b: a + b).collect())
 
 
 @pytest.mark.parametrize(
@@ -358,15 +360,36 @@ def _skewed_pipeline(ctx):
 def test_pipelined_skew_split_parity(runner_factory):
     """Skew planning deferred into the graph takes the decisions the
     staged driver took behind its barriers."""
-    ctx = EngineContext(
-        cluster=TINY_CLUSTER, runner=runner_factory(), adaptive=True
-    )
+    ctx = EngineContext(cluster=TINY_CLUSTER, runner=runner_factory())
     try:
         assert _skewed_pipeline(ctx) == SKEW_RESULT
         assert _counters(ctx.metrics) == dict(zip(COUNTER_NAMES, SKEW_COUNTERS))
         assert [d.kind for d in ctx.adaptive.decisions] == SKEW_DECISIONS
     finally:
         ctx.close()
+
+
+@pytest.mark.parametrize(
+    "runner_factory", [SerialTaskRunner, _threaded], ids=["serial", "threaded"]
+)
+def test_skew_split_of_a_materialized_source(runner_factory, monkeypatch):
+    """A skew source an earlier job built is split by the same rule when
+    the next job compiles: no planning task enters its graph."""
+    keys = []
+    add_task = taskgraph_module.TaskGraph.add_task
+
+    def spy(graph, key, *args, **kwargs):
+        keys.append(key)
+        return add_task(graph, key, *args, **kwargs)
+
+    monkeypatch.setattr(taskgraph_module.TaskGraph, "add_task", spy)
+    ctx = EngineContext(cluster=TINY_CLUSTER, runner=runner_factory())
+    try:
+        assert _skewed_pipeline(ctx, materialize_source=True) == SKEW_RESULT
+        assert [d.kind for d in ctx.adaptive.decisions] == SKEW_DECISIONS
+    finally:
+        ctx.close()
+    assert not [key for key in keys if key[0] in ("plan", "chunk-plan")]
 
 
 # ----------------------------------------------------------------------
@@ -573,10 +596,10 @@ STAGE_KINDS = ("map", "reduce", "combine", "drain", "merge", "result")
 def test_transient_failure_at_every_stage_kind(name, run, opts, runner_factory):
     """One retried task of any kind changes nothing but ``task_retries``."""
     options = PlannerOptions(**opts) if opts else None
-    clean = _run_arm(run, options, False, SerialTaskRunner())[0]
+    clean = _run_arm(run, options, SerialTaskRunner())[0]
     fired_kinds = set()
     for kind in STAGE_KINDS:
-        with _session(options, False, runner_factory()) as session:
+        with _session(options, runner_factory()) as session:
             runner = session.engine.runner
             runner.inject_failure(kind, 0, times=1)
             result = np.asarray(run(session))
@@ -603,8 +626,8 @@ def test_fatal_map_failure_leaves_nothing_behind(
     handle and unread map bucket, and the same session then re-runs the
     shape to the clean result."""
     options = PlannerOptions(**opts) if opts else None
-    clean = _run_arm(run, options, False, SerialTaskRunner())[0]
-    with _session(options, False, runner_factory(), memory_limit) as session:
+    clean = _run_arm(run, options, SerialTaskRunner())[0]
+    with _session(options, runner_factory(), memory_limit) as session:
         engine = session.engine
         blocks = engine.block_manager
         before_job = []

@@ -141,16 +141,6 @@ def test_miss_on_changed_planner_options(session):
     assert second.plan.rule == RULE_TILED_REDUCE
 
 
-def test_miss_on_adaptive_toggle(session):
-    """Arming/disarming adaptive re-optimization changes the key."""
-    A, B = _mats(session)
-    session.compile(MULTIPLY, A=A, B=B, n=30, m=30)
-    session.engine.adaptive.enabled = not session.engine.adaptive.enabled
-    session.compile(MULTIPLY, A=A, B=B, n=30, m=30)
-    stats = plan_stats(session)
-    assert stats["hits"] == 0 and stats["misses"] == 2
-
-
 def test_miss_on_cse_toggle(session):
     A, B = _mats(session)
     session.compile(MULTIPLY, A=A, B=B, n=30, m=30)

@@ -313,6 +313,51 @@ def test_http_bad_query_is_a_client_error_not_a_crash(service):
         _shutdown(server, loop)
 
 
+def _failed_query(port, query, env):
+    """POST a query expected to fail: (HTTP status, JSON payload)."""
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}/query",
+        data=json.dumps({"tenant": "alice", "query": query, "env": env}).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(request, timeout=10)
+    with err.value:  # the error holds the response's socket
+        return err.value.code, json.loads(err.value.read())
+
+
+def test_http_failed_query_status_names_whose_fault(service, caplog):
+    """A query the language rejects is a 400; an engine failure is a 500.
+    Both carry the message and the exception's type name."""
+    service.host("A", np.ones((8, 8)))
+    server, loop = _boot(service)
+    try:
+        status, payload = _failed_query(server.port, "syntax garbage ((", {})
+        assert status == 400
+        assert payload["ok"] is False
+        assert payload["error_type"] == "SacSyntaxError"
+        assert payload["error"] and "SacSyntaxError" not in payload["error"]
+
+        service.substrate.runner.inject_failure(
+            "result", None, times=1, transient=False
+        )
+        with caplog.at_level("ERROR", logger="repro.serve"):
+            status, payload = _failed_query(server.port, ROW_SUMS, {"n": 8})
+        assert status == 500
+        assert payload["error_type"] == "InjectedFatalTaskError"
+        assert payload["tenant"] == "alice"
+        # The server's failure keeps its traceback; the client's does not.
+        (record,) = caplog.records
+        assert record.exc_info[0].__name__ == "InjectedFatalTaskError"
+        # The server survived and still answers.
+        rendered = http_submit("127.0.0.1", server.port)(
+            "alice", ROW_SUMS, {"n": 8}
+        )
+        assert rendered["kind"] == "array"
+    finally:
+        _shutdown(server, loop)
+
+
 def test_http_unknown_route_404(service):
     server, loop = _boot(service)
     try:

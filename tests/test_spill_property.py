@@ -53,7 +53,7 @@ def _make_input(seed: int, sparse: bool) -> np.ndarray:
 
 def _run_chain(matrix: np.ndarray, ops, sparse: bool, memory_limit):
     session = SacSession(
-        cluster=TINY_CLUSTER, tile_size=TILE, adaptive=False,
+        cluster=TINY_CLUSTER, tile_size=TILE,
         memory_limit=memory_limit,
     )
     try:

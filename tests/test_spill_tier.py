@@ -73,7 +73,7 @@ def test_capped_golden_shapes_match_uncapped(name, run, opts):
     one does neither) are identical whether or not there is a memory
     cap, under either runner."""
     options = PlannerOptions(**opts) if opts else None
-    base_result = _run_arm(run, options, False, SerialTaskRunner())[0]
+    base_result = _run_arm(run, options, SerialTaskRunner())[0]
     for memory_limit in (None, CAP):
         for arm, runner in [
             ("serial", SerialTaskRunner()),
@@ -81,7 +81,7 @@ def test_capped_golden_shapes_match_uncapped(name, run, opts):
         ]:
             arm = f"{name}/{'capped' if memory_limit else 'uncapped'}-{arm}"
             result, counters, total = _run_arm(
-                run, options, False, runner, memory_limit
+                run, options, runner, memory_limit
             )
             np.testing.assert_array_equal(result, base_result, err_msg=arm)
             assert counters == _golden(name), arm
@@ -93,7 +93,7 @@ def test_capped_golden_shapes_match_uncapped(name, run, opts):
 def test_capped_multiply_actually_spills():
     """The differential suite is not vacuous: the multiply's working set
     overflows the cap, so bytes really move through the spill tier."""
-    total = _run_arm(_run_multiply, None, False, SerialTaskRunner(), CAP)[2]
+    total = _run_arm(_run_multiply, None, SerialTaskRunner(), CAP)[2]
     assert total.spilled_bytes > 0
     assert total.restored_bytes > 0
     assert total.spill_restores > 0
@@ -103,7 +103,7 @@ def test_capped_multiply_actually_spills():
 def test_no_limit_means_no_spill_machinery():
     """Default sessions carry zero spill state: counters stay zero and
     no store exists, keeping behavior byte-identical to the seed."""
-    with SacSession(cluster=TINY_CLUSTER, tile_size=10, adaptive=False) as session:
+    with SacSession(cluster=TINY_CLUSTER, tile_size=10) as session:
         _run_multiply(session)
         assert not session.engine.block_manager.spill_enabled
         assert session.engine.block_manager.spill_store is None

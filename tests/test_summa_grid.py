@@ -50,7 +50,7 @@ FLOAT_B = RNG.uniform(size=(40, 30))
 
 def _session(strategy="gbj-replicate"):
     return SacSession(
-        cluster=TINY_CLUSTER, tile_size=TILE, adaptive=False,
+        cluster=TINY_CLUSTER, tile_size=TILE,
         options=PlannerOptions(strategy=strategy),
         runner=SerialTaskRunner(),
     )
