@@ -51,13 +51,15 @@ def _setup(shape_a, shape_b, options):
     # One partition per core: a broadcast contracts on the large side's
     # partitions, and the few its bytes alone ask for would price every
     # flip away.
-    session = SacSession(
-        cluster=BENCH_CLUSTER, tile_size=TILE, options=options,
-        num_partitions=BENCH_CLUSTER.default_parallelism(),
-    )
+    session = SacSession(cluster=BENCH_CLUSTER, tile_size=TILE, options=options)
+    parts = BENCH_CLUSTER.default_parallelism()
     env = {
-        "A": session.tiled(dense_uniform(*shape_a, seed=3)).materialize(),
-        "B": session.tiled(dense_uniform(*shape_b, seed=4)).materialize(),
+        "A": session.tiled(
+            dense_uniform(*shape_a, seed=3), num_partitions=parts
+        ).materialize(),
+        "B": session.tiled(
+            dense_uniform(*shape_b, seed=4), num_partitions=parts
+        ).materialize(),
         "n": shape_a[0],
         "m": shape_b[1],
     }

@@ -55,11 +55,9 @@ def _numpy_round(x0):
 def test_fused_smoothing_against_numpy(measure, capsys):
     """E14: the fused chain's wall clock over NumPy's, byte-identical."""
     record, _run_measured = measure
-    session = SacSession(
-        cluster=BENCH_CLUSTER, tile_size=TILE, num_partitions=PARTS,
-    )
+    session = SacSession(cluster=BENCH_CLUSTER, tile_size=TILE)
     dense = dense_uniform(N, N, seed=14)
-    x0 = session.tiled(dense).materialize()
+    x0 = session.tiled(dense, num_partitions=PARTS).materialize()
     assert session.compile(SMOOTH, X=x0, n=N, m=N).plan.rule == (
         RULE_PRESERVE_TILING
     )

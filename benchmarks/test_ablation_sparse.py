@@ -133,11 +133,15 @@ def _sweep_run(band, options):
     # weighs map-side parallelism, which the CSC bytes alone would cut to
     # a partition or two.
     session = SacSession(
-        cluster=BENCH_CLUSTER, tile_size=SWEEP_TILE, options=options,
-        num_partitions=BENCH_CLUSTER.default_parallelism(),
+        cluster=BENCH_CLUSTER, tile_size=SWEEP_TILE, options=options
     )
-    A = session.sparse_tiled(banded_array(SWEEP_N, SWEEP_TILE, band, seed=1))
-    B = session.sparse_tiled(banded_array(SWEEP_N, SWEEP_TILE, band, seed=2))
+    parts = BENCH_CLUSTER.default_parallelism()
+    A = session.sparse_tiled(
+        banded_array(SWEEP_N, SWEEP_TILE, band, seed=1), num_partitions=parts
+    )
+    B = session.sparse_tiled(
+        banded_array(SWEEP_N, SWEEP_TILE, band, seed=2), num_partitions=parts
+    )
     A.materialize(), B.materialize()
     compiled = session.compile(MULTIPLY, A=A, B=B, n=SWEEP_N, m=SWEEP_N)
 

@@ -82,7 +82,6 @@ class Interpreter:
 
     Args:
         env: free-variable bindings (arrays, scalars, lists, functions).
-        functions: extra named functions callable from queries.
         build_context: ambient parameters for builders (engine, tile size).
         registry: storage registry (defaults to the global one).
     """
@@ -90,12 +89,10 @@ class Interpreter:
     def __init__(
         self,
         env: Optional[Mapping[str, Any]] = None,
-        functions: Optional[Mapping[str, Callable]] = None,
         build_context: Optional[BuildContext] = None,
         registry: StorageRegistry = REGISTRY,
     ):
         self._env = dict(env or {})
-        self._functions = {**BUILTINS, **(functions or {})}
         self._build_context = build_context or BuildContext()
         self._registry = registry
 
@@ -166,8 +163,8 @@ class Interpreter:
         func = env.get(expr.func)
         if callable(func):
             return func(*args)
-        if expr.func in self._functions:
-            return self._functions[expr.func](*args)
+        if expr.func in BUILTINS:
+            return BUILTINS[expr.func](*args)
         raise SacNameError(f"unknown function {expr.func!r}")
 
     def _eval_field(self, expr: Field, env: dict[str, Any]) -> Any:

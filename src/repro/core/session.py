@@ -30,6 +30,7 @@ from ..comprehension import (
     Expr, FreshNames, Interpreter, desugar, normalize, parse,
 )
 from ..engine import PAPER_CLUSTER, ClusterSpec, EngineContext, RDD
+from ..engine.context import reject_dropped
 from ..planner import Plan, PlannerOptions, plan_state
 from ..planner.ir import partitioner_signature
 from ..planner.lower import lower
@@ -76,9 +77,6 @@ class SacSession:
         cluster: simulated cluster spec for a fresh engine.
         tile_size: side length N of square tiles for block arrays.
         options: planner rule switches (ablations).
-        num_partitions: partition count for every storage this session
-            builds (``tiled``, the builders in a query); ``None`` sizes
-            each by its bytes (``EngineContext.partitions_for``).
         runner: task execution strategy for a fresh engine — a
             ``TaskRunner``, ``"serial"`` (every job's task graph walked
             one task at a time), or ``"threads"`` (tasks fire on a pool
@@ -99,8 +97,9 @@ class SacSession:
         quota: resident-block byte cap for this session's tenant
             (``"64M"``-style strings accepted); only meaningful with a
             named tenant on a budgeted substrate.
-        reservation: residency floor other tenants' evictions cannot
-            push this tenant below.
+
+    ``cluster``, ``runner`` and ``memory_limit`` configure a fresh
+    engine; passing any of them beside ``engine`` raises ``TypeError``.
     """
 
     def __init__(
@@ -109,36 +108,34 @@ class SacSession:
         cluster: ClusterSpec = PAPER_CLUSTER,
         tile_size: int = 100,
         options: Optional[PlannerOptions] = None,
-        num_partitions: Optional[int] = None,
         runner: Any = None,
         memory_limit: Optional[int | str] = None,
         tenant: Optional[str] = None,
         quota: Optional[int | str] = None,
-        reservation: Optional[int | str] = None,
     ):
         if engine is None:
             engine = EngineContext(
                 cluster=cluster, runner=runner, memory_limit=memory_limit,
-                tenant=tenant or "", quota=quota, reservation=reservation,
+                tenant=tenant or "", quota=quota,
             )
-        elif (
-            tenant is not None or quota is not None or reservation is not None
-        ):
-            # Per-session overrides become a fresh view over the same
-            # substrate — never an in-place mutation of the caller's
-            # engine, which other sessions may share.
-            engine = engine.view(
-                tenant=tenant, quota=quota, reservation=reservation
+        else:
+            reject_dropped(
+                "SacSession(engine=...)", cluster=(cluster, PAPER_CLUSTER),
+                runner=(runner, None), memory_limit=(memory_limit, None),
             )
+            if tenant is not None or quota is not None:
+                # Per-session overrides become a fresh view over the same
+                # substrate — never an in-place mutation of the caller's
+                # engine, which other sessions may share.  A quota alone
+                # re-scopes the engine's own tenant.
+                engine = engine.substrate.view(
+                    engine.tenant if tenant is None else tenant, quota=quota
+                )
         self.engine = engine
         self.tenant = getattr(engine, "tenant", "") or ""
         self.tile_size = tile_size
         self.options = options or PlannerOptions()
-        self.build_context = BuildContext(
-            engine=self.engine,
-            tile_size=tile_size,
-            num_partitions=num_partitions,
-        )
+        self.build_context = BuildContext(engine=self.engine, tile_size=tile_size)
         # Iterative algorithms re-submit identical query text every step;
         # parsing is pure, so cache the ASTs, and the (parsed,
         # normalized) pair is cached per storage signature of the
@@ -197,7 +194,7 @@ class SacSession:
         Besides the query text and binding signatures, the key carries
         everything else a compile's outcome depends on: the planner
         option switches (strategy pin, CSE) and the session's build
-        profile (tile size, partition hint) — so toggling any of those
+        profile (its tile size) — so toggling any of those
         between compiles, or another same-substrate session with a
         different shape, can never serve a stale cached result.
         """
@@ -212,7 +209,7 @@ class SacSession:
                 query,
                 bindings,
                 self.options.cache_signature(),
-                (self.tile_size, self.build_context.num_partitions),
+                self.tile_size,
             )
         except TypeError:  # unsortable/unhashable binding: skip the cache
             return None
@@ -354,17 +351,12 @@ class SacSession:
     # Storage constructors
     # ------------------------------------------------------------------
 
-    def _partitions(self, num_partitions: Optional[int]) -> Optional[int]:
-        """An explicit count, else the session's hint; ``None`` leaves
-        the storage to size itself by bytes."""
-        return num_partitions or self.build_context.num_partitions
-
     def tiled(
         self, array: np.ndarray, num_partitions: Optional[int] = None
     ) -> TiledMatrix:
         """Distribute a local 2-D array as a tiled matrix."""
         return TiledMatrix.from_numpy(
-            self.engine, array, self.tile_size, self._partitions(num_partitions)
+            self.engine, array, self.tile_size, num_partitions
         )
 
     def tiled_vector(
@@ -372,7 +364,7 @@ class SacSession:
     ) -> TiledVector:
         """Distribute a local 1-D array as a block vector."""
         return TiledVector.from_numpy(
-            self.engine, array, self.tile_size, self._partitions(num_partitions)
+            self.engine, array, self.tile_size, num_partitions
         )
 
     def sparse_tiled(self, array: np.ndarray, num_partitions: Optional[int] = None):
@@ -384,7 +376,7 @@ class SacSession:
         from ..storage.sparse_tiled import SparseTiledMatrix
 
         return SparseTiledMatrix.from_numpy(
-            self.engine, array, self.tile_size, self._partitions(num_partitions)
+            self.engine, array, self.tile_size, num_partitions
         )
 
     def rdd(self, items, num_partitions: Optional[int] = None) -> RDD:

@@ -227,11 +227,10 @@ class BlockManager:
         #: Tenancy layer (all empty — and all paths byte-identical to the
         #: single-tenant store — unless a :class:`TenantBlockView` writes
         #: through this manager): namespace -> owning tenant, per-tenant
-        #: resident bytes, and per-tenant quota/reservation configs.
+        #: resident bytes, and per-tenant quotas.
         self._ns_tenant: "dict[str, str]" = {}
         self._tenant_bytes: "dict[str, int]" = {}
         self._tenant_quota: "dict[str, int]" = {}
-        self._tenant_reservation: "dict[str, int]" = {}
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -444,30 +443,12 @@ class BlockManager:
             self._spill(victim, block)
         return block.nbytes
 
-    def _may_evict(self, key: tuple[str, int], evictor: str) -> bool:
-        """Whether ``evictor``'s memory pressure may evict ``key``.
-
-        A tenant may always evict its own blocks and unowned blocks;
-        another tenant's block only while that tenant stays at or above
-        its configured residency reservation (lock held).
-        """
-        owner = self._ns_tenant.get(key[0], "")
-        if not owner or owner == evictor:
-            return True
-        reservation = self._tenant_reservation.get(owner, 0)
-        if not reservation:
-            return True
-        nbytes = self._blocks[key].nbytes
-        return self._tenant_bytes.get(owner, 0) - nbytes >= reservation
-
     def _evict_to_budget(self, protect: tuple[str, int]) -> None:
         """Evict LRU blocks until quota and budget hold (lock held).
 
         Two passes: first the writing tenant's own quota (its own LRU
         blocks pay, counted as quota evictions), then the global budget,
-        where other tenants' blocks are victims only down to their
-        reservations.  With no tenants configured both passes reduce to
-        the historical single-budget LRU sweep, victim-for-victim.
+        a plain LRU sweep over every tenant's blocks.
         """
         tenant = self._ns_tenant.get(protect[0], "")
         quota = self._tenant_quota.get(tenant) if tenant else None
@@ -489,14 +470,7 @@ class BlockManager:
         if self._budget is None:
             return
         while self._bytes > self._budget:
-            victim = next(
-                (
-                    key
-                    for key in self._blocks
-                    if key != protect and self._may_evict(key, tenant)
-                ),
-                None,
-            )
+            victim = next((key for key in self._blocks if key != protect), None)
             if victim is None:
                 return
             self._evict_one(victim)
@@ -794,30 +768,12 @@ class BlockManager:
     # Tenancy
     # ------------------------------------------------------------------
 
-    def configure_tenant(
-        self,
-        tenant: str,
-        quota: Optional[int] = None,
-        reservation: int = 0,
-    ) -> None:
-        """Set one tenant's residency quota and/or reservation.
-
-        ``quota`` caps the tenant's resident block bytes (its own LRU
-        blocks are evicted — spilled, with a store — to stay under it);
-        ``reservation`` is the residency floor other tenants' evictions
-        may not push it below.  A reservation larger than the quota is
-        rejected (it could never be honored and would wedge eviction).
-        """
-        if quota is not None and reservation > quota:
-            raise ValueError(
-                f"tenant {tenant!r}: reservation {reservation} exceeds "
-                f"quota {quota}"
-            )
+    def configure_tenant(self, tenant: str, quota: int) -> None:
+        """Cap one tenant's resident block bytes at ``quota``: its own
+        LRU blocks are evicted — spilled, with a store — to stay under
+        it."""
         with self._lock:
-            if quota is not None:
-                self._tenant_quota[tenant] = quota
-            if reservation:
-                self._tenant_reservation[tenant] = reservation
+            self._tenant_quota[tenant] = quota
             self._tenant_bytes.setdefault(tenant, 0)
 
     def view(self, tenant: str) -> "TenantBlockView":
@@ -825,18 +781,13 @@ class BlockManager:
         return TenantBlockView(self, tenant)
 
     def tenant_usage(self) -> dict[str, dict[str, Any]]:
-        """Per-tenant residency usage against quota and reservation."""
+        """Per-tenant residency usage against quota."""
         with self._lock:
-            tenants = (
-                set(self._tenant_bytes)
-                | set(self._tenant_quota)
-                | set(self._tenant_reservation)
-            )
+            tenants = set(self._tenant_bytes) | set(self._tenant_quota)
             return {
                 tenant: {
                     "resident_bytes": self._tenant_bytes.get(tenant, 0),
                     "quota_bytes": self._tenant_quota.get(tenant),
-                    "reservation_bytes": self._tenant_reservation.get(tenant, 0),
                 }
                 for tenant in tenants
             }
@@ -846,7 +797,7 @@ class BlockManager:
     def clear(self) -> None:
         """Forget everything (blocks, spill tier, retained shuffles).
 
-        Tenant quota/reservation *configs* survive (they are policy, not
+        Tenant quotas survive (they are policy, not
         data); the per-tenant byte accounting resets with the blocks.
         """
         with self._lock:
@@ -882,8 +833,8 @@ class TenantBlockView:
     Reads, containment checks, prefetch, and shuffle-reuse registration
     pass straight through (the store is shared — cross-tenant reuse of
     registered shuffle outputs is the point); *writes* are labeled with
-    the tenant so quota accounting and reservation-aware eviction know
-    who owns each namespace.  Attribute access falls through to the
+    the tenant so quota accounting and eviction know who owns each
+    namespace.  Attribute access falls through to the
     underlying manager, so the view is drop-in wherever a
     ``BlockManager`` is expected.
     """
@@ -901,9 +852,6 @@ class TenantBlockView:
         return self._manager.new_output(
             owner, num_partitions, stats, tenant=self.tenant
         )
-
-    def view(self, tenant: str) -> "TenantBlockView":
-        return self._manager.view(tenant)
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._manager, name)

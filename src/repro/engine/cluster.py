@@ -31,9 +31,6 @@ class ClusterSpec:
             seconds.  Spark tasks cost a few milliseconds to launch; this
             is what makes "many tiny partitions" lose to "few block-sized
             partitions" in the tile-size ablation.
-        io_bandwidth: bytes/second for reading cached partitions; only
-            used when replaying cached data, to keep cached re-reads from
-            being free.
         compute_scale: how many seconds of the simulated cluster's
             per-core compute one second of *measured local* compute
             represents.  The engine measures compute with NumPy (native
@@ -49,7 +46,6 @@ class ClusterSpec:
     cores_per_executor: int = 11
     network_bandwidth: float = 1.0e9
     task_launch_overhead: float = 0.004
-    io_bandwidth: float = 4.0e9
     compute_scale: float = 1.0
     #: -- Adaptive-execution (AQE) thresholds ---------------------------
     #: Largest *measured* per-copy payload the runtime re-optimizer may

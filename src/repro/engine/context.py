@@ -27,6 +27,15 @@ __all__ = ["Accumulator", "Broadcast", "EngineContext", "parse_memory_limit"]
 T = TypeVar("T")
 
 
+def reject_dropped(call: str, **given: tuple[Any, Any]) -> None:
+    """Raise ``TypeError`` naming each ``name=(value, default)`` whose
+    value is not its default: arguments ``call`` would otherwise
+    silently ignore."""
+    dropped = [name for name, (value, default) in given.items() if value != default]
+    if dropped:
+        raise TypeError(f"{call} ignores {', '.join(dropped)}")
+
+
 class Broadcast(Generic[T]):
     """A read-only value shared with every task.
 
@@ -81,7 +90,7 @@ class EngineContext:
     threaded context keeps one persistent executor pool for its
     lifetime (``close()`` or a ``with`` block shuts it down).
 
-    Pass ``substrate=`` (or call :meth:`view` /
+    Pass ``substrate=`` (or call
     :meth:`~repro.engine.substrate.EngineSubstrate.view`) to attach this
     context as a tenant view on an existing substrate instead of
     building a private one: the view shares the substrate's pool, block
@@ -92,7 +101,9 @@ class EngineContext:
     are what keep it from acting.  A named ``tenant`` writes its cached
     blocks through a
     :class:`~repro.engine.block_manager.TenantBlockView`, making it
-    subject to its ``quota`` and protected by its ``reservation``.
+    subject to its ``quota``.  The arguments before ``substrate``
+    configure a fresh substrate; passing any of them beside
+    ``substrate=`` raises ``TypeError``.
     """
 
     def __init__(
@@ -105,7 +116,6 @@ class EngineContext:
         substrate: Optional[EngineSubstrate] = None,
         tenant: str = "",
         quota: Optional[int | str] = None,
-        reservation: Optional[int | str] = None,
         max_concurrent_jobs: Optional[int] = None,
     ):
         if substrate is None:
@@ -115,6 +125,15 @@ class EngineContext:
                 spill_prefetch=spill_prefetch,
                 max_concurrent_jobs=max_concurrent_jobs,
             )
+        else:
+            reject_dropped(
+                "EngineContext(substrate=...)",
+                cluster=(cluster, PAPER_CLUSTER), runner=(runner, None),
+                memory_limit=(memory_limit, None),
+                spill_store=(spill_store, None),
+                spill_prefetch=(spill_prefetch, True),
+                max_concurrent_jobs=(max_concurrent_jobs, None),
+            )
         self.substrate = substrate
         self.tenant = tenant
         self.cluster = substrate.cluster
@@ -123,11 +142,8 @@ class EngineContext:
         self.memory_limit = substrate.memory_limit
         if tenant:
             quota = parse_memory_limit(quota)
-            reservation = parse_memory_limit(reservation) or 0
-            if quota is not None or reservation:
-                substrate.block_manager.configure_tenant(
-                    tenant, quota=quota, reservation=reservation
-                )
+            if quota is not None:
+                substrate.block_manager.configure_tenant(tenant, quota)
             self.block_manager = substrate.block_manager.view(tenant)
         else:
             # The unlabeled default tenant writes through the raw shared
@@ -164,26 +180,6 @@ class EngineContext:
 
     def _register_rdd(self) -> int:
         return self.substrate.register_rdd()
-
-    def view(
-        self,
-        tenant: Optional[str] = None,
-        *,
-        quota: Optional[int | str] = None,
-        reservation: Optional[int | str] = None,
-    ) -> "EngineContext":
-        """Another context over this context's substrate.
-
-        ``tenant=None`` inherits this view's tenant, so
-        ``ctx.view(quota=...)`` re-scopes the same tenant without
-        mutating ``ctx``.
-        """
-        return EngineContext(
-            substrate=self.substrate,
-            tenant=self.tenant if tenant is None else tenant,
-            quota=quota,
-            reservation=reservation,
-        )
 
     def close(self) -> None:
         """Release the substrate's executor pool (idempotent; the

@@ -24,8 +24,8 @@ engines with zero reuse.  The substrate splits that world in two:
 
 A context constructed the historical way (``EngineContext()``) builds a
 private substrate and behaves byte-identically to the pre-split engine;
-``substrate.view(...)`` or ``context.view(...)`` attaches additional
-tenants to the same substrate.
+``substrate.view(tenant, quota=...)`` attaches additional tenants to
+the same substrate.
 """
 
 from __future__ import annotations
@@ -208,7 +208,6 @@ class EngineSubstrate:
         self.plan_caches = PlanCacheGroup()
         self._rdd_counter = 0
         self._rdd_counter_lock = threading.Lock()
-        self._view_counter = 0
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -227,31 +226,16 @@ class EngineSubstrate:
             self._rdd_counter += 1
             return self._rdd_counter
 
-    def view(
-        self,
-        tenant: Optional[str] = None,
-        *,
-        quota: Optional[int | str] = None,
-        reservation: Optional[int | str] = None,
-    ):
+    def view(self, tenant: str, *, quota: Optional[int | str] = None):
         """A per-tenant :class:`~repro.engine.context.EngineContext` view.
 
-        ``tenant`` of ``None`` allocates a fresh ``tenant-N`` name;
-        pass ``""`` explicitly to attach to the unlabeled default
-        tenant (no quota bookkeeping, raw block manager).  ``quota``
-        caps the tenant's resident block bytes; ``reservation``
-        protects them from other tenants' evictions.
+        ``""`` attaches to the unlabeled default tenant (no quota
+        bookkeeping, raw block manager).  ``quota`` caps the tenant's
+        resident block bytes.
         """
         from .context import EngineContext
 
-        if tenant is None:
-            with self._rdd_counter_lock:
-                self._view_counter += 1
-                tenant = f"tenant-{self._view_counter}"
-        return EngineContext(
-            substrate=self, tenant=tenant, quota=quota,
-            reservation=reservation,
-        )
+        return EngineContext(substrate=self, tenant=tenant, quota=quota)
 
     # ------------------------------------------------------------------
 
@@ -282,6 +266,5 @@ class EngineSubstrate:
     def __repr__(self) -> str:
         return (
             f"EngineSubstrate(cluster={self.cluster!r}, "
-            f"runner={type(self.runner).__name__}, "
-            f"views={self._view_counter})"
+            f"runner={type(self.runner).__name__})"
         )

@@ -35,12 +35,13 @@ class BuildContext:
         engine: the :class:`~repro.engine.context.EngineContext` used by
             distributed builders; ``None`` in purely local evaluation.
         tile_size: side length N of square tiles (paper Section 5).
-        num_partitions: partition count hint for distributed builders.
+
+    Distributed builders size their storages by bytes
+    (``EngineContext.partitions_for``).
     """
 
     engine: Optional[Any] = None
     tile_size: int = 100
-    num_partitions: Optional[int] = None
 
 
 class StorageRegistry:

@@ -245,8 +245,7 @@ def _build_sparse_tiled(ctx: BuildContext, args: tuple, items) -> SparseTiledMat
     if ctx.engine is None:
         raise SacTypeError("builder 'sparse_tiled' needs an engine context")
     return SparseTiledMatrix.from_items(
-        ctx.engine, int(args[0]), int(args[1]), ctx.tile_size, items,
-        num_partitions=ctx.num_partitions,
+        ctx.engine, int(args[0]), int(args[1]), ctx.tile_size, items
     )
 
 

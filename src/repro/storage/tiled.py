@@ -377,8 +377,7 @@ def _build_tiled(ctx: BuildContext, args: tuple, items) -> TiledMatrix:
         raise SacTypeError("tiled(n,m) builder takes two dimension arguments")
     engine = _require_engine(ctx, "tiled")
     return TiledMatrix.from_items(
-        engine, int(args[0]), int(args[1]), ctx.tile_size, items,
-        num_partitions=ctx.num_partitions,
+        engine, int(args[0]), int(args[1]), ctx.tile_size, items
     )
 
 
@@ -386,16 +385,13 @@ def _build_tiled_vector(ctx: BuildContext, args: tuple, items) -> TiledVector:
     if len(args) != 1:
         raise SacTypeError("tiled_vector(n) builder takes one dimension argument")
     engine = _require_engine(ctx, "tiled_vector")
-    return TiledVector.from_items(
-        engine, int(args[0]), ctx.tile_size, items,
-        num_partitions=ctx.num_partitions,
-    )
+    return TiledVector.from_items(engine, int(args[0]), ctx.tile_size, items)
 
 
 def _build_rdd(ctx: BuildContext, args: tuple, items) -> Any:
     """``rdd(L)`` / ``rdd[...]``: distribute an association list."""
     engine = _require_engine(ctx, "rdd")
-    return engine.parallelize(list(items), ctx.num_partitions)
+    return engine.parallelize(list(items))
 
 
 REGISTRY.register_sparsifier(TiledMatrix, lambda m: m.sparsify())

@@ -45,12 +45,11 @@ def _measured_run(n, tile, strategy, cluster=BENCH_CLUSTER, parts=None):
     session = SacSession(
         cluster=cluster, tile_size=tile,
         options=PlannerOptions(strategy=strategy),
-        num_partitions=parts,
     )
     a = RNG.uniform(0, 9, size=(n, n))
     b = RNG.uniform(0, 9, size=(n, n))
-    A = session.tiled(a).materialize()
-    B = session.tiled(b).materialize()
+    A = session.tiled(a, num_partitions=parts).materialize()
+    B = session.tiled(b, num_partitions=parts).materialize()
     if parts is not None:
         assert A.tiles.num_partitions == B.tiles.num_partitions > 1
     compiled = session.compile(MULTIPLY, A=A, B=B, n=n, m=n)
@@ -156,14 +155,16 @@ def _block_band(n, tile, seed=0):
 def _forced_run(n, tile, strategy, sparse, cluster=BENCH_CLUSTER, parts=None):
     session = SacSession(
         cluster=cluster, tile_size=tile,
-        options=PlannerOptions(strategy=strategy), num_partitions=parts,
+        options=PlannerOptions(strategy=strategy),
     )
     if sparse:
-        A = session.sparse_tiled(_block_band(n, tile, seed=1)).materialize()
-        B = session.sparse_tiled(_block_band(n, tile, seed=2)).materialize()
+        build = session.sparse_tiled
+        a, b = _block_band(n, tile, seed=1), _block_band(n, tile, seed=2)
     else:
-        A = session.tiled(RNG.uniform(0, 9, size=(n, n))).materialize()
-        B = session.tiled(RNG.uniform(0, 9, size=(n, n))).materialize()
+        build = session.tiled
+        a, b = RNG.uniform(0, 9, size=(n, n)), RNG.uniform(0, 9, size=(n, n))
+    A = build(a, num_partitions=parts).materialize()
+    B = build(b, num_partitions=parts).materialize()
     if parts is not None:
         assert A.tiles.num_partitions == B.tiles.num_partitions > 1
     compiled = session.compile(MULTIPLY, A=A, B=B, n=n, m=n)
@@ -260,13 +261,11 @@ def test_block_sparse_default_flips_away_from_replicate():
 
     # Without the recorded statistic the same inputs price densely and
     # the planner stays with replication — the flip is the statistic's.
-    session = SacSession(
-        cluster=BENCH_CLUSTER, tile_size=tile, num_partitions=parts
-    )
+    session = SacSession(cluster=BENCH_CLUSTER, tile_size=tile)
     from repro.storage import SparseTiledMatrix
 
-    A = session.sparse_tiled(_block_band(n, tile, seed=1))
-    B = session.sparse_tiled(_block_band(n, tile, seed=2))
+    A = session.sparse_tiled(_block_band(n, tile, seed=1), num_partitions=parts)
+    B = session.sparse_tiled(_block_band(n, tile, seed=2), num_partitions=parts)
     blind = session.compile(
         MULTIPLY,
         A=SparseTiledMatrix(n, n, tile, A.tiles),

@@ -206,12 +206,3 @@ def test_dense_vector_integer_items():
     v = DenseVector.from_items(3, [(0, 1), (2, 5)])
     assert v.data.dtype == np.float64
     np.testing.assert_allclose(v.data, [1.0, 0.0, 5.0])
-
-
-def test_session_num_partitions_hint():
-    session = SacSession(cluster=TINY_CLUSTER, tile_size=5, num_partitions=2)
-    tiled = session.run(
-        "tiled(n,n)[ ((i,j), v) | ((i,j),v) <- L ]",
-        L=session.rdd([((0, 0), 1.0)]), n=10,
-    )
-    assert tiled.to_numpy()[0, 0] == 1.0

@@ -9,8 +9,7 @@ contract:
   session to an engine used to mutate that engine in place),
 * N sessions on one substrate compute byte-identical results to N
   isolated sessions (the differential isolation bar),
-* a tenant at its quota evicts its *own* blocks and cannot push another
-  tenant below its reservation,
+* a tenant at its quota evicts its *own* blocks,
 * the fair scheduler bounds concurrency and grants round-robin across
   tenants.
 """
@@ -62,6 +61,45 @@ def test_sessions_do_not_mutate_shared_engine_flags():
     assert engine.tenant == ""
     assert engine.block_manager is engine.substrate.block_manager
     engine.close()
+
+
+def test_quota_only_override_keeps_the_views_tenant():
+    with EngineSubstrate(cluster=TINY_CLUSTER) as substrate:
+        labeled = substrate.view("t1")
+        session = SacSession(engine=labeled, quota="2K")
+        assert session.engine is not labeled
+        assert session.engine.tenant == session.tenant == "t1"
+        assert labeled.tenant == "t1"
+        usage = substrate.block_manager.tenant_usage()
+        assert usage["t1"]["quota_bytes"] == 2048
+
+
+#: A non-default value for each argument that builds a fresh engine.
+ENGINE_ARGUMENTS = {
+    "cluster": TINY_CLUSTER, "runner": "serial", "memory_limit": "1M",
+}
+SUBSTRATE_ARGUMENTS = {
+    **ENGINE_ARGUMENTS, "spill_store": object(), "spill_prefetch": False,
+    "max_concurrent_jobs": 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_ARGUMENTS))
+def test_session_rejects_resource_arguments_beside_an_engine(name):
+    with EngineContext(cluster=TINY_CLUSTER) as engine:
+        with pytest.raises(TypeError, match=name):
+            SacSession(engine=engine, **{name: ENGINE_ARGUMENTS[name]})
+
+
+@pytest.mark.parametrize("name", sorted(SUBSTRATE_ARGUMENTS))
+def test_context_rejects_substrate_arguments_beside_a_substrate(name):
+    with EngineSubstrate(cluster=TINY_CLUSTER) as substrate:
+        with pytest.raises(TypeError, match=name):
+            EngineContext(
+                substrate=substrate, **{name: SUBSTRATE_ARGUMENTS[name]}
+            )
+        # Defaults passed explicitly drop nothing.
+        EngineContext(substrate=substrate, spill_prefetch=True)
 
 
 def test_opposite_flag_sessions_both_honored_at_run_time():
@@ -215,7 +253,7 @@ def test_profile_keyed_plan_cache_keeps_tile_sizes_apart():
 
 
 # ----------------------------------------------------------------------
-# Quotas and reservations in the block store
+# Quotas in the block store
 # ----------------------------------------------------------------------
 
 
@@ -252,31 +290,6 @@ def test_oversized_block_rejected_by_quota():
     manager.configure_tenant("a", quota=block_bytes - 1)
     assert manager.view("a").put(1, 0, records) is False
     assert manager.tenant_usage()["a"]["resident_bytes"] == 0
-
-
-def test_reservation_protects_tenant_from_neighbors_pressure():
-    metrics = MetricsRegistry()
-    records, block_bytes = _sized_records()
-    manager = BlockManager(metrics, memory_budget=3 * block_bytes)
-    manager.configure_tenant("b", reservation=2 * block_bytes)
-    view_a = manager.view("a")
-    view_b = manager.view("b")
-    for split in range(2):
-        assert view_b.put(200 + split, 0, list(records))
-    for split in range(3):  # a's writes create the pressure
-        view_a.put(split, 0, list(records))
-    # b holds exactly its reservation; a's own blocks paid for a's spree.
-    usage = manager.tenant_usage()
-    assert usage["b"]["resident_bytes"] == 2 * block_bytes
-    assert manager.get(200, 0) is not None
-    assert manager.get(201, 0) is not None
-    assert usage["a"]["resident_bytes"] <= block_bytes
-
-
-def test_reservation_cannot_exceed_quota():
-    manager = BlockManager(MetricsRegistry())
-    with pytest.raises(ValueError):
-        manager.configure_tenant("a", quota=10, reservation=20)
 
 
 def test_untenanted_paths_keep_historical_eviction_order():
@@ -437,23 +450,38 @@ def test_configuration_surface_is_pinned():
     go) only with a diff here.  Adaptive execution is not among them —
     it is how the engine runs; the cluster's thresholds and a strategy
     pin are what keep it from acting."""
+    from repro.comprehension import Interpreter
+    from repro.engine import ClusterSpec
     from repro.planner import PlannerOptions
     from repro.serve import QueryService
+    from repro.storage.registry import BuildContext
 
     def params(fn):
         return [name for name in inspect.signature(fn).parameters if name != "self"]
 
     assert params(SacSession) == [
-        "engine", "cluster", "tile_size", "options", "num_partitions",
-        "runner", "memory_limit", "tenant", "quota", "reservation",
+        "engine", "cluster", "tile_size", "options", "runner",
+        "memory_limit", "tenant", "quota",
     ]
     assert params(EngineContext) == [
         "cluster", "runner", "memory_limit", "spill_store",
-        "spill_prefetch", "substrate", "tenant", "quota", "reservation",
+        "spill_prefetch", "substrate", "tenant", "quota",
         "max_concurrent_jobs",
     ]
-    assert params(EngineContext.view) == ["tenant", "quota", "reservation"]
-    assert params(EngineSubstrate.view) == ["tenant", "quota", "reservation"]
+    assert not hasattr(EngineContext, "view")
+    assert params(EngineSubstrate.view) == ["tenant", "quota"]
+    assert params(BlockManager.configure_tenant) == ["tenant", "quota"]
+    assert params(Interpreter) == ["env", "build_context", "registry"]
+    assert [f.name for f in dataclasses.fields(BuildContext)] == [
+        "engine", "tile_size",
+    ]
+    assert [f.name for f in dataclasses.fields(ClusterSpec)] == [
+        "num_nodes", "executors_per_node", "cores_per_executor",
+        "network_bandwidth", "task_launch_overhead", "compute_scale",
+        "adaptive_broadcast_bytes", "partition_bytes",
+        "adaptive_skew_factor", "adaptive_skew_min_bytes",
+        "adaptive_max_splits", "spill_bandwidth",
+    ]
     assert params(QueryService) == [
         "cluster", "tile_size", "runner", "options", "max_concurrent",
         "quota", "memory_limit",

@@ -90,22 +90,15 @@ def test_every_builder_sizes_by_bytes(engine):
     assert sparse.tiles.num_partitions == 1
 
 
-def test_explicit_count_and_session_hint_win():
+def test_explicit_count_wins():
     with SacSession(tile_size=4) as session:
         assert session.tiled(X_480, num_partitions=7).tiles.num_partitions == 7
         assert session.tiled_vector(
             X_480[0], num_partitions=3
         ).blocks.num_partitions == 3
-    with SacSession(tile_size=4, num_partitions=5) as hinted:
-        assert hinted.tiled(X_480).tiles.num_partitions == 5
-        assert hinted.sparse_tiled(X_480[:40, :40]).tiles.num_partitions == 5
-        assert hinted.tiled(X_480, num_partitions=9).tiles.num_partitions == 9
-        # The hint reaches the builders a query names, too.
-        built = hinted.interpret(
-            "tiled(n,m)[ ((i,j),v) | ((i,j),v) <- L ]",
-            L=[((i, i), 1.0) for i in range(40)], n=40, m=40,
-        )
-        assert built.tiles.num_partitions == 5
+        assert session.sparse_tiled(
+            X_480[:40, :40], num_partitions=5
+        ).tiles.num_partitions == 5
 
 
 @pytest.mark.parametrize("shape,tile", [((480, 480), 4), ((250, 130), 40)])
