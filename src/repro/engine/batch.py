@@ -22,14 +22,19 @@ variables — and each of its operators is one array pass:
 * :func:`group_reduce` — stable sort by key, ``ufunc.reduceat`` at the
   segment starts.
 
+A column is int64, float64, bool or — for what no numeric dtype holds as
+Python does (strings, tuples, ints mixed with floats) — ``object``.  An
+``object`` key column is factorised through a ``dict``: keys meet by
+Python equality, and on one reducer whatever column carries them.
+
 The shuffle is not taught about batches: a piece travels as an ordinary
 ``(reducer, ColumnBatch)`` record through ``cogroup`` / ``group_by_key``
 under ``HashPartitioner(width)``, which maps a reducer id below
 ``width`` to itself.  What a batch costs on the wire
 (:meth:`ColumnBatch.wire_bytes`, read by the byte accountant) is ``Σ
 nbytes + 16 per column + 8``: every column's buffer, an array header
-each, one container header.  Column names are the plan's, not the
-data's, and cost nothing.
+each (an ``object`` one's values priced one by one), one container
+header.  Column names are the plan's, not the data's, and cost nothing.
 """
 
 from __future__ import annotations
@@ -183,7 +188,7 @@ class ColumnBatch:
 
     def wire_bytes(self) -> int:
         """Serialized size: see the module docstring."""
-        return 8 + sum(c.nbytes + 16 for c in self.columns.values())
+        return 8 + sum(_wire_bytes(c) + 16 for c in self.columns.values())
 
     def take(self, selector: Any) -> "ColumnBatch":
         """The rows ``selector`` (index array, mask or slice) picks."""
@@ -195,7 +200,7 @@ class ColumnBatch:
         if len(batches) == 1:
             return batches[0]
         return ColumnBatch({
-            name: np.concatenate([b.columns[name] for b in batches])
+            name: _concat([b.columns[name] for b in batches])
             for name in batches[0].columns
         })
 
@@ -203,14 +208,52 @@ class ColumnBatch:
         return f"ColumnBatch({self.rows} rows x {list(self.columns)})"
 
 
+def _wire_bytes(column: np.ndarray) -> int:
+    if column.dtype != object:
+        return column.nbytes
+    from .serialization import estimate_size  # it prices batches
+    return sum(map(estimate_size, column.tolist()))
+
+
+def _concat(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Pieces of differing dtypes (an int64 and a float64 piece of one
+    record source) meet as ``object``: each value keeps its type."""
+    if len({c.dtype for c in columns if len(c)}) > 1:
+        columns = [c.astype(object) for c in columns]
+    return np.concatenate(columns)
+
+
+def _factorise(column: np.ndarray) -> np.ndarray:
+    """Codes equal where Python finds the values equal, by first row."""
+    codes: dict[Any, int] = {}
+    first = map(codes.setdefault, column.tolist(), itertools.count())
+    return np.fromiter(first, np.int64, len(column))
+
+
+def _object_hash(value: Any) -> Any:
+    """What a numeric key column truncates ``value`` to, so that equal
+    numbers (``2``, ``2.0``, ``True``) meet; else its hash."""
+    if isinstance(value, (int, np.integer)) and -(1 << 63) <= value < 1 << 63:
+        return int(value)
+    if isinstance(value, (int, float, np.integer, np.floating)):
+        return np.float64(value).astype(np.int64)
+    return hash(value)
+
+
 def reducer_ids(keys: Sequence[np.ndarray], width: int) -> np.ndarray:
     """The reducer in ``[0, width)`` of every row's (composite) key.
 
     Float components hash by their truncation, so ``2`` and ``2.0`` meet
-    on one reducer the way they meet in one ``dict`` slot.
+    on one reducer the way they meet in one ``dict`` slot — in a numeric
+    column or an ``object`` one.
     """
     with np.errstate(invalid="ignore"):  # a NaN or infinite key truncates too
-        folded = [np.asarray(k).astype(np.int64) & _KEY_WINDOW for k in keys]
+        folded = [
+            np.fromiter(map(_object_hash, k.tolist()), np.int64, len(k))
+            if k.dtype == object else k.astype(np.int64)
+            for k in map(np.asarray, keys)
+        ]
+    folded = [k & _KEY_WINDOW for k in folded]
     stacked = folded[0] if len(folded) == 1 else np.stack(folded, axis=1)
     return HashPartitioner(width).partition_batch(stacked)
 
@@ -240,10 +283,13 @@ def _key_codes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One comparable code per row of each side: the key itself when it
     has one component, else its rank in the lexicographic order of all
-    the keys of both sides."""
+    the keys of both sides (an ``object`` component's dict code)."""
+    split = len(left[0])
+    if any(c.dtype == object for c in (*left, *right)):
+        codes = [_factorise(_concat([l, r])) for l, r in zip(left, right)]
+        left, right = [c[:split] for c in codes], [c[split:] for c in codes]
     if len(left) == 1:
         return left[0], right[0]
-    split = len(left[0])
     code = None
     for lcol, rcol in zip(left, right):
         _, rank = np.unique(np.concatenate([lcol, rcol]), return_inverse=True)
@@ -295,7 +341,9 @@ def merge_join(
 
 def segments(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """``(order, starts)``: the stable permutation that sorts the rows by
-    (composite) key, and where in it each distinct key's run begins."""
+    (composite) key, and where in it each distinct key's run begins —
+    ``object`` keys ordered by first row."""
+    keys = [k if k.dtype != object else _factorise(k) for k in keys]
     if len(keys) == 1:
         order = np.argsort(keys[0], kind="stable")
     else:

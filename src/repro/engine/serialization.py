@@ -83,7 +83,7 @@ def estimate_record_size(record: Any) -> int:
 #
 # Shuffle streams in this engine are overwhelmingly *homogeneous*: every
 # record of a tiled-matrix shuffle is ``((i, j), ndarray)`` and every
-# record of a per-element coordinate shuffle is ``((i, j), float)``.
+# record of a keyed RDD of numbers is, say, ``((i, j), float)``.
 # Walking each record recursively through ``_estimate`` costs more than
 # the rest of the shuffle loop combined, so the accountant below derives
 # a record's size from a structural *signature* — key shape plus value

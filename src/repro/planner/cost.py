@@ -80,10 +80,10 @@ ELEMENT_BYTES = 8
 #: headers and the shuffle's record overhead (see engine.serialization;
 #: a tile record measures ~50-60 bytes beyond its payload).
 TILE_RECORD_OVERHEAD = 64
-#: Bytes per shuffled record of the coordinate rule's *per-element*
-#: record type (an ((i, j), v) pair of smallints and a float).  A plan
-#: that runs over column batches ships ~8 bytes per column per row, so
-#: this over-prices it — the conservative side (ROADMAP item 7).
+#: Bytes per shuffled record of the paper's per-element coordinate
+#: program (an ((i, j), v) pair of smallints and a float).  The rule runs
+#: over column batches, ~8 bytes per column per row: this over-prices it
+#: — the conservative side, until it is re-priced (ROADMAP item 7).
 COORD_RECORD_BYTES = 48
 #: Throughput the model assumes for the measured (local NumPy) tile
 #: contraction, in flops per second of *measured* compute.  ``contract``
@@ -94,8 +94,8 @@ COORD_RECORD_BYTES = 48
 LOCAL_CONTRACT_FLOPS = 2.0e10
 #: Python-level overhead per tile-pair contraction call.
 CONTRACT_CALL_SECONDS = 5e-5
-#: Interpreter cost per record of the coordinate rule's per-element
-#: record type (a column batch pays array passes, far less per row).
+#: Interpreter cost per element of that per-element program (column
+#: batches pay array passes, far less per row; ROADMAP item 7).
 COORD_ELEMENT_SECONDS = 2e-6
 
 #: Candidate strategy names (details["strategy"] / explain keys).

@@ -214,9 +214,8 @@ def _json_safe(value: Any) -> Any:
 @dataclass(eq=False, kw_only=True)
 class ScanNode(IRNode):
     """Leaf: ``records()`` is the generator's tile-record RDD — under
-    ``Coordinate``, its :class:`~repro.planner.rdd_rules.ElementSource`,
-    readable as element pairs or as column batches; logical scans carry
-    none."""
+    ``Coordinate``, its :class:`~repro.planner.rdd_rules.ElementSource`
+    of column batches; logical scans carry none."""
 
     op: str = OP_SCAN
     records: Optional[Callable[[], Any]] = None
@@ -298,10 +297,9 @@ class AssembleNode(IRNode):
 
 @dataclass(eq=False, kw_only=True)
 class CoordinateNode(IRNode):
-    """Section 4 over element records — one per element, or one column
-    batch per partition; the lowerer picks.  ``join_order``: per folded
-    generator, its index and the (joined-side, own-side) key
-    expressions — no keys means a cartesian product."""
+    """Section 4 over element records, one column batch per partition.
+    ``join_order``: per folded generator, its index and the (joined-side,
+    own-side) key expressions — no keys means a cartesian product."""
 
     op: str = OP_COORDINATE
     info: CompInfo

@@ -70,7 +70,7 @@ def lower(state: PlanState) -> Plan:
         return plan
 
     # Lowered first: a lowerer may annotate its node (the coordinate
-    # rule records which record type it chose).  ``details`` is copied:
+    # rule records its shuffle width).  ``details`` is copied:
     # the adaptive thunk writes into it at execute time, and one root may
     # be lowered into many plans when the session reuses a pass-pipeline
     # result.
@@ -466,239 +466,7 @@ def _map_side_join(node: IRNode, left: Any, right: Any) -> Tiles:
 
 
 # ----------------------------------------------------------------------
-# Section 4 — coordinate fallback (Rules 13/14)
-# ----------------------------------------------------------------------
-
-
-def _lower_coordinate(node: IRNode, sources: list, state: PlanState) -> Callable:
-    """Element-level RDD operations: joins (Rule 14), group-by (Rule 13).
-
-    The one place that picks the record type, from the comprehension and
-    its sources only: column batches when every source yields numeric
-    columns and every expression has an array form, else the same
-    program over one record per element — with the reason on the node,
-    for ``explain()``.
-    """
-    details = node.attrs.setdefault("details", {})
-    try:
-        build, width = _batch_program(node, sources, state)
-        details["records"] = f"column batches (shuffle width {width})"
-    except KernelUnsupported as reason:
-        details["records"] = f"one per element ({reason})"
-        build = _record_program(node, [s.pairs() for s in sources], state)
-    return build
-
-
-def _record_program(node: IRNode, sources: list[RDD], state: PlanState) -> Callable:
-    """One ``dict`` environment per element through the interpreter."""
-    info: CompInfo = node.info
-    build_context = state.build_context
-    evaluator = Interpreter(state.env, build_context=build_context)
-
-    def expr_fn(expr: Expr) -> Callable[[dict], Any]:
-        return lambda record: evaluator.evaluate(expr, extra_env=record)
-
-    def build() -> Any:
-        rdd = _join_generators(info, sources, expr_fn, node.join_order)
-        for guard in info.residual_guards:
-            rdd = rdd.filter(expr_fn(guard))
-        if info.group_key_vars is not None:
-            rdd = _apply_group_by(info, rdd, expr_fn)
-        else:
-            key_fn = expr_fn(info.head_key) if info.head_key is not None else None
-            value_fn = expr_fn(info.head_value)
-            if key_fn is None:
-                rdd = rdd.map(value_fn)
-            else:
-                rdd = rdd.map(lambda record: (key_fn(record), value_fn(record)))
-        return _finish(rdd, state.engine, node.builder, node.args, build_context)
-
-    return build
-
-
-def _join_generators(
-    info: CompInfo,
-    sources: list[RDD],
-    expr_fn: Callable[[Expr], Callable[[dict], Any]],
-    join_order: Sequence[tuple[int, list[Expr], list[Expr]]],
-) -> RDD:
-    """Fold generators into one RDD of record dicts, in the emitter's
-    ``join_order``: an equi-join on the listed keys, or — no keys — a
-    cartesian product."""
-    patterns = [
-        _record_binder(gen) for gen in info.generators
-    ]
-    joined_rdd = sources[0].map(patterns[0])
-    for gen_idx, left_keys, right_keys in join_order:
-        bound = sources[gen_idx].map(patterns[gen_idx])
-        if not left_keys:
-            joined_rdd = joined_rdd.cartesian(bound).map(
-                lambda pair: {**pair[0], **pair[1]}
-            )
-            continue
-        left_fns = [expr_fn(e) for e in left_keys]
-        right_fns = [expr_fn(e) for e in right_keys]
-        left = joined_rdd.map(
-            lambda rec, fns=tuple(left_fns): (tuple(f(rec) for f in fns), rec)
-        )
-        right = bound.map(
-            lambda rec, fns=tuple(right_fns): (tuple(f(rec) for f in fns), rec)
-        )
-        joined_rdd = left.join(right).map(
-            lambda kv: {**kv[1][0], **kv[1][1]}
-        )
-    return joined_rdd
-
-
-def _record_binder(gen) -> Callable[[tuple], dict]:
-    index_vars = list(gen.index_vars)
-    value_var = gen.value_var
-
-    def bind(pair: tuple) -> dict:
-        key, value = pair
-        record: dict[str, Any] = {}
-        if len(index_vars) == 1:
-            record[index_vars[0]] = key
-        else:
-            flat = _flatten_key(key)
-            for name, part in zip(index_vars, flat):
-                record[name] = part
-        if value_var is not None:
-            record[value_var] = value
-        return record
-
-    return bind
-
-
-def _flatten_key(key: Any) -> list:
-    if isinstance(key, tuple):
-        out: list = []
-        for part in key:
-            out.extend(_flatten_key(part))
-        return out
-    return [key]
-
-
-def _apply_group_by(
-    info: CompInfo,
-    rdd: RDD,
-    expr_fn: Callable[[Expr], Callable[[dict], Any]],
-) -> RDD:
-    if not info.slots:
-        raise SacPlanError(
-            "a distributed group-by needs aggregations over the lifted "
-            "variables; collect-the-group queries run on the interpreter"
-        )
-    key_fns = [expr_fn(e) for e in (info.group_key_exprs or [])]
-    slot_fns = [expr_fn(slot.expr) for slot in info.slots]
-    monoids = [monoid(slot.monoid) for slot in info.slots]
-    single_key = len(key_fns) == 1
-
-    def to_pair(record: dict) -> tuple:
-        key = key_fns[0](record) if single_key else tuple(f(record) for f in key_fns)
-        return key, tuple(f(record) for f in slot_fns)
-
-    def combine(left: tuple, right: tuple) -> tuple:
-        return tuple(m.combine(a, b) for m, a, b in zip(monoids, left, right))
-
-    reduced = rdd.map(to_pair).reduce_by_key(combine)
-
-    residual = info.residual_value
-    slot_vars = [slot.slot_var for slot in info.slots]
-    head_key = regrouped_head_key(info)
-    if head_key is None and len(slot_vars) == 1 and residual == Var(slot_vars[0]):
-        result = reduced.map_values(lambda aggs: aggs[0])
-    else:
-        finish = expr_fn(residual)
-        rekey = expr_fn(head_key) if head_key is not None else None
-        key_vars = info.group_key_vars or []
-
-        def apply_residual(kv):
-            key, aggs = kv
-            record = dict(zip(slot_vars, aggs))
-            parts = key if isinstance(key, tuple) else (key,)
-            record.update(zip(key_vars, parts))
-            return (key if rekey is None else rekey(record)), finish(record)
-
-        result = reduced.map(apply_residual)
-    return result
-
-
-def _finish(
-    rdd: RDD,
-    engine: EngineContext,
-    builder: Optional[str],
-    args: tuple,
-    build_context: BuildContext,
-) -> Any:
-    """Down-coerce the element RDD through the requested builder."""
-    if builder is None or builder == "rdd":
-        return rdd
-    if builder == "tiled":
-        return _assemble_tiled_matrix(rdd, engine, int(args[0]), int(args[1]), build_context)
-    if builder == "tiled_vector":
-        return _assemble_tiled_vector(rdd, engine, int(args[0]), build_context)
-    # Local builders: collect the elements to the driver and build there.
-    return REGISTRY.build(builder, args, rdd.collect(), build_context)
-
-
-def _assemble_tiled_matrix(
-    rdd: RDD, engine: EngineContext, rows: int, cols: int, ctx: BuildContext
-) -> TiledMatrix:
-    """The paper's distributed ``tiled`` builder: group elements by tile."""
-    n = ctx.tile_size
-    helper = TiledMatrix(rows, cols, n, engine.empty_rdd())
-    keyed = rdd.filter(
-        lambda kv: 0 <= kv[0][0] < rows and 0 <= kv[0][1] < cols
-    ).map(
-        lambda kv: (
-            (kv[0][0] // n, kv[0][1] // n),
-            ((kv[0][0] // n, kv[0][1] // n), ((kv[0][0] % n, kv[0][1] % n), kv[1])),
-        )
-    )
-    tiles = _combine_into_tiles(keyed, lambda coord: helper.tile_shape(*coord))
-    return TiledMatrix(rows, cols, n, tiles)
-
-
-def _assemble_tiled_vector(
-    rdd: RDD, engine: EngineContext, length: int, ctx: BuildContext
-) -> TiledVector:
-    n = ctx.tile_size
-    helper = TiledVector(length, n, engine.empty_rdd())
-    keyed = rdd.filter(lambda kv: 0 <= kv[0] < length).map(
-        lambda kv: (kv[0] // n, (kv[0] // n, (kv[0] % n, kv[1])))
-    )
-    return TiledVector(
-        length, n, _combine_into_tiles(keyed, helper.block_length)
-    )
-
-
-def _combine_into_tiles(keyed: RDD, shape_of: Callable[[Any], Any]) -> RDD:
-    """``(tile key, (tile key, (offset, value)))`` entries into dense tiles.
-
-    Uses ``combineByKey`` so elements accumulate into dense tile buffers
-    map-side instead of shuffling a list per tile (groupByKey).
-    """
-
-    def create(entry):
-        coord, offset_value = entry
-        tile = np.zeros(shape_of(coord))
-        tile[offset_value[0]] = offset_value[1]
-        return tile
-
-    def merge_value(tile, entry):
-        _coord, offset_value = entry
-        tile[offset_value[0]] = offset_value[1]
-        return tile
-
-    def merge_tiles(a, b):
-        return np.where(b != 0, b, a)
-
-    return keyed.combine_by_key(create, merge_value, merge_tiles)
-
-
-# ----------------------------------------------------------------------
-# Section 4 over column batches
+# Section 4 — the coordinate rule (Rules 13/14) over column batches
 # ----------------------------------------------------------------------
 
 #: Environment bindings a batch expression may read besides columns.
@@ -711,13 +479,14 @@ _BOOLEAN_OPS = frozenset({"==", "!=", "<", "<=", ">", ">=", "&&", "||"})
 @dataclass
 class _BatchOps:
     """The coordinate program's array passes, wired by
-    :func:`_batch_program` (RDDs) or :func:`_local_plan` (in process).
+    :func:`_lower_coordinate` (RDDs) or :func:`_local_plan` (in process).
 
     ``steps``: ``(generator, key columns of the joined rows, of its
     own)`` per ``join_order`` step, no keys for a cartesian one.  ``head``
     maps joined rows to result rows (keys ``k0..``, value ``v``); under a
     group-by, ``fold`` maps them to one row per key (``key_vars``, then
-    the slots) and ``reduce`` such rows to result rows.
+    the slots) and ``reduce`` such rows to result rows.  ``per_row``:
+    why the first expression evaluated row by row has no array form.
     """
 
     steps: list[tuple[int, list, list]]
@@ -727,28 +496,47 @@ class _BatchOps:
     key_vars: list[str]
     n_keys: int
     tuple_key: bool
+    per_row: Optional[str] = None
 
 
 def _batch_ops(
-    info: CompInfo, join_order: Sequence, env: dict[str, Any]
+    info: CompInfo, join_order: Sequence, env: dict[str, Any],
+    build_context: BuildContext,
 ) -> _BatchOps:
     """``info``'s operators over column batches; raises
-    :class:`KernelUnsupported` naming the first thing with no array form."""
+    :class:`SacPlanError` for a group-by with nothing to fold."""
     gens = info.generators
     # A name a pattern binds is never the environment's inside the query.
     shadowed = {name for gen in gens for name in gen.bound_vars}
     scalars = {
         name: value for name, value in env.items()
         if isinstance(value, _SCALAR_TYPES) and name not in shadowed
+        and not (isinstance(value, int) and abs(value) > INT_COLUMN_CAP)  # could wrap
     }
+    interpreter = Interpreter(env, build_context=build_context)
+    per_row: list[str] = []
 
     def column(expr: Expr, bound: set[str]) -> Callable[[ColumnBatch], np.ndarray]:
-        """``expr`` over a batch whose columns are ``bound``."""
-        _require_array_form(expr, bound, scalars, env)
-        kernel = compile_vectorized_cached(expr, checked=True)
+        """``expr`` over a batch whose columns are ``bound``: one array
+        pass — or, where it has no array form or reads an ``object``
+        column, the interpreter once per row, into an ``object`` column."""
+        reads = sorted(free_vars(expr) & bound)
+        try:
+            _require_array_form(expr, bound, scalars, env)
+            kernel = compile_vectorized_cached(expr, checked=True)
+        except KernelUnsupported as reason:
+            per_row.append(str(reason))
+            kernel = None
 
         def evaluate(batch: ColumnBatch) -> np.ndarray:
-            value = np.asarray(kernel({**scalars, **batch.columns}))
+            columns = batch.columns
+            if kernel is None or any(columns[n].dtype == object for n in reads):
+                read = {n: columns[n].tolist() for n in reads}
+                return np.fromiter((
+                    interpreter.evaluate(expr, {n: v[row] for n, v in read.items()})
+                    for row in range(batch.rows)
+                ), object, batch.rows)
+            value = np.asarray(kernel({**scalars, **columns}))
             return value if value.ndim else np.full(batch.rows, value)
 
         return evaluate
@@ -780,18 +568,17 @@ def _batch_ops(
 
         return _BatchOps(
             steps, head, None, None, [],
-            len(key_fns), isinstance(info.head_key, TupleExpr),
+            len(key_fns), isinstance(info.head_key, TupleExpr), *per_row[:1],
         )
 
     if not info.slots or not info.group_key_exprs:
-        raise KernelUnsupported("a group-by without a key or an aggregation")
+        raise SacPlanError(
+            "a distributed group-by needs aggregations over the lifted "
+            "variables; collect-the-group queries run on the interpreter"
+        )
     key_fns = [column(e, bound) for e in info.group_key_exprs]
     slot_fns = [column(slot.expr, bound) for slot in info.slots]
     monoids = [monoid(slot.monoid) for slot in info.slots]
-    for mon in monoids:
-        if mon.np_combine is None:
-            raise KernelUnsupported(f"monoid {mon.name!r} has no ufunc")
-    combines = [mon.np_combine for mon in monoids]
     key_vars = list(info.group_key_vars)
     names = key_vars + [slot.slot_var for slot in info.slots]
     residual = column(info.residual_value, set(names))
@@ -805,9 +592,7 @@ def _batch_ops(
 
     def fold(batch: ColumnBatch, python_order: bool = False) -> ColumnBatch:
         batch = select(batch)
-        slots = [
-            _foldable(fn(batch), mon) for fn, mon in zip(slot_fns, monoids)
-        ]
+        slots, combines = zip(*map(_foldable, [fn(batch) for fn in slot_fns], monoids))
         keys, slots = group_reduce(
             [fn(batch) for fn in key_fns], slots, combines, python_order
         )
@@ -817,40 +602,37 @@ def _batch_ops(
         pieces: Sequence[ColumnBatch], python_order: bool = False
     ) -> ColumnBatch:
         columns = ColumnBatch.concat(pieces).columns
+        slots = [columns[name] for name in names[len(key_vars):]]
+        slots, combines = zip(*map(_foldable, slots, monoids))
         keys, slots = group_reduce(
-            [columns[name] for name in key_vars],
-            [columns[name] for name in names[len(key_vars):]],
-            combines, python_order,
+            [columns[name] for name in key_vars], slots, combines, python_order,
         )
         groups = ColumnBatch(dict(zip(names, keys + slots)))
         if head_fns is not None:
             keys = [fn(groups) for fn in head_fns]
         return _result_batch(keys, residual(groups))
 
-    return _BatchOps(steps, None, fold, reduce, key_vars, n_keys, tuple_key)
+    return _BatchOps(
+        steps, None, fold, reduce, key_vars, n_keys, tuple_key, *per_row[:1]
+    )
 
 
-def _batch_program(
-    node: IRNode, sources: list, state: PlanState
-) -> tuple[Callable, int]:
-    """``node``'s program over :class:`ColumnBatch` records, and the
-    width of its shuffles.
-
-    :func:`_batch_ops` wired as :func:`_record_program` is, each step a
-    shuffle.  Raises :class:`KernelUnsupported` naming the first thing
-    that has no array form.
+def _lower_coordinate(node: IRNode, sources: list, state: PlanState) -> Callable:
+    """Element-level RDD operations over :class:`ColumnBatch` records:
+    :func:`_batch_ops` wired so that each join step is a shuffle (a
+    ``cartesian`` when it has no keys) and a group-by a map-side fold, a
+    shuffle and a reduce-side fold.  The shuffle width, and the first
+    expression evaluated per row, go on the node for ``explain()``.
     """
     engine = state.engine
     gens = node.info.generators
     row_counts = [source.rows() for source in sources]
-    if any(not left_keys for _gen, left_keys, _right in node.join_order):
-        raise KernelUnsupported("a cartesian step")
-    ops = _batch_ops(node.info, node.join_order, state.env)
+    ops = _batch_ops(node.info, node.join_order, state.env, state.build_context)
     builder = node.builder
-    if builder in ("tiled", "tiled_vector") and (
-        ops.n_keys, ops.tuple_key
-    ) != ((2, True) if builder == "tiled" else (1, False)):
-        raise KernelUnsupported(f"keys that do not index a {builder!r} builder")
+    rank = {"tiled": 2, "tiled_vector": 1}.get(builder)
+    # One key component may hold pairs (``group by k: (i, j)``).
+    if rank and (ops.n_keys, ops.tuple_key) not in ((rank, rank > 1), (1, False)):
+        raise SacPlanError(f"keys that do not index a {builder!r} builder")
 
     # The width follows the rows there are, not the cluster's cores.
     estimated = sum(
@@ -858,6 +640,10 @@ def _batch_program(
     )
     width = engine.partitions_for(estimated, sum(row_counts))
     partitioner = HashPartitioner(width)
+    records = f"column batches (shuffle width {width})"
+    if ops.per_row is not None:
+        records += f"; per row: {ops.per_row}"
+    node.attrs.setdefault("details", {})["records"] = records
 
     def scatter_on(fns: list) -> Callable[[ColumnBatch], list]:
         return lambda batch: scatter(batch, [fn(batch) for fn in fns], width)
@@ -882,25 +668,26 @@ def _batch_program(
         keys = [groups.columns[name] for name in ops.key_vars]
         return scatter(groups, keys, width)
 
-    def merge_groups(record: tuple) -> ColumnBatch:
-        """Reduce side: fold the map sides' partial rows in map-partition
-        order, then the residual f over the aggregates."""
-        _reducer, pieces = record
-        return ops.reduce(pieces)
-
     def build() -> Any:
         joined = sources[0].batches(width)
         for gen_idx, left_fns, right_fns in ops.steps:
+            right = sources[gen_idx].batches(width)
+            if not left_fns:
+                joined = joined.cartesian(right).map(
+                    lambda pair: merge_join(*pair, [], [])
+                )
+                continue
             # ``cogroup``, not ``join``: a piece is not a value list the
             # skew splitter may chunk.
             joined = joined.flat_map(scatter_on(left_fns)).cogroup(
-                sources[gen_idx].batches(width).flat_map(scatter_on(right_fns)),
-                partitioner=partitioner,
+                right.flat_map(scatter_on(right_fns)), partitioner=partitioner,
             ).flat_map(join_on(left_fns, right_fns))
         if ops.fold is not None:
+            # Reduce side: fold the map sides' partial rows in map-partition
+            # order, then the residual f over the aggregates.
             result = joined.flat_map(partial_groups).group_by_key(
                 partitioner=partitioner
-            ).map(merge_groups)
+            ).map(lambda record: ops.reduce(record[1]))
         else:
             result = joined.map(ops.head)
         n = state.build_context.tile_size
@@ -919,7 +706,7 @@ def _batch_program(
             return items
         return REGISTRY.build(builder, node.args, items.collect(), state.build_context)
 
-    return build, width
+    return build
 
 
 def _require_array_form(
@@ -937,9 +724,6 @@ def _require_array_form(
                 raise KernelUnsupported(
                     f"{sub.name!r} is neither a bound column nor a scalar"
                 )
-            value = scalars[sub.name]
-            if isinstance(value, int) and abs(value) > INT_COLUMN_CAP:
-                raise KernelUnsupported(f"{sub.name!r} is beyond ±2**62")
         if isinstance(sub, Call):
             if callable(env.get(sub.func)):
                 raise KernelUnsupported(f"user function {sub.func!r}")
@@ -975,11 +759,17 @@ def _is_boolean(expr: Expr) -> bool:
     )
 
 
-def _foldable(slot: np.ndarray, mon: Any) -> np.ndarray:
-    """A boolean slot counts as 0/1 under ``+`` and ``*``, as in Python."""
+def _foldable(slot: np.ndarray, mon: Any) -> tuple[np.ndarray, np.ufunc]:
+    """``slot`` and the ufunc that folds it as ``mon`` does.  An ``object``
+    slot, or a monoid with no ufunc (``++``), folds by ``mon.combine`` from
+    each ``combine(zero, value)``, as :meth:`Monoid.fold` does."""
+    if slot.dtype == object or mon.np_combine is None:
+        lift = np.frompyfunc(lambda value: mon.combine(mon.zero, value), 1, 1)
+        return lift(slot), np.frompyfunc(mon.combine, 2, 1)
+    # A boolean slot counts as 0/1 under ``+`` and ``*``, as in Python.
     if slot.dtype == bool and mon.name in "+*":
-        return slot.astype(np.int64)
-    return slot
+        return slot.astype(np.int64), mon.np_combine
+    return slot, mon.np_combine
 
 
 def _result_batch(keys: list[np.ndarray], value: np.ndarray) -> ColumnBatch:
@@ -1001,7 +791,7 @@ def _items(batch: ColumnBatch, n_keys: int, tuple_key: bool) -> list:
 
 def _index_column(column: np.ndarray) -> np.ndarray:
     """A key component as the int64 index a tile is addressed by."""
-    if column.dtype.kind != "f":
+    if column.dtype.kind not in "fO":
         return column.astype(np.int64, copy=False)
     with np.errstate(invalid="ignore"):  # nan / inf fail the test below
         index = column.astype(np.int64)
@@ -1022,11 +812,17 @@ def _assemble_tiles(
     rank = range(len(dims))
 
     def scatter_by_tile(batch: ColumnBatch) -> list:
-        index = [_index_column(batch.columns[f"k{axis}"]) for axis in rank]
+        *keys, values = batch.columns.values()
+        if len(keys) != len(dims):  # one column of (row, column) pairs
+            pairs = keys[0].tolist()
+            if not all(isinstance(key, tuple) and len(key) == 2 for key in pairs):
+                raise SacTypeError("a tiled builder needs (row, column) keys")
+            keys = [np.array(part) for part in zip(*pairs)] or keys * 2
+        index = [_index_column(column) for column in keys]
         keep = np.ones(batch.rows, dtype=bool)
         for column, dim in zip(index, dims):
             keep &= (column >= 0) & (column < dim)
-        kept = _result_batch(index, batch.columns["v"]).take(keep)
+        kept = _result_batch(index, values).take(keep)
         coords = [kept.columns[f"k{axis}"] // n for axis in rank]
         return scatter(kept, coords, partitioner.num_partitions)
 
@@ -1163,7 +959,7 @@ def _local_plan(
     if folded != list(range(1, len(info.generators))):
         raise KernelUnsupported("generators joined out of qualifier order")
     batches = [_local_batch(gen, env) for gen in info.generators]
-    ops = _batch_ops(info, join_order, env)
+    ops = _batch_ops(info, join_order, env, build_context)
     # A group-by head without a key lists bare values.
     n_keys = ops.n_keys if info.head_key is not None else 0
     interpreter = Interpreter(env, build_context=build_context)

@@ -13,20 +13,16 @@ any comprehension too irregular for the tiled rules (e.g. the smoothing
 stencil, whose group key is range-generated) still runs distributed
 through here.
 
-The program has two record types.  When every source yields numeric
-columns and every expression has an array form, records are
-:class:`~repro.engine.batch.ColumnBatch` es — one per partition, a
-column per bound variable — and each operator is an array pass.
-Otherwise records flow as plain ``dict`` environments, one per element,
-and all expression evaluation reuses the reference interpreter, so that
-path is correct by construction for anything the interpreter accepts.
-
-The rule here *recognizes* and *plans*: it emits a ``Coordinate`` IR
-node over one element ``Scan`` per generator (an :class:`ElementSource`,
-readable as either record type), carrying the join order it chose (a
-function of the analysis, never of data) and the program text
-``explain()`` prints; the runtime (joins, group-by, assembly) and the
-choice of record type live in :mod:`repro.planner.lower`.
+Its records are :class:`~repro.engine.batch.ColumnBatch` es — one per
+partition, a column per bound variable — and each operator is an array
+pass; an expression with no array form is evaluated per row by the
+reference interpreter, so the program runs anything the interpreter
+accepts.  The rule here *recognizes* and *plans*: it emits a
+``Coordinate`` IR node over one element ``Scan`` per generator (an
+:class:`ElementSource`), carrying the join order it chose (a function of
+the analysis, never of data) and the program text ``explain()`` prints;
+the runtime (joins, group-by, assembly) lives in
+:mod:`repro.planner.lower`.
 """
 
 from __future__ import annotations
@@ -38,12 +34,12 @@ from typing import Any, Iterator, Optional, Sequence
 import numpy as np
 
 from ..comprehension.ast import Expr, Var, to_source
-from ..comprehension.errors import SacTypeError
+from ..comprehension.errors import SacPatternError
 from ..engine import EngineContext, RDD
 from ..engine.batch import ColumnBatch
 from ..storage import CooMatrix, CooVector, CsrMatrix, DenseMatrix, DenseVector
 from ..storage.csc import CscMatrix
-from ..storage.registry import REGISTRY, BuildContext
+from ..storage.registry import BuildContext
 from ..storage.sparse_tiled import SparseTiledMatrix
 from ..storage.tiled import TiledMatrix, TiledVector
 from .analysis import CompInfo, GenInfo, regrouped_head_key
@@ -200,67 +196,25 @@ def _pseudocode(info: CompInfo, names: list[str], join_order: list) -> str:
 
 @dataclass
 class ElementSource:
-    """One generator's source, readable as either record type.
+    """One generator's source as :class:`~repro.engine.batch.ColumnBatch`
+    records: one column per index variable plus the value variable's.
 
-    :meth:`pairs` is the RDD of ``(key, value)`` coordinate pairs;
-    :meth:`rows` / :meth:`batches` read the same elements as
-    :class:`~repro.engine.batch.ColumnBatch` records — one column per
-    index variable plus the value variable's — and raise
-    :class:`KernelUnsupported` for a source that does not yield numeric
-    columns (``rows`` at lowering time, so the lowerer can decide).
+    A tiled source's batches are its partitions, all tiles of one in one
+    batch; an RDD (or a list) of ``(key, value)`` pairs is columnised
+    partition by partition when the program runs.  A driver-side
+    storage's columns are cut into ``width`` contiguous slices.
     """
 
     gen: GenInfo
     value: Any
     engine: EngineContext
-    _pairs: Optional[RDD] = None
-
-    def pairs(self) -> RDD:
-        """Built once: the node (and a session's cached pass result)
-        keeps it across lowerings."""
-        if self._pairs is None:
-            self._pairs = self._element_rdd()
-        return self._pairs
-
-    def _element_rdd(self) -> RDD:
-        value = self.value
-        if isinstance(value, RDD):
-            return value
-        if isinstance(value, TiledMatrix):
-            n = value.tile_size
-
-            def explode_matrix(record):
-                (bi, bj), tile = record
-                for i in range(tile.shape[0]):
-                    for j in range(tile.shape[1]):
-                        yield (bi * n + i, bj * n + j), tile[i, j].item()
-
-            return value.tiles.flat_map(explode_matrix)
-        if isinstance(value, TiledVector):
-            n = value.tile_size
-
-            def explode_vector(record):
-                bi, block = record
-                for i in range(block.shape[0]):
-                    yield bi * n + i, block[i].item()
-
-            return value.blocks.flat_map(explode_vector)
-        if isinstance(value, SparseTiledMatrix):
-            n = value.tile_size
-
-            def explode_sparse(record):
-                (bi, bj), tile = record
-                for (i, j), element in tile.sparsify():
-                    yield (bi * n + i, bj * n + j), element
-
-            return value.tiles.flat_map(explode_sparse)
-        if isinstance(value, list):
-            return self.engine.parallelize(value)
-        return self.engine.parallelize(list(REGISTRY.sparsify(value)))
 
     def rows(self) -> int:
-        """Rows :meth:`batches` yields (an upper bound for sparse tiles)."""
+        """Rows :meth:`batches` yields — an upper bound for sparse tiles,
+        and 0 for pairs, which planning never counts."""
         value = self.value
+        if isinstance(value, (RDD, list)):
+            return 0
         if isinstance(value, (TiledMatrix, SparseTiledMatrix)):
             # ``density()`` is the recorded statistic (1.0 when dense or
             # unknown), never a count action.
@@ -268,16 +222,23 @@ class ElementSource:
             return math.ceil(density * value.rows * value.cols)
         if isinstance(value, TiledVector):
             return value.length
-        return len(_value_column(_local_values(value)))
+        return len(_local_values(value))
 
     def batches(self, width: int) -> RDD:
-        """``width`` contiguous slices of a local storage's columns; for a
-        tiled one, every partition's tiles as one batch."""
-        value, names = self.value, self.gen.bound_vars
+        """The source's batches (see the class docstring)."""
+        value, gen = self.value, self.gen
 
         def batch(columns: Sequence[np.ndarray]) -> ColumnBatch:
-            return ColumnBatch(dict(zip(names, columns)))
+            return ColumnBatch(dict(zip(gen.bound_vars, columns)))
 
+        if isinstance(value, (RDD, list)):
+
+            def columnise(records: Iterator) -> list[ColumnBatch]:
+                records = list(records)
+                return [batch(_record_columns(records, gen))] if records else []
+
+            pairs = value if isinstance(value, RDD) else self.engine.parallelize(value)
+            return pairs.map_partitions(columnise)
         if isinstance(value, (TiledMatrix, TiledVector, SparseTiledMatrix)):
             n = value.tile_size
             tiles = value.blocks if isinstance(value, TiledVector) else value.tiles
@@ -302,6 +263,8 @@ def _element_source(
     if not isinstance(gen.source, Var):
         return None
     value = env.get(gen.source.name)
+    if isinstance(value, np.ndarray) and value.ndim not in (1, 2):
+        return None
     if isinstance(value, (
         RDD, TiledMatrix, TiledVector, SparseTiledMatrix, CooMatrix, CooVector,
         CsrMatrix, DenseMatrix, DenseVector, np.ndarray, list,
@@ -310,24 +273,72 @@ def _element_source(
     return None
 
 
-#: Python ints are unbounded; a value column past this magnitude could
-#: wrap in int64 where the per-record program would not.
+#: Python ints are unbounded; an int64 column holds none past this
+#: magnitude, so column arithmetic wraps nowhere Python's would not.
 INT_COLUMN_CAP = 1 << 62
 
 
 def _value_column(values: np.ndarray) -> np.ndarray:
     """``values`` as a float64 or int64 column (booleans count as ints,
-    as they do in Python arithmetic)."""
+    as they do in Python arithmetic) — else, for complex, strings or
+    integers past ±2**62, an ``object`` column of the Python values."""
     kind = values.dtype.kind
     if kind == "f":
         return values.astype(np.float64, copy=False)
-    if kind not in "iub":
-        raise KernelUnsupported(f"values of dtype {values.dtype} do not fit a column")
-    if kind != "b" and values.size and (
-        int(values.max()) > INT_COLUMN_CAP or int(values.min()) < -INT_COLUMN_CAP
+    if kind == "b" or kind in "iu" and (not values.size or (
+        -INT_COLUMN_CAP <= values.min() and values.max() <= INT_COLUMN_CAP
+    )):
+        return values.astype(np.int64, copy=False)
+    return _object_column(values.tolist())
+
+
+def _object_column(values: Sequence) -> np.ndarray:
+    """``values`` as they bind to a pattern variable (NumPy scalars as
+    Python ones), one object each."""
+    python = (v.item() if isinstance(v, np.generic) else v for v in values)
+    return np.fromiter(python, object, len(values))
+
+
+def _python_column(values: Sequence) -> np.ndarray:
+    """Record values as a float64 column when every one is a float, an
+    int64 one when every one is an int (not a bool) within ±2**62, else
+    an ``object`` column: each value keeps its Python type."""
+    kinds = set(map(type, values))
+    if kinds and all(issubclass(k, (float, np.floating)) for k in kinds):
+        return np.array(values, dtype=np.float64)
+    if kinds and all(
+        issubclass(k, (int, np.integer)) and k is not bool for k in kinds
     ):
-        raise KernelUnsupported("integer values beyond ±2**62 could wrap in int64")
-    return values.astype(np.int64, copy=False)
+        try:
+            return _value_column(np.array(values, dtype=np.int64))
+        except OverflowError:
+            pass
+    return _object_column(values)
+
+
+def _record_columns(records: Sequence, gen: GenInfo) -> list[np.ndarray]:
+    """``(key, value)`` records as ``gen``'s columns: a key binds whole to
+    one index variable, else flattened across the pattern's."""
+    keys = [key for key, _value in records]
+    if gen.arity == 1:
+        index = [keys]
+    else:
+        flat = [_flatten_key(key) for key in keys]
+        if any(len(parts) != gen.arity for parts in flat):
+            raise SacPatternError(f"a key does not bind {gen.arity} index variables")
+        index = list(zip(*flat))
+    columns = [_python_column(column) for column in index]
+    if gen.value_var is not None:
+        columns.append(_python_column([value for _key, value in records]))
+    return columns
+
+
+def _flatten_key(key: Any) -> tuple:
+    if not isinstance(key, tuple):
+        return (key,)
+    if not any(isinstance(part, tuple) for part in key):
+        return key
+    return tuple(part for item in key for part in _flatten_key(item))
 
 
 def _local_values(value: Any) -> np.ndarray:
@@ -367,8 +378,5 @@ def _tile_columns(coord: Any, tile: Any, n: int) -> list[np.ndarray]:
         local = [grid.reshape(-1) for grid in np.indices(tile.shape)]
         values = tile.reshape(-1)
     offsets = coord if isinstance(coord, tuple) else (coord,)
-    try:
-        values = _value_column(values)
-    except KernelUnsupported as exc:
-        raise SacTypeError(f"the coordinate rule reads numeric tiles: {exc}") from None
-    return [*(grid + base * n for grid, base in zip(local, offsets)), values]
+    index = [grid + base * n for grid, base in zip(local, offsets)]
+    return [*index, _value_column(values)]

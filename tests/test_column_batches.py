@@ -1,14 +1,17 @@
-"""The coordinate rule's two record types give one answer.
+"""The coordinate rule's one program: column batches, for every source
+and expression.
 
-``_lower_coordinate`` runs Rules 13/14 over column batches when every
-source and expression is numeric and over one record per element
-otherwise; these tests call the two internal builders side by side,
-check both against the reference interpreter, pin each fallback reason,
-the shuffle-width rule, and what a batch costs on the wire.
+``_lower_coordinate`` runs Rules 13/14 over column batches; values no
+numeric dtype holds as Python does travel as ``object`` columns, and an
+expression with no array form is evaluated per row.  These tests call
+the batch program directly and check it against the reference
+interpreter, pin what runs per row and why, the shuffle-width rule, and
+what a batch costs on the wire.
 """
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,12 +19,15 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro import PlannerOptions, SacSession
 from repro.engine import ClusterSpec, TINY_CLUSTER, ThreadedTaskRunner
-from repro.engine.batch import ColumnBatch, group_reduce, merge_join, scatter
+from repro.engine.batch import (
+    ColumnBatch, group_reduce, merge_join, reducer_ids, scatter,
+)
 from repro.engine.scheduler import SerialTaskRunner
 from repro.engine.serialization import (
-    RECORD_OVERHEAD, RecordSizeAccountant, estimate_record_size,
+    RECORD_OVERHEAD, RecordSizeAccountant, estimate_record_size, estimate_size,
 )
-from repro.planner import KernelUnsupported, RULE_COORDINATE, lower, plan_state
+from repro.comprehension.monoids import monoid
+from repro.planner import RULE_COORDINATE, lower, plan_state
 from repro.planner.ir import OP_COORDINATE
 from repro.storage import (
     CooMatrix, CooVector, CsrMatrix, DenseMatrix, DenseVector,
@@ -52,11 +58,11 @@ def coordinate_root(session, query, **env):
 
 
 def lowerings(session, query, **env):
-    """``(batch program, record program, width)`` of a coordinate query."""
+    """``(batch program, shuffle width)`` of a coordinate query."""
     root, sources, state = coordinate_root(session, query, **env)
-    batch, width = lower._batch_program(root, sources, state)
-    record = lower._record_program(root, [s.pairs() for s in sources], state)
-    return batch, record, width
+    batch = lower._lower_coordinate(root, sources, state)
+    records = root.attrs["details"]["records"]
+    return batch, int(re.match(r"column batches \(shuffle width (\d+)\)", records)[1])
 
 
 def as_comparable(result):
@@ -74,13 +80,18 @@ def as_comparable(result):
 
 
 def assert_same(left, right, exact):
+    """Equal results: bit for bit (and of one Python type) when
+    ``exact``, else to ``rtol=1e-9``."""
     left, right = as_comparable(left), as_comparable(right)
     if isinstance(left, np.ndarray):
         if exact:
-            np.testing.assert_array_equal(left, right)
+            assert left.dtype == right.dtype
+            assert left.tobytes() == right.tobytes()
         else:
             np.testing.assert_allclose(left, right, rtol=1e-9)
         return
+    if exact:
+        assert repr(left) == repr(right)
     if not isinstance(left, list):  # a total reduction's scalar
         left, right = [left], [right]
     assert len(left) == len(right)
@@ -92,7 +103,7 @@ def assert_same(left, right, exact):
 
 
 # ----------------------------------------------------------------------
-# (a) the suite's coordinate queries through both lowerings
+# (a) the suite's coordinate queries through the batch program
 # ----------------------------------------------------------------------
 
 
@@ -164,13 +175,11 @@ QUERIES = [
     ids=[name for name, _q, _e in QUERIES],
 )
 def test_both_record_types_agree(session, query, make_env, integer):
+    """Numeric columns and the interpreter's per-element records."""
     env = make_env(session, _inputs(integer))
-    batch, record, _width = lowerings(session, query, **env)
-    assert_same(batch(), record(), exact=integer)
-    # ... and the session runs one of them to the interpreter's answer.
-    assert_same(
-        session.run(query, **env), session.interpret(query, **env), exact=integer
-    )
+    compiled = session.compile(query, **env)
+    assert compiled.plan.details["records"].startswith("column batches")
+    assert_same(compiled.execute(), session.interpret(query, **env), exact=integer)
 
 
 #: A head key computed from the group key keys the output, not the group
@@ -187,9 +196,8 @@ def test_a_head_key_over_the_group_key_keys_the_output(session, builder):
     query = REKEYED[builder]
     env = dict(A=session.tiled(np.arange(16.0).reshape(4, 4)))
     want = session.interpret(query, **env)
-    batch, record, _width = lowerings(session, query, **env)
+    batch, _width = lowerings(session, query, **env)
     assert_same(batch(), want, exact=True)
-    assert_same(record(), want, exact=True)
     assert ".map((key, aggs) => (" in session.explain(query, **env)
 
 
@@ -258,7 +266,7 @@ def test_batches_match_the_interpreter(session, data, query):
         A=_matrix(session, kind_a, a), B=_matrix(session, kind_b, b),
         n=a.shape[0], m=b.shape[1],
     )
-    batch, _record, _width = lowerings(session, query, **env)
+    batch, _width = lowerings(session, query, **env)
     expected = session.interpret(query, **env)
     assert_same(batch(), expected, exact=True)
 
@@ -278,16 +286,16 @@ def test_ragged_tiles_and_wide_shuffles():
     )
     with SacSession(cluster=cluster, tile_size=TILE, options=FORCED) as wide:
         env = dict(A=wide.tiled(a), X=wide.tiled_vector(x), n=13)
-        batch, record, width = lowerings(wide, query, **env)
+        batch, width = lowerings(wide, query, **env)
         assert width == 5
         np.testing.assert_array_equal(batch().to_numpy(), a @ x)
-        np.testing.assert_array_equal(record().to_numpy(), a @ x)
 
 
 # ----------------------------------------------------------------------
-# (c) every fallback reason reaches the record path, and explain() says so
+# (c) what used to leave column batches runs in them, per row where named
 # ----------------------------------------------------------------------
 
+#: ``(name, query, environment, what runs per row — or None)``.
 FALLBACKS = [
     ("a bystander indexed as W[i]",  # (an *array* bystander desugars to a join)
      "tiled(n,m)[ ((i,j), a + W[i]) | ((i,j),a) <- A ]",
@@ -305,21 +313,21 @@ FALLBACKS = [
     ("an RDD of arbitrary objects",
      "rdd[ (i, +/v) | ((i,j),v) <- P, group by i ]",
      lambda s: dict(P=s.rdd([((0, 0), 1.0), ((0, 1), 2.0), ((1, 0), 3.0)])),
-     "RDD source has no columns"),
+     None),
     ("a cartesian step",
      "tiled(n,m)[ ((i,j), x * y) | (i,x) <- U, (j,y) <- V ]",
      lambda s: dict(U=s.tiled_vector(np.ones(3)), V=s.tiled_vector(np.ones(4)),
                     n=3, m=4),
-     "a cartesian step"),
-    ("values beyond the three dtypes",
+     None),
+    ("values beyond the three dtypes",  # an ``object`` column, per row at run time
      "rdd[ (i, a) | ((i,j),a) <- A, (jj,x) <- X, jj == j ]",
      lambda s: dict(A=np.ones((3, 3), dtype=complex), X=s.tiled_vector(np.ones(3))),
-     "dtype complex128"),
+     None),
     ("integers Python would not wrap",
      "rdd[ (i, a * x) | ((i,j),a) <- A, (jj,x) <- X, jj == j ]",
      lambda s: dict(A=CooMatrix(3, 3, {(0, 0): 2**62 + 1}),
                     X=s.tiled_vector(np.ones(3))),
-     "beyond ±2**62"),
+     None),
     ("a partial operator behind a condition",
      "rdd[ (i, if (a > 0.0) 1.0 / a else 0.0) | ((i,j),a) <- A ]",
      lambda s: dict(A=s.tiled(np.ones((5, 5)))),
@@ -338,26 +346,38 @@ FALLBACKS = [
 def test_fallback_reason_is_reported_and_the_record_path_runs(
     session, query, make_env, reason
 ):
+    """Each input that once took the per-element record path: column
+    batches run it, ``explain()`` names what runs per row, and the
+    answer is the interpreter's bit for bit."""
     env = make_env(session)
     compiled = session.compile(query, **env)
     assert compiled.plan.rule == RULE_COORDINATE
     records = compiled.plan.details["records"]
-    assert records.startswith("one per element (")
-    assert reason in records
+    assert records.startswith("column batches (shuffle width ")
+    if reason is None:
+        assert "per row" not in records
+    else:
+        assert records.endswith(f"; per row: {reason}")
     assert f"records: {records}" in compiled.explain()
     assert_same(compiled.execute(), session.interpret(query, **env), exact=True)
 
 
-def test_a_monoid_without_a_ufunc_is_a_fallback_reason(session):
+def test_a_monoid_without_a_ufunc_folds_through_its_python_combine(session):
     """``++`` has no spelling in the text syntax; a front end that builds
     the AST (DIABLO) can still ask for it."""
+    a = np.arange(25.0).reshape(5, 5)
     root, sources, state = coordinate_root(
-        session, "rdd[ (i, +/a) | ((i,j),a) <- A, group by i ]",
-        A=session.tiled(np.ones((5, 5))),
+        session, "rdd[ (i, +/(a, j)) | ((i,j),a) <- A, group by i ]",
+        A=session.tiled(a),
     )
     root.info.slots[0].monoid = "++"
-    with pytest.raises(KernelUnsupported, match="monoid '\\+\\+' has no ufunc"):
-        lower._batch_program(root, sources, state)
+    build = lower._lower_coordinate(root, sources, state)
+    assert root.attrs["details"]["records"].endswith("; per row: a tuple value")
+    concat = monoid("++")
+    want = [
+        (i, concat.fold([(a[i, j].item(), j) for j in range(5)])) for i in range(5)
+    ]
+    assert sorted(build().collect()) == want
 
 
 def test_batchable_plan_says_so(session):
@@ -427,9 +447,9 @@ def _width(session, a_rows):
                 np.broadcast_to(np.float64(1.0), a_rows),
             )
 
-    x = session.tiled_vector(np.ones(4))
-    root, sources, state = coordinate_root(session, SPMV, A=Rows(), X=x, n=a_rows)
-    return lower._batch_program(root, sources, state)[1]
+    return lowerings(
+        session, SPMV, A=Rows(), X=session.tiled_vector(np.ones(4)), n=a_rows
+    )[1]
 
 
 def test_width_rule():
@@ -539,20 +559,20 @@ def test_every_source_kind_reads_as_columns(session):
     ]
     query = "rdd[ ((i,j), a * x) | ((i,j),a) <- A, (jj,x) <- X, jj == j ]"
     for matrix in matrices:
-        batch, record, _ = lowerings(session, query, A=matrix, X=x)
-        assert_same(batch(), record(), exact=True)
+        batch, _ = lowerings(session, query, A=matrix, X=x)
+        assert_same(batch(), session.interpret(query, A=matrix, X=x), exact=True)
     query = "rdd[ (i, a * x) | (i,a) <- V, (ii,x) <- X, ii == i ]"
     x = session.tiled_vector(np.arange(7.0))
     for vector in [
         CooVector.from_items(7, enumerate(v)), DenseVector(v), v,
         session.tiled_vector(v),
     ]:
-        batch, record, _ = lowerings(session, query, V=vector, X=x)
-        assert_same(batch(), record(), exact=True)
+        batch, _ = lowerings(session, query, V=vector, X=x)
+        assert_same(batch(), session.interpret(query, V=vector, X=x), exact=True)
 
 
 # ----------------------------------------------------------------------
-# Errors are the record path's errors (run under ``-W error`` in CI)
+# Errors are the interpreter's errors (run under ``-W error`` in CI)
 # ----------------------------------------------------------------------
 
 ERRORS = [
@@ -574,9 +594,7 @@ ERRORS = [
 def test_a_failing_row_raises_what_the_interpreter_raises(session, query, error):
     a = np.array([[2.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 4.0]])
     env = dict(A=session.tiled(a))
-    batch, record, _ = lowerings(session, query, **env)
-    with pytest.raises(error):
-        record().collect()
+    batch, _ = lowerings(session, query, **env)
     with pytest.raises(error):
         batch().collect()
     with pytest.raises(error):
@@ -587,10 +605,105 @@ def test_what_python_floats_do_silently_stays_silent(session):
     """Overflow to inf and inf - inf warn in NumPy; not in a batch."""
     a = np.array([[1e308, 3.0], [2.0, 1e308]])
     query = "rdd[ ((i,j), (a * 10.0) - (a * 10.0) + a / 1e-308) | ((i,j),a) <- A ]"
-    batch, record, _ = lowerings(session, query, A=session.tiled(a))
-    got, want = dict(batch().collect()), dict(record().collect())
+    batch, _ = lowerings(session, query, A=session.tiled(a))
+    got = dict(batch().collect())
+    want = dict(session.interpret(query, A=session.tiled(a)).collect())
     assert got.keys() == want.keys()
     for key in want:
         assert got[key] == want[key] or (
             math.isnan(got[key]) and math.isnan(want[key])
         )
+
+
+# ----------------------------------------------------------------------
+# (g) RDD sources read as columns; object columns through the passes
+# ----------------------------------------------------------------------
+
+#: Small partitions: a handful of rows already needs two reducers.
+NARROW = ClusterSpec(
+    num_nodes=1, executors_per_node=1, cores_per_executor=4, partition_bytes=64,
+)
+
+
+def _run_like_the_interpreter(session, query, **env):
+    compiled = session.compile(query, **env)
+    assert compiled.plan.details["records"].startswith("column batches")
+    assert_same(compiled.execute(), session.interpret(query, **env), exact=True)
+    return compiled
+
+
+def test_string_group_keys_from_an_rdd_source(session):
+    pairs = [("ann", 1.0), ("bob", 2.0), ("ann", 4.0), ("cy", 8.0), ("bob", 16.0)]
+    compiled = _run_like_the_interpreter(
+        session, "rdd[ (k, +/v) | (k,v) <- P, group by k ]",
+        P=session.rdd(pairs, 2),
+    )
+    assert "per row" not in compiled.plan.details["records"]
+
+
+def test_int_and_float_keys_in_different_partitions_meet():
+    """``2`` (an int64 column) and ``2.0`` (a float64 one) are one group
+    and one join key, on any reducer, as in the interpreter's dict."""
+    query = (
+        "rdd[ (k, +/y) | (k,v) <- P, (kk,x) <- X, kk == k, let y = v*x,"
+        " group by k ]"
+    )
+    with SacSession(cluster=NARROW, tile_size=TILE, options=FORCED) as s:
+        env = dict(
+            P=s.rdd([(2, 1.0), (3, 2.0), (2.0, 4.0), (3.0, 8.0)], 2),
+            X=s.tiled_vector(np.arange(1.0, 6.0)),
+        )
+        compiled = _run_like_the_interpreter(s, query, **env)
+        assert compiled.plan.details["records"].startswith(
+            "column batches (shuffle width 2)"
+        )
+        assert sorted(compiled.execute().collect()) == [(2, 15.0), (3, 40.0)]
+
+
+def test_reducer_ids_agree_across_column_kinds():
+    ints = reducer_ids([np.array([2, 3, -7, 1])], 7)
+    floats = reducer_ids([np.array([2.0, 3.0, -7.0, 1.0])], 7)
+    objects = reducer_ids([np.array([2, 3.0, -7 + 0j, True], dtype=object)], 7)
+    assert ints.tolist() == floats.tolist() == objects.tolist()
+
+
+def test_nested_tuple_keys_from_an_rdd_source(session):
+    pairs = [((i, (j, i + j)), float(i * j)) for i in range(3) for j in range(4)]
+    _run_like_the_interpreter(
+        session, "rdd[ ((i,k), v + 1.0) | ((i,(j,k)),v) <- P, j > 0 ]",
+        P=session.rdd(pairs, 3),
+    )
+
+
+def test_mixed_int_and_float_values_keep_their_python_types(session):
+    pairs = [(0, 1), (1, 2.5), (0, 3), (2, True), (1, 4)]
+    P = session.rdd(pairs, 2)
+    result = _run_like_the_interpreter(
+        session, "rdd[ (i, v) | (i,v) <- P ]", P=P
+    ).execute().collect()
+    assert [type(v) for _i, v in sorted(result)] == [int, int, float, int, bool]
+    _run_like_the_interpreter(
+        session, "rdd[ (i, +/v) | (i,v) <- P, group by i ]", P=P
+    )
+
+
+def test_compiling_an_rdd_source_runs_no_job(session):
+    P = session.rdd([((i, i % 3), float(i)) for i in range(30)], 3)
+    jobs = len(session.engine.metrics.jobs)
+    session.compile("rdd[ (j, +/v) | ((i,j),v) <- P, group by j ]", P=P)
+    assert len(session.engine.metrics.jobs) == jobs
+
+
+def test_object_columns_are_priced_by_their_values():
+    """A shuffle of long strings costs what the accountant says the
+    strings cost, not 8 bytes per pointer — the memory cap reads it."""
+    words = ["w" * 200 + str(i) for i in range(40)]
+    column = np.array(words, dtype=object)
+    priced = sum(map(estimate_size, words))
+    assert ColumnBatch({"k": column}).wire_bytes() == 8 + 16 + priced
+    with SacSession(
+        cluster=TINY_CLUSTER, tile_size=TILE, options=FORCED, memory_limit="1M",
+    ) as s:
+        P = s.rdd([(word, 1.0) for word in words], 2)
+        s.run("rdd[ (k, +/v) | (k,v) <- P, group by k ]", P=P).collect()
+        assert s.engine.metrics.total.shuffle_bytes >= priced

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import PlannerOptions, SacSession
+from repro.comprehension.errors import SacPlanError
 from repro.engine import TINY_CLUSTER
 from repro.planner import RULE_COORDINATE
 
@@ -114,3 +115,16 @@ def test_coordinate_filters(session):
     )
     mask = (a > 5.0) & ~np.eye(7, dtype=bool)
     assert np.isclose(total, a[mask].sum())
+
+
+def test_collect_the_group_is_refused_when_compiled():
+    """A distributed group-by with nothing to fold has no plan: compiling
+    it fails, rather than a plan that fails when it runs."""
+    with SacSession(cluster=TINY_CLUSTER, tile_size=8) as session:
+        with pytest.raises(
+            SacPlanError, match="collect-the-group queries run on the interpreter"
+        ):
+            session.compile(
+                "rdd[ (i, v) | ((i,j),v) <- A, group by i ]",
+                A=session.tiled(np.ones((4, 4))),
+            )
