@@ -1,8 +1,9 @@
 """A tour of the translation rules: what each query compiles to.
 
 Prints the full compilation report — normalized comprehension, selected
-rule, and the Spark-like pseudocode of the generated plan — for one query
-per rule in the paper's Section 5, plus the fallbacks.
+rule, and the generated program, one line per physical operator as it
+runs — for one query per rule in the paper's Section 5, plus the
+coordinate rule and a local (in-process) plan.
 
 Run with::
 
@@ -12,6 +13,7 @@ Run with::
 import numpy as np
 
 from repro import PlannerOptions, SacSession
+from repro.storage import DenseMatrix
 from repro.workloads import dense_uniform
 
 N, M, TILE = 240, 200, 60
@@ -84,6 +86,16 @@ def main() -> None:
         coo,
         "tiled_vector(n)[ (i, +/m) | ((i,j),m) <- A, group by i ]",
         A=A3, n=24,
+    )
+
+    show(
+        "Driver-side operands  →  local-batch, column batches in process "
+        "(Sections 2-3)",
+        session,
+        "matrix(n,m)[ ((i,j),+/v) | ((i,k),a) <- X, ((kk,j),b) <- Y,"
+        " kk == k, let v = a*b, group by (i,j) ]",
+        X=DenseMatrix.from_numpy(dense_uniform(6, 5, seed=1)),
+        Y=DenseMatrix.from_numpy(dense_uniform(5, 4, seed=2)), n=6, m=4,
     )
 
 

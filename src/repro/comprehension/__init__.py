@@ -13,9 +13,6 @@ from .ast import (
     walk,
 )
 from .desugar import desugar
-from .flatmap_form import evaluate as evaluate_flatmap_form
-from .flatmap_form import render as render_flatmap_form
-from .flatmap_form import to_flatmap_form
 from .errors import (
     SacError, SacNameError, SacPatternError, SacPlanError, SacSyntaxError,
     SacTypeError,
@@ -35,7 +32,6 @@ __all__ = [
     "SacTypeError", "Token", "TupleExpr", "TuplePat", "UnOp", "Var",
     "VarPat", "WildPat", "bind_pattern", "desugar", "free_vars",
     "index_value", "is_monoid", "monoid", "normalize", "parse",
-    "parse_pattern", "pattern_to_expr", "pattern_vars",
-    "render_flatmap_form", "to_flatmap_form", "to_source",
+    "parse_pattern", "pattern_to_expr", "pattern_vars", "to_source",
     "tokenize", "walk",
 ]

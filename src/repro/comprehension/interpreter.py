@@ -303,7 +303,7 @@ class Interpreter:
 
 
 # ----------------------------------------------------------------------
-# Shared helpers (also used by the flatMap form)
+# Shared helpers
 # ----------------------------------------------------------------------
 
 

@@ -334,7 +334,7 @@ class SacSession:
         return result
 
     def explain(self, query: str, env: Optional[dict[str, Any]] = None, **bindings: Any) -> str:
-        """The compilation report: normalized form, rule, pseudocode."""
+        """The compilation report: normalized form, rule, generated program."""
         return self.compile(query, env, **bindings).explain()
 
     def interpret(self, query: str, env: Optional[dict[str, Any]] = None, **bindings: Any) -> Any:

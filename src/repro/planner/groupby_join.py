@@ -287,24 +287,6 @@ def emit_replicate(
         setup, builder, args, join, _match_stats(match),
         rule=RULE_GROUP_BY_JOIN,
         strategy=STRATEGY_REPLICATE,
-        description=(
-            "group-by-join (SUMMA): replicate row/column tile bands to a "
-            "processor grid, cogroup on the cell, contract reducer-side"
-        ),
-        pseudocode=(
-            "Tiled(n, m, rdd[ (k, V) | (cell, (__a, __b)) <- As.cogroup(Bs), "
-            "(k, V) <- contract(__a, __b) ])\n"
-            f"As = A.tiles.flatMap {{ ((i,k),a) => (0 until {p_c}).map(q => "
-            "((cell(gx(i,k)),q),(tag(gx(i,k),kx(i,k)),a))) }\n"
-            f"Bs = B.tiles.flatMap {{ ((kk,j),b) => (0 until {p_r}).map(p => "
-            "((p,cell(gy(kk,j))),(tag(gy(kk,j),ky(kk,j)),b))) }\n"
-            f"V accumulates ⊕/{to_source(match.term)} over matching tile pairs"
-            + (
-                " (one GEMM over the bands of a cell of several tiles when"
-                " every block is stored)"
-                if match.band_gemm else ""
-            )
-        ),
         details={
             "replication": (
                 f"A x{p_c}, B x{p_r} over a {p_r}x{p_c} grid of "
@@ -361,15 +343,6 @@ def emit_broadcast(
         setup, builder, args, join, _match_stats(match),
         rule=RULE_GROUP_BY_JOIN,
         strategy=strategy,
-        description=(
-            f"group-by-join (broadcast): small {side} side broadcast to "
-            "every task; partial tiles merged with reduceByKey"
-        ),
-        pseudocode=(
-            "small = sc.broadcast(S.tiles.collect().groupBy(join coord))\n"
-            "Tiled(n, m, L.tiles.flatMap { t => small(k(t)).map(s => (key, contract(s, t))) }\n"
-            "            .reduceByKey(⊗′))"
-        ),
         details={"broadcast_side": side, "monoid": match.mon.name},
     )
 

@@ -299,13 +299,15 @@ class AssembleNode(IRNode):
 class CoordinateNode(IRNode):
     """Section 4 over element records, one column batch per partition.
     ``join_order``: per folded generator, its index and the (joined-side,
-    own-side) key expressions — no keys means a cartesian product."""
+    own-side) key expressions — no keys means a cartesian product;
+    ``width``: the shuffle width, chosen when the node is lowered."""
 
     op: str = OP_COORDINATE
     info: CompInfo
     builder: Optional[str]
     args: tuple
     join_order: Sequence[tuple[int, list, list]]
+    width: Optional[int] = None
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,7 @@ from ..comprehension.ast import (
     Lit, Reduce, TupleExpr, UnOp, Var, free_vars, pattern_vars, walk,
 )
 from ..comprehension.errors import SacPlanError, SacTypeError
-from ..comprehension.interpreter import Interpreter
+from ..comprehension.interpreter import Interpreter, _hashable
 from ..comprehension.monoids import monoid
 from ..engine import EngineContext, GridPartitioner, HashPartitioner, RDD
 from ..engine.batch import (
@@ -55,8 +55,8 @@ from .kernels import (
     PARTIAL_CALLS, KernelUnsupported, band_gemm, compile_vectorized_cached,
 )
 from .passes import PlanState, analyze_cached, cse_enabled
-from .plan import Plan, RULE_LOCAL, RULE_LOCAL_BATCH
-from .rdd_rules import INT_COLUMN_CAP, _join_order, _local_columns, _pseudocode
+from .plan import Plan, RULE_LOCAL, RULE_LOCAL_BATCH, rule_text
+from .rdd_rules import INT_COLUMN_CAP, _join_order, _local_columns
 from .tiling import ResolvedGen, TiledSetup, _result_storage
 
 
@@ -75,11 +75,11 @@ def lower(state: PlanState) -> Plan:
     # be lowered into many plans when the session reuses a pass-pipeline
     # result.
     thunk = lower_node(root, state)
+    rule = root.attrs["rule"]
     plan = Plan(
-        rule=root.attrs["rule"],
-        description=root.attrs["description"],
+        rule=rule,
+        description=rule_text(rule, root.attrs.get("strategy"))[1],
         thunk=thunk,
-        pseudocode=root.attrs.get("pseudocode", ""),
         details=dict(root.attrs.get("details") or {}),
         estimate=root.attrs.get("estimate"),
         candidates=root.attrs.get("candidates") or {},
@@ -516,10 +516,13 @@ def _batch_ops(
     interpreter = Interpreter(env, build_context=build_context)
     per_row: list[str] = []
 
-    def column(expr: Expr, bound: set[str]) -> Callable[[ColumnBatch], np.ndarray]:
+    def column(
+        expr: Expr, bound: set[str], lift: Callable[[Any], Any] = lambda value: value,
+    ) -> Callable[[ColumnBatch], np.ndarray]:
         """``expr`` over a batch whose columns are ``bound``: one array
         pass — or, where it has no array form or reads an ``object``
-        column, the interpreter once per row, into an ``object`` column."""
+        column, the interpreter once per row, each value ``lift``ed, into
+        an ``object`` column."""
         reads = sorted(free_vars(expr) & bound)
         try:
             _require_array_form(expr, bound, scalars, env)
@@ -533,7 +536,7 @@ def _batch_ops(
             if kernel is None or any(columns[n].dtype == object for n in reads):
                 read = {n: columns[n].tolist() for n in reads}
                 return np.fromiter((
-                    interpreter.evaluate(expr, {n: v[row] for n, v in read.items()})
+                    lift(interpreter.evaluate(expr, {n: v[row] for n, v in read.items()}))
                     for row in range(batch.rows)
                 ), object, batch.rows)
             value = np.asarray(kernel({**scalars, **columns}))
@@ -547,8 +550,8 @@ def _batch_ops(
         own = set(gens[gen_idx].bound_vars)
         steps.append((
             gen_idx,
-            [column(e, bound) for e in left_keys],
-            [column(e, own) for e in right_keys],
+            [column(e, bound, _join_key) for e in left_keys],
+            [column(e, own, _join_key) for e in right_keys],
         ))
         bound |= own
     guards = [column(guard, bound) for guard in info.residual_guards]
@@ -576,7 +579,8 @@ def _batch_ops(
             "a distributed group-by needs aggregations over the lifted "
             "variables; collect-the-group queries run on the interpreter"
         )
-    key_fns = [column(e, bound) for e in info.group_key_exprs]
+    # Lists group as tuples, as the interpreter's groups key them.
+    key_fns = [column(e, bound, _hashable) for e in info.group_key_exprs]
     slot_fns = [column(slot.expr, bound) for slot in info.slots]
     monoids = [monoid(slot.monoid) for slot in info.slots]
     key_vars = list(info.group_key_vars)
@@ -640,6 +644,7 @@ def _lower_coordinate(node: IRNode, sources: list, state: PlanState) -> Callable
     )
     width = engine.partitions_for(estimated, sum(row_counts))
     partitioner = HashPartitioner(width)
+    node.width = width
     records = f"column batches (shuffle width {width})"
     if ops.per_row is not None:
         records += f"; per row: {ops.per_row}"
@@ -759,6 +764,16 @@ def _is_boolean(expr: Expr) -> bool:
     )
 
 
+def _join_key(value: Any) -> Any:
+    """``value`` hashable and equal where Python's ``==`` finds it equal:
+    a list is tagged, so that it never meets a tuple."""
+    if isinstance(value, list):
+        return (list, tuple(map(_join_key, value)))
+    if isinstance(value, tuple):
+        return tuple(map(_join_key, value))
+    return value
+
+
 def _foldable(slot: np.ndarray, mon: Any) -> tuple[np.ndarray, np.ufunc]:
     """``slot`` and the ufunc that folds it as ``mon`` does.  An ``object``
     slot, or a monoid with no ufunc (``++``), folds by ``mon.combine`` from
@@ -769,6 +784,9 @@ def _foldable(slot: np.ndarray, mon: Any) -> tuple[np.ndarray, np.ufunc]:
     # A boolean slot counts as 0/1 under ``+`` and ``*``, as in Python.
     if slot.dtype == bool and mon.name in "+*":
         return slot.astype(np.int64), mon.np_combine
+    # A sum folds from 0, so a lone -0.0 sums to 0.0, as in Python.
+    if slot.dtype.kind == "f" and mon.name == "+":
+        return slot + 0.0, mon.np_combine
     return slot, mon.np_combine
 
 
@@ -919,7 +937,7 @@ def lower_local(
         interpreter = Interpreter(env, build_context=build_context)
         return Plan(
             rule=RULE_LOCAL,
-            description="reference in-memory evaluation (Sections 2-3)",
+            description=rule_text(RULE_LOCAL)[1],
             thunk=lambda: interpreter.evaluate(expr),
             details={"fallback": str(reason)},
         )
@@ -983,15 +1001,10 @@ def _local_plan(
 
     return Plan(
         rule=RULE_LOCAL_BATCH,
-        description=(
-            "the coordinate program in process (Sections 2-3): joins, "
-            "guards and group-bys as array passes over column batches"
-        ),
+        description=rule_text(RULE_LOCAL_BATCH)[1],
         thunk=run,
-        pseudocode=_pseudocode(
-            info, [gen.source.name for gen in info.generators], join_order
-        ),
         details={"records": "column batches (in process)"},
+        batch=(info, join_order),
     )
 
 

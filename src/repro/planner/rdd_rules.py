@@ -1,28 +1,20 @@
 """Generic RDD translation — paper Section 4, Rules (13) and (14).
 
-This path evaluates a comprehension over *element-level* records:
-every generator becomes an RDD of ``(key, value)`` coordinate pairs
-(tiled inputs are sparsified distributedly, tile by tile), equality
-guards between generators become RDD joins (Rule 14), and a group-by
-with aggregations becomes ``map`` + ``reduceByKey(⊗)`` + ``mapValues(f)``
-(Rule 13).
+Every generator is read as element-level records, equality guards
+between generators become joins (Rule 14) and a group-by with
+aggregations a map-side fold, a shuffle and a reduce-side fold
+(Rule 13).  This is the paper's coordinate-format execution, the thing
+Section 5 improves on, and the planner's safety net: any comprehension
+too irregular for the tiled rules (e.g. the smoothing stencil, whose
+group key is range-generated) still runs distributed through here.
 
-It is the reproduction of the paper's coordinate-format execution — the
-thing Section 5 improves on — and doubles as the planner's safety net:
-any comprehension too irregular for the tiled rules (e.g. the smoothing
-stencil, whose group key is range-generated) still runs distributed
-through here.
-
-Its records are :class:`~repro.engine.batch.ColumnBatch` es — one per
-partition, a column per bound variable — and each operator is an array
-pass; an expression with no array form is evaluated per row by the
-reference interpreter, so the program runs anything the interpreter
-accepts.  The rule here *recognizes* and *plans*: it emits a
-``Coordinate`` IR node over one element ``Scan`` per generator (an
-:class:`ElementSource`), carrying the join order it chose (a function of
-the analysis, never of data) and the program text ``explain()`` prints;
-the runtime (joins, group-by, assembly) lives in
-:mod:`repro.planner.lower`.
+The records are :class:`~repro.engine.batch.ColumnBatch` es, one per
+partition and a column per bound variable; an expression with no array
+form is evaluated per row by the reference interpreter.  This module
+*recognizes* and *plans*: it emits a ``Coordinate`` IR node over one
+element ``Scan`` per generator (an :class:`ElementSource`) with the
+join order it chose, a function of the analysis, never of data.  The
+runtime lives in :mod:`repro.planner.lower`.
 """
 
 from __future__ import annotations
@@ -42,7 +34,7 @@ from ..storage.csc import CscMatrix
 from ..storage.registry import BuildContext
 from ..storage.sparse_tiled import SparseTiledMatrix
 from ..storage.tiled import TiledMatrix, TiledVector
-from .analysis import CompInfo, GenInfo, regrouped_head_key
+from .analysis import CompInfo, GenInfo
 from .ir import CoordinateNode, IRNode, scan_storage_node
 from .kernels import KernelUnsupported
 from .plan import RULE_COORDINATE
@@ -108,11 +100,6 @@ def emit_coordinate(
         rule=RULE_COORDINATE,
         builder=builder,
         reusable=True,
-        description=(
-            "element-level translation: coordinate pairs joined with RDD "
-            "joins (Rule 14), aggregated with reduceByKey (Rule 13)"
-        ),
-        pseudocode=_pseudocode(info, [s.label for s in scans], join_order),
         details={"generators": len(info.generators)},
     )
     return root
@@ -161,32 +148,6 @@ def _join_order(info: CompInfo) -> list[tuple[int, list[Expr], list[Expr]]]:
             order.append((gen_idx, [], []))
             joined_set.add(gen_idx)
     return order
-
-
-def _pseudocode(info: CompInfo, names: list[str], join_order: list) -> str:
-    """The element-level program, one RDD operator per line."""
-    steps = ["<elements>", f"{names[0]}.map(bind)"]
-    for gen_idx, left_keys, _right_keys in join_order:
-        if left_keys:
-            steps.append(
-                f".join({names[gen_idx]} on {[to_source(e) for e in left_keys]})"
-            )
-        else:
-            steps.append(f".cartesian({names[gen_idx]})")
-    steps += [f".filter({to_source(g)})" for g in info.residual_guards]
-    if info.group_key_vars is not None:
-        steps.append(".map(record => (key, (g1..gm))).reduceByKey(⊗)")
-        slot_vars = [slot.slot_var for slot in info.slots]
-        head_key = regrouped_head_key(info)
-        if head_key is not None:
-            steps.append(f".map((key, aggs) => ({to_source(head_key)}, f))")
-        elif not (len(slot_vars) == 1 and info.residual_value == Var(slot_vars[0])):
-            steps.append(".mapValues(f)")
-    elif info.head_key is None:
-        steps.append(".map(head)")
-    else:
-        steps.append(f".map(record => ({to_source(info.head_key)}, value))")
-    return "\n".join(steps)
 
 
 # ----------------------------------------------------------------------

@@ -442,7 +442,7 @@ def assemble_root(
 
     Its signature captures the builder, its (already evaluated)
     arguments, the tile size, and the scalar constants the compiled
-    kernels closed over; ``annotations`` are what ``explain()`` prints.
+    kernels closed over; ``annotations`` (rule, strategy, details) are what ``explain()`` reads.
     """
     root = AssembleNode(
         children=(child,),
@@ -525,25 +525,11 @@ def emit_preserve(
     return assemble_root(
         setup, builder, args, kernel, out_stats, label=builder,
         rule=RULE_PRESERVE_TILING,
-        description=(
-            "output tile coordinates are a projection of input tile "
-            "coordinates; tiles joined directly (no re-tiling shuffle)"
-        ),
-        pseudocode=_preserve_pseudocode(setup, out_classes),
         details={
             "generators": len(setup.gens), "out_dims": len(out_classes),
             "fused_kernel": fused.fingerprint,
         },
     )
-
-
-def _preserve_pseudocode(setup: TiledSetup, out_classes: Sequence[int]) -> str:
-    names = [g.index_vars for g in setup.gens]
-    lines = ["Tiled(d,"]
-    lines.append("  " + ".join(".join(f"{chr(65 + i)}.tiles" for i in range(len(setup.gens))) + ")" * (len(setup.gens) - 1))
-    lines.append("  .map { case (K, tiles) => (K, V(tiles)) })   // V = per-tile kernel")
-    lines.append(f"// generators bind {names}; output dims = classes {list(out_classes)}")
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -609,15 +595,6 @@ def emit_shuffle(
     return assemble_root(
         setup, builder, args, grouped, out_stats, label=builder,
         rule=RULE_TILED_SHUFFLE,
-        description=(
-            "output indices are computed from input indices; tiles "
-            "replicated to their destination set I_f(K) and regrouped"
-        ),
-        pseudocode=(
-            "Tiled(d, rdd[ (K, V) | (k, _a) <- X.tiles,\n"
-            f"              K <- I_f(k),   // key = {to_source(setup.info.head_key)}\n"
-            "              group by K ])"
-        ),
         details={"key": to_source(info.head_key)},
     )
 
@@ -757,11 +734,6 @@ def emit_tiled_reduce(
     return assemble_root(
         setup, builder, args, reduce_node, out_stats, label=builder,
         rule=RULE_TILED_REDUCE,
-        description=(
-            "tile-level join + per-pair partial aggregation, merged with "
-            "reduceByKey over the tile monoid ⊗′"
-        ),
-        pseudocode=_reduce_pseudocode(setup),
         details={
             "monoids": [m.name for m in slot_monoids],
             "generators": len(setup.gens),
@@ -932,19 +904,3 @@ def _residual_fn(setup: TiledSetup, out_classes: list[int]) -> Callable:
         ).copy()
 
     return finish
-
-
-def _reduce_pseudocode(setup: TiledSetup) -> str:
-    if len(setup.gens) == 2:
-        return (
-            "Tiled(n, m,\n"
-            "  A.tiles.map { case ((i,k),_a) => (k, ((i,k),_a)) }\n"
-            "   .join( B.tiles.map { case ((kk,j),_b) => (kk, ((kk,j),_b)) } )\n"
-            "   .map  { case (_, (((i,k),_a), ((kk,j),_b))) => ((i,j), V(_a,_b)) }\n"
-            "   .reduceByKey(⊗′))   // V = per-pair contraction (einsum)"
-        )
-    return (
-        "Tiled(n,\n"
-        "  A.tiles.map { case (k, _a) => (K(k), partial(_a)) }\n"
-        "   .reduceByKey(⊗′))   // partial = axis reduction inside the tile"
-    )

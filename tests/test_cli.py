@@ -72,6 +72,8 @@ def test_cli_explain_json(data_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["rule"] == "preserve-tiling"
     assert payload["physical"]["op"] == "Assemble"
+    assert "pseudocode" not in payload
+    assert payload["program"][-1] == "Assemble[tiled]: tiled(4, 3) from the tiles"
     pass_names = [entry["name"] for entry in payload["passes"]]
     assert pass_names == [
         "normalize-bridge", "tiling-resolution", "strategy-selection", "cse",

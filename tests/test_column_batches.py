@@ -198,7 +198,7 @@ def test_a_head_key_over_the_group_key_keys_the_output(session, builder):
     want = session.interpret(query, **env)
     batch, _width = lowerings(session, query, **env)
     assert_same(batch(), want, exact=True)
-    assert ".map((key, aggs) => (" in session.explain(query, **env)
+    assert "→ reduce → key " in session.explain(query, **env)
 
 
 # ----------------------------------------------------------------------
@@ -672,6 +672,38 @@ def test_nested_tuple_keys_from_an_rdd_source(session):
     _run_like_the_interpreter(
         session, "rdd[ ((i,k), v + 1.0) | ((i,(j,k)),v) <- P, j > 0 ]",
         P=session.rdd(pairs, 3),
+    )
+
+
+def test_list_valued_keys_group_and_join_as_the_interpreter_does(session):
+    """A list-valued group key groups as a tuple, as the interpreter
+    groups it; a list join key meets an equal list, never a tuple (``==``);
+    a list value that is not a key stays a list."""
+    P = session.rdd([(0, [1, 2]), (1, [1, 2]), (2, [3])])
+    grouped = _run_like_the_interpreter(
+        session, "rdd[ (k, count/i) | (i,k) <- P, group by k ]", P=P
+    )
+    assert sorted(grouped.execute().collect()) == [((1, 2), 2), ((3,), 1)]
+    Q = session.rdd([([1, 2], 10), ([3], 20)], 2)
+    joined = _run_like_the_interpreter(
+        session, "rdd[ (i, (k, w)) | (i,k) <- P, (j,w) <- Q, j == k ]", P=P, Q=Q
+    )
+    assert sorted(joined.execute().collect()) == [
+        (0, ([1, 2], 10)), (1, ([1, 2], 10)), (2, ([3], 20)),
+    ]
+    mixed = _run_like_the_interpreter(
+        session, "rdd[ (i, w) | (i,k) <- P, (j,w) <- Q, j == k ]",
+        P=session.rdd([(0, [1, 2]), (1, (1, 2))]), Q=session.rdd([((1, 2), 10)]),
+    )
+    assert mixed.execute().collect() == [(1, 10)]
+
+
+def test_a_sum_folds_from_zero(session):
+    """``+/`` starts from 0 as the interpreter's fold does: a group whose
+    only value is -0.0 sums to 0.0."""
+    _run_like_the_interpreter(
+        session, "rdd[ (i, +/v) | (i,v) <- P, group by i ]",
+        P=session.rdd([(0, -0.0), (1, 1.0), (1, -0.0)]),
     )
 
 

@@ -341,9 +341,12 @@ def test_default_session_leaves_the_5_3_plan_on_the_multiply_dense_shape():
         f"A x{p_c}, B x{p_r} over a {p_r}x{p_c} grid of ≤{cell}-tile cells"
     )
     assert f"[{p_r}x{p_c} grid]" in estimate.summary()
-    assert f"(0 until {p_c})" in plan.pseudocode
-    assert f"(0 until {p_r})" in plan.pseudocode
+    program = plan.program()
+    assert f"Replicate[rows]: flat_map each tile to the {p_c} cells of its band" in program
+    assert f"Replicate[cols]: flat_map each tile to the {p_r} cells of its band" in program
+    assert program[-2].startswith(f"GroupByJoin[summa]: cogroup on a {p_r}x{p_c} grid")
     exported = plan.to_dict()
+    assert exported["program"] == program
     (chosen,) = [c for c in exported["candidates"] if c["chosen"]]
     assert chosen["grid"] == [p_r, p_c]
     assert exported["details"]["replication"] == plan.details["replication"]

@@ -55,8 +55,8 @@ def test_codegen_selected_for_dense_query(session):
         A=DenseMatrix.from_numpy(np.ones((3, 4))), n=3,
     )
     assert compiled.plan.rule == RULE_LOCAL_BATCH
-    assert "reduceByKey" in compiled.plan.pseudocode
-    assert "generated program:" in compiled.explain()
+    assert "group_reduce + by [i] → reduce" in compiled.plan.program()
+    assert "generated program (Sections 2-3):" in compiled.explain()
 
 
 def test_matmul_prints_coordinate_program(session):
@@ -64,11 +64,10 @@ def test_matmul_prints_coordinate_program(session):
     b = DenseMatrix.from_numpy(RNG.uniform(0, 9, size=(6, 4)))
     compiled = session.compile(MATMUL, A=a, B=b, n=5, m=4)
     assert compiled.plan.rule == RULE_LOCAL_BATCH
-    assert compiled.plan.pseudocode.splitlines() == [
-        "<elements>",
-        "A.map(bind)",
-        ".join(B on ['k'])",
-        ".map(record => (key, (g1..gm))).reduceByKey(⊗)",
+    assert compiled.plan.program() == [
+        "column batches of A",
+        "join B: merge_join on [k] = [kk]",
+        "group_reduce + by [i, j] → reduce",
     ]
     np.testing.assert_allclose(
         compiled.execute().data, a.data @ b.data, rtol=1e-12
@@ -82,7 +81,7 @@ def test_sortedness_joins_on_successor(session):
     )
     assert compiled.plan.rule == RULE_LOCAL_BATCH
     # The successor is a join key, not a scan of every pair.
-    assert ".join(V on ['i + 1'])" in compiled.plan.pseudocode
+    assert "join V: merge_join on [i + 1] = [j]" in compiled.plan.program()
     assert compiled.execute() is True
 
 
@@ -239,7 +238,7 @@ def test_cartesian_step_runs_in_process():
         "[ x * y | (i,x) <- X, (j,y) <- X, i < j ]", env
     )
     assert plan.rule == RULE_LOCAL_BATCH
-    assert ".cartesian(X)" in plan.pseudocode
+    assert "join X: merge_join (cartesian)" in plan.program()
     assert result == reference == [5, 35, 7]
 
 

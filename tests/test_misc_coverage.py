@@ -1,5 +1,7 @@
 """Coverage for assorted corners: context, explain output, cost model."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -127,49 +129,60 @@ def test_inclusive_vs_exclusive_ranges(session):
 # ----------------------------------------------------------------------
 
 
-def test_explain_contains_pseudocode_per_rule(session):
+def test_explain_contains_program_per_rule(session):
     a = RNG.uniform(0, 9, size=(30, 30))
     A = session.tiled(a)
     B = session.tiled(a)
+    coo = CooMatrix.from_numpy(np.where(a > 7, a, 0.0))
     cases = {
         "preserve-tiling": (
             "tiled(n,n)[ ((i,j), x+y) | ((i,j),x) <- A, ((ii,jj),y) <- B,"
-            " ii == i, jj == j ]"
+            " ii == i, jj == j ]",
+            dict(A=A, B=B, n=30),
         ),
-        "tiled-shuffle": "tiled(n,n)[ (((i+1)%n, j), v) | ((i,j),v) <- A ]",
-        "tiled-reduce": None,  # asserted below with its own query
+        "tiled-shuffle": (
+            "tiled(n,n)[ (((i+1)%n, j), v) | ((i,j),v) <- A ]", dict(A=A, n=30),
+        ),
+        "tiled-reduce": (
+            "tiled_vector(n)[ (i, +/v) | ((i,j),v) <- A, group by i ]",
+            dict(A=A, n=30),
+        ),
         "group-by-join": (
             "tiled(n,n)[ ((i,j),+/v) | ((i,k),x) <- A, ((kk,j),y) <- B,"
-            " kk == k, let v = x*y, group by (i,j) ]"
+            " kk == k, let v = x*y, group by (i,j) ]",
+            dict(A=A, B=B, n=30),
+        ),
+        "coordinate": (
+            "tiled_vector(n)[ (i,+/v) | ((i,j),x) <- C, (jj,y) <- X, jj == j,"
+            " let v = x*y, group by i ]",
+            dict(C=coo, X=session.tiled_vector(a[0]), n=30),
         ),
     }
-    for rule, query in cases.items():
-        if query is None:
-            continue
-        report = session.explain(query, A=A, B=B, n=30)
-        assert rule in report
-        assert "generated program:" in report
+    for rule, (query, env) in cases.items():
+        compiled = session.compile(query, **env)
+        report = compiled.explain()
+        assert f"rule: {rule}" in report
+        program = report.split("\ngenerated program (", 1)[1].splitlines()[1:]
+        assert program == ["  " + line for line in compiled.plan.program()]
+        # Every physical operator has its line.
+        for node in compiled.plan.physical.walk():
+            head = f"{node.op}[{node.label}]" if node.label else node.op
+            assert any(line.startswith(f"  {head}: ") for line in program), (
+                rule, head,
+            )
 
-    reduce_report = session.explain(
-        "tiled_vector(n)[ (i, +/v) | ((i,j),v) <- A, group by i ]",
-        A=A, n=30,
-    )
-    assert "tiled-reduce" in reduce_report
-    assert "reduceByKey" in reduce_report
-
-    coo = CooMatrix.from_numpy(np.where(a > 7, a, 0.0))
-    coordinate_report = session.explain(
-        "tiled_vector(n)[ (i,+/v) | ((i,j),x) <- C, (jj,y) <- X, jj == j,"
-        " let v = x*y, group by i ]",
-        C=coo, X=session.tiled_vector(a[0]), n=30,
-    )
-    assert "rule: coordinate" in coordinate_report
-    assert coordinate_report.endswith(
-        "generated program:\n"
-        "  <elements>\n"
-        "  C.map(bind)\n"
-        "  .join(X on ['j'])\n"
-        "  .map(record => (key, (g1..gm))).reduceByKey(⊗)"
+    # The coordinate program shuffles at the width its records line names.
+    width = re.fullmatch(
+        r"column batches \(shuffle width (\d+)\)", compiled.plan.details["records"]
+    ).group(1)
+    assert report.endswith(
+        "generated program (Section 4, Rules (13)/(14)):\n"
+        "  Scan[C]: CooMatrix\n"
+        "  Scan[X]: TiledVector\n"
+        "  Coordinate: column batches of C\n"
+        f"    join X: scatter on [j] = [jj] → cogroup (width {width}) → merge_join\n"
+        f"    group_reduce + by [i] → scatter → group_by_key (width {width}) → reduce\n"
+        f"    scatter by tile → group_by_key (width {width}) → tiled_vector(30)"
     )
 
 

@@ -153,7 +153,7 @@ def test_factorization_step_trace(session):
 
 
 def test_trace_appears_in_explain(session):
-    """``explain()`` lists the pass trace between candidates and pseudocode."""
+    """``explain()`` lists the pass trace between candidates and program."""
     report = session.explain(
         "tiled(m,n)[ ((j,i),v) | ((i,j),v) <- M ]",
         {"M": _mat(session, 30, 20), "n": 30, "m": 20},

@@ -1,8 +1,8 @@
-"""Fuzz: random well-scoped comprehensions, three evaluators, one answer.
+"""Fuzz: random well-scoped comprehensions, two evaluators, one answer.
 
 Hypothesis generates small closed comprehensions over random association
-lists and checks that the reference interpreter, the Figure-3 flatMap
-form, and the planner's local plan (Sections 2–3) all agree.  The local
+lists and checks that the reference interpreter and the planner's local
+plan (Sections 2–3) agree.  The local
 plan reads each list rebound as a 1-D int ``ndarray``, so a query with
 an array form runs as the coordinate program's column batches.
 """
@@ -15,8 +15,6 @@ from repro.comprehension import (
     BinOp, Comprehension, Generator, Guard, Interpreter, LetQual, Lit,
     Reduce, TupleExpr, TuplePat, Var, VarPat, to_source, parse,
 )
-from repro.comprehension.flatmap_form import evaluate as eval_flatmap
-from repro.comprehension.flatmap_form import to_flatmap_form
 from repro.planner import RULE_LOCAL_BATCH
 from repro.planner.lower import lower_local
 from repro.storage.registry import BuildContext
@@ -89,13 +87,9 @@ def local_plan(comp, env):
 
 @SETTINGS
 @given(data=closed_queries())
-def test_three_evaluators_agree(data):
+def test_local_plan_agrees_with_interpreter(data):
     comp, env = data
     reference = Interpreter(env).evaluate(comp)
-
-    via_flatmap = eval_flatmap(to_flatmap_form(comp), env)
-    assert via_flatmap == reference, to_source(comp)
-
     assert local_plan(comp, env).execute() == reference, to_source(comp)
 
 
