@@ -48,11 +48,11 @@ ARMS = {
 
 
 def _setup(shape_a, shape_b, options):
-    # One partition per core: a broadcast contracts on the large side's
-    # partitions, and the few its bytes alone ask for would price every
-    # flip away.
+    # One partition per simulated core, as on the paper's cluster: a
+    # broadcast contracts on the large side's partitions, and the few its
+    # bytes alone ask for would price every flip away.
     session = SacSession(cluster=BENCH_CLUSTER, tile_size=TILE, options=options)
-    parts = BENCH_CLUSTER.default_parallelism()
+    parts = BENCH_CLUSTER.total_cores
     env = {
         "A": session.tiled(
             dense_uniform(*shape_a, seed=3), num_partitions=parts

@@ -129,13 +129,13 @@ def banded_array(n, tile, band, seed):
 
 
 def _sweep_run(band, options):
-    # One partition per stored tile, as on the paper's cluster: the flip
-    # weighs map-side parallelism, which the CSC bytes alone would cut to
-    # a partition or two.
+    # One partition per simulated core, as on the paper's cluster: the
+    # flip weighs map-side parallelism, which the CSC bytes alone would
+    # cut to a partition or two.
     session = SacSession(
         cluster=BENCH_CLUSTER, tile_size=SWEEP_TILE, options=options
     )
-    parts = BENCH_CLUSTER.default_parallelism()
+    parts = BENCH_CLUSTER.total_cores
     A = session.sparse_tiled(
         banded_array(SWEEP_N, SWEEP_TILE, band, seed=1), num_partitions=parts
     )

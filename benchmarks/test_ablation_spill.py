@@ -60,10 +60,11 @@ def _run_arm(limit, prefetch):
         b = np.floor(8 * dense_uniform(N, N, seed=N + 1))
         import time
 
-        # One partition per core: prefetch restores the partitions the
-        # next tasks read, and 0.5 MB operands sized by their bytes are
-        # one partition each, with nothing to restore ahead of a reader.
-        parts = engine.default_parallelism
+        # One partition per simulated core, as on the paper's cluster:
+        # prefetch restores the partitions the next tasks read, and 0.5 MB
+        # operands sized by their bytes are one partition each, with
+        # nothing to restore ahead of a reader.
+        parts = engine.cluster.total_cores
         start = time.perf_counter()
         A = session.tiled(a, num_partitions=parts)
         B = session.tiled(b, num_partitions=parts)

@@ -11,10 +11,16 @@ The spec is deliberately small: the experiments in the paper are dominated
 by (a) how many bytes cross the network during shuffles and (b) how much
 per-tile compute each plan does, and those are exactly the quantities the
 engine measures.
+
+The simulated fields (nodes, executors, cores, bandwidths, launch
+overhead, ``compute_scale``) only price: ``JobMetrics.simulated_time``
+and the cost model read them.  Real partition counts follow the data's
+bytes (:meth:`ClusterSpec.partitions_for`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -52,9 +58,8 @@ class ClusterSpec:
     #: downgrade a join strategy to broadcast for.  Mirrors Spark's
     #: ``spark.sql.adaptive.autoBroadcastJoinThreshold``.
     adaptive_broadcast_bytes: int = 32 * 2**20
-    #: Bytes per partition a storage builder aims for: an input is cut
-    #: into ``⌈bytes / partition_bytes⌉`` partitions, at most
-    #: :meth:`default_parallelism` (``EngineContext.partitions_for``).
+    #: Bytes per partition real execution aims for
+    #: (:meth:`partitions_for`).
     partition_bytes: int = 1 * 2**20
     #: A reduce partition is "skewed" when its measured map-output bytes
     #: exceed this factor times the median non-empty partition's bytes.
@@ -80,26 +85,14 @@ class ClusterSpec:
         """Total concurrent task slots across the cluster."""
         return self.num_executors * self.cores_per_executor
 
-    def default_parallelism(self) -> int:
-        """The most partitions a storage builder cuts an input into, the
-        partition count of a tiled shuffle's reduce side, and the
-        default of ``EngineContext.parallelize``.  A storage builder
-        asks for fewer when its bytes do: ``EngineContext.partitions_for``
-        makes one partition per :attr:`partition_bytes`, so a 1.8 MB
-        matrix is two partitions, not one per simulated core."""
-        return self.total_cores
-
-    def local_parallelism(self) -> int:
-        """Worker threads a local executor should run for this spec.
-
-        The simulated cluster has :attr:`total_cores` task slots, but
-        the engine executes on this machine, so a local thread pool
-        larger than the machine's cores only adds contention: use the
-        smaller of the two.
-        """
-        import os
-
-        return max(1, min(self.total_cores, os.cpu_count() or 1))
+    def partitions_for(self, nbytes: int, items: int) -> int:
+        """How many partitions ``items`` records of ``nbytes`` in total
+        are cut into: one per :attr:`partition_bytes`, rounded up, at
+        least one and at most one per record.  Storage builders,
+        ``parallelize``, the coordinate width and the broadcast reduce
+        side size by it, and the cost model prices them at it."""
+        wanted = math.ceil(nbytes / self.partition_bytes)
+        return max(1, min(wanted, items))
 
 
 #: The cluster used in the paper's evaluation (Section 6).

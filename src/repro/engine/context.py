@@ -12,7 +12,6 @@ byte-identically to the pre-split engine.
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Any, Callable, Generic, Iterable, Iterator, Optional, TypeVar
 
@@ -20,6 +19,7 @@ from .adaptive import AdaptiveManager
 from .cluster import PAPER_CLUSTER, ClusterSpec
 from .rdd import RDD, ParallelCollectionRDD, _slice
 from .scheduler import DAGScheduler, TaskRunner
+from .serialization import RecordSizeAccountant
 from .substrate import EngineSubstrate, parse_memory_limit
 
 __all__ = ["Accumulator", "Broadcast", "EngineContext", "parse_memory_limit"]
@@ -85,7 +85,7 @@ class EngineContext:
 
     One :class:`~repro.engine.scheduler.TaskRunner` — resolved from the
     ``runner`` argument or the ``REPRO_RUNNER`` environment variable and
-    sized from the cluster spec — executes every task of every job
+    sized from this machine's cores — executes every task of every job
     (shuffle map/reduce tasks, cogroup merges, result tasks), so a
     threaded context keeps one persistent executor pool for its
     lifetime (``close()`` or a ``with`` block shuts it down).
@@ -158,21 +158,6 @@ class EngineContext:
     # ------------------------------------------------------------------
 
     @property
-    def default_parallelism(self) -> int:
-        return self.substrate.default_parallelism
-
-    def partitions_for(self, nbytes: int, items: int) -> int:
-        """How many partitions ``items`` records of ``nbytes`` in total
-        are cut into: one per ``ClusterSpec.partition_bytes``,
-        rounded up, at least one and at most one per record, capped at
-        :attr:`default_parallelism`.  Every storage builder without an
-        explicit partition count, and the coordinate rule's shuffle
-        width, size themselves here, so a small input is a few tasks
-        however many cores the simulated cluster has."""
-        wanted = math.ceil(nbytes / self.cluster.partition_bytes)
-        return max(1, min(wanted, self.default_parallelism, items))
-
-    @property
     def pipeline(self) -> bool:
         """Whether tasks of different stages may overlap (a property of
         the runner: ``False`` under the serial one)."""
@@ -202,9 +187,13 @@ class EngineContext:
     def parallelize(
         self, data: Iterable, num_partitions: Optional[int] = None
     ) -> RDD:
-        """Distribute an in-memory collection as an RDD."""
+        """Distribute an in-memory collection as an RDD, in as many
+        slices as its records' bytes ask for unless told."""
         items = list(data)
-        count = max(1, min(num_partitions or self.default_parallelism, len(items)))
+        count = num_partitions or self.cluster.partitions_for(
+            RecordSizeAccountant().batch_size(items), len(items)
+        )
+        count = max(1, min(count, len(items)))
         return ParallelCollectionRDD(self, _slice(items, count))
 
     def empty_rdd(self) -> RDD:

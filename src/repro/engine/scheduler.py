@@ -10,8 +10,8 @@ flight:
   time, lowest creation index first — a barrier schedule, deterministic,
   and on a single-core machine also the fastest.
 * :class:`ThreadedTaskRunner` keeps up to ``2 * max_workers`` ready
-  tasks on one persistent thread pool, sized from the
-  :class:`~repro.engine.cluster.ClusterSpec`: a task fires as soon as
+  tasks on one persistent thread pool, one worker per core of this
+  machine unless told otherwise: a task fires as soon as
   the specific partitions it reads have landed, even while a straggler
   of an earlier stage is still running.  Task bodies that release the
   GIL (NumPy/BLAS tile kernels, injected sleeps) genuinely overlap.
@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .cluster import ClusterSpec
     from .rdd import RDD
     from .taskgraph import TaskGraph
 
@@ -263,11 +262,6 @@ class ThreadedTaskRunner(TaskRunner):
         self._pool_lock = threading.Lock()
         self._worker_state = threading.local()
 
-    @classmethod
-    def for_cluster(cls, cluster: "ClusterSpec") -> "ThreadedTaskRunner":
-        """A runner sized for ``cluster`` on this machine."""
-        return cls(max_workers=cluster.local_parallelism())
-
     @property
     def max_workers(self) -> int:
         return self._max_workers
@@ -355,14 +349,13 @@ class ThreadedTaskRunner(TaskRunner):
             pool.shutdown(wait=True)
 
 
-def resolve_runner(
-    runner: Union[TaskRunner, str, None], cluster: "ClusterSpec"
-) -> TaskRunner:
+def resolve_runner(runner: Union[TaskRunner, str, None]) -> TaskRunner:
     """Resolve a runner argument to a :class:`TaskRunner` instance.
 
     ``None`` consults the ``REPRO_RUNNER`` environment variable
     (``serial`` when unset); the strings ``"serial"`` and ``"threads"``
-    name the built-in runners, the threaded one sized from ``cluster``.
+    name the built-in runners, the threaded one with a worker per core
+    of this machine.
     """
     if runner is None:
         runner = os.environ.get("REPRO_RUNNER", "serial")
@@ -371,7 +364,7 @@ def resolve_runner(
     if runner == "serial":
         return SerialTaskRunner()
     if runner in ("threads", "threaded"):
-        return ThreadedTaskRunner.for_cluster(cluster)
+        return ThreadedTaskRunner()
     raise ValueError(
         f"unknown runner {runner!r}: expected a TaskRunner, 'serial' "
         f"or 'threads'"

@@ -163,8 +163,7 @@ class EngineSubstrate:
     Args mirror the resource arguments of ``EngineContext``.
     ``memory_limit`` is the one memory knob: it caps resident block
     bytes and spills what does not fit (to ``spill_store``, else a
-    private ``LocalDiskStore``).  Parallelism is the cluster's
-    (:meth:`ClusterSpec.default_parallelism`).
+    private ``LocalDiskStore``).
     """
 
     def __init__(
@@ -178,7 +177,7 @@ class EngineSubstrate:
     ):
         self.cluster = cluster
         self.metrics = MetricsRegistry()
-        self.runner = resolve_runner(runner, cluster)
+        self.runner = resolve_runner(runner)
         # Bind the runner to this substrate's metrics so task retries
         # land in the right JobMetrics.
         self.runner.metrics = self.metrics
@@ -211,10 +210,6 @@ class EngineSubstrate:
         self._closed = False
 
     # ------------------------------------------------------------------
-
-    @property
-    def default_parallelism(self) -> int:
-        return self.cluster.default_parallelism()
 
     def register_rdd(self) -> int:
         """The next substrate-global RDD id.

@@ -157,10 +157,9 @@ class BlockMatrix:
                 f"dimension mismatch: {self.num_rows}x{self.num_cols} vs "
                 f"{other.num_rows}x{other.num_cols}"
             )
+        # Spark's ``createPartitioner``: as many partitions as this side.
         partitioner = GridPartitioner(
-            self.num_row_blocks,
-            self.num_col_blocks,
-            self.blocks.ctx.default_parallelism,
+            self.num_row_blocks, self.num_col_blocks, self.blocks.num_partitions
         )
         cogrouped = self.blocks.cogroup(other.blocks, partitioner=partitioner)
         outer = self
@@ -200,9 +199,10 @@ class BlockMatrix:
             )
         if self.cols_per_block != other.rows_per_block:
             raise ValueError("block sizes are incompatible for multiply")
-        engine = self.blocks.ctx
+        # Spark sizes the result grid from its inputs' partition counts.
         result_partitioner = GridPartitioner(
-            self.num_row_blocks, other.num_col_blocks, engine.default_parallelism
+            self.num_row_blocks, other.num_col_blocks,
+            max(self.blocks.num_partitions, other.blocks.num_partitions),
         )
         a_dest, b_dest = self._simulate_multiply(other, result_partitioner)
         grid_cols = other.num_col_blocks

@@ -424,8 +424,7 @@ def reconsider_join_strategy(
         return None
 
     model = CostModel(
-        engine.cluster, engine.default_parallelism,
-        measured=manager.measured_sizes,
+        engine.cluster, measured=manager.measured_sizes,
         memory_limit=getattr(engine, "memory_limit", None),
     )
     recost = model.candidates(setup, match)

@@ -428,7 +428,7 @@ def _select_group_by(state: PlanState) -> Optional[IRNode]:
     cost_chosen = options.strategy is None
     if match is not None:
         model = CostModel(
-            engine.cluster, engine.default_parallelism,
+            engine.cluster,
             # A query compiled after an adaptive correction prices with
             # the measured facts and picks the cheap plan up front.
             measured=engine.adaptive.measured_sizes,

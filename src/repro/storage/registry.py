@@ -37,7 +37,7 @@ class BuildContext:
         tile_size: side length N of square tiles (paper Section 5).
 
     Distributed builders size their storages by bytes
-    (``EngineContext.partitions_for``).
+    (``ClusterSpec.partitions_for``).
     """
 
     engine: Optional[Any] = None

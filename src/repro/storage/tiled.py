@@ -27,7 +27,7 @@ from typing import Any, Iterable, Iterator, Optional
 import numpy as np
 
 from ..comprehension.errors import SacTypeError
-from ..engine import EngineContext, GridPartitioner, RDD
+from ..engine import EngineContext, RDD
 from ..engine.batch import TileBatch
 from ..engine.rdd import ParallelCollectionRDD
 from .registry import REGISTRY, BuildContext
@@ -45,7 +45,8 @@ def distribute_blocks(
     partitions, or as many as their block bytes ask for."""
     nbytes = sum(block.nbytes for _key, block in blocks)
     return engine.parallelize(
-        blocks, num_partitions or engine.partitions_for(nbytes, len(blocks))
+        blocks,
+        num_partitions or engine.cluster.partitions_for(nbytes, len(blocks)),
     )
 
 
@@ -87,13 +88,6 @@ class TiledMatrix:
         width = min(self.tile_size, self.cols - block_col * self.tile_size)
         return height, width
 
-    def default_partitioner(self) -> GridPartitioner:
-        return GridPartitioner(
-            self.grid_rows,
-            self.grid_cols,
-            self.tiles.ctx.default_parallelism,
-        )
-
     # -- construction -------------------------------------------------------
 
     @classmethod
@@ -127,7 +121,8 @@ class TiledMatrix:
             .swapaxes(1, 2)
         ).reshape(full_rows * full_cols, n, n)
         parts = max(1, min(
-            num_partitions or engine.partitions_for(array.nbytes, count), count
+            num_partitions or engine.cluster.partitions_for(array.nbytes, count),
+            count
         ))
         slices: list = []
         for p in range(parts):

@@ -87,7 +87,7 @@ def _skew_run(adaptive, n=360, tile=45):
     ) as session:
         # The skew is spread over the cluster's cores, not over the few
         # partitions the operands' bytes would ask for.
-        parts = session.engine.default_parallelism
+        parts = session.engine.cluster.total_cores
         A = session.sparse_tiled(a, num_partitions=parts)
         B = session.sparse_tiled(b, num_partitions=parts)
         assert A.tiles.num_partitions > 1 and B.tiles.num_partitions > 1

@@ -279,15 +279,13 @@ def test_ragged_tiles_and_wide_shuffles():
         "tiled_vector(n)[ (i,+/v) | ((i,j),a) <- A, (jj,x) <- X, jj == j,"
         " let v = a*x, group by i ]"
     )
-    # A partition target of a few rows forces one reducer per core.
-    cluster = ClusterSpec(
-        num_nodes=1, executors_per_node=1, cores_per_executor=5,
-        partition_bytes=64,
-    )
+    # A partition target of a few rows: ⌈(143·24 + 11·16) / 64⌉ reducers
+    # for 12 + 3 tiles.
+    cluster = ClusterSpec(partition_bytes=64)
     with SacSession(cluster=cluster, tile_size=TILE, options=FORCED) as wide:
         env = dict(A=wide.tiled(a), X=wide.tiled_vector(x), n=13)
         batch, width = lowerings(wide, query, **env)
-        assert width == 5
+        assert width == 57
         np.testing.assert_array_equal(batch().to_numpy(), a @ x)
 
 
@@ -428,7 +426,9 @@ def test_runners_and_adaptive_arms_are_bit_equal():
         result, other = _spmv(runner, adaptive)
         assert result.tobytes() == base.tobytes()
         assert other == counters
-    assert counters[0] == 4 and counters[1] <= 4 * 4 * 4
+    # Four shuffles at width 13, at most one record per map partition
+    # and reducer.
+    assert counters[0] == 4 and counters[1] <= 4 * 13 * 13
 
 
 # ----------------------------------------------------------------------
@@ -454,18 +454,33 @@ def _width(session, a_rows):
 
 def test_width_rule():
     with SacSession(cluster=ClusterSpec(), tile_size=100) as s:
-        cores = s.engine.default_parallelism
-        assert cores == 88
+        assert s.engine.cluster.total_cores == 88
         assert _width(s, 40_000) <= 4          # 40 k rows x 3 columns ~ 1 MB
         assert _width(s, 1) == 1
-        # 88 MB of columns and beyond: the cluster's cores, never more.
-        assert _width(s, math.ceil(88 * 2**20 / 24)) == cores
-        assert _width(s, 10 * 88 * 2**20 // 24) == cores
-        # The rule itself, from ClusterSpec.partition_bytes.
-        rows = 300_000
-        assert _width(s, rows) == math.ceil(
-            (rows * 24 + 4 * 16) / s.engine.cluster.partition_bytes
-        )
+        # The rule itself, from ClusterSpec.partition_bytes — past 88 MB
+        # of columns too: the simulated cluster's cores do not cap it.
+        for rows in (300_000, 10 * 88 * 2**20 // 24):
+            assert _width(s, rows) == math.ceil(
+                (rows * 24 + 4 * 16) / s.engine.cluster.partition_bytes
+            )
+        assert _width(s, 10 * 88 * 2**20 // 24) == 881
+
+
+def test_pairs_the_driver_holds_count_their_rows():
+    """``session.rdd`` of a list keeps its slices on the driver, so the
+    plan counts its rows without a job and shuffles at the width they
+    ask for, not at 1."""
+    pairs = [(i, int(k)) for i, k in enumerate(RNG.integers(0, 50, 10**5))]
+    query = "rdd[ (k, count/i) | (i,k) <- P, group by k ]"
+    with SacSession(tile_size=TILE) as s:
+        P = s.rdd(pairs)
+        snapshot = s.metrics_snapshot()
+        report = s.explain(query, P=P)
+        assert s.metrics_delta(snapshot).stages == 0
+        width = int(re.search(r"shuffle width (\d+)", report)[1])
+        assert width > 1
+        assert width == s.engine.cluster.partitions_for(8 * 2 * len(pairs), len(pairs))
+        assert_same(s.run(query, P=P), s.interpret(query, P=pairs), exact=True)
 
 
 # ----------------------------------------------------------------------
@@ -619,10 +634,8 @@ def test_what_python_floats_do_silently_stays_silent(session):
 # (g) RDD sources read as columns; object columns through the passes
 # ----------------------------------------------------------------------
 
-#: Small partitions: a handful of rows already needs two reducers.
-NARROW = ClusterSpec(
-    num_nodes=1, executors_per_node=1, cores_per_executor=4, partition_bytes=64,
-)
+#: Small partitions: a handful of rows already needs several reducers.
+NARROW = ClusterSpec(partition_bytes=64)
 
 
 def _run_like_the_interpreter(session, query, **env):
@@ -654,8 +667,9 @@ def test_int_and_float_keys_in_different_partitions_meet():
             X=s.tiled_vector(np.arange(1.0, 6.0)),
         )
         compiled = _run_like_the_interpreter(s, query, **env)
+        # P's 4 driver-held rows and X's 5: ⌈(4·16 + 5·16) / 64⌉ reducers.
         assert compiled.plan.details["records"].startswith(
-            "column batches (shuffle width 2)"
+            "column batches (shuffle width 3)"
         )
         assert sorted(compiled.execute().collect()) == [(2, 15.0), (3, 40.0)]
 

@@ -190,7 +190,7 @@ def test_every_forced_strategy_estimates_within_2x(
     matrix cut into a few row-major runs breaks (each result tile's
     partials then come from one partition, half the estimate)."""
     compiled, delta = _forced_run(
-        n, tile, strategy, sparse, cluster, parts=cluster.default_parallelism()
+        n, tile, strategy, sparse, cluster, parts=cluster.total_cores
     )
     assert compiled.plan.details["strategy"] == strategy
     estimate = compiled.plan.estimate
@@ -244,7 +244,7 @@ def test_block_sparse_default_flips_away_from_replicate():
     n, tile = 720, 45
     # One partition per stored tile: the flip weighs map-side parallelism,
     # which the 0.5 MB of CSC tiles alone would cut to one partition.
-    parts = BENCH_CLUSTER.default_parallelism()
+    parts = BENCH_CLUSTER.total_cores
     chosen, chosen_delta = _forced_run(
         n, tile, None, sparse=True, parts=parts
     )
@@ -311,7 +311,7 @@ def _unread(session, n, tile):
     placeholder record per tile, partitioned as ``session.tiled`` would."""
     count = (n // tile) ** 2
     placeholders = session.engine.parallelize(
-        range(count), session.engine.partitions_for(8 * n * n, count)
+        range(count), session.engine.cluster.partitions_for(8 * n * n, count)
     )
     return TiledMatrix(n, n, tile, placeholders)
 
@@ -357,7 +357,7 @@ def test_one_destination_per_cell_prices_what_it_priced_before_the_grid():
     estimate at that grid is commit a9d0f9a's, field for field, on the
     one-partition-per-core operands it priced then."""
     compiled, _ = _measured_run(
-        360, 90, STRATEGY_REPLICATE, parts=BENCH_CLUSTER.default_parallelism()
+        360, 90, STRATEGY_REPLICATE, parts=BENCH_CLUSTER.total_cores
     )
     model_estimate = compiled.plan.estimate
     assert model_estimate.grid == (4, 4)

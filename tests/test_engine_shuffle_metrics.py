@@ -230,6 +230,5 @@ def test_cluster_spec_properties():
     spec = ClusterSpec(num_nodes=4, executors_per_node=2, cores_per_executor=11)
     assert spec.num_executors == 8
     assert spec.total_cores == 88
-    assert spec.default_parallelism() == 88
 
 

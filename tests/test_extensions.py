@@ -162,15 +162,6 @@ def test_sacmatrix_stack_methods(session):
     )
 
 
-def test_tiled_default_partitioner(session):
-    A = session.tiled(RNG.uniform(0, 9, size=(40, 40)))
-    partitioner = A.default_partitioner()
-    assert partitioner.num_partitions >= 1
-    for bi in range(A.grid_rows):
-        for bj in range(A.grid_cols):
-            assert 0 <= partitioner.partition((bi, bj)) < partitioner.num_partitions
-
-
 def test_job_metrics_summary_text(session):
     A = session.tiled(RNG.uniform(0, 9, size=(20, 20)))
     session.run("+/[ v | ((i,j),v) <- A ]", A=A)

@@ -116,10 +116,12 @@ def test_integer_data_is_bit_equal_on_every_grid(
     if grid == (GRID_ROWS, GRID_COLS):
         # One destination tile per cell is the per-destination replication
         # of commit a9d0f9a; these are the counters it recorded, except
-        # tasks 16 -> 10: each operand is one partition now, not four.
+        # tasks 16 -> 32: each operand is one partition now, not four, and
+        # the reduce side is one partition per cell (15), not one per
+        # simulated core (4).
         assert (
             total.stages, total.tasks, total.shuffle_records, total.shuffle_bytes
-        ) == (4, 10, 120, 102480)
+        ) == (4, 32, 120, 102480)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
