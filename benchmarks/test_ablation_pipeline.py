@@ -50,7 +50,7 @@ def _session(runner):
     q = session.tiled(factor_matrix(N, RANK, seed=N + 2)).materialize()
     # Inject after materializing the inputs so setup is not delayed:
     # a uniform floor on every task kind, plus the map straggler.
-    for kind in ("map", "reduce", "combine", "merge", "drain", "result"):
+    for kind in ("map", "reduce", "combine", "merge", "result"):
         session.engine.runner.inject_delay(kind, None, BASE_DELAY)
     session.engine.runner.inject_delay("map", 0, STRAGGLER_EXTRA)
     return session, r, p, q

@@ -25,6 +25,7 @@ from typing import Any
 import numpy as np
 
 from .core.session import SacSession
+from .engine.substrate import parse_memory_limit
 from .storage import TiledMatrix, TiledVector
 from .storage.sparse_tiled import SparseTiledMatrix
 
@@ -118,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
              "land instead of one at a time)",
     )
     parser.add_argument(
-        "--memory-limit", metavar="BYTES",
+        "--memory-limit", metavar="BYTES", type=parse_memory_limit,
         help="cap resident block bytes (accepts 64M/2G-style suffixes); "
              "evicted partitions spill to disk (REPRO_SPILL_DIR or a "
              "temp directory) and restore transparently",

@@ -8,7 +8,9 @@ the context's scheduler, which times tasks and accounts shuffles.
 Narrow transformations (``map``, ``filter``, ``flatMap``, ...) pipeline
 within a partition.  Wide transformations (``reduceByKey``, ``groupByKey``,
 ``join``, ``cogroup``, ``partitionBy``) insert a :class:`ShuffledRDD` or
-:class:`CoGroupedRDD` whose first evaluation runs a measured shuffle.
+:class:`CoGroupedRDD` whose first evaluation runs a measured shuffle; a
+cogroup brings each parent to its partitioner through a private
+:class:`ShuffledRDD` and only merges their partitions.
 The nodes only *describe* that work: the task-graph compiler
 (:mod:`repro.engine.taskgraph`) turns it into tasks — for the job that
 first needs the node, or for the node alone when something reads it
@@ -703,25 +705,28 @@ class ShuffledRDD(_WideRDD):
 class CoGroupedRDD(_WideRDD):
     """Groups several keyed RDDs by key into ``(key, (list_0, list_1, ...))``.
 
-    Each parent that is not already partitioned compatibly is shuffled
-    (without combining — cogroup moves every record, like Spark).
+    Each parent reaches the partitioner through a private
+    :class:`ShuffledRDD` without an aggregator (cogroup moves every
+    record, like Spark), so the node itself only merges.  The private
+    shuffles are not :attr:`dependencies`: they are built, and dropped
+    unless retained for reuse, under the cogroup's lock.
     """
 
     def __init__(
         self, ctx: "EngineContext", parents: list[RDD], partitioner: Partitioner
     ):
         super().__init__(ctx, partitioner)
-        self._parents = parents
-        #: Per-parent map-output histograms, filled as the node is built
-        #: (``None`` for a parent that never crossed the shuffle).
-        self._parent_stats: list[Optional[MapOutputStatistics]] = []
+        #: One shuffle per parent, in parent order.
+        self._shuffles = [
+            ShuffledRDD(parent, partitioner, None) for parent in parents
+        ]
         #: Set by :meth:`RDD.join`: the grouped value lists only ever feed
         #: a cartesian flatten, so the skew splitter may chunk them.
         self._splittable_values = False
 
     @property
     def dependencies(self) -> list[RDD]:
-        return list(self._parents)
+        return [shuffle._parent for shuffle in self._shuffles]
 
     def output_statistics(self) -> Optional[MapOutputStatistics]:
         """Combined per-partition histogram over all shuffled parents.
@@ -735,19 +740,12 @@ class CoGroupedRDD(_WideRDD):
     def _combined_statistics(self) -> Optional[MapOutputStatistics]:
         """The parents' histograms summed, as far as they have landed."""
         combined: Optional[MapOutputStatistics] = None
-        for stats in self._parent_stats:
+        for shuffle in self._shuffles:
+            stats = shuffle._map_stats
             if stats is None:
                 return None
             combined = stats if combined is None else combined.merged_with(stats)
         return combined
-
-    def _drain_partition(self, parent: RDD, index: int, split: int) -> tuple:
-        """Drain one co-partitioned parent partition in place; returns
-        ``(records, own_seconds)``."""
-        with self.ctx.metrics.task_timer() as timer:
-            self.ctx.runner.fault_point(f"drain:{self.id}.{index}", split)
-            records = list(parent.iterator(split))
-        return records, timer.own_seconds
 
 
 class UnionRDD(RDD):

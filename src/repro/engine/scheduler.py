@@ -74,8 +74,8 @@ class FaultInjection:
     """One registered delay or failure, matched by stage label + partition.
 
     ``stage`` is either a full label (``"map:17"``) or a bare kind
-    (``"map"``, ``"reduce"``, ``"combine"``, ``"merge"``, ``"drain"``,
-    ``"result"``) matching every stage of that kind.  ``partition`` of
+    (``"map"``, ``"reduce"``, ``"combine"``, ``"merge"``, ``"result"``)
+    matching every stage of that kind.  ``partition`` of
     ``None`` matches every partition.  ``remaining`` of ``None`` fires
     on every match; an integer decrements per firing and stops at zero.
     """

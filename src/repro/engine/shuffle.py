@@ -22,9 +22,11 @@ Shuffled bytes are *measured* from the actual records via
 pricing a homogeneous tile stream costs a memo lookup per record rather
 than a recursive walk, and the accounting is batched per map partition.
 
-Map tasks (drain + combine + bucket + account one map partition) and
+Map tasks (read + combine + bucket + account one map partition) and
 reduce tasks (merge one bucket) are independent, so the task-graph
-compiler (:mod:`repro.engine.taskgraph`) issues each as its own task.
+compiler (:mod:`repro.engine.taskgraph`) issues each as its own task —
+for a ``ShuffledRDD`` and for each parent of a cogroup alike, which
+reaches the cogroup through a ``ShuffledRDD`` of its own.
 A reduce bucket concatenates the map slots' pieces in map-partition
 order, which makes the output — and every recorded counter — identical
 to a serial drain.

@@ -30,6 +30,7 @@ the same substrate.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections import OrderedDict
@@ -44,15 +45,14 @@ from .scheduler import FairJobScheduler, TaskRunner, resolve_runner
 def parse_memory_limit(text: str | int | None) -> Optional[int]:
     """A byte count from ``"64M"``-style size strings (K/M/G suffixes).
 
-    Accepts plain ints (passed through), decimal strings, and strings
-    with a K/M/G/KB/MB/GB suffix (powers of 1024, case-insensitive).
-    ``None`` and ``""`` mean no limit.
+    Accepts plain ints, decimal strings, and strings with a
+    K/M/G/KB/MB/GB suffix (powers of 1024, case-insensitive).  ``None``
+    and ``""`` mean no limit; anything but a finite, non-negative size
+    raises :class:`ValueError` (the CLIs' argparse ``type=``).
     """
     if text is None:
         return None
-    if isinstance(text, int):
-        return text
-    cleaned = text.strip().lower()
+    cleaned = str(text).strip().lower()
     if not cleaned:
         return None
     multiplier = 1
@@ -64,12 +64,15 @@ def parse_memory_limit(text: str | int | None) -> Optional[int]:
             multiplier = factor
             break
     try:
-        return int(float(cleaned) * multiplier)
+        size = float(cleaned) * multiplier
     except ValueError:
+        size = math.nan
+    if not 0 <= size < math.inf:
         raise ValueError(
-            f"cannot parse memory limit {text!r} (expected e.g. 67108864, "
-            f"'64M', '2G')"
-        ) from None
+            f"cannot parse memory limit {text!r} (expected a finite, "
+            f"non-negative size, e.g. 67108864, '64M', '2G')"
+        )
+    return text if isinstance(text, int) else int(size)
 
 
 class LruCache:

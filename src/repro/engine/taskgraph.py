@@ -5,8 +5,9 @@ fine-grained tasks:
 
 * one **map task** per map slot of every shuffle the job has to run,
 * one **reduce task** per reduce bucket,
-* one **combine/drain/merge task** per partition of co-partitioned wide
-  nodes and cogroups,
+* one **combine task** per partition of a co-partitioned shuffle,
+* one **merge task** per partition of a cogroup, whose parents reach it
+  through shuffles of their own (so their map side is the above),
 * one **result task** per partition of the job's target RDD,
 
 with explicit parent/child edges (the numpywren ``find_parents`` /
@@ -335,6 +336,9 @@ class _JobCompiler:
         #: owner -> (blocks, handle) of outputs begun and not finished.
         self._open: dict[str, tuple] = {}
         self._shuffles: list[Shuffle] = []
+        #: id(shuffle) of cogroup parents' shuffles whose handles only
+        #: the cogroup's merges read.
+        self._scratch: set[int] = set()
 
     def compile(self, rdd, func, task_seconds) -> None:
         wide: list = []
@@ -396,15 +400,17 @@ class _JobCompiler:
         if is_wide:
             wide.append(node)
 
-    def _build_wide(self, node) -> None:
+    def _build_wide(self, node) -> bool:
+        """Add ``node``'s build to the graph; whether the retained-shuffle
+        registry holds (or, once it is built, will hold) its output."""
         if isinstance(node, CoGroupedRDD):
             self._build_cogroup(node)
-            return
+            return False
         # Fresh per materialization (a lineage-fallback re-run included).
         node._map_stats = None
         if node._parent.partitioner == node.partitioner:
             self._build_local_combine(node)
-            return
+            return False
         blocks = node.ctx.block_manager
         opt_in = node._reuse_opt_in or node._parent._reuse_opt_in
         reused = blocks.lookup_shuffle(
@@ -414,27 +420,20 @@ class _JobCompiler:
             # Compile-time shuffle reuse: the node is a materialized leaf.
             node._map_stats = getattr(reused, "stats", None)
             node._output = reused
-            return
+            blocks.prefetch_namespace(reused.owner)
+            return True
         self._build_shuffle(node, opt_in)
+        return opt_in
 
     # -- output handles and node state ----------------------------------
 
-    def _new_output(self, blocks, owner: str, count: int) -> Any:
-        """A handle this job must finish (:meth:`_keep`) or will drop."""
+    def _node_output(self, node, count: int) -> Any:
+        """The handle ``node``'s partitions land in: this job finishes
+        (:meth:`_finish`) or drops it."""
+        blocks = node.ctx.block_manager
+        owner = f"out/{node.id}"
         output = blocks.new_output(owner, count)
         self._open[owner] = (blocks, output)
-        return output
-
-    def _node_output(self, node, count: int) -> Any:
-        """The handle ``node``'s own partitions land in (see :meth:`_finish`)."""
-        return self._new_output(node.ctx.block_manager, f"out/{node.id}", count)
-
-    def _keep(self, owner: str) -> Any:
-        """Every partition of ``owner``'s handle landed: it outlives the job."""
-        blocks, output = self._open.pop(owner)
-        # The next reader takes the partitions from split 0 up; restore
-        # the early (spilled-first) ones ahead of it.
-        blocks.prefetch_namespace(output.owner)
         return output
 
     def _drop(self, owner: str) -> None:
@@ -456,8 +455,20 @@ class _JobCompiler:
             node._inflight = build
 
     def _finish(self, node) -> None:
-        """The last partition of ``node`` landed: it is materialized."""
-        node._output = self._keep(f"out/{node.id}")
+        """The last partition of ``node`` landed: it is materialized.
+
+        A cogroup's scratch shuffle is the exception: its handle stays
+        open until the cogroup's merges have read it and drop it.
+        """
+        owner = f"out/{node.id}"
+        blocks, output = self._open[owner]
+        # The next reader takes the partitions from split 0 up; restore
+        # the early (spilled-first) ones ahead of it.
+        blocks.prefetch_namespace(output.owner)
+        if id(node) in self._scratch:
+            return
+        del self._open[owner]
+        node._output = output
         node._inflight = None
         self._release(node)
 
@@ -465,22 +476,14 @@ class _JobCompiler:
         if self._claimed.pop(id(node), None) is not None:
             node._materialize_lock.release()
 
-    def _new_shuffle(self, blocks, partitioner, aggregator, label: str) -> Shuffle:
-        shuffle = Shuffle(
-            self._metrics, self._runner, partitioner, aggregator,
-            stage_label=label, blocks=blocks,
-        )
-        self._shuffles.append(shuffle)
-        return shuffle
-
     def close(self) -> None:
         """Release what the job held; drop what it did not finish.
 
         After a successful run there is nothing left to drop.  After a
         failure the unfinished nodes stay unmaterialized — their partial
-        outputs, scratch handles and unread map buckets leave the block
-        manager and the spill store — so a later job rebuilds them from
-        scratch.  Either way the task table goes (see
+        outputs, cogroups' scratch shuffles and unread map buckets leave
+        the block manager and the spill store — so a later job rebuilds
+        them from scratch.  Either way the task table goes (see
         :meth:`TaskGraph.discard`).
         """
         for build in self.builds.values():
@@ -538,16 +541,19 @@ class _JobCompiler:
         blocks = node.ctx.block_manager
         num_reducers = node.num_partitions
         output = self._node_output(node, num_reducers)
-        shuffle = self._new_shuffle(
-            blocks, node.partitioner, node._aggregator, str(node.id)
+        shuffle = Shuffle(
+            metrics, self._runner, node.partitioner, node._aggregator,
+            stage_label=str(node.id), blocks=blocks,
         )
-        # Virtual output slots: released when the partition's data lands
-        # (directly after the map phase without an aggregator, from the
-        # owning reduce task with one).
+        self._shuffles.append(shuffle)
+        # Without an aggregator every partition lands in the maps-done
+        # hook, which is then each partition's output slot.  With one, a
+        # virtual slot per partition is released by its reduce task,
+        # which that hook creates.
         out_tasks = [
             graph.add_task(("out", node.id, r), virtual_deps=1)
             for r in range(num_reducers)
-        ]
+        ] if node._aggregator is not None else None
 
         def add_map_task(slot, partition, records_fn, deps):
             def fn():
@@ -588,8 +594,6 @@ class _JobCompiler:
                 for r in range(num_reducers):
                     output.put(r, shuffle.read_bucket(r))
                 finish()
-                for r in range(num_reducers):
-                    graph.release(out_tasks[r])
                 return
             reduce_seconds = [0.0] * num_reducers
             reduce_tasks = []
@@ -708,144 +712,44 @@ class _JobCompiler:
                 on_complete=maps_done_hook,
             )
 
+        if out_tasks is None:
+            out_tasks = [maps_done] * num_reducers
         self._begin(node, _WideBuild(
             node, output, out_tasks, maps_done, lambda: shuffle.stats
         ))
 
     def _build_cogroup(self, node) -> None:
-        """CoGroupedRDD: per-parent bucket tasks, then one merge per split.
+        """CoGroupedRDD: its parents' shuffles, then one merge per split.
 
-        A merge task folds the parents' buckets for its split in parent
-        order, so each key's value lists keep parent order and only that
-        split's table is being built at a time — under a memory cap the
-        buckets restore from the spill tier as they are read and the
-        finished table goes straight under the budget.  Different splits
-        still pipeline independently.
+        Each parent reaches the node's partitioner through the node's
+        private ShuffledRDD, built by :meth:`_build_wide` like any other.
+        A merge task folds the shuffles' partitions for its split in
+        parent order, so each key's value lists keep parent order and
+        only that split's table is being built at a time — under a
+        memory cap the partitions restore from the spill tier as they are
+        read and the finished table goes straight under the budget.
+        Different splits still pipeline independently.  A shuffle the
+        registry does not keep is scratch: dropped once every merge has
+        read it.
         """
         graph = self.graph
         metrics = self._metrics
         runner = self._runner
-        parents = node._parents
-        arity = len(parents)
+        shuffles = node._shuffles
+        arity = len(shuffles)
         num_parts = node.num_partitions
-        blocks = node.ctx.block_manager
         output = self._node_output(node, num_parts)
-        # Fresh per materialization: a lineage-fallback re-run (lost
-        # spill) must not see stale per-parent histograms.
-        node._parent_stats = [None] * arity
-
-        #: Per parent: the handle its buckets land in, and per split the
-        #: task that lands it (``None``: a retained shuffle, already there).
-        parent_buckets: list = []
-        bucket_tasks: list = []
-        stats_deps: list[Task] = []
-        #: Owners of bucket handles only this node's merges read.
-        scratch: list[str] = []
-        any_local = False
-
-        for index, parent in enumerate(parents):
-            if parent.partitioner == node.partitioner:
-                # Already co-partitioned: drain parent partitions in
-                # place into a scratch handle.
-                any_local = True
-                count = parent.num_partitions
-                scratch_owner = f"scratch/{node.id}.{index}"
-                scratch.append(scratch_owner)
-                drained = self._new_output(blocks, scratch_owner, count)
-                drain_seconds = [0.0] * count
-
-                def make_drain(p, index=index, parent=parent, drained=drained,
-                               drain_seconds=drain_seconds):
-                    def fn():
-                        records, drain_seconds[p] = node._drain_partition(
-                            parent, index, p
-                        )
-                        drained.put(p, records)
-
-                    return fn
-
-                drain_tasks = [
-                    graph.add_task(
-                        ("drain", node.id, index, p),
-                        fn=make_drain(p),
-                        deps=self.narrow_deps(parent, p),
-                    )
-                    for p in range(count)
-                ]
-
-                def drained_hook(
-                    count=count, drain_seconds=drain_seconds, drained=drained
-                ):
-                    metrics.record_stage(count, list(drain_seconds))
-                    blocks.prefetch_namespace(drained.owner)
-
-                stats_deps.append(
-                    graph.add_task(
-                        ("drained", node.id, index),
-                        deps=drain_tasks,
-                        on_complete=drained_hook,
-                    )
-                )
-                parent_buckets.append(drained)
-                bucket_tasks.append(drain_tasks)
-                continue
-            opt_in = node._reuse_opt_in or parent._reuse_opt_in
-            reused = blocks.lookup_shuffle(
-                parent.id, node.partitioner, None
-            ) if opt_in else None
-            if reused is not None:
-                node._parent_stats[index] = getattr(reused, "stats", None)
-                blocks.prefetch_namespace(reused.owner)
-                parent_buckets.append(reused)
-                bucket_tasks.append(None)
-                continue
-            label = f"{node.id}.{index}"
-            pshuffle = self._new_shuffle(blocks, node.partitioner, None, label)
-            buckets = self._new_output(blocks, f"out/{label}", num_parts)
-
-            def make_map(m, pshuffle=pshuffle, parent=parent):
-                def fn():
-                    pshuffle.run_map_slot((m, 0), parent.iterator(m), m)
-
-                return fn
-
-            map_tasks = [
-                graph.add_task(
-                    ("map", node.id, index, m),
-                    fn=make_map(m),
-                    deps=self.narrow_deps(parent, m),
-                )
-                for m in range(parent.num_partitions)
-            ]
-
-            def shuffled_hook(
-                pshuffle=pshuffle, index=index, parent=parent,
-                opt_in=opt_in, buckets=buckets, label=label,
-            ):
-                stats = pshuffle.finish_map_phase()
-                node._parent_stats[index] = buckets.stats = stats
-                for r in range(num_parts):
-                    buckets.put(r, pshuffle.read_bucket(r))
-                if opt_in:
-                    blocks.register_shuffle(
-                        parent.id, node.partitioner, None, buckets
-                    )
-                    self._keep(f"out/{label}")
-                else:
-                    scratch.append(f"out/{label}")
-                    blocks.prefetch_namespace(buckets.owner)
-
-            maps_done = graph.add_task(
-                ("maps-done", node.id, index),
-                deps=map_tasks,
-                on_complete=shuffled_hook,
-            )
-            stats_deps.append(maps_done)
-            parent_buckets.append(buckets)
-            # A reduce bucket concatenates every map slot, so one
-            # barrier task guards all of this parent's buckets.
-            bucket_tasks.append([maps_done] * num_parts)
-
+        scratch = [
+            shuffle for shuffle in shuffles if not self._build_wide(shuffle)
+        ]
+        self._scratch.update(id(shuffle) for shuffle in scratch)
+        builds = [self.builds.get(id(shuffle)) for shuffle in shuffles]
+        # A shuffle the registry served is read from its retained output.
+        sides = [
+            shuffle._output if build is None else build.output
+            for shuffle, build in zip(shuffles, builds)
+        ]
+        built = [build for build in builds if build is not None]
         merge_seconds = [0.0] * num_parts
 
         def make_merge(p):
@@ -854,9 +758,7 @@ class _JobCompiler:
                     table: dict[Any, tuple[list, ...]] = {}
                     for index in range(arity):
                         runner.fault_point(f"merge:{node.id}", p)
-                        merge_cogroup_bucket(
-                            table, parent_buckets[index][p], index, arity
-                        )
+                        merge_cogroup_bucket(table, sides[index][p], index, arity)
                 output.put(p, list(table.items()))
                 merge_seconds[p] = timer.own_seconds
 
@@ -866,24 +768,26 @@ class _JobCompiler:
             graph.add_task(
                 ("merge", node.id, p),
                 fn=make_merge(p),
-                deps=[tasks[p] for tasks in bucket_tasks if tasks is not None],
+                deps=[build.out_tasks[p] for build in built],
             )
             for p in range(num_parts)
         ]
 
         def merges_done_hook():
             metrics.record_stage(num_parts, list(merge_seconds))
-            for scratch_owner in scratch:
-                self._drop(scratch_owner)
+            for shuffle in scratch:
+                self._drop(f"out/{shuffle.id}")
             self._finish(node)
 
         graph.add_task(
             ("merges-done", node.id), deps=merges, on_complete=merges_done_hook
         )
-        stats_task = graph.add_task(("stats", node.id), deps=stats_deps)
+        stats_task = graph.add_task(
+            ("stats", node.id), deps=[build.stats_task for build in built]
+        )
         self._begin(node, _WideBuild(
             node, output, merges, stats_task, node._combined_statistics,
-            has_stats=not any_local,
+            has_stats=all(build.has_stats for build in built),
         ))
 
     # -- narrow dependency resolution -----------------------------------

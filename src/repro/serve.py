@@ -575,11 +575,11 @@ def serve_main(argv: Optional[list[str]] = None) -> int:
         "(default: unbounded)",
     )
     parser.add_argument(
-        "--quota", default=None,
+        "--quota", default=None, type=parse_memory_limit,
         help="per-tenant resident-byte quota, e.g. 64M (default: none)",
     )
     parser.add_argument(
-        "--memory-limit", default=None,
+        "--memory-limit", default=None, type=parse_memory_limit,
         help="substrate memory cap with spill-to-disk, e.g. 256M",
     )
     parser.add_argument(

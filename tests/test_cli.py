@@ -249,3 +249,11 @@ def test_cli_npz_archive_binds_members(tmp_path, capsys):
     ])
     assert code == 0
     assert "6.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("size", ["foo", "inf", "-1M"])
+def test_cli_malformed_memory_limit_is_a_usage_error(size, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["1 + 1", f"--memory-limit={size}"])
+    assert exit_info.value.code == 2
+    assert "--memory-limit" in capsys.readouterr().err

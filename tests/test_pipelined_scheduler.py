@@ -36,6 +36,7 @@ from repro import SacSession
 from repro.engine import (
     TINY_CLUSTER,
     EngineContext,
+    HashPartitioner,
     InjectedFatalTaskError,
     InjectedTaskFailure,
     SerialTaskRunner,
@@ -591,18 +592,43 @@ def test_task_graph_and_map_buckets_die_with_the_job(monkeypatch, fail):
 
 
 # ----------------------------------------------------------------------
-# One fault sweep over the golden shapes
+# One fault sweep over the golden shapes and a co-partitioned cogroup
 # ----------------------------------------------------------------------
 
-STAGE_KINDS = ("map", "reduce", "combine", "drain", "merge", "result")
+STAGE_KINDS = ("map", "reduce", "combine", "merge", "result")
+
+
+def _run_cogroup(session):
+    """A cogroup of a co-partitioned parent and a hashed one: the first
+    reaches the cogroup through a local combine, the second through a
+    shuffle's map stage."""
+    engine = session.engine
+    partitioner = HashPartitioner(2)
+    left = engine.parallelize(
+        [(k % 6, float(k)) for k in range(24)], 2
+    ).partition_by(partitioner)
+    right = engine.parallelize([(k % 6, -float(k)) for k in range(12)], 2)
+    grouped = left.cogroup(right, partitioner=partitioner).collect()
+    return np.array(sorted(
+        (key, sum(mine), sum(theirs)) for key, (mine, theirs) in grouped
+    ))
+
+
+#: The golden shapes plus the one shape that fires ``combine``.
+SWEEP_SHAPES = _golden_shapes() + [("cogroup-copartitioned", _run_cogroup, {})]
 
 
 @RUNNERS
-@GOLDEN_SHAPES
+@pytest.mark.parametrize(
+    "name,run,opts", SWEEP_SHAPES,
+    ids=[name for name, _run, _opts in SWEEP_SHAPES],
+)
 def test_transient_failure_at_every_stage_kind(name, run, opts, runner_factory):
     """One retried task of any kind changes nothing but ``task_retries``."""
     options = PlannerOptions(**opts) if opts else None
-    clean = _run_arm(run, options, SerialTaskRunner())[0]
+    clean, clean_counters, _ = _run_arm(run, options, SerialTaskRunner())
+    if name in GOLDEN_COUNTERS:
+        assert clean_counters == _golden(name)
     fired_kinds = set()
     for kind in STAGE_KINDS:
         with _session(options, runner_factory()) as session:
@@ -611,11 +637,31 @@ def test_transient_failure_at_every_stage_kind(name, run, opts, runner_factory):
             result = np.asarray(run(session))
             fired = 1 - runner._injections[0].remaining
             assert result.tobytes() == clean.tobytes(), kind
-            assert _counters(session.engine.metrics) == _golden(name, fired), kind
+            assert _counters(session.engine.metrics) == dict(
+                clean_counters, task_retries=fired
+            ), kind
         if fired:
             fired_kinds.add(kind)
     assert "result" in fired_kinds
-    assert ("map" in fired_kinds) == (GOLDEN_COUNTERS[name][2] > 0)
+    assert ("map" in fired_kinds) == (clean_counters["shuffles"] > 0)
+
+
+def test_every_stage_kind_fires_on_some_sweep_shape():
+    """The sweep's kinds are not dead names: each one fails a task of at
+    least one shape."""
+    fired_kinds = set()
+    for _name, run, opts in SWEEP_SHAPES:
+        options = PlannerOptions(**opts) if opts else None
+        with _session(options, SerialTaskRunner()) as session:
+            runner = session.engine.runner
+            for kind in STAGE_KINDS:
+                runner.inject_failure(kind, 0, times=1)
+            run(session)
+            fired_kinds.update(
+                kind for kind, injection in zip(STAGE_KINDS, runner._injections)
+                if injection.remaining == 0
+            )
+    assert fired_kinds == set(STAGE_KINDS)
 
 
 @pytest.mark.parametrize("memory_limit", [None, 4096], ids=["uncapped", "capped"])

@@ -468,3 +468,16 @@ def test_cli_dispatches_serve_subcommand(capsys):
     assert exit_code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["replay"]["errors"] == 0
+
+
+@pytest.mark.parametrize("flag", ["--quota", "--memory-limit"])
+def test_serve_main_malformed_size_is_a_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        serve_main([f"{flag}=foo"])
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_service_rejects_a_negative_quota():
+    with pytest.raises(ValueError, match="memory limit"):
+        QueryService(cluster=TINY_CLUSTER, tile_size=8, quota="-1M")

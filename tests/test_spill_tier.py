@@ -144,6 +144,18 @@ def test_parse_memory_limit_rejects_garbage():
         parse_memory_limit("lots")
 
 
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e400", "infG"])
+def test_parse_memory_limit_rejects_non_finite_sizes(text):
+    with pytest.raises(ValueError, match="memory limit"):
+        parse_memory_limit(text)
+
+
+@pytest.mark.parametrize("text", ["-1M", "-1", -1])
+def test_parse_memory_limit_rejects_negative_sizes(text):
+    with pytest.raises(ValueError, match="memory limit"):
+        parse_memory_limit(text)
+
+
 # ----------------------------------------------------------------------
 # Object store backends
 # ----------------------------------------------------------------------
@@ -306,9 +318,11 @@ def test_memory_buckets_reread_in_full_after_a_partial_read():
 
 @pytest.mark.parametrize("memory_limit", [None, 1024], ids=["uncapped", "capped"])
 def test_three_parent_cogroup_keeps_parent_order_and_drops_scratch(memory_limit):
-    """Three parents, the middle one co-partitioned (drained into a
-    ``scratch/`` namespace under a cap): each key's value lists are in
-    parent order and record order, and no scratch partition survives."""
+    """Three parents, the middle one co-partitioned (a local combine, not
+    a shuffle): each key's value lists are in parent order and record
+    order, and the parents' scratch shuffles are gone once the cogroup
+    is built — under a cap the collect leaves only the cogroup's own
+    output behind, without one no block at all."""
     ctx = EngineContext(
         cluster=TINY_CLUSTER, runner=SerialTaskRunner(),
         memory_limit=memory_limit,
@@ -320,18 +334,24 @@ def test_three_parent_cogroup_keeps_parent_order_and_drops_scratch(memory_limit)
         parents[1] = parents[1].partition_by(partitioner)
         parents[1].count()
         blocks = ctx.block_manager
+
+        def held():
+            return {ns for ns, _split in [*blocks._blocks, *blocks._spilled]}
+
         blocks_before = blocks.num_blocks
-        grouped = dict(CoGroupedRDD(ctx, parents, partitioner).collect())
+        held_before = held()
+        cogrouped = CoGroupedRDD(ctx, parents, partitioner)
+        grouped = dict(cogrouped.collect())
         assert grouped == {
             key: tuple([v for k, v in records if k == key] for records in data)
             for key in range(6)
         }
         if memory_limit is None:
             assert blocks.num_blocks == blocks_before
+            assert held() == held_before
         else:
             assert ctx.metrics.total.spilled_bytes > 0
-        held = {ns for ns, _split in [*blocks._blocks, *blocks._spilled]}
-        assert not [ns for ns in held if ns.startswith("scratch/")]
+            assert held() == held_before | {f"out/{cogrouped.id}"}
     finally:
         ctx.close()
 
